@@ -65,6 +65,13 @@ $SERVE --policy fifo --load 4.0 --shape 3 --batch >/dev/null
 $SERVE --policy sjf --sweep 0.5,1.0,2.0 >/dev/null
 echo "    serve smoke: all policies scored, batch and sweep render"
 
+echo "==> serve-scale smoke (complexity tripwire, not a timing gate: 50k"
+echo "    requests through a 100k-deep EDF queue take ~0.5 s with the indexed"
+echo "    queue and memoised job model, ~26 s with a linear scan per event)"
+timeout 15 ./target/release/grid-tsqr serve --policy edf --load 4 \
+  --queue 100000 --requests 50000 >/dev/null
+echo "    serve scale: deep-queue run finished inside its budget"
+
 echo "==> serving chaos smoke (failure schedules in the serve engine:"
 echo "    crash + checkpointed retry, crash + elastic re-plan, degraded"
 echo "    WAN + brownout shed; docs/serving.md §Failures)"

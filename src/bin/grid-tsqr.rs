@@ -100,6 +100,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 use grid_tsqr::core::domains::DomainLayout;
@@ -125,6 +127,9 @@ use tsqr_bench::{calib, grid_runtime, ledger_entry};
 
 struct Args {
     flags: Vec<(String, Option<String>)>,
+    /// Every name a subcommand asked about, so that what it never asked
+    /// about can be refused instead of silently ignored.
+    asked: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -141,10 +146,32 @@ impl Args {
             };
             flags.push((name.to_string(), value));
         }
-        Ok(Args { flags })
+        Ok(Args { flags, asked: RefCell::default() })
+    }
+
+    /// Fails when a flag was given that `cmd` never looked at: a mistyped
+    /// flag must not quietly measure the defaults.
+    fn reject_unread(&self, cmd: &str) -> Result<(), String> {
+        let asked = self.asked.borrow();
+        let stray: Vec<String> = self
+            .flags
+            .iter()
+            .filter(|(n, _)| !asked.contains(n))
+            .map(|(n, _)| format!("--{n}"))
+            .collect();
+        if stray.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("unknown flag for `{cmd}`: {}", stray.join(" ")))
+        }
+    }
+
+    fn note(&self, name: &str) {
+        self.asked.borrow_mut().insert(name.to_string());
     }
 
     fn get(&self, name: &str) -> Option<&str> {
+        self.note(name);
         self.flags
             .iter()
             .find(|(n, _)| n == name)
@@ -152,11 +179,13 @@ impl Args {
     }
 
     fn has(&self, name: &str) -> bool {
+        self.note(name);
         self.flags.iter().any(|(n, _)| n == name)
     }
 
     /// Every value given for a repeatable flag, in order.
     fn all(&self, name: &str) -> Vec<&str> {
+        self.note(name);
         self.flags
             .iter()
             .filter(|(n, _)| n == name)
@@ -301,7 +330,12 @@ fn run() -> Result<String, String> {
         return Err("missing command".into());
     };
     let args = Args::parse(rest)?;
+    let out = run_command(cmd, &args)?;
+    args.reject_unread(cmd)?;
+    Ok(out)
+}
 
+fn run_command(cmd: &str, args: &Args) -> Result<String, String> {
     if cmd == "info" {
         let catalog = grid_tsqr::qcg::ResourceCatalog::grid5000();
         let mut out = String::from("Grid'5000 catalog (paper §V-A):\n");
@@ -546,8 +580,13 @@ fn run() -> Result<String, String> {
             ..Default::default()
         };
 
+        // Every flag has been looked at by here; refuse strays before the
+        // simulation rather than after it.
+        let (sweep, trace_out) = (args.get("sweep"), args.get("trace-out"));
+        args.reject_unread(cmd)?;
+
         let mut out = String::new();
-        if let Some(sweep) = args.get("sweep") {
+        if let Some(sweep) = sweep {
             // Latency/throughput knee: one row per load, first policy only.
             let mut rows = Vec::new();
             for tok in sweep.split(',') {
@@ -615,7 +654,7 @@ fn run() -> Result<String, String> {
                 out.push_str("\nlink-class busy timeline:\n");
                 out.push_str(&grid_tsqr::serve::timeline(&outcome, 48).render());
             }
-            if let Some(path) = args.get("trace-out") {
+            if let Some(path) = trace_out {
                 // One JSON line per request, in id order — deterministic.
                 let suffixed = if policies.len() == 1 {
                     path.to_string()
@@ -783,7 +822,7 @@ fn run() -> Result<String, String> {
         }
     };
 
-    match cmd.as_str() {
+    match cmd {
         "tsqr" => {
             let domains: usize = args.num("domains", 64usize)?;
             let shape = parse_shape(args.get("tree").unwrap_or("grid"))?;

@@ -163,3 +163,28 @@ fn bad_input_exits_nonzero_with_usage() {
         assert!(err.contains("USAGE"), "{err}");
     }
 }
+
+#[test]
+fn a_flag_the_subcommand_never_reads_is_refused() {
+    // A mistyped flag used to run the defaults, i.e. measure another
+    // workload than the one asked for.
+    for (args, stray) in [
+        (vec!["serve", "--bogus", "1"], "--bogus"),
+        (vec!["serve", "--requests", "5", "--queue-capacity", "100000"], "--queue-capacity"),
+        (vec!["serve", "--sweep", "0.5", "--real"], "--real"),
+        (vec!["info", "--sites", "2"], "--sites"),
+        (vec!["tsqr", "--m", "4096", "--n", "8", "--polcy", "edf"], "--polcy"),
+    ] {
+        let out = cli().args(&args).output().expect("run cli");
+        assert_eq!(out.status.code(), Some(2), "args: {args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("unknown flag") && err.contains(stray), "{err}");
+    }
+    // Every serve flag is still known on every path, sweep included.
+    let out = cli()
+        .args(["serve", "--sweep", "0.5", "--requests", "5", "--trace-out", "unused.jsonl"])
+        .args(["--batch", "--queue", "8", "--retry", "2", "--no-checkpoint"])
+        .output()
+        .expect("run cli");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
