@@ -7,26 +7,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use tsqr_core::experiment::{run_experiment, Algorithm, Experiment, Mode};
 use tsqr_core::tree::TreeShape;
 use tsqr_gridmpi::Runtime;
-use tsqr_netsim::{ClusterSpec, CostModel, GridTopology, LinkParams};
+use tsqr_netsim::{two_tier_grid, LinkParams};
 
 fn mini_runtime(clusters: usize, procs_per_cluster: usize) -> Runtime {
-    let specs = (0..clusters)
-        .map(|i| ClusterSpec {
-            name: format!("c{i}"),
-            nodes: procs_per_cluster,
-            procs_per_node: 1,
-            peak_gflops_per_proc: 8.0,
-        })
-        .collect();
-    let topo = GridTopology::block_placement(specs, procs_per_cluster, 1);
-    let mut model = CostModel::homogeneous(LinkParams::from_ms_mbps(0.07, 890.0), 3.67e9, clusters);
-    for a in 0..clusters {
-        for b in 0..clusters {
-            if a != b {
-                model.inter_cluster[a][b] = LinkParams::from_ms_mbps(8.0, 80.0);
-            }
-        }
-    }
+    let lan = LinkParams::from_ms_mbps(0.07, 890.0);
+    let wan = LinkParams::from_ms_mbps(8.0, 80.0);
+    let (topo, model) = two_tier_grid(clusters, procs_per_cluster, lan, wan, 3.67e9);
     Runtime::new(topo, model)
 }
 

@@ -13,7 +13,8 @@
 use tsqr_bench::ShapeCheck;
 use tsqr_core::domains::DomainLayout;
 use tsqr_core::tree::{ReductionTree, TreeShape};
-use tsqr_core::tsqr::{tsqr_rank_program_symbolic, TsqrConfig};
+use tsqr_core::tile::Dims;
+use tsqr_core::tsqr::{tsqr_rank_program_with, TsqrConfig};
 use tsqr_gridmpi::Runtime;
 use tsqr_netsim::{ClusterSpec, CostModel, GridTopology, LinkParams};
 
@@ -38,7 +39,8 @@ fn run(layout: &DomainLayout, rt: &Runtime, rates: &[f64]) -> f64 {
     let tree = ReductionTree::build(&cfg.shape, layout.num_domains(), &layout.clusters());
     let report = rt.run(|p, _| {
         let rate = rates[p.cluster()];
-        tsqr_rank_program_symbolic(p, layout, &tree, &cfg, Some(rate))
+        let dims = |_, rows| Dims { rows, cols: layout.n };
+        tsqr_rank_program_with(p, layout, &tree, &cfg, Some(rate), dims).map(|_| ())
     });
     report.makespan.secs()
 }

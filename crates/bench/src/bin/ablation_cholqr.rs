@@ -20,26 +20,12 @@ use tsqr_gridmpi::Runtime;
 use tsqr_linalg::prelude::*;
 use tsqr_linalg::verify::orthogonality;
 use tsqr_linalg::Matrix;
-use tsqr_netsim::{ClusterSpec, CostModel, GridTopology, LinkParams};
+use tsqr_netsim::{two_tier_grid, LinkParams};
 
 fn mini_grid(clusters: usize, procs: usize) -> Runtime {
-    let specs = (0..clusters)
-        .map(|i| ClusterSpec {
-            name: format!("c{i}"),
-            nodes: procs,
-            procs_per_node: 1,
-            peak_gflops_per_proc: 8.0,
-        })
-        .collect();
-    let topo = GridTopology::block_placement(specs, procs, 1);
-    let mut model = CostModel::homogeneous(LinkParams::from_ms_mbps(0.07, 890.0), 3.67e9, clusters);
-    for a in 0..clusters {
-        for b in 0..clusters {
-            if a != b {
-                model.inter_cluster[a][b] = LinkParams::from_ms_mbps(8.0, 80.0);
-            }
-        }
-    }
+    let lan = LinkParams::from_ms_mbps(0.07, 890.0);
+    let wan = LinkParams::from_ms_mbps(8.0, 80.0);
+    let (topo, model) = two_tier_grid(clusters, procs, lan, wan, 3.67e9);
     Runtime::new(topo, model)
 }
 

@@ -12,8 +12,9 @@
 //! Run: `cargo run --release -p tsqr-bench --bin caqr_scaling`
 
 use tsqr_bench::{calib, grid_runtime, ShapeCheck};
-use tsqr_core::caqr_dist::{caqr_dist_rank_program_symbolic, CaqrDistConfig};
+use tsqr_core::caqr_dist::{caqr_dist_program, CaqrDistConfig};
 use tsqr_core::model;
+use tsqr_core::tile::Dims;
 use tsqr_core::tree::TreeShape;
 
 fn caqr_gflops(sites: usize, m: u64, n: usize, tile: usize) -> f64 {
@@ -24,7 +25,8 @@ fn caqr_gflops(sites: usize, m: u64, n: usize, tile: usize) -> f64 {
         rate_flops: Some(calib::kernel_rate_flops(tile)),
         combine_rate_flops: Some(calib::combine_rate_flops()),
     };
-    let report = rt.run(|p, _| caqr_dist_rank_program_symbolic(p, m, n, &cfg));
+    let dims = |_, rows| Dims { rows, cols: n };
+    let report = rt.run(|p, _| caqr_dist_program(p, m, n, &cfg, dims).map(|_| ()));
     // Useful flops of a full QR of an m × n matrix.
     let useful = model::useful_flops(m, n as u64, false);
     useful / report.makespan.secs() / 1e9
@@ -71,7 +73,7 @@ fn main() {
         combine_rate_flops: Some(calib::combine_rate_flops()),
     };
     let wan_of = |m: u64, n: usize| {
-        rt.run(|p, _| caqr_dist_rank_program_symbolic(p, m, n, &cfg))
+        rt.run(|p, _| caqr_dist_program(p, m, n, &cfg, |_, rows| Dims { rows, cols: n }).map(|_| ()))
             .totals
             .inter_cluster_msgs()
     };

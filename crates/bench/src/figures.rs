@@ -36,7 +36,7 @@ use tsqr_serve::{
 
 use crate::calib;
 use crate::harness::grid_runtime;
-use crate::json::{escape, num, Json};
+use tsqr_obs::json::{escape, num, Json};
 
 /// One headline configuration of a figure binary.
 #[derive(Debug, Clone, PartialEq)]

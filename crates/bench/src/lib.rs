@@ -44,7 +44,6 @@
 pub mod calib;
 pub mod figures;
 pub mod harness;
-pub mod json;
 
 pub use figures::{
     all_figures, bench_records, bench_records_full, compare_records, fault_bench_records,

@@ -25,15 +25,13 @@
 //! the matrix width — which is why CAQR inherits TSQR's grid scalability
 //! (see `cargo run -p tsqr-bench --bin caqr_scaling`).
 
-use tsqr_gridmpi::message::Phantom;
 use tsqr_gridmpi::{CommError, Process};
 use tsqr_linalg::flops;
-use tsqr_linalg::prelude::*;
-use tsqr_linalg::qr::{geqrf, larfb_left, larft};
+use tsqr_linalg::qr::Trans;
 use tsqr_linalg::Matrix;
 
+use crate::tile::Tile;
 use crate::tree::{ReductionTree, Step, TreeShape};
-use crate::tsqr::{pack_upper, unpack_upper};
 use crate::workload;
 
 /// Tag for R factors travelling up the per-panel tree.
@@ -141,111 +139,14 @@ pub fn caqr_dist_rank_program_with(
     m: u64,
     n: usize,
     cfg: &CaqrDistConfig,
-    mut local_block: impl FnMut(u64, usize) -> Matrix,
+    local_block: impl FnMut(u64, usize) -> Matrix,
 ) -> Result<Option<Matrix>, CommError> {
-    let b = cfg.tile;
-    assert!(
-        b >= 1 && n.is_multiple_of(b) && (m as usize).is_multiple_of(b),
-        "m and n must be multiples of the tile"
-    );
-    let procs = p.size();
-    let n_tiles = m as usize / b;
-    let n_panels = n / b;
-    assert!(n_tiles >= n_panels, "matrix must be at least as tall as wide");
-    let map = TileMap::new(p.rank(), procs, n_tiles, b);
+    let local = caqr_dist_program(p, m, n, cfg, local_block)?;
+    let (b, procs, n_panels) = (cfg.tile, p.size(), n / cfg.tile);
+    let map = TileMap::new(p.rank(), procs, m as usize / b, b);
 
-    // Materialize this rank's tiles, stacked.
-    let mut local = Matrix::zeros(map.tiles.len() * b, n);
-    for (i, &t) in map.tiles.iter().enumerate() {
-        let block = local_block((t * b) as u64, b);
-        assert_eq!(block.shape(), (b, n), "local_block returned the wrong shape");
-        local.set_sub(i * b, 0, &block);
-    }
-
-    let cluster_of_rank: Vec<usize> =
-        (0..procs).map(|r| p.topology().cluster_of(r)).collect();
-
-    for k in 0..n_panels {
-        let (off, rows) = map.active(k, local.rows());
-        let participants = panel_participants(k, procs, n_tiles, &cluster_of_rank);
-        let my_pos = participants.iter().position(|&r| r == p.rank());
-        let col0 = k * b;
-        let trail = n - col0 - b;
-
-        // --- 1. Local leaf factorization + local trailing update. ---
-        p.phase_begin(PHASE_PANEL_LEAF);
-        let mut r1: Option<Matrix> = None;
-        if rows > 0 {
-            let mut work = local.sub_matrix(off, col0, rows, b);
-            let mut tau = vec![0.0; b.min(rows)];
-            geqrf(&mut work.view_mut(), &mut tau, 32);
-            p.compute(flops::geqrf(rows as u64, b as u64), cfg.rate_flops);
-            local.set_sub(off, col0, &work);
-            if trail > 0 {
-                let t = larft(&work.view(), &tau);
-                let mut c = local.sub_matrix(off, col0 + b, rows, trail);
-                larfb_left(Trans::Yes, &work.view(), &t.view(), &mut c.view_mut());
-                local.set_sub(off, col0 + b, &c);
-                p.compute(2 * flops::gemm(rows as u64, trail as u64, b as u64), cfg.rate_flops);
-            }
-            // Tile granularity guarantees every participant holds at
-            // least one full b-row tile.
-            let r = work.sub_matrix(0, 0, b, b);
-            r1 = Some(r.upper_triangular_padded());
-        }
-        p.phase_end();
-
-        // --- 2. Tree reduction with coupled trailing updates. ---
-        if let (Some(pos), Some(mut r_acc)) = (my_pos, r1) {
-            p.phase_begin(PHASE_PANEL_TREE);
-            let tree = ReductionTree::build(
-                &cfg.shape,
-                participants.len(),
-                &participants.iter().map(|&r| cluster_of_rank[r]).collect::<Vec<_>>(),
-            );
-            let combine_rate = cfg.combine_rate_flops.or(cfg.rate_flops);
-            for step in &tree.steps[pos] {
-                match *step {
-                    Step::Recv(from_pos) => {
-                        let from = participants[from_pos];
-                        let packed: Vec<f64> = p.recv(from, TAG_R)?;
-                        let mut r2 = unpack_upper(b, &packed);
-                        let f = tpqrt(&mut r_acc, &mut r2);
-                        p.compute(flops::tpqrt(b as u64), combine_rate);
-                        if trail > 0 {
-                            let mut c1 = local.sub_matrix(off, col0 + b, b, trail);
-                            let mut c2: Matrix = p.recv(from, TAG_C)?;
-                            tpmqrt(Trans::Yes, &f, &mut c1, &mut c2);
-                            p.compute(
-                                flops::tpmqrt(b as u64, trail as u64),
-                                combine_rate,
-                            );
-                            local.set_sub(off, col0 + b, &c1);
-                            p.send(from, TAG_C_BACK, c2)?;
-                        }
-                    }
-                    Step::Send(to_pos) => {
-                        let to = participants[to_pos];
-                        p.send(to, TAG_R, pack_upper(&r_acc))?;
-                        if trail > 0 {
-                            let c_mine = local.sub_matrix(off, col0 + b, b, trail);
-                            p.send(to, TAG_C, c_mine)?;
-                            let updated: Matrix = p.recv(to, TAG_C_BACK)?;
-                            local.set_sub(off, col0 + b, &updated);
-                        }
-                    }
-                }
-            }
-            // The root (owner of tile k) stores the panel's final R.
-            if pos == 0 {
-                debug_assert!(map.owns(k));
-                local.set_sub(off, col0, &r_acc.upper_triangular_padded());
-            }
-            p.phase_end();
-        }
-    }
-
-    // --- Gather the R tiles (diagonal row-blocks) to rank 0. ---
+    // --- Gather the R tiles (diagonal row-blocks) to rank 0: bookkeeping,
+    // not part of the factorization the paper times. ---
     p.phase_begin(PHASE_GATHER);
     let mut mine: Vec<(usize, Matrix)> = Vec::new();
     for (i, &t) in map.tiles.iter().enumerate() {
@@ -281,15 +182,18 @@ pub fn caqr_dist_rank_program_with(
     Ok(out)
 }
 
-/// The symbolic twin: identical schedule and charged flops, no numerics,
-/// no final gather (the gather is bookkeeping, not part of the
-/// factorization the paper times).
-pub fn caqr_dist_rank_program_symbolic(
+/// The factorization proper — every panel's leaf and tree reduction —
+/// over either kind of [`Tile`]; returns this rank's stacked tiles, the
+/// diagonal ones holding their `R` row-blocks. With `local_block`
+/// returning a [`crate::tile::Dims`] it is the schedule and flop charges
+/// alone (`caqr_scaling`).
+pub fn caqr_dist_program<T: Tile>(
     p: &mut Process,
     m: u64,
     n: usize,
     cfg: &CaqrDistConfig,
-) -> Result<(), CommError> {
+    mut local_block: impl FnMut(u64, usize) -> T,
+) -> Result<T, CommError> {
     let b = cfg.tile;
     assert!(
         b >= 1 && n.is_multiple_of(b) && (m as usize).is_multiple_of(b),
@@ -298,31 +202,43 @@ pub fn caqr_dist_rank_program_symbolic(
     let procs = p.size();
     let n_tiles = m as usize / b;
     let n_panels = n / b;
+    assert!(n_tiles >= n_panels, "matrix must be at least as tall as wide");
     let map = TileMap::new(p.rank(), procs, n_tiles, b);
-    let total_local_rows = map.tiles.len() * b;
+
+    // Materialize this rank's tiles, stacked.
+    let mut local = T::zeros(map.tiles.len() * b, n);
+    for (i, &t) in map.tiles.iter().enumerate() {
+        let block = local_block((t * b) as u64, b);
+        assert_eq!(block.shape(), (b, n), "local_block returned the wrong shape");
+        local.set_sub(i * b, 0, &block);
+    }
+
     let cluster_of_rank: Vec<usize> =
         (0..procs).map(|r| p.topology().cluster_of(r)).collect();
-    let r_bytes = 8 * (b * (b + 1) / 2) as u64;
 
     for k in 0..n_panels {
-        let (off, rows) = map.active(k, total_local_rows);
+        let (off, rows) = map.active(k, local.shape().0);
         let participants = panel_participants(k, procs, n_tiles, &cluster_of_rank);
         let my_pos = participants.iter().position(|&r| r == p.rank());
-        let trail = n - k * b - b;
-        let _ = off;
+        let col0 = k * b;
+        let trail = n - col0 - b;
 
+        // --- 1. Local leaf factorization + local trailing update. ---
         p.phase_begin(PHASE_PANEL_LEAF);
+        let mut r1: Option<T> = None;
         if rows > 0 {
+            // Tile granularity guarantees every participant holds at
+            // least one full b-row tile.
+            r1 = Some(local.factor_panel(off, col0, rows, b, 32).1);
             p.compute(flops::geqrf(rows as u64, b as u64), cfg.rate_flops);
             if trail > 0 {
                 p.compute(2 * flops::gemm(rows as u64, trail as u64, b as u64), cfg.rate_flops);
             }
         }
         p.phase_end();
-        if let Some(pos) = my_pos {
-            if rows == 0 {
-                continue;
-            }
+
+        // --- 2. Tree reduction with coupled trailing updates. ---
+        if let (Some(pos), Some(mut r_acc)) = (my_pos, r1) {
             p.phase_begin(PHASE_PANEL_TREE);
             let tree = ReductionTree::build(
                 &cfg.shape,
@@ -334,58 +250,50 @@ pub fn caqr_dist_rank_program_symbolic(
                 match *step {
                     Step::Recv(from_pos) => {
                         let from = participants[from_pos];
-                        let _: Phantom = p.recv(from, TAG_R)?;
+                        let f = r_acc.tpqrt(p.recv(from, TAG_R)?);
                         p.compute(flops::tpqrt(b as u64), combine_rate);
                         if trail > 0 {
-                            let _: Phantom = p.recv(from, TAG_C)?;
-                            p.compute(flops::tpmqrt(b as u64, trail as u64), combine_rate);
-                            p.send(from, TAG_C_BACK, Phantom { bytes: 8 * (b * trail) as u64 })?;
+                            let mut c1 = local.sub_matrix(off, col0 + b, b, trail);
+                            let mut c2: T = p.recv(from, TAG_C)?;
+                            T::tpmqrt(Trans::Yes, &f, &mut c1, &mut c2);
+                            p.compute(
+                                flops::tpmqrt(b as u64, trail as u64),
+                                combine_rate,
+                            );
+                            local.set_sub(off, col0 + b, &c1);
+                            p.send(from, TAG_C_BACK, c2)?;
                         }
                     }
                     Step::Send(to_pos) => {
                         let to = participants[to_pos];
-                        p.send(to, TAG_R, Phantom { bytes: r_bytes })?;
+                        p.send(to, TAG_R, r_acc.pack_upper())?;
                         if trail > 0 {
-                            p.send(to, TAG_C, Phantom { bytes: 8 * (b * trail) as u64 })?;
-                            let _: Phantom = p.recv(to, TAG_C_BACK)?;
+                            let c_mine = local.sub_matrix(off, col0 + b, b, trail);
+                            p.send(to, TAG_C, c_mine)?;
+                            let updated: T = p.recv(to, TAG_C_BACK)?;
+                            local.set_sub(off, col0 + b, &updated);
                         }
                     }
                 }
             }
+            // The root (owner of tile k) stores the panel's final R.
+            if pos == 0 {
+                debug_assert!(map.owns(k));
+                local.set_sub(off, col0, &r_acc);
+            }
             p.phase_end();
         }
     }
-    Ok(())
+    Ok(local)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsqr_linalg::prelude::QrFactors;
     use tsqr_linalg::verify::{is_upper_triangular, r_distance};
-    use tsqr_netsim::{ClusterSpec, CostModel, GridTopology, LinkParams};
+    use crate::mini_grid;
     use tsqr_gridmpi::Runtime;
-
-    fn mini_grid(clusters: usize, procs: usize) -> Runtime {
-        let specs = (0..clusters)
-            .map(|i| ClusterSpec {
-                name: format!("c{i}"),
-                nodes: procs,
-                procs_per_node: 1,
-                peak_gflops_per_proc: 8.0,
-            })
-            .collect();
-        let topo = GridTopology::block_placement(specs, procs, 1);
-        let mut model =
-            CostModel::homogeneous(LinkParams::from_ms_mbps(0.07, 890.0), 1e9, clusters);
-        for a in 0..clusters {
-            for b in 0..clusters {
-                if a != b {
-                    model.inter_cluster[a][b] = LinkParams::from_ms_mbps(8.0, 80.0);
-                }
-            }
-        }
-        Runtime::new(topo, model)
-    }
 
     fn reference_r(seed: u64, m: usize, n: usize) -> Matrix {
         QrFactors::compute(&workload::full_matrix(seed, m, n), 16)
@@ -501,29 +409,6 @@ mod tests {
         trsv(Triangle::Upper, &r.view(), &mut x);
         for (got, want) in x.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-9, "{got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn symbolic_twin_matches_real_traffic_without_gather() {
-        let rt = mini_grid(2, 2);
-        let cfg = CaqrDistConfig {
-            tile: 4,
-            shape: TreeShape::GridHierarchical,
-            rate_flops: None,
-            combine_rate_flops: None,
-        };
-        let (m, n) = (96u64, 12usize);
-        let real = rt.run(|p, _| caqr_dist_rank_program(p, m, n, &cfg, 99).map(|_| ()));
-        let sym = rt.run(|p, _| caqr_dist_rank_program_symbolic(p, m, n, &cfg));
-        // The real run adds the final gather (bookkeeping); flops must
-        // match exactly and messages differ only by the gather.
-        for (rank, (a, b)) in real.ranks.iter().zip(&sym.ranks).enumerate() {
-            assert_eq!(a.stats.traffic.flops, b.stats.traffic.flops, "rank {rank} flops");
-            assert!(
-                a.stats.traffic.total_msgs() <= b.stats.traffic.total_msgs() + 1,
-                "rank {rank}: gather adds at most one message"
-            );
         }
     }
 }

@@ -15,9 +15,10 @@ use tsqr_netsim::VirtualTime;
 
 use crate::domains::{even_chunks, DomainLayout};
 use crate::model;
-use crate::scalapack::{pdgeqr2, pdgeqr2_symbolic, pdgeqrf, pdgeqrf_symbolic};
+use crate::scalapack::{pdgeqr2, pdgeqrf, PanelTile};
+use crate::tile::Dims;
 use crate::tree::{ReductionTree, TreeShape};
-use crate::tsqr::{tsqr_rank_program, tsqr_rank_program_symbolic, TsqrConfig};
+use crate::tsqr::{tsqr_rank_program_with, TsqrConfig};
 use crate::workload;
 
 /// Which algorithm to run.
@@ -132,7 +133,30 @@ impl ExperimentResult {
 
 /// Runs one experiment point on the given runtime.
 pub fn run_experiment(rt: &Runtime, exp: &Experiment) -> ExperimentResult {
-    let report: RunReport<Option<Matrix>> = match &exp.algorithm {
+    let n = exp.n;
+    // The one place the mode is looked at: it picks the data type the rank
+    // programs are instantiated with, and whether an R comes back.
+    match exp.mode {
+        Mode::Real { seed } => {
+            assert!(
+                !exp.compute_q || matches!(exp.algorithm, Algorithm::Tsqr { .. }),
+                "real-mode ScaLAPACK baseline computes R only"
+            );
+            run_on(rt, exp, |row0, rows| workload::block(seed, row0, rows, n), Some)
+        }
+        Mode::Symbolic => run_on(rt, exp, |_, rows| Dims { rows, cols: n }, |_| None),
+    }
+}
+
+/// [`run_experiment`] for one kind of tile: `block(row0, rows)` makes a
+/// rank's rows, `keep` turns rank 0's R tile into the reported matrix.
+fn run_on<T: PanelTile>(
+    rt: &Runtime,
+    exp: &Experiment,
+    block: impl Fn(u64, usize) -> T + Sync,
+    keep: impl Fn(T) -> Option<Matrix>,
+) -> ExperimentResult {
+    let report: RunReport<Option<T>> = match &exp.algorithm {
         Algorithm::Tsqr { shape, domains_per_cluster } => {
             let domains_per_cluster = *domains_per_cluster;
             let cfg = TsqrConfig {
@@ -144,69 +168,39 @@ pub fn run_experiment(rt: &Runtime, exp: &Experiment) -> ExperimentResult {
             };
             let layout = DomainLayout::build(rt.topology(), exp.m, exp.n, domains_per_cluster);
             let tree = ReductionTree::build(shape, layout.num_domains(), &layout.clusters());
-            match exp.mode {
-                Mode::Real { seed } => rt.run(|p, _| {
-                    tsqr_rank_program(p, &layout, &tree, &cfg, seed, exp.rate_flops)
-                        .map(|out| out.r)
-                }),
-                Mode::Symbolic => rt.run(|p, _| {
-                    tsqr_rank_program_symbolic(p, &layout, &tree, &cfg, exp.rate_flops)
-                        .map(|_| None)
-                }),
-            }
+            rt.run(|p, _| {
+                tsqr_rank_program_with(p, &layout, &tree, &cfg, exp.rate_flops, &block).map(|out| out.r)
+            })
         }
-        Algorithm::ScalapackQrf { nb, nx } => {
-            let (nb, nx) = (*nb, *nx);
-            let procs = rt.topology().num_procs();
-            let chunks = even_chunks(exp.m, procs);
-            assert!(!exp.compute_q, "the blocked baseline computes R only");
-            match exp.mode {
-                Mode::Real { seed } => rt.run(|p: &mut Process, world| {
-                    let me = world.my_index(p);
-                    let row0: u64 = chunks[..me].iter().sum();
-                    let local = workload::block(seed, row0, chunks[me] as usize, exp.n);
-                    let out = pdgeqrf(p, world, local, nb, nx, exp.rate_flops)?;
-                    Ok(out.r)
-                }),
-                Mode::Symbolic => rt.run(|p, world| {
-                    let me = world.my_index(p);
-                    pdgeqrf_symbolic(p, world, chunks[me], exp.n, nb, nx, exp.rate_flops)?;
-                    Ok(None)
-                }),
-            }
-        }
-        Algorithm::ScalapackQr2 => {
-            let procs = rt.topology().num_procs();
-            let chunks = even_chunks(exp.m, procs);
-            match exp.mode {
-                Mode::Real { seed } => {
-                    assert!(!exp.compute_q, "real-mode ScaLAPACK baseline computes R only");
-                    rt.run(|p: &mut Process, world| {
-                        let me = world.my_index(p);
-                        let row0: u64 = chunks[..me].iter().sum();
-                        let local = workload::block(seed, row0, chunks[me] as usize, exp.n);
-                        let out = pdgeqr2(p, world, local, exp.rate_flops)?;
-                        Ok(out.r)
-                    })
+        baseline => {
+            // PDGEQR2 is the blocked driver with one-column panels.
+            let (nb, nx) = match *baseline {
+                Algorithm::ScalapackQrf { nb, nx } => (nb, nx),
+                _ => (1, 0),
+            };
+            assert!(
+                !exp.compute_q || *baseline == Algorithm::ScalapackQr2,
+                "the blocked baseline computes R only"
+            );
+            let chunks = even_chunks(exp.m, rt.topology().num_procs());
+            rt.run(|p: &mut Process, world| {
+                let me = world.my_index(p);
+                let (row0, rows) = (chunks[..me].iter().sum(), chunks[me] as usize);
+                let out = pdgeqrf(p, world, block(row0, rows), nb, nx, exp.rate_flops)?;
+                if exp.compute_q {
+                    // Table II: forming Q doubles messages, volume and
+                    // flops; the back-transformation sweep has the same
+                    // per-column reduction structure as the
+                    // factorization, so replaying the schedule on the
+                    // block's dimensions charges exactly the doubled cost.
+                    pdgeqr2(p, world, Dims { rows, cols: exp.n }, exp.rate_flops)?;
                 }
-                Mode::Symbolic => rt.run(|p, world| {
-                    let me = world.my_index(p);
-                    pdgeqr2_symbolic(p, world, chunks[me], exp.n, exp.rate_flops)?;
-                    if exp.compute_q {
-                        // Table II: forming Q doubles messages, volume and
-                        // flops; the back-transformation sweep has the same
-                        // per-column reduction structure as the
-                        // factorization, so replaying the schedule charges
-                        // exactly the doubled cost.
-                        pdgeqr2_symbolic(p, world, chunks[me], exp.n, exp.rate_flops)?;
-                    }
-                    Ok(None)
-                }),
-            }
+                Ok(out.r)
+            })
         }
     };
 
-    let r = report.ranks[0].result.clone().expect("rank program failed");
+    let r = report.ranks[0].result.clone().expect("rank program failed").and_then(keep);
     let makespan = report.makespan;
     let per_rank = report.ranks.iter().map(|r| r.stats).collect();
     let gflops = model::useful_flops(exp.m, exp.n as u64, exp.compute_q)
@@ -228,27 +222,12 @@ mod tests {
     use super::*;
     use tsqr_linalg::verify::r_distance;
     use tsqr_linalg::prelude::QrFactors;
-    use tsqr_netsim::{ClusterSpec, CostModel, GridTopology, LinkParams};
+    use tsqr_netsim::{two_tier_grid, LinkParams};
 
     fn mini_runtime(clusters: usize, procs_per_cluster: usize) -> Runtime {
-        let specs = (0..clusters)
-            .map(|i| ClusterSpec {
-                name: format!("c{i}"),
-                nodes: procs_per_cluster,
-                procs_per_node: 1,
-                peak_gflops_per_proc: 8.0,
-            })
-            .collect();
-        let topo = GridTopology::block_placement(specs, procs_per_cluster, 1);
-        let mut model =
-            CostModel::homogeneous(LinkParams::from_ms_mbps(0.07, 890.0), 3.67e9, clusters);
-        for a in 0..clusters {
-            for b in 0..clusters {
-                if a != b {
-                    model.inter_cluster[a][b] = LinkParams::from_ms_mbps(8.0, 80.0);
-                }
-            }
-        }
+        let lan = LinkParams::from_ms_mbps(0.07, 890.0);
+        let wan = LinkParams::from_ms_mbps(8.0, 80.0);
+        let (topo, model) = two_tier_grid(clusters, procs_per_cluster, lan, wan, 3.67e9);
         Runtime::new(topo, model)
     }
 

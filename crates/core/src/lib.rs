@@ -22,9 +22,11 @@
 //! * [`domains`] — the domain decomposition knob (§III): one domain per
 //!   process (classic TSQR), per node, or per cluster (per-site
 //!   ScaLAPACK), and the load-balanced row attribution extension.
-//! * [`scalapack`] — the baseline `PDGEQR2`: a numerically real
-//!   distributed Householder panel factorization paying two all-reduces
-//!   per column, plus its symbolic twin.
+//! * [`scalapack`] — the baseline `PDGEQR2`: a distributed Householder
+//!   panel factorization paying two all-reduces per column.
+//! * [`tile`] — what a rank holds while it runs a schedule: a `Matrix`
+//!   (numerically real) or its `Dims` (paper scale). Every distributed
+//!   algorithm is one program generic over the two.
 //! * [`tsqr`] — QCG-TSQR itself: local/grouped leaf factorizations, packed
 //!   R factors reduced over the tree, optional explicit-Q down-sweep.
 //! * [`ft_tsqr`] — the **self-healing** variant: under an injected
@@ -97,11 +99,23 @@ pub mod model;
 pub mod modelfit;
 pub mod oocqr;
 pub mod scalapack;
+pub mod tile;
 pub mod tree;
 pub mod tslu;
 pub mod tsqr;
 pub mod tune;
 pub mod workload;
+
+/// The miniature grid the unit tests run on: `clusters` sites of `procs`
+/// single-process nodes, Grid'5000-like LAN/WAN links, 1 Gflop/s.
+#[cfg(test)]
+pub(crate) fn mini_grid(clusters: usize, procs: usize) -> tsqr_gridmpi::Runtime {
+    use tsqr_netsim::{two_tier_grid, LinkParams};
+    let lan = LinkParams::from_ms_mbps(0.07, 890.0);
+    let wan = LinkParams::from_ms_mbps(8.0, 80.0);
+    let (topo, model) = two_tier_grid(clusters, procs, lan, wan, 1e9);
+    tsqr_gridmpi::Runtime::new(topo, model)
+}
 
 pub use domains::DomainLayout;
 pub use ft_tsqr::{ft_tsqr_rank_program, FtMsg, FtTsqrOutput};

@@ -9,20 +9,20 @@
 //! and `log₂(P)·N²/2` words — the ScaLAPACK row of Table I — against
 //! TSQR's `log₂(P)` messages.
 //!
-//! Two interchangeable implementations run the *same* communication
-//! schedule:
-//!
-//! * [`pdgeqr2`] — numerically real (used by tests and small examples);
-//! * [`pdgeqr2_symbolic`] — sends [`Phantom`] payloads of identical sizes
-//!   and charges the same closed-form flops, so paper-scale sweeps run in
-//!   milliseconds with identical virtual clocks and traffic counters.
+//! [`pdgeqr2`] and [`pdgeqrf`] are one program over two data types (see
+//! [`crate::tile`]): called with a [`Matrix`] block they are numerically
+//! real (tests and small examples); called with a [`Dims`] they run the
+//! same schedule with payloads of the same sizes and the same closed-form
+//! flop charges, so paper-scale sweeps finish in milliseconds with
+//! identical virtual clocks and traffic counters.
 
-use tsqr_gridmpi::message::Phantom;
 use tsqr_gridmpi::{CommError, Communicator, Process};
 use tsqr_linalg::blas::{gemm, trmm_upper_left};
 use tsqr_linalg::flops;
 use tsqr_linalg::qr::Trans;
 use tsqr_linalg::Matrix;
+
+use crate::tile::{Dims, Tile};
 
 /// Metrics/trace phase: per-column panel factorization (the two
 /// all-reduces per column of §II-B).
@@ -30,154 +30,102 @@ pub const PHASE_PANEL: &str = "panel";
 /// Metrics/trace phase: blocked trailing-matrix update of `pdgeqrf`.
 pub const PHASE_UPDATE: &str = "trailing-update";
 
+/// The ScaLAPACK default panel width (§V-B: NB = 64).
+pub const DEFAULT_NB: usize = 64;
+/// The ScaLAPACK default blocking crossover (§II-B: "blocking is not to
+/// be used if there is less than NX columns to be updated"; NX = 128).
+pub const DEFAULT_NX: usize = 128;
+
 /// Result of a distributed panel factorization.
 #[derive(Debug, Clone)]
-pub struct Pdgeqr2Output {
+pub struct Pdgeqr2Output<T = Matrix> {
     /// This rank's local block, overwritten with R (root's top rows) and
     /// the local parts of the Householder vectors.
-    pub factored: Matrix,
+    pub factored: T,
     /// Reflector scaling factors (identical on every member).
     pub taus: Vec<f64>,
     /// The `n × n` R factor — `Some` on the group root only.
-    pub r: Option<Matrix>,
+    pub r: Option<T>,
 }
 
+/// The data operations of the column sweep; as in [`Tile`], the provided
+/// bodies are each operation's shape and [`Dims`] takes them all. The
+/// group root owns the pivot rows: its part of reflector `j` is rows
+/// `j+1..` under an implicit 1 at row `j`; every other member's part is
+/// its whole column.
+pub trait PanelTile: Tile {
+    /// This member's `[α; Σx²]` for column `j` (α is the root's pivot).
+    fn norm_terms(&self, _j: usize, _is_root: bool) -> Self {
+        Self::zeros(2, 1)
+    }
+    /// Turns column `j` into its reflector given the reduced `[α; Σx²]`;
+    /// returns τ and this member's part of `w = vᵀ·A` over the next
+    /// `trailing` columns (zeros when τ = 0).
+    fn reflect(&mut self, _j: usize, _is_root: bool, trailing: usize, _norm: &Self) -> (f64, Self) {
+        (0.0, Self::zeros(trailing, 1))
+    }
+    /// Applies `H = I − τ·v·vᵀ` to the columns after `j`, given the reduced `w`.
+    fn apply_reflector(&mut self, _j: usize, _is_root: bool, _tau: f64, _w: &Self) {}
+    /// For the factored panel `j..j+ib`: this member's slice of the
+    /// unit-lower-trapezoidal `Ṽ` (the root's starts at row `j`), its
+    /// Gram term `ṼᵀṼ`, and `ṼᵀC` for the columns `C` right of the panel.
+    fn panel_products(&self, j: usize, ib: usize, is_root: bool) -> (Self, Self, Self) {
+        let (m_loc, n) = self.shape();
+        let m_act = m_loc - if is_root { j } else { 0 };
+        (Self::zeros(m_act, ib), Self::zeros(ib, ib), Self::zeros(ib, n - j - ib))
+    }
+    /// `C -= Ṽ·(Tᵀ·W)`, with `T` rebuilt from the reduced Gram matrix `g`
+    /// and the panel's `taus` (the larft recurrence).
+    fn block_update(&mut self, _j: usize, _is_root: bool, _taus: &[f64], _v: &Self, _g: &Self, _w: Self) {}
+}
+
+impl PanelTile for Dims {}
+
 /// Distributed Householder QR of a TS matrix block-row-distributed over
-/// `group`.
+/// `group` — the unblocked sweep, i.e. [`pdgeqrf`] with one-column panels.
 ///
 /// `local` is this member's row block; the **group root (member 0) must
 /// hold at least `n` rows** (it owns the pivot rows — always true in the
 /// tall-and-skinny regime where `m/P ≫ n`). `rate_flops` is the per-process
 /// sustained rate used to charge compute time (`None` = model default).
-pub fn pdgeqr2(
+pub fn pdgeqr2<T: PanelTile>(
     p: &mut Process,
     group: &Communicator,
-    mut local: Matrix,
+    local: T,
     rate_flops: Option<f64>,
-) -> Result<Pdgeqr2Output, CommError> {
-    let n = local.cols();
-    let me = group.my_index(p);
-    let is_root = me == 0;
-    assert!(
-        !is_root || local.rows() >= n,
-        "group root must hold at least n rows ({} < {n})",
-        local.rows()
-    );
-    let mut taus = vec![0.0; n];
-    p.phase_begin(PHASE_PANEL);
-    panel_columns(p, group, &mut local, 0, n, n, &mut taus, rate_flops)?;
-    p.phase_end();
-    let r = is_root.then(|| local.sub_matrix(0, 0, n, n).upper_triangular_padded());
-    Ok(Pdgeqr2Output { factored: local, taus, r })
+) -> Result<Pdgeqr2Output<T>, CommError> {
+    pdgeqrf(p, group, local, 1, 0, rate_flops)
 }
 
 /// The per-column Householder loop shared by [`pdgeqr2`] (full sweep) and
 /// [`pdgeqrf`] (panel sweep): factors columns `col0..col0+ncols` of the
 /// distributed block, applying updates to columns up to `update_end`.
 #[allow(clippy::too_many_arguments)]
-fn panel_columns(
+fn panel_columns<T: PanelTile>(
     p: &mut Process,
     group: &Communicator,
-    local: &mut Matrix,
+    local: &mut T,
     col0: usize,
     ncols: usize,
     update_end: usize,
     taus: &mut [f64],
     rate_flops: Option<f64>,
 ) -> Result<(), CommError> {
-    let m_loc = local.rows();
+    let m_loc = local.shape().0;
     let is_root = group.my_index(p) == 0;
     for j in col0..col0 + ncols {
         // --- Reduction 1: column norm (and the pivot value α). ---
-        let (alpha_local, ssq_local) = {
-            let col = local.col(j);
-            if is_root {
-                let tail = &col[j + 1..];
-                (col[j], tail.iter().map(|x| x * x).sum::<f64>())
-            } else {
-                (0.0, col.iter().map(|x| x * x).sum::<f64>())
-            }
-        };
-        let reduced = group.allreduce(p, vec![alpha_local, ssq_local], |a, b| {
-            vec![a[0] + b[0], a[1] + b[1]]
-        })?;
-        let (alpha, ssq) = (reduced[0], reduced[1]);
-
+        let norm = group.allreduce(p, local.norm_terms(j, is_root), T::add)?;
         // Everyone derives the same reflector parameters.
-        let tau;
-        if ssq == 0.0 {
-            tau = 0.0;
-        } else {
-            let beta = if alpha >= 0.0 {
-                -alpha.hypot(ssq.sqrt())
-            } else {
-                alpha.hypot(ssq.sqrt())
-            };
-            tau = (beta - alpha) / beta;
-            let scale = 1.0 / (alpha - beta);
-            // Scale the local part of v; the root also records β = R[j,j].
-            if is_root {
-                let col = local.col_mut(j);
-                for x in &mut col[j + 1..] {
-                    *x *= scale;
-                }
-                col[j] = beta;
-            } else {
-                for x in local.col_mut(j) {
-                    *x *= scale;
-                }
-            }
-        }
-        taus[j] = tau;
-
-        // --- Reduction 2: w = vᵀ·A_trailing, then the rank-1 update. ---
         let trailing = update_end - j - 1;
-        if trailing > 0 && tau != 0.0 {
-            let mut w_local = vec![0.0; trailing];
-            for (t, w) in w_local.iter_mut().enumerate() {
-                let k = j + 1 + t;
-                let ck = local.col(k);
-                let vj = local.col(j);
-                *w = if is_root {
-                    // Implicit 1 at row j, v entries below.
-                    ck[j]
-                        + vj[j + 1..]
-                            .iter()
-                            .zip(&ck[j + 1..])
-                            .map(|(v, c)| v * c)
-                            .sum::<f64>()
-                } else {
-                    vj.iter().zip(ck).map(|(v, c)| v * c).sum::<f64>()
-                };
-            }
-            let w = group.allreduce(p, w_local, |a, b| {
-                a.iter().zip(&b).map(|(x, y)| x + y).collect()
-            })?;
-            for (t, &wk) in w.iter().enumerate() {
-                let k = j + 1 + t;
-                let tw = tau * wk;
-                // Read v (column j) and update column k. Columns are
-                // disjoint, but the borrow checker cannot see that through
-                // two `col` calls, so copy v once per column pair.
-                let vj: Vec<f64> = local.col(j).to_vec();
-                let ck = local.col_mut(k);
-                if is_root {
-                    ck[j] -= tw;
-                    for (c, v) in ck[j + 1..].iter_mut().zip(&vj[j + 1..]) {
-                        *c -= tw * v;
-                    }
-                } else {
-                    for (c, v) in ck.iter_mut().zip(&vj) {
-                        *c -= tw * v;
-                    }
-                }
-            }
-        } else if trailing > 0 {
-            // τ = 0 reflector: H = I, but the schedule still performs the
-            // update reduction (ScaLAPACK does not branch on data).
-            let _ = group.allreduce(p, vec![0.0; trailing], |a, b| {
-                a.iter().zip(&b).map(|(x, y)| x + y).collect()
-            })?;
+        let (tau, w_local) = local.reflect(j, is_root, trailing, &norm);
+        taus[j] = tau;
+        // --- Reduction 2: w = vᵀ·A_trailing, then the rank-1 update. A
+        // τ = 0 reflector (H = I) still performs it: ScaLAPACK does not
+        // branch on data. ---
+        if trailing > 0 {
+            let w = group.allreduce(p, w_local, T::add)?;
+            local.apply_reflector(j, is_root, tau, &w);
         }
         p.compute(
             flops::pdgeqr2_column(m_loc as u64, j as u64, group.size() as u64, trailing as u64),
@@ -186,39 +134,6 @@ fn panel_columns(
     }
     Ok(())
 }
-
-/// The symbolic twin of [`pdgeqr2`]: identical message schedule (payload
-/// sizes included) and identical charged flops, no numerical data.
-pub fn pdgeqr2_symbolic(
-    p: &mut Process,
-    group: &Communicator,
-    m_loc: u64,
-    n: usize,
-    rate_flops: Option<f64>,
-) -> Result<(), CommError> {
-    p.phase_begin(PHASE_PANEL);
-    for j in 0..n {
-        // Norm reduction: two f64 values (α and the squared norm).
-        group.allreduce(p, Phantom { bytes: 16 }, |a, _| a)?;
-        let trailing = n - j - 1;
-        if trailing > 0 {
-            // Update reduction: the trailing dot products.
-            group.allreduce(p, Phantom { bytes: 8 * trailing as u64 }, |a, _| a)?;
-        }
-        p.compute(
-            flops::pdgeqr2_column(m_loc, j as u64, group.size() as u64, trailing as u64),
-            rate_flops,
-        );
-    }
-    p.phase_end();
-    Ok(())
-}
-
-/// The ScaLAPACK default panel width (§V-B: NB = 64).
-pub const DEFAULT_NB: usize = 64;
-/// The ScaLAPACK default blocking crossover (§II-B: "blocking is not to
-/// be used if there is less than NX columns to be updated"; NX = 128).
-pub const DEFAULT_NX: usize = 128;
 
 /// Blocked distributed Householder QR — ScaLAPACK's `PDGEQRF` (§II-B).
 ///
@@ -233,18 +148,16 @@ pub const DEFAULT_NX: usize = 128;
 /// significant when there are only a few", which is why ScaLAPACK (and
 /// this routine) falls back to the unblocked sweep once fewer than `nx`
 /// columns remain.
-pub fn pdgeqrf(
+pub fn pdgeqrf<T: PanelTile>(
     p: &mut Process,
     group: &Communicator,
-    mut local: Matrix,
+    mut local: T,
     nb: usize,
     nx: usize,
     rate_flops: Option<f64>,
-) -> Result<Pdgeqr2Output, CommError> {
-    let n = local.cols();
-    let m_loc = local.rows();
-    let me = group.my_index(p);
-    let is_root = me == 0;
+) -> Result<Pdgeqr2Output<T>, CommError> {
+    let (m_loc, n) = local.shape();
+    let is_root = group.my_index(p) == 0;
     assert!(!is_root || m_loc >= n, "group root must hold at least n rows ({m_loc} < {n})");
     assert!(nb >= 1, "panel width must be positive");
 
@@ -266,38 +179,126 @@ pub fn pdgeqrf(
         p.phase_end();
 
         // --- Blocked trailing update (nothing to do on the last panel). ---
-        let trail = n - j - ib;
+        let trail = (n - j - ib) as u64;
         if trail == 0 {
             break;
         }
         p.phase_begin(PHASE_UPDATE);
-        // This rank's slice of the unit-lower-trapezoidal Ṽ: the root
-        // holds rows j.., everyone else all rows.
+        // The root's active rows start at the panel's pivot row.
+        let m_act = (m_loc - if is_root { j } else { 0 }) as u64;
+        let (v, g_loc, w_loc) = local.panel_products(j, ib, is_root);
+        p.compute(flops::gemm(ib as u64, ib as u64, m_act), rate_flops);
+        // One all-reduce rebuilds the reflector Gram matrix everywhere,
+        // from which T follows locally; one more reduces W = Ṽᵀ·C.
+        let g = group.allreduce(p, g_loc, T::add)?;
+        p.compute(flops::gemm(ib as u64, trail, m_act), rate_flops);
+        let w = group.allreduce(p, w_loc, T::add)?;
+        local.block_update(j, is_root, &taus[j..j + ib], &v, &g, w);
+        p.compute(flops::gemm(m_act, trail, ib as u64), rate_flops);
+        p.phase_end();
+
+        j += ib;
+    }
+
+    let r = is_root.then(|| local.upper_triangular());
+    Ok(Pdgeqr2Output { factored: local, taus, r })
+}
+
+/// Rows of a member's column below the pivot of reflector `j`.
+fn below(j: usize, is_root: bool) -> usize {
+    if is_root {
+        j + 1
+    } else {
+        0
+    }
+}
+
+impl PanelTile for Matrix {
+    fn norm_terms(&self, j: usize, is_root: bool) -> Matrix {
+        let col = self.col(j);
+        let alpha = if is_root { col[j] } else { 0.0 };
+        let ssq = col[below(j, is_root)..].iter().map(|x| x * x).sum::<f64>();
+        Matrix::from_col_major(2, 1, vec![alpha, ssq]).expect("2 x 1")
+    }
+
+    fn reflect(&mut self, j: usize, is_root: bool, trailing: usize, norm: &Matrix) -> (f64, Matrix) {
+        let (alpha, ssq) = (norm[(0, 0)], norm[(1, 0)]);
+        if ssq == 0.0 {
+            return (0.0, Matrix::zeros(trailing, 1));
+        }
+        let beta = if alpha >= 0.0 {
+            -alpha.hypot(ssq.sqrt())
+        } else {
+            alpha.hypot(ssq.sqrt())
+        };
+        let scale = 1.0 / (alpha - beta);
+        // Scale the local part of v; the root also records β = R[j,j].
+        let lo = below(j, is_root);
+        let col = self.col_mut(j);
+        for x in &mut col[lo..] {
+            *x *= scale;
+        }
+        if is_root {
+            col[j] = beta;
+        }
+        let vj = &self.col(j)[lo..];
+        let w = Matrix::from_fn(trailing, 1, |t, _| {
+            let ck = self.col(j + 1 + t);
+            let dot = vj.iter().zip(&ck[lo..]).map(|(v, c)| v * c).sum::<f64>();
+            if is_root {
+                ck[j] + dot
+            } else {
+                dot
+            }
+        });
+        ((beta - alpha) / beta, w)
+    }
+
+    fn apply_reflector(&mut self, j: usize, is_root: bool, tau: f64, w: &Matrix) {
+        if tau == 0.0 {
+            return;
+        }
+        let lo = below(j, is_root);
+        // Columns are disjoint, but the borrow checker cannot see that
+        // through two `col` calls, so copy v once.
+        let vj: Vec<f64> = self.col(j)[lo..].to_vec();
+        for (t, &wk) in w.col(0).iter().enumerate() {
+            let tw = tau * wk;
+            let ck = self.col_mut(j + 1 + t);
+            if is_root {
+                ck[j] -= tw;
+            }
+            for (c, v) in ck[lo..].iter_mut().zip(&vj) {
+                *c -= tw * v;
+            }
+        }
+    }
+
+    fn panel_products(&self, j: usize, ib: usize, is_root: bool) -> (Matrix, Matrix, Matrix) {
+        let (m_loc, n) = self.shape();
         let row0 = if is_root { j } else { 0 };
-        let m_act = m_loc - row0;
-        let vloc = Matrix::from_fn(m_act, ib, |r, c| {
+        let v = Matrix::from_fn(m_loc - row0, ib, |r, c| {
             let gr = row0 + r;
             if is_root {
                 match gr.cmp(&(j + c)) {
                     std::cmp::Ordering::Less => 0.0,
                     std::cmp::Ordering::Equal => 1.0,
-                    std::cmp::Ordering::Greater => local[(gr, j + c)],
+                    std::cmp::Ordering::Greater => self[(gr, j + c)],
                 }
             } else {
-                local[(gr, j + c)]
+                self[(gr, j + c)]
             }
         });
-        // One all-reduce rebuilds the reflector Gram matrix everywhere,
-        // from which T follows locally (the larft recurrence).
-        let g_loc = vloc.t_matmul(&vloc);
-        p.compute(flops::gemm(ib as u64, ib as u64, m_act as u64), rate_flops);
-        let g_vec = group.allreduce(p, g_loc.into_vec(), |a, b| {
-            a.iter().zip(&b).map(|(x, y)| x + y).collect()
-        })?;
-        let g = Matrix::from_col_major(ib, ib, g_vec).expect("gram shape");
+        let c_loc = self.sub_matrix(row0, j + ib, m_loc - row0, n - j - ib);
+        let (g_loc, w_loc) = (v.t_matmul(&v), v.t_matmul(&c_loc));
+        (v, g_loc, w_loc)
+    }
+
+    fn block_update(&mut self, j: usize, is_root: bool, taus: &[f64], v: &Matrix, g: &Matrix, mut w: Matrix) {
+        let ib = taus.len();
         let mut t = Matrix::zeros(ib, ib);
         for c in 0..ib {
-            let tau = taus[j + c];
+            let tau = taus[c];
             t[(c, c)] = tau;
             if tau == 0.0 {
                 continue;
@@ -310,83 +311,12 @@ pub fn pdgeqrf(
                 t[(r, c)] = -tau * s;
             }
         }
-        // W = Ṽᵀ·C (one more all-reduce), then C -= Ṽ·(Tᵀ·W).
-        let c_loc = local.sub_matrix(row0, j + ib, m_act, trail);
-        let w_loc = vloc.t_matmul(&c_loc);
-        p.compute(flops::gemm(ib as u64, trail as u64, m_act as u64), rate_flops);
-        let w_vec = group.allreduce(p, w_loc.into_vec(), |a, b| {
-            a.iter().zip(&b).map(|(x, y)| x + y).collect()
-        })?;
-        let mut w = Matrix::from_col_major(ib, trail, w_vec).expect("W shape");
         trmm_upper_left(Trans::Yes, &t.view(), &mut w.view_mut());
-        let mut view = local.view_mut();
-        let mut c_mut = view.sub_mut(row0, j + ib, m_act, trail);
-        gemm(Trans::No, Trans::No, -1.0, &vloc.view(), &w.view(), 1.0, &mut c_mut);
-        p.compute(flops::gemm(m_act as u64, trail as u64, ib as u64), rate_flops);
-        p.phase_end();
-
-        j += ib;
+        let row0 = if is_root { j } else { 0 };
+        let mut view = self.view_mut();
+        let mut c_mut = view.sub_mut(row0, j + ib, v.rows(), w.cols());
+        gemm(Trans::No, Trans::No, -1.0, &v.view(), &w.view(), 1.0, &mut c_mut);
     }
-
-    let r = is_root.then(|| local.sub_matrix(0, 0, n, n).upper_triangular_padded());
-    Ok(Pdgeqr2Output { factored: local, taus, r })
-}
-
-/// The symbolic twin of [`pdgeqrf`]: identical message schedule and
-/// charged flops.
-pub fn pdgeqrf_symbolic(
-    p: &mut Process,
-    group: &Communicator,
-    m_loc: u64,
-    n: usize,
-    nb: usize,
-    nx: usize,
-    rate_flops: Option<f64>,
-) -> Result<(), CommError> {
-    let g = group.size() as u64;
-    let mut j = 0;
-    while j < n {
-        let remaining = n - j;
-        if remaining <= nx || nb == 1 {
-            p.phase_begin(PHASE_PANEL);
-            for jj in j..n {
-                group.allreduce(p, Phantom { bytes: 16 }, |a, _| a)?;
-                let trailing = n - jj - 1;
-                if trailing > 0 {
-                    group.allreduce(p, Phantom { bytes: 8 * trailing as u64 }, |a, _| a)?;
-                }
-                p.compute(flops::pdgeqr2_column(m_loc, jj as u64, g, trailing as u64), rate_flops);
-            }
-            p.phase_end();
-            break;
-        }
-        let ib = nb.min(remaining);
-        p.phase_begin(PHASE_PANEL);
-        for jj in j..j + ib {
-            group.allreduce(p, Phantom { bytes: 16 }, |a, _| a)?;
-            let trailing = j + ib - jj - 1;
-            if trailing > 0 {
-                group.allreduce(p, Phantom { bytes: 8 * trailing as u64 }, |a, _| a)?;
-            }
-            p.compute(flops::pdgeqr2_column(m_loc, jj as u64, g, trailing as u64), rate_flops);
-        }
-        p.phase_end();
-        let trail = (n - j - ib) as u64;
-        if trail == 0 {
-            break;
-        }
-        p.phase_begin(PHASE_UPDATE);
-        let row0 = if group.my_index(p) == 0 { j as u64 } else { 0 };
-        let m_act = m_loc - row0;
-        p.compute(flops::gemm(ib as u64, ib as u64, m_act), rate_flops);
-        group.allreduce(p, Phantom { bytes: 8 * (ib * ib) as u64 }, |a, _| a)?;
-        p.compute(flops::gemm(ib as u64, trail, m_act), rate_flops);
-        group.allreduce(p, Phantom { bytes: 8 * ib as u64 * trail }, |a, _| a)?;
-        p.compute(flops::gemm(m_act, trail, ib as u64), rate_flops);
-        p.phase_end();
-        j += ib;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -464,31 +394,6 @@ mod tests {
         let (_, msgs) = distributed_r(procs, 7, 128, n);
         let log_p = (procs as f64).log2() as u64;
         assert_eq!(msgs, (2 * n as u64 - 1) * log_p);
-    }
-
-    #[test]
-    fn symbolic_twin_has_identical_traffic_and_clock() {
-        let (procs, m, n) = (4, 64, 6);
-        let rt = runtime(procs);
-        let chunks = even_chunks(m as u64, procs);
-        let real = rt.run(|p, world| {
-            let me = world.my_index(p);
-            let row0: u64 = chunks[..me].iter().sum();
-            let local = workload::block(11, row0, chunks[me] as usize, n);
-            pdgeqr2(p, world, local, None)?;
-            Ok(())
-        });
-        let sym = rt.run(|p, world| {
-            let me = world.my_index(p);
-            pdgeqr2_symbolic(p, world, chunks[me], n, None)
-        });
-        for (a, b) in real.ranks.iter().zip(&sym.ranks) {
-            assert_eq!(a.stats.traffic, b.stats.traffic, "traffic must match");
-            assert!(
-                (a.stats.clock.secs() - b.stats.clock.secs()).abs() < 1e-12,
-                "virtual clocks must match"
-            );
-        }
     }
 
     #[test]
@@ -575,36 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn pdgeqrf_symbolic_twin_matches() {
-        let (m, n, procs) = (96usize, 10usize, 4usize);
-        let rt = runtime(procs);
-        let chunks = even_chunks(m as u64, procs);
-        for (nb, nx) in [(3, 4), (4, 0), (10, 0)] {
-            let real = rt.run(|p, world| {
-                let me = world.my_index(p);
-                let row0: u64 = chunks[..me].iter().sum();
-                let local = workload::block(31, row0, chunks[me] as usize, n);
-                pdgeqrf(p, world, local, nb, nx, None)?;
-                Ok(())
-            });
-            let sym = rt.run(|p, world| {
-                let me = world.my_index(p);
-                pdgeqrf_symbolic(p, world, chunks[me], n, nb, nx, None)
-            });
-            for (rank, (a, b)) in real.ranks.iter().zip(&sym.ranks).enumerate() {
-                assert_eq!(
-                    a.stats.traffic, b.stats.traffic,
-                    "traffic mismatch rank {rank} nb={nb} nx={nx}"
-                );
-                assert!(
-                    (a.stats.clock.secs() - b.stats.clock.secs()).abs() < 1e-12,
-                    "clock mismatch rank {rank} nb={nb} nx={nx}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn blocking_reduces_latency_messages_for_wide_panels() {
         // Per column, QR2 pays two full-width reductions; QRF confines the
         // per-column reductions to the panel and adds two per panel. For
@@ -615,11 +490,11 @@ mod tests {
         let chunks = even_chunks(m as u64, procs);
         let msgs = |blocked: bool| {
             let report = rt.run(|p, world| {
-                let me = world.my_index(p);
+                let local = Dims { rows: chunks[world.my_index(p)] as usize, cols: n };
                 if blocked {
-                    pdgeqrf_symbolic(p, world, chunks[me], n, 8, 0, None)?;
+                    pdgeqrf(p, world, local, 8, 0, None)?;
                 } else {
-                    pdgeqr2_symbolic(p, world, chunks[me], n, None)?;
+                    pdgeqr2(p, world, local, None)?;
                 }
                 Ok(p.counters().total_msgs())
             });

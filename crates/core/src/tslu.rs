@@ -156,30 +156,8 @@ mod tests {
     use super::*;
     use crate::tree::TreeShape;
     use crate::workload;
-    use tsqr_netsim::{ClusterSpec, CostModel, GridTopology, LinkParams};
+    use crate::mini_grid;
     use tsqr_gridmpi::Runtime;
-
-    fn mini_grid(clusters: usize, procs: usize) -> Runtime {
-        let specs = (0..clusters)
-            .map(|i| ClusterSpec {
-                name: format!("c{i}"),
-                nodes: procs,
-                procs_per_node: 1,
-                peak_gflops_per_proc: 8.0,
-            })
-            .collect();
-        let topo = GridTopology::block_placement(specs, procs, 1);
-        let mut model =
-            CostModel::homogeneous(LinkParams::from_ms_mbps(0.07, 890.0), 1e9, clusters);
-        for a in 0..clusters {
-            for b in 0..clusters {
-                if a != b {
-                    model.inter_cluster[a][b] = LinkParams::from_ms_mbps(8.0, 80.0);
-                }
-            }
-        }
-        Runtime::new(topo, model)
-    }
 
     fn run_tslu(
         rt: &Runtime,

@@ -17,16 +17,13 @@
 //! doubles both the message count and the flops — the paper's Table II and
 //! Property 1.
 
-use tsqr_gridmpi::message::Phantom;
 use tsqr_gridmpi::{CommError, Communicator, Process};
 use tsqr_linalg::flops;
 use tsqr_linalg::prelude::*;
-use tsqr_linalg::qr::{orm2r, Side, Trans};
-use tsqr_linalg::stacked::StackedFactors;
 use tsqr_linalg::Matrix;
 
 use crate::domains::DomainLayout;
-use crate::scalapack::{pdgeqr2, pdgeqr2_symbolic};
+use crate::scalapack::{pdgeqr2, PanelTile};
 use crate::tree::{ReductionTree, Step, TreeShape};
 use crate::workload;
 
@@ -78,11 +75,11 @@ impl Default for TsqrConfig {
 
 /// What one rank gets back from a TSQR run.
 #[derive(Debug, Clone)]
-pub struct TsqrRankOutput {
+pub struct TsqrRankOutput<T = Matrix> {
     /// The global `n × n` R factor — `Some` on global rank 0 only.
-    pub r: Option<Matrix>,
+    pub r: Option<T>,
     /// This rank's rows of the explicit Q (`rows × n`) when requested.
-    pub q_block: Option<Matrix>,
+    pub q_block: Option<T>,
     /// First global row this rank held.
     pub row0: u64,
     /// Number of rows this rank held.
@@ -132,21 +129,24 @@ pub fn tsqr_rank_program(
     })
 }
 
-/// The rank program of a numerically real QCG-TSQR run over
-/// caller-supplied data.
+/// The QCG-TSQR rank program over caller-supplied data.
 ///
 /// `local_block(row0, rows)` must return that slice of the global matrix;
-/// it is called exactly once per rank, for the rank's own rows. This is
-/// the entry point applications use to orthonormalize *their* vectors
-/// (e.g. the block eigensolvers of §II-E).
-pub fn tsqr_rank_program_with(
+/// it is called exactly once per rank, for the rank's own rows. Returning
+/// a [`Matrix`] makes the run numerically real — the entry point
+/// applications use to orthonormalize *their* vectors (e.g. the block
+/// eigensolvers of §II-E). Returning the slice's
+/// [`Dims`](crate::tile::Dims) (`|_, rows| Dims { rows, cols: n }`) runs
+/// the identical schedule and flop charges on dimensions alone — what
+/// every paper-scale figure and the tuner's replay execute.
+pub fn tsqr_rank_program_with<T: PanelTile>(
     p: &mut Process,
     layout: &DomainLayout,
     tree: &ReductionTree,
     cfg: &TsqrConfig,
     rate_flops: Option<f64>,
-    local_block: impl FnOnce(u64, usize) -> Matrix,
-) -> Result<TsqrRankOutput, CommError> {
+    local_block: impl FnOnce(u64, usize) -> T,
+) -> Result<TsqrRankOutput<T>, CommError> {
     let n = layout.n;
     let d = layout
         .domain_of_rank(p.rank())
@@ -154,60 +154,56 @@ pub fn tsqr_rank_program_with(
     let dom = &layout.domains[d];
     let member = dom.ranks.iter().position(|&r| r == p.rank()).expect("member of own domain");
     let (row0, rows) = layout.member_rows(d, member);
-    let local = local_block(row0, rows as usize);
+    let mut local = local_block(row0, rows as usize);
     assert_eq!(
         local.shape(),
         (rows as usize, n),
         "local_block returned the wrong shape"
     );
     let roots = layout.roots();
+    let combine_rate = cfg.combine_rate_flops.or(rate_flops);
 
     // --- Leaf / domain factorization. ---
     p.phase_begin(PHASE_LEAF);
-    let mut leaf_q: Option<QrFactors> = None;
-    let mut r_cur: Option<Matrix>;
+    let mut leaf_q: Option<(T, Vec<f64>)> = None;
+    let mut r_cur: Option<T>;
     if dom.ranks.len() == 1 {
-        let f = QrFactors::compute(&local, cfg.nb);
+        let (tau, r) = local.factor_panel(0, 0, rows as usize, n, cfg.nb);
         p.compute(flops::geqrf(rows, n as u64), rate_flops);
-        r_cur = Some(f.r().upper_triangular_padded());
-        leaf_q = Some(f);
+        r_cur = Some(r);
+        leaf_q = Some((local, tau));
     } else {
         assert!(
             !cfg.compute_q,
             "explicit Q requires single-process domains (use domains_per_cluster = procs)"
         );
         let group = Communicator::from_members(dom.ranks.clone());
-        let out = pdgeqr2(p, &group, local, rate_flops)?;
-        r_cur = out.r;
+        r_cur = pdgeqr2(p, &group, local, rate_flops)?.r;
     }
     p.phase_end();
 
     // --- Reduction over domain roots. ---
     p.phase_begin(PHASE_REDUCE);
     p.annotate(cfg.shape.label());
-    let mut combine_stack: Vec<(StackedFactors, usize)> = Vec::new();
-    let i_am_root = member == 0;
+    let mut combine_stack: Vec<(T::Combine, usize)> = Vec::new();
     let mut sent_to: Option<usize> = None;
-    if i_am_root {
-        let mut r1 = r_cur.take().expect("domain root holds its R");
+    if member == 0 {
+        let r1 = r_cur.as_mut().expect("domain root holds its R");
         for step in &tree.steps[d] {
             match *step {
                 Step::Recv(from_d) => {
-                    let packed: Vec<f64> = p.recv(roots[from_d], TAG_R)?;
-                    let mut r2 = unpack_upper(n, &packed);
-                    let f = tpqrt(&mut r1, &mut r2);
-                    p.compute(flops::tpqrt(n as u64), cfg.combine_rate_flops.or(rate_flops));
+                    let f = r1.tpqrt(p.recv(roots[from_d], TAG_R)?);
+                    p.compute(flops::tpqrt(n as u64), combine_rate);
                     if cfg.compute_q {
                         combine_stack.push((f, from_d));
                     }
                 }
                 Step::Send(to_d) => {
-                    p.send(roots[to_d], TAG_R, pack_upper(&r1))?;
+                    p.send(roots[to_d], TAG_R, r1.pack_upper())?;
                     sent_to = Some(to_d);
                 }
             }
         }
-        r_cur = Some(r1.upper_triangular_padded());
     }
     p.phase_end();
 
@@ -218,25 +214,25 @@ pub fn tsqr_rank_program_with(
         // Single-process domains only (asserted above), so every rank is a
         // domain root and participates.
         let mut e = match sent_to {
-            Some(parent_d) => p.recv::<Matrix>(roots[parent_d], TAG_E)?,
-            None => Matrix::identity(n),
+            Some(parent_d) => p.recv::<T>(roots[parent_d], TAG_E)?,
+            None => T::identity(n),
         };
         for (f, partner_d) in combine_stack.iter().rev() {
-            let mut c2 = Matrix::zeros(n, n);
-            tpmqrt(Trans::No, f, &mut e, &mut c2);
+            let mut c2 = T::zeros(n, n);
+            T::tpmqrt(Trans::No, f, &mut e, &mut c2);
             // Charged at the Table II convention: the down-sweep expansion
             // costs the same 2/3·N³ as the up-sweep combine (an optimized
             // kernel exploits the sparsity the coupling blocks inherit
             // from the identity at the root; our reference tpmqrt does
             // more raw work, but time accounting follows the model).
-            p.compute(flops::tpqrt(n as u64), cfg.combine_rate_flops.or(rate_flops));
+            p.compute(flops::tpqrt(n as u64), combine_rate);
             p.send(roots[*partner_d], TAG_E, c2)?;
         }
         // Leaf: Q_local = implicit-Q · [E; 0].
-        let f = leaf_q.as_ref().expect("single-process leaf keeps its factors");
-        let mut c = Matrix::zeros(rows as usize, n);
+        let (factored, tau) = leaf_q.as_ref().expect("single-process leaf keeps its factors");
+        let mut c = T::zeros(rows as usize, n);
         c.set_sub(0, 0, &e);
-        orm2r(Side::Left, Trans::No, &f.factors.view(), &f.tau, &mut c.view_mut());
+        factored.apply_q(tau, &mut c);
         p.compute(flops::org2r(rows, n as u64), rate_flops);
         q_block = Some(c);
         p.phase_end();
@@ -244,81 +240,6 @@ pub fn tsqr_rank_program_with(
 
     let r = (p.rank() == 0).then(|| r_cur.expect("global root keeps the final R"));
     Ok(TsqrRankOutput { r, q_block, row0, rows })
-}
-
-/// The symbolic twin of [`tsqr_rank_program`]: identical schedule and
-/// charged flops, [`Phantom`] payloads, no numerics.
-pub fn tsqr_rank_program_symbolic(
-    p: &mut Process,
-    layout: &DomainLayout,
-    tree: &ReductionTree,
-    cfg: &TsqrConfig,
-    rate_flops: Option<f64>,
-) -> Result<(), CommError> {
-    let n = layout.n;
-    let d = layout
-        .domain_of_rank(p.rank())
-        .unwrap_or_else(|| panic!("rank {} is in no domain", p.rank()));
-    let dom = &layout.domains[d];
-    let member = dom.ranks.iter().position(|&r| r == p.rank()).expect("member of own domain");
-    let (_row0, rows) = layout.member_rows(d, member);
-    let roots = layout.roots();
-    let r_bytes = 8 * (n * (n + 1) / 2) as u64;
-
-    p.phase_begin(PHASE_LEAF);
-    if dom.ranks.len() == 1 {
-        p.compute(flops::geqrf(rows, n as u64), rate_flops);
-    } else {
-        assert!(!cfg.compute_q, "explicit Q requires single-process domains");
-        let group = Communicator::from_members(dom.ranks.clone());
-        pdgeqr2_symbolic(p, &group, rows, n, rate_flops)?;
-    }
-    p.phase_end();
-
-    p.phase_begin(PHASE_REDUCE);
-    p.annotate(cfg.shape.label());
-    let mut n_combines = 0usize;
-    let mut sent_to: Option<usize> = None;
-    if member == 0 {
-        for step in &tree.steps[d] {
-            match *step {
-                Step::Recv(from_d) => {
-                    let _: Phantom = p.recv(roots[from_d], TAG_R)?;
-                    p.compute(flops::tpqrt(n as u64), cfg.combine_rate_flops.or(rate_flops));
-                    n_combines += 1;
-                }
-                Step::Send(to_d) => {
-                    p.send(roots[to_d], TAG_R, Phantom { bytes: r_bytes })?;
-                    sent_to = Some(to_d);
-                }
-            }
-        }
-    }
-    p.phase_end();
-
-    if cfg.compute_q {
-        p.phase_begin(PHASE_DOWNSWEEP);
-        if let Some(parent_d) = sent_to {
-            let _: Phantom = p.recv(roots[parent_d], TAG_E)?;
-        }
-        // Walk the recorded combines in reverse.
-        let partners: Vec<usize> = tree.steps[d]
-            .iter()
-            .filter_map(|s| match s {
-                Step::Recv(from) => Some(*from),
-                Step::Send(_) => None,
-            })
-            .collect();
-        debug_assert_eq!(partners.len(), n_combines);
-        for &partner_d in partners.iter().rev() {
-            // Same Table II convention as the real program.
-            p.compute(flops::tpqrt(n as u64), cfg.combine_rate_flops.or(rate_flops));
-            p.send(roots[partner_d], TAG_E, Phantom { bytes: 8 * (n * n) as u64 })?;
-        }
-        p.compute(flops::org2r(rows, n as u64), rate_flops);
-        p.phase_end();
-    }
-    Ok(())
 }
 
 /// Butterfly (recursive-doubling) TSQR: the literal "single complex
@@ -421,31 +342,8 @@ pub fn tsqr_allreduce_rank_program_with(
 mod tests {
     use super::*;
     use tsqr_linalg::verify::{is_upper_triangular, orthogonality, r_distance, relative_residual};
-    use tsqr_netsim::{ClusterSpec, CostModel, GridTopology, LinkParams};
+    use crate::mini_grid;
     use tsqr_gridmpi::Runtime;
-
-    /// A miniature grid: `clusters` sites of `procs` single-socket nodes.
-    fn mini_grid(clusters: usize, procs: usize) -> Runtime {
-        let specs = (0..clusters)
-            .map(|i| ClusterSpec {
-                name: format!("c{i}"),
-                nodes: procs,
-                procs_per_node: 1,
-                peak_gflops_per_proc: 8.0,
-            })
-            .collect();
-        let topo = GridTopology::block_placement(specs, procs, 1);
-        let mut model =
-            CostModel::homogeneous(LinkParams::from_ms_mbps(0.07, 890.0), 1e9, clusters);
-        for a in 0..clusters {
-            for b in 0..clusters {
-                if a != b {
-                    model.inter_cluster[a][b] = LinkParams::from_ms_mbps(8.0, 80.0);
-                }
-            }
-        }
-        Runtime::new(topo, model)
-    }
 
     fn reference_r(seed: u64, m: usize, n: usize) -> Matrix {
         let a = workload::full_matrix(seed, m, n);
@@ -553,38 +451,6 @@ mod tests {
         let (_, _, report) = run_tsqr(&rt, m, n, cfg, 31);
         // Fig. 2: exactly clusters − 1 inter-cluster messages, whatever n.
         assert_eq!(report.totals.inter_cluster_msgs(), (clusters - 1) as u64);
-    }
-
-    #[test]
-    fn symbolic_twin_matches_real_traffic_and_clocks() {
-        let (m, n) = (256u64, 6);
-        let rt = mini_grid(2, 4);
-        for (dpc, compute_q) in [(4, false), (4, true), (2, false), (1, false)] {
-            let cfg = TsqrConfig {
-                shape: TreeShape::GridHierarchical,
-                domains_per_cluster: dpc,
-                compute_q,
-                ..Default::default()
-            };
-            let layout = DomainLayout::build(rt.topology(), m, n, dpc);
-            let tree =
-                ReductionTree::build(&cfg.shape, layout.num_domains(), &layout.clusters());
-            let real = rt.run(|p, _| {
-                tsqr_rank_program(p, &layout, &tree, &cfg, 37, None).map(|_| ())
-            });
-            let sym =
-                rt.run(|p, _| tsqr_rank_program_symbolic(p, &layout, &tree, &cfg, None));
-            for (rank, (a, b)) in real.ranks.iter().zip(&sym.ranks).enumerate() {
-                assert_eq!(
-                    a.stats.traffic, b.stats.traffic,
-                    "traffic mismatch at rank {rank} (dpc={dpc}, q={compute_q})"
-                );
-                assert!(
-                    (a.stats.clock.secs() - b.stats.clock.secs()).abs() < 1e-12,
-                    "clock mismatch at rank {rank} (dpc={dpc}, q={compute_q})"
-                );
-            }
-        }
     }
 
     #[test]

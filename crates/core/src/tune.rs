@@ -6,16 +6,18 @@
 //! whole execution is priced by the calibrated (α, β, γ) cost model of
 //! Eq. (1), the makespan of a candidate tree can be *predicted
 //! analytically* without running the simulator: replay the
-//! [`crate::tree::Step`] schedule against the same per-link arithmetic
-//! the `gridmpi` runtime uses, including the receiver-side NIC
-//! serialization that makes flat trees congest.
+//! [`crate::tree::Step`] schedule through the pricing functions the
+//! `gridmpi` runtime itself calls on `netsim`'s `CostModel` — including
+//! `receive_done`, the receiver-side NIC serialization that makes flat
+//! trees congest.
 //!
 //! [`autotune`] enumerates a candidate portfolio (the three fixed shapes,
 //! k-ary and binomial families, and two greedy latency-aware
 //! constructions — one priced at link-class granularity, one at the real
 //! per-site-pair α/β costs), predicts each tree's makespan, picks the
 //! argmin, and cross-checks the prediction against an actual `netsim`
-//! replay to 1e-9 relative — the same closed-loop discipline as
+//! replay — the one TSQR rank program run on dimensions alone
+//! ([`crate::tile::Dims`]) — to 1e-9 relative — the same closed-loop discipline as
 //! `modelfit`. See `docs/tuning.md` for the handbook and
 //! `grid-tsqr tune` for the CLI.
 //!
@@ -29,7 +31,8 @@ use tsqr_netsim::{CostModel, GridTopology, VirtualTime};
 
 use crate::domains::DomainLayout;
 use crate::tree::{ReductionTree, Step, TreeShape};
-use crate::tsqr::{tsqr_rank_program_symbolic, TsqrConfig};
+use crate::tile::{packed_bytes, Dims};
+use crate::tsqr::{tsqr_rank_program_with, TsqrConfig};
 
 /// One candidate in the search table.
 #[derive(Debug, Clone)]
@@ -70,8 +73,10 @@ impl TuneOutcome {
     }
 }
 
-/// Analytically predicts the TSQR makespan for one reduction tree,
-/// mirroring the `gridmpi` virtual-clock arithmetic term for term:
+/// Analytically predicts the TSQR makespan for one reduction tree, pricing
+/// each step through the same [`CostModel`] functions the `gridmpi`
+/// runtime calls ([`CostModel::compute_time`], [`CostModel::message_time`]
+/// and, for receives, the shared [`CostModel::receive_done`]):
 ///
 /// - leaf: `γ`-priced `geqrf` on the domain's rows;
 /// - `Send`: the sender's clock advances by `β + α·bytes` (plus the WAN
@@ -79,14 +84,16 @@ impl TuneOutcome {
 ///   post-advance clock — the rendezvous convention under which Eq. (1)
 ///   counts `β·#msg + α·vol`;
 /// - `Recv`: the payload clocks in after whatever the receiver's NIC
-///   was already receiving (`done = max(arrival, nic_free + wire)`), the
+///   was already receiving ([`CostModel::receive_done`]), the
 ///   serialization that congests flat trees at the root;
 /// - each received R costs one `tpqrt` combine at the combine rate.
 ///
-/// Because the replay uses the same `f64` operations in the same order
-/// as the simulator, an idle network reproduces the simulated makespan
+/// Because these are the simulator's own pricing functions applied in the
+/// simulator's order, an idle network reproduces the simulated makespan
 /// bit-for-bit, not merely approximately ([`autotune`] still only
-/// *requires* 1e-9 relative agreement).
+/// *requires* 1e-9 relative agreement). What is still written twice is the
+/// walk over the [`Step`] schedule itself (here and in
+/// [`crate::tsqr::tsqr_rank_program_with`]).
 ///
 /// # Panics
 /// Panics when `layout` has multi-process domains (the leaf would be a
@@ -107,7 +114,7 @@ pub fn predict_makespan(
         "the analytic predictor needs single-process domains"
     );
     let n = layout.n;
-    let r_bytes = 8 * (n * (n + 1) / 2) as u64;
+    let r_bytes = packed_bytes(n);
     let combine = combine_rate_flops.or(rate_flops);
     let roots = layout.roots();
     let loc = |d: usize| topo.location(roots[d]);
@@ -153,10 +160,8 @@ pub fn predict_makespan(
                             .as_ref()
                             .and_then(|(_, a)| *a)
                             .expect("child completed with an upward send");
-                        let link = model.link(loc(from), loc(d));
-                        let wire =
-                            VirtualTime::from_secs(r_bytes as f64 * 8.0 / link.bandwidth_bps);
-                        let done = arrival.max(nic_free + wire);
+                        let done =
+                            model.receive_done(loc(from), loc(d), r_bytes, arrival, nic_free);
                         nic_free = done;
                         clock = clock.max(done);
                         clock += model.compute_time(flops::tpqrt(n as u64), combine);
@@ -177,8 +182,8 @@ pub fn predict_makespan(
         .unwrap_or(VirtualTime::ZERO)
 }
 
-/// Runs the symbolic twin under the given shape and returns the
-/// simulated makespan — the ground truth [`autotune`] checks its
+/// Runs the TSQR rank program on dimensions alone ([`Dims`]) under the
+/// given shape and returns the simulated makespan — the ground truth [`autotune`] checks its
 /// predictions against (and what the bench gate pins).
 pub fn replay_makespan(
     rt: &Runtime,
@@ -194,9 +199,8 @@ pub fn replay_makespan(
         combine_rate_flops,
         ..Default::default()
     };
-    let report =
-        rt.run(|p, _| tsqr_rank_program_symbolic(p, layout, &tree, &cfg, rate_flops));
-    report.makespan
+    let dims = |_, rows| Dims { rows, cols: layout.n };
+    rt.run(|p, _| tsqr_rank_program_with(p, layout, &tree, &cfg, rate_flops, dims).map(|_| ())).makespan
 }
 
 /// The candidate portfolio for a reduction over `cluster_of`-mapped
@@ -215,7 +219,7 @@ pub fn candidate_shapes(
 ) -> Vec<(String, TreeShape)> {
     let d = layout.num_domains();
     let n = layout.n;
-    let r_bytes = 8 * (n * (n + 1) / 2) as u64;
+    let r_bytes = packed_bytes(n);
     let roots = layout.roots();
     let mut out: Vec<(String, TreeShape)> = vec![
         ("flat".into(), TreeShape::Flat),
@@ -351,29 +355,7 @@ pub fn autotune(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsqr_netsim::{ClusterSpec, LinkParams};
-
-    fn mini_grid(clusters: usize, procs: usize) -> Runtime {
-        let specs = (0..clusters)
-            .map(|i| ClusterSpec {
-                name: format!("c{i}"),
-                nodes: procs,
-                procs_per_node: 1,
-                peak_gflops_per_proc: 8.0,
-            })
-            .collect();
-        let topo = GridTopology::block_placement(specs, procs, 1);
-        let mut model =
-            CostModel::homogeneous(LinkParams::from_ms_mbps(0.07, 890.0), 1e9, clusters);
-        for a in 0..clusters {
-            for b in 0..clusters {
-                if a != b {
-                    model.inter_cluster[a][b] = LinkParams::from_ms_mbps(8.0, 80.0);
-                }
-            }
-        }
-        Runtime::new(topo, model)
-    }
+    use crate::mini_grid;
 
     #[test]
     fn prediction_matches_replay_bitwise_for_fixed_shapes() {

@@ -1,37 +1,27 @@
 //! Property-based tests of the distributed algorithms: for arbitrary
 //! grid shapes, matrix sizes, tree shapes and domain counts, the
 //! distributed factorizations must agree with the single-process
-//! reference, and the symbolic twins must be traffic/clock-identical.
+//! reference, and every rank program must charge the same traffic and
+//! virtual time whether it runs on numbers or on dimensions alone.
 
 use proptest::prelude::*;
 
-use tsqr_core::domains::DomainLayout;
+use tsqr_core::caqr_dist::{caqr_dist_program, CaqrDistConfig};
+use tsqr_core::domains::{even_chunks, DomainLayout};
+use tsqr_core::scalapack::{pdgeqr2, pdgeqrf};
+use tsqr_core::tile::Dims;
 use tsqr_core::tree::{ReductionTree, Step, TreeShape};
-use tsqr_core::tsqr::{tsqr_rank_program, tsqr_rank_program_symbolic, TsqrConfig};
+use tsqr_core::tsqr::{tsqr_rank_program_with, tsqr_rank_program, TsqrConfig};
 use tsqr_core::workload;
-use tsqr_gridmpi::Runtime;
+use tsqr_gridmpi::{RunReport, Runtime};
 use tsqr_linalg::prelude::*;
 use tsqr_linalg::verify::r_distance;
-use tsqr_netsim::{ClusterSpec, CostModel, GridTopology, LinkParams};
+use tsqr_netsim::{two_tier_grid, LinkParams};
 
 fn mini_grid(clusters: usize, procs: usize) -> Runtime {
-    let specs = (0..clusters)
-        .map(|i| ClusterSpec {
-            name: format!("c{i}"),
-            nodes: procs,
-            procs_per_node: 1,
-            peak_gflops_per_proc: 8.0,
-        })
-        .collect();
-    let topo = GridTopology::block_placement(specs, procs, 1);
-    let mut model = CostModel::homogeneous(LinkParams::from_ms_mbps(0.07, 890.0), 1e9, clusters);
-    for a in 0..clusters {
-        for b in 0..clusters {
-            if a != b {
-                model.inter_cluster[a][b] = LinkParams::from_ms_mbps(8.0, 80.0);
-            }
-        }
-    }
+    let lan = LinkParams::from_ms_mbps(0.07, 890.0);
+    let wan = LinkParams::from_ms_mbps(8.0, 80.0);
+    let (topo, model) = two_tier_grid(clusters, procs, lan, wan, 1e9);
     Runtime::new(topo, model)
 }
 
@@ -41,10 +31,92 @@ fn reference_r(seed: u64, m: usize, n: usize) -> tsqr_linalg::Matrix {
 }
 
 fn shape_from(ix: u8) -> TreeShape {
-    match ix % 3 {
+    match ix % 5 {
         0 => TreeShape::Flat,
         1 => TreeShape::Binary,
-        _ => TreeShape::GridHierarchical,
+        2 => TreeShape::GridHierarchical,
+        3 => TreeShape::Kary(3),
+        _ => TreeShape::Binomial,
+    }
+}
+
+/// The first rank on which two runs of one schedule disagree: a failed
+/// rank program, different traffic counters, or virtual clocks more than
+/// 1e-12 s apart.
+fn first_mismatch<A, B>(a: &RunReport<A>, b: &RunReport<B>) -> Option<usize> {
+    a.ranks.iter().zip(&b.ranks).position(|(x, y)| {
+        x.result.is_err()
+            || y.result.is_err()
+            || x.stats.traffic != y.stats.traffic
+            || (x.stats.clock.secs() - y.stats.clock.secs()).abs() >= 1e-12
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One rank program per algorithm, two data types: a run on `Matrix`
+    /// and a run on `Dims` charge identical per-rank traffic and virtual
+    /// time. The schedule is shared by construction; what this pins is
+    /// that the payload sizes meet — `gridmpi`'s `wire_bytes` of the real
+    /// payloads against `tile::{dense_bytes, packed_bytes}` of their
+    /// shapes — on every send of TSQR (all tree families, grouped
+    /// domains, the Q down-sweep), PDGEQR2, PDGEQRF on both sides of the
+    /// NX crossover, and CAQR up to the end of its panel loop.
+    #[test]
+    fn matrix_and_dims_runs_charge_identical_traffic_and_clocks(
+        clusters in 1usize..3,
+        procs_pow in 0u32..3,
+        dpc_pow in 0u32..3,
+        shape_ix in 0u8..5,
+        n in 1usize..12,
+        nb in 1usize..5,
+        nx in 0usize..8,
+        tile in 1usize..4,
+        panels in 1usize..4,
+        seed in 0u64..100_000,
+    ) {
+        let procs = 1usize << procs_pow;
+        let dpc = (1usize << dpc_pow).min(procs);
+        let shape = shape_from(shape_ix);
+        let rt = mini_grid(clusters, procs);
+        let ranks = clusters * procs;
+        let m = (ranks * n * 4) as u64;
+
+        let layout = DomainLayout::build(rt.topology(), m, n, dpc);
+        let tree = ReductionTree::build(&shape, layout.num_domains(), &layout.clusters());
+        let compute_q = dpc == procs && seed % 2 == 0;
+        let cfg = TsqrConfig { shape: shape.clone(), domains_per_cluster: dpc, compute_q, ..Default::default() };
+        let real = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, None));
+        let dims = rt.run(|p, _| {
+            tsqr_rank_program_with(p, &layout, &tree, &cfg, None, |_, rows| Dims { rows, cols: n })
+        });
+        prop_assert_eq!(first_mismatch(&real, &dims), None, "tsqr {:?} dpc={} q={}", shape, dpc, compute_q);
+
+        let chunks = even_chunks(m, ranks);
+        let block = |me: usize| {
+            workload::block(seed, chunks[..me].iter().sum(), chunks[me] as usize, n)
+        };
+        let real = rt.run(|p, w| pdgeqr2(p, w, block(w.my_index(p)), None));
+        let dims = rt.run(|p, w| {
+            pdgeqr2(p, w, Dims { rows: chunks[w.my_index(p)] as usize, cols: n }, None)
+        });
+        prop_assert_eq!(first_mismatch(&real, &dims), None, "pdgeqr2 n={}", n);
+        let real = rt.run(|p, w| pdgeqrf(p, w, block(w.my_index(p)), nb, nx, None));
+        let dims = rt.run(|p, w| {
+            pdgeqrf(p, w, Dims { rows: chunks[w.my_index(p)] as usize, cols: n }, nb, nx, None)
+        });
+        prop_assert_eq!(first_mismatch(&real, &dims), None, "pdgeqrf n={} nb={} nx={}", n, nb, nx);
+
+        let (cm, cn) = ((tile * (2 * ranks + panels)) as u64, tile * panels);
+        let ccfg = CaqrDistConfig { tile, shape: shape.clone(), rate_flops: None, combine_rate_flops: None };
+        let real = rt.run(|p, _| {
+            caqr_dist_program(p, cm, cn, &ccfg, |row0, rows| workload::block(seed, row0, rows, cn))
+        });
+        let dims = rt.run(|p, _| {
+            caqr_dist_program(p, cm, cn, &ccfg, |_, rows| Dims { rows, cols: cn })
+        });
+        prop_assert_eq!(first_mismatch(&real, &dims), None, "caqr {:?} tile={} panels={}", shape, tile, panels);
     }
 }
 
@@ -78,34 +150,6 @@ proptest! {
             r_distance(&r, &want) < 1e-10,
             "mismatch: clusters={clusters} procs={procs} dpc={dpc} {shape:?} m={m} n={n}"
         );
-    }
-
-    /// The symbolic twin produces identical traffic counters and virtual
-    /// clocks on every rank, for random configurations.
-    #[test]
-    fn symbolic_twin_equivalence(
-        clusters in 1usize..3,
-        procs_pow in 0u32..3,
-        dpc_pow in 0u32..3,
-        shape_ix in 0u8..3,
-        n in 1usize..8,
-        seed in 0u64..100_000,
-    ) {
-        let procs = 1usize << procs_pow;
-        let dpc = (1usize << dpc_pow).min(procs);
-        let shape = shape_from(shape_ix);
-        let rt = mini_grid(clusters, procs);
-        let m = (clusters * procs) as u64 * n as u64 * 4;
-        let layout = DomainLayout::build(rt.topology(), m, n, dpc);
-        let tree = ReductionTree::build(&shape, layout.num_domains(), &layout.clusters());
-        let compute_q = dpc == procs && (seed % 2 == 0);
-        let cfg = TsqrConfig { shape: shape.clone(), domains_per_cluster: dpc, compute_q, ..Default::default() };
-        let real = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, None).map(|_| ()));
-        let sym = rt.run(|p, _| tsqr_rank_program_symbolic(p, &layout, &tree, &cfg, None));
-        for (rank, (a, b)) in real.ranks.iter().zip(&sym.ranks).enumerate() {
-            prop_assert_eq!(a.stats.traffic, b.stats.traffic, "rank {}", rank);
-            prop_assert!((a.stats.clock.secs() - b.stats.clock.secs()).abs() < 1e-12);
-        }
     }
 
     /// Reduction trees are well-formed for arbitrary participant counts

@@ -786,14 +786,11 @@ impl Process {
         self.vc.merge(&VectorClock::from(env.vc.clone()));
         self.vc.tick(self.rank);
         // Receiver-side NIC serialization: the bytes of this message must
-        // be clocked in after whatever the NIC was already receiving. For
-        // an idle NIC this is exactly `arrival`; for a hot one (e.g. the
-        // root of a flat tree with P−1 concurrent senders) messages queue.
+        // be clocked in after whatever the NIC was already receiving.
         let from = self.topo.location(env.src);
         let class = LinkClass::between(from, self.location());
-        let link = self.model.link(from, self.location());
-        let wire = VirtualTime::from_secs(env.bytes as f64 * 8.0 / link.bandwidth_bps);
-        let done = env.arrival.max(self.nic_free + wire);
+        let done =
+            self.model.receive_done(from, self.location(), env.bytes, env.arrival, self.nic_free);
         self.nic_free = done;
         let wait_start = self.clock;
         self.clock = self.clock.max(done);

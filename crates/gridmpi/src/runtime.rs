@@ -338,15 +338,18 @@ impl Runtime {
                         buffered: 0,
                     };
                     let world = Communicator::world(n);
-                    let result = program(&mut proc, &world);
-                    // A program that failed will never send again: announce
-                    // the abort so peers fail fast in virtual time instead
-                    // of hitting the wall-clock safety net. (Crashed ranks
-                    // already announced inside check_alive; the broadcast
-                    // is idempotent.)
-                    if result.is_err() {
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        program(&mut proc, &world)
+                    }));
+                    // A program that failed or panicked will never send
+                    // again: announce the abort so peers fail fast in
+                    // virtual time instead of hitting the wall-clock safety
+                    // net. (Crashed ranks already announced inside
+                    // check_alive; the broadcast is idempotent.)
+                    if !matches!(outcome, Ok(Ok(_))) {
                         proc.announce_abort();
                     }
+                    let result = outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
                     // Close any phases the program left open so phase
                     // spans are recorded even on early error returns.
                     while proc.current_phase().is_some() {
@@ -983,6 +986,31 @@ mod tests {
         ));
         // Everyone's metrics survive the split, survivors and failures alike.
         assert_eq!(outcome.metrics.len(), 4);
+    }
+
+    #[test]
+    fn a_panicking_rank_does_not_hang_its_peers() {
+        // Rank 0 panics while rank 1 is blocked on it. The panic must reach
+        // the caller promptly — the abort tombstone releases rank 1 — and
+        // not after the 60 s wall-clock net. Run off-thread so a regression
+        // fails instead of stalling the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let rt = tiny_grid(1, 2, 1);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rt.run(|p, _| {
+                    if p.rank() == 0 {
+                        panic!("rank 0 gives up");
+                    }
+                    p.recv::<f64>(0, 1)
+                })
+            }));
+            let _ = tx.send(caught.is_err());
+        });
+        let propagated = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("run() must return well before the 60 s receive timeout");
+        assert!(propagated, "the rank's panic must propagate out of run()");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::time::VirtualTime;
-use crate::topology::{GridTopology, ProcLocation};
+use crate::topology::{ClusterSpec, GridTopology, ProcLocation};
 
 /// The class of the link between two process locations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -147,6 +147,29 @@ impl CostModel {
         }
     }
 
+    /// Receiver-side NIC serialization: when a `bytes`-sized message from
+    /// `from` whose last byte would reach an idle NIC at `arrival` has been
+    /// clocked in by a receiver at `to` whose NIC is busy until `nic_free`.
+    /// The payload's wire time queues behind whatever the NIC was already
+    /// receiving — `arrival` exactly for an idle NIC; for a hot one (the
+    /// root of a flat tree with P−1 concurrent senders) messages queue.
+    ///
+    /// The `gridmpi` runtime and the `tune` makespan predictor both price
+    /// every receive through this one function, which is what makes the
+    /// prediction bit-identical to the simulation.
+    #[inline]
+    pub fn receive_done(
+        &self,
+        from: ProcLocation,
+        to: ProcLocation,
+        bytes: u64,
+        arrival: VirtualTime,
+        nic_free: VirtualTime,
+    ) -> VirtualTime {
+        let wire = VirtualTime::from_secs(bytes as f64 * 8.0 / self.link(from, to).bandwidth_bps);
+        arrival.max(nic_free + wire)
+    }
+
     /// Returns a copy with the given WAN congestion surcharge.
     pub fn with_wan_overhead(mut self, seconds: f64) -> Self {
         assert!(seconds >= 0.0, "overhead must be non-negative");
@@ -186,6 +209,30 @@ impl CostModel {
         );
         self
     }
+}
+
+/// A uniform two-tier grid and its pricing: `clusters` sites of `nodes`
+/// single-processor nodes, every link inside a site `lan`, every site pair
+/// `wan`, every process sustaining `flops_per_proc` — the miniature grid
+/// the test suites and small benches run on.
+pub fn two_tier_grid(
+    clusters: usize,
+    nodes: usize,
+    lan: LinkParams,
+    wan: LinkParams,
+    flops_per_proc: f64,
+) -> (GridTopology, CostModel) {
+    let specs = (0..clusters)
+        .map(|i| ClusterSpec {
+            name: format!("c{i}"),
+            nodes,
+            procs_per_node: 1,
+            peak_gflops_per_proc: 8.0,
+        })
+        .collect();
+    let mut model = CostModel::homogeneous(lan, flops_per_proc, clusters);
+    model.inter_cluster = vec![vec![wan; clusters]; clusters];
+    (GridTopology::block_placement(specs, nodes, 1), model)
 }
 
 #[cfg(test)]

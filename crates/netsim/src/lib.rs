@@ -30,7 +30,7 @@ pub mod rng;
 pub mod time;
 pub mod topology;
 
-pub use cost::{CostModel, LinkClass, LinkParams};
+pub use cost::{two_tier_grid, CostModel, LinkClass, LinkParams};
 pub use fault::{Degradation, FailureSchedule};
 pub use occupancy::{CommMatrix, LinkUsage, SharedLinks, UtilizationTimeline};
 pub use rng::SplitMix64;

@@ -9,10 +9,10 @@
 //! output deterministic (fixed key order, shortest-round-trip floats),
 //! which makes the emitted files diffable.
 //!
-//! This module is the single JSON implementation in the workspace:
-//! `tsqr-bench::json` re-exports it, and [`crate::ledger`] serializes
+//! This module is the single JSON implementation in the workspace: the
+//! bench gate (`tsqr-bench`) and [`crate::ledger`] both serialize
 //! through it, so escaping and number formatting cannot drift between
-//! the bench gate and the ledger.
+//! them.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

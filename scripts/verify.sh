@@ -33,6 +33,8 @@ echo "==> archlint (workspace analyzer: crate layering vs scripts/layering.toml,
 echo "    nondeterminism-taint propagation, message-flow model vs"
 echo "    scripts/archlint.model; see docs/static-analysis.md)"
 cargo run --release -q -p tsqr-lint --bin archlint
+# One rank program per algorithm (crates/core/src/tile.rs): no second copy.
+if grep -rnE 'fn \w*_symbolic' crates/core/src; then echo "a _symbolic twin is back"; exit 1; fi
 
 echo "==> linkcheck (markdown links + anchors across README, EXPERIMENTS, docs/)"
 cargo run --release -q -p tsqr-lint --bin linkcheck

@@ -324,6 +324,44 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// Refuses an `m × n` factorization the rank programs cannot run on `rt`
+/// — the conditions the library asserts, which would otherwise panic
+/// inside every rank thread. `tsqr` carries `(--domains, --q)` when the
+/// algorithm is TSQR.
+fn check_geometry(
+    rt: &Runtime,
+    m: u64,
+    n: usize,
+    tsqr: Option<(usize, bool)>,
+) -> Result<(), String> {
+    if n == 0 {
+        return Err("--n must be at least 1".into());
+    }
+    let topo = rt.topology();
+    if let Some((domains, with_q)) = tsqr {
+        let per_site = topo.ranks_in_cluster(0).len();
+        if domains == 0 || !per_site.is_multiple_of(domains) {
+            return Err(format!(
+                "--domains {domains}: must be at least 1 and divide the {per_site} processes of a site"
+            ));
+        }
+        if with_q && domains != per_site {
+            return Err(format!(
+                "--q needs single-process domains, i.e. --domains {per_site} on this topology"
+            ));
+        }
+    }
+    let share = m / topo.num_procs() as u64;
+    if share < n as u64 {
+        return Err(format!(
+            "--m {m} over {} processes leaves a process {share} rows, fewer than --n {n}: \
+             not a tall-and-skinny problem at this scale",
+            topo.num_procs()
+        ));
+    }
+    Ok(())
+}
+
 fn run() -> Result<String, String> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = raw.split_first() else {
@@ -826,6 +864,7 @@ fn run_command(cmd: &str, args: &Args) -> Result<String, String> {
         "tsqr" => {
             let domains: usize = args.num("domains", 64usize)?;
             let shape = parse_shape(args.get("tree").unwrap_or("grid"))?;
+            check_geometry(&rt, m, n, Some((domains, args.has("q"))))?;
             let (rate, combine) = rates(n);
             let res = run_experiment(
                 &rt,
@@ -849,6 +888,7 @@ fn run_command(cmd: &str, args: &Args) -> Result<String, String> {
             } else {
                 Algorithm::ScalapackQr2
             };
+            check_geometry(&rt, m, n, None)?;
             let (rate, _) = rates(n);
             let res = run_experiment(
                 &rt,
@@ -867,6 +907,7 @@ fn run_command(cmd: &str, args: &Args) -> Result<String, String> {
             Ok(out)
         }
         "compare" => {
+            check_geometry(&rt, m, n, Some((64, false)))?;
             let (rate, combine) = rates(n);
             let mk = |algorithm| Experiment {
                 m,
@@ -893,7 +934,9 @@ fn run_command(cmd: &str, args: &Args) -> Result<String, String> {
         "trace" | "analyze" => {
             let domains: usize = args.num("domains", 64usize)?;
             let shape = parse_shape(args.get("tree").unwrap_or("grid"))?;
-            let (algorithm, rate, combine) = match args.get("algo").unwrap_or("tsqr") {
+            let algo = args.get("algo").unwrap_or("tsqr");
+            check_geometry(&rt, m, n, (algo == "tsqr").then_some((domains, false)))?;
+            let (algorithm, rate, combine) = match algo {
                 "tsqr" => {
                     let (r, c) = rates(n);
                     (Algorithm::Tsqr { shape, domains_per_cluster: domains }, r, c)

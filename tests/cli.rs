@@ -165,6 +165,31 @@ fn bad_input_exits_nonzero_with_usage() {
 }
 
 #[test]
+fn impossible_geometry_is_an_error_not_a_panic() {
+    // Each of these used to trip a library assert inside the rank threads
+    // (or before them) and die with a backtrace.
+    for args in [
+        vec!["tsqr", "--domains", "1", "--q"],
+        vec!["tsqr", "--domains", "3"],
+        vec!["tsqr", "--domains", "0"],
+        vec!["tsqr", "--m", "100", "--n", "64", "--real"],
+        vec!["tsqr", "--m", "0"],
+        vec!["tsqr", "--n", "0"],
+        vec!["compare", "--m", "1000", "--n", "64"],
+        vec!["scalapack", "--m", "1000", "--n", "64", "--sites", "1", "--real"],
+        vec!["scalapack", "--m", "1000", "--n", "64", "--sites", "4", "--real"],
+        vec!["trace", "--m", "1000", "--n", "64"],
+        vec!["analyze", "--domains", "5"],
+    ] {
+        let out = cli().args(&args).output().expect("run cli");
+        assert_eq!(out.status.code(), Some(2), "args: {args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.starts_with("error: "), "args: {args:?}\n{err}");
+        assert!(!err.contains("panicked at"), "args: {args:?}\n{err}");
+    }
+}
+
+#[test]
 fn a_flag_the_subcommand_never_reads_is_refused() {
     // A mistyped flag used to run the defaults, i.e. measure another
     // workload than the one asked for.
