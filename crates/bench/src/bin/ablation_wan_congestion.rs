@@ -14,26 +14,14 @@
 //!
 //! Run: `cargo run --release -p tsqr-bench --bin ablation_wan_congestion`
 
-use tsqr_bench::{calib, ShapeCheck};
-use tsqr_core::experiment::{run_experiment, Algorithm, Experiment, Mode};
+use tsqr_bench::{run_point, ShapeCheck};
+use tsqr_core::experiment::{Algorithm, Mode};
 use tsqr_core::tree::TreeShape;
 use tsqr_gridmpi::Runtime;
 use tsqr_netsim::grid5000;
 
 fn gflops(rt: &Runtime, m: u64, n: usize, algorithm: Algorithm) -> f64 {
-    run_experiment(
-        rt,
-        &Experiment {
-            m,
-            n,
-            algorithm,
-            compute_q: false,
-            mode: Mode::Symbolic,
-            rate_flops: Some(calib::kernel_rate_flops(n)),
-            combine_rate_flops: Some(calib::combine_rate_flops()),
-        },
-    )
-    .gflops
+    run_point(rt, m, n, algorithm, false, Mode::Symbolic).gflops
 }
 
 fn main() {

@@ -1,6 +1,7 @@
-//! The perf-regression gate: measures every registered headline point
-//! (Figs. 4–8, plus the WAN-degradation scenarios of the fault
-//! injector) and diffs the records against a committed baseline.
+//! The perf-regression gate: measures every registered gate point
+//! (`tsqr_bench::gate_points`: Figs. 4–8, WAN degradation, autotuned
+//! trees, serving with and without faults) and diffs the records against
+//! a committed baseline.
 //!
 //! Usage (normally driven by `scripts/bench_check.sh`):
 //!
@@ -24,12 +25,8 @@
 
 use std::process::ExitCode;
 
-use tsqr_bench::figures::{
-    all_figures, bench_records_full, compare_records, fault_bench_records_full,
-    parse_records, records_json, serve_bench_records_full, serve_fault_bench_records_full,
-    tune_bench_records_full,
-};
-use tsqr_obs::ledger::{append_entry, path_from_env, LedgerEntry};
+use tsqr_bench::{compare_records, gate_points, measure_gate, parse_records, records_json};
+use tsqr_obs::ledger::{append_entry, path_from_env};
 
 fn usage() -> ! {
     eprintln!(
@@ -69,28 +66,15 @@ fn main() -> ExitCode {
         .and_then(|v| v.parse::<f64>().ok())
         .unwrap_or(1e-9);
 
-    eprintln!("# measuring {} figures (deterministic simulation)...", all_figures().len());
-    let mut measured = Vec::new();
-    let mut entries: Vec<LedgerEntry> = Vec::new();
-    let mut take = |(rec, entry): (tsqr_bench::BenchRecord, LedgerEntry)| {
+    eprintln!("# measuring {} gate points (deterministic simulation)...", gate_points().len());
+    let (measured, entries): (Vec<_>, Vec<_>) = measure_gate(|rec| {
         eprintln!(
             "#   {:<16} makespan {:>10.4} s  {:>7.1} Gflop/s  {:>6} WAN msgs  residual {:.2e}",
             rec.id, rec.makespan_s, rec.gflops, rec.wan_msgs, rec.model_residual
-        );
-        measured.push(rec);
-        entries.push(entry);
-    };
-    for fig in all_figures() {
-        bench_records_full(fig).into_iter().for_each(&mut take);
-    }
-    eprintln!("# measuring WAN-degradation scenarios (fault injector)...");
-    fault_bench_records_full().into_iter().for_each(&mut take);
-    eprintln!("# measuring autotuned-tree points (model-driven search)...");
-    tune_bench_records_full().into_iter().for_each(&mut take);
-    eprintln!("# measuring serving-layer points (multi-tenant scheduler)...");
-    serve_bench_records_full().into_iter().for_each(&mut take);
-    eprintln!("# measuring fault-injected serving points (chaos recovery)...");
-    serve_fault_bench_records_full().into_iter().for_each(&mut take);
+        )
+    })
+    .into_iter()
+    .unzip();
     let doc = records_json(&measured);
 
     if let Some(path) = path_from_env() {

@@ -21,7 +21,7 @@
 //! `docs/fault-injection.md` §Degradation bench.
 
 use tsqr_bench::figures::records_json;
-use tsqr_bench::{fault_points, measure_fault_clean, measure_fault_point, ShapeCheck};
+use tsqr_bench::{fault_points, ShapeCheck};
 
 fn main() {
     let points = fault_points();
@@ -29,8 +29,8 @@ fn main() {
     let mut records = Vec::new();
 
     for p in &points {
-        let clean = measure_fault_clean(p);
-        let degraded = measure_fault_point(p);
+        let (clean, _) = p.measure(false);
+        let (degraded, _) = p.measure(true);
         println!(
             "{:<18} clean {:>8.4} s -> degraded {:>8.4} s  ({:.2}x, window {:?} s, \
              lat x{}, bw /{})",

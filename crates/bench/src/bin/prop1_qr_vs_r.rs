@@ -3,8 +3,8 @@
 //!
 //! Run: `cargo run --release -p tsqr-bench --bin prop1_qr_vs_r`
 
-use tsqr_bench::{calib, grid_runtime, ShapeCheck};
-use tsqr_core::experiment::{run_experiment, Algorithm, Experiment, Mode};
+use tsqr_bench::{grid_runtime, run_point, ShapeCheck};
+use tsqr_core::experiment::{Algorithm, Mode};
 use tsqr_core::tree::TreeShape;
 
 fn main() {
@@ -15,20 +15,14 @@ fn main() {
 
     for n in [64usize, 128, 256, 512] {
         for m in [524_288u64, 4_194_304] {
-            let mk = |compute_q| Experiment {
-                m,
-                n,
-                algorithm: Algorithm::Tsqr {
+            let run = |compute_q| {
+                let tsqr = Algorithm::Tsqr {
                     shape: TreeShape::GridHierarchical,
                     domains_per_cluster: 64,
-                },
-                compute_q,
-                mode: Mode::Symbolic,
-                rate_flops: Some(calib::kernel_rate_flops(n)),
-                combine_rate_flops: Some(calib::combine_rate_flops()),
+                };
+                run_point(&rt, m, n, tsqr, compute_q, Mode::Symbolic)
             };
-            let r_only = run_experiment(&rt, &mk(false));
-            let with_q = run_experiment(&rt, &mk(true));
+            let (r_only, with_q) = (run(false), run(true));
             let ratio = with_q.makespan.secs() / r_only.makespan.secs();
             println!(
                 "  {:>10} {:>5} {:>10.4} {:>10.4} {:>7.2}",

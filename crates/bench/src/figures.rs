@@ -8,7 +8,9 @@
 //! shared `--trace-out` / bench-emission entry the binaries call
 //! ([`crate::harness::run_figure`]) and `bench_check` both consume it, so
 //! the figure a reader traces is byte-for-byte the configuration the gate
-//! measures.
+//! measures. The gate's other families (WAN degradation, autotuned trees,
+//! serving, fault-injected serving) register here too; [`gate_points`]
+//! lists every point in baseline order and [`measure_gate`] measures them.
 //!
 //! A [`BenchRecord`] carries everything `scripts/bench_check.sh` compares
 //! against the committed `BENCH_baseline.json`: the makespan and Gflop/s,
@@ -21,7 +23,7 @@
 use std::fmt::Write as _;
 
 use tsqr_core::domains::DomainLayout;
-use tsqr_core::experiment::{run_experiment, Algorithm, Experiment, Mode};
+use tsqr_core::experiment::{Algorithm, Mode};
 use tsqr_core::modelfit;
 use tsqr_core::tree::TreeShape;
 use tsqr_core::tune;
@@ -31,11 +33,11 @@ use tsqr_obs::ledger::{EnvFingerprint, LedgerEntry, ModelCoeffs, PhaseRow};
 use tsqr_qcg::ResourceCatalog;
 use tsqr_serve::{
     serve as run_serve, BrownoutConfig, Policy as ServePolicy, PolicyReport as ServeReport,
-    RetryPolicy, ServeConfig,
+    RetryPolicy, ServeConfig, ServeOutcome,
 };
 
 use crate::calib;
-use crate::harness::grid_runtime;
+use crate::harness::{grid_runtime, platform_runtime, run_point};
 use tsqr_obs::json::{escape, num, Json};
 
 /// One headline configuration of a figure binary.
@@ -60,6 +62,11 @@ impl FigurePoint {
     /// Stable identifier used in `BENCH_results.json` (`"fig5/tsqr"`).
     pub fn id(&self) -> String {
         format!("{}/{}", self.figure, self.label)
+    }
+
+    /// [`measure_point`] on this configuration.
+    pub fn measure(&self) -> (BenchRecord, LedgerEntry) {
+        measure_point(&self.id(), self.sites, self.m, self.n, self.algorithm.clone(), None)
     }
 }
 
@@ -227,39 +234,21 @@ pub fn ledger_entry(
                 gamma_s_per_flop: f.gamma_s_per_flop,
                 rel_residual: f.rel_residual,
             })
-            .unwrap_or(ModelCoeffs {
-                beta_s: 0.0,
-                alpha_s_per_word: 0.0,
-                gamma_s_per_flop: 0.0,
-                rel_residual: 0.0,
-            }),
+            .unwrap_or_default(),
         phases,
         env: EnvFingerprint::current(),
     }
 }
 
-/// Runs one headline point traced and distills it into a
-/// [`BenchRecord`]. Also asserts the three cross-layer invariants the
-/// observability stack guarantees: the critical path tiles the makespan,
-/// the wait-state classification reconciles with the metrics registry to
-/// 1e-9, and the folded-stack profile tiles every rank's timeline — so
-/// every bench run doubles as an integration test of the diagnostics.
-pub fn measure_point(point: &FigurePoint) -> BenchRecord {
-    measure_point_full(point).0
-}
-
-/// [`measure_point`] plus the run's experiment-ledger entry.
-pub fn measure_point_full(point: &FigurePoint) -> (BenchRecord, LedgerEntry) {
-    measure_on(&point.id(), point.sites, point.m, point.n, point.algorithm.clone(), None)
-}
-
-/// Shared measurement core of [`measure_point`] and
-/// [`measure_fault_point`]: runs one traced configuration (optionally
-/// under a failure schedule) and distills it into a [`BenchRecord`] and
-/// a ledger entry (source `"figure"`; callers with a different
-/// provenance overwrite it), asserting the critical-path, wait-state
-/// and profile-tiling invariants along the way.
-fn measure_on(
+/// Runs one symbolic configuration traced (optionally under a failure
+/// schedule) and distills it into a [`BenchRecord`] and a ledger entry
+/// (source `"figure"`; callers with a different provenance overwrite
+/// it). Also asserts the three cross-layer invariants the observability
+/// stack guarantees: the critical path tiles the makespan, the wait-state
+/// classification reconciles with the metrics registry to 1e-9, and the
+/// folded-stack profile tiles every rank's timeline — so every bench run
+/// doubles as an integration test of the diagnostics.
+pub fn measure_point(
     id: &str,
     sites: usize,
     m: u64,
@@ -268,23 +257,8 @@ fn measure_on(
     schedule: Option<FailureSchedule>,
 ) -> (BenchRecord, LedgerEntry) {
     let tree = tree_label(&algorithm);
-    let mut rt = grid_runtime(sites);
-    if let Some(s) = schedule {
-        rt.set_failure_schedule(s);
-    }
-    rt.enable_tracing();
-    let res = run_experiment(
-        &rt,
-        &Experiment {
-            m,
-            n,
-            algorithm,
-            compute_q: false,
-            mode: Mode::Symbolic,
-            rate_flops: Some(calib::kernel_rate_flops(n)),
-            combine_rate_flops: Some(calib::combine_rate_flops()),
-        },
-    );
+    let rt = platform_runtime(sites, None, true, schedule);
+    let res = run_point(&rt, m, n, algorithm, false, Mode::Symbolic);
     let trace = res.trace.as_ref().expect("tracing was enabled");
     let cp = trace.critical_path();
     assert!(
@@ -344,16 +318,6 @@ fn measure_on(
     (record, entry)
 }
 
-/// Measures every headline point of one figure.
-pub fn bench_records(figure: &str) -> Vec<BenchRecord> {
-    figure_points(figure).iter().map(measure_point).collect()
-}
-
-/// [`bench_records`] plus each point's experiment-ledger entry.
-pub fn bench_records_full(figure: &str) -> Vec<(BenchRecord, LedgerEntry)> {
-    figure_points(figure).iter().map(measure_point_full).collect()
-}
-
 /// One WAN-degradation scenario of the fault bench: a headline
 /// configuration re-run with every inter-cluster link degraded for a
 /// window of virtual time ([`tsqr_netsim::FailureSchedule::degrade_all_wan`]).
@@ -398,6 +362,20 @@ impl FaultPoint {
             self.bandwidth_divisor,
         )
     }
+
+    /// Measures the scenario (same invariants as [`measure_point`],
+    /// ledger source `"faults"`), or with `degraded = false` its
+    /// *failure-free twin* under an id with a `-clean` suffix, which
+    /// `fault_degradation` compares it against (identical traffic, slower
+    /// clock) and the gate does not pin.
+    pub fn measure(&self, degraded: bool) -> (BenchRecord, LedgerEntry) {
+        let id = if degraded { self.id() } else { format!("{}-clean", self.id()) };
+        let schedule = degraded.then(|| self.schedule());
+        let (record, mut entry) =
+            measure_point(&id, self.sites, self.m, self.n, self.algorithm.clone(), schedule);
+        entry.source = "faults".to_string();
+        (record, entry)
+    }
 }
 
 /// The registered WAN-degradation scenarios, all on the 4-site grid at
@@ -426,54 +404,6 @@ pub fn fault_points() -> Vec<FaultPoint> {
         // probe of the paper's latency-dominated WAN term in Eq. (1).
         p("wan-latency-5x", (0.0, 60.0), 5.0, 1.0),
     ]
-}
-
-/// Runs one degradation scenario traced and distills it into a
-/// [`BenchRecord`] (same invariants as [`measure_point`]).
-pub fn measure_fault_point(point: &FaultPoint) -> BenchRecord {
-    measure_fault_point_full(point).0
-}
-
-/// [`measure_fault_point`] plus the run's experiment-ledger entry
-/// (source `"faults"`).
-pub fn measure_fault_point_full(point: &FaultPoint) -> (BenchRecord, LedgerEntry) {
-    let (record, mut entry) = measure_on(
-        &point.id(),
-        point.sites,
-        point.m,
-        point.n,
-        point.algorithm.clone(),
-        Some(point.schedule()),
-    );
-    entry.source = "faults".to_string();
-    (record, entry)
-}
-
-/// Runs the *failure-free twin* of a degradation scenario (same
-/// configuration, empty schedule); the record id gets a `-clean` suffix
-/// so it can sit next to the degraded one without colliding. Not part of
-/// the gate — `fault_degradation` uses it to assert the invariants
-/// (identical traffic, slower clock).
-pub fn measure_fault_clean(point: &FaultPoint) -> BenchRecord {
-    measure_on(
-        &format!("{}-clean", point.id()),
-        point.sites,
-        point.m,
-        point.n,
-        point.algorithm.clone(),
-        None,
-    )
-    .0
-}
-
-/// Measures every registered degradation scenario.
-pub fn fault_bench_records() -> Vec<BenchRecord> {
-    fault_points().iter().map(measure_fault_point).collect()
-}
-
-/// [`fault_bench_records`] plus each scenario's experiment-ledger entry.
-pub fn fault_bench_records_full() -> Vec<(BenchRecord, LedgerEntry)> {
-    fault_points().iter().map(measure_fault_point_full).collect()
 }
 
 /// One autotuner gate point: a Fig. 4–8 topology re-run under the
@@ -510,18 +440,20 @@ pub fn tune_points() -> Vec<TunePoint> {
     ]
 }
 
-/// Autotunes one point's reduction tree and measures the winner like a
-/// headline point. Before measuring, asserts the gate's headline claim:
-/// the autotuned tree's replayed makespan is never slower than any of the
-/// three fixed shapes on this topology (ties allowed — the search table
-/// lists fixed shapes first precisely so a tie resolves to one of them).
-pub fn measure_tune_point(point: &TunePoint) -> BenchRecord {
-    measure_tune_point_full(point).0
+impl TunePoint {
+    /// Stable identifier used in `BENCH_results.json` (`"tune/fig5"`).
+    pub fn id(&self) -> String {
+        format!("tune/{}", self.figure)
+    }
 }
 
-/// [`measure_tune_point`] plus the run's experiment-ledger entry
-/// (source `"tune"`).
-pub fn measure_tune_point_full(point: &TunePoint) -> (BenchRecord, LedgerEntry) {
+/// Autotunes one point's reduction tree and measures the winner like a
+/// headline point (ledger source `"tune"`). Before measuring, asserts the
+/// gate's headline claim: the autotuned tree's replayed makespan is never
+/// slower than any of the three fixed shapes on this topology (ties
+/// allowed — the search table lists fixed shapes first precisely so a tie
+/// resolves to one of them).
+fn measure_tune_point(point: &TunePoint) -> (BenchRecord, LedgerEntry) {
     let rt = grid_runtime(point.sites);
     let rate = Some(calib::kernel_rate_flops(point.n));
     let combine = Some(calib::combine_rate_flops());
@@ -538,8 +470,8 @@ pub fn measure_tune_point_full(point: &TunePoint) -> (BenchRecord, LedgerEntry) 
             fixed.secs()
         );
     }
-    let (record, mut entry) = measure_on(
-        &format!("tune/{}", point.figure),
+    let (record, mut entry) = measure_point(
+        &point.id(),
         point.sites,
         point.m,
         point.n,
@@ -553,80 +485,20 @@ pub fn measure_tune_point_full(point: &TunePoint) -> (BenchRecord, LedgerEntry) 
     (record, entry)
 }
 
-/// Measures every autotuner gate point.
-pub fn tune_bench_records() -> Vec<BenchRecord> {
-    tune_points().iter().map(measure_tune_point).collect()
-}
-
-/// [`tune_bench_records`] plus each point's experiment-ledger entry.
-pub fn tune_bench_records_full() -> Vec<(BenchRecord, LedgerEntry)> {
-    tune_points().iter().map(measure_tune_point_full).collect()
-}
-
-/// One serving-layer gate point: a full `tsqr-serve` trace at a fixed
-/// `(policy, load, batch)` over the Grid'5000 catalog. The record id is
-/// `serve/<policy>@<load>` (`+batch` when batching is on).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServePoint {
-    /// Queue discipline.
-    pub policy: ServePolicy,
-    /// Offered load.
-    pub load: f64,
-    /// Whether same-shape batching is on.
-    pub batch: bool,
-    /// Requests in the trace.
-    pub requests: usize,
-    /// Workload seed.
-    pub seed: u64,
-    /// Pins every request to one menu shape (the batching burst).
-    pub single_shape: Option<usize>,
-}
-
-impl ServePoint {
-    /// Stable identifier used in `BENCH_results.json`.
-    pub fn id(&self) -> String {
-        format!(
-            "serve/{}@{:.1}{}",
-            self.policy.label(),
-            self.load,
-            if self.batch { "+batch" } else { "" }
-        )
-    }
-
-    fn config(&self) -> ServeConfig {
-        ServeConfig {
-            policy: self.policy,
-            load: self.load,
-            requests: self.requests,
-            seed: self.seed,
-            batch: self.batch,
-            single_shape: self.single_shape,
-            ..Default::default()
-        }
-    }
-}
-
-/// The serving gate points: the ISSUE's 200-request seeded trace at high
-/// load under every policy, plus the same-shape burst with and without
-/// batching. The high-load point is where the disciplines separate; the
-/// burst pair is where batching's WAN-message claim is measurable.
-pub fn serve_points() -> Vec<ServePoint> {
-    let hi = |policy| ServePoint {
-        policy,
-        load: 2.5,
-        batch: false,
-        requests: 200,
-        seed: 42,
-        single_shape: None,
+/// The serving gate points, `(name, config)` with record id
+/// `serve/<name>`: the ISSUE's 200-request seeded trace at high load under
+/// every policy (`<policy>@<load>`), plus the same-shape burst with and
+/// without batching (`+batch`). The high-load point is where the
+/// disciplines separate; the burst pair is where batching's WAN-message
+/// claim is measurable.
+pub fn serve_points() -> Vec<(String, ServeConfig)> {
+    let point = |policy: ServePolicy, load: f64, requests, single_shape, batch| {
+        let name = format!("{}@{load:.1}{}", policy.label(), if batch { "+batch" } else { "" });
+        let base = ServeConfig { seed: 42, ..Default::default() };
+        (name, ServeConfig { policy, load, requests, batch, single_shape, ..base })
     };
-    let burst = |batch| ServePoint {
-        policy: ServePolicy::Fifo,
-        load: 4.0,
-        batch,
-        requests: 60,
-        seed: 42,
-        single_shape: Some(3),
-    };
+    let hi = |policy| point(policy, 2.5, 200, None, false);
+    let burst = |batch| point(ServePolicy::Fifo, 4.0, 60, Some(3), batch);
     vec![
         hi(ServePolicy::Fifo),
         hi(ServePolicy::Sjf),
@@ -637,120 +509,8 @@ pub fn serve_points() -> Vec<ServePoint> {
     ]
 }
 
-/// Measures one serving point. The [`BenchRecord`] reuses the
-/// critical-path columns for queueing statistics (documented in
-/// `docs/serving.md` §Ledger): `cp_compute_s` = mean sojourn, `cp_send_s`
-/// = p99 sojourn, `cp_wan_msgs` = SLO misses, `wait_s` = total queue
-/// wait. `model_residual` is 0 — serving runs have no Eq. (1) fit.
-pub fn measure_serve_point_full(point: &ServePoint) -> (BenchRecord, LedgerEntry) {
-    let catalog = ResourceCatalog::grid5000();
-    let outcome = run_serve(&catalog, &point.config());
-    let report = ServeReport::from_outcome(&outcome);
-    let total_rows: u64 = outcome.records.iter().map(|r| r.request.rows).sum();
-    let record = BenchRecord {
-        id: point.id(),
-        sites: catalog.clusters.len(),
-        m: total_rows,
-        n: 64,
-        makespan_s: report.horizon_s,
-        gflops: report.gflops,
-        msgs: report.msgs,
-        wan_msgs: report.wan_msgs,
-        bytes: report.bytes,
-        cp_compute_s: report.mean_sojourn_s,
-        cp_send_s: report.p99_sojourn_s,
-        cp_wan_msgs: report.slo_miss as u64,
-        wait_s: report.total_wait_s,
-        model_residual: 0.0,
-    };
-    let entry = LedgerEntry {
-        seq: 0,
-        source: "serve".into(),
-        scenario: format!("bench/{}", point.id()),
-        sites: catalog.clusters.len(),
-        procs: catalog.total_procs(),
-        m: total_rows as usize,
-        n: 64,
-        tree: format!("serve/{}", point.policy.label()),
-        makespan_s: report.horizon_s,
-        gflops: report.gflops,
-        msgs: report.msgs,
-        wan_msgs: report.wan_msgs,
-        bytes: report.bytes,
-        cp_compute_s: report.mean_sojourn_s,
-        cp_send_s: report.p99_sojourn_s,
-        cp_wan_msgs: report.slo_miss as u64,
-        wait_s: report.total_wait_s,
-        phases: Vec::new(),
-        fit: ModelCoeffs {
-            beta_s: 0.0,
-            alpha_s_per_word: 0.0,
-            gamma_s_per_flop: 0.0,
-            rel_residual: 0.0,
-        },
-        env: EnvFingerprint::current(),
-    };
-    (record, entry)
-}
-
-/// Measures every serving gate point and asserts the serving layer's
-/// headline claims on the freshly measured records:
-///
-/// * FIFO and SJF genuinely differ on the same seeded high-load trace
-///   (p99 sojourn or throughput — a scheduler that cannot change the
-///   outcome is not scheduling);
-/// * SJF's mean sojourn is no worse than FIFO's at high load (the
-///   textbook shortest-job-first claim, held as data);
-/// * batching strictly reduces WAN messages on the same-shape burst;
-/// * a same-seed re-run reproduces the records byte-identically.
-pub fn serve_bench_records_full() -> Vec<(BenchRecord, LedgerEntry)> {
-    let points = serve_points();
-    let all: Vec<(BenchRecord, LedgerEntry)> =
-        points.iter().map(measure_serve_point_full).collect();
-    let by_id = |id: &str| -> &BenchRecord {
-        &all.iter().find(|(r, _)| r.id == id).expect("gate point measured").0
-    };
-    let fifo = by_id("serve/fifo@2.5");
-    let sjf = by_id("serve/sjf@2.5");
-    assert!(
-        fifo.cp_send_s != sjf.cp_send_s || fifo.gflops != sjf.gflops,
-        "fifo and sjf must differ on the same trace (p99 {} vs {})",
-        fifo.cp_send_s,
-        sjf.cp_send_s
-    );
-    assert!(
-        sjf.cp_compute_s <= fifo.cp_compute_s,
-        "SJF mean sojourn {} must not exceed FIFO's {} at high load",
-        sjf.cp_compute_s,
-        fifo.cp_compute_s
-    );
-    let unbatched = by_id("serve/fifo@4.0");
-    let batched = by_id("serve/fifo@4.0+batch");
-    assert!(
-        batched.wan_msgs < unbatched.wan_msgs,
-        "batching must strictly cut WAN messages on a same-shape burst \
-         ({} vs {})",
-        batched.wan_msgs,
-        unbatched.wan_msgs
-    );
-    let replay: Vec<BenchRecord> =
-        points.iter().map(|p| measure_serve_point_full(p).0).collect();
-    let first: Vec<BenchRecord> = all.iter().map(|(r, _)| r.clone()).collect();
-    assert_eq!(
-        records_json(&first),
-        records_json(&replay),
-        "serve records must replay byte-identically"
-    );
-    all
-}
-
-/// Measures every serving gate point (records only).
-pub fn serve_bench_records() -> Vec<BenchRecord> {
-    serve_bench_records_full().into_iter().map(|(r, _)| r).collect()
-}
-
-/// The fault-injected serving gate points (`serve-faults/<name>`), the
-/// same scenarios `grid-tsqr check` pins as COMMCHECK lines:
+/// The fault-injected serving gate points (`serve-faults/<name>`); `grid-tsqr
+/// check` pins three of them as COMMCHECK lines as well:
 ///
 /// * `crash-ckpt` / `crash-restart` — a site crash at t = 0.1 s virtual,
 ///   recovered with checkpointed WAN drain vs full restart;
@@ -808,42 +568,31 @@ pub fn serve_fault_points() -> Vec<(&'static str, ServeConfig)> {
     ]
 }
 
-/// Measures one fault-injected serving point. Column reuse matches
-/// [`measure_serve_point_full`]; the ledger source is `"serve-faults"` so
-/// the dashboard can segregate chaos runs from clean serving runs.
-fn measure_serve_fault_point(
-    name: &str,
-    cfg: &ServeConfig,
-) -> (BenchRecord, LedgerEntry, ServeReport) {
-    let catalog = ResourceCatalog::grid5000();
-    let outcome = run_serve(&catalog, cfg);
-    let report = ServeReport::from_outcome(&outcome);
+/// Turns a finished serve run into its gate record and ledger entry — the
+/// one place that knows the column reuse documented in `docs/serving.md`
+/// §Ledger: `cp_compute_s` = mean sojourn, `cp_send_s` = p99 sojourn,
+/// `cp_wan_msgs` = SLO misses, `wait_s` = total queue wait. There is no
+/// Eq. (1) fit, so `model_residual` and the fit are zero. `id` names the
+/// record; `source`, `scenario` and `tree` label the entry.
+pub fn serve_record(
+    id: &str,
+    source: &str,
+    scenario: &str,
+    tree: &str,
+    catalog: &ResourceCatalog,
+    outcome: &ServeOutcome,
+    report: &ServeReport,
+) -> (BenchRecord, LedgerEntry) {
     let total_rows: u64 = outcome.records.iter().map(|r| r.request.rows).sum();
-    let record = BenchRecord {
-        id: format!("serve-faults/{name}"),
-        sites: catalog.clusters.len(),
-        m: total_rows,
-        n: 64,
-        makespan_s: report.horizon_s,
-        gflops: report.gflops,
-        msgs: report.msgs,
-        wan_msgs: report.wan_msgs,
-        bytes: report.bytes,
-        cp_compute_s: report.mean_sojourn_s,
-        cp_send_s: report.p99_sojourn_s,
-        cp_wan_msgs: report.slo_miss as u64,
-        wait_s: report.total_wait_s,
-        model_residual: 0.0,
-    };
     let entry = LedgerEntry {
-        seq: 0,
-        source: "serve-faults".into(),
-        scenario: format!("bench/serve-faults/{name}"),
+        seq: 0, // assigned by tsqr_obs::ledger::append_entry
+        source: source.to_string(),
+        scenario: scenario.to_string(),
         sites: catalog.clusters.len(),
         procs: catalog.total_procs(),
         m: total_rows as usize,
         n: 64,
-        tree: format!("serve-faults/{}", cfg.policy.label()),
+        tree: tree.to_string(),
         makespan_s: report.horizon_s,
         gflops: report.gflops,
         msgs: report.msgs,
@@ -854,19 +603,160 @@ fn measure_serve_fault_point(
         cp_wan_msgs: report.slo_miss as u64,
         wait_s: report.total_wait_s,
         phases: Vec::new(),
-        fit: ModelCoeffs {
-            beta_s: 0.0,
-            alpha_s_per_word: 0.0,
-            gamma_s_per_flop: 0.0,
-            rel_residual: 0.0,
-        },
+        fit: ModelCoeffs::default(),
         env: EnvFingerprint::current(),
     };
+    let record = BenchRecord {
+        id: id.to_string(),
+        sites: entry.sites,
+        m: total_rows,
+        n: entry.n,
+        makespan_s: entry.makespan_s,
+        gflops: entry.gflops,
+        msgs: entry.msgs,
+        wan_msgs: entry.wan_msgs,
+        bytes: entry.bytes,
+        cp_compute_s: entry.cp_compute_s,
+        cp_send_s: entry.cp_send_s,
+        cp_wan_msgs: entry.cp_wan_msgs,
+        wait_s: entry.wait_s,
+        model_residual: entry.fit.rel_residual,
+    };
+    (record, entry)
+}
+
+/// Runs one serving gate point (`id` = `<family>/<name>`) on the Grid'5000
+/// catalog. The ledger source is the family, so the dashboard can
+/// segregate chaos runs (`serve-faults`) from clean serving runs.
+fn measure_serve(id: &str, cfg: &ServeConfig) -> (BenchRecord, LedgerEntry, ServeReport) {
+    let catalog = ResourceCatalog::grid5000();
+    let outcome = run_serve(&catalog, cfg);
+    let report = ServeReport::from_outcome(&outcome);
+    let family = id.split_once('/').expect("serve gate ids are <family>/<name>").0;
+    let tree = format!("{family}/{}", cfg.policy.label());
+    let (record, entry) =
+        serve_record(id, family, &format!("bench/{id}"), &tree, &catalog, &outcome, &report);
     (record, entry, report)
 }
 
-/// Measures every fault-injected serving gate point and asserts the
-/// recovery layer's headline claims on the freshly measured data:
+/// One point of the perf gate, of any family.
+#[derive(Debug, Clone, PartialEq)]
+pub enum GatePoint {
+    /// A Fig. 4–8 headline configuration.
+    Figure(FigurePoint),
+    /// A WAN-degradation scenario of the fault injector.
+    Fault(FaultPoint),
+    /// A figure topology under its autotuned reduction tree.
+    Tune(TunePoint),
+    /// A serving-layer trace: record id and configuration.
+    Serve(String, ServeConfig),
+}
+
+impl GatePoint {
+    /// Stable identifier used in `BENCH_results.json`.
+    pub fn id(&self) -> String {
+        match self {
+            GatePoint::Figure(p) => p.id(),
+            GatePoint::Fault(p) => p.id(),
+            GatePoint::Tune(p) => p.id(),
+            GatePoint::Serve(id, _) => id.clone(),
+        }
+    }
+
+    /// Measures the point (asserting the invariants of its family).
+    pub fn measure(&self) -> (BenchRecord, LedgerEntry) {
+        match self {
+            GatePoint::Figure(p) => p.measure(),
+            GatePoint::Fault(p) => p.measure(true),
+            GatePoint::Tune(p) => measure_tune_point(p),
+            GatePoint::Serve(id, cfg) => {
+                let (record, entry, _) = measure_serve(id, cfg);
+                (record, entry)
+            }
+        }
+    }
+}
+
+/// The gate registry: every point `bench_check` measures, in the order of
+/// the committed `BENCH_baseline.json`.
+pub fn gate_points() -> Vec<GatePoint> {
+    let figures = all_figures().into_iter().flat_map(figure_points).map(GatePoint::Figure);
+    let serve = serve_points().into_iter().map(|(name, cfg)| (format!("serve/{name}"), cfg));
+    let serve_faults = serve_fault_points()
+        .into_iter()
+        .map(|(name, cfg)| (format!("serve-faults/{name}"), cfg));
+    figures
+        .chain(fault_points().into_iter().map(GatePoint::Fault))
+        .chain(tune_points().into_iter().map(GatePoint::Tune))
+        .chain(serve.chain(serve_faults).map(|(id, cfg)| GatePoint::Serve(id, cfg)))
+        .collect()
+}
+
+/// Measures every gate point in registry order, handing each record to
+/// `progress` as it lands, then asserts the serving layer's headline
+/// claims on the freshly measured data (the tuner's claim is asserted per
+/// point, before it is measured):
+///
+/// * FIFO and SJF genuinely differ on the same seeded high-load trace
+///   (p99 sojourn or throughput — a scheduler that cannot change the
+///   outcome is not scheduling);
+/// * SJF's mean sojourn is no worse than FIFO's at high load (the
+///   textbook shortest-job-first claim, held as data);
+/// * batching strictly reduces WAN messages on the same-shape burst;
+/// * a same-seed re-run reproduces every serve record exactly;
+/// * the recovery layer's claims on the fault-injected points (listed on
+///   `assert_serve_fault_claims`).
+pub fn measure_gate(mut progress: impl FnMut(&BenchRecord)) -> Vec<(BenchRecord, LedgerEntry)> {
+    let points = gate_points();
+    let mut all = Vec::with_capacity(points.len());
+    for point in &points {
+        let measured = point.measure();
+        progress(&measured.0);
+        all.push(measured);
+    }
+    let by_id = |id: &str| -> &BenchRecord {
+        &all.iter().find(|(r, _)| r.id == id).expect("gate point measured").0
+    };
+    let fifo = by_id("serve/fifo@2.5");
+    let sjf = by_id("serve/sjf@2.5");
+    assert!(
+        fifo.cp_send_s != sjf.cp_send_s || fifo.gflops != sjf.gflops,
+        "fifo and sjf must differ on the same trace (p99 {} vs {})",
+        fifo.cp_send_s,
+        sjf.cp_send_s
+    );
+    assert!(
+        sjf.cp_compute_s <= fifo.cp_compute_s,
+        "SJF mean sojourn {} must not exceed FIFO's {} at high load",
+        sjf.cp_compute_s,
+        fifo.cp_compute_s
+    );
+    let unbatched = by_id("serve/fifo@4.0");
+    let batched = by_id("serve/fifo@4.0+batch");
+    assert!(
+        batched.wan_msgs < unbatched.wan_msgs,
+        "batching must strictly cut WAN messages on a same-shape burst \
+         ({} vs {})",
+        batched.wan_msgs,
+        unbatched.wan_msgs
+    );
+    // The replay of the fault points doubles as the source of the reports
+    // their claims are stated on.
+    let mut fault_reports = Vec::new();
+    for point in &points {
+        let GatePoint::Serve(id, cfg) = point else { continue };
+        let (replay, _, report) = measure_serve(id, cfg);
+        assert_eq!(by_id(id), &replay, "{id}: serve records must replay identically");
+        if let Some(name) = id.strip_prefix("serve-faults/") {
+            fault_reports.push((name, cfg, report));
+        }
+    }
+    assert_serve_fault_claims(&fault_reports);
+    all
+}
+
+/// The recovery layer's headline claims, on the reports of the
+/// [`serve_fault_points`] (`(name, config, report)`):
 ///
 /// * every crash scenario both faults *and* recovers (fault events and
 ///   retried completions are nonzero, nothing fails permanently);
@@ -877,20 +767,10 @@ fn measure_serve_fault_point(
 /// * the degraded-WAN scenario actually browns out (sheds > 0, nonzero
 ///   brownout seconds);
 /// * injecting faults is never free: each scenario's mean sojourn is
-///   strictly worse than its failure-free twin's;
-/// * a same-seed re-measure reproduces the records byte-identically.
-pub fn serve_fault_bench_records_full() -> Vec<(BenchRecord, LedgerEntry)> {
-    let points = serve_fault_points();
-    let all: Vec<(BenchRecord, LedgerEntry, ServeReport)> = points
-        .iter()
-        .map(|(name, cfg)| measure_serve_fault_point(name, cfg))
-        .collect();
+///   strictly worse than its failure-free twin's.
+fn assert_serve_fault_claims(reports: &[(&str, &ServeConfig, ServeReport)]) {
     let by = |name: &str| -> &ServeReport {
-        &all
-            .iter()
-            .find(|(r, _, _)| r.id == format!("serve-faults/{name}"))
-            .expect("fault gate point measured")
-            .2
+        &reports.iter().find(|(n, _, _)| *n == name).expect("fault gate point measured").2
     };
     for name in ["crash-ckpt", "crash-restart", "crash-replan"] {
         let rep = by(name);
@@ -912,10 +792,10 @@ pub fn serve_fault_bench_records_full() -> Vec<(BenchRecord, LedgerEntry)> {
     let brown = by("wan-brownout");
     assert!(brown.shed > 0, "degraded WAN must drive brownout shedding");
     assert!(brown.brownout_s > 0.0, "brownout must stay open for measurable virtual time");
-    for ((name, cfg), (_, _, faulty)) in points.iter().zip(&all) {
+    for (name, cfg, faulty) in reports {
         let clean = ServeReport::from_outcome(&run_serve(
             &ResourceCatalog::grid5000(),
-            &ServeConfig { faults: FailureSchedule::default(), ..cfg.clone() },
+            &ServeConfig { faults: FailureSchedule::default(), ..(*cfg).clone() },
         ));
         if *name == "crash-replan" {
             // Re-planning is the one fault response that can come out
@@ -935,22 +815,6 @@ pub fn serve_fault_bench_records_full() -> Vec<(BenchRecord, LedgerEntry)> {
             );
         }
     }
-    let first: Vec<BenchRecord> = all.iter().map(|(r, _, _)| r.clone()).collect();
-    let replay: Vec<BenchRecord> = points
-        .iter()
-        .map(|(name, cfg)| measure_serve_fault_point(name, cfg).0)
-        .collect();
-    assert_eq!(
-        records_json(&first),
-        records_json(&replay),
-        "serve-fault records must replay byte-identically"
-    );
-    all.into_iter().map(|(r, e, _)| (r, e)).collect()
-}
-
-/// Measures every fault-injected serving gate point (records only).
-pub fn serve_fault_bench_records() -> Vec<BenchRecord> {
-    serve_fault_bench_records_full().into_iter().map(|(r, _)| r).collect()
 }
 
 /// Serializes records as the `BENCH_results.json` document (schema
@@ -1106,6 +970,17 @@ mod tests {
     }
 
     #[test]
+    fn gate_registry_lists_the_committed_baseline_ids_in_order() {
+        // No point is measured: registry/golden drift shows up in
+        // milliseconds instead of at the end of the gate.
+        let text = include_str!("../../../BENCH_baseline.json");
+        let baseline: Vec<String> =
+            parse_records(text).unwrap().into_iter().map(|r| r.id).collect();
+        let registry: Vec<String> = gate_points().iter().map(GatePoint::id).collect();
+        assert_eq!(registry, baseline);
+    }
+
+    #[test]
     #[should_panic(expected = "unknown figure")]
     fn unknown_figure_panics() {
         figure_points("fig9");
@@ -1184,8 +1059,8 @@ mod tests {
             latency_factor: 10.0,
             bandwidth_divisor: 10.0,
         };
-        let clean = measure_fault_clean(&p);
-        let slow = measure_fault_point(&p);
+        let (clean, _) = p.measure(false);
+        let (slow, _) = p.measure(true);
         assert_eq!(clean.id, "faults/test-clean");
         assert_eq!(slow.id, "faults/test");
         assert_eq!(
@@ -1209,7 +1084,7 @@ mod tests {
             n: 64,
             algorithm: TSQR64,
         };
-        let r = measure_point(&p);
+        let (r, _) = p.measure();
         assert!(r.makespan_s > 0.0 && r.gflops > 0.0);
         assert!(r.msgs > 0);
         assert_eq!(r.wan_msgs, 0, "single site has no WAN traffic");

@@ -1,8 +1,11 @@
 //! Sweep machinery shared by the figure binaries.
 
+use std::time::Duration;
+
 use tsqr_core::experiment::{run_experiment, Algorithm, Experiment, ExperimentResult, Mode};
 use tsqr_core::tree::TreeShape;
 use tsqr_gridmpi::Runtime;
+use tsqr_netsim::FailureSchedule;
 use tsqr_qcg::{allocate, JobProfile, ResourceCatalog};
 
 use crate::calib;
@@ -43,30 +46,50 @@ pub fn domain_options() -> [usize; 7] {
     [1, 2, 4, 8, 16, 32, 64]
 }
 
-fn symbolic_point(rt: &Runtime, m: u64, n: usize, algorithm: Algorithm) -> ExperimentResult {
-    run_experiment(
-        rt,
-        &Experiment {
-            m,
-            n,
-            algorithm,
-            compute_q: false,
-            mode: Mode::Symbolic,
-            rate_flops: Some(calib::kernel_rate_flops(n)),
-            combine_rate_flops: Some(calib::combine_rate_flops()),
-        },
-    )
+/// [`grid_runtime`] set up for one run: the wall-clock receive timeout
+/// (`None` keeps the runtime's default), event tracing, and the failure
+/// schedule to inject. With [`run_point`], the one place a scenario on the
+/// paper's platform is built — the bench gate, the figure binaries and
+/// every simulating `grid-tsqr` subcommand come through here.
+pub fn platform_runtime(
+    sites: usize,
+    recv_timeout: Option<Duration>,
+    traced: bool,
+    schedule: Option<FailureSchedule>,
+) -> Runtime {
+    let mut rt = grid_runtime(sites);
+    if let Some(timeout) = recv_timeout {
+        rt.set_recv_timeout(timeout);
+    }
+    if traced {
+        rt.enable_tracing();
+    }
+    if let Some(schedule) = schedule {
+        rt.set_failure_schedule(schedule);
+    }
+    rt
+}
+
+/// Runs one `m × n` point on `rt`, priced at the calibrated rates of
+/// [`calib`] (the combine rate only matters to TSQR).
+pub fn run_point(
+    rt: &Runtime,
+    m: u64,
+    n: usize,
+    algorithm: Algorithm,
+    compute_q: bool,
+    mode: Mode,
+) -> ExperimentResult {
+    let rate_flops = Some(calib::kernel_rate_flops(n));
+    let combine_rate_flops = Some(calib::combine_rate_flops());
+    let point = Experiment { m, n, algorithm, compute_q, mode, rate_flops, combine_rate_flops };
+    run_experiment(rt, &point)
 }
 
 /// TSQR Gflop/s at one sweep point (grid-hierarchical tree).
 pub fn tsqr_gflops(rt: &Runtime, m: u64, n: usize, domains_per_cluster: usize) -> f64 {
-    symbolic_point(
-        rt,
-        m,
-        n,
-        Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster },
-    )
-    .gflops
+    let algorithm = Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster };
+    run_point(rt, m, n, algorithm, false, Mode::Symbolic).gflops
 }
 
 /// TSQR Gflop/s with the optimum domain count, and that count — the
@@ -85,7 +108,7 @@ pub fn tsqr_best_gflops(rt: &Runtime, m: u64, n: usize) -> (f64, usize) {
 
 /// ScaLAPACK QR2 Gflop/s at one sweep point.
 pub fn scalapack_gflops(rt: &Runtime, m: u64, n: usize) -> f64 {
-    symbolic_point(rt, m, n, Algorithm::ScalapackQr2).gflops
+    run_point(rt, m, n, Algorithm::ScalapackQr2, false, Mode::Symbolic).gflops
 }
 
 /// Parses the optional `--trace-out <file>` flag every figure binary
@@ -122,20 +145,8 @@ pub fn dump_traced_point(
     n: usize,
     algorithm: Algorithm,
 ) -> std::io::Result<()> {
-    let mut rt = grid_runtime(sites);
-    rt.enable_tracing();
-    let res = run_experiment(
-        &rt,
-        &Experiment {
-            m,
-            n,
-            algorithm,
-            compute_q: false,
-            mode: Mode::Symbolic,
-            rate_flops: Some(calib::kernel_rate_flops(n)),
-            combine_rate_flops: Some(calib::combine_rate_flops()),
-        },
-    );
+    let rt = platform_runtime(sites, None, true, None);
+    let res = run_point(&rt, m, n, algorithm, false, Mode::Symbolic);
     let trace = res.trace.as_ref().expect("tracing was enabled");
     let cp = trace.critical_path();
     let err = (cp.total().secs() - res.makespan.secs()).abs();
@@ -202,8 +213,7 @@ pub fn run_figure(figure: &str) {
     if bench_out.is_none() && ledger.is_none() {
         return;
     }
-    let measured: Vec<_> =
-        points.iter().map(crate::figures::measure_point_full).collect();
+    let measured: Vec<_> = points.iter().map(|p| p.measure()).collect();
     if let Some(dir) = bench_out {
         let records: Vec<_> = measured.iter().map(|(r, _)| r.clone()).collect();
         let out = std::path::Path::new(&dir).join(format!("BENCH_{figure}.json"));

@@ -46,16 +46,12 @@ pub mod figures;
 pub mod harness;
 
 pub use figures::{
-    all_figures, bench_records, bench_records_full, compare_records, fault_bench_records,
-    fault_bench_records_full, fault_points, figure_points, ledger_entry,
-    measure_fault_clean, measure_fault_point, measure_fault_point_full, measure_point,
-    measure_point_full, measure_serve_point_full, measure_tune_point_full, parse_records,
-    records_json, serve_bench_records, serve_bench_records_full, serve_fault_bench_records,
-    serve_fault_bench_records_full, serve_fault_points, serve_points, tune_bench_records_full,
-    BenchRecord, FaultPoint, FigurePoint, ServePoint,
+    compare_records, fault_points, figure_points, gate_points, ledger_entry, measure_gate,
+    parse_records, records_json, serve_fault_points, serve_record, BenchRecord, FaultPoint,
+    FigurePoint, GatePoint,
 };
 pub use harness::{
-    domain_options, dump_traced_point, grid_runtime, paper_m_values, print_series_table,
-    run_figure, save_series_tsv, scalapack_gflops, trace_out_arg, tsqr_best_gflops,
-    tsqr_gflops, ShapeCheck, Series,
+    domain_options, dump_traced_point, grid_runtime, paper_m_values, platform_runtime,
+    print_series_table, run_figure, run_point, save_series_tsv, scalapack_gflops,
+    trace_out_arg, tsqr_best_gflops, tsqr_gflops, ShapeCheck, Series,
 };

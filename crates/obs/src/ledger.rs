@@ -79,8 +79,9 @@ impl PhaseRow {
     }
 }
 
-/// Fitted Eq. (1) coefficients recorded with a run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Fitted Eq. (1) coefficients recorded with a run; all zero (the
+/// default) for a run with nothing to fit.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ModelCoeffs {
     /// Per-message latency cost (seconds per message), the β term.
     pub beta_s: f64,

@@ -35,6 +35,17 @@ echo "    scripts/archlint.model; see docs/static-analysis.md)"
 cargo run --release -q -p tsqr-lint --bin archlint
 # One rank program per algorithm (crates/core/src/tile.rs): no second copy.
 if grep -rnE 'fn \w*_symbolic' crates/core/src; then echo "a _symbolic twin is back"; exit 1; fi
+# One owner per scenario decision (tsqr_bench::{platform_runtime, run_point,
+# serve_record}, the CLI's fault_schedule): no private copy may come back.
+lines_with() { grep -rF --include='*.rs' -- "$@" | wc -l; }
+copy_is_back() { echo "a copy is back: $1"; exit 1; }
+CLI=src/bin/grid-tsqr.rs
+[ "$(lines_with 'Experiment {' $CLI)" -le 1 ] || copy_is_back "Experiment literals in $CLI"
+[ "$(lines_with 'set_recv_timeout' $CLI)" -le 1 ] || copy_is_back "set_recv_timeout in $CLI"
+# the --wan-slow grammar, and the smoke's brown-out schedule in check's matrix
+[ "$(lines_with 'degrade_all_wan' $CLI)" -le 2 ] || copy_is_back "--wan-slow parsers in $CLI"
+[ "$(lines_with 'cp_send_s: report.p99_sojourn_s' crates src)" -eq 1 ] \
+  || copy_is_back "the serve column mapping (tsqr_bench::serve_record)"
 
 echo "==> linkcheck (markdown links + anchors across README, EXPERIMENTS, docs/)"
 cargo run --release -q -p tsqr-lint --bin linkcheck

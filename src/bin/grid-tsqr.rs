@@ -88,9 +88,10 @@
 //! scenario is compared against the blessed `COMMCHECK_baseline.txt`
 //! (regenerate with `--bless`), exactly like the benchmark gate.
 //!
-//! Every subcommand accepts `--recv-timeout <seconds>`: the *wall-clock*
-//! deadlock safety net of the simulator (failure *detection* happens in
-//! virtual time; see `docs/fault-injection.md` §Detection).
+//! Every subcommand that runs the `gridmpi` simulator — all but `info`,
+//! `report` and `serve` — accepts `--recv-timeout <seconds>`: the
+//! *wall-clock* deadlock safety net of the simulator (failure *detection*
+//! happens in virtual time; see `docs/fault-injection.md` §Detection).
 //!
 //! `analyze` runs the same traced point and prints the diagnosis instead:
 //! the Scalasca-style wait-state breakdown (reconciled against the metrics
@@ -103,27 +104,34 @@
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use grid_tsqr::core::domains::DomainLayout;
-use grid_tsqr::core::experiment::{run_experiment, Algorithm, Experiment, Mode};
+use grid_tsqr::core::experiment::{Algorithm, ExperimentResult, Mode};
 use grid_tsqr::core::ft_tsqr::ft_tsqr_rank_program;
 use grid_tsqr::core::modelfit;
 use grid_tsqr::core::tree::{ReductionTree, TreeShape};
 use grid_tsqr::core::tsqr::{tsqr_rank_program, TsqrConfig};
 use grid_tsqr::core::tune;
 use grid_tsqr::core::workload;
-use grid_tsqr::gridmpi::{explore, fnv1a, schedules_for, FoldedProfile, HbReport, Runtime};
+use grid_tsqr::gridmpi::{
+    explore, fnv1a, schedules_for, CriticalPath, FoldedProfile, HbReport, Runtime,
+};
 use grid_tsqr::linalg::prelude::QrFactors;
 use grid_tsqr::linalg::verify::r_distance;
 use grid_tsqr::netsim::{
     ClusterSpec, CostModel, FailureSchedule, GridTopology, LinkParams, VirtualTime,
 };
 use grid_tsqr::obs::ledger::{append_entry, path_from_env, read_ledger};
-use grid_tsqr::serve::{
-    BrownoutConfig, Policy as ServePolicy, PolicyReport, RetryPolicy, ServeConfig,
-};
 use grid_tsqr::obs::report::{detect_anomalies, render_report, ReportOptions};
-use tsqr_bench::{calib, grid_runtime, ledger_entry};
+use grid_tsqr::qcg::ResourceCatalog;
+use grid_tsqr::serve::{
+    menu, serve, BrownoutConfig, Disposition, FaultKind, Policy as ServePolicy, PolicyReport,
+    RecoveryAction, RetryPolicy, ServeConfig, ServeOutcome,
+};
+use tsqr_bench::{
+    calib, ledger_entry, platform_runtime, run_point, serve_fault_points, serve_record,
+};
 
 struct Args {
     flags: Vec<(String, Option<String>)>,
@@ -201,6 +209,10 @@ impl Args {
     }
 }
 
+fn write_file(path: &str, body: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, body).map_err(|e| format!("cannot write {path:?}: {e}"))
+}
+
 /// Extracts `K` from the `- entries: K` header line of a blessed report.
 ///
 /// The report golden is **prefix-pinned**: the baseline records how many
@@ -215,9 +227,16 @@ fn golden_entry_count(report: &str) -> Option<usize> {
         .and_then(|v| v.trim().parse().ok())
 }
 
-/// Renders a line-by-line diff in the same `baseline:/current:` style the
-/// commcheck gate uses.
-fn line_diff(want: &str, got: &str) -> String {
+/// The compare half of the two golden gates (`report --golden`,
+/// `check --golden`): byte-compares `got` with the blessed file at `path`;
+/// a mismatch is `headline`, how to re-bless, and a line-by-line
+/// `baseline:/current:` diff.
+fn expect_golden(path: &str, got: &str, headline: &str, cmd: &str) -> Result<(), String> {
+    let want =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+    if want == got {
+        return Ok(());
+    }
     let want_lines: Vec<&str> = want.lines().collect();
     let got_lines: Vec<&str> = got.lines().collect();
     let mut diff = String::new();
@@ -231,7 +250,9 @@ fn line_diff(want: &str, got: &str) -> String {
             ));
         }
     }
-    diff
+    Err(format!(
+        "{headline} (re-bless with `grid-tsqr {cmd} --bless` if intended):\n{diff}"
+    ))
 }
 
 /// Parses a `--tree` value: the three fixed shapes plus the generated
@@ -292,8 +313,9 @@ fn usage() -> ExitCode {
          \n\
          Tree shapes: flat | binary | grid | kary:<k> | binomial | greedy\n\
          (kary:1 is a chain; see docs/tuning.md for the closed forms).\n\
-         Every subcommand accepts --recv-timeout <seconds> (wall-clock deadlock\n\
-         safety net; failure detection itself runs in virtual time).\n\
+         Every subcommand that runs the simulator (all but info, report and\n\
+         serve) accepts --recv-timeout <seconds>: the wall-clock deadlock\n\
+         safety net; failure detection itself runs in virtual time.\n\
          faults runs the self-healing TSQR with real numerics under an injected\n\
          failure schedule and checks the recovered R against the failure-free\n\
          run bit for bit; --baseline shows the plain program's typed failure.\n\
@@ -324,42 +346,244 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Refuses an `m × n` factorization the rank programs cannot run on `rt`
-/// — the conditions the library asserts, which would otherwise panic
-/// inside every rank thread. `tsqr` carries `(--domains, --q)` when the
-/// algorithm is TSQR.
-fn check_geometry(
-    rt: &Runtime,
+/// The index space a failure schedule's crashes and drops address: the
+/// ranks of one `gridmpi` run (`faults`) or the sites of the serving
+/// catalog (`serve`), with how many of them there are.
+#[derive(Clone, Copy)]
+enum FaultAxis {
+    Ranks(usize),
+    Sites(usize),
+}
+
+/// The fault-schedule flag grammar of `faults` and `serve`: `--crash X@MS`,
+/// `--drop SRC:DST:NTH` (`--drop-flow A:B:NTH` between sites),
+/// `--drop-prob A:B:P`, `--wan-slow FROM_MS:UNTIL_MS:LATx:BWx` and
+/// `--fault-seed`. Times are wall-flag milliseconds, converted to virtual
+/// seconds. Everything the [`FailureSchedule`] builders would assert is
+/// refused here with a message instead.
+fn fault_schedule(args: &Args, axis: FaultAxis) -> Result<FailureSchedule, String> {
+    let (unit, count, drop_flag) = match axis {
+        FaultAxis::Ranks(procs) => ("rank", procs, "drop"),
+        FaultAxis::Sites(sites) => ("site", sites, "drop-flow"),
+    };
+    let index = |flag: &str, v: &str| -> Result<usize, String> {
+        match v.parse::<usize>() {
+            Ok(i) if i < count => Ok(i),
+            Ok(i) => Err(format!("--{flag}: no {unit} {i}, this run has {count} {unit}s")),
+            Err(_) => Err(format!("--{flag}: bad {unit} {v:?}")),
+        }
+    };
+    let millis = |flag: &str, what: &str, v: &str| -> Result<VirtualTime, String> {
+        match v.parse::<f64>() {
+            Ok(ms) if ms.is_finite() && ms >= 0.0 => Ok(VirtualTime::from_secs(ms * 1e-3)),
+            _ => Err(format!("--{flag}: bad {what} {v:?} (want finite, non-negative ms)")),
+        }
+    };
+    // `A:B:X`: two checked endpoints plus a payload the flag parses. Ranks
+    // name a directed pair, sites an undirected flow stored low:high.
+    let pair = |flag: &str, spec: &str| -> Result<(usize, usize, String), String> {
+        let parts: Vec<&str> = spec.split(':').collect();
+        let [a, b, x] = parts[..] else {
+            return Err(format!("--{flag} wants A:B:X, got {spec:?}"));
+        };
+        let (a, b) = (index(flag, a)?, index(flag, b)?);
+        Ok(match axis {
+            FaultAxis::Ranks(_) => (a, b, x.to_string()),
+            FaultAxis::Sites(_) => (a.min(b), a.max(b), x.to_string()),
+        })
+    };
+
+    let mut schedule = FailureSchedule::new(args.num("fault-seed", 1u64)?);
+    for spec in args.all("crash") {
+        let (x, ms) = spec
+            .split_once('@')
+            .ok_or_else(|| format!("--crash wants {}@MS, got {spec:?}", unit.to_uppercase()))?;
+        let (x, at) = (index("crash", x)?, millis("crash", "time", ms)?);
+        let taken = match axis {
+            FaultAxis::Ranks(_) => schedule.crash_time(x),
+            FaultAxis::Sites(_) => schedule.site_crash_time(x),
+        };
+        if taken.is_some() {
+            return Err(format!("--crash: {unit} {x} already has a crash scheduled"));
+        }
+        schedule = match axis {
+            FaultAxis::Ranks(_) => schedule.crash_rank(x, at),
+            FaultAxis::Sites(_) => schedule.crash_site(x, at),
+        };
+    }
+    for spec in args.all(drop_flag) {
+        let (a, b, nth) = pair(drop_flag, spec)?;
+        let nth: u64 = nth.parse().map_err(|_| format!("--{drop_flag}: bad nth {nth:?}"))?;
+        schedule = schedule.drop_nth_message(a, b, nth);
+    }
+    for spec in args.all("drop-prob") {
+        let (a, b, p) = pair("drop-prob", spec)?;
+        schedule = match p.parse::<f64>() {
+            Ok(p) if (0.0..=1.0).contains(&p) => schedule.drop_probability(a, b, p),
+            _ => return Err(format!("--drop-prob: bad p {p:?} (want a probability in [0, 1])")),
+        };
+    }
+    if let Some(spec) = args.get("wan-slow") {
+        let parts: Vec<&str> = spec.split(':').collect();
+        let [from, until, lat, bw] = parts[..] else {
+            return Err(format!("--wan-slow wants FROM_MS:UNTIL_MS:LATx:BWx, got {spec:?}"));
+        };
+        let from = millis("wan-slow", "from", from)?;
+        let until = millis("wan-slow", "until", until)?;
+        if until <= from {
+            return Err(format!("--wan-slow {spec}: the window is empty (want UNTIL_MS > FROM_MS)"));
+        }
+        let factor = |what: &str, v: &str| -> Result<f64, String> {
+            match v.parse::<f64>() {
+                Ok(f) if f.is_finite() && f >= 1.0 => Ok(f),
+                _ => Err(format!("--wan-slow: bad {what} {v:?} (want a finite factor >= 1)")),
+            }
+        };
+        schedule = schedule.degrade_all_wan(
+            from,
+            until,
+            factor("latency factor", lat)?,
+            factor("bandwidth divisor", bw)?,
+        );
+    }
+    Ok(schedule)
+}
+
+/// What the simulating subcommands share: the problem, the platform and
+/// the calibrated rates every run is priced with.
+struct Ctx {
     m: u64,
     n: usize,
-    tsqr: Option<(usize, bool)>,
-) -> Result<(), String> {
-    if n == 0 {
-        return Err("--n must be at least 1".into());
+    sites: usize,
+    seed: u64,
+    /// Wall-clock deadlock safety net (failure *detection* is
+    /// virtual-time; see docs/fault-injection.md §Detection).
+    recv_timeout: Option<Duration>,
+    rate: Option<f64>,
+    combine: Option<f64>,
+}
+
+impl Ctx {
+    fn parse(args: &Args, default_m: u64, default_n: usize) -> Result<Self, String> {
+        let m: u64 = args.num("m", default_m)?;
+        let n: usize = args.num("n", default_n)?;
+        let sites: usize = args.num("sites", 4usize)?;
+        if !(1..=4).contains(&sites) {
+            return Err("--sites must be 1..=4".into());
+        }
+        let recv_timeout = match args.get("recv-timeout") {
+            None => None,
+            Some(v) => Some(
+                v.parse::<f64>()
+                    .ok()
+                    .filter(|secs| *secs > 0.0)
+                    .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                    .ok_or_else(|| format!("--recv-timeout {v:?}: want a positive time in seconds"))?,
+            ),
+        };
+        Ok(Ctx {
+            m,
+            n,
+            sites,
+            seed: args.num("seed", 42u64)?,
+            recv_timeout,
+            rate: Some(calib::kernel_rate_flops(n)),
+            combine: Some(calib::combine_rate_flops()),
+        })
     }
-    let topo = rt.topology();
-    if let Some((domains, with_q)) = tsqr {
-        let per_site = topo.ranks_in_cluster(0).len();
-        if domains == 0 || !per_site.is_multiple_of(domains) {
+
+    /// The paper's platform for this invocation, see
+    /// [`tsqr_bench::platform_runtime`].
+    fn runtime(&self, traced: bool, faults: Option<FailureSchedule>) -> Runtime {
+        platform_runtime(self.sites, self.recv_timeout, traced, faults)
+    }
+
+    /// Refuses an `m × n` factorization the rank programs cannot run on
+    /// `rt` — the conditions the library asserts, which would otherwise
+    /// panic inside every rank thread. `tsqr` carries `(--domains, --q)`
+    /// when the algorithm is TSQR.
+    fn check_geometry(&self, rt: &Runtime, tsqr: Option<(usize, bool)>) -> Result<(), String> {
+        let (m, n) = (self.m, self.n);
+        if n == 0 {
+            return Err("--n must be at least 1".into());
+        }
+        let topo = rt.topology();
+        if let Some((domains, with_q)) = tsqr {
+            let per_site = topo.ranks_in_cluster(0).len();
+            if domains == 0 || !per_site.is_multiple_of(domains) {
+                return Err(format!(
+                    "--domains {domains}: must be at least 1 and divide the {per_site} processes of a site"
+                ));
+            }
+            if with_q && domains != per_site {
+                return Err(format!(
+                    "--q needs single-process domains, i.e. --domains {per_site} on this topology"
+                ));
+            }
+        }
+        let share = m / topo.num_procs() as u64;
+        if share < n as u64 {
             return Err(format!(
-                "--domains {domains}: must be at least 1 and divide the {per_site} processes of a site"
+                "--m {m} over {} processes leaves a process {share} rows, fewer than --n {n}: \
+                 not a tall-and-skinny problem at this scale",
+                topo.num_procs()
             ));
         }
-        if with_q && domains != per_site {
-            return Err(format!(
-                "--q needs single-process domains, i.e. --domains {per_site} on this topology"
-            ));
+        Ok(())
+    }
+
+    fn run(&self, rt: &Runtime, algo: Algorithm, with_q: bool, mode: Mode) -> ExperimentResult {
+        run_point(rt, self.m, self.n, algo, with_q, mode)
+    }
+
+    fn mode(&self, args: &Args) -> Mode {
+        if args.has("real") { Mode::Real { seed: self.seed } } else { Mode::Symbolic }
+    }
+
+    /// One TSQR domain per process on the grid-hierarchical tree, as the
+    /// self-healing program requires: `(layout, tree, config)`.
+    fn domain_per_process(&self, rt: &Runtime) -> (DomainLayout, ReductionTree, TsqrConfig) {
+        let dpc = rt.topology().num_procs() / self.sites;
+        let layout = DomainLayout::build(rt.topology(), self.m, self.n, dpc);
+        let shape = TreeShape::GridHierarchical;
+        let tree = ReductionTree::build(&shape, layout.num_domains(), &layout.clusters());
+        let cfg = TsqrConfig {
+            shape,
+            domains_per_cluster: dpc,
+            compute_q: false,
+            combine_rate_flops: self.combine,
+            ..Default::default()
+        };
+        (layout, tree, cfg)
+    }
+
+    /// Checks a real run's R against a single-process QR (nothing to check
+    /// for a symbolic run).
+    fn verify(&self, res: &ExperimentResult) -> Result<String, String> {
+        let Some(r) = &res.r else { return Ok(String::new()) };
+        if self.m > 1 << 22 {
+            return Ok("  (matrix too tall to verify in-process; skipped)\n".into());
+        }
+        let full = workload::full_matrix(self.seed, self.m as usize, self.n);
+        let reference = QrFactors::compute(&full, 64).r().upper_triangular_padded();
+        let d = r_distance(r, &reference);
+        if d < 1e-9 {
+            Ok(format!("  R verified against single-process QR (max diff {d:.2e})\n"))
+        } else {
+            Err(format!("R mismatch: {d:.2e}"))
         }
     }
-    let share = m / topo.num_procs() as u64;
-    if share < n as u64 {
-        return Err(format!(
-            "--m {m} over {} processes leaves a process {share} rows, fewer than --n {n}: \
-             not a tall-and-skinny problem at this scale",
-            topo.num_procs()
-        ));
-    }
-    Ok(())
+}
+
+fn describe(label: &str, res: &ExperimentResult) -> String {
+    format!(
+        "{label}: {:.3} s simulated, {:.1} Gflop/s, {} msgs ({} WAN), {:.1} MB moved\n",
+        res.makespan.secs(),
+        res.gflops,
+        res.totals.total_msgs(),
+        res.totals.inter_cluster_msgs(),
+        res.totals.total_bytes() as f64 / 1e6,
+    )
 }
 
 fn run() -> Result<String, String> {
@@ -368,1329 +592,920 @@ fn run() -> Result<String, String> {
         return Err("missing command".into());
     };
     let args = Args::parse(rest)?;
-    let out = run_command(cmd, &args)?;
+    let ctx = |default_m, default_n| Ctx::parse(&args, default_m, default_n);
+    let out = match cmd.as_str() {
+        "info" => cmd_info(),
+        "report" => cmd_report(&args)?,
+        "serve" => cmd_serve(&args)?,
+        "tsqr" => cmd_tsqr(&args, &ctx(1 << 20, 64)?)?,
+        "scalapack" => cmd_scalapack(&args, &ctx(1 << 20, 64)?)?,
+        "compare" => cmd_compare(&ctx(1 << 20, 64)?)?,
+        "trace" => cmd_trace(&args, &ctx(1 << 20, 64)?)?,
+        "analyze" => cmd_analyze(&args, &ctx(1 << 20, 64)?)?,
+        "faults" => cmd_faults(&args, &ctx(1 << 20, 64)?)?,
+        "tune" => cmd_tune(&args, &ctx(1 << 20, 64)?)?,
+        // Sizes default *small* (the golden file is blessed at exactly
+        // these defaults): the analyzer checks structure, not speed.
+        "check" => cmd_check(&args, &ctx(1 << 16, 32)?)?,
+        other => return Err(format!("unknown command {other:?}")),
+    };
     args.reject_unread(cmd)?;
     Ok(out)
 }
 
-fn run_command(cmd: &str, args: &Args) -> Result<String, String> {
-    if cmd == "info" {
-        let catalog = grid_tsqr::qcg::ResourceCatalog::grid5000();
-        let mut out = String::from("Grid'5000 catalog (paper §V-A):\n");
-        for c in &catalog.clusters {
-            out.push_str(&format!(
-                "  {:<10} {:>4} nodes x {} procs, {:>5.1} Gflop/s peak/proc\n",
-                c.name, c.nodes, c.procs_per_node, c.peak_gflops_per_proc
+fn cmd_info() -> String {
+    let catalog = ResourceCatalog::grid5000();
+    let mut out = String::from("Grid'5000 catalog (paper §V-A):\n");
+    for c in &catalog.clusters {
+        out.push_str(&format!(
+            "  {:<10} {:>4} nodes x {} procs, {:>5.1} Gflop/s peak/proc\n",
+            c.name, c.nodes, c.procs_per_node, c.peak_gflops_per_proc
+        ));
+    }
+    out.push_str(&format!(
+        "experiment platform: 32 nodes x 2 procs per site; DGEMM {} Gflop/s/proc\n",
+        grid_tsqr::netsim::grid5000::DGEMM_GFLOPS
+    ));
+    out
+}
+
+/// Trend/anomaly dashboard over the cross-run experiment ledger
+/// (docs/observability.md §9). Pure post-processing: no simulation runs,
+/// so it stays fast enough for CI.
+fn cmd_report(args: &Args) -> Result<String, String> {
+    let ledger_path = args.get("ledger").unwrap_or("ledger/runs.jsonl");
+    let threshold: f64 = args.num("threshold", 0.05f64)?;
+    if !threshold.is_finite() || threshold < 0.0 {
+        return Err("--threshold must be a non-negative fraction (e.g. 0.05)".into());
+    }
+    let top: usize = args.num("top", 10usize)?;
+    let opts = ReportOptions { threshold, top_phases: top };
+    let entries = read_ledger(std::path::Path::new(ledger_path))?;
+    if entries.is_empty() {
+        return Err(format!(
+            "{ledger_path}: no entries — seed the ledger with \
+             `GRID_TSQR_LEDGER={ledger_path} scripts/bench_check.sh`"
+        ));
+    }
+    let rendered = render_report(&entries, &opts);
+    let mut out = String::new();
+    if let Some(path) = args.get("out") {
+        write_file(path, &rendered)?;
+        out.push_str(&format!(
+            "report over {} entries written to {path}\n",
+            entries.len()
+        ));
+    } else if !args.has("check") && args.get("golden").is_none() && !args.has("bless") {
+        // Plain `grid-tsqr report` prints the dashboard itself; the
+        // gating modes print one status line each instead.
+        out.push_str(&rendered);
+    }
+    if args.has("bless") {
+        let path = args.get("golden").unwrap_or("REPORT_baseline.md");
+        write_file(path, &rendered)?;
+        out.push_str(&format!(
+            "blessed report over {} ledger entries into {path}\n",
+            entries.len()
+        ));
+    } else if let Some(path) = args.get("golden") {
+        let want = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {path:?}: {e}"))?;
+        let k = golden_entry_count(&want).ok_or_else(|| {
+            format!("{path}: not a blessed report (missing `- entries: <K>` header)")
+        })?;
+        if k > entries.len() {
+            return Err(format!(
+                "{path} pins the first {k} entries but {ledger_path} holds only {} \
+                 — the ledger is append-only and must not shrink",
+                entries.len()
             ));
+        }
+        let headline = format!("report differs from {path} over the first {k} ledger entries");
+        expect_golden(path, &render_report(&entries[..k], &opts), &headline, "report")?;
+        out.push_str(&format!(
+            "report matches {path} (rendered over the first {k} of {} entries)\n",
+            entries.len()
+        ));
+    }
+    if args.has("check") {
+        let anomalies = detect_anomalies(&entries, &opts);
+        if !anomalies.is_empty() {
+            let mut msg = format!(
+                "report --check: {} anomalous per-phase model residual(s) \
+                 (> {:.2}% over the scenario reference):\n",
+                anomalies.len(),
+                threshold * 100.0
+            );
+            for a in &anomalies {
+                msg.push_str(&format!("  - {}\n", a.describe()));
+            }
+            return Err(msg);
         }
         out.push_str(&format!(
-            "experiment platform: 32 nodes x 2 procs per site; DGEMM {} Gflop/s/proc\n",
-            grid_tsqr::netsim::grid5000::DGEMM_GFLOPS
+            "report check OK: {} entries, every per-phase residual within {:.2}% \
+             of its scenario reference\n",
+            entries.len(),
+            threshold * 100.0
         ));
-        return Ok(out);
     }
+    Ok(out)
+}
 
-    if cmd == "report" {
-        // Trend/anomaly dashboard over the cross-run experiment ledger
-        // (docs/observability.md §9). Pure post-processing: no simulation
-        // runs, so it stays fast enough for CI.
-        let ledger_path = args.get("ledger").unwrap_or("ledger/runs.jsonl");
-        let threshold: f64 = args.num("threshold", 0.05f64)?;
-        if !threshold.is_finite() || threshold < 0.0 {
-            return Err("--threshold must be a non-negative fraction (e.g. 0.05)".into());
-        }
-        let top: usize = args.num("top", 10usize)?;
-        let opts = ReportOptions { threshold, top_phases: top };
-        let entries = read_ledger(std::path::Path::new(ledger_path))?;
-        if entries.is_empty() {
-            return Err(format!(
-                "{ledger_path}: no entries — seed the ledger with \
-                 `GRID_TSQR_LEDGER={ledger_path} scripts/bench_check.sh`"
-            ));
-        }
-        let rendered = render_report(&entries, &opts);
-        let mut out = String::new();
-        if let Some(path) = args.get("out") {
-            std::fs::write(path, &rendered)
-                .map_err(|e| format!("cannot write {path:?}: {e}"))?;
-            out.push_str(&format!(
-                "report over {} entries written to {path}\n",
-                entries.len()
-            ));
-        } else if !args.has("check") && args.get("golden").is_none() && !args.has("bless") {
-            // Plain `grid-tsqr report` prints the dashboard itself; the
-            // gating modes print one status line each instead.
-            out.push_str(&rendered);
-        }
-        if args.has("bless") {
-            let path = args.get("golden").unwrap_or("REPORT_baseline.md");
-            std::fs::write(path, &rendered)
-                .map_err(|e| format!("cannot write {path:?}: {e}"))?;
-            out.push_str(&format!(
-                "blessed report over {} ledger entries into {path}\n",
-                entries.len()
-            ));
-        } else if let Some(path) = args.get("golden") {
-            let want = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {path:?}: {e}"))?;
-            let k = golden_entry_count(&want).ok_or_else(|| {
-                format!("{path}: not a blessed report (missing `- entries: <K>` header)")
-            })?;
-            if k > entries.len() {
-                return Err(format!(
-                    "{path} pins the first {k} entries but {ledger_path} holds only {} \
-                     — the ledger is append-only and must not shrink",
-                    entries.len()
-                ));
-            }
-            let pinned = render_report(&entries[..k], &opts);
-            if want != pinned {
-                return Err(format!(
-                    "report differs from {path} over the first {k} ledger entries \
-                     (re-bless with `grid-tsqr report --bless` if intended):\n{}",
-                    line_diff(&want, &pinned)
-                ));
-            }
-            out.push_str(&format!(
-                "report matches {path} (rendered over the first {k} of {} entries)\n",
-                entries.len()
-            ));
-        }
-        if args.has("check") {
-            let anomalies = detect_anomalies(&entries, &opts);
-            if !anomalies.is_empty() {
-                let mut msg = format!(
-                    "report --check: {} anomalous per-phase model residual(s) \
-                     (> {:.2}% over the scenario reference):\n",
-                    anomalies.len(),
-                    threshold * 100.0
-                );
-                for a in &anomalies {
-                    msg.push_str(&format!("  - {}\n", a.describe()));
-                }
-                return Err(msg);
-            }
-            out.push_str(&format!(
-                "report check OK: {} entries, every per-phase residual within {:.2}% \
-                 of its scenario reference\n",
-                entries.len(),
-                threshold * 100.0
-            ));
-        }
-        return Ok(out);
+/// Reads every `serve` flag but `--sweep`/`--trace-out` into the run's
+/// base configuration and the policies to score it under.
+fn serve_config(
+    args: &Args,
+    catalog: &ResourceCatalog,
+) -> Result<(ServeConfig, Vec<ServePolicy>), String> {
+    let load: f64 = args.num("load", 0.8f64)?;
+    if !load.is_finite() || load <= 0.0 {
+        return Err("--load must be a positive finite fraction of grid capacity".into());
     }
-
-    if cmd == "serve" {
-        // Multi-tenant serving layer (docs/serving.md): pure virtual-time
-        // simulation over the Grid'5000 catalog — no runtime needed.
-        let catalog = grid_tsqr::qcg::ResourceCatalog::grid5000();
-        let load: f64 = args.num("load", 0.8f64)?;
-        if !load.is_finite() || load <= 0.0 {
-            return Err("--load must be a positive finite fraction of grid capacity".into());
-        }
-        let requests: usize = args.num("requests", 200usize)?;
-        if requests == 0 {
-            return Err("--requests must be at least 1".into());
-        }
-        let queue_capacity: usize = args.num("queue", 64usize)?;
-        let single_shape: Option<usize> = match args.get("shape") {
-            None => None,
-            Some(v) => {
-                let i: usize =
-                    v.parse().map_err(|_| format!("--shape: cannot parse {v:?}"))?;
-                if i >= grid_tsqr::serve::menu().len() {
-                    return Err(format!(
-                        "--shape {i}: the menu has {} shapes",
-                        grid_tsqr::serve::menu().len()
-                    ));
-                }
-                Some(i)
+    let requests: usize = args.num("requests", 200usize)?;
+    if requests == 0 {
+        return Err("--requests must be at least 1".into());
+    }
+    let single_shape: Option<usize> = match args.get("shape") {
+        None => None,
+        Some(v) => {
+            let i: usize = v.parse().map_err(|_| format!("--shape: cannot parse {v:?}"))?;
+            if i >= menu().len() {
+                return Err(format!("--shape {i}: the menu has {} shapes", menu().len()));
             }
-        };
-        let policy_arg = args.get("policy").unwrap_or("fifo");
-        let policies: Vec<ServePolicy> = if policy_arg == "all" {
-            ServePolicy::all().to_vec()
-        } else {
-            vec![ServePolicy::parse(policy_arg)?]
-        };
-
-        // --- Failure schedule (site axis) + recovery knobs. Times are
-        // --- wall-flag milliseconds, converted to virtual seconds like
-        // --- the `faults` subcommand.
-        let fseed: u64 = args.num("fault-seed", 1u64)?;
-        let mut schedule = FailureSchedule::new(fseed);
-        for spec in args.all("crash") {
-            let (s, ms) = spec
-                .split_once('@')
-                .ok_or_else(|| format!("--crash wants SITE@MS, got {spec:?}"))?;
-            let s: usize = s.parse().map_err(|_| format!("--crash: bad site {s:?}"))?;
-            if s >= catalog.clusters.len() {
-                return Err(format!("--crash: site {s} not in the {}-cluster catalog", catalog.clusters.len()));
+            Some(i)
+        }
+    };
+    let policy_arg = args.get("policy").unwrap_or("fifo");
+    let policies: Vec<ServePolicy> = if policy_arg == "all" {
+        ServePolicy::all().to_vec()
+    } else {
+        vec![ServePolicy::parse(policy_arg)?]
+    };
+    let max_attempts: usize = args.num("retry", 3usize)?;
+    if max_attempts == 0 {
+        return Err("--retry must allow at least one attempt".into());
+    }
+    let backoff_ms: f64 = args.num("backoff", 50.0f64)?;
+    if !backoff_ms.is_finite() || backoff_ms < 0.0 {
+        return Err("--backoff must be a non-negative duration in ms".into());
+    }
+    let brownout = match args.get("brownout") {
+        None => BrownoutConfig::default(),
+        Some(spec) => {
+            let (enter, exit) = spec
+                .split_once(':')
+                .ok_or_else(|| format!("--brownout wants ENTER:EXIT, got {spec:?}"))?;
+            let enter: usize =
+                enter.parse().map_err(|_| format!("--brownout: bad enter {enter:?}"))?;
+            let exit: usize =
+                exit.parse().map_err(|_| format!("--brownout: bad exit {exit:?}"))?;
+            if exit > enter {
+                return Err("--brownout: exit watermark must not exceed enter".into());
             }
-            let ms: f64 = ms.parse().map_err(|_| format!("--crash: bad time {ms:?}"))?;
-            schedule = schedule.crash_site(s, VirtualTime::from_secs(ms * 1e-3));
+            BrownoutConfig { enter_watermark: enter, exit_watermark: exit, ..Default::default() }
         }
-        let triple = |flag: &str, spec: &str| -> Result<(usize, usize, String), String> {
-            let parts: Vec<&str> = spec.split(':').collect();
-            let [src, dst, x] = parts[..] else {
-                return Err(format!("--{flag} wants A:B:X, got {spec:?}"));
-            };
-            let src = src.parse().map_err(|_| format!("--{flag}: bad site {src:?}"))?;
-            let dst = dst.parse().map_err(|_| format!("--{flag}: bad site {dst:?}"))?;
-            Ok((src, dst, x.to_string()))
-        };
-        for spec in args.all("drop-flow") {
-            let (a, b, nth) = triple("drop-flow", spec)?;
-            let nth: u64 =
-                nth.parse().map_err(|_| format!("--drop-flow: bad nth {nth:?}"))?;
-            schedule = schedule.drop_nth_message(a.min(b), a.max(b), nth);
-        }
-        for spec in args.all("drop-prob") {
-            let (a, b, prob) = triple("drop-prob", spec)?;
-            let prob: f64 =
-                prob.parse().map_err(|_| format!("--drop-prob: bad p {prob:?}"))?;
-            schedule = schedule.drop_probability(a.min(b), a.max(b), prob);
-        }
-        if let Some(spec) = args.get("wan-slow") {
-            let parts: Vec<&str> = spec.split(':').collect();
-            let [from, until, lat, bw] = parts[..] else {
-                return Err(format!(
-                    "--wan-slow wants FROM_MS:UNTIL_MS:LATx:BWx, got {spec:?}"
-                ));
-            };
-            let p = |what: &str, v: &str| -> Result<f64, String> {
-                v.parse().map_err(|_| format!("--wan-slow: bad {what} {v:?}"))
-            };
-            schedule = schedule.degrade_all_wan(
-                VirtualTime::from_secs(p("from", from)? * 1e-3),
-                VirtualTime::from_secs(p("until", until)? * 1e-3),
-                p("latency factor", lat)?,
-                p("bandwidth divisor", bw)?,
-            );
-        }
-        let faulty = !schedule.is_empty();
-        let max_attempts: usize = args.num("retry", 3usize)?;
-        if max_attempts == 0 {
-            return Err("--retry must allow at least one attempt".into());
-        }
-        let backoff_ms: f64 = args.num("backoff", 50.0f64)?;
-        if !backoff_ms.is_finite() || backoff_ms < 0.0 {
-            return Err("--backoff must be a non-negative duration in ms".into());
-        }
-        let retry = grid_tsqr::serve::RetryPolicy {
+    };
+    let base = ServeConfig {
+        policy: policies[0],
+        load,
+        requests,
+        seed: args.num("seed", 42u64)?,
+        batch: args.has("batch"),
+        queue_capacity: args.num("queue", 64usize)?,
+        single_shape,
+        faults: fault_schedule(args, FaultAxis::Sites(catalog.clusters.len()))?,
+        retry: RetryPolicy {
             max_attempts,
             backoff_base_s: backoff_ms * 1e-3,
             checkpoint_drain: !args.has("no-checkpoint"),
             ..Default::default()
-        };
-        let brownout = match args.get("brownout") {
-            None => grid_tsqr::serve::BrownoutConfig::default(),
-            Some(spec) => {
-                let (enter, exit) = spec
-                    .split_once(':')
-                    .ok_or_else(|| format!("--brownout wants ENTER:EXIT, got {spec:?}"))?;
-                let enter: usize =
-                    enter.parse().map_err(|_| format!("--brownout: bad enter {enter:?}"))?;
-                let exit: usize =
-                    exit.parse().map_err(|_| format!("--brownout: bad exit {exit:?}"))?;
-                if exit > enter {
-                    return Err("--brownout: exit watermark must not exceed enter".into());
-                }
-                grid_tsqr::serve::BrownoutConfig {
-                    enter_watermark: enter,
-                    exit_watermark: exit,
-                    ..Default::default()
-                }
+        },
+        brownout,
+        ..Default::default()
+    };
+    Ok((base, policies))
+}
+
+/// The typed fault audit trail of a serve run, in event order — the
+/// worked example in docs/serving.md §Failures.
+fn fault_audit(outcome: &ServeOutcome) -> String {
+    let mut out = String::new();
+    for f in &outcome.faults {
+        let kind = match f.kind {
+            FaultKind::SiteCrashed { site } => format!("site {site} crashed"),
+            FaultKind::DrainDropped { link } => {
+                format!("drain dropped on {}-{}", link.0, link.1)
             }
         };
-
-        let base = ServeConfig {
-            policy: policies[0],
-            load,
-            requests,
-            seed: args.num("seed", 42u64)?,
-            batch: args.has("batch"),
-            queue_capacity,
-            single_shape,
-            faults: schedule,
-            retry,
-            brownout,
-            ..Default::default()
+        let action = match f.action {
+            RecoveryAction::Retried { attempts, checkpointed } => format!(
+                "retry #{attempts}{}",
+                if checkpointed { " (checkpointed drain)" } else { " (full restart)" }
+            ),
+            RecoveryAction::FailedPermanent { attempts } => {
+                format!("failed permanently after {attempts} attempt(s)")
+            }
         };
+        out.push_str(&format!(
+            "fault t={:.3}s req {}: {kind} -> {action}\n",
+            f.at.secs(),
+            f.request
+        ));
+    }
+    for &(s, e) in &outcome.brownout_windows {
+        out.push_str(&format!("brownout window {s:.3}s -> {e:.3}s\n"));
+    }
+    out
+}
 
-        // Every flag has been looked at by here; refuse strays before the
-        // simulation rather than after it.
-        let (sweep, trace_out) = (args.get("sweep"), args.get("trace-out"));
-        args.reject_unread(cmd)?;
+/// One JSON line per request, in id order — deterministic.
+fn dispositions_jsonl(outcome: &ServeOutcome) -> String {
+    let mut body = String::new();
+    for r in &outcome.records {
+        let disp = match &r.disposition {
+            Disposition::Completed { start, finish, batch_size, attempts } => format!(
+                "\"completed\",\"start_s\":{:.9},\"finish_s\":{:.9},\"batch\":{},\
+                 \"attempts\":{}",
+                start.secs(),
+                finish.secs(),
+                batch_size,
+                attempts
+            ),
+            Disposition::RejectedQueueFull => "\"rejected-queue-full\"".to_string(),
+            Disposition::RejectedInfeasible => "\"rejected-infeasible\"".to_string(),
+            Disposition::Shed => "\"shed\"".to_string(),
+            Disposition::FailedPermanent { attempts } => {
+                format!("\"failed-permanent\",\"attempts\":{attempts}")
+            }
+        };
+        body.push_str(&format!(
+            "{{\"id\":{},\"tenant\":{},\"shape\":{},\"rows\":{},\"cols\":{},\
+             \"sites\":{},\"arrival_s\":{:.9},\"deadline_s\":{:.9},\
+             \"disposition\":{disp}}}\n",
+            r.request.id,
+            r.request.tenant,
+            r.request.shape,
+            r.request.rows,
+            r.request.cols,
+            r.request.sites,
+            r.request.arrival.secs(),
+            r.request.deadline.secs(),
+        ));
+    }
+    body
+}
 
-        let mut out = String::new();
-        if let Some(sweep) = sweep {
-            // Latency/throughput knee: one row per load, first policy only.
-            let mut rows = Vec::new();
-            for tok in sweep.split(',') {
-                let l: f64 =
-                    tok.parse().map_err(|_| format!("--sweep: cannot parse {tok:?}"))?;
-                if !l.is_finite() || l <= 0.0 {
-                    return Err("--sweep loads must be positive".into());
-                }
-                let outcome =
-                    grid_tsqr::serve::serve(&catalog, &ServeConfig { load: l, ..base.clone() });
-                rows.push((l, PolicyReport::from_outcome(&outcome)));
-            }
-            out.push_str(&format!(
-                "load sweep, policy {}{}:\n",
-                base.policy.label(),
-                if base.batch { " +batch" } else { "" }
-            ));
-            out.push_str(&grid_tsqr::serve::load_sweep_table(&rows));
-            return Ok(out);
-        }
+/// Multi-tenant serving layer (docs/serving.md): pure virtual-time
+/// simulation over the Grid'5000 catalog — no runtime needed.
+fn cmd_serve(args: &Args) -> Result<String, String> {
+    let catalog = ResourceCatalog::grid5000();
+    let (base, policies) = serve_config(args, &catalog)?;
+    let faulty = !base.faults.is_empty();
+    // Every flag has been looked at by here; refuse strays before the
+    // simulation rather than after it.
+    let (sweep, trace_out) = (args.get("sweep"), args.get("trace-out"));
+    args.reject_unread("serve")?;
 
-        let ledger = path_from_env();
-        for (i, &policy) in policies.iter().enumerate() {
-            let cfg = ServeConfig { policy, ..base.clone() };
-            let outcome = grid_tsqr::serve::serve(&catalog, &cfg);
-            let report = PolicyReport::from_outcome(&outcome);
-            if i > 0 {
-                out.push('\n');
+    let mut out = String::new();
+    if let Some(sweep) = sweep {
+        // Latency/throughput knee: one row per load, first policy only.
+        let mut rows = Vec::new();
+        for tok in sweep.split(',') {
+            let l: f64 = tok.parse().map_err(|_| format!("--sweep: cannot parse {tok:?}"))?;
+            if !l.is_finite() || l <= 0.0 {
+                return Err("--sweep loads must be positive".into());
             }
-            out.push_str(&report.render());
-            if faulty {
-                // The typed fault audit trail, in event order — the
-                // worked example in docs/serving.md §Failures.
-                for f in &outcome.faults {
-                    let kind = match f.kind {
-                        grid_tsqr::serve::FaultKind::SiteCrashed { site } => {
-                            format!("site {site} crashed")
-                        }
-                        grid_tsqr::serve::FaultKind::DrainDropped { link } => {
-                            format!("drain dropped on {}-{}", link.0, link.1)
-                        }
-                    };
-                    let action = match f.action {
-                        grid_tsqr::serve::RecoveryAction::Retried { attempts, checkpointed } => {
-                            format!(
-                                "retry #{attempts}{}",
-                                if checkpointed { " (checkpointed drain)" } else { " (full restart)" }
-                            )
-                        }
-                        grid_tsqr::serve::RecoveryAction::FailedPermanent { attempts } => {
-                            format!("failed permanently after {attempts} attempt(s)")
-                        }
-                    };
-                    out.push_str(&format!(
-                        "fault t={:.3}s req {}: {kind} -> {action}\n",
-                        f.at.secs(),
-                        f.request
-                    ));
-                }
-                for &(s, e) in &outcome.brownout_windows {
-                    out.push_str(&format!("brownout window {s:.3}s -> {e:.3}s\n"));
-                }
-            }
-            if policies.len() == 1 {
-                out.push_str("\nlink-class busy timeline:\n");
-                out.push_str(&grid_tsqr::serve::timeline(&outcome, 48).render());
-            }
-            if let Some(path) = trace_out {
-                // One JSON line per request, in id order — deterministic.
-                let suffixed = if policies.len() == 1 {
-                    path.to_string()
-                } else {
-                    format!("{path}.{}", policy.label())
-                };
-                let mut body = String::new();
-                for r in &outcome.records {
-                    let disp = match &r.disposition {
-                        grid_tsqr::serve::Disposition::Completed {
-                            start,
-                            finish,
-                            batch_size,
-                            attempts,
-                        } => format!(
-                            "\"completed\",\"start_s\":{:.9},\"finish_s\":{:.9},\"batch\":{},\
-                             \"attempts\":{}",
-                            start.secs(),
-                            finish.secs(),
-                            batch_size,
-                            attempts
-                        ),
-                        grid_tsqr::serve::Disposition::RejectedQueueFull => {
-                            "\"rejected-queue-full\"".to_string()
-                        }
-                        grid_tsqr::serve::Disposition::RejectedInfeasible => {
-                            "\"rejected-infeasible\"".to_string()
-                        }
-                        grid_tsqr::serve::Disposition::Shed => "\"shed\"".to_string(),
-                        grid_tsqr::serve::Disposition::FailedPermanent { attempts } => {
-                            format!("\"failed-permanent\",\"attempts\":{attempts}")
-                        }
-                    };
-                    body.push_str(&format!(
-                        "{{\"id\":{},\"tenant\":{},\"shape\":{},\"rows\":{},\"cols\":{},\
-                         \"sites\":{},\"arrival_s\":{:.9},\"deadline_s\":{:.9},\
-                         \"disposition\":{disp}}}\n",
-                        r.request.id,
-                        r.request.tenant,
-                        r.request.shape,
-                        r.request.rows,
-                        r.request.cols,
-                        r.request.sites,
-                        r.request.arrival.secs(),
-                        r.request.deadline.secs(),
-                    ));
-                }
-                std::fs::write(&suffixed, body)
-                    .map_err(|e| format!("cannot write {suffixed:?}: {e}"))?;
-                out.push_str(&format!(
-                    "dispositions for {} request(s) written to {suffixed}\n",
-                    outcome.records.len()
-                ));
-            }
-            // Record the run in the experiment ledger. Serving reuses the
-            // critical-path columns for queueing statistics — the mapping
-            // is documented in docs/serving.md §Ledger.
-            if let Some(path) = &ledger {
-                let total_rows: u64 = outcome.records.iter().map(|r| r.request.rows).sum();
-                let entry = grid_tsqr::obs::ledger::LedgerEntry {
-                    seq: 0,
-                    source: if faulty { "serve-faults".into() } else { "serve".into() },
-                    scenario: format!(
-                        "cli/{}/{}-load{load:.2}{}",
-                        if faulty { "serve-faults" } else { "serve" },
-                        policy.label(),
-                        if cfg.batch { "-batch" } else { "" }
-                    ),
-                    sites: catalog.clusters.len(),
-                    procs: catalog.total_procs(),
-                    m: total_rows as usize,
-                    n: 64,
-                    tree: format!("serve/{}", policy.label()),
-                    makespan_s: report.horizon_s,
-                    gflops: report.gflops,
-                    msgs: report.msgs,
-                    wan_msgs: report.wan_msgs,
-                    bytes: report.bytes,
-                    cp_compute_s: report.mean_sojourn_s,
-                    cp_send_s: report.p99_sojourn_s,
-                    cp_wan_msgs: report.slo_miss as u64,
-                    wait_s: report.total_wait_s,
-                    phases: Vec::new(),
-                    fit: grid_tsqr::obs::ledger::ModelCoeffs {
-                        beta_s: 0.0,
-                        alpha_s_per_word: 0.0,
-                        gamma_s_per_flop: 0.0,
-                        rel_residual: 0.0,
-                    },
-                    env: grid_tsqr::obs::ledger::EnvFingerprint::current(),
-                };
-                let seq = append_entry(path, entry)?;
-                out.push_str(&format!("ledger: entry {seq} appended to {}\n", path.display()));
-            }
+            let outcome = serve(&catalog, &ServeConfig { load: l, ..base.clone() });
+            rows.push((l, PolicyReport::from_outcome(&outcome)));
         }
-        if policies.len() > 1 {
-            out.push_str("\nsummary (same seeded trace, one line per policy):\n");
-            for &policy in &policies {
-                let cfg = ServeConfig { policy, ..base.clone() };
-                let report =
-                    PolicyReport::from_outcome(&grid_tsqr::serve::serve(&catalog, &cfg));
-                out.push_str(&format!("  {}\n", report.summary_line()));
-            }
-        }
+        out.push_str(&format!(
+            "load sweep, policy {}{}:\n",
+            base.policy.label(),
+            if base.batch { " +batch" } else { "" }
+        ));
+        out.push_str(&grid_tsqr::serve::load_sweep_table(&rows));
         return Ok(out);
     }
 
-    let m: u64 = args.num("m", 1u64 << 20)?;
-    let n: usize = args.num("n", 64usize)?;
-    let sites: usize = args.num("sites", 4usize)?;
-    let seed: u64 = args.num("seed", 42u64)?;
-    if !(1..=4).contains(&sites) {
-        return Err("--sites must be 1..=4".into());
-    }
-    // Wall-clock deadlock safety net (failure *detection* is virtual-time;
-    // see docs/fault-injection.md §Detection).
-    let recv_timeout: Option<f64> = match args.get("recv-timeout") {
-        None => None,
-        Some(v) => {
-            let secs: f64 =
-                v.parse().map_err(|_| format!("--recv-timeout: cannot parse {v:?}"))?;
-            if !secs.is_finite() || secs <= 0.0 {
-                return Err("--recv-timeout must be positive".into());
-            }
-            Some(secs)
+    let ledger = path_from_env();
+    let mut summary = Vec::new();
+    for (i, &policy) in policies.iter().enumerate() {
+        let cfg = ServeConfig { policy, ..base.clone() };
+        let outcome = serve(&catalog, &cfg);
+        let report = PolicyReport::from_outcome(&outcome);
+        if i > 0 {
+            out.push('\n');
         }
-    };
-    let mut rt: Runtime = grid_runtime(sites);
-    if let Some(secs) = recv_timeout {
-        rt.set_recv_timeout(std::time::Duration::from_secs_f64(secs));
+        out.push_str(&report.render());
+        if faulty {
+            out.push_str(&fault_audit(&outcome));
+        }
+        if policies.len() == 1 {
+            out.push_str("\nlink-class busy timeline:\n");
+            out.push_str(&grid_tsqr::serve::timeline(&outcome, 48).render());
+        }
+        if let Some(path) = trace_out {
+            let suffixed = if policies.len() == 1 {
+                path.to_string()
+            } else {
+                format!("{path}.{}", policy.label())
+            };
+            write_file(&suffixed, dispositions_jsonl(&outcome))?;
+            out.push_str(&format!(
+                "dispositions for {} request(s) written to {suffixed}\n",
+                outcome.records.len()
+            ));
+        }
+        if let Some(path) = &ledger {
+            let source = if faulty { "serve-faults" } else { "serve" };
+            let scenario = format!(
+                "cli/{source}/{}-load{:.2}{}",
+                policy.label(),
+                cfg.load,
+                if cfg.batch { "-batch" } else { "" }
+            );
+            let tree = format!("serve/{}", policy.label());
+            let (_, entry) =
+                serve_record(&scenario, source, &scenario, &tree, &catalog, &outcome, &report);
+            let seq = append_entry(path, entry)?;
+            out.push_str(&format!("ledger: entry {seq} appended to {}\n", path.display()));
+        }
+        summary.push(report.summary_line());
     }
-    let rt = rt;
-    let mode = if args.has("real") { Mode::Real { seed } } else { Mode::Symbolic };
-    let rates = |n: usize| {
-        (
-            Some(calib::kernel_rate_flops(n)),
-            Some(calib::combine_rate_flops()),
-        )
-    };
+    if policies.len() > 1 {
+        out.push_str("\nsummary (same seeded trace, one line per policy):\n");
+        for line in &summary {
+            out.push_str(&format!("  {line}\n"));
+        }
+    }
+    Ok(out)
+}
 
-    let describe = |label: &str, res: &grid_tsqr::core::experiment::ExperimentResult| {
-        format!(
-            "{label}: {:.3} s simulated, {:.1} Gflop/s, {} msgs ({} WAN), {:.1} MB moved\n",
+fn cmd_tsqr(args: &Args, ctx: &Ctx) -> Result<String, String> {
+    let domains: usize = args.num("domains", 64usize)?;
+    let shape = parse_shape(args.get("tree").unwrap_or("grid"))?;
+    let with_q = args.has("q");
+    let rt = ctx.runtime(false, None);
+    ctx.check_geometry(&rt, Some((domains, with_q)))?;
+    let algorithm = Algorithm::Tsqr { shape, domains_per_cluster: domains };
+    let res = ctx.run(&rt, algorithm, with_q, ctx.mode(args));
+    Ok(describe("TSQR", &res) + &ctx.verify(&res)?)
+}
+
+fn cmd_scalapack(args: &Args, ctx: &Ctx) -> Result<String, String> {
+    let algorithm = if args.has("blocked") {
+        Algorithm::ScalapackQrf { nb: 64, nx: 128 }
+    } else {
+        Algorithm::ScalapackQr2
+    };
+    let rt = ctx.runtime(false, None);
+    ctx.check_geometry(&rt, None)?;
+    let res = ctx.run(&rt, algorithm, false, ctx.mode(args));
+    Ok(describe("ScaLAPACK", &res) + &ctx.verify(&res)?)
+}
+
+fn cmd_compare(ctx: &Ctx) -> Result<String, String> {
+    let rt = ctx.runtime(false, None);
+    ctx.check_geometry(&rt, Some((64, false)))?;
+    let tsqr = Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster: 64 };
+    let t = ctx.run(&rt, tsqr, false, Mode::Symbolic);
+    let s = ctx.run(&rt, Algorithm::ScalapackQr2, false, Mode::Symbolic);
+    let mut out = describe("TSQR     ", &t);
+    out.push_str(&describe("ScaLAPACK", &s));
+    out.push_str(&format!("speedup: {:.2}x\n", s.makespan.secs() / t.makespan.secs()));
+    Ok(out)
+}
+
+/// The traced point `trace` and `analyze` both look at: the run, the
+/// runtime it ran on, and its critical path — which must tile the
+/// makespan.
+fn traced_run(
+    args: &Args,
+    ctx: &Ctx,
+) -> Result<(Runtime, ExperimentResult, CriticalPath), String> {
+    let domains: usize = args.num("domains", 64usize)?;
+    let shape = parse_shape(args.get("tree").unwrap_or("grid"))?;
+    let algorithm = match args.get("algo").unwrap_or("tsqr") {
+        "tsqr" => Algorithm::Tsqr { shape, domains_per_cluster: domains },
+        "scalapack" => Algorithm::ScalapackQr2,
+        "scalapack-blocked" => Algorithm::ScalapackQrf { nb: 64, nx: 128 },
+        other => return Err(format!("unknown --algo {other:?}")),
+    };
+    let rt = ctx.runtime(true, None);
+    let is_tsqr = matches!(algorithm, Algorithm::Tsqr { .. });
+    ctx.check_geometry(&rt, is_tsqr.then_some((domains, false)))?;
+    let res = ctx.run(&rt, algorithm, false, ctx.mode(args));
+    let cp = res.trace.as_ref().expect("tracing was enabled").critical_path();
+    let drift = (cp.total().secs() - res.makespan.secs()).abs();
+    if drift > 1e-9 * res.makespan.secs().max(1.0) {
+        return Err(format!(
+            "critical path ({:.9} s) does not tile the makespan ({:.9} s)",
+            cp.total().secs(),
+            res.makespan.secs()
+        ));
+    }
+    Ok((rt, res, cp))
+}
+
+fn cmd_analyze(args: &Args, ctx: &Ctx) -> Result<String, String> {
+    let bins: usize = args.num("bins", 64usize)?;
+    if bins == 0 {
+        return Err("--bins must be at least 1".into());
+    }
+    let (rt, res, _) = traced_run(args, ctx)?;
+    let trace = res.trace.as_ref().expect("tracing was enabled");
+    let diag = trace.diagnose(rt.topology().num_procs(), bins);
+    let wait_drift = diag.reconcile(&res.metrics);
+    let wait_scale = diag.total().total_wait_s().max(1.0);
+    if wait_drift > 1e-9 * wait_scale {
+        return Err(format!(
+            "wait states do not reconcile with the metrics registry \
+             (max drift {wait_drift:.3e} s)"
+        ));
+    }
+    let mut out = describe("analyzed run", &res);
+    out.push_str(&ctx.verify(&res)?);
+    out.push_str(&format!(
+        "wait states reconcile with the metrics registry \
+         (max drift {wait_drift:.2e} s, tol 1e-9 relative)\n\n"
+    ));
+    out.push_str(&diag.render());
+    out.push_str("\n== model fit (Eq. 1) ==\n");
+    match modelfit::fit(&modelfit::samples_from_metrics(&res.metrics)) {
+        Some(f) => out.push_str(&f.render()),
+        None => out.push_str("(no active samples to fit)\n"),
+    }
+    Ok(out)
+}
+
+fn cmd_trace(args: &Args, ctx: &Ctx) -> Result<String, String> {
+    let (rt, res, cp) = traced_run(args, ctx)?;
+    let trace = res.trace.as_ref().expect("tracing was enabled");
+    let mut out = describe("traced run", &res);
+    out.push_str(&ctx.verify(&res)?);
+    out.push_str(&format!(
+        "{} events traced ({} WAN sends); critical path tiles the makespan exactly\n",
+        trace.len(),
+        trace.wan_sends().len()
+    ));
+    out.push_str("\ncritical path:\n");
+    let rendered = cp.render();
+    let lines: Vec<&str> = rendered.lines().collect();
+    if lines.len() > 40 {
+        for l in &lines[..16] {
+            out.push_str(l);
+            out.push('\n');
+        }
+        out.push_str(&format!("  ... {} more segments ...\n", lines.len() - 32));
+        for l in &lines[lines.len() - 16..] {
+            out.push_str(l);
+            out.push('\n');
+        }
+    } else {
+        out.push_str(&rendered);
+    }
+    out.push('\n');
+    out.push_str(&res.aggregate_metrics().render());
+    if args.has("timeline") {
+        out.push_str("\ntimeline:\n");
+        out.push_str(&trace.render());
+    }
+    if let Some(path) = args.get("out") {
+        write_file(path, trace.chrome_json())?;
+        out.push_str(&format!(
+            "\nChrome trace written to {path} (load in ui.perfetto.dev or chrome://tracing)\n"
+        ));
+    }
+    if let Some(path) = args.get("folded-out") {
+        let profile = FoldedProfile::from_trace(trace, rt.topology().num_procs());
+        let tile_err = profile.max_tiling_error_rel();
+        if tile_err > 1e-9 {
+            return Err(format!(
+                "folded profile does not tile the per-rank timelines \
+                 (max rel err {tile_err:.3e}, tol 1e-9)"
+            ));
+        }
+        write_file(path, profile.render_folded())?;
+        let agg_path = format!("{path}.agg");
+        write_file(&agg_path, profile.render_aggregate())?;
+        out.push_str(&format!(
+            "\nfolded stacks written to {path} (per rank) and {agg_path} (aggregate); \
+             leaf self-times tile every rank's makespan (max rel err {tile_err:.2e})\n",
+        ));
+        out.push('\n');
+        out.push_str(&profile.render_hot_table(10));
+    }
+    Ok(out)
+}
+
+fn cmd_faults(args: &Args, ctx: &Ctx) -> Result<String, String> {
+    let (m, n, sites, seed, rate) = (ctx.m, ctx.n, ctx.sites, ctx.seed, ctx.rate);
+    let rt = ctx.runtime(false, None);
+    let procs = rt.topology().num_procs();
+    ctx.check_geometry(&rt, Some((procs / sites, false)))?;
+    let schedule = fault_schedule(args, FaultAxis::Ranks(procs))?;
+    let (layout, tree, cfg) = ctx.domain_per_process(&rt);
+
+    // Failure-free reference: the plain program, empty schedule.
+    let clean = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate));
+    let reference = clean.ranks[0]
+        .result
+        .clone()
+        .map_err(|e| format!("failure-free run failed: {e}"))?
+        .r
+        .expect("root holds R");
+    let mut out = format!(
+        "failure-free: {:.3} s simulated ({} domains, tree grid)\n",
+        clean.makespan.secs(),
+        layout.num_domains(),
+    );
+
+    // Self-healing run under the schedule. The ledger entry wants the
+    // critical-path split, which needs the event trace.
+    let ledger = path_from_env();
+    let frt = ctx.runtime(ledger.is_some(), Some(schedule.clone()));
+    let mut report = frt.run(|p, _| ft_tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate));
+    let makespan = report.makespan;
+    // `outcome()` consumes the report, so lift the observability
+    // payloads the ledger entry needs out of it first.
+    let run_metrics = std::mem::take(&mut report.metrics);
+    let run_trace = report.trace.take();
+    let outcome = report.outcome();
+    let mut holder: Option<(usize, grid_tsqr::core::ft_tsqr::FtTsqrOutput)> = None;
+    let (mut rebuilt, mut salvaged) = (0usize, 0usize);
+    for (rank, o) in &outcome.survivors {
+        rebuilt += o.rebuilt_subtrees.len();
+        salvaged += o.salvaged_children.len();
+        if o.r.is_some() {
+            holder = Some((*rank, o.clone()));
+        }
+    }
+    let (holder_rank, holder_out) =
+        holder.ok_or("no survivor holds an R factor — recovery failed")?;
+    out.push_str(&format!(
+        "self-healing: {:.3} s simulated; {} crashed rank(s) {:?}; \
+         {} subtree(s) rebuilt, {} salvaged; R held by rank {}\n",
+        makespan.secs(),
+        outcome.failed_ranks().len(),
+        outcome.failed_ranks(),
+        rebuilt,
+        salvaged,
+        holder_rank,
+    ));
+    let r = holder_out.r.expect("holder has R");
+    let d = r_distance(&r, &reference);
+    if !r.approx_eq(&reference, 0.0) {
+        return Err(format!(
+            "recovered R differs from the failure-free R (max diff {d:.2e})"
+        ));
+    }
+    out.push_str("  recovered R is bitwise identical to the failure-free R\n");
+
+    // Optionally show how the plain program fares (typed, no panic).
+    if args.has("baseline") {
+        let brt = ctx.runtime(false, Some(schedule));
+        let base = brt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate));
+        let bo = base.outcome();
+        if bo.is_clean() {
+            out.push_str("baseline tsqr: unaffected by this schedule\n");
+        } else {
+            out.push_str(&format!(
+                "baseline tsqr: {} rank(s) failed {:?}; first error: {}\n",
+                bo.failed_ranks().len(),
+                bo.failed_ranks(),
+                bo.failures
+                    .first()
+                    .map(|(r, e)| format!("rank {r}: {e}"))
+                    .unwrap_or_default(),
+            ));
+        }
+    }
+
+    // Record the self-healing run in the experiment ledger.
+    if let Some(path) = &ledger {
+        let gflops = grid_tsqr::core::model::useful_flops(m, n as u64, false)
+            / makespan.secs().max(1e-12)
+            / 1e9;
+        let entry = ledger_entry(
+            "faults",
+            &format!("cli/faults/s{sites}-m{m}-n{n}"),
+            sites,
+            procs,
+            m,
+            n,
+            &format!("ft-GridHierarchical/dpc{}", cfg.domains_per_cluster),
+            makespan.secs(),
+            gflops,
+            &run_metrics,
+            run_trace.as_ref(),
+        );
+        let seq = append_entry(path, entry)?;
+        out.push_str(&format!(
+            "ledger: entry {seq} appended to {}\n",
+            path.display()
+        ));
+    }
+    Ok(out)
+}
+
+/// Model-driven reduction-tree search (docs/tuning.md): predict every
+/// candidate's makespan from the calibrated cost model, pick the argmin,
+/// replay the winner through netsim, and show how it stacks up against
+/// the fixed shapes.
+fn cmd_tune(args: &Args, ctx: &Ctx) -> Result<String, String> {
+    let (m, n, sites, rate, combine) = (ctx.m, ctx.n, ctx.sites, ctx.rate, ctx.combine);
+    let domains: usize = args.num("domains", 64usize)?;
+    let rt = ctx.runtime(false, None);
+    let topo = rt.topology();
+    let per_cluster = topo.num_procs() / topo.num_clusters().max(1);
+    if domains != per_cluster {
+        return Err(format!(
+            "--domains {domains}: the analytic predictor needs single-process \
+             domains, i.e. --domains {per_cluster} on this topology \
+             ({per_cluster} procs/cluster). Grouped-domain runs are still \
+             available via `grid-tsqr tsqr --domains {domains}`."
+        ));
+    }
+    ctx.check_geometry(&rt, Some((domains, false)))?;
+    let outcome = tune::autotune(&rt, m, n, domains, rate, combine);
+    let mut out = format!(
+        "model-driven tree search: {} single-process domains over {sites} site(s), \
+         M={m}, N={n}\n\n  {:<12} {:>15} {:>6} {:>9}\n",
+        outcome.domains, "tree", "predicted (s)", "depth", "WAN msgs"
+    );
+    for (i, c) in outcome.table.iter().enumerate() {
+        let mark = if i == outcome.winner { "   <-- winner" } else { "" };
+        out.push_str(&format!(
+            "  {:<12} {:>15.6} {:>6} {:>9}{mark}\n",
+            c.name,
+            c.predicted.secs(),
+            c.depth,
+            c.wan_msgs
+        ));
+    }
+    let best = outcome.best();
+    let rel = (best.predicted.secs() - outcome.replayed.secs()).abs()
+        / outcome.replayed.secs().abs().max(1e-12);
+    out.push_str(&format!(
+        "\nwinner: {} — predicted {:.6} s, netsim replay {:.6} s (agree to {rel:.1e} rel)\n",
+        best.name,
+        best.predicted.secs(),
+        outcome.replayed.secs()
+    ));
+    let layout = DomainLayout::build(rt.topology(), m, n, domains);
+    for (name, shape) in [
+        ("flat", TreeShape::Flat),
+        ("binary", TreeShape::Binary),
+        ("grid", TreeShape::GridHierarchical),
+    ] {
+        let fixed = tune::replay_makespan(&rt, &layout, &shape, rate, combine);
+        out.push_str(&format!(
+            "vs fixed {name:<7} {:>10.6} s  (tuned is {:.3}x)\n",
+            fixed.secs(),
+            fixed.secs() / outcome.replayed.secs()
+        ));
+    }
+
+    // Record the winner in the experiment ledger: re-run it traced
+    // so the entry carries the critical-path split and per-phase
+    // Eq. (1) residuals like every other ledger source.
+    if let Some(path) = path_from_env() {
+        let trt = ctx.runtime(true, None);
+        let winner = Algorithm::Tsqr { shape: best.shape.clone(), domains_per_cluster: domains };
+        let res = ctx.run(&trt, winner, false, Mode::Symbolic);
+        let entry = ledger_entry(
+            "tune",
+            &format!("cli/tune/s{sites}-m{m}-n{n}"),
+            sites,
+            trt.topology().num_procs(),
+            m,
+            n,
+            &format!("{:?}/dpc{domains}", best.shape),
             res.makespan.secs(),
             res.gflops,
-            res.totals.total_msgs(),
-            res.totals.inter_cluster_msgs(),
-            res.totals.total_bytes() as f64 / 1e6,
-        )
-    };
-
-    let verify = |res: &grid_tsqr::core::experiment::ExperimentResult| -> Result<String, String> {
-        let Some(r) = &res.r else { return Ok(String::new()) };
-        if m > 1 << 22 {
-            return Ok("  (matrix too tall to verify in-process; skipped)\n".into());
-        }
-        let reference = QrFactors::compute(&workload::full_matrix(seed, m as usize, n), 64)
-            .r()
-            .upper_triangular_padded();
-        let d = r_distance(r, &reference);
-        if d < 1e-9 {
-            Ok(format!("  R verified against single-process QR (max diff {d:.2e})\n"))
-        } else {
-            Err(format!("R mismatch: {d:.2e}"))
-        }
-    };
-
-    match cmd {
-        "tsqr" => {
-            let domains: usize = args.num("domains", 64usize)?;
-            let shape = parse_shape(args.get("tree").unwrap_or("grid"))?;
-            check_geometry(&rt, m, n, Some((domains, args.has("q"))))?;
-            let (rate, combine) = rates(n);
-            let res = run_experiment(
-                &rt,
-                &Experiment {
-                    m,
-                    n,
-                    algorithm: Algorithm::Tsqr { shape, domains_per_cluster: domains },
-                    compute_q: args.has("q"),
-                    mode,
-                    rate_flops: rate,
-                    combine_rate_flops: combine,
-                },
-            );
-            let mut out = describe("TSQR", &res);
-            out.push_str(&verify(&res)?);
-            Ok(out)
-        }
-        "scalapack" => {
-            let algorithm = if args.has("blocked") {
-                Algorithm::ScalapackQrf { nb: 64, nx: 128 }
-            } else {
-                Algorithm::ScalapackQr2
-            };
-            check_geometry(&rt, m, n, None)?;
-            let (rate, _) = rates(n);
-            let res = run_experiment(
-                &rt,
-                &Experiment {
-                    m,
-                    n,
-                    algorithm,
-                    compute_q: false,
-                    mode,
-                    rate_flops: rate,
-                    combine_rate_flops: None,
-                },
-            );
-            let mut out = describe("ScaLAPACK", &res);
-            out.push_str(&verify(&res)?);
-            Ok(out)
-        }
-        "compare" => {
-            check_geometry(&rt, m, n, Some((64, false)))?;
-            let (rate, combine) = rates(n);
-            let mk = |algorithm| Experiment {
-                m,
-                n,
-                algorithm,
-                compute_q: false,
-                mode: Mode::Symbolic,
-                rate_flops: rate,
-                combine_rate_flops: combine,
-            };
-            let t = run_experiment(
-                &rt,
-                &mk(Algorithm::Tsqr {
-                    shape: TreeShape::GridHierarchical,
-                    domains_per_cluster: 64,
-                }),
-            );
-            let s = run_experiment(&rt, &mk(Algorithm::ScalapackQr2));
-            let mut out = describe("TSQR     ", &t);
-            out.push_str(&describe("ScaLAPACK", &s));
-            out.push_str(&format!("speedup: {:.2}x\n", s.makespan.secs() / t.makespan.secs()));
-            Ok(out)
-        }
-        "trace" | "analyze" => {
-            let domains: usize = args.num("domains", 64usize)?;
-            let shape = parse_shape(args.get("tree").unwrap_or("grid"))?;
-            let algo = args.get("algo").unwrap_or("tsqr");
-            check_geometry(&rt, m, n, (algo == "tsqr").then_some((domains, false)))?;
-            let (algorithm, rate, combine) = match algo {
-                "tsqr" => {
-                    let (r, c) = rates(n);
-                    (Algorithm::Tsqr { shape, domains_per_cluster: domains }, r, c)
-                }
-                "scalapack" => {
-                    let (r, _) = rates(n);
-                    (Algorithm::ScalapackQr2, r, None)
-                }
-                "scalapack-blocked" => {
-                    let (r, _) = rates(n);
-                    (Algorithm::ScalapackQrf { nb: 64, nx: 128 }, r, None)
-                }
-                other => return Err(format!("unknown --algo {other:?}")),
-            };
-            let mut rt = grid_runtime(sites);
-            if let Some(secs) = recv_timeout {
-                rt.set_recv_timeout(std::time::Duration::from_secs_f64(secs));
-            }
-            rt.enable_tracing();
-            let res = run_experiment(
-                &rt,
-                &Experiment {
-                    m,
-                    n,
-                    algorithm,
-                    compute_q: false,
-                    mode,
-                    rate_flops: rate,
-                    combine_rate_flops: combine,
-                },
-            );
-            let trace = res.trace.as_ref().expect("tracing was enabled");
-            let cp = trace.critical_path();
-            let drift = (cp.total().secs() - res.makespan.secs()).abs();
-            if drift > 1e-9 * res.makespan.secs().max(1.0) {
-                return Err(format!(
-                    "critical path ({:.9} s) does not tile the makespan ({:.9} s)",
-                    cp.total().secs(),
-                    res.makespan.secs()
-                ));
-            }
-            if cmd == "analyze" {
-                let bins: usize = args.num("bins", 64usize)?;
-                if bins == 0 {
-                    return Err("--bins must be at least 1".into());
-                }
-                let diag = trace.diagnose(rt.topology().num_procs(), bins);
-                let wait_drift = diag.reconcile(&res.metrics);
-                let wait_scale = diag.total().total_wait_s().max(1.0);
-                if wait_drift > 1e-9 * wait_scale {
-                    return Err(format!(
-                        "wait states do not reconcile with the metrics registry \
-                         (max drift {wait_drift:.3e} s)"
-                    ));
-                }
-                let mut out = describe("analyzed run", &res);
-                out.push_str(&verify(&res)?);
-                out.push_str(&format!(
-                    "wait states reconcile with the metrics registry \
-                     (max drift {wait_drift:.2e} s, tol 1e-9 relative)\n\n"
-                ));
-                out.push_str(&diag.render());
-                out.push_str("\n== model fit (Eq. 1) ==\n");
-                match modelfit::fit(&modelfit::samples_from_metrics(&res.metrics)) {
-                    Some(f) => out.push_str(&f.render()),
-                    None => out.push_str("(no active samples to fit)\n"),
-                }
-                return Ok(out);
-            }
-            let mut out = describe("traced run", &res);
-            out.push_str(&verify(&res)?);
-            out.push_str(&format!(
-                "{} events traced ({} WAN sends); critical path tiles the makespan exactly\n",
-                trace.len(),
-                trace.wan_sends().len()
-            ));
-            out.push_str("\ncritical path:\n");
-            let rendered = cp.render();
-            let lines: Vec<&str> = rendered.lines().collect();
-            if lines.len() > 40 {
-                for l in &lines[..16] {
-                    out.push_str(l);
-                    out.push('\n');
-                }
-                out.push_str(&format!("  ... {} more segments ...\n", lines.len() - 32));
-                for l in &lines[lines.len() - 16..] {
-                    out.push_str(l);
-                    out.push('\n');
-                }
-            } else {
-                out.push_str(&rendered);
-            }
-            out.push('\n');
-            out.push_str(&res.aggregate_metrics().render());
-            if args.has("timeline") {
-                out.push_str("\ntimeline:\n");
-                out.push_str(&trace.render());
-            }
-            if let Some(path) = args.get("out") {
-                std::fs::write(path, trace.chrome_json())
-                    .map_err(|e| format!("cannot write {path:?}: {e}"))?;
-                out.push_str(&format!(
-                    "\nChrome trace written to {path} (load in ui.perfetto.dev or chrome://tracing)\n"
-                ));
-            }
-            if let Some(path) = args.get("folded-out") {
-                let profile = FoldedProfile::from_trace(trace, rt.topology().num_procs());
-                let tile_err = profile.max_tiling_error_rel();
-                if tile_err > 1e-9 {
-                    return Err(format!(
-                        "folded profile does not tile the per-rank timelines \
-                         (max rel err {tile_err:.3e}, tol 1e-9)"
-                    ));
-                }
-                std::fs::write(path, profile.render_folded())
-                    .map_err(|e| format!("cannot write {path:?}: {e}"))?;
-                let agg_path = format!("{path}.agg");
-                std::fs::write(&agg_path, profile.render_aggregate())
-                    .map_err(|e| format!("cannot write {agg_path:?}: {e}"))?;
-                out.push_str(&format!(
-                    "\nfolded stacks written to {path} (per rank) and {agg_path} (aggregate); \
-                     leaf self-times tile every rank's makespan (max rel err {tile_err:.2e})\n",
-                ));
-                out.push('\n');
-                out.push_str(&profile.render_hot_table(10));
-            }
-            Ok(out)
-        }
-        "faults" => {
-            // --- Build the failure schedule from the repeatable flags. ---
-            let fseed: u64 = args.num("fault-seed", 1u64)?;
-            let mut schedule = FailureSchedule::new(fseed);
-            for spec in args.all("crash") {
-                let (r, ms) = spec
-                    .split_once('@')
-                    .ok_or_else(|| format!("--crash wants RANK@MS, got {spec:?}"))?;
-                let r: usize = r.parse().map_err(|_| format!("--crash: bad rank {r:?}"))?;
-                let ms: f64 = ms.parse().map_err(|_| format!("--crash: bad time {ms:?}"))?;
-                schedule = schedule.crash_rank(r, VirtualTime::from_secs(ms * 1e-3));
-            }
-            let triple = |flag: &str, spec: &str| -> Result<(usize, usize, String), String> {
-                let parts: Vec<&str> = spec.split(':').collect();
-                let [src, dst, x] = parts[..] else {
-                    return Err(format!("--{flag} wants SRC:DST:X, got {spec:?}"));
-                };
-                let src = src.parse().map_err(|_| format!("--{flag}: bad src {src:?}"))?;
-                let dst = dst.parse().map_err(|_| format!("--{flag}: bad dst {dst:?}"))?;
-                Ok((src, dst, x.to_string()))
-            };
-            for spec in args.all("drop") {
-                let (src, dst, nth) = triple("drop", spec)?;
-                let nth: u64 =
-                    nth.parse().map_err(|_| format!("--drop: bad nth {nth:?}"))?;
-                schedule = schedule.drop_nth_message(src, dst, nth);
-            }
-            for spec in args.all("drop-prob") {
-                let (src, dst, prob) = triple("drop-prob", spec)?;
-                let prob: f64 =
-                    prob.parse().map_err(|_| format!("--drop-prob: bad p {prob:?}"))?;
-                schedule = schedule.drop_probability(src, dst, prob);
-            }
-            if let Some(spec) = args.get("wan-slow") {
-                let parts: Vec<&str> = spec.split(':').collect();
-                let [from, until, lat, bw] = parts[..] else {
-                    return Err(format!(
-                        "--wan-slow wants FROM_MS:UNTIL_MS:LATx:BWx, got {spec:?}"
-                    ));
-                };
-                let p = |what: &str, v: &str| -> Result<f64, String> {
-                    v.parse().map_err(|_| format!("--wan-slow: bad {what} {v:?}"))
-                };
-                schedule = schedule.degrade_all_wan(
-                    VirtualTime::from_secs(p("from", from)? * 1e-3),
-                    VirtualTime::from_secs(p("until", until)? * 1e-3),
-                    p("latency factor", lat)?,
-                    p("bandwidth divisor", bw)?,
-                );
-            }
-
-            // --- One domain per process, as self-healing TSQR requires. ---
-            let dpc = rt.topology().num_procs() / sites;
-            let layout = DomainLayout::build(rt.topology(), m, n, dpc);
-            let tree = ReductionTree::build(
-                &TreeShape::GridHierarchical,
-                layout.num_domains(),
-                &layout.clusters(),
-            );
-            let (rate, combine) = rates(n);
-            let cfg = TsqrConfig {
-                shape: TreeShape::GridHierarchical,
-                domains_per_cluster: dpc,
-                compute_q: false,
-                combine_rate_flops: combine,
-                ..Default::default()
-            };
-
-            // Failure-free reference: the plain program, empty schedule.
-            let clean = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate));
-            let reference = clean.ranks[0]
-                .result
-                .clone()
-                .map_err(|e| format!("failure-free run failed: {e}"))?
-                .r
-                .expect("root holds R");
-            let mut out = format!(
-                "failure-free: {:.3} s simulated ({} domains, tree grid)\n",
-                clean.makespan.secs(),
-                layout.num_domains(),
-            );
-
-            // Self-healing run under the schedule.
-            let ledger = path_from_env();
-            let mut frt = grid_runtime(sites);
-            if let Some(secs) = recv_timeout {
-                frt.set_recv_timeout(std::time::Duration::from_secs_f64(secs));
-            }
-            if ledger.is_some() {
-                // The ledger entry wants the critical-path split, which
-                // needs the event trace.
-                frt.enable_tracing();
-            }
-            frt.set_failure_schedule(schedule.clone());
-            let mut report =
-                frt.run(|p, _| ft_tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate));
-            let makespan = report.makespan;
-            // `outcome()` consumes the report, so lift the observability
-            // payloads the ledger entry needs out of it first.
-            let run_metrics = std::mem::take(&mut report.metrics);
-            let run_trace = report.trace.take();
-            let outcome = report.outcome();
-            let mut holder: Option<(usize, grid_tsqr::core::ft_tsqr::FtTsqrOutput)> = None;
-            let (mut rebuilt, mut salvaged) = (0usize, 0usize);
-            for (rank, o) in &outcome.survivors {
-                rebuilt += o.rebuilt_subtrees.len();
-                salvaged += o.salvaged_children.len();
-                if o.r.is_some() {
-                    holder = Some((*rank, o.clone()));
-                }
-            }
-            let (holder_rank, holder_out) =
-                holder.ok_or("no survivor holds an R factor — recovery failed")?;
-            out.push_str(&format!(
-                "self-healing: {:.3} s simulated; {} crashed rank(s) {:?}; \
-                 {} subtree(s) rebuilt, {} salvaged; R held by rank {}\n",
-                makespan.secs(),
-                outcome.failed_ranks().len(),
-                outcome.failed_ranks(),
-                rebuilt,
-                salvaged,
-                holder_rank,
-            ));
-            let r = holder_out.r.expect("holder has R");
-            let d = r_distance(&r, &reference);
-            if !r.approx_eq(&reference, 0.0) {
-                return Err(format!(
-                    "recovered R differs from the failure-free R (max diff {d:.2e})"
-                ));
-            }
-            out.push_str("  recovered R is bitwise identical to the failure-free R\n");
-
-            // Optionally show how the plain program fares (typed, no panic).
-            if args.has("baseline") {
-                let mut brt = grid_runtime(sites);
-                if let Some(secs) = recv_timeout {
-                    brt.set_recv_timeout(std::time::Duration::from_secs_f64(secs));
-                }
-                brt.set_failure_schedule(schedule);
-                let base =
-                    brt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate));
-                let bo = base.outcome();
-                if bo.is_clean() {
-                    out.push_str("baseline tsqr: unaffected by this schedule\n");
-                } else {
-                    out.push_str(&format!(
-                        "baseline tsqr: {} rank(s) failed {:?}; first error: {}\n",
-                        bo.failed_ranks().len(),
-                        bo.failed_ranks(),
-                        bo.failures
-                            .first()
-                            .map(|(r, e)| format!("rank {r}: {e}"))
-                            .unwrap_or_default(),
-                    ));
-                }
-            }
-
-            // Record the self-healing run in the experiment ledger.
-            if let Some(path) = &ledger {
-                let gflops = grid_tsqr::core::model::useful_flops(m, n as u64, false)
-                    / makespan.secs().max(1e-12)
-                    / 1e9;
-                let entry = ledger_entry(
-                    "faults",
-                    &format!("cli/faults/s{sites}-m{m}-n{n}"),
-                    sites,
-                    frt.topology().num_procs(),
-                    m,
-                    n,
-                    &format!("ft-GridHierarchical/dpc{dpc}"),
-                    makespan.secs(),
-                    gflops,
-                    &run_metrics,
-                    run_trace.as_ref(),
-                );
-                let seq = append_entry(path, entry)?;
-                out.push_str(&format!(
-                    "ledger: entry {seq} appended to {}\n",
-                    path.display()
-                ));
-            }
-            Ok(out)
-        }
-        "tune" => {
-            // Model-driven reduction-tree search (docs/tuning.md): predict
-            // every candidate's makespan from the calibrated cost model,
-            // pick the argmin, replay the winner through netsim, and show
-            // how it stacks up against the fixed shapes.
-            let domains: usize = args.num("domains", 64usize)?;
-            let topo = rt.topology();
-            let per_cluster = topo.num_procs() / topo.num_clusters().max(1);
-            if domains != per_cluster {
-                return Err(format!(
-                    "--domains {domains}: the analytic predictor needs single-process \
-                     domains, i.e. --domains {per_cluster} on this topology \
-                     ({per_cluster} procs/cluster). Grouped-domain runs are still \
-                     available via `grid-tsqr tsqr --domains {domains}`."
-                ));
-            }
-            let (rate, combine) = rates(n);
-            let outcome = tune::autotune(&rt, m, n, domains, rate, combine);
-            let mut out = format!(
-                "model-driven tree search: {} single-process domains over {sites} site(s), \
-                 M={m}, N={n}\n\n  {:<12} {:>15} {:>6} {:>9}\n",
-                outcome.domains, "tree", "predicted (s)", "depth", "WAN msgs"
-            );
-            for (i, c) in outcome.table.iter().enumerate() {
-                let mark = if i == outcome.winner { "   <-- winner" } else { "" };
-                out.push_str(&format!(
-                    "  {:<12} {:>15.6} {:>6} {:>9}{mark}\n",
-                    c.name,
-                    c.predicted.secs(),
-                    c.depth,
-                    c.wan_msgs
-                ));
-            }
-            let best = outcome.best();
-            let rel = (best.predicted.secs() - outcome.replayed.secs()).abs()
-                / outcome.replayed.secs().abs().max(1e-12);
-            out.push_str(&format!(
-                "\nwinner: {} — predicted {:.6} s, netsim replay {:.6} s (agree to {rel:.1e} rel)\n",
-                best.name,
-                best.predicted.secs(),
-                outcome.replayed.secs()
-            ));
-            let layout = DomainLayout::build(rt.topology(), m, n, domains);
-            for (name, shape) in [
-                ("flat", TreeShape::Flat),
-                ("binary", TreeShape::Binary),
-                ("grid", TreeShape::GridHierarchical),
-            ] {
-                let fixed = tune::replay_makespan(&rt, &layout, &shape, rate, combine);
-                out.push_str(&format!(
-                    "vs fixed {name:<7} {:>10.6} s  (tuned is {:.3}x)\n",
-                    fixed.secs(),
-                    fixed.secs() / outcome.replayed.secs()
-                ));
-            }
-
-            // Record the winner in the experiment ledger: re-run it traced
-            // so the entry carries the critical-path split and per-phase
-            // Eq. (1) residuals like every other ledger source.
-            if let Some(path) = path_from_env() {
-                let mut trt = grid_runtime(sites);
-                if let Some(secs) = recv_timeout {
-                    trt.set_recv_timeout(std::time::Duration::from_secs_f64(secs));
-                }
-                trt.enable_tracing();
-                let res = run_experiment(
-                    &trt,
-                    &Experiment {
-                        m,
-                        n,
-                        algorithm: Algorithm::Tsqr {
-                            shape: best.shape.clone(),
-                            domains_per_cluster: domains,
-                        },
-                        compute_q: false,
-                        mode: Mode::Symbolic,
-                        rate_flops: rate,
-                        combine_rate_flops: combine,
-                    },
-                );
-                let entry = ledger_entry(
-                    "tune",
-                    &format!("cli/tune/s{sites}-m{m}-n{n}"),
-                    sites,
-                    trt.topology().num_procs(),
-                    m,
-                    n,
-                    &format!("{:?}/dpc{domains}", best.shape),
-                    res.makespan.secs(),
-                    res.gflops,
-                    &res.metrics,
-                    res.trace.as_ref(),
-                );
-                let seq = append_entry(&path, entry)?;
-                out.push_str(&format!(
-                    "ledger: entry {seq} (winner {}) appended to {}\n",
-                    best.name,
-                    path.display()
-                ));
-            }
-            Ok(out)
-        }
-        "check" => {
-            // commcheck: every scenario runs with tracing on, every trace
-            // goes through the happens-before analyzer, and the structural
-            // summary lines are gated against a blessed golden file — the
-            // race/deadlock analogue of `scripts/bench_check.sh`.
-            //
-            // Sizes default *small* (the golden file is blessed at exactly
-            // these defaults): the analyzer checks structure, not speed.
-            let m: u64 = args.num("m", 1u64 << 16)?;
-            let n: usize = args.num("n", 32usize)?;
-            let run_matrix = !args.has("no-matrix");
-            let run_explore = !args.has("no-explore");
-            let golden = args.get("golden");
-            let bless = args.has("bless");
-            if (golden.is_some() || bless) && !(run_matrix && run_explore) {
-                return Err(
-                    "--golden/--bless gate the full scenario set; drop --no-matrix/--no-explore"
-                        .into(),
-                );
-            }
-
-            let (rate, combine) = rates(n);
-            // (name, summary line) in a fixed order — this is the golden
-            // file body. `bad` collects full renderings of any scenario
-            // whose HbReport is not clean.
-            let mut lines: Vec<String> = Vec::new();
-            let mut bad: Vec<String> = Vec::new();
-            let mut record = |name: &str, hb: &HbReport| {
-                lines.push(format!("{name:<22} {}", hb.summary_line()));
-                if !hb.ok() {
-                    bad.push(format!("{name}:\n{}", hb.render()));
-                }
-            };
-
-            // --- Figure-style scenarios (§V, Figs. 4–8): each tree shape
-            // and both ScaLAPACK baselines, traced, symbolic numerics
-            // (the schedule — and therefore the HB DAG — is identical to
-            // the real-numerics run by construction).
-            let figure = |algorithm: Algorithm, comb: Option<f64>| -> Result<HbReport, String> {
-                let mut trt = grid_runtime(sites);
-                if let Some(secs) = recv_timeout {
-                    trt.set_recv_timeout(std::time::Duration::from_secs_f64(secs));
-                }
-                trt.enable_tracing();
-                let res = run_experiment(
-                    &trt,
-                    &Experiment {
-                        m,
-                        n,
-                        algorithm,
-                        compute_q: false,
-                        mode: Mode::Symbolic,
-                        rate_flops: rate,
-                        combine_rate_flops: comb,
-                    },
-                );
-                let trace = res
-                    .trace
-                    .as_ref()
-                    .ok_or_else(|| "tracing was enabled but no trace came back".to_string())?;
-                Ok(trace.hb_analysis())
-            };
-            for (name, shape) in [
-                ("tsqr-grid", TreeShape::GridHierarchical),
-                ("tsqr-binary", TreeShape::Binary),
-                ("tsqr-flat", TreeShape::Flat),
-                ("tsqr-kary3", TreeShape::Kary(3)),
-                ("tsqr-binomial", TreeShape::Binomial),
-                ("tsqr-greedy", TreeShape::Greedy),
-            ] {
-                let hb = figure(Algorithm::Tsqr { shape, domains_per_cluster: 64 }, combine)?;
-                record(name, &hb);
-            }
-            let hb = figure(
-                Algorithm::Tsqr {
-                    shape: TreeShape::GridHierarchical,
-                    domains_per_cluster: 16,
-                },
-                combine,
-            )?;
-            record("tsqr-grid-d16", &hb);
-            let hb = figure(Algorithm::ScalapackQr2, None)?;
-            record("scalapack-qr2", &hb);
-            let hb = figure(Algorithm::ScalapackQrf { nb: 64, nx: 128 }, None)?;
-            record("scalapack-blocked", &hb);
-
-            // --- The fault matrix of `scripts/verify.sh`: the self-healing
-            // TSQR under every schedule the fault-injection PR gates, each
-            // trace analyzed. Crash schedules legitimately orphan sends
-            // (counted in the summary line); races/cycles/violations must
-            // still be zero.
-            if run_matrix {
-                let dpc = rt.topology().num_procs() / sites;
-                let layout = DomainLayout::build(rt.topology(), m, n, dpc);
-                let tree = ReductionTree::build(
-                    &TreeShape::GridHierarchical,
-                    layout.num_domains(),
-                    &layout.clusters(),
-                );
-                let cfg = TsqrConfig {
-                    shape: TreeShape::GridHierarchical,
-                    domains_per_cluster: dpc,
-                    compute_q: false,
-                    combine_rate_flops: combine,
-                    ..Default::default()
-                };
-                let fault = |schedule: FailureSchedule| -> Result<HbReport, String> {
-                    let mut frt = grid_runtime(sites);
-                    if let Some(secs) = recv_timeout {
-                        frt.set_recv_timeout(std::time::Duration::from_secs_f64(secs));
-                    }
-                    frt.enable_tracing();
-                    frt.set_failure_schedule(schedule);
-                    let report =
-                        frt.run(|p, _| ft_tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate));
-                    let hb = report
-                        .trace
-                        .as_ref()
-                        .ok_or_else(|| "tracing was enabled but no trace came back".to_string())?
-                        .hb_analysis();
-                    let outcome = report.outcome();
-                    if !outcome.survivors.iter().any(|(_, o)| o.r.is_some()) {
-                        return Err("no survivor holds an R factor — recovery failed".into());
-                    }
-                    Ok(hb)
-                };
-                let at = |ms: f64| VirtualTime::from_secs(ms * 1e-3);
-                record("faults-none", &fault(FailureSchedule::new(1))?);
-                for (r, ms) in
-                    [(255usize, 0.5), (2, 2.0), (64, 2.0), (128, 6.0), (0, 6.0)]
-                {
-                    let hb = fault(FailureSchedule::new(1).crash_rank(r, at(ms)))?;
-                    record(&format!("faults-crash-{r}"), &hb);
-                }
-                let hb = fault(
-                    FailureSchedule::new(1).crash_rank(0, at(2.0)).crash_rank(1, at(4.0)),
-                )?;
-                record("faults-crash-0+1", &hb);
-                let hb = fault(
-                    FailureSchedule::new(7)
-                        .drop_probability(64, 0, 0.4)
-                        .degrade_all_wan(at(0.0), at(50.0), 4.0, 4.0),
-                )?;
-                record("faults-drop-wan", &hb);
-            }
-
-            // --- DPOR-lite determinism proof on a dedicated 8-rank grid
-            // (P ≤ 8 is the exhaustive regime of `schedules_for`): run the
-            // real-numerics TSQR under every permuted delivery order and
-            // require bit-identical R, makespan, metrics — plus race-free
-            // traces, so unexplored interleavings cannot differ either.
-            if run_explore {
-                let small_topo = || {
-                    GridTopology::block_placement(
-                        vec![
-                            ClusterSpec {
-                                name: "expl-a".into(),
-                                nodes: 4,
-                                procs_per_node: 1,
-                                peak_gflops_per_proc: 8.0,
-                            },
-                            ClusterSpec {
-                                name: "expl-b".into(),
-                                nodes: 4,
-                                procs_per_node: 1,
-                                peak_gflops_per_proc: 8.0,
-                            },
-                        ],
-                        4,
-                        1,
-                    )
-                };
-                let small_model =
-                    CostModel::homogeneous(LinkParams::from_ms_mbps(0.5, 800.0), 1e9, 2);
-                let slayout = DomainLayout::build(&small_topo(), 4096, 8, 4);
-                let stree = ReductionTree::build(
-                    &TreeShape::GridHierarchical,
-                    slayout.num_domains(),
-                    &slayout.clusters(),
-                );
-                let scfg = TsqrConfig {
-                    shape: TreeShape::GridHierarchical,
-                    domains_per_cluster: 4,
-                    compute_q: false,
-                    combine_rate_flops: None,
-                    ..Default::default()
-                };
-                let rep = explore(
-                    || Runtime::new(small_topo(), small_model.clone()),
-                    |p, _| tsqr_rank_program(p, &slayout, &stree, &scfg, seed, None),
-                    |o| {
-                        o.r.as_ref().map_or(0, |r| {
-                            let mut bytes = Vec::with_capacity(r.as_slice().len() * 8);
-                            for x in r.as_slice() {
-                                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
-                            }
-                            fnv1a(&bytes)
-                        })
-                    },
-                    &schedules_for(8),
-                );
-                let yn = |b: bool| if b { "yes" } else { "no" };
-                lines.push(format!(
-                    "{:<22} schedules={} identical={} hb_clean={} proved={}",
-                    "explore-tsqr-p8",
-                    rep.schedules(),
-                    yn(rep.all_identical()),
-                    yn(rep.hb_ok()),
-                    yn(rep.proves_determinism()),
-                ));
-                if !rep.proves_determinism() {
-                    bad.push(format!("explore-tsqr-p8:\n{}", rep.render()));
-                }
-            }
-
-            // --- Serving-layer scenarios (docs/serving.md): the summary
-            // lines of the four policies plus a batched same-shape burst on
-            // one seeded trace. Structural invariants of the deterministic
-            // serving engine, pinned like every other line.
-            {
-                let catalog = grid_tsqr::qcg::ResourceCatalog::grid5000();
-                let base = ServeConfig {
-                    requests: 30,
-                    load: 1.5,
-                    seed: 7,
-                    ..Default::default()
-                };
-                for policy in ServePolicy::all() {
-                    let cfg = ServeConfig { policy, ..base.clone() };
-                    let r =
-                        PolicyReport::from_outcome(&grid_tsqr::serve::serve(&catalog, &cfg));
-                    lines.push(format!(
-                        "{:<22} {}",
-                        format!("serve-{}", policy.label()),
-                        r.summary_line()
-                    ));
-                }
-                let cfg = ServeConfig {
-                    batch: true,
-                    single_shape: Some(3),
-                    load: 3.0,
-                    ..base.clone()
-                };
-                let r = PolicyReport::from_outcome(&grid_tsqr::serve::serve(&catalog, &cfg));
-                lines.push(format!("{:<22} {}", "serve-fifo-batch", r.summary_line()));
-
-                // Fault-injected serving (docs/serving.md §Failures): a
-                // site crash recovered by checkpointed retries, the same
-                // crash forcing 4-site jobs onto survivors via elastic
-                // re-planning, and a degraded-WAN window driving brownout
-                // shed. Each must replay byte-identically like the rest.
-                let crash = ServeConfig {
-                    load: 1.0,
-                    faults: FailureSchedule::new(1)
-                        .crash_site(2, VirtualTime::from_secs(0.1)),
-                    ..base.clone()
-                };
-                let r = PolicyReport::from_outcome(&grid_tsqr::serve::serve(&catalog, &crash));
-                lines.push(format!("{:<22} {}", "serve-fault-crash", r.summary_line()));
-
-                let replan = ServeConfig {
-                    single_shape: Some(3),
-                    load: 1.0,
-                    ..crash.clone()
-                };
-                let r = PolicyReport::from_outcome(&grid_tsqr::serve::serve(&catalog, &replan));
-                lines.push(format!("{:<22} {}", "serve-fault-replan", r.summary_line()));
-
-                let brownout = ServeConfig {
-                    requests: 40,
-                    load: 0.5,
-                    faults: (0..6)
-                        .fold(FailureSchedule::new(1), |s, nth| s.drop_nth_message(0, 2, nth))
-                        .degrade_all_wan(
-                            VirtualTime::from_secs(0.05),
-                            VirtualTime::from_secs(5.0),
-                            1.0,
-                            8.0,
-                        ),
-                    retry: RetryPolicy { backoff_base_s: 0.2, ..Default::default() },
-                    brownout: BrownoutConfig {
-                        enter_watermark: 1,
-                        exit_watermark: 0,
-                        shed_slack: 0.0,
-                    },
-                    ..base
-                };
-                let r =
-                    PolicyReport::from_outcome(&grid_tsqr::serve::serve(&catalog, &brownout));
-                lines.push(format!("{:<22} {}", "serve-fault-brownout", r.summary_line()));
-            }
-
-            if !bad.is_empty() {
-                return Err(format!("commcheck found problems:\n{}", bad.join("\n")));
-            }
-
-            let mut out = String::from("== commcheck: happens-before analysis ==\n");
-            let body: String = lines.iter().flat_map(|l| [l.as_str(), "\n"]).collect();
-            out.push_str(&body);
-            if bless {
-                let path = golden.unwrap_or("COMMCHECK_baseline.txt");
-                std::fs::write(path, &body)
-                    .map_err(|e| format!("cannot write {path:?}: {e}"))?;
-                out.push_str(&format!(
-                    "blessed {} scenario line(s) into {path}\n",
-                    lines.len()
-                ));
-            } else if let Some(path) = golden {
-                let want = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {path:?}: {e}"))?;
-                if want != body {
-                    let want_lines: Vec<&str> = want.lines().collect();
-                    let got_lines: Vec<&str> = body.lines().collect();
-                    let mut diff = String::new();
-                    for i in 0..want_lines.len().max(got_lines.len()) {
-                        let w = want_lines.get(i).copied().unwrap_or("<missing>");
-                        let g = got_lines.get(i).copied().unwrap_or("<missing>");
-                        if w != g {
-                            diff.push_str(&format!(
-                                "  line {}:\n    baseline: {w}\n    current:  {g}\n",
-                                i + 1
-                            ));
-                        }
-                    }
-                    return Err(format!(
-                        "commcheck summary differs from {path} \
-                         (re-bless with `grid-tsqr check --bless` if intended):\n{diff}"
-                    ));
-                }
-                out.push_str(&format!(
-                    "all {} scenario line(s) match {path}\n",
-                    lines.len()
-                ));
-            }
-            out.push_str(
-                "commcheck: 0 races, 0 deadlock cycles, 0 clock violations across all scenarios\n",
-            );
-            Ok(out)
-        }
-        other => Err(format!("unknown command {other:?}")),
+            &res.metrics,
+            res.trace.as_ref(),
+        );
+        let seq = append_entry(&path, entry)?;
+        out.push_str(&format!(
+            "ledger: entry {seq} (winner {}) appended to {}\n",
+            best.name,
+            path.display()
+        ));
     }
+    Ok(out)
+}
+
+/// The fault matrix of `scripts/verify.sh`, as `check` scenarios: every
+/// schedule the fault-injection smoke passes to `faults` on the 4-site
+/// grid (a representative rank of every tree level crashed, a double
+/// crash, transient loss under a WAN brown-out), after the empty one.
+fn fault_matrix() -> Vec<(String, FailureSchedule)> {
+    let at = VirtualTime::from_millis;
+    let mut matrix = vec![("faults-none".to_string(), FailureSchedule::new(1))];
+    for (r, ms) in [(255usize, 0.5), (2, 2.0), (64, 2.0), (128, 6.0), (0, 6.0)] {
+        matrix.push((format!("faults-crash-{r}"), FailureSchedule::new(1).crash_rank(r, at(ms))));
+    }
+    let double = FailureSchedule::new(1).crash_rank(0, at(2.0)).crash_rank(1, at(4.0));
+    matrix.push(("faults-crash-0+1".to_string(), double));
+    let lossy = FailureSchedule::new(7)
+        .drop_probability(64, 0, 0.4)
+        .degrade_all_wan(at(0.0), at(50.0), 4.0, 4.0);
+    matrix.push(("faults-drop-wan".to_string(), lossy));
+    matrix
+}
+
+/// DPOR-lite determinism proof on a dedicated 8-rank grid (P ≤ 8 is the
+/// exhaustive regime of `schedules_for`): run the real-numerics TSQR
+/// under every permuted delivery order and require bit-identical R,
+/// makespan, metrics — plus race-free traces, so unexplored interleavings
+/// cannot differ either. Returns the summary line and, when the proof
+/// fails, the full rendering.
+fn explore_p8(seed: u64) -> (String, Option<String>) {
+    let small_topo = || {
+        let cluster = |name: &str| ClusterSpec {
+            name: name.into(),
+            nodes: 4,
+            procs_per_node: 1,
+            peak_gflops_per_proc: 8.0,
+        };
+        GridTopology::block_placement(vec![cluster("expl-a"), cluster("expl-b")], 4, 1)
+    };
+    let small_model = CostModel::homogeneous(LinkParams::from_ms_mbps(0.5, 800.0), 1e9, 2);
+    let slayout = DomainLayout::build(&small_topo(), 4096, 8, 4);
+    let stree = ReductionTree::build(
+        &TreeShape::GridHierarchical,
+        slayout.num_domains(),
+        &slayout.clusters(),
+    );
+    let scfg = TsqrConfig {
+        shape: TreeShape::GridHierarchical,
+        domains_per_cluster: 4,
+        compute_q: false,
+        combine_rate_flops: None,
+        ..Default::default()
+    };
+    let rep = explore(
+        || Runtime::new(small_topo(), small_model.clone()),
+        |p, _| tsqr_rank_program(p, &slayout, &stree, &scfg, seed, None),
+        |o| {
+            o.r.as_ref().map_or(0, |r| {
+                let mut bytes = Vec::with_capacity(r.as_slice().len() * 8);
+                for x in r.as_slice() {
+                    bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+                }
+                fnv1a(&bytes)
+            })
+        },
+        &schedules_for(8),
+    );
+    let yn = |b: bool| if b { "yes" } else { "no" };
+    let line = format!(
+        "{:<22} schedules={} identical={} hb_clean={} proved={}",
+        "explore-tsqr-p8",
+        rep.schedules(),
+        yn(rep.all_identical()),
+        yn(rep.hb_ok()),
+        yn(rep.proves_determinism()),
+    );
+    let bad = (!rep.proves_determinism()).then(|| format!("explore-tsqr-p8:\n{}", rep.render()));
+    (line, bad)
+}
+
+/// Serving-layer scenarios (docs/serving.md): the summary lines of the
+/// four policies plus a batched same-shape burst on one seeded trace, then
+/// the fault-injected gate points (docs/serving.md §Failures) — a site
+/// crash recovered by checkpointed retries, the same crash forcing 4-site
+/// jobs onto survivors via elastic re-planning, and a degraded-WAN window
+/// driving brownout shed. Structural invariants of the deterministic
+/// serving engine, pinned like every other line.
+fn serve_lines() -> Vec<String> {
+    let catalog = ResourceCatalog::grid5000();
+    let line = |name: &str, cfg: &ServeConfig| {
+        let r = PolicyReport::from_outcome(&serve(&catalog, cfg));
+        format!("{name:<22} {}", r.summary_line())
+    };
+    let base = ServeConfig { requests: 30, load: 1.5, seed: 7, ..Default::default() };
+    let mut lines: Vec<String> = ServePolicy::all()
+        .into_iter()
+        .map(|policy| {
+            line(&format!("serve-{}", policy.label()), &ServeConfig { policy, ..base.clone() })
+        })
+        .collect();
+    let burst = ServeConfig { batch: true, single_shape: Some(3), load: 3.0, ..base };
+    lines.push(line("serve-fifo-batch", &burst));
+    let gate = serve_fault_points();
+    for (name, point) in [
+        ("serve-fault-crash", "crash-ckpt"),
+        ("serve-fault-replan", "crash-replan"),
+        ("serve-fault-brownout", "wan-brownout"),
+    ] {
+        let (_, cfg) = gate.iter().find(|(p, _)| *p == point).expect("registered gate point");
+        lines.push(line(name, cfg));
+    }
+    lines
+}
+
+/// commcheck: every scenario runs with tracing on, every trace goes
+/// through the happens-before analyzer, and the structural summary lines
+/// are gated against a blessed golden file — the race/deadlock analogue
+/// of `scripts/bench_check.sh`.
+fn cmd_check(args: &Args, ctx: &Ctx) -> Result<String, String> {
+    let run_matrix = !args.has("no-matrix");
+    let run_explore = !args.has("no-explore");
+    let golden = args.get("golden");
+    let bless = args.has("bless");
+    if (golden.is_some() || bless) && !(run_matrix && run_explore) {
+        return Err(
+            "--golden/--bless gate the full scenario set; drop --no-matrix/--no-explore".into(),
+        );
+    }
+    ctx.check_geometry(&ctx.runtime(false, None), Some((64, false)))?;
+
+    // (name, summary line) in a fixed order — this is the golden
+    // file body. `bad` collects full renderings of any scenario
+    // whose HbReport is not clean.
+    let mut lines: Vec<String> = Vec::new();
+    let mut bad: Vec<String> = Vec::new();
+    let mut record = |name: &str, hb: &HbReport| {
+        lines.push(format!("{name:<22} {}", hb.summary_line()));
+        if !hb.ok() {
+            bad.push(format!("{name}:\n{}", hb.render()));
+        }
+    };
+    let no_trace = || "tracing was enabled but no trace came back".to_string();
+
+    // --- Figure-style scenarios (§V, Figs. 4–8): each tree shape
+    // and both ScaLAPACK baselines, traced, symbolic numerics
+    // (the schedule — and therefore the HB DAG — is identical to
+    // the real-numerics run by construction).
+    let tsqr = |shape, domains_per_cluster| Algorithm::Tsqr { shape, domains_per_cluster };
+    for (name, algorithm) in [
+        ("tsqr-grid", tsqr(TreeShape::GridHierarchical, 64)),
+        ("tsqr-binary", tsqr(TreeShape::Binary, 64)),
+        ("tsqr-flat", tsqr(TreeShape::Flat, 64)),
+        ("tsqr-kary3", tsqr(TreeShape::Kary(3), 64)),
+        ("tsqr-binomial", tsqr(TreeShape::Binomial, 64)),
+        ("tsqr-greedy", tsqr(TreeShape::Greedy, 64)),
+        ("tsqr-grid-d16", tsqr(TreeShape::GridHierarchical, 16)),
+        ("scalapack-qr2", Algorithm::ScalapackQr2),
+        ("scalapack-blocked", Algorithm::ScalapackQrf { nb: 64, nx: 128 }),
+    ] {
+        let res = ctx.run(&ctx.runtime(true, None), algorithm, false, Mode::Symbolic);
+        record(name, &res.trace.as_ref().ok_or_else(no_trace)?.hb_analysis());
+    }
+
+    // --- The self-healing TSQR under every schedule of the fault
+    // matrix, each trace analyzed. Crash schedules legitimately orphan
+    // sends (counted in the summary line); races/cycles/violations must
+    // still be zero.
+    if run_matrix {
+        let (layout, tree, cfg) = ctx.domain_per_process(&ctx.runtime(false, None));
+        for (name, schedule) in fault_matrix() {
+            let frt = ctx.runtime(true, Some(schedule));
+            let report = frt
+                .run(|p, _| ft_tsqr_rank_program(p, &layout, &tree, &cfg, ctx.seed, ctx.rate));
+            let hb = report.trace.as_ref().ok_or_else(no_trace)?.hb_analysis();
+            let outcome = report.outcome();
+            if !outcome.survivors.iter().any(|(_, o)| o.r.is_some()) {
+                return Err("no survivor holds an R factor — recovery failed".into());
+            }
+            record(&name, &hb);
+        }
+    }
+
+    if run_explore {
+        let (line, problem) = explore_p8(ctx.seed);
+        lines.push(line);
+        bad.extend(problem);
+    }
+    lines.extend(serve_lines());
+
+    if !bad.is_empty() {
+        return Err(format!("commcheck found problems:\n{}", bad.join("\n")));
+    }
+
+    let mut out = String::from("== commcheck: happens-before analysis ==\n");
+    let body: String = lines.iter().flat_map(|l| [l.as_str(), "\n"]).collect();
+    out.push_str(&body);
+    if bless {
+        let path = golden.unwrap_or("COMMCHECK_baseline.txt");
+        write_file(path, &body)?;
+        out.push_str(&format!(
+            "blessed {} scenario line(s) into {path}\n",
+            lines.len()
+        ));
+    } else if let Some(path) = golden {
+        expect_golden(path, &body, &format!("commcheck summary differs from {path}"), "check")?;
+        out.push_str(&format!(
+            "all {} scenario line(s) match {path}\n",
+            lines.len()
+        ));
+    }
+    out.push_str(
+        "commcheck: 0 races, 0 deadlock cycles, 0 clock violations across all scenarios\n",
+    );
+    Ok(out)
 }
 
 fn main() -> ExitCode {
@@ -1703,5 +1518,54 @@ fn main() -> ExitCode {
             eprintln!("error: {e}\n");
             usage()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn schedule(flags: &str, axis: FaultAxis) -> FailureSchedule {
+        let raw: Vec<String> = flags.split_whitespace().map(String::from).collect();
+        fault_schedule(&Args::parse(&raw).unwrap(), axis).unwrap()
+    }
+
+    /// The flag sets `scripts/verify.sh` passes to `faults` and `serve`
+    /// build the schedules `check` and the bench gate pin for them.
+    #[test]
+    fn verify_sh_fault_flags_build_the_pinned_schedules() {
+        let flags = [
+            "",
+            "--crash 255@0.5",
+            "--crash 2@2",
+            "--crash 64@2",
+            "--crash 128@6",
+            "--crash 0@6",
+            "--crash 0@2 --crash 1@4 --baseline",
+            "--drop-prob 64:0:0.4 --wan-slow 0:50:4:4 --fault-seed 7",
+        ];
+        let matrix = fault_matrix();
+        assert_eq!(flags.len(), matrix.len());
+        for (flags, (name, pinned)) in flags.iter().zip(&matrix) {
+            assert_eq!(&schedule(flags, FaultAxis::Ranks(256)), pinned, "{name}");
+        }
+
+        let gate = serve_fault_points();
+        let pinned = |name: &str| &gate.iter().find(|(n, _)| *n == name).unwrap().1.faults;
+        let sites = FaultAxis::Sites(4);
+        assert_eq!(&schedule("--load 1.0 --crash 2@100", sites), pinned("crash-ckpt"));
+        assert_eq!(
+            &schedule(
+                "--wan-slow 50:5000:1:8 --drop-flow 0:2:0 --drop-flow 0:2:1 --drop-flow 0:2:2 \
+                 --drop-flow 0:2:3 --drop-flow 0:2:4 --drop-flow 0:2:5 --backoff 200",
+                sites
+            ),
+            pinned("wan-brownout")
+        );
+        // Site pairs are undirected flows, stored low:high.
+        assert_eq!(
+            schedule("--drop-flow 2:0:1 --drop-prob 3:1:0.5", sites),
+            FailureSchedule::new(1).drop_nth_message(0, 2, 1).drop_probability(1, 3, 0.5)
+        );
     }
 }

@@ -190,6 +190,45 @@ fn impossible_geometry_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn what_the_library_would_assert_is_refused_at_the_flag() {
+    // Every row used to panic in a `FailureSchedule` builder or a rank
+    // thread, or was accepted and silently did nothing.
+    let small = ["--m", "65536", "--n", "32"];
+    let cases: &[(&str, &[&str], &[&str])] = &[
+        // The fault grammar, on both axes it indexes.
+        ("serve", &[], &["--wan-slow", "5:1:2:2"]),
+        ("faults", &small, &["--wan-slow", "5:1:2:2"]),
+        ("serve", &[], &["--wan-slow", "0:inf:2:2"]),
+        ("serve", &[], &["--wan-slow", "0:50:0:4"]),
+        ("faults", &small, &["--wan-slow", "0:50:4:0.5"]),
+        ("serve", &[], &["--drop-prob", "0:1:7"]),
+        ("faults", &small, &["--drop-prob", "0:1:-0.1"]),
+        ("serve", &[], &["--crash", "1@nan"]),
+        ("faults", &small, &["--crash", "1@-5"]),
+        ("faults", &small, &["--crash", "999@1"]),
+        ("faults", &small, &["--drop", "0:999:1"]),
+        ("faults", &small, &["--drop-prob", "256:0:0.5"]),
+        ("serve", &[], &["--drop-flow", "0:4:1"]),
+        ("faults", &small, &["--crash", "1@1", "--crash", "1@2"]),
+        ("serve", &[], &["--crash", "1@1", "--crash", "1@2"]),
+        // Geometry the rank programs cannot run.
+        ("faults", &[], &["--m", "100", "--n", "32"]),
+        ("faults", &[], &["--n", "0"]),
+        ("tune", &[], &["--m", "100", "--n", "64"]),
+        ("tune", &[], &["--n", "0"]),
+        ("check", &[], &["--m", "100", "--n", "32"]),
+        ("tsqr", &[], &["--recv-timeout", "1e300"]),
+    ];
+    for (cmd, size, flags) in cases {
+        let out = cli().arg(cmd).args(*size).args(*flags).output().expect("run cli");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd} {flags:?}\n{err}");
+        assert!(err.starts_with("error: "), "{cmd} {flags:?}\n{err}");
+        assert!(!err.contains("panicked at"), "{cmd} {flags:?}\n{err}");
+    }
+}
+
+#[test]
 fn a_flag_the_subcommand_never_reads_is_refused() {
     // A mistyped flag used to run the defaults, i.e. measure another
     // workload than the one asked for.
