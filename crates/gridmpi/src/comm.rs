@@ -24,8 +24,6 @@ const TAG_BCAST: u32 = 0xFFFF_0001;
 const TAG_REDUCE: u32 = 0xFFFF_0002;
 const TAG_ALLREDUCE: u32 = 0xFFFF_0003;
 const TAG_GATHER: u32 = 0xFFFF_0004;
-const TAG_SCATTER: u32 = 0xFFFF_0005;
-const TAG_ALLTOALL: u32 = 0xFFFF_0006;
 
 /// An ordered group of global ranks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -283,137 +281,6 @@ impl Communicator {
         self.bcast(p, 0, gathered)
     }
 
-    /// Binomial-tree scatter from member `root_idx`: the root supplies one
-    /// value per member (in member order) and each member receives its own.
-    ///
-    /// Values travel in halving batches down the binomial tree, so the
-    /// root sends `log₂(P)` messages (not `P − 1`).
-    pub fn scatter<M>(
-        &self,
-        p: &mut Process,
-        root_idx: usize,
-        values: Option<Vec<M>>,
-    ) -> Result<M, CommError>
-    where
-        M: WirePayload,
-    {
-        let size = self.size();
-        assert!(root_idx < size, "scatter root out of range");
-        let me = self.my_index(p);
-        let rel = (me + size - root_idx) % size;
-        // Each node holds the batch destined for relative ranks
-        // [rel, rel + span): initially the root holds everything.
-        let mut batch: Vec<(usize, M)> = if rel == 0 {
-            let values = values.expect("scatter root must supply the values");
-            assert_eq!(values.len(), size, "scatter needs one value per member");
-            // Label each value with the *relative* rank of its recipient —
-            // the tree routes in relative space.
-            values
-                .into_iter()
-                .enumerate()
-                .map(|(i, v)| ((i + size - root_idx) % size, v))
-                .collect()
-        } else {
-            // Receive phase: the parent is below the lowest set bit.
-            let mut mask = 1usize;
-            loop {
-                assert!(mask < size, "scatter protocol error");
-                if rel & mask != 0 {
-                    let parent_rel = rel - mask;
-                    let parent = self.members[(parent_rel + root_idx) % size];
-                    break p.recv::<Vec<(usize, M)>>(parent, TAG_SCATTER)?;
-                }
-                mask <<= 1;
-            }
-        };
-        // Send phase: forward the upper halves to children.
-        let mut mask = 1usize;
-        while mask < size {
-            if rel & mask != 0 {
-                break;
-            }
-            mask <<= 1;
-        }
-        let mut send_mask = mask >> 1;
-        while send_mask > 0 {
-            let child_rel = rel + send_mask;
-            if rel & send_mask == 0 && child_rel < size {
-                let child = self.members[(child_rel + root_idx) % size];
-                let to_child: Vec<(usize, M)> = {
-                    let split: Vec<usize> = batch
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, (r, _))| *r >= child_rel)
-                        .map(|(i, _)| i)
-                        .collect();
-                    let mut out = Vec::with_capacity(split.len());
-                    for i in split.into_iter().rev() {
-                        out.push(batch.remove(i));
-                    }
-                    out.reverse();
-                    out
-                };
-                p.send(child, TAG_SCATTER, to_child)?;
-            }
-            send_mask >>= 1;
-        }
-        debug_assert_eq!(batch.len(), 1, "exactly our own value remains");
-        let (r, v) = batch.pop().expect("own value present");
-        debug_assert_eq!(r, rel);
-        Ok(v)
-    }
-
-    /// Personalized all-to-all: member `i` supplies one value per member;
-    /// every member receives the values addressed to it, in member order.
-    ///
-    /// Pairwise-exchange algorithm: `P − 1` rounds, partner `me ^ round`
-    /// when P is a power of two, ring otherwise.
-    pub fn alltoall<M>(&self, p: &mut Process, values: Vec<M>) -> Result<Vec<M>, CommError>
-    where
-        M: WirePayload,
-    {
-        let size = self.size();
-        assert_eq!(values.len(), size, "alltoall needs one value per member");
-        let me = self.my_index(p);
-        let mut slots: Vec<Option<M>> = values.into_iter().map(Some).collect();
-        let mut out: Vec<Option<M>> = (0..size).map(|_| None).collect();
-        out[me] = slots[me].take();
-        for round in 1..size {
-            // XOR pairing when possible (symmetric exchange); otherwise a
-            // ring: send ahead by `round`, receive from behind by `round`.
-            let (to, from) = if size.is_power_of_two() {
-                (me ^ round, me ^ round)
-            } else {
-                ((me + round) % size, (me + size - round) % size)
-            };
-            let mine = slots[to].take().expect("each slot sent once");
-            p.send(self.members[to], TAG_ALLTOALL, mine)?;
-            out[from] = Some(p.recv::<M>(self.members[from], TAG_ALLTOALL)?);
-        }
-        Ok(out.into_iter().map(|v| v.expect("all slots filled")).collect())
-    }
-
-    /// Reduce-scatter: element-wise reduction of per-member value lists,
-    /// member `i` keeping the i-th result. Implemented as reduce + scatter
-    /// (the latency-optimal butterfly is overkill for our payload sizes).
-    pub fn reduce_scatter<M, F>(
-        &self,
-        p: &mut Process,
-        values: Vec<M>,
-        op: F,
-    ) -> Result<M, CommError>
-    where
-        M: WirePayload + Clone,
-        F: Fn(M, M) -> M,
-    {
-        let size = self.size();
-        assert_eq!(values.len(), size, "reduce_scatter needs one value per member");
-        let reduced = self.reduce(p, 0, values, |a, b| {
-            a.into_iter().zip(b).map(|(x, y)| op(x, y)).collect()
-        })?;
-        self.scatter(p, 0, reduced)
-    }
-
     /// Synchronizes all members (an allreduce of the empty payload): no
     /// member's clock can leave the barrier before every member entered it.
     pub fn barrier(&self, p: &mut Process) -> Result<(), CommError> {
@@ -599,70 +466,6 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b, "reduction order must be schedule-independent");
-    }
-
-    #[test]
-    fn scatter_delivers_each_members_value() {
-        for n in [1usize, 2, 3, 5, 8, 13] {
-            for root in [0, n - 1] {
-                let rt = runtime(n);
-                let report = rt.run(|p, world| {
-                    let me = world.my_index(p);
-                    let vals = (me == root)
-                        .then(|| (0..n).map(|i| (i * 100) as f64).collect::<Vec<_>>());
-                    world.scatter(p, root, vals)
-                });
-                for (rank, r) in report.ranks.iter().enumerate() {
-                    assert_eq!(r.result.clone().unwrap(), (rank * 100) as f64, "n={n}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_root_sends_log_p_messages() {
-        let n = 16;
-        let rt = runtime(n);
-        let report = rt.run(|p, world| {
-            let vals = (p.rank() == 0).then(|| vec![1.0f64; n]);
-            world.scatter(p, 0, vals)?;
-            Ok(p.counters().total_msgs())
-        });
-        assert_eq!(report.ranks[0].result.clone().unwrap(), 4, "root sends log2(16)");
-    }
-
-    #[test]
-    fn alltoall_transposes_the_value_matrix() {
-        for n in [1usize, 2, 4, 5, 8] {
-            let rt = runtime(n);
-            let report = rt.run(|p, world| {
-                let me = world.my_index(p);
-                // value[j] = me*10 + j
-                let vals: Vec<f64> = (0..n).map(|j| (me * 10 + j) as f64).collect();
-                world.alltoall(p, vals)
-            });
-            for (rank, r) in report.ranks.iter().enumerate() {
-                let got = r.result.clone().unwrap();
-                let want: Vec<f64> = (0..n).map(|src| (src * 10 + rank) as f64).collect();
-                assert_eq!(got, want, "n={n}, rank={rank}");
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_gives_each_member_its_sum() {
-        let n = 6;
-        let rt = runtime(n);
-        let report = rt.run(|p, world| {
-            let me = world.my_index(p);
-            let vals: Vec<f64> = (0..n).map(|j| (me + j) as f64).collect();
-            world.reduce_scatter(p, vals, |a, b| a + b)
-        });
-        for (rank, r) in report.ranks.iter().enumerate() {
-            // sum over members of (member + rank) = n*rank + n(n-1)/2
-            let want = (n * rank + n * (n - 1) / 2) as f64;
-            assert_eq!(r.result.clone().unwrap(), want);
-        }
     }
 
     #[test]

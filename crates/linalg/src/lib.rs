@@ -47,9 +47,7 @@ pub mod blas;
 pub mod cholesky;
 pub mod eig;
 pub mod flops;
-pub mod givens;
 pub mod householder;
-pub mod lu;
 pub mod matrix;
 pub mod qr;
 pub mod stacked;
@@ -63,11 +61,10 @@ pub use view::{View, ViewMut};
 /// Convenient glob-import of the most used items.
 pub mod prelude {
     pub use crate::cholesky::potrf_upper;
-    pub use crate::lu::{getrf, LuFactors};
     pub use crate::matrix::Matrix;
     pub use crate::qr::{geqr2, geqrf, org2r, orm2r, QrFactors, Side, Trans};
     pub use crate::stacked::{tpmqrt, tpqrt, StackedFactors};
-    pub use crate::tri::{trsm_left, trsm_right_upper, trsv, Triangle};
+    pub use crate::tri::{trsm_right_upper, trsv, Triangle};
     pub use crate::verify::{orthogonality, relative_residual, sign_normalize_r};
     pub use crate::view::{View, ViewMut};
 }

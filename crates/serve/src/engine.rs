@@ -25,10 +25,13 @@
 //!
 //! The loop advances in piecewise-constant-rate segments: the next event
 //! is the earliest of (arrival, phase-1 completion, projected drain
-//! completion); remainders advance by `dt × rate` over the segment; all
-//! state changes happen at event instants, in a fixed order (phase
-//! transitions, completions, arrivals, then dispatch), with request-id
-//! tiebreaks — so the same seed and policy replay byte-identically.
+//! completion, retry backoff expiring, failure-schedule boundary);
+//! remainders advance by `dt × rate` over the segment; all state changes
+//! happen at event instants, in one fixed order — site crash → phase-1
+//! end → drain done → retry ready → arrival → dispatch, one `Engine`
+//! method each — with request-id tiebreaks, so the same seed and policy
+//! replay byte-identically. A job finishing at a crash instant still
+//! dies; a ready retry is queued ahead of a same-instant arrival.
 //!
 //! Batching (`--batch`): at dispatch, every queued request with the same
 //! `(cols, sites)` key coalesces into one stacked TSQR (row counts add;
@@ -78,9 +81,12 @@
 //! produce byte-identical factors — only latency and dispositions move.
 
 use std::collections::BTreeMap;
+use std::iter::Peekable;
+use std::vec::IntoIter;
 
 use tsqr_core::domains::DomainLayout;
 use tsqr_core::model::useful_flops;
+use tsqr_core::tile::packed_bytes;
 use tsqr_core::tree::{ReductionTree, Step, TreeShape};
 use tsqr_core::tune::{plan_tree, predict_makespan};
 use tsqr_netsim::cost::LinkClass;
@@ -278,20 +284,17 @@ fn job_model(
     let rate = Some(alloc.effective_gflops_per_proc * 1e9);
     let t_base = predict_makespan(&alloc.topology, &alloc.network, &layout, &tree, rate, rate);
 
-    let r_bytes = 8 * (n * (n + 1) / 2) as u64;
+    let r_bytes = packed_bytes(n);
+    let msgs = tree.total_messages() as u64;
     let roots = layout.roots();
     let mut wan_s = 0.0;
     let mut links: Vec<(usize, usize)> = Vec::new();
-    let mut msgs = 0u64;
     let mut wan_msgs = 0u64;
-    let mut bytes = 0u64;
     for (d, steps) in tree.steps.iter().enumerate() {
         for step in steps {
             if let Step::Send(to) = *step {
                 let a = alloc.topology.location(roots[d]);
                 let b = alloc.topology.location(roots[to]);
-                msgs += 1;
-                bytes += r_bytes;
                 if LinkClass::between(a, b).is_inter_cluster() {
                     wan_msgs += 1;
                     wan_s += alloc.network.message_time(a, b, r_bytes).secs();
@@ -313,7 +316,7 @@ fn job_model(
         links,
         msgs,
         wan_msgs,
-        bytes,
+        bytes: msgs * r_bytes,
         flops: useful_flops(m, n as u64, false),
     }
 }
@@ -373,47 +376,15 @@ fn solo_shape(catalog: &ResourceCatalog, shape: ShapeClass, procs_per_site: usiz
     (model.t_base_s, alloc.nodes_per_group() * alloc.num_groups())
 }
 
-/// Routes one faulted batch member through the recovery policy: a
-/// bounded-backoff retry when budget remains, a permanent failure
-/// otherwise. Emits the typed [`JobFault`] either way.
-#[allow(clippy::too_many_arguments)]
-fn route_fault(
-    memb: QueuedJob,
-    kind: FaultKind,
-    checkpoint: Option<Checkpoint>,
-    t: VirtualTime,
-    retry: &RetryPolicy,
-    solo_s: &[f64],
-    dispositions: &mut [Option<Disposition>],
-    faults: &mut Vec<JobFault>,
-    retry_wait: &mut Vec<(VirtualTime, QueuedJob)>,
-) {
-    if memb.attempts < retry.max_attempts {
-        let attempts = memb.attempts + 1;
-        let ready = t + VirtualTime::from_secs(retry.backoff_s(memb.attempts));
-        faults.push(JobFault {
-            at: t,
-            request: memb.id,
-            kind,
-            action: RecoveryAction::Retried { attempts, checkpointed: checkpoint.is_some() },
-        });
-        // SJF sees the true remaining work: the residual drain under a
-        // checkpoint, the full solo service under a restart.
-        let service_s = match checkpoint {
-            Some(cp) => cp.residual_wan_s,
-            None => solo_s[memb.shape],
-        };
-        retry_wait
-            .push((ready, QueuedJob { attempts, checkpoint, enqueued: ready, service_s, ..memb }));
-    } else {
-        faults.push(JobFault {
-            at: t,
-            request: memb.id,
-            kind,
-            action: RecoveryAction::FailedPermanent { attempts: memb.attempts },
-        });
-        dispositions[memb.id] = Some(Disposition::FailedPermanent { attempts: memb.attempts });
-    }
+/// What the elastic width walk found for the queue's selected head.
+enum Placement {
+    /// Leased at the widest width the surviving sites can host.
+    Go(Allocation),
+    /// That width fits the survivors but not the free slots: pure
+    /// capacity contention, wait for a release.
+    Wait,
+    /// No surviving width can host this shape — ever.
+    Never,
 }
 
 /// The fluid drain rate of a flow occupying `links` at instant `t`: its
@@ -437,174 +408,204 @@ fn drain_rate(
     r
 }
 
-/// Runs one serving trace to completion and returns the full outcome.
-///
-/// # Panics
-/// Panics if the loop ever wedges with admitted-but-unservable requests
-/// — that would be a silent drop, which the design forbids — or when
-/// the slot pool ends the run with an outstanding lease (a leak).
-pub fn serve(catalog: &ResourceCatalog, cfg: &ServeConfig) -> ServeOutcome {
-    assert!(cfg.retry.max_attempts >= 1, "retry budget must allow at least the first try");
-    let oracle = shape_oracle(catalog, cfg.procs_per_site);
-    let total_nodes: usize = catalog.clusters.iter().map(|c| c.nodes).sum();
-    let spec = WorkloadSpec {
-        requests: cfg.requests,
-        load: cfg.load,
-        seed: cfg.seed,
-        tenants: cfg.tenants,
-        single_shape: cfg.single_shape,
-    };
-    let requests = workload::generate(&spec, &oracle.solo_s, &oracle.nodes, total_nodes);
-
-    let mut dispositions: Vec<Option<Disposition>> = vec![None; requests.len()];
-    let mut pool = SlotPool::new(catalog.clone());
-    let mut shared = SharedLinks::default();
-    let mut queue = BoundedQueue::new(cfg.queue_capacity);
-    let mut tenant_served = vec![0.0f64; cfg.tenants];
-    let mut running: Vec<RunJob> = Vec::new();
-    let mut models: BTreeMap<ModelKey, JobModel> = BTreeMap::new();
-    let mut next_arr = 0usize;
-    let mut t = VirtualTime::ZERO;
-
-    let mut dispatches = 0usize;
-    let mut msgs = 0u64;
-    let mut wan_msgs = 0u64;
-    let mut bytes = 0u64;
-    let mut flops = 0.0f64;
-    let mut total_wait_s = 0.0f64;
-    let mut wan_busy: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-    let mut busy_intervals: Vec<(usize, f64, f64)> = Vec::new();
-
+/// The event loop's state. [`serve`] calls one method per event class,
+/// in the module doc's per-instant order.
+struct Engine<'a> {
+    cfg: &'a ServeConfig,
+    /// Solo service seconds per menu shape (SJF key, brownout slack unit).
+    solo_s: Vec<f64>,
+    requests: Vec<Request>,
+    next_arr: usize,
+    dispositions: Vec<Option<Disposition>>,
+    t: VirtualTime,
+    pool: SlotPool,
+    shared: SharedLinks,
+    queue: BoundedQueue,
+    tenant_served: Vec<f64>,
+    running: Vec<RunJob>,
+    /// Faulted jobs waiting out a backoff, keyed `(ready, id)` — the
+    /// order they re-enter the queue in.
+    retry_wait: BTreeMap<(VirtualTime, usize), QueuedJob>,
+    models: BTreeMap<ModelKey, JobModel>,
+    /// The outcome under construction: totals, busy intervals, the fault
+    /// trail and brownout windows accumulate here; `records`, `horizon`
+    /// and `wan_busy` are filled in by [`Engine::into_outcome`].
+    out: ServeOutcome,
+    wan_busy: BTreeMap<(usize, usize), f64>,
     // Failure machinery. All of it is inert (and allocation-free on the
     // hot path) when the schedule is empty.
-    let mut site_crashes: Vec<(usize, VirtualTime)> = cfg.faults.site_crashes().to_vec();
-    site_crashes.sort_by(|a, b| a.1.secs().total_cmp(&b.1.secs()).then(a.0.cmp(&b.0)));
-    let mut next_crash = 0usize;
-    let boundaries = cfg.faults.event_times();
-    let mut next_boundary = 0usize;
-    let drops_armed = cfg.faults.any_drop_rules();
-    let mut drop_seq: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-    let mut retry_wait: Vec<(VirtualTime, QueuedJob)> = Vec::new();
-    let mut faults: Vec<JobFault> = Vec::new();
-    let mut brownout = Brownout::new(cfg.brownout.clone());
-    let mut brownout_open: Option<VirtualTime> = None;
-    let mut brownout_windows: Vec<(f64, f64)> = Vec::new();
+    /// Site crashes still to fire, by `(instant, site)`.
+    crashes: Peekable<IntoIter<(usize, VirtualTime)>>,
+    /// Instants the failure schedule changes state at, ascending.
+    boundaries: Peekable<IntoIter<VirtualTime>>,
+    /// Drains completed so far per link (what drop rules count).
+    drop_seq: BTreeMap<(usize, usize), u64>,
+    brownout: Brownout,
+    brownout_open: Option<VirtualTime>,
+}
 
-    loop {
-        // Dispatch as much as the policy and the free slots allow. No
-        // backfill: a contended head stops the pass. After a site crash
-        // the head may need *elastic re-allocation*: shrink to the
-        // widest width feasible on the survivors and re-plant the tree.
-        'dispatch: while let Some(ticket) = queue.select(cfg.policy, &tenant_served) {
-            let (cols, sites_wanted) = {
-                let head = queue.get(ticket);
-                (head.cols, head.sites)
-            };
-            let mut planned: Option<Allocation> = None;
-            let mut width = sites_wanted.min(pool.up_sites());
-            while width >= 1 {
-                let profile = JobProfile::cluster_of_clusters(width, cfg.procs_per_site);
-                if !pool.feasible_on_survivors(&profile) {
-                    width -= 1;
-                    continue;
-                }
-                // Widest feasible width found; a failure here is pure
-                // capacity contention, not infeasibility.
-                planned = pool.allocate(&profile).ok();
-                break;
-            }
-            let Some(alloc) = planned else {
-                if width >= 1 {
-                    break 'dispatch; // contention: wait for a release
-                }
-                // No surviving width can host this shape — ever.
-                let j = queue.remove(ticket);
-                dispositions[j.id] =
-                    Some(Disposition::FailedPermanent { attempts: j.attempts });
-                continue 'dispatch;
-            };
-            let replanned = width < sites_wanted;
-            let mut head = queue.remove(ticket);
-            let checkpoint = head.checkpoint.take();
-            let mut members = vec![head];
-            if cfg.batch && checkpoint.is_none() {
-                members.extend(queue.drain_matching(cols, sites_wanted));
-                members.sort_by_key(|j| j.id);
-            }
-            let m: u64 = members.iter().map(|j| j.rows).sum();
-            // Elastic re-allocation re-plants the reduction tree over the
-            // surviving site set via the autotuner's predictor; the
-            // failure-free path keeps the paper's grid-hierarchical tree.
-            let shape = if replanned {
-                let layout = DomainLayout::build(&alloc.topology, m, cols, cfg.procs_per_site);
-                let rate = Some(alloc.effective_gflops_per_proc * 1e9);
-                let (_, shape, _) = plan_tree(&alloc.topology, &alloc.network, &layout, rate, rate);
-                shape
-            } else {
-                TreeShape::GridHierarchical
-            };
-            let model = memo_model(&mut models, &alloc, m, cols, cfg.procs_per_site, &shape);
-            dispatches += 1;
-            let (phase1_s, wan_rem_s, served_s);
-            if let Some(cp) = checkpoint {
-                // Checkpointed WAN drain: the local phase is already
-                // persisted as per-cluster partial R factors; this try
-                // only re-sends the residual wire-seconds, so only the
-                // root messages count and no useful flops recompute.
-                let r_bytes = 8 * (cols * (cols + 1) / 2) as u64;
-                msgs += model.wan_msgs;
-                wan_msgs += model.wan_msgs;
-                bytes += model.wan_msgs * r_bytes;
-                phase1_s = 0.0;
-                wan_rem_s = cp.residual_wan_s;
-                served_s = cp.residual_wan_s;
-            } else {
-                msgs += model.msgs;
-                wan_msgs += model.wan_msgs;
-                bytes += model.bytes;
-                flops += model.flops;
-                phase1_s = (model.t_base_s - model.wan_s).max(0.0);
-                wan_rem_s = model.wan_s;
-                served_s = model.t_base_s;
-            }
-            let booked = (alloc.nodes_per_group() * alloc.num_groups()) as f64;
-            for j in &members {
-                total_wait_s += (t - j.enqueued).secs();
-                tenant_served[j.tenant] += served_s * booked / members.len() as f64;
-            }
-            let phase1_end = t + VirtualTime::from_secs(phase1_s);
-            running.push(RunJob {
-                members,
-                alloc,
-                links: model.links,
-                start: t,
-                phase1_end,
-                wan_rem_s,
-                wan_full_s: model.wan_s,
-                in_phase2: false,
-            });
-        }
-
-        // Earliest next event: arrival, phase-1 end, projected drain
-        // completion at the current (piecewise-constant) rates, a retry
-        // backoff expiring, or the failure schedule changing state.
-        let mut t_next: Option<VirtualTime> = None;
-        let mut consider = |x: VirtualTime| {
-            t_next = Some(match t_next {
-                Some(cur) if cur <= x => cur,
-                _ => x,
-            });
+impl<'a> Engine<'a> {
+    fn new(catalog: &ResourceCatalog, cfg: &'a ServeConfig) -> Self {
+        assert!(cfg.retry.max_attempts >= 1, "retry budget must allow at least the first try");
+        let oracle = shape_oracle(catalog, cfg.procs_per_site);
+        let total_nodes: usize = catalog.clusters.iter().map(|c| c.nodes).sum();
+        let spec = WorkloadSpec {
+            requests: cfg.requests,
+            load: cfg.load,
+            seed: cfg.seed,
+            tenants: cfg.tenants,
+            single_shape: cfg.single_shape,
         };
-        if next_arr < requests.len() {
-            consider(requests[next_arr].arrival);
+        let requests = workload::generate(&spec, &oracle.solo_s, &oracle.nodes, total_nodes);
+        let mut crashes = cfg.faults.site_crashes().to_vec();
+        crashes.sort_by_key(|&(site, at)| (at, site));
+        Engine {
+            cfg,
+            solo_s: oracle.solo_s,
+            next_arr: 0,
+            dispositions: vec![None; requests.len()],
+            requests,
+            t: VirtualTime::ZERO,
+            pool: SlotPool::new(catalog.clone()),
+            shared: SharedLinks::default(),
+            queue: BoundedQueue::new(cfg.queue_capacity),
+            tenant_served: vec![0.0; cfg.tenants],
+            running: Vec::new(),
+            retry_wait: BTreeMap::new(),
+            models: BTreeMap::new(),
+            out: ServeOutcome {
+                config: cfg.clone(),
+                records: Vec::new(),
+                horizon: VirtualTime::ZERO,
+                dispatches: 0,
+                msgs: 0,
+                wan_msgs: 0,
+                bytes: 0,
+                flops: 0.0,
+                total_wait_s: 0.0,
+                wan_busy: Vec::new(),
+                busy_intervals: Vec::new(),
+                faults: Vec::new(),
+                brownout_windows: Vec::new(),
+            },
+            wan_busy: BTreeMap::new(),
+            crashes: crashes.into_iter().peekable(),
+            boundaries: cfg.faults.event_times().into_iter().peekable(),
+            drop_seq: BTreeMap::new(),
+            brownout: Brownout::new(cfg.brownout.clone()),
+            brownout_open: None,
         }
-        for job in &mut running {
+    }
+
+    /// Dispatches as much as the policy and the free slots allow. No
+    /// backfill: a contended head stops the pass.
+    fn dispatch(&mut self) {
+        while let Some(ticket) = self.queue.select(self.cfg.policy, &self.tenant_served) {
+            match self.place(self.queue.get(ticket).sites) {
+                Placement::Go(alloc) => {
+                    let head = self.queue.remove(ticket);
+                    self.start(head, alloc);
+                }
+                Placement::Wait => break,
+                Placement::Never => {
+                    let j = self.queue.remove(ticket);
+                    self.dispositions[j.id] =
+                        Some(Disposition::FailedPermanent { attempts: j.attempts });
+                }
+            }
+        }
+    }
+
+    /// Elastic re-allocation: after a site crash the head may have to
+    /// shrink to the widest width still feasible on the survivors.
+    fn place(&mut self, sites_wanted: usize) -> Placement {
+        for width in (1..=sites_wanted.min(self.pool.up_sites())).rev() {
+            let profile = JobProfile::cluster_of_clusters(width, self.cfg.procs_per_site);
+            if self.pool.feasible_on_survivors(&profile) {
+                return match self.pool.allocate(&profile) {
+                    Ok(alloc) => Placement::Go(alloc),
+                    Err(_) => Placement::Wait,
+                };
+            }
+        }
+        Placement::Never
+    }
+
+    /// Starts `head` (plus, under `--batch`, every queued request sharing
+    /// its batching key) on `alloc` at the current instant.
+    fn start(&mut self, mut head: QueuedJob, alloc: Allocation) {
+        let (cols, sites_wanted) = (head.cols, head.sites);
+        let pps = self.cfg.procs_per_site;
+        let checkpoint = head.checkpoint.take();
+        let mut members = vec![head];
+        if self.cfg.batch && checkpoint.is_none() {
+            members.extend(self.queue.drain_matching(cols, sites_wanted));
+            members.sort_by_key(|j| j.id);
+        }
+        let m: u64 = members.iter().map(|j| j.rows).sum();
+        // A shrunk lease re-plants the reduction tree over the surviving
+        // site set via the autotuner's predictor; the failure-free path
+        // keeps the paper's grid-hierarchical tree.
+        let shape = if alloc.num_groups() < sites_wanted {
+            let layout = DomainLayout::build(&alloc.topology, m, cols, pps);
+            let rate = Some(alloc.effective_gflops_per_proc * 1e9);
+            plan_tree(&alloc.topology, &alloc.network, &layout, rate, rate).1
+        } else {
+            TreeShape::GridHierarchical
+        };
+        let model = memo_model(&mut self.models, &alloc, m, cols, pps, &shape);
+        let out = &mut self.out;
+        out.dispatches += 1;
+        out.wan_msgs += model.wan_msgs;
+        let (phase1_s, wan_rem_s, served_s) = if let Some(cp) = checkpoint {
+            // Checkpointed WAN drain: the local phase is already
+            // persisted as per-cluster partial R factors; this try only
+            // re-sends the residual wire-seconds, so only the root
+            // messages count and no useful flops recompute.
+            out.msgs += model.wan_msgs;
+            out.bytes += model.wan_msgs * packed_bytes(cols);
+            (0.0, cp.residual_wan_s, cp.residual_wan_s)
+        } else {
+            out.msgs += model.msgs;
+            out.bytes += model.bytes;
+            out.flops += model.flops;
+            ((model.t_base_s - model.wan_s).max(0.0), model.wan_s, model.t_base_s)
+        };
+        let booked = (alloc.nodes_per_group() * alloc.num_groups()) as f64;
+        for j in &members {
+            out.total_wait_s += (self.t - j.enqueued).secs();
+            self.tenant_served[j.tenant] += served_s * booked / members.len() as f64;
+        }
+        self.running.push(RunJob {
+            members,
+            alloc,
+            links: model.links,
+            start: self.t,
+            phase1_end: self.t + VirtualTime::from_secs(phase1_s),
+            wan_rem_s,
+            wan_full_s: model.wan_s,
+            in_phase2: false,
+        });
+    }
+
+    /// The earliest next event: an arrival, a phase-1 end, a projected
+    /// drain completion at the current (piecewise-constant) rates, a
+    /// retry backoff expiring, or the failure schedule changing state.
+    /// `None` ends the run.
+    fn next_instant(&mut self) -> Option<VirtualTime> {
+        let t = self.t;
+        let mut t_next: Option<VirtualTime> = None;
+        let mut consider = |x: VirtualTime| t_next = Some(t_next.map_or(x, |cur| cur.min(x)));
+        if let Some(r) = self.requests.get(self.next_arr) {
+            consider(r.arrival);
+        }
+        for job in &mut self.running {
             if !job.in_phase2 {
                 consider(job.phase1_end);
             } else if job.wan_rem_s <= DRAIN_EPS_S {
                 consider(t);
             } else {
-                let rate = drain_rate(&shared, &job.links, &cfg.faults, t);
+                let rate = drain_rate(&self.shared, &job.links, &self.cfg.faults, t);
                 let done = t + VirtualTime::from_secs(job.wan_rem_s / rate);
                 if done <= t {
                     // `DRAIN_EPS_S` is absolute: past a few thousand
@@ -616,197 +617,182 @@ pub fn serve(catalog: &ResourceCatalog, cfg: &ServeConfig) -> ServeOutcome {
                 consider(done);
             }
         }
-        for &(ready, _) in &retry_wait {
+        if let Some((&(ready, _), _)) = self.retry_wait.first_key_value() {
             consider(ready);
         }
         // Schedule boundaries only matter while work remains; without
         // this guard a long degradation window would stretch the horizon
         // past the last completion for nothing.
-        while next_boundary < boundaries.len() && boundaries[next_boundary] <= t {
-            next_boundary += 1;
+        while self.boundaries.next_if(|&b| b <= t).is_some() {}
+        let work_pending = self.next_arr < self.requests.len()
+            || !self.queue.is_empty()
+            || !self.running.is_empty()
+            || !self.retry_wait.is_empty();
+        if let (true, Some(&b)) = (work_pending, self.boundaries.peek()) {
+            consider(b);
         }
-        let work_pending = next_arr < requests.len()
-            || !queue.is_empty()
-            || !running.is_empty()
-            || !retry_wait.is_empty();
-        if work_pending && next_boundary < boundaries.len() {
-            consider(boundaries[next_boundary]);
-        }
-        let Some(tn) = t_next else { break };
+        t_next
+    }
 
-        // Advance the fluid WAN drains across the segment (rates are
-        // constant within it: joins/leaves happen at events and the
-        // degradation-window edges are themselves events).
-        let dt = (tn - t).secs();
+    /// Advances the fluid WAN drains across the segment up to `tn` (rates
+    /// are constant within it: joins/leaves happen at events and the
+    /// degradation-window edges are themselves events).
+    fn advance_to(&mut self, tn: VirtualTime) {
+        let dt = (tn - self.t).secs();
         if dt > 0.0 {
-            for job in &mut running {
+            for job in &mut self.running {
                 if job.in_phase2 {
-                    let rate = drain_rate(&shared, &job.links, &cfg.faults, t);
+                    let rate = drain_rate(&self.shared, &job.links, &self.cfg.faults, self.t);
                     job.wan_rem_s = (job.wan_rem_s - dt * rate).max(0.0);
                 }
             }
-            for l in shared.active_links() {
-                *wan_busy.entry(l).or_insert(0.0) += dt;
-                busy_intervals.push((LinkClass::N_BUCKETS - 1, t.secs(), tn.secs()));
+            let wan_bucket = LinkClass::N_BUCKETS - 1;
+            for l in self.shared.active_links() {
+                *self.wan_busy.entry(l).or_insert(0.0) += dt;
+                self.out.busy_intervals.push((wan_bucket, self.t.secs(), tn.secs()));
             }
         }
-        t = tn;
+        self.t = tn;
+    }
 
-        // Events at t, in fixed order. (a) site crashes fire first —
-        // pessimistic: a job finishing at the crash instant still dies.
-        while next_crash < site_crashes.len() && site_crashes[next_crash].1 <= t {
-            let (site, _) = site_crashes[next_crash];
-            next_crash += 1;
-            pool.fail_site(site);
-            let mut still = Vec::with_capacity(running.len());
-            for job in running.drain(..) {
-                if !job.alloc.cluster_of_group.contains(&site) {
-                    still.push(job);
-                    continue;
-                }
+    /// Removes and returns the running jobs `hit` selects; both halves
+    /// keep their order.
+    fn take_running(&mut self, hit: impl Fn(&RunJob) -> bool) -> Vec<RunJob> {
+        self.running.extract_if(.., |job| hit(job)).collect()
+    }
+
+    /// Routes every member of a faulted job through the recovery policy:
+    /// a bounded-backoff retry when budget remains, a permanent failure
+    /// otherwise, a typed [`JobFault`] either way. `residual_wan_s` is
+    /// what a checkpointed retry would still owe.
+    fn fault(&mut self, job: RunJob, kind: FaultKind, residual_wan_s: f64) {
+        // A checkpoint only exists once the local phase finished: the
+        // tiny per-cluster R factors are persisted at fault time.
+        let checkpoint = (job.in_phase2 && self.cfg.retry.checkpoint_drain)
+            .then_some(Checkpoint { residual_wan_s });
+        let retry = &self.cfg.retry;
+        for memb in job.members {
+            let request = memb.id;
+            let action = if memb.attempts < retry.max_attempts {
+                let attempts = memb.attempts + 1;
+                let ready = self.t + VirtualTime::from_secs(retry.backoff_s(memb.attempts));
+                // SJF sees the true remaining work: the residual drain
+                // under a checkpoint, the full solo service under a restart.
+                let service_s = checkpoint.map_or(self.solo_s[memb.shape], |cp| cp.residual_wan_s);
+                let again = QueuedJob { attempts, checkpoint, enqueued: ready, service_s, ..memb };
+                self.retry_wait.insert((ready, request), again);
+                RecoveryAction::Retried { attempts, checkpointed: checkpoint.is_some() }
+            } else {
+                let attempts = memb.attempts;
+                self.dispositions[request] = Some(Disposition::FailedPermanent { attempts });
+                RecoveryAction::FailedPermanent { attempts }
+            };
+            self.out.faults.push(JobFault { at: self.t, request, kind, action });
+        }
+    }
+
+    /// Site crashes due at the current instant. Pessimistic: a job
+    /// finishing at the crash instant still dies.
+    fn fire_crashes(&mut self) {
+        while let Some((site, _)) = self.crashes.next_if(|&(_, at)| at <= self.t) {
+            self.pool.fail_site(site);
+            for job in self.take_running(|job| job.alloc.cluster_of_group.contains(&site)) {
                 // Kill the lease: leave the WAN, release each surviving
                 // site explicitly (the dead one was written off above).
                 if job.in_phase2 {
-                    shared.leave(&job.links);
+                    self.shared.leave(&job.links);
                 }
                 for &c in &job.alloc.cluster_of_group {
-                    if c != site && !pool.site_down(c) {
-                        job.alloc.release_site(&mut pool, c);
+                    if c != site && !self.pool.site_down(c) {
+                        job.alloc.release_site(&mut self.pool, c);
                     }
                 }
-                let p1_end = if job.in_phase2 { job.phase1_end } else { t };
-                busy_intervals.push((
-                    LinkClass::IntraCluster.bucket(),
-                    job.start.secs(),
-                    p1_end.secs(),
-                ));
-                // Checkpoint only exists once the local phase finished:
-                // the tiny per-cluster R factors are persisted at fault
-                // time, so the retry owes just the residual drain.
-                let checkpoint = if job.in_phase2 && cfg.retry.checkpoint_drain {
-                    Some(Checkpoint { residual_wan_s: job.wan_rem_s })
-                } else {
-                    None
-                };
-                for memb in job.members {
-                    route_fault(
-                        memb,
-                        FaultKind::SiteCrashed { site },
-                        checkpoint,
-                        t,
-                        &cfg.retry,
-                        &oracle.solo_s,
-                        &mut dispositions,
-                        &mut faults,
-                        &mut retry_wait,
-                    );
-                }
+                let p1_end = if job.in_phase2 { job.phase1_end } else { self.t };
+                let local = LinkClass::IntraCluster.bucket();
+                self.out.busy_intervals.push((local, job.start.secs(), p1_end.secs()));
+                let residual = job.wan_rem_s;
+                self.fault(job, FaultKind::SiteCrashed { site }, residual);
             }
-            running = still;
         }
-        // (b) local phases that finished enter the shared WAN drain.
-        for job in &mut running {
-            if !job.in_phase2 && job.phase1_end <= t {
+    }
+
+    /// Local phases that finished enter the shared WAN drain.
+    fn finish_local_phases(&mut self) {
+        for job in &mut self.running {
+            if !job.in_phase2 && job.phase1_end <= self.t {
                 job.in_phase2 = true;
-                busy_intervals.push((
-                    LinkClass::IntraCluster.bucket(),
-                    job.start.secs(),
-                    job.phase1_end.secs(),
-                ));
-                shared.join(&job.links);
+                let local = LinkClass::IntraCluster.bucket();
+                self.out.busy_intervals.push((local, job.start.secs(), job.phase1_end.secs()));
+                self.shared.join(&job.links);
             }
         }
-        // (c) drained jobs complete — unless a drop rule eats the
-        // in-flight R messages, which faults the job instead.
-        let mut still = Vec::with_capacity(running.len());
-        for job in running.drain(..) {
-            if !(job.in_phase2 && job.wan_rem_s <= DRAIN_EPS_S) {
-                still.push(job);
-                continue;
-            }
-            shared.leave(&job.links);
-            job.alloc.release(&mut pool);
+    }
+
+    /// Drained jobs complete — unless a drop rule eats the in-flight R
+    /// messages, which faults the job instead.
+    fn complete_drains(&mut self) {
+        let faults = &self.cfg.faults;
+        for job in self.take_running(|job| job.in_phase2 && job.wan_rem_s <= DRAIN_EPS_S) {
+            self.shared.leave(&job.links);
+            job.alloc.release(&mut self.pool);
             let mut dropped_on: Option<(usize, usize)> = None;
-            if drops_armed {
+            if faults.any_drop_rules() {
                 for &l in &job.links {
-                    let seq = drop_seq.entry(l).or_insert(0);
-                    let n = *seq;
-                    *seq += 1;
-                    if dropped_on.is_none() && cfg.faults.should_drop(l.0, l.1, n) {
+                    let seq = self.drop_seq.entry(l).or_insert(0);
+                    if dropped_on.is_none() && faults.should_drop(l.0, l.1, *seq) {
                         dropped_on = Some(l);
                     }
+                    *seq += 1;
                 }
             }
             if let Some(link) = dropped_on {
-                // The drain itself must be resent; the local phase stays
+                // The whole drain must be resent; the local phase stays
                 // checkpointed (when the policy keeps checkpoints).
-                let checkpoint = if cfg.retry.checkpoint_drain {
-                    Some(Checkpoint { residual_wan_s: job.wan_full_s })
-                } else {
-                    None
-                };
-                for memb in job.members {
-                    route_fault(
-                        memb,
-                        FaultKind::DrainDropped { link },
-                        checkpoint,
-                        t,
-                        &cfg.retry,
-                        &oracle.solo_s,
-                        &mut dispositions,
-                        &mut faults,
-                        &mut retry_wait,
-                    );
-                }
+                let resend = job.wan_full_s;
+                self.fault(job, FaultKind::DrainDropped { link }, resend);
             } else {
-                let k = job.members.len();
+                let batch_size = job.members.len();
                 for memb in &job.members {
-                    dispositions[memb.id] = Some(Disposition::Completed {
+                    self.dispositions[memb.id] = Some(Disposition::Completed {
                         start: job.start,
-                        finish: t,
-                        batch_size: k,
+                        finish: self.t,
+                        batch_size,
                         attempts: memb.attempts,
                     });
                 }
             }
         }
-        running = still;
-        // (d) expired backoffs re-enter the admission queue (bypassing
-        // the bound: re-admission is not new admission), in ready-time
-        // order with id tiebreaks.
-        if !retry_wait.is_empty() {
-            let mut ready: Vec<QueuedJob> = Vec::new();
-            let mut waiting = Vec::with_capacity(retry_wait.len());
-            for (at, qj) in retry_wait.drain(..) {
-                if at <= t {
-                    ready.push(qj);
-                } else {
-                    waiting.push((at, qj));
-                }
+    }
+
+    /// Expired backoffs re-enter the admission queue (bypassing the
+    /// bound: re-admission is not new admission), in ready-time order
+    /// with id tiebreaks.
+    fn readmit_retries(&mut self) {
+        while let Some(next) = self.retry_wait.first_entry() {
+            if next.key().0 > self.t {
+                break;
             }
-            retry_wait = waiting;
-            ready.sort_by(|a, b| {
-                a.enqueued.secs().total_cmp(&b.enqueued.secs()).then(a.id.cmp(&b.id))
-            });
-            for qj in ready {
-                queue.push_unbounded(qj);
-            }
+            self.queue.push_unbounded(next.remove());
         }
-        // (e) arrivals at t are admitted, shed (brownout), or rejected.
-        while next_arr < requests.len() && requests[next_arr].arrival <= t {
-            let r = &requests[next_arr];
-            let pressure = retry_wait.len() + queue.retried();
-            let active = brownout.on_pressure(pressure);
-            if active && brownout_open.is_none() {
-                brownout_open = Some(t);
+    }
+
+    /// Arrivals at the current instant are admitted, shed (brownout), or
+    /// rejected.
+    fn admit_arrivals(&mut self) {
+        while let Some(r) = self.requests.get(self.next_arr).filter(|r| r.arrival <= self.t) {
+            let pressure = self.retry_wait.len() + self.queue.retried();
+            let active = self.brownout.on_pressure(pressure);
+            if active && self.brownout_open.is_none() {
+                self.brownout_open = Some(self.t);
             } else if !active {
-                if let Some(s) = brownout_open.take() {
-                    brownout_windows.push((s.secs(), t.secs()));
+                if let Some(s) = self.brownout_open.take() {
+                    self.out.brownout_windows.push((s.secs(), self.t.secs()));
                 }
             }
+            let solo_s = self.solo_s[r.shape];
             let slack_s = (r.deadline - r.arrival).secs();
-            if active && slack_s >= cfg.brownout.shed_slack * oracle.solo_s[r.shape] {
-                dispositions[r.id] = Some(Disposition::Shed);
+            if active && slack_s >= self.cfg.brownout.shed_slack * solo_s {
+                self.dispositions[r.id] = Some(Disposition::Shed);
             } else {
                 let qj = QueuedJob {
                     id: r.id,
@@ -817,48 +803,57 @@ pub fn serve(catalog: &ResourceCatalog, cfg: &ServeConfig) -> ServeOutcome {
                     sites: r.sites,
                     arrival: r.arrival,
                     deadline: r.deadline,
-                    service_s: oracle.solo_s[r.shape],
+                    service_s: solo_s,
                     attempts: 1,
                     checkpoint: None,
                     enqueued: r.arrival,
                 };
-                if queue.try_push(qj).is_err() {
-                    dispositions[r.id] = Some(Disposition::RejectedQueueFull);
+                if self.queue.try_push(qj).is_err() {
+                    self.dispositions[r.id] = Some(Disposition::RejectedQueueFull);
                 }
             }
-            next_arr += 1;
+            self.next_arr += 1;
         }
     }
-    if let Some(s) = brownout_open.take() {
-        brownout_windows.push((s.secs(), t.secs()));
-    }
 
-    assert!(
-        dispositions.iter().all(|d| d.is_some()),
-        "serving loop wedged with unresolved requests — silent drops are forbidden"
-    );
-    assert!(pool.is_idle(), "slot leak: pool not fully recovered after drain");
-
-    let records = requests
-        .into_iter()
-        .zip(dispositions)
-        .map(|(request, d)| RequestRecord { request, disposition: d.expect("checked above") })
-        .collect();
-    ServeOutcome {
-        config: cfg.clone(),
-        records,
-        horizon: t,
-        dispatches,
-        msgs,
-        wan_msgs,
-        bytes,
-        flops,
-        total_wait_s,
-        wan_busy: wan_busy.into_iter().collect(),
-        busy_intervals,
-        faults,
-        brownout_windows,
+    /// Closes the books once no event remains.
+    fn into_outcome(mut self) -> ServeOutcome {
+        if let Some(s) = self.brownout_open.take() {
+            self.out.brownout_windows.push((s.secs(), self.t.secs()));
+        }
+        let wedged = "serving loop wedged with unresolved requests — silent drops are forbidden";
+        self.out.records = self
+            .requests
+            .into_iter()
+            .zip(self.dispositions)
+            .map(|(request, d)| RequestRecord { request, disposition: d.expect(wedged) })
+            .collect();
+        assert!(self.pool.is_idle(), "slot leak: pool not fully recovered after drain");
+        self.out.horizon = self.t;
+        self.out.wan_busy = self.wan_busy.into_iter().collect();
+        self.out
     }
+}
+
+/// Runs one serving trace to completion and returns the full outcome.
+///
+/// # Panics
+/// Panics if the loop ever wedges with admitted-but-unservable requests
+/// — that would be a silent drop, which the design forbids — or when
+/// the slot pool ends the run with an outstanding lease (a leak).
+pub fn serve(catalog: &ResourceCatalog, cfg: &ServeConfig) -> ServeOutcome {
+    let mut engine = Engine::new(catalog, cfg);
+    loop {
+        engine.dispatch();
+        let Some(tn) = engine.next_instant() else { break };
+        engine.advance_to(tn);
+        engine.fire_crashes();
+        engine.finish_local_phases();
+        engine.complete_drains();
+        engine.readmit_retries();
+        engine.admit_arrivals();
+    }
+    engine.into_outcome()
 }
 
 #[cfg(test)]
@@ -1176,6 +1171,73 @@ mod tests {
             ..cfg.clone()
         });
         assert!(out.horizon > clean.horizon, "an 8x WAN slowdown must stretch the horizon");
+    }
+
+    #[test]
+    fn a_crash_at_the_completion_instant_still_kills_the_job() {
+        // Event order at one instant: crashes fire before completions.
+        let cfg = ServeConfig { requests: 1, load: 0.1, ..Default::default() };
+        let clean = serve(&g5k(), &cfg);
+        let Disposition::Completed { finish, attempts: 1, .. } = clean.records[0].disposition
+        else {
+            panic!("the solo request must complete first try: {:?}", clean.records[0]);
+        };
+        let profile = JobProfile::cluster_of_clusters(clean.records[0].request.sites, 64);
+        let site = tsqr_qcg::allocate(&g5k(), &profile).unwrap().cluster_of_group[0];
+        let out = serve(
+            &g5k(),
+            &ServeConfig { faults: FailureSchedule::new(7).crash_site(site, finish), ..cfg },
+        );
+        assert_eq!(out.faults.len(), 1, "the crash must catch the finishing job");
+        assert_eq!(out.faults[0].at, finish);
+        assert_eq!(out.faults[0].kind, FaultKind::SiteCrashed { site });
+        assert!(
+            matches!(out.records[0].disposition, Disposition::Completed { attempts: 2, .. }),
+            "the killed job completes on its retry: {:?}",
+            out.records[0].disposition
+        );
+    }
+
+    #[test]
+    fn a_ready_retry_is_queued_ahead_of_a_same_instant_arrival() {
+        // Event order at one instant: expired backoffs re-enter the queue
+        // before arrivals are admitted. One four-site job fills this grid,
+        // so after the crash FIFO runs whoever was queued first and the
+        // other waits for its release.
+        let mut grid = g5k();
+        for c in &mut grid.clusters {
+            c.nodes = 32;
+        }
+        // A power-of-two backoff keeps `crash + backoff == arrival` exact.
+        let backoff_s = 1.0 / 16384.0;
+        let cfg = ServeConfig {
+            requests: 2,
+            load: 4.0,
+            single_shape: Some(3),
+            retry: RetryPolicy { backoff_base_s: backoff_s, ..Default::default() },
+            ..Default::default()
+        };
+        let clean = serve(&grid, &cfg);
+        let [first, second] = [&clean.records[0].request, &clean.records[1].request];
+        let crash = second.arrival - VirtualTime::from_secs(backoff_s);
+        assert_eq!(crash + VirtualTime::from_secs(backoff_s), second.arrival);
+        let Disposition::Completed { finish, .. } = clean.records[0].disposition else {
+            panic!("request 0 must complete on the clean grid");
+        };
+        assert!(first.arrival < crash && crash < finish, "request 0 must be running at the crash");
+
+        let out = serve(
+            &grid,
+            &ServeConfig { faults: FailureSchedule::new(7).crash_site(2, crash), ..cfg },
+        );
+        let started = |id: usize| match out.records[id].disposition {
+            Disposition::Completed { start, attempts, .. } => (start, attempts),
+            ref other => panic!("request {id} must complete, got {other:?}"),
+        };
+        assert_eq!(started(0), (second.arrival, 2), "the retry dispatches the instant it is ready");
+        let (start, attempts) = started(1);
+        assert_eq!(attempts, 1);
+        assert!(start > second.arrival, "the arrival queued behind the retry and waited");
     }
 
     fn assert_same_model(a: &JobModel, b: &JobModel) {

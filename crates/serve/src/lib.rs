@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod engine;
 pub mod policy;
