@@ -23,9 +23,14 @@ pub struct Reflector {
 /// holds the tail of `v` (the leading `1` of `v` is implicit). Returns
 /// `(β, τ)` such that `H·x = β·e₁`.
 pub fn larfg(x: &mut [f64]) -> Reflector {
-    assert!(!x.is_empty(), "larfg needs a non-empty vector");
-    let alpha = x[0];
-    let xnorm = nrm2(&x[1..]);
+    let (alpha, tail) = x.split_first_mut().expect("larfg needs a non-empty vector");
+    larfg_tail(*alpha, tail)
+}
+
+/// [`larfg`] of `(α, tail)ᵀ` for callers whose `α` is stored apart from
+/// the tail (the stacked-triangles kernels): `tail` becomes `v[1..]`.
+pub(crate) fn larfg_tail(alpha: f64, tail: &mut [f64]) -> Reflector {
+    let xnorm = nrm2(tail);
     if xnorm == 0.0 {
         // Already collapsed; H = I. (We do not flip signs for negative α —
         // same convention as LAPACK dlarfg, which returns tau = 0.)
@@ -35,7 +40,7 @@ pub fn larfg(x: &mut [f64]) -> Reflector {
     let beta = if alpha >= 0.0 { -norm } else { norm };
     let tau = (beta - alpha) / beta;
     // v = (x - beta e1) / (alpha - beta); v[0] = 1 implicit.
-    scal(1.0 / (alpha - beta), &mut x[1..]);
+    scal(1.0 / (alpha - beta), tail);
     Reflector { beta, tau }
 }
 

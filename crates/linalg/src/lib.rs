@@ -8,13 +8,14 @@
 //!   blocked algorithms can operate in place on panels and trailing
 //!   sub-matrices without copying.
 //! * BLAS-like kernels ([`blas`]): `dot`, `nrm2`, `axpy`, `gemv`, `ger`, a
-//!   blocked and optionally rayon-parallel `gemm`, and the small triangular
-//!   multiplies the compact-WY update needs.
+//!   single-threaded `gemm` on two register-tiled micro-kernels, and the
+//!   small triangular multiplies the compact-WY update needs.
 //! * Householder QR ([`qr`]): the unblocked factorization `geqr2`, the
 //!   blocked `geqrf` built on the compact-WY representation
-//!   (`larft`/`larfb`), explicit-Q construction (`org2r`) and implicit-Q
-//!   application (`orm2r`) — the same algorithms LAPACK uses, which is what
-//!   makes the numerical comparisons against the paper meaningful.
+//!   (`larft`/`larfb`, panels factored recursively), explicit-Q
+//!   construction (`org2r`) and implicit-Q application (`orm2r`), both a
+//!   block of reflectors at a time — the same algorithms LAPACK uses, which
+//!   is what makes the numerical comparisons against the paper meaningful.
 //! * Structured "stacked triangles" QR ([`stacked`]): the reduction operator
 //!   at the heart of TSQR — the QR factorization of `[R1; R2]` where both
 //!   blocks are upper triangular — implemented so it costs `~2/3·n³` flops

@@ -8,8 +8,21 @@
 //! scaling factors in `tau`. The blocked path is what a ScaLAPACK `PDGEQRF`
 //! domain call runs locally; the unblocked path is the `PDGEQR2` panel
 //! kernel the paper analyses.
+//!
+//! Where the flops go: `geqr2` is the level-2 sweep (one `dot` and one
+//! `axpy` per reflector and trailing column) and only ever sees panels of
+//! at most `BASE` = 8 columns. Everything wider is matrix products on the
+//! two micro-kernels of [`crate::blas`]: `larfb_left` is `gemm_tn`, a small
+//! triangular multiply and `gemm_nn`; `geqrf` factors each panel
+//! recursively (`geqrt`: left half, block update of the right half, right
+//! half) and gets the panel's `T` out of the recursion — `T₁₂ =
+//! −T₁₁·(V₁ᵀV₂)·T₂₂`, one more `gemm_tn` — instead of a `larft` pass;
+//! `larft` itself is the same split; `orm2r` (left) and `org2r` apply
+//! `APPLY_NB` = 16 reflectors at a time as `larft` + `larfb_left`.
+//! Workspaces (`W`, `T`, the dense copy of a panel's triangular top) are
+//! allocated once per block call, never per column.
 
-use crate::blas::{axpy, dot, trmm_upper_left};
+use crate::blas::{axpy, dot, gemm_nn, gemm_tn, trmm_upper_left};
 use crate::householder::{larf_left, larfg};
 use crate::matrix::Matrix;
 use crate::view::{View, ViewMut};
@@ -46,43 +59,57 @@ pub fn geqr2(a: &mut ViewMut<'_>, tau: &mut [f64]) {
     let n = a.cols();
     let k = m.min(n);
     assert!(tau.len() >= k, "geqr2: tau too short ({} < {k})", tau.len());
-    let mut vbuf = vec![0.0; m];
     let mut work = vec![0.0; n];
     for j in 0..k {
-        // Generate the reflector for column j, rows j..m.
-        let refl = {
-            let col = a.col_mut(j);
-            larfg(&mut col[j..m])
-        };
+        // Column j is the reflector, the columns right of it the trailing
+        // matrix: disjoint, so the tail of v is read where it lies.
+        let (mut left, mut right) = a.split_cols_at_mut(j + 1);
+        let refl = larfg(&mut left.col_mut(j)[j..m]);
         tau[j] = refl.tau;
-        // Stash v_tail, then set the diagonal to beta.
-        let vlen = m - j - 1;
-        vbuf[..vlen].copy_from_slice(&a.col(j)[j + 1..m]);
-        a.set(j, j, refl.beta);
-        // Apply H_j to the trailing columns.
+        left.set(j, j, refl.beta);
         if j + 1 < n {
-            let mut trail = a.sub_mut(j, j + 1, m - j, n - j - 1);
-            larf_left(refl.tau, &vbuf[..vlen], &mut trail, &mut work);
+            let mut trail = right.sub_mut(j, 0, m - j, n - j - 1);
+            larf_left(refl.tau, &left.col(j)[j + 1..m], &mut trail, &mut work);
         }
     }
 }
+
+/// Panels at most this wide are factored by the level-2 sweep and get
+/// their `T` from one dot product per pair of reflectors; wider ones split
+/// in half and recurse.
+const BASE: usize = 8;
+
+/// Reflectors [`orm2r`] and [`org2r`] apply at a time.
+const APPLY_NB: usize = 16;
 
 /// Forms the upper-triangular block reflector factor `T` (LAPACK `dlarft`,
 /// forward/columnwise) such that `H₁·H₂⋯H_k = I − V·T·Vᵀ`.
 ///
 /// `v` is the factored panel (only its unit-lower-trapezoidal part is read).
 pub fn larft(v: &View<'_>, tau: &[f64]) -> Matrix {
-    let m = v.rows();
     let k = v.cols();
     assert!(tau.len() >= k, "larft: tau too short");
     let mut t = Matrix::zeros(k, k);
-    let mut w = vec![0.0; k];
+    larft_into(v, tau, &mut t.view_mut());
+    t
+}
+
+/// [`larft`] into the upper triangle of the `k × k` window `t` (the strict
+/// lower triangle is left alone): `T` of each half, then their coupling.
+fn larft_into(v: &View<'_>, tau: &[f64], t: &mut ViewMut<'_>) {
+    let m = v.rows();
+    let k = v.cols();
+    if k > BASE {
+        let k1 = k / 2;
+        larft_into(&v.sub(0, 0, m, k1), &tau[..k1], &mut t.sub_mut(0, 0, k1, k1));
+        let right = v.sub(k1, k1, m - k1, k - k1);
+        larft_into(&right, &tau[k1..], &mut t.sub_mut(k1, k1, k - k1, k - k1));
+        return couple_t(v, k1, t);
+    }
+    let mut w = [0.0; BASE];
     for j in 0..k {
         let tj = tau[j];
-        t[(j, j)] = tj;
-        if tj == 0.0 || j == 0 {
-            continue;
-        }
+        t.set(j, j, tj);
         // w[i] = V(:,i)ᵀ v_j for i < j, with v_j = [0…0, 1, V(j+1..m, j)].
         let vj = v.col(j);
         for (i, wi) in w.iter_mut().enumerate().take(j) {
@@ -93,12 +120,45 @@ pub fn larft(v: &View<'_>, tau: &[f64]) -> Matrix {
         for i in 0..j {
             let mut s = 0.0;
             for l in i..j {
-                s += t[(i, l)] * w[l];
+                s += t.get(i, l) * w[l];
             }
-            t[(i, j)] = -tj * s;
+            t.set(i, j, -tj * s);
         }
     }
-    t
+}
+
+/// Given `T₁₁` and `T₂₂` of the reflector blocks left and right of column
+/// `k1` of the factored panel `v`, fills `T₁₂ = −T₁₁·(V₁ᵀ·V₂)·T₂₂` — which
+/// makes `t` the `T` of the whole panel.
+fn couple_t(v: &View<'_>, k1: usize, t: &mut ViewMut<'_>) {
+    let (m, k) = (v.rows(), v.cols());
+    let k2 = k - k1;
+    // X = V₁ᵀ·Ṽ₂; V₂ starts at row k1, below it V₁ is dense.
+    let v2 = v.sub(k1, k1, m - k1, k2);
+    let mut x = Matrix::zeros(k1, k2);
+    gemm_tn(1.0, &v.sub(k1, 0, k2, k1), &unit_lower(&v2).view(), &mut x.view_mut());
+    gemm_tn(1.0, &v.sub(k, 0, m - k, k1), &v2.sub(k2, 0, m - k, k2), &mut x.view_mut());
+    trmm_upper_left(Trans::No, &t.sub(0, 0, k1, k1), &mut x.view_mut());
+    // T₁₂(:, j) = −Σ_{l ≤ j} X(:, l)·T₂₂(l, j); T₂₂(·, j) is the lower part
+    // of the very column of `t` being written.
+    for j in 0..k2 {
+        let (t12, t22) = t.col_mut(k1 + j).split_at_mut(k1);
+        t12.fill(0.0);
+        for l in 0..=j {
+            axpy(-t22[l], x.col(l), t12);
+        }
+    }
+}
+
+/// The top `k × k` block of the factored panel `v` as the dense matrix it
+/// stands for: ones on the diagonal, zeros above it.
+fn unit_lower(v: &View<'_>) -> Matrix {
+    let k = v.cols();
+    Matrix::from_fn(k, k, |i, j| match i.cmp(&j) {
+        std::cmp::Ordering::Greater => v.get(i, j),
+        std::cmp::Ordering::Equal => 1.0,
+        std::cmp::Ordering::Less => 0.0,
+    })
 }
 
 /// Applies the block reflector `Q = I − V·T·Vᵀ` (or `Qᵀ`) from the left to
@@ -106,49 +166,35 @@ pub fn larft(v: &View<'_>, tau: &[f64]) -> Matrix {
 ///
 /// `v` is `m × k` unit lower trapezoidal (upper part ignored), `t` the `k × k`
 /// triangular factor from [`larft`]. `trans = Yes` applies `Qᵀ`.
+///
+/// Three matrix products on the register-tiled kernels of [`crate::blas`]:
+/// `W = Ṽᵀ·C`, `W := op(T)·W`, `C −= Ṽ·W`, the triangular top of `Ṽ`
+/// multiplied as the dense block `unit_lower` makes of it.
 pub fn larfb_left(trans: Trans, v: &View<'_>, t: &View<'_>, c: &mut ViewMut<'_>) {
     let m = c.rows();
     let n = c.cols();
     let k = v.cols();
     assert_eq!(v.rows(), m, "larfb: V/C row mismatch");
+    assert!(k <= m, "larfb: more reflectors ({k}) than rows ({m})");
     assert_eq!((t.rows(), t.cols()), (k, k), "larfb: T shape mismatch");
     if k == 0 || n == 0 {
         return;
     }
-    // W = Ṽᵀ·C   (k × n), Ṽ = V with unit diagonal, zero upper part.
+    let v1 = unit_lower(v);
+    let v2 = v.sub(k, 0, m - k, k);
     let mut w = Matrix::zeros(k, n);
-    for j in 0..n {
-        let cj = c.col(j);
-        for i in 0..k {
-            let vi = v.col(i);
-            w[(i, j)] = cj[i] + dot(&vi[i + 1..m], &cj[i + 1..m]);
-        }
-    }
-    // W := op(T)·W, with op = Tᵀ for Qᵀ and T for Q.
+    gemm_tn(1.0, &v1.view(), &c.sub(0, 0, k, n), &mut w.view_mut());
+    gemm_tn(1.0, &v2, &c.sub(k, 0, m - k, n), &mut w.view_mut());
     trmm_upper_left(trans, t, &mut w.view_mut());
-    // C := C − Ṽ·W.
-    for j in 0..n {
-        let wj: Vec<f64> = (0..k).map(|i| w[(i, j)]).collect();
-        let cj = c.col_mut(j);
-        // Rows 0..k: unit lower triangular part.
-        for i in (0..k).rev() {
-            let mut s = wj[i];
-            for (l, &wl) in wj.iter().enumerate().take(i) {
-                s += v.get(i, l) * wl;
-            }
-            cj[i] -= s;
-        }
-        // Rows k..m: dense part.
-        for (l, &wl) in wj.iter().enumerate() {
-            let vl = v.col(l);
-            axpy(-wl, &vl[k..m], &mut cj[k..m]);
-        }
-    }
+    gemm_nn(-1.0, &v1.view(), &w.view(), &mut c.sub_mut(0, 0, k, n));
+    gemm_nn(-1.0, &v2, &w.view(), &mut c.sub_mut(k, 0, m - k, n));
 }
 
 /// Blocked Householder QR (LAPACK `dgeqrf`) with panel width `nb`.
 ///
-/// Falls back to [`geqr2`] when the matrix is narrower than one panel.
+/// Each panel is factored recursively (`geqrt`), so a matrix narrower
+/// than one panel is level-3 work too; the panel's `T` comes out of the
+/// recursion and updates the trailing matrix through [`larfb_left`].
 pub fn geqrf(a: &mut ViewMut<'_>, tau: &mut [f64], nb: usize) {
     let m = a.rows();
     let n = a.cols();
@@ -161,17 +207,58 @@ pub fn geqrf(a: &mut ViewMut<'_>, tau: &mut [f64], nb: usize) {
         // Panel = A[j.., j..j+ib]; trailing = A[j.., j+ib..].
         let mut below = a.sub_mut(j, j, m - j, n - j);
         let (mut panel, mut trail) = below.split_cols_at_mut(ib);
-        geqr2(&mut panel, &mut tau[j..j + ib]);
-        if trail.cols() > 0 {
-            let t = larft(&panel.as_view(), &tau[j..j + ib]);
-            larfb_left(Trans::Yes, &panel.as_view(), &t.view(), &mut trail);
-        }
+        let mut t = Matrix::zeros(ib, ib);
+        geqrt(&mut panel, &mut tau[j..j + ib], &mut t.view_mut(), trail.cols() > 0);
+        larfb_left(Trans::Yes, &panel.as_view(), &t.view(), &mut trail);
         j += ib;
     }
 }
 
+/// Recursive QR of a tall panel (Elmroth–Gustavson; LAPACK `dgeqrt3`):
+/// factor the left half, apply its block reflector to the right half,
+/// factor what is left of the right half. The left half's `T` is needed
+/// for that update; the whole panel's `T` is completed in `t` only when
+/// the caller has a use for it (`want_t`).
+fn geqrt(a: &mut ViewMut<'_>, tau: &mut [f64], t: &mut ViewMut<'_>, want_t: bool) {
+    let (m, n) = (a.rows(), a.cols());
+    if n <= BASE {
+        geqr2(a, tau);
+        if want_t {
+            larft_into(&a.as_view(), tau, t);
+        }
+        return;
+    }
+    let n1 = n / 2;
+    let (mut left, mut right) = a.split_cols_at_mut(n1);
+    geqrt(&mut left, &mut tau[..n1], &mut t.sub_mut(0, 0, n1, n1), true);
+    larfb_left(Trans::Yes, &left.as_view(), &t.sub(0, 0, n1, n1), &mut right);
+    let mut rest = right.sub_mut(n1, 0, m - n1, n - n1);
+    geqrt(&mut rest, &mut tau[n1..], &mut t.sub_mut(n1, n1, n - n1, n - n1), want_t);
+    if want_t {
+        couple_t(&a.as_view(), n1, t);
+    }
+}
+
+/// `C := op(Q)·C` for the `Q` of `factors`, [`APPLY_NB`] reflectors at a
+/// time (`larft` + `larfb`, as LAPACK `dormqr` does). With `identity` set,
+/// `C` is `[I; 0]` on entry — the block at column `j0` then only touches
+/// the window from `(j0, j0)` down and right.
+fn apply_q_left(trans: Trans, factors: &View<'_>, tau: &[f64], c: &mut ViewMut<'_>, identity: bool) {
+    let (mv, n, k) = (factors.rows(), c.cols(), tau.len());
+    let blocks = k.div_ceil(APPLY_NB);
+    for b in 0..blocks {
+        // Qᵀ = H_k ⋯ H_1 applies the first block first, Q the last.
+        let j0 = APPLY_NB * if trans == Trans::Yes { b } else { blocks - 1 - b };
+        let ib = APPLY_NB.min(k - j0);
+        let v = factors.sub(j0, j0, mv - j0, ib);
+        let t = larft(&v, &tau[j0..j0 + ib]);
+        let c0 = if identity { j0 } else { 0 };
+        larfb_left(trans, &v, &t.view(), &mut c.sub_mut(j0, c0, mv - j0, n - c0));
+    }
+}
+
 /// Forms the thin explicit `Q` (`m × k`) from a factored matrix
-/// (LAPACK `dorg2r` applied to the first `k` reflectors).
+/// (LAPACK `dorgqr` applied to the first `k` reflectors).
 pub fn org2r(factors: &View<'_>, tau: &[f64]) -> Matrix {
     let m = factors.rows();
     let k = factors.cols().min(m).min(tau.len());
@@ -179,35 +266,20 @@ pub fn org2r(factors: &View<'_>, tau: &[f64]) -> Matrix {
     for j in 0..k {
         q[(j, j)] = 1.0;
     }
-    let mut work = vec![0.0; k];
-    for j in (0..k).rev() {
-        let vj: Vec<f64> = factors.col(j)[j + 1..m].to_vec();
-        let mut window = q.view_mut();
-        let mut sub = window.sub_mut(j, j, m - j, k - j);
-        larf_left(tau[j], &vj, &mut sub, &mut work);
-    }
+    apply_q_left(Trans::No, factors, &tau[..k], &mut q.view_mut(), true);
     q
 }
 
-/// Applies the implicit `Q` of a factored matrix to `c`
-/// (LAPACK `dorm2r`): `C := op(Q)·C` (left) or `C := C·op(Q)` (right).
+/// Applies the implicit `Q` of a factored matrix to `c`:
+/// `C := op(Q)·C` (left; blocked, LAPACK `dormqr`) or `C := C·op(Q)`
+/// (right; one reflector at a time, LAPACK `dorm2r`).
 pub fn orm2r(side: Side, trans: Trans, factors: &View<'_>, tau: &[f64], c: &mut ViewMut<'_>) {
     let mv = factors.rows();
     let k = factors.cols().min(mv).min(tau.len());
     match side {
         Side::Left => {
             assert_eq!(c.rows(), mv, "orm2r(Left): C row count must match V");
-            let n = c.cols();
-            let mut work = vec![0.0; n];
-            let order: Vec<usize> = match trans {
-                Trans::Yes => (0..k).collect(),      // Qᵀ = H_k ⋯ H_1 applied H_1 first
-                Trans::No => (0..k).rev().collect(), // Q = H_1 ⋯ H_k applied H_k first
-            };
-            for j in order {
-                let vj: Vec<f64> = factors.col(j)[j + 1..mv].to_vec();
-                let mut sub = c.sub_mut(j, 0, mv - j, n);
-                larf_left(tau[j], &vj, &mut sub, &mut work);
-            }
+            apply_q_left(trans, factors, &tau[..k], c, false);
         }
         Side::Right => {
             assert_eq!(c.cols(), mv, "orm2r(Right): C column count must match V rows");
@@ -222,7 +294,7 @@ pub fn orm2r(side: Side, trans: Trans, factors: &View<'_>, tau: &[f64], c: &mut 
                 if tj == 0.0 {
                     continue;
                 }
-                let vj: Vec<f64> = factors.col(j)[j + 1..mv].to_vec();
+                let vj = &factors.col(j)[j + 1..mv];
                 // w = C[:, j..] · v  (v = [1; vj])
                 for (i, wi) in w.iter_mut().enumerate().take(m) {
                     let mut s = c.get(i, j);

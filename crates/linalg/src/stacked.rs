@@ -13,8 +13,17 @@
 //! `R1` block (implicit leading 1) and rows `0..=j` of the `R2` block; its
 //! nonzero tail is stored in column `j`, rows `0..=j` of the returned `V`
 //! matrix, which is therefore upper triangular.
+//!
+//! All four kernels (`tpqrt`, `tpmqrt` and their dense-block variants) are
+//! one reflector at a time: generate it in place in its column
+//! (`larfg_tail`), then sweep the columns right of it with one `dot` and
+//! one `axpy` each (`reflect_trailing`) — on column slices borrowed
+//! disjointly with `split_at_mut`, no copies, no per-element indexing.
+//! They are not blocked: the triangular structure leaves vectors of
+//! average length `n/2`.
 
-use crate::blas::{dot, nrm2};
+use crate::blas::{axpy, dot};
+use crate::householder::larfg_tail;
 use crate::matrix::Matrix;
 use crate::qr::Trans;
 
@@ -45,66 +54,42 @@ pub fn tpqrt(r1: &mut Matrix, r2: &mut Matrix) -> StackedFactors {
     assert_eq!(r1.shape(), (n, n), "tpqrt: R1 must be square");
     assert_eq!(r2.shape(), (n, n), "tpqrt: R2 must be square");
     let mut tau = vec![0.0; n];
-    let mut x = vec![0.0; n + 1];
     for j in 0..n {
-        // Build the structured column [R1[j,j]; R2[0..=j, j]].
-        x[0] = r1[(j, j)];
-        for i in 0..=j {
-            x[i + 1] = r2[(i, j)];
-        }
-        let refl = generate_reflector(&mut x[..j + 2]);
-        tau[j] = refl.0;
-        r1[(j, j)] = refl.1;
-        // Store the reflector tail in R2's column j (rows 0..=j).
-        for i in 0..=j {
-            r2[(i, j)] = x[i + 1];
-        }
-        // Update trailing columns k > j of both blocks.
-        let tj = tau[j];
-        if tj == 0.0 {
-            continue;
-        }
-        for k in j + 1..n {
-            // w = R1[j,k] + V(0..=j, j)ᵀ · R2(0..=j, k)
-            let mut w = r1[(j, k)];
-            for i in 0..=j {
-                w += r2[(i, j)] * r2[(i, k)];
-            }
-            let tw = tj * w;
-            r1[(j, k)] -= tw;
-            for i in 0..=j {
-                let vij = r2[(i, j)];
-                r2[(i, k)] -= tw * vij;
-            }
-        }
+        // Column j of R2 becomes the reflector tail; the columns right of
+        // it are the trailing part of the R2 block.
+        let (head, trailing) = r2.as_mut_slice().split_at_mut((j + 1) * n);
+        let vj = &mut head[j * n..=j * n + j];
+        let refl = larfg_tail(r1[(j, j)], vj);
+        tau[j] = refl.tau;
+        r1[(j, j)] = refl.beta;
+        reflect_trailing(refl.tau, vj, r1, j, j + 1, trailing.chunks_exact_mut(n));
     }
     // Zero the strict lower triangle of V for a clean representation.
-    let mut v = r2.clone();
     for j in 0..n {
-        for i in j + 1..n {
-            v[(i, j)] = 0.0;
-        }
+        r2.col_mut(j)[j + 1..].fill(0.0);
     }
-    *r2 = v.clone();
-    StackedFactors { v, tau }
+    StackedFactors { v: r2.clone(), tau }
 }
 
-/// `larfg` specialised for the in-place buffer used by [`tpqrt`]:
-/// returns `(τ, β)` and rewrites `x[1..]` to the reflector tail.
-fn generate_reflector(x: &mut [f64]) -> (f64, f64) {
-    let alpha = x[0];
-    let xnorm = nrm2(&x[1..]);
-    if xnorm == 0.0 {
-        return (0.0, alpha);
+/// Applies `H = I − τ·[1; v]·[1; v]ᵀ` to the stacked columns
+/// `[C1(j, k0 + i); c2ᵢ[..v.len()]]`, one `c2ᵢ` per item of `c2_cols`.
+fn reflect_trailing<'a>(
+    tau: f64,
+    v: &[f64],
+    c1: &mut Matrix,
+    j: usize,
+    k0: usize,
+    c2_cols: impl Iterator<Item = &'a mut [f64]>,
+) {
+    if tau == 0.0 {
+        return;
     }
-    let norm = alpha.hypot(xnorm);
-    let beta = if alpha >= 0.0 { -norm } else { norm };
-    let tau = (beta - alpha) / beta;
-    let scale = 1.0 / (alpha - beta);
-    for v in &mut x[1..] {
-        *v *= scale;
+    for (i, c2) in c2_cols.enumerate() {
+        let c2 = &mut c2[..v.len()];
+        let tw = tau * (c1[(j, k0 + i)] + dot(v, c2));
+        c1[(j, k0 + i)] -= tw;
+        axpy(-tw, v, c2);
     }
-    (tau, beta)
 }
 
 /// Applies the implicit `Q` of a [`tpqrt`] factorization (or its transpose)
@@ -117,27 +102,11 @@ pub fn tpmqrt(trans: Trans, f: &StackedFactors, c1: &mut Matrix, c2: &mut Matrix
     assert_eq!(c1.rows(), n, "tpmqrt: C1 row mismatch");
     assert_eq!(c2.rows(), n, "tpmqrt: C2 row mismatch");
     assert_eq!(c1.cols(), c2.cols(), "tpmqrt: C1/C2 column mismatch");
-    let k = c1.cols();
-    let order: Vec<usize> = match trans {
-        Trans::Yes => (0..n).collect(),      // Qᵀ: H_0 first
-        Trans::No => (0..n).rev().collect(), // Q: H_{n−1} first
-    };
-    for j in order {
-        let tj = f.tau[j];
-        if tj == 0.0 {
-            continue;
-        }
-        let vj = &f.v.col(j)[..=j];
-        for col in 0..k {
-            // w = C1[j, col] + vᵀ · C2[0..=j, col]
-            let w = c1[(j, col)] + dot(vj, &c2.col(col)[..=j]);
-            let tw = tj * w;
-            c1[(j, col)] -= tw;
-            let c2col = c2.col_mut(col);
-            for (i, &vij) in vj.iter().enumerate() {
-                c2col[i] -= tw * vij;
-            }
-        }
+    for step in 0..n {
+        // Qᵀ applies H_0 first, Q applies H_{n−1} first.
+        let j = if trans == Trans::Yes { step } else { n - 1 - step };
+        let cols = c2.as_mut_slice().chunks_exact_mut(n);
+        reflect_trailing(f.tau[j], &f.v.col(j)[..=j], c1, j, 0, cols);
     }
 }
 
@@ -167,28 +136,14 @@ pub fn tpqrt_dense(r1: &mut Matrix, b: &mut Matrix) -> DenseStackedFactors {
     assert_eq!(b.cols(), n, "tpqrt_dense: B column mismatch");
     let q = b.rows();
     let mut tau = vec![0.0; n];
-    let mut x = vec![0.0; q + 1];
     for j in 0..n {
-        x[0] = r1[(j, j)];
-        x[1..=q].copy_from_slice(&b.col(j)[..q]);
-        let refl = generate_reflector(&mut x[..q + 1]);
-        tau[j] = refl.0;
-        r1[(j, j)] = refl.1;
-        b.col_mut(j).copy_from_slice(&x[1..=q]);
-        let tj = tau[j];
-        if tj == 0.0 {
-            continue;
-        }
-        for k in j + 1..n {
-            let w = r1[(j, k)] + dot(b.col(j), b.col(k));
-            let tw = tj * w;
-            r1[(j, k)] -= tw;
-            let vj: Vec<f64> = b.col(j).to_vec();
-            let ck = b.col_mut(k);
-            for (c, v) in ck.iter_mut().zip(&vj) {
-                *c -= tw * v;
-            }
-        }
+        let (head, trailing) = b.as_mut_slice().split_at_mut((j + 1) * q);
+        let vj = &mut head[j * q..];
+        let refl = larfg_tail(r1[(j, j)], vj);
+        tau[j] = refl.tau;
+        r1[(j, j)] = refl.beta;
+        // `max(1)`: a block of no rows has no columns to walk either.
+        reflect_trailing(refl.tau, vj, r1, j, j + 1, trailing.chunks_exact_mut(q.max(1)));
     }
     DenseStackedFactors { v: b.clone(), tau }
 }
@@ -228,26 +183,10 @@ pub fn tpmqrt_dense(
     assert_eq!(c1.rows(), n, "tpmqrt_dense: C1 row mismatch");
     assert_eq!(c2.rows(), q, "tpmqrt_dense: C2 row mismatch");
     assert_eq!(c1.cols(), c2.cols(), "tpmqrt_dense: column mismatch");
-    let k = c1.cols();
-    let order: Vec<usize> = match trans {
-        Trans::Yes => (0..n).collect(),
-        Trans::No => (0..n).rev().collect(),
-    };
-    for j in order {
-        let tj = f.tau[j];
-        if tj == 0.0 {
-            continue;
-        }
-        let vj = f.v.col(j);
-        for col in 0..k {
-            let w = c1[(j, col)] + dot(vj, c2.col(col));
-            let tw = tj * w;
-            c1[(j, col)] -= tw;
-            let c2col = c2.col_mut(col);
-            for (c, v) in c2col.iter_mut().zip(vj) {
-                *c -= tw * v;
-            }
-        }
+    for step in 0..n {
+        let j = if trans == Trans::Yes { step } else { n - 1 - step };
+        let cols = c2.as_mut_slice().chunks_exact_mut(q.max(1));
+        reflect_trailing(f.tau[j], f.v.col(j), c1, j, 0, cols);
     }
 }
 

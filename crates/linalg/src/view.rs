@@ -155,14 +155,6 @@ impl<'a> ViewMut<'a> {
         View::from_raw(self.data, self.rows, self.cols, self.ld)
     }
 
-    /// The underlying storage slice (exclusively borrowed by this view).
-    ///
-    /// Used by the parallel gemm to hand disjoint column strips to rayon
-    /// tasks; callers must respect the `(rows, cols, ld)` window.
-    pub(crate) fn raw_mut(&mut self) -> &mut [f64] {
-        self.data
-    }
-
     /// Reborrows the `nr × nc` sub-window starting at `(r0, c0)` mutably.
     pub fn sub_mut(&mut self, r0: usize, c0: usize, nr: usize, nc: usize) -> ViewMut<'_> {
         assert!(r0 + nr <= self.rows && c0 + nc <= self.cols, "sub-view out of bounds");

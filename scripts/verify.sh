@@ -4,7 +4,8 @@
 # enforce #![warn(missing_docs)]), the doctests on their own (they
 # exercise the public examples in the API docs, e.g. the
 # metrics-registry example), the commlint and archlint static scans,
-# the commcheck happens-before gate, and the fault-matrix smoke.
+# the commcheck happens-before gate, the fault-matrix smoke, and the
+# dense kernels checked at the wall-clock benchmark's shapes.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -46,6 +47,9 @@ CLI=src/bin/grid-tsqr.rs
 [ "$(lines_with 'degrade_all_wan' $CLI)" -le 2 ] || copy_is_back "--wan-slow parsers in $CLI"
 [ "$(lines_with 'cp_send_s: report.p99_sojourn_s' crates src)" -eq 1 ] \
   || copy_is_back "the serve column mapping (tsqr_bench::serve_record)"
+
+# linalg is single-threaded on purpose (a rank is one of hundreds of threads).
+if grep -n rayon crates/linalg/Cargo.toml; then echo "rayon is back in crates/linalg"; exit 1; fi
 
 echo "==> linkcheck (markdown links + anchors across README, EXPERIMENTS, docs/)"
 cargo run --release -q -p tsqr-lint --bin linkcheck
@@ -95,6 +99,13 @@ $SERVE --load 0.5 --wan-slow 50:5000:1:8 \
   --drop-flow 0:2:3 --drop-flow 0:2:4 --drop-flow 0:2:5 \
   --backoff 200 --brownout 1:0 >/dev/null
 echo "    chaos smoke: crashed, re-planned, browned out, recovered"
+
+echo "==> dense-kernel smoke at benchmark shapes (correctness, not a timing"
+echo "    gate: real TSQR on 256 and 64 rank threads; R against the sequential"
+echo "    replica <= 1e-9, Gram residual, QtQ and A - QR <= 1e-10)"
+benchmark/run.sh --quick --workload real-n64 >/dev/null
+benchmark/run.sh --quick --workload real-n256-q >/dev/null
+echo "    kernel smoke: both real workloads correct"
 
 echo "==> report gate (experiment-ledger dashboard pinned against"
 echo "    REPORT_baseline.md; --check flags anomalous model residuals)"

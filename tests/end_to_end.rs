@@ -11,6 +11,9 @@ use grid_tsqr::linalg::verify::{orthogonality, r_distance, relative_residual};
 use grid_tsqr::netsim::grid5000;
 use grid_tsqr::qcg::{allocate, JobProfile, ResourceCatalog};
 
+#[path = "../crates/linalg/tests/support/mod.rs"]
+mod support;
+
 /// A scaled-down Grid'5000: real topology and network constants, but only
 /// a few nodes per site so real-numerics runs stay fast.
 fn small_grid5000(sites: usize, nodes: usize) -> Runtime {
@@ -157,6 +160,52 @@ fn explicit_q_distributed_equals_local_qr() {
     let a = workload::full_matrix(seed, m as usize, n);
     assert!(orthogonality(&q) < 1e-12);
     assert!(relative_residual(&a, &q, &r) < 1e-12);
+}
+
+#[test]
+fn distributed_tsqr_is_stable_at_kappa_1e12_on_every_tree() {
+    // The top rung of `crates/linalg/tests/conditioning.rs`, distributed:
+    // Q and R from real rank programs meet the same κ-independent
+    // Householder bound whichever tree reduced the R factors.
+    use grid_tsqr::core::domains::DomainLayout;
+    use grid_tsqr::core::tree::ReductionTree;
+    use grid_tsqr::core::tsqr::{tsqr_rank_program_with, TsqrConfig};
+    use grid_tsqr::linalg::Matrix;
+    use support::{bound, orth_max, resid_cols, with_condition};
+
+    let rt = small_grid5000(2, 2); // 2 sites x 4 procs, one domain each
+    let (m, n) = (640usize, 24usize);
+    let a = with_condition(m, n, 1e12, 21);
+    let layout = DomainLayout::build(rt.topology(), m as u64, n, 4);
+    for shape in [
+        TreeShape::Flat,
+        TreeShape::Binary,
+        TreeShape::GridHierarchical,
+        TreeShape::Kary(3),
+        TreeShape::Binomial,
+    ] {
+        let tree = ReductionTree::build(&shape, layout.num_domains(), &layout.clusters());
+        let cfg = TsqrConfig {
+            shape: shape.clone(),
+            domains_per_cluster: 4,
+            compute_q: true,
+            ..Default::default()
+        };
+        let report = rt.run(|p, _| {
+            tsqr_rank_program_with(p, &layout, &tree, &cfg, None, |row0, rows| {
+                a.sub_matrix(row0 as usize, 0, rows, n)
+            })
+        });
+        let mut outs = report.unwrap_results();
+        outs.sort_by_key(|o| o.row0);
+        let r = outs[0].r.take().expect("rank 0 holds R");
+        let q_blocks: Vec<Matrix> = outs.into_iter().map(|o| o.q_block.expect("Q asked for")).collect();
+        let q = Matrix::vstack_all(&q_blocks.iter().collect::<Vec<_>>());
+        let bound = bound(n);
+        let (orth, resid) = (orth_max(&q), resid_cols(&a, &q, &r));
+        assert!(orth <= bound, "{shape:?}: |QtQ - I|_max = {orth:e} > {bound:e}");
+        assert!(resid <= bound, "{shape:?}: |A - QR|/|A| = {resid:e} > {bound:e}");
+    }
 }
 
 #[test]
