@@ -4,45 +4,57 @@
 use tsqr_bench::{calib, dump_traced_point, grid_runtime};
 use tsqr_core::experiment::{run_experiment, Algorithm, Experiment, Mode};
 use tsqr_core::tree::TreeShape;
+use tsqr_netsim::FailureSchedule;
 
 /// The Fig. 5 headline point — four sites, M = 2²⁰, N = 64, optimum 64
 /// domains per cluster — traced: the critical path must tile the
 /// makespan exactly, and the WAN traffic must be O(log #clusters), not
-/// O(N) like ScaLAPACK's.
+/// O(N) like ScaLAPACK's. Run clean and with the first transmission of
+/// site 1's root (rank 64) to rank 0 lost, so the retransmission path
+/// feeds the ledgers too.
 #[test]
 fn fig5_headline_critical_path_tiles_makespan() {
-    let mut rt = grid_runtime(4);
-    rt.enable_tracing();
-    let res = run_experiment(
-        &rt,
-        &Experiment {
-            m: 1 << 20,
-            n: 64,
-            algorithm: Algorithm::Tsqr {
-                shape: TreeShape::GridHierarchical,
-                domains_per_cluster: 64,
+    let lossy = FailureSchedule::new(0).drop_nth_message(64, 0, 0);
+    for (schedule, wan_msgs) in [(FailureSchedule::default(), 3), (lossy, 4)] {
+        let mut rt = grid_runtime(4);
+        rt.set_failure_schedule(schedule);
+        rt.enable_tracing();
+        let res = run_experiment(
+            &rt,
+            &Experiment {
+                m: 1 << 20,
+                n: 64,
+                algorithm: Algorithm::Tsqr {
+                    shape: TreeShape::GridHierarchical,
+                    domains_per_cluster: 64,
+                },
+                compute_q: false,
+                mode: Mode::Symbolic,
+                rate_flops: Some(calib::kernel_rate_flops(64)),
+                combine_rate_flops: Some(calib::combine_rate_flops()),
             },
-            compute_q: false,
-            mode: Mode::Symbolic,
-            rate_flops: Some(calib::kernel_rate_flops(64)),
-            combine_rate_flops: Some(calib::combine_rate_flops()),
-        },
-    );
-    let trace = res.trace.as_ref().expect("tracing was enabled");
-    let cp = trace.critical_path();
-    assert!(
-        (cp.total().secs() - res.makespan.secs()).abs() <= 1e-9 * res.makespan.secs(),
-        "critical path {} s vs makespan {} s",
-        cp.total().secs(),
-        res.makespan.secs()
-    );
-    // TSQR on 4 clusters: a handful of WAN sends per reduction, far
-    // fewer than ScaLAPACK's 2 per column.
-    let wan = trace.wan_sends().len();
-    assert!(wan > 0 && wan < 64, "got {wan} WAN sends");
-    // The phase ledger exists and its flops match the totals.
-    let agg = res.aggregate_metrics();
-    assert_eq!(agg.total().flops, res.totals.flops);
+        );
+        let trace = res.trace.as_ref().expect("tracing was enabled");
+        let cp = trace.critical_path();
+        assert!(
+            (cp.total().secs() - res.makespan.secs()).abs() <= 1e-9 * res.makespan.secs(),
+            "critical path {} s vs makespan {} s",
+            cp.total().secs(),
+            res.makespan.secs()
+        );
+        // TSQR on 4 clusters: a handful of WAN sends per reduction, far
+        // fewer than ScaLAPACK's 2 per column.
+        let wan = trace.wan_sends().len();
+        assert!(wan > 0 && wan < 64, "got {wan} WAN sends");
+        // One ledger: the phase registry's totals are the traffic counters,
+        // per link-class bucket, every priced (re)transmission included.
+        assert_eq!(res.totals.inter_cluster_msgs(), wan_msgs);
+        let total = res.aggregate_metrics().total();
+        assert_eq!(
+            (total.msgs, total.bytes, total.flops),
+            (res.totals.msgs, res.totals.bytes, res.totals.flops)
+        );
+    }
 }
 
 /// `--trace-out` writes a well-formed Chrome-trace JSON file.

@@ -107,12 +107,6 @@ impl ExperimentResult {
         }
         out
     }
-    /// Least-squares Eq. (1) fit over this result's per-(rank, phase)
-    /// samples (see [`crate::modelfit`]); `None` when the run recorded
-    /// no active time at all.
-    pub fn fitted_model(&self) -> Option<crate::modelfit::ModelFit> {
-        crate::modelfit::fit(&crate::modelfit::samples_from_metrics(&self.metrics))
-    }
 
     /// The largest per-rank flop count — the compute term of the critical
     /// path (for TSQR this is the tree root: leaf + `log₂(P)` combines).
@@ -123,11 +117,6 @@ impl ExperimentResult {
     /// The largest per-rank sent-message count.
     pub fn max_msgs_per_rank(&self) -> u64 {
         self.per_rank.iter().map(|r| r.traffic.total_msgs()).max().unwrap_or(0)
-    }
-
-    /// The largest per-rank sent-byte count.
-    pub fn max_bytes_per_rank(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.traffic.total_bytes()).max().unwrap_or(0)
     }
 }
 

@@ -1,26 +1,26 @@
 //! Distributed least squares via TSQR — the canonical consumer of a TS
 //! factorization: `min ‖A·x − b‖₂` for a tall-and-skinny `A`.
 //!
-//! The solver never forms Q. Each leaf factors its block and immediately
-//! reduces its right-hand side (`c = (Qᵀb)[..n]`); every tree combine
-//! applies its small implicit Qᵀ to the stacked coupling vectors, so the
-//! `(R, c)` pair travels up the same tuned tree as TSQR's R — adding just
-//! `n` words per message and zero extra messages. The root back-solves
-//! `R·x = c` and broadcasts `x`.
+//! The solver never forms Q and has no reduction of its own: it runs the
+//! one TSQR rank program ([`tsqr_rank_program_with`]) on the augmented
+//! block `[A | b]`, with the layout widened to `n + 1` columns. The root's
+//! factor is `R̃ = [R c; 0 ρ]` with `c = (Qᵀb)[..n]` and `|ρ|` the residual
+//! norm, so the root back-solves `R·x = c` and broadcasts `x`. Every tree
+//! shape and grouped (multi-process) domains come with the program; the
+//! extra column adds `n + 1` words per message and no messages.
+//!
+//! The charges are TSQR's at `n + 1` columns: a leaf costs
+//! `geqrf(rows, n + 1)` — the separate `(R, c)` walk this replaced charged
+//! `geqrf(rows, n) + 4·rows·n` — and a combine `tpqrt(n + 1)`. No golden
+//! pins least-squares clocks.
 
 use tsqr_gridmpi::{CommError, Communicator, Process};
-use tsqr_linalg::flops;
-use tsqr_linalg::prelude::*;
-use tsqr_linalg::qr::{orm2r, Side, Trans};
-use tsqr_linalg::tri::{trsv, Triangle};
+use tsqr_linalg::tri::{smallest_diag, trsv, Triangle};
 use tsqr_linalg::Matrix;
 
 use crate::domains::DomainLayout;
-use crate::tree::{ReductionTree, Step};
-use crate::tsqr::{pack_upper, unpack_upper};
-
-/// Tag for `(R, c)` pairs travelling up the tree.
-const TAG_RC: u32 = 1201;
+use crate::tree::{ReductionTree, TreeShape};
+use crate::tsqr::{tsqr_rank_program_with, TsqrConfig};
 
 /// Result of a distributed least-squares solve.
 #[derive(Debug, Clone)]
@@ -33,8 +33,8 @@ pub struct LstsqOutput {
 }
 
 /// The rank program: solves `min ‖A·x − b‖` where this rank supplies its
-/// row slice of `A` and `b` through the two closures. Requires
-/// single-process domains.
+/// row slice of `A` and `b` through the two closures. Every domain must
+/// hold more than `n` rows (its `[A | b]` block has `n + 1` columns).
 pub fn lstsq_rank_program_with(
     p: &mut Process,
     world: &Communicator,
@@ -45,51 +45,29 @@ pub fn lstsq_rank_program_with(
     local_rhs: impl FnOnce(u64, usize) -> Vec<f64>,
 ) -> Result<LstsqOutput, CommError> {
     let n = layout.n;
-    let d = layout
-        .domain_of_rank(p.rank())
-        .unwrap_or_else(|| panic!("rank {} is in no domain", p.rank()));
-    let dom = &layout.domains[d];
-    assert_eq!(dom.ranks.len(), 1, "lstsq requires single-process domains");
-    let (row0, rows) = (dom.row0, dom.rows);
-    let a_loc = local_block(row0, rows as usize);
-    let b_loc = local_rhs(row0, rows as usize);
-    assert_eq!(a_loc.shape(), (rows as usize, n), "local_block shape mismatch");
-    assert_eq!(b_loc.len(), rows as usize, "local_rhs length mismatch");
-    let roots = layout.roots();
+    assert!(
+        layout.domains.iter().all(|d| d.rows > n as u64),
+        "least squares needs more than n = {n} rows per domain"
+    );
+    let wide = DomainLayout { n: n + 1, ..layout.clone() };
+    // `tree` is the caller's; the shape is only read for the trace label.
+    let cfg = TsqrConfig { shape: TreeShape::Custom(Vec::new()), ..Default::default() };
+    let out = tsqr_rank_program_with(p, &wide, tree, &cfg, rate_flops, |row0, rows| {
+        let a_loc = local_block(row0, rows);
+        let b_loc = local_rhs(row0, rows);
+        assert_eq!(a_loc.shape(), (rows, n), "local_block shape mismatch");
+        assert_eq!(b_loc.len(), rows, "local_rhs length mismatch");
+        let mut aug = a_loc.into_vec();
+        aug.extend(b_loc);
+        Matrix::from_col_major(rows, n + 1, aug).expect("[A | b] is rows x (n + 1)")
+    })?;
 
-    // --- Leaf: factor the block, reduce the rhs. ---
-    let f = QrFactors::compute(&a_loc, tsqr_linalg::qr::DEFAULT_NB);
-    p.compute(flops::geqrf(rows, n as u64), rate_flops);
-    let mut c_full = Matrix::from_col_major(rows as usize, 1, b_loc).expect("rhs column");
-    orm2r(Side::Left, Trans::Yes, &f.factors.view(), &f.tau, &mut c_full.view_mut());
-    p.compute(4 * rows * n as u64, rate_flops);
-    let mut r1 = f.r().upper_triangular_padded();
-    let mut c1 = Matrix::from_fn(n, 1, |i, _| c_full[(i, 0)]);
-
-    // --- Reduce (R, c) pairs up the tree. ---
-    for step in &tree.steps[d] {
-        match *step {
-            Step::Recv(from_d) => {
-                let (packed, cvec): (Vec<f64>, Vec<f64>) = p.recv(roots[from_d], TAG_RC)?;
-                let mut r2 = unpack_upper(n, &packed);
-                let mut c2 = Matrix::from_col_major(n, 1, cvec).expect("c column");
-                let fc = tpqrt(&mut r1, &mut r2);
-                tpmqrt(Trans::Yes, &fc, &mut c1, &mut c2);
-                p.compute(flops::tpqrt(n as u64), rate_flops);
-            }
-            Step::Send(to_d) => {
-                p.send(roots[to_d], TAG_RC, (pack_upper(&r1), c1.col(0).to_vec()))?;
-            }
-        }
-    }
-
-    // --- Root solves R·x = c and broadcasts. ---
-    let payload: Option<(Vec<f64>, f64)> = (p.rank() == 0).then(|| {
-        let r = r1.upper_triangular_padded();
-        let min_diag = tsqr_linalg::tri::smallest_diag(&r);
-        let mut x = c1.col(0).to_vec();
+    // --- Root solves R·x = c out of R̃ = [R c; 0 ρ] and broadcasts. ---
+    let payload: Option<(Vec<f64>, f64)> = out.r.map(|rt| {
+        let r = rt.sub_matrix(0, 0, n, n);
+        let mut x = rt.col(n)[..n].to_vec();
         trsv(Triangle::Upper, &r.view(), &mut x);
-        (x, min_diag)
+        (x, smallest_diag(&r))
     });
     let (x, r_min_diag) = world.bcast(p, 0, payload)?;
     Ok(LstsqOutput { x, r_min_diag })

@@ -16,6 +16,14 @@
 //! local Q to `[E; 0]`, yielding its block of rows of the global Q. This
 //! doubles both the message count and the flops — the paper's Table II and
 //! Property 1.
+//!
+//! TSQR is *one reduction with a QR operator* (§II-C), so the other two
+//! entry points re-walk nothing. [`tsqr_allreduce_rank_program_with`] is
+//! the operator form: leaf QR, then one
+//! [`Communicator::allreduce_with`] over the domain roots whose operator is
+//! `tpqrt` on packed R factors, charged per combine. Least squares
+//! ([`crate::lstsq`]) is [`tsqr_rank_program_with`] on the augmented block
+//! `[A | b]`.
 
 use tsqr_gridmpi::{CommError, Communicator, Process};
 use tsqr_linalg::flops;
@@ -24,6 +32,7 @@ use tsqr_linalg::Matrix;
 
 use crate::domains::DomainLayout;
 use crate::scalapack::{pdgeqr2, PanelTile};
+use crate::tile::Tile;
 use crate::tree::{ReductionTree, Step, TreeShape};
 use crate::workload;
 
@@ -243,14 +252,17 @@ pub fn tsqr_rank_program_with<T: PanelTile>(
 }
 
 /// Butterfly (recursive-doubling) TSQR: the literal "single complex
-/// **allreduce** operation" of §II-C — on exit *every* domain root holds
-/// the global R factor, in `log₂(D)` full-duplex exchange rounds.
+/// **allreduce** operation" of §II-C — leaf QR, then one
+/// [`Communicator::allreduce_with`] over the domain roots whose operator is
+/// the stacked-triangles QR. On exit *every* domain root holds the global
+/// R factor, after `log₂(D)` full-duplex exchange rounds.
 ///
-/// Both partners of an exchange combine the same ordered pair
-/// (lower-index domain's R first), so all copies of the result are
-/// bit-identical. Useful when every rank needs R — e.g. CholeskyQR-style
-/// normalization `Q = A·R⁻¹` without a broadcast, or iterative methods
-/// that re-scale locally. Requires single-process domains.
+/// The collective hands both partners of an exchange the same ordered
+/// pair (lower-index domain's R first) and the operator charges each
+/// combine between rounds, so all copies of the result are bit-identical.
+/// Useful when every rank needs R — e.g. CholeskyQR-style normalization
+/// `Q = A·R⁻¹` without a broadcast, or iterative methods that re-scale
+/// locally. Requires single-process domains.
 pub fn tsqr_allreduce_rank_program_with(
     p: &mut Process,
     layout: &DomainLayout,
@@ -264,78 +276,26 @@ pub fn tsqr_allreduce_rank_program_with(
         .unwrap_or_else(|| panic!("rank {} is in no domain", p.rank()));
     let dom = &layout.domains[d];
     assert_eq!(dom.ranks.len(), 1, "the allreduce variant needs single-process domains");
-    let (row0, rows) = (dom.row0, dom.rows);
-    let local = local_block(row0, rows as usize);
-    assert_eq!(local.shape(), (rows as usize, n), "local_block returned the wrong shape");
-    let roots = layout.roots();
-    let n_dom = layout.num_domains();
+    let rows = dom.rows as usize;
+    let mut local = local_block(dom.row0, rows);
+    assert_eq!(local.shape(), (rows, n), "local_block returned the wrong shape");
 
     p.phase_begin(PHASE_LEAF);
-    let f = QrFactors::compute(&local, cfg.nb);
-    p.compute(flops::geqrf(rows, n as u64), rate_flops);
-    let mut r = f.r().upper_triangular_padded();
+    let (_, r) = local.factor_panel(0, 0, rows, n, cfg.nb);
+    p.compute(flops::geqrf(dom.rows, n as u64), rate_flops);
     p.phase_end();
+
     p.phase_begin(PHASE_ALLREDUCE);
-
-    // Deterministic pairwise combine: the lower-index domain's R is R1.
-    let combine = |mine_d: usize, their_d: usize, mine: &Matrix, theirs: &Matrix| {
-        let (mut r1, mut r2) = if mine_d < their_d {
-            (mine.clone(), theirs.clone())
-        } else {
-            (theirs.clone(), mine.clone())
-        };
-        tpqrt(&mut r1, &mut r2);
-        r1.upper_triangular_padded()
-    };
-
-    // Fold-in for non-powers-of-two (same scheme as the collective).
-    let pof2 = if n_dom.is_power_of_two() {
-        n_dom
-    } else {
-        n_dom.next_power_of_two() / 2
-    };
-    let rem = n_dom - pof2;
-    let newidx: Option<usize> = if d < 2 * rem {
-        if d.is_multiple_of(2) {
-            p.send(roots[d + 1], TAG_R, pack_upper(&r))?;
-            None
-        } else {
-            let theirs = unpack_upper(n, &p.recv::<Vec<f64>>(roots[d - 1], TAG_R)?);
-            r = combine(d, d - 1, &r, &theirs);
-            p.compute(flops::tpqrt(n as u64), cfg.combine_rate_flops.or(rate_flops));
-            Some(d / 2)
-        }
-    } else {
-        Some(d - rem)
-    };
-
-    if let Some(me) = newidx {
-        let mut mask = 1usize;
-        while mask < pof2 {
-            let partner_new = me ^ mask;
-            let partner_d = if partner_new < rem {
-                partner_new * 2 + 1
-            } else {
-                partner_new + rem
-            };
-            let got = p.exchange(roots[partner_d], TAG_R, pack_upper(&r))?;
-            let theirs = unpack_upper(n, &got);
-            r = combine(d, partner_d, &r, &theirs);
-            p.compute(flops::tpqrt(n as u64), cfg.combine_rate_flops.or(rate_flops));
-            mask <<= 1;
-        }
-    }
-
-    // Fold-out: push the result back to the folded-away domains.
-    if d < 2 * rem {
-        if d.is_multiple_of(2) {
-            r = unpack_upper(n, &p.recv::<Vec<f64>>(roots[d + 1], TAG_R)?);
-        } else {
-            p.send(roots[d - 1], TAG_R, pack_upper(&r))?;
-        }
-    }
+    let combine_rate = cfg.combine_rate_flops.or(rate_flops);
+    let roots = Communicator::from_members(layout.roots());
+    let packed = roots.allreduce_with(p, pack_upper(&r), |p, lo, hi| {
+        let mut r1 = unpack_upper(n, &lo);
+        Tile::tpqrt(&mut r1, hi);
+        p.compute(flops::tpqrt(n as u64), combine_rate);
+        pack_upper(&r1)
+    })?;
     p.phase_end();
-    Ok(r)
+    Ok(unpack_upper(n, &packed))
 }
 
 #[cfg(test)]

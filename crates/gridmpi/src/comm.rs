@@ -12,6 +12,8 @@
 //! * `bcast` / `reduce`: binomial tree, `log₂(P)` rounds;
 //! * `allreduce`: recursive doubling (butterfly), `log₂(P)` full-duplex
 //!   exchange rounds — the operation `PDGEQR2` performs twice per column;
+//!   `allreduce_with` is the same butterfly with an operator that can
+//!   charge its own cost (TSQR as "a single complex allreduce", §II-C);
 //! * `gather` / `allgather`: binomial gather (+ broadcast);
 //! * `barrier`: an allreduce of the empty payload.
 
@@ -188,6 +190,21 @@ impl Communicator {
         M: WirePayload + Clone,
         F: Fn(M, M) -> M,
     {
+        self.allreduce_with(p, value, |_, lo, hi| op(lo, hi))
+    }
+
+    /// [`Communicator::allreduce`] with an operator that is also handed the
+    /// calling [`Process`], so a combine that costs something (TSQR's
+    /// stacked-triangles QR) is charged where it happens: between rounds.
+    ///
+    /// `op(p, lo, hi)` always gets the lower-index member's operand first,
+    /// on both partners of an exchange — every member ends up with the
+    /// same bits even for a non-commutative operator.
+    pub fn allreduce_with<M, F>(&self, p: &mut Process, value: M, op: F) -> Result<M, CommError>
+    where
+        M: WirePayload + Clone,
+        F: Fn(&mut Process, M, M) -> M,
+    {
         let size = self.size();
         let me = self.my_index(p);
         let pof2 = size.next_power_of_two() / if size.is_power_of_two() { 1 } else { 2 };
@@ -201,7 +218,7 @@ impl Communicator {
                 None
             } else {
                 let other = p.recv::<M>(self.members[me - 1], TAG_ALLREDUCE)?;
-                val = op(other, val);
+                val = op(p, other, val);
                 Some(me / 2)
             }
         } else {
@@ -218,7 +235,7 @@ impl Communicator {
                     self.members[partner_new + rem]
                 };
                 let got = p.exchange(partner, TAG_ALLREDUCE, val.clone())?;
-                val = if partner_new < newidx { op(got, val) } else { op(val, got) };
+                val = if partner_new < newidx { op(p, got, val) } else { op(p, val, got) };
                 mask <<= 1;
             }
         }

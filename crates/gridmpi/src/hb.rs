@@ -105,11 +105,6 @@ impl VectorClock {
         }
     }
 
-    /// The raw counters.
-    pub fn as_slice(&self) -> &[u64] {
-        &self.0
-    }
-
     /// True when the event stamped `self` happens-before the event
     /// stamped `other` (strictly: `self ≤ other` component-wise and
     /// `self ≠ other`).
@@ -125,7 +120,7 @@ impl VectorClock {
 }
 
 impl From<Vec<u64>> for VectorClock {
-    /// Wraps raw counters (e.g. the snapshot an envelope carried).
+    /// Wraps raw counters.
     fn from(v: Vec<u64>) -> Self {
         VectorClock(v)
     }

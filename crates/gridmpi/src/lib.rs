@@ -26,7 +26,7 @@
 //!
 //! ## Observability
 //!
-//! Three layers, documented end-to-end in `docs/observability.md`:
+//! Documented end-to-end in `docs/observability.md`:
 //!
 //! * **Metrics** ([`metrics`]) — always-on per-rank, per-phase counters
 //!   (messages/bytes per link class, flops, time split) returned in
@@ -45,6 +45,10 @@
 //!   classification of every blocked second (reconciled against the
 //!   metrics registry), per-link-class utilization timelines and a
 //!   rank×rank communication matrix; surfaced as `grid-tsqr analyze`.
+//! * **Happens-before** ([`hb`]) — the trace is the only causal record a
+//!   run keeps: messages carry no logical clock, and the analyzer derives
+//!   vector clocks from the trace's program-order and message edges
+//!   (receive races, deadlock cycles; `docs/static-analysis.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

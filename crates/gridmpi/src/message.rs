@@ -84,13 +84,32 @@ impl WirePayload for Phantom {
     }
 }
 
+/// How a rank stopped and when: what its tombstone says, and what its
+/// peers remember of it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Death {
+    /// Crashed per the failure schedule at the given virtual time.
+    Crash(VirtualTime),
+    /// The rank program returned an error at the given virtual time and
+    /// will never send again.
+    Abort(VirtualTime),
+}
+
+impl Death {
+    pub(crate) fn at(self) -> VirtualTime {
+        match self {
+            Death::Crash(t) | Death::Abort(t) => t,
+        }
+    }
+}
+
 /// What an envelope carries: ordinary data or a failure notification.
 ///
-/// Tombstones (`Crash` / `Abort`) are *control* envelopes: they are never
-/// matched against a `recv`, carry no payload cost, and exist so that a
-/// peer's death propagates in **virtual** time (through the channel, FIFO
-/// after the dead rank's last real message) instead of being guessed from
-/// the wall clock.
+/// Tombstones are *control* envelopes: they are never matched against a
+/// `recv`, carry no payload cost, and exist so that a peer's death
+/// propagates in **virtual** time (through the channel, FIFO after the
+/// dead rank's last real message) instead of being guessed from the wall
+/// clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum EnvelopeKind {
     /// An ordinary payload-carrying message. `dropped` marks a message
@@ -101,18 +120,8 @@ pub(crate) enum EnvelopeKind {
         /// True when the failure schedule dropped this transmission.
         dropped: bool,
     },
-    /// The sender crashed (per the failure schedule) at the given
-    /// virtual time.
-    Crash {
-        /// Virtual time of the crash.
-        at: VirtualTime,
-    },
-    /// The sender's rank program returned an error at the given virtual
-    /// time and will never send again.
-    Abort {
-        /// Virtual time at which the program gave up.
-        at: VirtualTime,
-    },
+    /// The sender stopped.
+    Tombstone(Death),
 }
 
 /// The envelope a message travels in.
@@ -128,24 +137,15 @@ pub(crate) struct Envelope {
     pub bytes: u64,
     /// Data or failure notification.
     pub kind: EnvelopeKind,
-    /// The sender's vector clock *at send time* (the send's own tick
-    /// included). The receiver merges this into its clock on open, which
-    /// is what makes the happens-before partial order ([`crate::hb`])
-    /// observable at runtime. Empty for tombstones (control traffic
-    /// carries no causal payload).
-    pub vc: Vec<u64>,
     /// The boxed payload (downcast on receive).
     pub payload: Box<dyn Any + Send>,
 }
 
 impl Envelope {
     /// A control envelope announcing the sender's death.
-    pub(crate) fn tombstone(src: usize, kind: EnvelopeKind) -> Envelope {
-        let arrival = match kind {
-            EnvelopeKind::Crash { at } | EnvelopeKind::Abort { at } => at,
-            EnvelopeKind::Data { .. } => unreachable!("tombstones carry no data"),
-        };
-        Envelope { src, tag: 0, arrival, bytes: 0, kind, vc: Vec::new(), payload: Box::new(()) }
+    pub(crate) fn tombstone(src: usize, death: Death) -> Envelope {
+        let kind = EnvelopeKind::Tombstone(death);
+        Envelope { src, tag: 0, arrival: death.at(), bytes: 0, kind, payload: Box::new(()) }
     }
 }
 

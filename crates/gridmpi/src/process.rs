@@ -11,8 +11,7 @@ use tsqr_netsim::{
 };
 
 use crate::error::CommError;
-use crate::hb::VectorClock;
-use crate::message::{Envelope, EnvelopeKind, WirePayload};
+use crate::message::{Death, Envelope, EnvelopeKind, WirePayload};
 use crate::metrics::MetricsRegistry;
 use crate::trace::{Event, EventKind, FaultKind, Recorder};
 
@@ -73,24 +72,6 @@ pub enum DeliveryOrder {
     Seeded(u64),
 }
 
-/// How a peer is known to have stopped (crate-internal bookkeeping fed
-/// by tombstone envelopes).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Death {
-    /// Crashed per the failure schedule at the given virtual time.
-    Crash(VirtualTime),
-    /// Rank program returned an error at the given virtual time.
-    Abort(VirtualTime),
-}
-
-impl Death {
-    fn at(self) -> VirtualTime {
-        match self {
-            Death::Crash(t) | Death::Abort(t) => t,
-        }
-    }
-}
-
 /// Per-rank traffic counters, bucketed by [`LinkClass::bucket`]
 /// (0 = intra-node, 1 = intra-cluster, 2 = inter-cluster).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -104,6 +85,13 @@ pub struct TrafficCounters {
 }
 
 impl TrafficCounters {
+    /// The traffic columns of a metrics registry, summed over its phases:
+    /// the registry is the one ledger `send` and `compute` write.
+    pub(crate) fn of(metrics: &MetricsRegistry) -> TrafficCounters {
+        let total = metrics.total();
+        TrafficCounters { msgs: total.msgs, bytes: total.bytes, flops: total.flops }
+    }
+
     /// Total messages across all link classes.
     pub fn total_msgs(&self) -> u64 {
         self.msgs.iter().sum()
@@ -171,19 +159,15 @@ pub struct Process {
     /// this, a flat reduction tree would absorb P−1 simultaneous messages
     /// for free.
     pub(crate) nic_free: VirtualTime,
-    pub(crate) counters: TrafficCounters,
     /// Wall-clock deadlock safety net for receives.
     pub(crate) recv_timeout: Duration,
     /// Event recorder (present when the runtime enabled tracing).
     pub(crate) recorder: Option<Recorder>,
     /// Open phases, innermost last: `(name, virtual time at begin)`.
     pub(crate) phase_stack: Vec<(&'static str, VirtualTime)>,
-    /// Always-on per-phase counters and histograms.
+    /// Always-on per-phase counters and histograms — the one traffic
+    /// ledger ([`Process::counters`] is its projection).
     pub(crate) metrics: MetricsRegistry,
-    /// This rank's vector clock: ticked on every send/receive, merged on
-    /// every receive (see [`crate::hb`]). Every data envelope carries the
-    /// sender's clock at send time.
-    pub(crate) vc: VectorClock,
     /// Inter-source ordering discipline for the pending buffer (see
     /// [`DeliveryOrder`]; installed by
     /// [`crate::Runtime::set_delivery_order`]).
@@ -232,9 +216,8 @@ impl Process {
     }
 
     /// Traffic counters so far.
-    #[inline]
     pub fn counters(&self) -> TrafficCounters {
-        self.counters
+        TrafficCounters::of(&self.metrics)
     }
 
     /// Advances the clock by an explicit span (e.g. externally-modelled
@@ -264,16 +247,16 @@ impl Process {
     /// bug in the rank program).
     pub fn phase_end(&mut self) {
         let (name, began) = self.phase_stack.pop().expect("phase_end without phase_begin");
-        // Stamp the marker with the *enclosing* phase, if any.
-        let outer = self.current_phase();
+        // Popped first: the marker is stamped with the *enclosing* phase.
+        self.record(began, self.clock, EventKind::Phase { name });
+    }
+
+    /// Appends one event to the trace, stamped with this rank and its
+    /// innermost open phase. No-op unless tracing is enabled.
+    fn record(&mut self, start: VirtualTime, end: VirtualTime, kind: EventKind) {
+        let phase = self.current_phase();
         if let Some(rec) = &mut self.recorder {
-            rec.events.push(Event {
-                rank: self.rank,
-                start: began,
-                end: self.clock,
-                phase: outer,
-                kind: EventKind::Phase { name },
-            });
+            rec.events.push(Event { rank: self.rank, start, end, phase, kind });
         }
     }
 
@@ -286,16 +269,7 @@ impl Process {
     /// shape chosen by the autotuner — without perturbing any analysis
     /// or baseline *timing*. No-op unless tracing is enabled.
     pub fn annotate(&mut self, name: &'static str) {
-        let phase = self.current_phase();
-        if let Some(rec) = &mut self.recorder {
-            rec.events.push(Event {
-                rank: self.rank,
-                start: self.clock,
-                end: self.clock,
-                phase,
-                kind: EventKind::Phase { name },
-            });
-        }
+        self.record(self.clock, self.clock, EventKind::Phase { name });
     }
 
     /// Runs `f` inside a phase (begin/end are paired even on early
@@ -327,22 +301,13 @@ impl Process {
     /// model's default rate when `None`) and advances the clock.
     pub fn compute(&mut self, flops: u64, rate: Option<f64>) {
         let start = self.clock;
-        self.counters.flops += flops;
         self.clock += self.model.compute_time(flops, rate);
         self.metrics.record_compute(
             self.current_phase(),
             flops,
             (self.clock - start).secs(),
         );
-        if let Some(rec) = &mut self.recorder {
-            rec.events.push(Event {
-                rank: self.rank,
-                start,
-                end: self.clock,
-                phase: self.phase_stack.last().map(|(n, _)| *n),
-                kind: EventKind::Compute { flops },
-            });
-        }
+        self.record(start, self.clock, EventKind::Compute { flops });
     }
 
     /// True unless a failure was injected on the `self → dst` link.
@@ -353,18 +318,6 @@ impl Process {
     /// The failure schedule in force (empty by default).
     pub fn failure_schedule(&self) -> &FailureSchedule {
         &self.schedule
-    }
-
-    /// True when `peer` is known dead (its tombstone was observed).
-    pub fn is_dead(&self, peer: usize) -> bool {
-        self.dead.contains_key(&peer)
-    }
-
-    /// All peers currently known dead, ascending.
-    pub fn known_dead(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.dead.keys().copied().collect();
-        v.sort_unstable();
-        v
     }
 
     /// The virtual-time failure-detection deadline for `peer`: a silent
@@ -388,12 +341,12 @@ impl Process {
         if self.clock < at {
             return Ok(());
         }
-        self.announce_death(EnvelopeKind::Crash { at });
+        self.announce_death(Death::Crash(at));
         Err(CommError::RankFailed { rank: self.rank, at })
     }
 
     /// Broadcasts a tombstone to every peer (idempotent).
-    pub(crate) fn announce_death(&mut self, kind: EnvelopeKind) {
+    pub(crate) fn announce_death(&mut self, death: Death) {
         if self.death_announced {
             return;
         }
@@ -402,7 +355,7 @@ impl Process {
             if dst != self.rank {
                 // A peer that already returned has dropped its inbox;
                 // nothing left to notify.
-                let _ = self.senders[dst].send(Envelope::tombstone(self.rank, kind));
+                let _ = self.senders[dst].send(Envelope::tombstone(self.rank, death));
             }
         }
     }
@@ -411,7 +364,7 @@ impl Process {
     /// (called by the runtime so peers fail fast in virtual time instead
     /// of hitting the wall-clock net).
     pub(crate) fn announce_abort(&mut self) {
-        self.announce_death(EnvelopeKind::Abort { at: self.clock });
+        self.announce_death(Death::Abort(self.clock));
     }
 
     /// Consumes a tombstone while waiting on `peer`: advances the clock
@@ -438,15 +391,7 @@ impl Process {
             0,
             (self.clock - wait_start).secs(),
         );
-        if let Some(rec) = &mut self.recorder {
-            rec.events.push(Event {
-                rank: self.rank,
-                start: wait_start,
-                end: self.clock,
-                phase: self.phase_stack.last().map(|(n, _)| *n),
-                kind: EventKind::Fault { peer, class, kind: fault },
-            });
-        }
+        self.record(wait_start, self.clock, EventKind::Fault { peer, class, kind: fault });
         // Detecting the death may itself have pushed this rank past its
         // own crash time.
         if let Err(own) = self.check_alive() {
@@ -485,9 +430,6 @@ impl Process {
         let from = self.location();
         let to = self.topo.location(dst);
         let class = LinkClass::between(from, to);
-        // The send is one causal event: tick once (not per retransmission
-        // attempt) and stamp the envelope with the post-tick clock.
-        self.vc.tick(self.rank);
         let mut attempts = 0u32;
         loop {
             attempts += 1;
@@ -495,8 +437,6 @@ impl Process {
             self.sent_seq[dst] += 1;
             let send_start = self.clock;
             let degraded = self.schedule.is_degraded(class, send_start);
-            self.counters.msgs[class.bucket()] += 1;
-            self.counters.bytes[class.bucket()] += bytes;
             self.clock +=
                 self.model.message_time_under(from, to, bytes, send_start, &self.schedule);
             let dropped = self.schedule.should_drop(self.rank, dst, nth);
@@ -513,34 +453,16 @@ impl Process {
                 bytes,
                 (self.clock - send_start).secs(),
             );
-            if let Some(rec) = &mut self.recorder {
-                let phase = self.phase_stack.last().map(|(n, _)| *n);
-                if degraded {
-                    rec.events.push(Event {
-                        rank: self.rank,
-                        start: send_start,
-                        end: send_start,
-                        phase,
-                        kind: EventKind::Fault {
-                            peer: dst,
-                            class,
-                            kind: FaultKind::LinkDegraded,
-                        },
-                    });
-                }
-                let kind = if dropped {
-                    EventKind::Fault { peer: dst, class, kind: FaultKind::DropSent }
-                } else {
-                    EventKind::Send { to: dst, bytes, class, tag }
-                };
-                rec.events.push(Event {
-                    rank: self.rank,
-                    start: send_start,
-                    end: self.clock,
-                    phase,
-                    kind,
-                });
+            if degraded {
+                let kind = FaultKind::LinkDegraded;
+                self.record(send_start, send_start, EventKind::Fault { peer: dst, class, kind });
             }
+            let kind = if dropped {
+                EventKind::Fault { peer: dst, class, kind: FaultKind::DropSent }
+            } else {
+                EventKind::Send { to: dst, bytes, class, tag }
+            };
+            self.record(send_start, self.clock, kind);
             if dropped && attempts < MAX_SEND_ATTEMPTS {
                 continue;
             }
@@ -550,7 +472,6 @@ impl Process {
                 arrival,
                 bytes,
                 kind: EnvelopeKind::Data { dropped },
-                vc: self.vc.as_slice().to_vec(),
                 payload: Box::new(msg),
             };
             // Unbounded channel: never blocks. A disconnected receiver means
@@ -596,32 +517,17 @@ impl Process {
         let wait_start = self.clock;
         loop {
             match self.inbox.recv_timeout(self.recv_timeout) {
-                Ok(env) => match env.kind {
-                    EnvelopeKind::Data { .. } if env.src == src => {
-                        return self.open::<M>(env, tag, false)
+                Ok(env) if env.src == src && matches!(env.kind, EnvelopeKind::Data { .. }) => {
+                    return self.open::<M>(env, tag, false)
+                }
+                Ok(env) => {
+                    self.intake(env);
+                    // `src` was not known dead when the wait began, so it is
+                    // in the death map only if that was its tombstone.
+                    if let Some(&death) = self.dead.get(&src) {
+                        return Err(self.observe_death(src, death, wait_start));
                     }
-                    EnvelopeKind::Data { .. } => self.buffer(env),
-                    EnvelopeKind::Crash { at } => {
-                        self.dead.insert(env.src, Death::Crash(at));
-                        if env.src == src {
-                            return Err(self.observe_death(
-                                src,
-                                Death::Crash(at),
-                                wait_start,
-                            ));
-                        }
-                    }
-                    EnvelopeKind::Abort { at } => {
-                        self.dead.insert(env.src, Death::Abort(at));
-                        if env.src == src {
-                            return Err(self.observe_death(
-                                src,
-                                Death::Abort(at),
-                                wait_start,
-                            ));
-                        }
-                    }
-                },
+                }
                 Err(RecvTimeoutError::Timeout) => {
                     self.record_deadlock_suspect(src, wait_start);
                     return Err(CommError::Timeout { rank: self.rank, from: src });
@@ -692,11 +598,8 @@ impl Process {
     fn intake(&mut self, env: Envelope) {
         match env.kind {
             EnvelopeKind::Data { .. } => self.buffer(env),
-            EnvelopeKind::Crash { at } => {
-                self.dead.insert(env.src, Death::Crash(at));
-            }
-            EnvelopeKind::Abort { at } => {
-                self.dead.insert(env.src, Death::Abort(at));
+            EnvelopeKind::Tombstone(death) => {
+                self.dead.insert(env.src, death);
             }
         }
     }
@@ -734,20 +637,8 @@ impl Process {
     /// can assemble the wait-for graph.
     fn record_deadlock_suspect(&mut self, peer: usize, wait_start: VirtualTime) {
         let class = LinkClass::between(self.topo.location(peer), self.location());
-        if let Some(rec) = &mut self.recorder {
-            rec.events.push(Event {
-                rank: self.rank,
-                start: wait_start,
-                end: wait_start,
-                phase: self.phase_stack.last().map(|(n, _)| *n),
-                kind: EventKind::Fault { peer, class, kind: FaultKind::DeadlockSuspect },
-            });
-        }
-    }
-
-    /// This rank's current vector clock (see [`crate::hb`]).
-    pub fn vector_clock(&self) -> &VectorClock {
-        &self.vc
+        let kind = FaultKind::DeadlockSuspect;
+        self.record(wait_start, wait_start, EventKind::Fault { peer, class, kind });
     }
 
     /// Combined exchange with a partner: send ours, receive theirs.
@@ -781,10 +672,6 @@ impl Process {
         if env.tag != tag {
             return Err(CommError::TagMismatch { expected: tag, got: env.tag });
         }
-        // Causality: adopt the sender's knowledge, then tick for the
-        // receive event itself.
-        self.vc.merge(&VectorClock::from(env.vc.clone()));
-        self.vc.tick(self.rank);
         // Receiver-side NIC serialization: the bytes of this message must
         // be clocked in after whatever the NIC was already receiving.
         let from = self.topo.location(env.src);
@@ -805,20 +692,12 @@ impl Process {
         // the deterministic would-be arrival wait (clock already advanced
         // above) but gets an error instead of the payload.
         let ghost = matches!(env.kind, EnvelopeKind::Data { dropped: true });
-        if let Some(rec) = &mut self.recorder {
-            let kind = if ghost {
-                EventKind::Fault { peer: env.src, class, kind: FaultKind::DropObserved }
-            } else {
-                EventKind::Recv { from: env.src, bytes: env.bytes, class, tag, wildcard }
-            };
-            rec.events.push(Event {
-                rank: self.rank,
-                start: wait_start,
-                end: self.clock,
-                phase: self.phase_stack.last().map(|(n, _)| *n),
-                kind,
-            });
-        }
+        let kind = if ghost {
+            EventKind::Fault { peer: env.src, class, kind: FaultKind::DropObserved }
+        } else {
+            EventKind::Recv { from: env.src, bytes: env.bytes, class, tag, wildcard }
+        };
+        self.record(wait_start, self.clock, kind);
         // Clocking the message in may have carried this rank past its own
         // scheduled crash time: it dies *now* instead of consuming data.
         self.check_alive()?;

@@ -10,7 +10,7 @@ use tsqr_netsim::{CostModel, FailureSchedule, GridTopology, VirtualTime};
 
 use crate::comm::Communicator;
 use crate::error::CommError;
-use crate::hb::{HbReport, VectorClock};
+use crate::hb::HbReport;
 use crate::message::Envelope;
 use crate::metrics::MetricsRegistry;
 use crate::process::{DeliveryOrder, Process, RankStats, TrafficCounters};
@@ -36,13 +36,12 @@ pub struct RunReport<T> {
     pub makespan: VirtualTime,
     /// Sum of all per-rank traffic counters.
     pub totals: TrafficCounters,
-    /// The merged event trace, when tracing was enabled.
+    /// The merged event trace, when tracing was enabled — the run's only
+    /// causal record: the analyzer ([`Trace::hb_analysis`]) derives vector
+    /// clocks from the trace's program-order and message edges.
     pub trace: Option<Trace>,
     /// Per-rank phase metrics (always collected), indexed by rank.
     pub metrics: Vec<MetricsRegistry>,
-    /// Each rank's final vector clock (see [`crate::hb`]), indexed by
-    /// rank. Always collected — the clocks are a few words per rank.
-    pub vector_clocks: Vec<Vec<u64>>,
 }
 
 /// Structured join of a run: who finished, who failed, and the partial
@@ -169,11 +168,6 @@ impl<T> RunReport<T> {
             .collect()
     }
 
-    /// The result of rank 0 (where reductions root by convention).
-    pub fn root_result(&self) -> &Result<T, CommError> {
-        &self.ranks[0].result
-    }
-
     /// Critical-path message count: the maximum number of messages sent by
     /// any single rank (a per-rank proxy used by tree-shape tests).
     pub fn max_msgs_per_rank(&self) -> u64 {
@@ -227,11 +221,6 @@ impl Runtime {
     pub fn set_delivery_order(&mut self, order: DeliveryOrder) -> &mut Self {
         self.delivery = order;
         self
-    }
-
-    /// The delivery order in force.
-    pub fn delivery_order(&self) -> DeliveryOrder {
-        self.delivery
     }
 
     /// Records every send/receive/compute with its virtual-time span; the
@@ -299,11 +288,7 @@ impl Runtime {
         let (senders, inboxes): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded::<Envelope>()).unzip();
         let schedule = Arc::new(self.schedule.clone());
 
-        let mut rank_results: Vec<Option<RankResult<T>>> = (0..n).map(|_| None).collect();
-        let mut rank_traces: Vec<Vec<crate::trace::Event>> = (0..n).map(|_| Vec::new()).collect();
-        let mut rank_metrics: Vec<MetricsRegistry> = (0..n).map(|_| Default::default()).collect();
-        let mut rank_vcs: Vec<Vec<u64>> = (0..n).map(|_| Vec::new()).collect();
-        std::thread::scope(|scope| {
+        let joined = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for (rank, inbox) in inboxes.into_iter().enumerate() {
                 let senders = senders.clone();
@@ -328,12 +313,10 @@ impl Runtime {
                         pending: VecDeque::new(),
                         clock: VirtualTime::ZERO,
                         nic_free: VirtualTime::ZERO,
-                        counters: TrafficCounters::default(),
                         recv_timeout: self.recv_timeout,
                         recorder: self.tracing.then(Recorder::default),
                         phase_stack: Vec::new(),
                         metrics: MetricsRegistry::default(),
-                        vc: VectorClock::new(n),
                         delivery: self.delivery,
                         buffered: 0,
                     };
@@ -356,15 +339,13 @@ impl Runtime {
                         proc.phase_end();
                     }
                     let events = proc.recorder.take().map(|r| r.events).unwrap_or_default();
-                    let vc = proc.vc.as_slice().to_vec();
                     (
                         RankResult {
                             result,
-                            stats: RankStats { clock: proc.clock, traffic: proc.counters },
+                            stats: RankStats { clock: proc.clock, traffic: proc.counters() },
                         },
                         events,
                         proc.metrics,
-                        vc,
                         // Hand the inbox back instead of dropping it: a
                         // rank that exits early (crash/abort) must not
                         // disconnect its channel while peers are still
@@ -381,32 +362,25 @@ impl Runtime {
                     )
                 }));
             }
-            let mut parked_inboxes = Vec::with_capacity(n);
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((rr, events, metrics, vc, inbox)) => {
-                        rank_results[rank] = Some(rr);
-                        rank_traces[rank] = events;
-                        rank_metrics[rank] = metrics;
-                        rank_vcs[rank] = vc;
-                        parked_inboxes.push(inbox);
-                    }
-                    Err(p) => std::panic::resume_unwind(p),
-                }
-            }
-            drop(parked_inboxes);
+            // In rank order; the inboxes ride along until every rank joined.
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect::<Vec<_>>()
         });
 
-        let mut ranks: Vec<RankResult<T>> =
-            rank_results.into_iter().map(|r| r.expect("all ranks joined")).collect();
+        let (mut ranks, mut events, mut metrics) = (Vec::with_capacity(n), Vec::new(), Vec::new());
+        for (rr, rank_events, rank_metrics, _inbox) in joined {
+            ranks.push(rr);
+            events.extend(rank_events);
+            metrics.push(rank_metrics);
+        }
         let makespan =
             ranks.iter().map(|r| r.stats.clock).max().unwrap_or(VirtualTime::ZERO);
         let totals = ranks
             .iter()
             .fold(TrafficCounters::default(), |acc, r| acc.merge(&r.stats.traffic));
-        let trace = self
-            .tracing
-            .then(|| Trace::from_parts(rank_traces.into_iter().flatten().collect()));
+        let trace = self.tracing.then(|| Trace::from_parts(events));
         if let Some(trace) = &trace {
             // With the analyzer's evidence in hand, upgrade bare wall-clock
             // timeouts to *named* deadlocks: a rank whose receive timed out
@@ -432,7 +406,7 @@ impl Runtime {
                 }
             }
         }
-        RunReport { ranks, makespan, totals, trace, metrics: rank_metrics, vector_clocks: rank_vcs }
+        RunReport { ranks, makespan, totals, trace, metrics }
     }
 }
 

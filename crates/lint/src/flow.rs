@@ -208,8 +208,8 @@ pub fn flow_pass(
     let all_files: Vec<&str> =
         ws.crates.iter().flat_map(|c| c.files.iter().map(|f| f.rel.as_str())).collect();
 
-    // Declaration agreement (supersedes commlint's declaration-only
-    // check — same table, but against extracted call sites too).
+    // Declaration agreement: the table against the extracted
+    // declarations and call sites.
     for pf in &proto.files {
         if !all_files.contains(&pf.path.as_str()) {
             out.push(Finding {

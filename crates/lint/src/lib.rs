@@ -4,14 +4,14 @@
 //! This library backs three binaries (see `docs/static-analysis.md`):
 //!
 //! * **`commlint`** — the line-level determinism lint: wall-clock
-//!   reads, HashMap/HashSet iteration, wildcard receives, tag-protocol
-//!   declaration drift.
+//!   reads, HashMap/HashSet iteration, wildcard receives.
 //! * **`archlint`** — the workspace-level analyzer: the crate-layering
 //!   pass ([`layering`], spec in `scripts/layering.toml`), the
 //!   nondeterminism-taint propagation pass ([`taint`], catching the
 //!   indirect `Instant::now` two calls away that commlint cannot see),
-//!   and the static message-flow/protocol model ([`flow`], golden in
-//!   `scripts/archlint.model`).
+//!   and the static message-flow/protocol model ([`flow`]: the tag
+//!   table `scripts/commlint.protocol` against extracted call sites,
+//!   golden in `scripts/archlint.model`).
 //! * **`linkcheck`** — the markdown link/anchor gate for the docs.
 //!
 //! Everything is deliberately `syn`-free: the workspace builds offline

@@ -1,6 +1,6 @@
 //! Loader for `scripts/commlint.protocol` — the single source of truth
-//! for message tags, shared by `commlint` (declaration check) and
-//! `archlint` (static message-flow model).
+//! for message tags, read by `archlint`'s message-flow pass
+//! ([`crate::flow`]).
 //!
 //! Two line forms (blanks and `#` comments skipped):
 //!

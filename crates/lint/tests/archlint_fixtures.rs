@@ -108,10 +108,13 @@ fn protocol_violations_fire_exactly_once_each() {
     assert_eq!(count(&out, "[protocol-flow]"), 1, "{out}");
     assert_eq!(count(&out, "[protocol-range]"), 1, "{out}");
     assert_eq!(count(&out, "[protocol-model]"), 1, "{out}");
+    assert_eq!(count(&out, "[tag-protocol]"), 2, "{out}");
     assert!(out.contains("TAG_ONE` is unpaired"), "{out}");
     assert!(out.contains("TAG_OOR` = 500 falls in no declared range"), "{out}");
     assert!(out.contains("drifted"), "{out}");
-    assert!(out.contains("3 finding(s)"), "{out}");
+    assert!(out.contains("TAG_DRIFT` = 7 but the protocol table says 6"), "{out}");
+    assert!(out.contains("TAG_NEW` is not in scripts/commlint.protocol"), "{out}");
+    assert!(out.contains("5 finding(s)"), "{out}");
 }
 
 #[test]
@@ -124,7 +127,7 @@ fn bless_clears_model_drift_but_not_real_violations() {
     let out = stdout(&blessed);
     assert!(!blessed.status.success(), "{out}");
     assert_eq!(count(&out, "[protocol-model]"), 0, "{out}");
-    assert!(out.contains("2 finding(s)"), "{out}");
+    assert!(out.contains("4 finding(s)"), "{out}");
     let rerun = archlint(&dir, &[]);
     assert_eq!(count(&stdout(&rerun), "[protocol-model]"), 0, "{}", stdout(&rerun));
     let _ = std::fs::remove_dir_all(dir);

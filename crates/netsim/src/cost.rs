@@ -5,13 +5,11 @@
 //! between two ranks is priced by the class of the link between them:
 //! intra-node, intra-cluster, or the specific inter-cluster site pair.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::VirtualTime;
 use crate::topology::{ClusterSpec, GridTopology, ProcLocation};
 
 /// The class of the link between two process locations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkClass {
     /// Same node (shared-memory transport).
     IntraNode,
@@ -77,7 +75,7 @@ impl LinkClass {
 }
 
 /// Latency/bandwidth of one link class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// One-way latency β, in seconds.
     pub latency_s: f64,
@@ -100,7 +98,7 @@ impl LinkParams {
 
 /// Complete pricing of a grid: per-class link parameters plus per-process
 /// sustained flop rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Shared-memory transport inside a node.
     pub intra_node: LinkParams,
@@ -121,7 +119,6 @@ pub struct CostModel {
     /// WAN messages barely notice; ScaLAPACK's `O(N·log P)` per-column
     /// reductions feel every millisecond — which is the paper's Fig. 4
     /// multi-site collapse. See `ablation_wan_congestion`.
-    #[serde(default)]
     pub wan_overhead_s: f64,
 }
 

@@ -35,8 +35,6 @@
 //! bit-identical to the schedule-free path (the perf-regression gate
 //! relies on this).
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::{CostModel, LinkClass, LinkParams};
 use crate::time::VirtualTime;
 use crate::topology::ProcLocation;
@@ -47,7 +45,7 @@ use crate::topology::ProcLocation;
 /// (coarse bucket match for `wan`: any inter-cluster pair unless a
 /// specific site pair is given) is priced with `latency × latency_factor`
 /// and `bandwidth ÷ bandwidth_divisor`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Degradation {
     /// Which link class is degraded. `InterCluster(a, b)` (with `a < b`)
     /// hits only that site pair; to degrade *all* WAN links use
@@ -85,7 +83,7 @@ impl Degradation {
 
 /// A precise transient-drop rule: lose the `nth` (0-based) message sent
 /// on the directed pair `src → dst`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DropNth {
     src: usize,
     dst: usize,
@@ -93,7 +91,7 @@ struct DropNth {
 }
 
 /// A seeded probabilistic drop rule on a directed pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct DropProb {
     src: usize,
     dst: usize,
@@ -115,7 +113,7 @@ struct DropProb {
 /// assert!(sched.should_drop(0, 1, 0));
 /// assert!(!sched.should_drop(0, 1, 1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureSchedule {
     /// Seed for the probabilistic drop coin flips.
     seed: u64,

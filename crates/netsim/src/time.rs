@@ -3,14 +3,12 @@
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point (or span) of simulated time, in seconds.
 ///
 /// Wraps an `f64` with a total order (`total_cmp`) so clocks can be
 /// compared and maxed; simulated message-passing programs never read the
 /// wall clock, so runs are bit-reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct VirtualTime(pub f64);
 
 impl VirtualTime {

@@ -1,9 +1,7 @@
 //! Grid topology: clusters of multi-socket nodes and process placement.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of one cluster (geographical site).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Human-readable site name (e.g. `"orsay"`).
     pub name: String,
@@ -16,7 +14,7 @@ pub struct ClusterSpec {
 }
 
 /// Where a process (MPI rank) lives in the grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProcLocation {
     /// Cluster (site) index.
     pub cluster: usize,
@@ -30,7 +28,7 @@ pub struct ProcLocation {
 ///
 /// `placement[rank]` gives the rank's physical coordinate; the runtime uses
 /// it (through [`crate::cost::CostModel`]) to price every message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridTopology {
     /// Per-site descriptions.
     pub clusters: Vec<ClusterSpec>,

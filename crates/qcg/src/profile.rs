@@ -1,9 +1,7 @@
 //! JobProfiles: what an application asks of the meta-scheduler.
 
-use serde::{Deserialize, Serialize};
-
 /// Network quality demanded between (or within) process groups.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkRequirement {
     /// Largest acceptable one-way latency, seconds.
     pub max_latency_s: f64,
@@ -35,7 +33,7 @@ impl NetworkRequirement {
 /// The application's requirements document (§II-D): process groups of
 /// equivalent computing power, with different network quality inside and
 /// between groups.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobProfile {
     /// Number of process groups (one per "cluster-like" resource).
     pub groups: usize,

@@ -1,9 +1,10 @@
 //! Distributed least-squares fitting with TSQR — polynomial regression on
 //! a two-site grid without ever forming Q.
 //!
-//! The `(R, c)` pair rides the same tuned reduction tree as TSQR's R
-//! factor, so the whole solve costs one WAN message per site boundary plus
-//! the broadcast of the n-vector solution. For contrast we also solve the
+//! The solve is TSQR on the augmented block `[A | b]`: the right-hand side
+//! rides the same tuned reduction tree as one more column of R, so the
+//! whole solve costs one WAN message per site boundary plus the broadcast
+//! of the n-vector solution. For contrast we also solve the
 //! normal equations (CholeskyQR-style) and show the accuracy gap on an
 //! ill-conditioned Vandermonde basis.
 //!

@@ -15,6 +15,7 @@
 #                          the empty string to disable)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/cargo-fn.sh
 
 BASELINE=BENCH_baseline.json
 RESULTS=BENCH_results.json
@@ -23,9 +24,10 @@ RESULTS=BENCH_results.json
 export GRID_TSQR_LEDGER="${GRID_TSQR_LEDGER-ledger/runs.jsonl}"
 
 if [[ "${1:-}" == "--bless" ]]; then
-  exec cargo run --release -q -p tsqr-bench --bin bench_check -- \
+  run_cargo run --release -q -p tsqr-bench --bin bench_check -- \
     --bless --baseline "$BASELINE"
+  exit
 fi
 
-exec cargo run --release -q -p tsqr-bench --bin bench_check -- \
+run_cargo run --release -q -p tsqr-bench --bin bench_check -- \
   --baseline "$BASELINE" --out "$RESULTS"

@@ -10,30 +10,31 @@
 # Usage: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/cargo-fn.sh
 
 echo "==> cargo build --release --workspace"
-cargo build --release --workspace
+run_cargo build --release --workspace
 
 echo "==> cargo test --workspace"
-cargo test -q --workspace
+run_cargo test -q --workspace
 
 echo "==> cargo clippy --all-targets (warnings are errors)"
-cargo clippy --workspace --all-targets -- -D warnings
+run_cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" run_cargo doc --no-deps --workspace
 
 echo "==> cargo test --doc --workspace"
-cargo test -q --doc --workspace
+run_cargo test -q --doc --workspace
 
 echo "==> commlint (static determinism lint: wall clock, HashMap iteration,"
-echo "    wildcard receives, tag protocol; see docs/static-analysis.md)"
-cargo run --release -q -p tsqr-lint --bin commlint
+echo "    wildcard receives; see docs/static-analysis.md)"
+run_cargo run --release -q -p tsqr-lint --bin commlint
 
 echo "==> archlint (workspace analyzer: crate layering vs scripts/layering.toml,"
-echo "    nondeterminism-taint propagation, message-flow model vs"
+echo "    nondeterminism-taint propagation, tag table and message-flow model vs"
 echo "    scripts/archlint.model; see docs/static-analysis.md)"
-cargo run --release -q -p tsqr-lint --bin archlint
+run_cargo run --release -q -p tsqr-lint --bin archlint
 # One rank program per algorithm (crates/core/src/tile.rs): no second copy.
 if grep -rnE 'fn \w*_symbolic' crates/core/src; then echo "a _symbolic twin is back"; exit 1; fi
 # One owner per scenario decision (tsqr_bench::{platform_runtime, run_point,
@@ -48,11 +49,27 @@ CLI=src/bin/grid-tsqr.rs
 [ "$(lines_with 'cp_send_s: report.p99_sojourn_s' crates src)" -eq 1 ] \
   || copy_is_back "the serve column mapping (tsqr_bench::serve_record)"
 
+# One causal record, one traffic ledger, one reduction walk (ISSUE 18): the
+# trace is the only place causality is recorded, the metrics registry the only
+# place traffic is counted, process.rs appends events in one place, and the
+# Step walk / the butterfly exist once outside the files that must own one.
+GM=crates/gridmpi/src
+if grep -n 'vector_clocks\|\bvc\b' $GM/process.rs $GM/runtime.rs $GM/message.rs; then
+  copy_is_back "a run-time vector clock in gridmpi's message path"
+fi
+[ "$(grep -c 'rec.events.push' $GM/process.rs)" -eq 1 ] || copy_is_back "event pushes in process.rs"
+if grep -n 'self.counters\.' $GM/process.rs; then copy_is_back "a second traffic ledger"; fi
+[ "$(grep -rl 'Step::Recv' crates/core/src | sort | tr '\n' ' ')" = \
+  "crates/core/src/caqr_dist.rs crates/core/src/ft_tsqr.rs crates/core/src/tree.rs crates/core/src/tsqr.rs crates/core/src/tune.rs " ] \
+  || copy_is_back "a Step walk outside tree/tsqr/ft_tsqr/caqr_dist/tune"
+if grep -rn 'mask <<= 1' crates/core/src; then copy_is_back "a hand-written butterfly in crates/core"; fi
+if grep -n 'fn lint_tag_protocol' crates/lint/src/main.rs; then copy_is_back "commlint's tag-protocol rule"; fi
+
 # linalg is single-threaded on purpose (a rank is one of hundreds of threads).
 if grep -n rayon crates/linalg/Cargo.toml; then echo "rayon is back in crates/linalg"; exit 1; fi
 
 echo "==> linkcheck (markdown links + anchors across README, EXPERIMENTS, docs/)"
-cargo run --release -q -p tsqr-lint --bin linkcheck
+run_cargo run --release -q -p tsqr-lint --bin linkcheck
 
 echo "==> commcheck (happens-before gate: figure scenarios + fault matrix"
 echo "    + DPOR-lite explorer, pinned against COMMCHECK_baseline.txt)"

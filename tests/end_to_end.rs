@@ -209,6 +209,48 @@ fn distributed_tsqr_is_stable_at_kappa_1e12_on_every_tree() {
 }
 
 #[test]
+fn distributed_least_squares_tracks_the_sequential_solve_to_kappa_eps() {
+    // The least-squares rung of the ladder: `lstsq_distributed` is the
+    // TSQR rank program on `[A | b]`, so every tree shape and grouped
+    // domains (2 and 1 per 4-process cluster: `pdgeqr2` leaves) must land
+    // within c·κ·ε of the sequential Householder solve of the same
+    // consistent system (c = 1; measured ≤ 0.04).
+    use grid_tsqr::core::lstsq::lstsq_distributed;
+    use support::{with_condition, EPS};
+
+    let rt = small_grid5000(2, 2); // 2 sites x 4 procs
+    let (m, n) = (640usize, 12usize);
+    for (i, kappa) in [1e4, 1e8].into_iter().enumerate() {
+        let a = with_condition(m, n, kappa, 31 + i as u64);
+        let x_true: Vec<f64> = (0..n).map(|j| 1.0 + j as f64 / 4.0).collect();
+        let b: Vec<f64> =
+            (0..m).map(|r| (0..n).map(|j| a[(r, j)] * x_true[j]).sum()).collect();
+        let f = QrFactors::compute(&a, 32);
+        let mut qtb = grid_tsqr::linalg::Matrix::from_col_major(m, 1, b.clone()).unwrap();
+        f.apply_qt_left(&mut qtb);
+        let mut x_seq = qtb.col(0)[..n].to_vec();
+        trsv(Triangle::Upper, &f.r().view(), &mut x_seq);
+        let scale = x_seq.iter().fold(0.0_f64, |s, x| s.max(x.abs()));
+        for dpc in [4usize, 2, 1] {
+            for shape in [TreeShape::Flat, TreeShape::Binary, TreeShape::GridHierarchical] {
+                let out = lstsq_distributed(&rt, &a, &b, dpc, shape.clone());
+                let err = out
+                    .x
+                    .iter()
+                    .zip(&x_seq)
+                    .fold(0.0_f64, |e, (got, want)| e.max((got - want).abs()));
+                let bound = kappa * EPS * scale;
+                assert!(
+                    err <= bound,
+                    "kappa={kappa:e} dpc={dpc} {shape:?}: |x - x_seq|_max = {err:e} > {bound:e}"
+                );
+                assert!(out.r_min_diag > 0.0);
+            }
+        }
+    }
+}
+
+#[test]
 fn caqr_extends_tsqr_to_general_matrices() {
     // The §VI extension: CAQR's panel *is* TSQR; a square matrix factored
     // by CAQR must agree with the reference QR.
