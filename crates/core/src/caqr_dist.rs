@@ -31,7 +31,7 @@ use tsqr_linalg::qr::Trans;
 use tsqr_linalg::Matrix;
 
 use crate::tile::Tile;
-use crate::tree::{ReductionTree, Step, TreeShape};
+use crate::tree::{ReductionTree, TreeShape};
 use crate::workload;
 
 /// Tag for R factors travelling up the per-panel tree.
@@ -246,34 +246,27 @@ pub fn caqr_dist_program<T: Tile>(
                 &participants.iter().map(|&r| cluster_of_rank[r]).collect::<Vec<_>>(),
             );
             let combine_rate = cfg.combine_rate_flops.or(cfg.rate_flops);
-            for step in &tree.steps[pos] {
-                match *step {
-                    Step::Recv(from_pos) => {
-                        let from = participants[from_pos];
-                        let f = r_acc.tpqrt(p.recv(from, TAG_R)?);
-                        p.compute(flops::tpqrt(b as u64), combine_rate);
-                        if trail > 0 {
-                            let mut c1 = local.sub_matrix(off, col0 + b, b, trail);
-                            let mut c2: T = p.recv(from, TAG_C)?;
-                            T::tpmqrt(Trans::Yes, &f, &mut c1, &mut c2);
-                            p.compute(
-                                flops::tpmqrt(b as u64, trail as u64),
-                                combine_rate,
-                            );
-                            local.set_sub(off, col0 + b, &c1);
-                            p.send(from, TAG_C_BACK, c2)?;
-                        }
-                    }
-                    Step::Send(to_pos) => {
-                        let to = participants[to_pos];
-                        p.send(to, TAG_R, r_acc.pack_upper())?;
-                        if trail > 0 {
-                            let c_mine = local.sub_matrix(off, col0 + b, b, trail);
-                            p.send(to, TAG_C, c_mine)?;
-                            let updated: T = p.recv(to, TAG_C_BACK)?;
-                            local.set_sub(off, col0 + b, &updated);
-                        }
-                    }
+            for &from_pos in tree.children(pos) {
+                let from = participants[from_pos];
+                let f = r_acc.tpqrt(p.recv(from, TAG_R)?);
+                p.compute(flops::tpqrt(b as u64), combine_rate);
+                if trail > 0 {
+                    let mut c1 = local.sub_matrix(off, col0 + b, b, trail);
+                    let mut c2: T = p.recv(from, TAG_C)?;
+                    T::tpmqrt(Trans::Yes, &f, &mut c1, &mut c2);
+                    p.compute(flops::tpmqrt(b as u64, trail as u64), combine_rate);
+                    local.set_sub(off, col0 + b, &c1);
+                    p.send(from, TAG_C_BACK, c2)?;
+                }
+            }
+            if let Some(to_pos) = tree.parent(pos) {
+                let to = participants[to_pos];
+                p.send(to, TAG_R, r_acc.pack_upper())?;
+                if trail > 0 {
+                    let c_mine = local.sub_matrix(off, col0 + b, b, trail);
+                    p.send(to, TAG_C, c_mine)?;
+                    let updated: T = p.recv(to, TAG_C_BACK)?;
+                    local.set_sub(off, col0 + b, &updated);
                 }
             }
             // The root (owner of tile k) stores the panel's final R.

@@ -23,8 +23,9 @@
 //! # The protocol
 //!
 //! Participants are the domain roots (single-process domains required).
-//! Each follows its [`crate::tree::Step`] schedule as usual; recovery
-//! paths trigger on typed [`CommError`]s:
+//! Each walks the [`crate::tree::ReductionTree`] as usual (its children
+//! ascending, then its parent); recovery paths trigger on typed
+//! [`CommError`]s:
 //!
 //! * **Dead child** (`RankFailed` / `PeerGone` while expecting a child's
 //!   R): the parent *rebuilds* the child's entire subtree locally —
@@ -73,7 +74,7 @@ use tsqr_linalg::prelude::*;
 use tsqr_linalg::Matrix;
 
 use crate::domains::DomainLayout;
-use crate::tree::{ReductionTree, Step};
+use crate::tree::ReductionTree;
 use crate::tsqr::{pack_upper, unpack_upper, TsqrConfig, PHASE_LEAF, PHASE_REDUCE};
 use crate::workload;
 
@@ -157,12 +158,10 @@ fn local_subtree_r(p: &mut Process, ctx: &Ctx<'_>, x: usize) -> Matrix {
     let f = QrFactors::compute(&local, ctx.cfg.nb);
     p.compute(flops::geqrf(dom.rows, n as u64), ctx.rate_flops);
     let mut r1 = f.r().upper_triangular_padded();
-    for step in &ctx.tree.steps[x] {
-        if let Step::Recv(y) = *step {
-            let mut r2 = local_subtree_r(p, ctx, y);
-            let _ = tpqrt(&mut r1, &mut r2);
-            p.compute(flops::tpqrt(n as u64), ctx.cfg.combine_rate_flops.or(ctx.rate_flops));
-        }
+    for &y in ctx.tree.children(x) {
+        let mut r2 = local_subtree_r(p, ctx, y);
+        let _ = tpqrt(&mut r1, &mut r2);
+        p.compute(flops::tpqrt(n as u64), ctx.cfg.combine_rate_flops.or(ctx.rate_flops));
     }
     r1.upper_triangular_padded()
 }
@@ -286,13 +285,6 @@ pub fn ft_tsqr_rank_program(
     // the plain program). The flag is schedule-derived, hence identical
     // on every rank.
     let ft_active = !p.failure_schedule().is_empty();
-    let children: Vec<usize> = tree.steps[d]
-        .iter()
-        .filter_map(|s| match s {
-            Step::Recv(c) => Some(*c),
-            Step::Send(_) => None,
-        })
-        .collect();
 
     let mut out = FtTsqrOutput {
         r: None,
@@ -312,57 +304,39 @@ pub fn ft_tsqr_rank_program(
 
     // --- Reduction, with per-child recovery. ---
     p.phase_begin(PHASE_REDUCE);
-    let mut sent: Option<(usize, Vec<f64>, bool)> = None;
-    for step in &tree.steps[d] {
-        match *step {
-            Step::Recv(c) => {
-                let mut r2 = match p.recv::<Vec<f64>>(ctx.roots[c], TAG_R) {
-                    Ok(packed) => unpack_upper(n, &packed),
-                    Err(e) if own_death(p, &e) => return Err(e),
-                    Err(CommError::RankFailed { .. } | CommError::PeerGone { .. }) => {
-                        // Dead child: rebuild its whole subtree locally.
-                        p.phase_begin(PHASE_RECOVER);
-                        let r = local_subtree_r(p, &ctx, c);
-                        p.phase_end();
-                        out.rebuilt_subtrees.push(c);
-                        r
-                    }
-                    Err(CommError::MessageDropped { .. }) => {
-                        // Ghost: the child lives and caches its R.
-                        p.phase_begin(PHASE_RECOVER);
-                        let (r, salvaged) = salvage_child(p, &ctx, c)?;
-                        p.phase_end();
-                        if salvaged {
-                            out.salvaged_children.push(c);
-                        } else {
-                            out.rebuilt_subtrees.push(c);
-                        }
-                        r
-                    }
-                    Err(e) => return Err(e),
-                };
-                let _ = tpqrt(&mut r1, &mut r2);
-                p.compute(flops::tpqrt(n as u64), cfg.combine_rate_flops.or(rate_flops));
+    for &c in tree.children(d) {
+        let mut r2 = match p.recv::<Vec<f64>>(ctx.roots[c], TAG_R) {
+            Ok(packed) => unpack_upper(n, &packed),
+            Err(e) if own_death(p, &e) => return Err(e),
+            Err(CommError::RankFailed { .. } | CommError::PeerGone { .. }) => {
+                // Dead child: rebuild its whole subtree locally.
+                p.phase_begin(PHASE_RECOVER);
+                let r = local_subtree_r(p, &ctx, c);
+                p.phase_end();
+                out.rebuilt_subtrees.push(c);
+                r
             }
-            Step::Send(to_d) => {
-                // Cache the exact bytes we send so a salvage request can
-                // be answered verbatim later.
-                let packed = pack_upper(&r1);
-                let ghosted = match p.send(ctx.roots[to_d], TAG_R, packed.clone()) {
-                    Err(e) if own_death(p, &e) => return Err(e),
-                    Err(CommError::MessageDropped { .. }) => true,
-                    // Delivered, or the parent is gone (standby re-homes
-                    // us) — either way, proceed to standby.
-                    _ => false,
-                };
-                sent = Some((to_d, packed, ghosted));
+            Err(CommError::MessageDropped { .. }) => {
+                // Ghost: the child lives and caches its R.
+                p.phase_begin(PHASE_RECOVER);
+                let (r, salvaged) = salvage_child(p, &ctx, c)?;
+                p.phase_end();
+                if salvaged {
+                    out.salvaged_children.push(c);
+                } else {
+                    out.rebuilt_subtrees.push(c);
+                }
+                r
             }
-        }
+            Err(e) => return Err(e),
+        };
+        let _ = tpqrt(&mut r1, &mut r2);
+        p.compute(flops::tpqrt(n as u64), cfg.combine_rate_flops.or(rate_flops));
     }
-    p.phase_end();
 
     // --- Root: hold R, announce completion. ---
-    if d == 0 {
+    let Some(parent_d) = tree.parent(d) else {
+        p.phase_end();
         let r = r1.upper_triangular_padded();
         if ft_active {
             p.phase_begin(PHASE_STANDBY);
@@ -371,13 +345,22 @@ pub fn ft_tsqr_rank_program(
         }
         out.r = Some(r);
         return Ok(out);
-    }
+    };
 
+    // Cache the exact bytes we send so a salvage request can be answered
+    // verbatim later.
+    let sent_r = pack_upper(&r1);
+    let r_send_ghosted = match p.send(ctx.roots[parent_d], TAG_R, sent_r.clone()) {
+        Err(e) if own_death(p, &e) => return Err(e),
+        Err(CommError::MessageDropped { .. }) => true,
+        // Delivered, or the parent is gone (standby re-homes us) — either
+        // way, proceed to standby.
+        _ => false,
+    };
+    p.phase_end();
     if !ft_active {
         return Ok(out);
     }
-    let (parent_d, sent_r, r_send_ghosted) =
-        sent.expect("every non-root participant sends once");
 
     // --- Standby, phase A: watch the parent. ---
     p.phase_begin(PHASE_STANDBY);
@@ -458,7 +441,7 @@ pub fn ft_tsqr_rank_program(
     // Relay `Done` to our children so orphans deep in live subtrees wake
     // up (the agent already broadcast to everyone).
     if out.r.is_none() {
-        for &c in &children {
+        for &c in tree.children(d) {
             send_ctrl(p, ctx.roots[c], &FtMsg::Done)?;
         }
     }

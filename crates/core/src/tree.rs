@@ -1,4 +1,4 @@
-//! Reduction-tree schedules for the TSQR all-reduce.
+//! Reduction trees for the TSQR all-reduce.
 //!
 //! TSQR is "a single complex reduce operation" (§II-C); the *shape* of the
 //! reduction tree is the paper's key tuning knob. Previous work used flat
@@ -11,30 +11,21 @@
 //! This module generalizes that knob the way Demmel et al. prove is safe
 //! (TSQR is correct over *any* reduction tree): a [`TreeShape`] is either
 //! one of the classic fixed shapes, a **generated family**
-//! ([`TreeShape::Kary`], [`TreeShape::Binomial`], [`TreeShape::Greedy`]),
-//! or a fully **arbitrary tree** given as a parent vector
-//! ([`TreeShape::Custom`]). The model-driven autotuner in [`crate::tune`]
-//! searches this space with the calibrated α/β/γ cost model and returns
-//! the argmin shape for a topology (see `docs/tuning.md`).
+//! ([`TreeShape::Kary`], [`TreeShape::Greedy`]), or a fully **arbitrary
+//! tree** given as a parent vector ([`TreeShape::Custom`]). The
+//! model-driven autotuner in [`crate::tune`] searches this space with the
+//! calibrated α/β/γ cost model and returns the argmin shape for a topology
+//! (see `docs/tuning.md`).
 //!
-//! A schedule assigns every participant an ordered list of [`Step`]s; a
-//! participant that reaches a `Send` forwards its accumulated R factor and
-//! is done. Executing the steps in order, combining on every `Recv`,
-//! performs the reduction; executing them *in reverse* with the roles
-//! swapped walks the same tree downward, which is how the explicit Q is
-//! reconstructed (each combine node scatters its `[E1; E2]` blocks back to
-//! the children that supplied `R1`/`R2`).
-
-/// One action in a participant's reduction schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Step {
-    /// Receive a partner's R factor (by participant index) and combine it
-    /// into ours (ours is `R1`, theirs is `R2`).
-    Recv(usize),
-    /// Send our accumulated R factor to a parent (by participant index).
-    /// Always the last step of a non-root participant.
-    Send(usize),
-}
+//! A [`ReductionTree`] *is* its parent vector: every shape is a rule
+//! naming each participant's parent, and the one constructor
+//! ([`ReductionTree::from_parents`]) derives the children lists from it.
+//! A participant combines its children's R factors in **ascending index
+//! order** (ours is `R1`, theirs is `R2`) — the floating-point combine
+//! order of every walker — then forwards the accumulated R to its parent
+//! and is done. The explicit Q walks the same relation in reverse:
+//! receive from the parent, then scatter the `[E1; E2]` blocks back to
+//! the children, last-combined first.
 
 /// The shape of the reduction tree.
 ///
@@ -46,8 +37,8 @@ pub enum TreeShape {
     /// Everyone sends to participant 0, which combines sequentially —
     /// the out-of-core / multicore shape.
     Flat,
-    /// Topology-oblivious binary tree over participant indices — what a
-    /// grid-unaware MPI reduction does.
+    /// Topology-oblivious binary tree over participant indices (index
+    /// halving, depth `⌈log₂ P⌉`) — what a grid-unaware MPI reduction does.
     Binary,
     /// Binary tree within each cluster, then binary tree over the cluster
     /// roots — the paper's tuned tree (Fig. 2).
@@ -56,10 +47,11 @@ pub enum TreeShape {
     /// `(i − 1) / k`. `Kary(1)` is a chain (depth `P − 1`, pipelined);
     /// `Kary(P − 1)` degenerates to [`TreeShape::Flat`].
     Kary(usize),
-    /// Binomial tree: participant `i`'s parent clears `i`'s lowest set
-    /// bit — the shape of a classic MPI `Reduce`. Same `log₂ P` depth as
-    /// [`TreeShape::Binary`] but children arrive in subtree-size order,
-    /// which pipelines better under nonzero latency.
+    /// The binomial tree of a classic MPI `Reduce` — which *is*
+    /// [`TreeShape::Binary`]: index halving sends `i` to `i` minus its
+    /// lowest set bit, so both names build the identical tree for every
+    /// `P` ([`ReductionTree::binomial_parents`]). Kept as a CLI name and
+    /// a row of the tuner's portfolio.
     Binomial,
     /// Greedy latency-aware construction: repeatedly merge the two
     /// subtrees whose merge completes cheapest under link-class costs
@@ -72,8 +64,7 @@ pub enum TreeShape {
     Greedy,
     /// An arbitrary tree as a parent vector: `parents[i]` is participant
     /// `i`'s parent, `None` exactly at the root, which must be
-    /// participant 0. Children are received in ascending index order
-    /// (matching what [`ReductionTree::parents`] round-trips).
+    /// participant 0 — verbatim what [`ReductionTree::parents`] returns.
     Custom(Vec<Option<usize>>),
 }
 
@@ -109,16 +100,27 @@ const GREEDY_INTRA_COST: f64 = 1.0;
 /// See [`GREEDY_INTRA_COST`].
 const GREEDY_INTER_COST: f64 = 100.0;
 
-/// A complete reduction schedule: `steps[i]` is participant `i`'s program.
-/// Participant 0 is always the root (it holds the final R).
+/// A reduction tree over participants `0..n`, rooted at participant 0
+/// (which holds the final R): the parent vector, plus each participant's
+/// children in ascending index order — the order it combines them in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReductionTree {
-    /// Per-participant step lists.
-    pub steps: Vec<Vec<Step>>,
+    parents: Vec<Option<usize>>,
+    children: Vec<Vec<usize>>,
+}
+
+/// The parent vector in which every non-root `i` has parent `rule(i)`.
+fn parents_by(n: usize, rule: impl Fn(usize) -> usize) -> Vec<Option<usize>> {
+    (0..n).map(|i| (i > 0).then(|| rule(i))).collect()
+}
+
+/// `i` with its lowest set bit cleared (`i > 0`): the index-halving parent.
+fn clear_lowest_bit(i: usize) -> usize {
+    i & (i - 1)
 }
 
 impl ReductionTree {
-    /// Builds the schedule for `n` participants.
+    /// Builds the tree of `shape` over `n` participants.
     ///
     /// `cluster_of[i]` gives participant `i`'s cluster and is only
     /// consulted by [`TreeShape::GridHierarchical`] and
@@ -134,21 +136,17 @@ impl ReductionTree {
     /// [`ReductionTree::from_parents`]).
     pub fn build(shape: &TreeShape, n: usize, cluster_of: &[usize]) -> Self {
         assert!(n > 0, "reduction over zero participants");
-        match shape {
-            TreeShape::Flat => Self::flat(&(0..n).collect::<Vec<_>>()),
-            TreeShape::Binary => Self::binary(&(0..n).collect::<Vec<_>>()),
+        let parents = match shape {
+            TreeShape::Flat => parents_by(n, |_| 0),
+            TreeShape::Binary | TreeShape::Binomial => Self::binomial_parents(n),
             TreeShape::GridHierarchical => {
                 assert_eq!(cluster_of.len(), n, "cluster_of length mismatch");
-                Self::hierarchical(n, cluster_of)
+                Self::hierarchical_parents(cluster_of)
             }
-            TreeShape::Kary(k) => {
-                assert!(*k >= 1, "k-ary tree needs k >= 1");
-                Self::from_parents(&Self::kary_parents(n, *k))
-            }
-            TreeShape::Binomial => Self::from_parents(&Self::binomial_parents(n)),
+            TreeShape::Kary(k) => Self::kary_parents(n, *k),
             TreeShape::Greedy => {
                 assert_eq!(cluster_of.len(), n, "cluster_of length mismatch");
-                let parents = Self::greedy_parents(
+                Self::greedy_parents(
                     n,
                     |child, parent| {
                         if cluster_of[child] == cluster_of[parent] {
@@ -158,8 +156,7 @@ impl ReductionTree {
                         }
                     },
                     GREEDY_INTRA_COST,
-                );
-                Self::from_parents(&parents)
+                )
             }
             TreeShape::Custom(parents) => {
                 assert_eq!(
@@ -168,78 +165,16 @@ impl ReductionTree {
                     "custom tree has {} participants, reduction needs {n}",
                     parents.len()
                 );
-                Self::from_parents(parents)
+                parents.clone()
             }
-        }
+        };
+        Self::from_parents(&parents)
     }
 
-    /// Flat tree over the given participant ids: `ids[0]` receives from
-    /// every other id in order.
-    fn flat(ids: &[usize]) -> Self {
-        let mut steps = vec![Vec::new(); ids.iter().copied().max().unwrap_or(0) + 1];
-        for &other in &ids[1..] {
-            steps[ids[0]].push(Step::Recv(other));
-            steps[other].push(Step::Send(ids[0]));
-        }
-        ReductionTree { steps }
-    }
-
-    /// Binary tree over the given participant ids (classic halving:
-    /// at stride `s`, the id at even position receives from position+s).
-    fn binary(ids: &[usize]) -> Self {
-        let mut steps = vec![Vec::new(); ids.iter().copied().max().unwrap_or(0) + 1];
-        Self::binary_into(ids, &mut steps);
-        ReductionTree { steps }
-    }
-
-    fn binary_into(ids: &[usize], steps: &mut [Vec<Step>]) {
-        let p = ids.len();
-        let mut stride = 1;
-        while stride < p {
-            let mut pos = 0;
-            while pos < p {
-                if pos % (2 * stride) == 0 {
-                    if pos + stride < p {
-                        steps[ids[pos]].push(Step::Recv(ids[pos + stride]));
-                    }
-                } else {
-                    steps[ids[pos]].push(Step::Send(ids[pos - stride]));
-                }
-                pos += stride;
-            }
-            stride *= 2;
-        }
-    }
-
-    /// Fig. 2's tree: binary within each cluster, then binary over cluster
-    /// roots. The overall root is the root of cluster 0 (participant 0).
-    fn hierarchical(n: usize, cluster_of: &[usize]) -> Self {
-        let mut steps = vec![Vec::new(); n];
-        // Group contiguous participants by cluster.
-        let mut cluster_ids: Vec<Vec<usize>> = Vec::new();
-        for i in 0..n {
-            match cluster_ids.last_mut() {
-                Some(grp) if cluster_of[grp[0]] == cluster_of[i] => grp.push(i),
-                _ => cluster_ids.push(vec![i]),
-            }
-        }
-        // Stage 1: binary tree inside each cluster.
-        for grp in &cluster_ids {
-            Self::binary_into(grp, &mut steps);
-        }
-        // Stage 2: binary tree over the cluster roots.
-        let roots: Vec<usize> = cluster_ids.iter().map(|g| g[0]).collect();
-        Self::binary_into(&roots, &mut steps);
-        ReductionTree { steps }
-    }
-
-    /// Builds a schedule from a parent vector: `parents[i]` is
-    /// participant `i`'s parent, `None` exactly at the root (participant
-    /// 0). Every internal node receives its children in **ascending
-    /// index order**, then sends to its parent — the order the built-in
-    /// shapes also use, so round-tripping a fixed shape through
-    /// [`ReductionTree::parents`] reproduces its schedule (and hence its
-    /// floating-point combine order) exactly.
+    /// The one constructor: `parents[i]` is participant `i`'s parent,
+    /// `None` exactly at the root (participant 0). Children lists are
+    /// filled in one ascending pass, so every participant combines its
+    /// children in ascending index order.
     ///
     /// # Panics
     /// Panics when the vector is empty, when the root is not participant
@@ -249,45 +184,40 @@ impl ReductionTree {
         let n = parents.len();
         assert!(n > 0, "reduction over zero participants");
         assert_eq!(parents[0], None, "participant 0 must be the root");
+        let mut children = vec![Vec::new(); n];
         for (i, p) in parents.iter().enumerate().skip(1) {
             let p = p.unwrap_or_else(|| panic!("participant {i}: only the root lacks a parent"));
             assert!(p < n, "participant {i}: parent {p} out of range");
             assert_ne!(p, i, "participant {i} cannot be its own parent");
+            children[p].push(i);
         }
-        // Cycle check: walk each node to the root; more than n hops means
-        // a cycle (root-reachability also falls out of this walk).
-        for start in 1..n {
-            let (mut cur, mut hops) = (start, 0usize);
-            while let Some(p) = parents[cur] {
-                cur = p;
-                hops += 1;
-                assert!(hops <= n, "cycle through participant {start}");
-            }
+        let tree = ReductionTree { parents: parents.to_vec(), children };
+        // Everyone has exactly one parent, so whoever the walk down from
+        // the root misses sits on (or hangs off) a cycle.
+        let mut reached = vec![false; n];
+        for i in tree.top_down() {
+            reached[i] = true;
         }
-        let mut steps = vec![Vec::new(); n];
-        for i in 0..n {
-            // Recvs from children, ascending.
-            for (c, p) in parents.iter().enumerate() {
-                if *p == Some(i) {
-                    steps[i].push(Step::Recv(c));
-                }
-            }
-            if let Some(p) = parents[i] {
-                steps[i].push(Step::Send(p));
-            }
+        if let Some(start) = reached.iter().position(|r| !r) {
+            panic!("cycle through participant {start}");
         }
-        ReductionTree { steps }
+        tree
     }
 
-    /// The parent vector of this tree (inverse of
-    /// [`ReductionTree::from_parents`] up to `Recv` ordering): `None` at
-    /// the root, `Some(parent)` elsewhere.
-    pub fn parents(&self) -> Vec<Option<usize>> {
-        let mut parents = vec![None; self.steps.len()];
-        for (i, steps) in self.steps.iter().enumerate() {
-            for s in steps {
-                if let Step::Send(to) = s {
-                    parents[i] = Some(*to);
+    /// Parent vector of Fig. 2's tree: index halving inside each maximal
+    /// run of equal `cluster_of`, then over the run roots.
+    fn hierarchical_parents(cluster_of: &[usize]) -> Vec<Option<usize>> {
+        let mut run_roots: Vec<usize> = Vec::new();
+        let mut parents = Vec::with_capacity(cluster_of.len());
+        for i in 0..cluster_of.len() {
+            match run_roots.last() {
+                Some(&root) if cluster_of[root] == cluster_of[i] => {
+                    parents.push(Some(root + clear_lowest_bit(i - root)));
+                }
+                _ => {
+                    let run = run_roots.len();
+                    parents.push((run > 0).then(|| run_roots[clear_lowest_bit(run)]));
+                    run_roots.push(i);
                 }
             }
         }
@@ -298,14 +228,14 @@ impl ReductionTree {
     /// Parents always have lower indices than their children.
     pub fn kary_parents(n: usize, k: usize) -> Vec<Option<usize>> {
         assert!(k >= 1, "k-ary tree needs k >= 1");
-        (0..n).map(|i| if i == 0 { None } else { Some((i - 1) / k) }).collect()
+        parents_by(n, |i| (i - 1) / k)
     }
 
-    /// Parent vector of the binomial tree: `i`'s parent clears `i`'s
-    /// lowest set bit. Parents always have lower indices than their
-    /// children.
+    /// Parent vector of the binary (index-halving) tree, which is the
+    /// binomial tree: `i`'s parent clears `i`'s lowest set bit. Parents
+    /// always have lower indices than their children.
     pub fn binomial_parents(n: usize) -> Vec<Option<usize>> {
-        (0..n).map(|i| if i == 0 { None } else { Some(i & (i - 1)) }).collect()
+        parents_by(n, clear_lowest_bit)
     }
 
     /// Parent vector of the greedy latency-aware construction: start with
@@ -322,6 +252,9 @@ impl ReductionTree {
     /// break toward the lowest root pair. The lower-index root always
     /// absorbs the higher one, so parents have lower indices than their
     /// children (the heap order [`crate::ft_tsqr`] relies on).
+    ///
+    /// Cost: every merge re-prices every remaining pair, `C(n + 1, 3)`
+    /// `edge_cost` calls in all — cubic, ≈ 2.8 M at `n = 256`.
     pub fn greedy_parents(
         n: usize,
         edge_cost: impl Fn(usize, usize) -> f64,
@@ -359,44 +292,70 @@ impl ReductionTree {
 
     /// Number of participants.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.parents.len()
     }
 
     /// True when there are no participants (never produced by `build`).
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.parents.is_empty()
+    }
+
+    /// Participant `i`'s parent — where its accumulated R goes; `None` at
+    /// the root.
+    pub fn parent(&self, i: usize) -> Option<usize> {
+        self.parents[i]
+    }
+
+    /// Participant `i`'s children, ascending: the order it receives and
+    /// combines their R factors in.
+    pub fn children(&self, i: usize) -> &[usize] {
+        &self.children[i]
+    }
+
+    /// The parent vector: `None` at the root, `Some(parent)` elsewhere.
+    /// `Custom(tree.parents().to_vec())` names this very tree.
+    pub fn parents(&self) -> &[Option<usize>] {
+        &self.parents
+    }
+
+    /// Every `(child, parent)` edge — one message each — by ascending
+    /// child.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.parents.iter().enumerate().filter_map(|(c, p)| p.map(|p| (c, p)))
+    }
+
+    /// All participants, each after its parent (breadth-first from the
+    /// root). Reversed, every participant comes after all its children —
+    /// the order a sequential replay of the reduction needs.
+    pub fn top_down(&self) -> Vec<usize> {
+        let mut order = vec![0];
+        let mut next = 0;
+        while next < order.len() {
+            order.extend_from_slice(&self.children[order[next]]);
+            next += 1;
+        }
+        order
     }
 
     /// Total number of messages in the whole reduction (= edges of the
     /// tree = `n − 1`).
     pub fn total_messages(&self) -> usize {
-        self.steps
-            .iter()
-            .flatten()
-            .filter(|s| matches!(s, Step::Send(_)))
-            .count()
+        self.edges().count()
     }
 
     /// Messages crossing clusters, under the given participant→cluster map.
     pub fn inter_cluster_messages(&self, cluster_of: &[usize]) -> usize {
-        let mut count = 0;
-        for (i, steps) in self.steps.iter().enumerate() {
-            for s in steps {
-                if let Step::Send(to) = s {
-                    if cluster_of[i] != cluster_of[*to] {
-                        count += 1;
-                    }
-                }
-            }
-        }
-        count
+        self.edges().filter(|&(c, p)| cluster_of[c] != cluster_of[p]).count()
     }
 
-    /// Depth of the tree: the longest chain of sequential combine steps at
-    /// any participant — the `log₂(P)` factor of Table I for the binary
-    /// shape.
+    /// Depth of the tree: the most messages any one participant handles in
+    /// sequence (its children's, then its own upward send) — the `log₂(P)`
+    /// factor of Table I for the binary shape.
     pub fn depth(&self) -> usize {
-        self.steps.iter().map(Vec::len).max().unwrap_or(0)
+        (0..self.len())
+            .map(|i| self.children[i].len() + usize::from(self.parents[i].is_some()))
+            .max()
+            .unwrap_or(0)
     }
 
     /// True when every parent has a lower participant index than each of
@@ -405,12 +364,7 @@ impl ReductionTree {
     /// agent election walks candidates upward from 0 and only terminates
     /// because parents always sit below their children.
     pub fn is_heap_ordered(&self) -> bool {
-        self.steps.iter().enumerate().all(|(i, steps)| {
-            steps.iter().all(|s| match s {
-                Step::Recv(c) => *c > i,
-                Step::Send(p) => *p < i,
-            })
-        })
+        self.edges().all(|(c, p)| p < c)
     }
 }
 
@@ -418,47 +372,24 @@ impl ReductionTree {
 mod tests {
     use super::*;
 
-    /// Executes the schedule on plain integers with a "combine" that
-    /// collects the multiset of leaves; checks the root sees everyone.
+    /// Runs the reduction on plain integers, "combining" by collecting
+    /// the leaves; returns what the root ends up holding, sorted.
     fn simulate(tree: &ReductionTree) -> Vec<usize> {
-        let n = tree.len();
-        let mut acc: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-        // Replay: process steps globally in a data-driven order.
-        let mut queues: Vec<std::collections::VecDeque<Step>> =
-            tree.steps.iter().map(|s| s.iter().copied().collect()).collect();
-        let mut mailbox: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); n];
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for i in 0..n {
-                while let Some(&step) = queues[i].front() {
-                    match step {
-                        Step::Send(to) => {
-                            let payload = std::mem::take(&mut acc[i]);
-                            mailbox[to].push((i, payload));
-                            queues[i].pop_front();
-                            progress = true;
-                        }
-                        Step::Recv(from) => {
-                            if let Some(pos) =
-                                mailbox[i].iter().position(|(src, _)| *src == from)
-                            {
-                                let (_, payload) = mailbox[i].remove(pos);
-                                acc[i].extend(payload);
-                                queues[i].pop_front();
-                                progress = true;
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                }
+        let mut acc: Vec<Vec<usize>> = (0..tree.len()).map(|i| vec![i]).collect();
+        for &i in tree.top_down().iter().rev() {
+            if let Some(p) = tree.parent(i) {
+                let payload = std::mem::take(&mut acc[i]);
+                acc[p].extend(payload);
             }
         }
-        assert!(queues.iter().all(|q| q.is_empty()), "schedule deadlocked");
         let mut got = acc[0].clone();
         got.sort_unstable();
         got
+    }
+
+    /// The parent vector with root 0 and `rest[i − 1]` as `i`'s parent.
+    fn rooted(rest: &[usize]) -> Vec<Option<usize>> {
+        std::iter::once(None).chain(rest.iter().map(|&p| Some(p))).collect()
     }
 
     /// Every shape the autotuner enumerates, for loop-over-all tests.
@@ -506,7 +437,7 @@ mod tests {
 
     #[test]
     fn kary_and_chain_depths() {
-        // Kary(1) is a chain: every participant has one step except the
+        // Kary(1) is a chain: one child and one parent each, except at the
         // ends. Kary(n − 1) receives everyone directly at the root.
         let chain = ReductionTree::build(&TreeShape::Kary(1), 6, &[0; 6]);
         assert_eq!(chain.depth(), 2, "chain nodes do recv+send");
@@ -515,7 +446,7 @@ mod tests {
         assert_eq!(star.depth(), 7, "k >= n-1 degenerates to flat");
         // 4-ary over 21 participants: root has 4 children, two levels.
         let kary = ReductionTree::build(&TreeShape::Kary(4), 21, &[0; 21]);
-        assert_eq!(kary.steps[0].iter().filter(|s| matches!(s, Step::Recv(_))).count(), 4);
+        assert_eq!(kary.children(0), [1, 2, 3, 4]);
     }
 
     #[test]
@@ -523,21 +454,9 @@ mod tests {
         // 8 participants: root 0 has children 1, 2, 4; 2 has child 3;
         // 4 has children 5, 6; 6 has child 7.
         let parents = ReductionTree::binomial_parents(8);
-        assert_eq!(
-            parents,
-            vec![
-                None,
-                Some(0),
-                Some(0),
-                Some(2),
-                Some(0),
-                Some(4),
-                Some(4),
-                Some(6)
-            ]
-        );
+        assert_eq!(parents, rooted(&[0, 0, 2, 0, 4, 4, 6]));
         let tree = ReductionTree::from_parents(&parents);
-        assert_eq!(tree.depth(), 3, "the root's three recvs are the longest step list");
+        assert_eq!(tree.depth(), 3, "the root's three children are the most anyone handles");
     }
 
     #[test]
@@ -595,51 +514,46 @@ mod tests {
 
     #[test]
     fn single_participant_has_empty_schedule() {
-        for shape in all_shapes() {
+        for shape in all_shapes().into_iter().chain([TreeShape::Custom(vec![None])]) {
             let tree = ReductionTree::build(&shape, 1, &[0]);
-            assert!(tree.steps[0].is_empty());
-            assert_eq!(tree.total_messages(), 0);
-        }
-        let tree = ReductionTree::build(&TreeShape::Custom(vec![None]), 1, &[0]);
-        assert!(tree.steps[0].is_empty());
-    }
-
-    #[test]
-    fn non_root_ends_with_send_root_never_sends() {
-        for n in [2, 5, 8, 13] {
-            let cluster_of: Vec<usize> = (0..n).map(|i| i / 3).collect();
-            for shape in all_shapes() {
-                let tree = ReductionTree::build(&shape, n, &cluster_of);
-                for (i, steps) in tree.steps.iter().enumerate() {
-                    if i == 0 {
-                        assert!(
-                            steps.iter().all(|s| matches!(s, Step::Recv(_))),
-                            "root must only receive"
-                        );
-                    } else {
-                        assert!(matches!(steps.last(), Some(Step::Send(_))));
-                        let sends =
-                            steps.iter().filter(|s| matches!(s, Step::Send(_))).count();
-                        assert_eq!(sends, 1, "each non-root sends exactly once");
-                    }
-                }
-            }
+            assert!(tree.children(0).is_empty() && tree.parent(0).is_none());
+            assert_eq!((tree.total_messages(), tree.depth()), (0, 0));
         }
     }
 
     #[test]
-    fn parents_round_trip_reproduces_builtin_schedules() {
-        // Load-bearing for the autotuner: encoding any built-in shape as
-        // Custom(parents) reproduces the schedule *exactly* — same Recv
-        // order, hence the same floating-point combine order and a
-        // bitwise-identical R.
-        for n in [1, 2, 3, 5, 8, 16, 48, 64] {
-            let cluster_of: Vec<usize> = (0..n).map(|i| i * 4 / n).collect();
-            for shape in all_shapes() {
-                let tree = ReductionTree::build(&shape, n, &cluster_of);
-                let round =
-                    ReductionTree::build(&TreeShape::Custom(tree.parents()), n, &cluster_of);
-                assert_eq!(tree, round, "{shape:?} with n={n}");
+    fn every_builder_arm_is_pinned_by_value() {
+        let built = |shape: TreeShape, cluster_of: &[usize]| {
+            ReductionTree::build(&shape, cluster_of.len(), cluster_of)
+        };
+        assert_eq!(built(TreeShape::Flat, &[0; 5]).parents(), rooted(&[0, 0, 0, 0]));
+        let binary = built(TreeShape::Binary, &[0; 7]);
+        assert_eq!(binary.parents(), rooted(&[0, 0, 2, 0, 4, 4]));
+        assert_eq!((binary.children(0), binary.children(4)), (&[1, 2, 4][..], &[5, 6][..]));
+        assert_eq!(built(TreeShape::Kary(3), &[0; 6]).parents(), rooted(&[0, 0, 0, 1, 1]));
+        let clusters = [0, 0, 0, 1, 1, 2, 3, 3];
+        let grid = built(TreeShape::GridHierarchical, &clusters);
+        assert_eq!(grid.parents(), rooted(&[0, 0, 0, 3, 0, 5, 6]));
+        assert_eq!(grid.children(0), [1, 2, 3, 5], "own cluster first, then the cluster roots");
+        assert_eq!(built(TreeShape::Greedy, &clusters).parents(), rooted(&[0, 0, 0, 3, 0, 0, 6]));
+        let scrambled = rooted(&[2, 0, 1, 2]);
+        let custom = built(TreeShape::Custom(scrambled.clone()), &[0; 5]);
+        assert_eq!(custom.parents(), scrambled);
+        assert_eq!(custom.children(2), [1, 4]);
+        assert_eq!(custom.top_down(), [0, 2, 1, 4, 3]);
+        assert_eq!(custom.edges().collect::<Vec<_>>(), [(1, 2), (2, 0), (3, 1), (4, 2)]);
+    }
+
+    #[test]
+    fn binary_and_binomial_are_one_tree() {
+        for n in 1..=300 {
+            let cluster_of = vec![0; n];
+            let binary = ReductionTree::build(&TreeShape::Binary, n, &cluster_of);
+            assert_eq!(binary, ReductionTree::build(&TreeShape::Binomial, n, &cluster_of), "n={n}");
+            // Index halving: at stride s, position p with p % 2s == s
+            // sends to p − s, i.e. clears its lowest set bit.
+            for (c, p) in binary.edges() {
+                assert_eq!(p, c - (1 << c.trailing_zeros()), "n={n}");
             }
         }
     }
@@ -650,7 +564,7 @@ mod tests {
         let parents = vec![None, Some(0), Some(0), Some(1), Some(1)];
         let tree = ReductionTree::build(&TreeShape::Custom(parents), 5, &[0; 5]);
         assert_eq!(simulate(&tree), vec![0, 1, 2, 3, 4]);
-        assert_eq!(tree.steps[1], vec![Step::Recv(3), Step::Recv(4), Step::Send(0)]);
+        assert_eq!((tree.children(1), tree.parent(1)), (&[3, 4][..], Some(0)));
         // Parent above child is legal for the plain reduction (only
         // ft_tsqr needs heap order).
         let weird = ReductionTree::from_parents(&[None, Some(2), Some(0)]);
@@ -690,8 +604,7 @@ mod tests {
         let tree = ReductionTree::build(&TreeShape::Greedy, 8, &cluster_of);
         assert_eq!(tree.inter_cluster_messages(&cluster_of), 1);
         // The one WAN edge connects the two cluster roots (0 and 4).
-        let parents = tree.parents();
-        assert_eq!(parents[4], Some(0));
+        assert_eq!(tree.parent(4), Some(0));
     }
 
     #[test]

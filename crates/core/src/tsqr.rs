@@ -33,7 +33,7 @@ use tsqr_linalg::Matrix;
 use crate::domains::DomainLayout;
 use crate::scalapack::{pdgeqr2, PanelTile};
 use crate::tile::Tile;
-use crate::tree::{ReductionTree, Step, TreeShape};
+use crate::tree::{ReductionTree, TreeShape};
 use crate::workload;
 
 /// Tag for R factors travelling up the reduction tree.
@@ -194,24 +194,18 @@ pub fn tsqr_rank_program_with<T: PanelTile>(
     // --- Reduction over domain roots. ---
     p.phase_begin(PHASE_REDUCE);
     p.annotate(cfg.shape.label());
-    let mut combine_stack: Vec<(T::Combine, usize)> = Vec::new();
-    let mut sent_to: Option<usize> = None;
+    let mut combine_stack: Vec<T::Combine> = Vec::new();
     if member == 0 {
         let r1 = r_cur.as_mut().expect("domain root holds its R");
-        for step in &tree.steps[d] {
-            match *step {
-                Step::Recv(from_d) => {
-                    let f = r1.tpqrt(p.recv(roots[from_d], TAG_R)?);
-                    p.compute(flops::tpqrt(n as u64), combine_rate);
-                    if cfg.compute_q {
-                        combine_stack.push((f, from_d));
-                    }
-                }
-                Step::Send(to_d) => {
-                    p.send(roots[to_d], TAG_R, r1.pack_upper())?;
-                    sent_to = Some(to_d);
-                }
+        for &from_d in tree.children(d) {
+            let f = r1.tpqrt(p.recv(roots[from_d], TAG_R)?);
+            p.compute(flops::tpqrt(n as u64), combine_rate);
+            if cfg.compute_q {
+                combine_stack.push(f);
             }
+        }
+        if let Some(to_d) = tree.parent(d) {
+            p.send(roots[to_d], TAG_R, r1.pack_upper())?;
         }
     }
     p.phase_end();
@@ -222,11 +216,12 @@ pub fn tsqr_rank_program_with<T: PanelTile>(
         p.phase_begin(PHASE_DOWNSWEEP);
         // Single-process domains only (asserted above), so every rank is a
         // domain root and participates.
-        let mut e = match sent_to {
+        let mut e = match tree.parent(d) {
             Some(parent_d) => p.recv::<T>(roots[parent_d], TAG_E)?,
             None => T::identity(n),
         };
-        for (f, partner_d) in combine_stack.iter().rev() {
+        // One combine per child, undone last-combined first.
+        for (f, &partner_d) in combine_stack.iter().zip(tree.children(d)).rev() {
             let mut c2 = T::zeros(n, n);
             T::tpmqrt(Trans::No, f, &mut e, &mut c2);
             // Charged at the Table II convention: the down-sweep expansion
@@ -235,7 +230,7 @@ pub fn tsqr_rank_program_with<T: PanelTile>(
             // from the identity at the root; our reference tpmqrt does
             // more raw work, but time accounting follows the model).
             p.compute(flops::tpqrt(n as u64), combine_rate);
-            p.send(roots[*partner_d], TAG_E, c2)?;
+            p.send(roots[partner_d], TAG_E, c2)?;
         }
         // Leaf: Q_local = implicit-Q · [E; 0].
         let (factored, tau) = leaf_q.as_ref().expect("single-process leaf keeps its factors");

@@ -5,8 +5,8 @@
 //! reduction tree, so the shape is a free tuning knob — and because the
 //! whole execution is priced by the calibrated (α, β, γ) cost model of
 //! Eq. (1), the makespan of a candidate tree can be *predicted
-//! analytically* without running the simulator: replay the
-//! [`crate::tree::Step`] schedule through the pricing functions the
+//! analytically* without running the simulator: walk the
+//! [`ReductionTree`] children-first through the pricing functions the
 //! `gridmpi` runtime itself calls on `netsim`'s `CostModel` — including
 //! `receive_done`, the receiver-side NIC serialization that makes flat
 //! trees congest.
@@ -30,7 +30,7 @@ use tsqr_linalg::flops;
 use tsqr_netsim::{CostModel, GridTopology, VirtualTime};
 
 use crate::domains::DomainLayout;
-use crate::tree::{ReductionTree, Step, TreeShape};
+use crate::tree::{ReductionTree, TreeShape};
 use crate::tile::{packed_bytes, Dims};
 use crate::tsqr::{tsqr_rank_program_with, TsqrConfig};
 
@@ -44,7 +44,7 @@ pub struct TuneCandidate {
     pub shape: TreeShape,
     /// Analytic makespan under the cost model.
     pub predicted: VirtualTime,
-    /// Tree depth (longest per-participant step list).
+    /// Tree depth ([`ReductionTree::depth`]).
     pub depth: usize,
     /// Messages crossing a wide-area link.
     pub wan_msgs: usize,
@@ -74,26 +74,28 @@ impl TuneOutcome {
 }
 
 /// Analytically predicts the TSQR makespan for one reduction tree, pricing
-/// each step through the same [`CostModel`] functions the `gridmpi`
-/// runtime calls ([`CostModel::compute_time`], [`CostModel::message_time`]
-/// and, for receives, the shared [`CostModel::receive_done`]):
+/// each domain's walk through the same [`CostModel`] functions the
+/// `gridmpi` runtime calls ([`CostModel::compute_time`],
+/// [`CostModel::message_time`] and, for receives, the shared
+/// [`CostModel::receive_done`]):
 ///
 /// - leaf: `γ`-priced `geqrf` on the domain's rows;
-/// - `Send`: the sender's clock advances by `β + α·bytes` (plus the WAN
-///   surcharge inter-cluster), and the message *arrives* at the
-///   post-advance clock — the rendezvous convention under which Eq. (1)
-///   counts `β·#msg + α·vol`;
-/// - `Recv`: the payload clocks in after whatever the receiver's NIC
-///   was already receiving ([`CostModel::receive_done`]), the
-///   serialization that congests flat trees at the root;
-/// - each received R costs one `tpqrt` combine at the combine rate.
+/// - each child, ascending: the payload clocks in after whatever the
+///   receiver's NIC was already receiving ([`CostModel::receive_done`]),
+///   the serialization that congests flat trees at the root, and costs
+///   one `tpqrt` combine at the combine rate;
+/// - the send to the parent: the sender's clock advances by `β + α·bytes`
+///   (plus the WAN surcharge inter-cluster), and the message *arrives* at
+///   the post-advance clock — the rendezvous convention under which
+///   Eq. (1) counts `β·#msg + α·vol`.
 ///
 /// Because these are the simulator's own pricing functions applied in the
 /// simulator's order, an idle network reproduces the simulated makespan
 /// bit-for-bit, not merely approximately ([`autotune`] still only
 /// *requires* 1e-9 relative agreement). What is still written twice is the
-/// walk over the [`Step`] schedule itself (here and in
-/// [`crate::tsqr::tsqr_rank_program_with`]).
+/// walk itself — children ascending, then the parent — here on clocks
+/// alone and in [`crate::tsqr::tsqr_rank_program_with`] on messages; who
+/// the children and the parent are is read from the one [`ReductionTree`].
 ///
 /// # Panics
 /// Panics when `layout` has multi-process domains (the leaf would be a
@@ -119,67 +121,26 @@ pub fn predict_makespan(
     let roots = layout.roots();
     let loc = |d: usize| topo.location(roots[d]);
 
-    // Completion clock after each domain's full step list, and the
-    // arrival time of its (single) upward send. Computed demand-driven:
-    // a Recv pulls the sender's arrival, which recurses down its
-    // subtree. The schedule is acyclic (validated at build time), so an
-    // explicit worklist suffices and nothing overflows on deep chains.
-    let mut finished: Vec<Option<(VirtualTime, Option<VirtualTime>)>> = vec![None; d_count];
-    let mut stack: Vec<usize> = Vec::new();
-    for start in 0..d_count {
-        if finished[start].is_some() {
-            continue;
+    // Each domain's clock after its whole walk — for a non-root, the
+    // arrival time of its upward send. Children first (the reverse of
+    // `top_down`), so a parent finds its children's clocks filled in.
+    let mut finished = vec![VirtualTime::ZERO; d_count];
+    for &d in tree.top_down().iter().rev() {
+        let (_row0, rows) = layout.member_rows(d, 0);
+        let mut clock = model.compute_time(flops::geqrf(rows, n as u64), rate_flops);
+        let mut nic_free = VirtualTime::ZERO;
+        for &from in tree.children(d) {
+            let done = model.receive_done(loc(from), loc(d), r_bytes, finished[from], nic_free);
+            nic_free = done;
+            clock = clock.max(done);
+            clock += model.compute_time(flops::tpqrt(n as u64), combine);
         }
-        stack.push(start);
-        while let Some(&d) = stack.last() {
-            if finished[d].is_some() {
-                stack.pop();
-                continue;
-            }
-            // A node can complete once every child it receives from has.
-            let pending: Vec<usize> = tree.steps[d]
-                .iter()
-                .filter_map(|s| match s {
-                    Step::Recv(c) if finished[*c].is_none() => Some(*c),
-                    _ => None,
-                })
-                .collect();
-            if !pending.is_empty() {
-                stack.extend(pending);
-                continue;
-            }
-            stack.pop();
-            let (_row0, rows) = layout.member_rows(d, 0);
-            let mut clock = model.compute_time(flops::geqrf(rows, n as u64), rate_flops);
-            let mut nic_free = VirtualTime::ZERO;
-            let mut sent_arrival = None;
-            for step in &tree.steps[d] {
-                match *step {
-                    Step::Recv(from) => {
-                        let arrival = finished[from]
-                            .as_ref()
-                            .and_then(|(_, a)| *a)
-                            .expect("child completed with an upward send");
-                        let done =
-                            model.receive_done(loc(from), loc(d), r_bytes, arrival, nic_free);
-                        nic_free = done;
-                        clock = clock.max(done);
-                        clock += model.compute_time(flops::tpqrt(n as u64), combine);
-                    }
-                    Step::Send(to) => {
-                        clock += model.message_time(loc(d), loc(to), r_bytes);
-                        sent_arrival = Some(clock);
-                    }
-                }
-            }
-            finished[d] = Some((clock, sent_arrival));
+        if let Some(to) = tree.parent(d) {
+            clock += model.message_time(loc(d), loc(to), r_bytes);
         }
+        finished[d] = clock;
     }
-    finished
-        .into_iter()
-        .map(|f| f.expect("all domains completed").0)
-        .max()
-        .unwrap_or(VirtualTime::ZERO)
+    finished.into_iter().max().unwrap_or(VirtualTime::ZERO)
 }
 
 /// Runs the TSQR rank program on dimensions alone ([`Dims`]) under the
@@ -256,6 +217,42 @@ pub fn candidate_shapes(
     out
 }
 
+/// The one search both entry points run: predict every candidate of
+/// [`candidate_shapes`] and return the table with the index of its argmin
+/// (ties resolve to the earliest entry).
+fn search(
+    topo: &GridTopology,
+    model: &CostModel,
+    layout: &DomainLayout,
+    rate_flops: Option<f64>,
+    combine_rate_flops: Option<f64>,
+) -> (Vec<TuneCandidate>, usize) {
+    let cluster_of = layout.clusters();
+    let table: Vec<TuneCandidate> =
+        candidate_shapes(topo, model, layout, rate_flops, combine_rate_flops)
+            .into_iter()
+            .map(|(name, shape)| {
+                let tree = ReductionTree::build(&shape, layout.num_domains(), &cluster_of);
+                let predicted =
+                    predict_makespan(topo, model, layout, &tree, rate_flops, combine_rate_flops);
+                TuneCandidate {
+                    name,
+                    shape,
+                    predicted,
+                    depth: tree.depth(),
+                    wan_msgs: tree.inter_cluster_messages(&cluster_of),
+                }
+            })
+            .collect();
+    let winner = table
+        .iter()
+        .enumerate()
+        .min_by(|(_, a), (_, b)| a.predicted.secs().total_cmp(&b.predicted.secs()))
+        .map(|(i, _)| i)
+        .expect("portfolio is never empty");
+    (table, winner)
+}
+
 /// Prediction-only re-planning: searches the same candidate portfolio as
 /// [`autotune`] but needs no [`Runtime`] and skips the replay
 /// cross-check, returning the argmin `(name, shape, predicted)` directly.
@@ -264,8 +261,8 @@ pub fn candidate_shapes(
 /// tree *mid-flight* — the serving engine's elastic re-allocation uses it
 /// when a site crash shrinks a job's surviving site set and the original
 /// `GridHierarchical` plan no longer matches the allocation. Ties resolve
-/// to the earliest candidate, exactly like [`autotune`], so both
-/// functions pick the same tree for the same inputs.
+/// to the earliest candidate, exactly like [`autotune`]: both are one
+/// search.
 pub fn plan_tree(
     topo: &GridTopology,
     model: &CostModel,
@@ -273,17 +270,9 @@ pub fn plan_tree(
     rate_flops: Option<f64>,
     combine_rate_flops: Option<f64>,
 ) -> (String, TreeShape, VirtualTime) {
-    let cluster_of = layout.clusters();
-    candidate_shapes(topo, model, layout, rate_flops, combine_rate_flops)
-        .into_iter()
-        .map(|(name, shape)| {
-            let tree = ReductionTree::build(&shape, layout.num_domains(), &cluster_of);
-            let predicted =
-                predict_makespan(topo, model, layout, &tree, rate_flops, combine_rate_flops);
-            (name, shape, predicted)
-        })
-        .min_by(|a, b| a.2.secs().total_cmp(&b.2.secs()))
-        .expect("portfolio is never empty")
+    let (mut table, winner) = search(topo, model, layout, rate_flops, combine_rate_flops);
+    let best = table.swap_remove(winner);
+    (best.name, best.shape, best.predicted)
 }
 
 /// Searches the candidate portfolio for the minimum-makespan reduction
@@ -302,38 +291,9 @@ pub fn autotune(
     rate_flops: Option<f64>,
     combine_rate_flops: Option<f64>,
 ) -> TuneOutcome {
-    let topo = rt.topology();
-    let model = rt.cost_model();
-    let layout = DomainLayout::build(topo, m, n, domains_per_cluster);
-    let cluster_of = layout.clusters();
-    let table: Vec<TuneCandidate> =
-        candidate_shapes(topo, model, &layout, rate_flops, combine_rate_flops)
-            .into_iter()
-            .map(|(name, shape)| {
-                let tree = ReductionTree::build(&shape, layout.num_domains(), &cluster_of);
-                let predicted = predict_makespan(
-                    topo,
-                    model,
-                    &layout,
-                    &tree,
-                    rate_flops,
-                    combine_rate_flops,
-                );
-                TuneCandidate {
-                    name,
-                    shape,
-                    predicted,
-                    depth: tree.depth(),
-                    wan_msgs: tree.inter_cluster_messages(&cluster_of),
-                }
-            })
-            .collect();
-    let winner = table
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| a.predicted.secs().total_cmp(&b.predicted.secs()))
-        .map(|(i, _)| i)
-        .expect("portfolio is never empty");
+    let layout = DomainLayout::build(rt.topology(), m, n, domains_per_cluster);
+    let (table, winner) =
+        search(rt.topology(), rt.cost_model(), &layout, rate_flops, combine_rate_flops);
     let replayed = replay_makespan(
         rt,
         &layout,
@@ -389,11 +349,17 @@ mod tests {
         let d = layout.num_domains();
         let lopsided: Vec<Option<usize>> =
             (0..d).map(|i| if i == 0 { None } else { Some(i / 3) }).collect();
+        // Not heap-ordered: every odd domain hangs under the even one
+        // *above* it, so no index order visits children before parents.
+        let scrambled: Vec<Option<usize>> = (0..d)
+            .map(|i| (i > 0).then_some(if i % 2 == 1 && i + 1 < d { i + 1 } else { 0 }))
+            .collect();
         for shape in [
             TreeShape::Kary(3),
             TreeShape::Binomial,
             TreeShape::Greedy,
             TreeShape::Custom(lopsided),
+            TreeShape::Custom(scrambled),
         ] {
             let tree = ReductionTree::build(&shape, d, &layout.clusters());
             let predicted = predict_makespan(
@@ -445,8 +411,8 @@ mod tests {
 
     #[test]
     fn deep_chain_does_not_overflow_the_predictor() {
-        // Kary(1) over 256 domains is a 255-deep chain; the worklist
-        // traversal must handle it without recursion.
+        // Kary(1) over 256 domains is a 255-deep chain; the walk must
+        // handle it without recursion.
         let rt = mini_grid(4, 64);
         let layout = DomainLayout::build(rt.topology(), 1 << 20, 8, 64);
         let tree = ReductionTree::build(&TreeShape::Kary(1), 256, &layout.clusters());

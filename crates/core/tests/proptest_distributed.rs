@@ -10,7 +10,7 @@ use tsqr_core::caqr_dist::{caqr_dist_program, CaqrDistConfig};
 use tsqr_core::domains::{even_chunks, DomainLayout};
 use tsqr_core::scalapack::{pdgeqr2, pdgeqrf};
 use tsqr_core::tile::Dims;
-use tsqr_core::tree::{ReductionTree, Step, TreeShape};
+use tsqr_core::tree::{ReductionTree, TreeShape};
 use tsqr_core::tsqr::{tsqr_rank_program_with, tsqr_rank_program, TsqrConfig};
 use tsqr_core::workload;
 use tsqr_gridmpi::{RunReport, Runtime};
@@ -153,8 +153,8 @@ proptest! {
     }
 
     /// Reduction trees are well-formed for arbitrary participant counts
-    /// and cluster maps: n−1 total sends, unique final holder, and the
-    /// hierarchical tree never exceeds clusters−1 WAN edges.
+    /// and cluster maps: n−1 edges, one root, and the hierarchical tree
+    /// never exceeds clusters−1 WAN edges.
     #[test]
     fn tree_wellformed(
         n in 1usize..64,
@@ -174,14 +174,19 @@ proptest! {
             };
             prop_assert_eq!(tree.inter_cluster_messages(&cluster_of), distinct - 1);
         }
-        // Every non-root sends exactly once, after all its receives.
-        for (i, steps) in tree.steps.iter().enumerate() {
-            let sends = steps.iter().filter(|s| matches!(s, Step::Send(_))).count();
-            if i == 0 {
-                prop_assert_eq!(sends, 0);
-            } else {
-                prop_assert_eq!(sends, 1);
-                prop_assert!(matches!(steps.last(), Some(Step::Send(_))));
+        // Only the root lacks a parent; everyone else is listed once,
+        // among its parent's ascending children, and after it top-down.
+        let order = tree.top_down();
+        let at = |i: usize| order.iter().position(|&x| x == i);
+        prop_assert_eq!(order.len(), n);
+        for i in 0..n {
+            prop_assert!(tree.children(i).windows(2).all(|w| w[0] < w[1]));
+            match tree.parent(i) {
+                None => prop_assert_eq!((i, at(i)), (0, Some(0))),
+                Some(p) => {
+                    prop_assert_eq!(tree.children(p).iter().filter(|&&c| c == i).count(), 1);
+                    prop_assert!(at(p) < at(i));
+                }
             }
         }
     }

@@ -87,7 +87,7 @@ use std::vec::IntoIter;
 use tsqr_core::domains::DomainLayout;
 use tsqr_core::model::useful_flops;
 use tsqr_core::tile::packed_bytes;
-use tsqr_core::tree::{ReductionTree, Step, TreeShape};
+use tsqr_core::tree::{ReductionTree, TreeShape};
 use tsqr_core::tune::{plan_tree, predict_makespan};
 use tsqr_netsim::cost::LinkClass;
 use tsqr_netsim::occupancy::SharedLinks;
@@ -290,22 +290,18 @@ fn job_model(
     let mut wan_s = 0.0;
     let mut links: Vec<(usize, usize)> = Vec::new();
     let mut wan_msgs = 0u64;
-    for (d, steps) in tree.steps.iter().enumerate() {
-        for step in steps {
-            if let Step::Send(to) = *step {
-                let a = alloc.topology.location(roots[d]);
-                let b = alloc.topology.location(roots[to]);
-                if LinkClass::between(a, b).is_inter_cluster() {
-                    wan_msgs += 1;
-                    wan_s += alloc.network.message_time(a, b, r_bytes).secs();
-                    let key = SharedLinks::key(
-                        alloc.cluster_of_group[cluster_of[d]],
-                        alloc.cluster_of_group[cluster_of[to]],
-                    );
-                    if !links.contains(&key) {
-                        links.push(key);
-                    }
-                }
+    for (d, to) in tree.edges() {
+        let a = alloc.topology.location(roots[d]);
+        let b = alloc.topology.location(roots[to]);
+        if LinkClass::between(a, b).is_inter_cluster() {
+            wan_msgs += 1;
+            wan_s += alloc.network.message_time(a, b, r_bytes).secs();
+            let key = SharedLinks::key(
+                alloc.cluster_of_group[cluster_of[d]],
+                alloc.cluster_of_group[cluster_of[to]],
+            );
+            if !links.contains(&key) {
+                links.push(key);
             }
         }
     }

@@ -52,16 +52,23 @@ CLI=src/bin/grid-tsqr.rs
 # One causal record, one traffic ledger, one reduction walk (ISSUE 18): the
 # trace is the only place causality is recorded, the metrics registry the only
 # place traffic is counted, process.rs appends events in one place, and the
-# Step walk / the butterfly exist once outside the files that must own one.
+# butterfly exists once (in gridmpi's collective).
 GM=crates/gridmpi/src
 if grep -n 'vector_clocks\|\bvc\b' $GM/process.rs $GM/runtime.rs $GM/message.rs; then
   copy_is_back "a run-time vector clock in gridmpi's message path"
 fi
 [ "$(grep -c 'rec.events.push' $GM/process.rs)" -eq 1 ] || copy_is_back "event pushes in process.rs"
 if grep -n 'self.counters\.' $GM/process.rs; then copy_is_back "a second traffic ledger"; fi
-[ "$(grep -rl 'Step::Recv' crates/core/src | sort | tr '\n' ' ')" = \
-  "crates/core/src/caqr_dist.rs crates/core/src/ft_tsqr.rs crates/core/src/tree.rs crates/core/src/tsqr.rs crates/core/src/tune.rs " ] \
-  || copy_is_back "a Step walk outside tree/tsqr/ft_tsqr/caqr_dist/tune"
+# A reduction tree is its parent vector (ISSUE 19): no Step schedule beside it,
+# nobody assembles a tree by hand, one shape -> parents rule per arm, one search.
+if grep -rn 'enum Step\|Step::' crates src tests examples; then copy_is_back "the Step schedule"; fi
+[ "$(grep -rl 'ReductionTree {' crates src)" = "crates/core/src/tree.rs" ] \
+  || copy_is_back "a ReductionTree assembled outside tree.rs"
+if grep -n 'pub parents\|pub children\|fn flat(\|fn binary_into\|fn hierarchical(' crates/core/src/tree.rs; then
+  copy_is_back "a public field or a direct Step builder in tree.rs"
+fi
+[ "$(grep -c 'min_by' crates/core/src/tune.rs)" -eq 1 ] || copy_is_back "a second argmin in tune.rs"
+if grep -n 'sent_to' crates/core/src/tsqr.rs; then copy_is_back "send bookkeeping in tsqr.rs"; fi
 if grep -rn 'mask <<= 1' crates/core/src; then copy_is_back "a hand-written butterfly in crates/core"; fi
 if grep -n 'fn lint_tag_protocol' crates/lint/src/main.rs; then copy_is_back "commlint's tag-protocol rule"; fi
 

@@ -1,27 +1,21 @@
 //! Property-based tests of the generalized reduction trees (the
-//! autotuner's search space): every generated or custom tree must yield
-//! a valid communication schedule, and running TSQR over *any* tree must
-//! produce the same R factor as the flat reference.
+//! autotuner's search space): every generated or custom tree must be a
+//! valid reduction — one walk from every participant to the root — and
+//! running TSQR over *any* tree must produce the same R factor as the
+//! flat reference.
 //!
-//! Two equality regimes, deliberately distinct:
-//!
-//! - **Bitwise**: re-encoding a built-in shape as
-//!   `TreeShape::Custom(tree.parents())` reproduces the *identical*
-//!   schedule, so the arithmetic is the same operations in the same
-//!   order and R matches bit for bit. This is what makes `Custom` a
-//!   faithful interchange format for the autotuner's greedy-cost trees.
-//! - **Sign-normalized tolerance**: across *different* trees the combine
-//!   order differs, so floating-point rounding differs in the last bits
-//!   and the row signs of R (which QR leaves free) can flip. Exact
-//!   bitwise equality across arbitrary trees is unattainable in floating
-//!   point; the invariant that *is* true — and that Demmel et al.'s
-//!   any-tree theorem promises — is equality up to sign normalization
-//!   at factorization accuracy, which `r_distance` measures.
+//! "The same" means **sign-normalized tolerance**: across *different*
+//! trees the combine order differs, so floating-point rounding differs in
+//! the last bits and the row signs of R (which QR leaves free) can flip.
+//! Exact bitwise equality across arbitrary trees is unattainable in
+//! floating point; the invariant that *is* true — and that Demmel et
+//! al.'s any-tree theorem promises — is equality up to sign normalization
+//! at factorization accuracy, which `r_distance` measures.
 
 use proptest::prelude::*;
 
 use grid_tsqr::core::domains::DomainLayout;
-use grid_tsqr::core::tree::{ReductionTree, Step, TreeShape};
+use grid_tsqr::core::tree::{ReductionTree, TreeShape};
 use grid_tsqr::core::tsqr::{tsqr_rank_program, TsqrConfig};
 use grid_tsqr::gridmpi::Runtime;
 use grid_tsqr::linalg::verify::r_distance;
@@ -64,66 +58,51 @@ fn random_scrambled_parents(n: usize, seed: u64) -> Vec<Option<usize>> {
     parents
 }
 
-/// Replays a schedule through per-participant mailboxes; returns true if
-/// every value reaches the root (i.e. the schedule is complete and
-/// acyclic — a cyclic or dropped dependency would leave mail undelivered).
-fn reduces_to_root(tree: &ReductionTree) -> bool {
+/// Structural validity of one tree: the root is 0 and every other
+/// participant reaches it by following `parent`; the `children` lists are
+/// ascending and together hold every non-root exactly once, under its
+/// parent; `top_down` lists each participant once, after its parent.
+fn assert_valid_tree(tree: &ReductionTree) -> Result<(), String> {
     let n = tree.len();
-    let mut holding: Vec<u64> = (0..n as u64).map(|i| 1 << i.min(62)).collect();
-    let mut done = vec![false; n];
-    let mut progressed = true;
-    let mut cursor = vec![0usize; n];
-    let mut inbox: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-    while progressed {
-        progressed = false;
-        for p in 0..n {
-            while cursor[p] < tree.steps[p].len() {
-                match tree.steps[p][cursor[p]] {
-                    Step::Recv(from) => {
-                        if let Some(pos) = inbox[p].iter().position(|(s, _)| *s == from) {
-                            let (_, v) = inbox[p].remove(pos);
-                            holding[p] |= v;
-                            cursor[p] += 1;
-                            progressed = true;
-                        } else {
-                            break;
-                        }
-                    }
-                    Step::Send(to) => {
-                        inbox[to].push((p, holding[p]));
-                        cursor[p] += 1;
-                        progressed = true;
-                    }
-                }
+    if tree.parent(0).is_some() {
+        return Err("root has a parent".into());
+    }
+    let mut listed = vec![0usize; n];
+    for i in 0..n {
+        let (mut cur, mut hops) = (i, 0);
+        while let Some(p) = tree.parent(cur) {
+            (cur, hops) = (p, hops + 1);
+            if hops > n {
+                return Err(format!("participant {i} never reaches the root"));
             }
-            if cursor[p] == tree.steps[p].len() {
-                done[p] = true;
+        }
+        let children = tree.children(i);
+        if !children.windows(2).all(|w| w[0] < w[1]) {
+            return Err(format!("participant {i}: children {children:?} not ascending"));
+        }
+        for &c in children {
+            listed[c] += 1;
+            if tree.parent(c) != Some(i) {
+                return Err(format!("participant {c} listed under {i}, parent {:?}", tree.parent(c)));
             }
         }
     }
-    done.iter().all(|d| *d) && holding[0] == (0..n as u64).fold(0, |a, i| a | (1 << i.min(62)))
-}
-
-/// Structural validity of one schedule: root never sends, every other
-/// participant sends exactly once and only after all of its receives.
-fn assert_valid_schedule(tree: &ReductionTree) -> Result<(), String> {
-    for (i, steps) in tree.steps.iter().enumerate() {
-        let sends = steps.iter().filter(|s| matches!(s, Step::Send(_))).count();
-        if i == 0 {
-            if sends != 0 {
-                return Err(format!("root sends ({sends} times)"));
-            }
-        } else {
-            if sends != 1 {
-                return Err(format!("participant {i} sends {sends} times"));
-            }
-            if !matches!(steps.last(), Some(Step::Send(_))) {
-                return Err(format!("participant {i}: Send is not the final step"));
-            }
+    if listed[0] != 0 || listed[1..].iter().any(|&k| k != 1) {
+        return Err(format!("children lists do not partition the non-roots: {listed:?}"));
+    }
+    let order = tree.top_down();
+    let mut position = vec![None; n];
+    for (at, &i) in order.iter().enumerate() {
+        if position[i].replace(at).is_some() {
+            return Err(format!("top_down lists participant {i} twice"));
         }
     }
-    if !reduces_to_root(tree) {
-        return Err("schedule does not deliver every contribution to the root".into());
+    let after_parent = |i: usize| match tree.parent(i) {
+        Some(p) => position[p] < position[i],
+        None => position[i] == Some(0),
+    };
+    if order.len() != n || !(0..n).all(after_parent) {
+        return Err(format!("top_down {order:?} is not parents-first over all {n}"));
     }
     Ok(())
 }
@@ -158,7 +137,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every generated family and every random custom tree (heap-ordered
-    /// or scrambled) yields a structurally valid schedule for arbitrary
+    /// or scrambled) is a structurally valid reduction for arbitrary
     /// participant counts and cluster maps.
     #[test]
     fn any_tree_yields_a_valid_schedule(
@@ -184,47 +163,10 @@ proptest! {
             let tree = ReductionTree::build(&shape, n, &cluster_of);
             prop_assert_eq!(tree.len(), n);
             prop_assert_eq!(tree.total_messages(), n - 1);
-            if let Err(why) = assert_valid_schedule(&tree) {
+            if let Err(why) = assert_valid_tree(&tree) {
                 prop_assert!(false, "{shape:?} n={n}: {why}");
             }
         }
-    }
-
-    /// Re-encoding any built-in or generated shape as
-    /// `Custom(tree.parents())` reproduces the exact schedule, so the
-    /// distributed R is *bitwise* identical — Custom is a lossless
-    /// interchange format for tuned trees.
-    #[test]
-    fn custom_round_trip_r_is_bitwise_identical(
-        clusters in 1usize..4,
-        procs_pow in 1u32..4,
-        shape_ix in 0u8..5,
-        n in 2usize..8,
-        seed in 0u64..1_000_000,
-    ) {
-        let procs = 1usize << procs_pow;
-        let shape = match shape_ix {
-            0 => TreeShape::Flat,
-            1 => TreeShape::Binary,
-            2 => TreeShape::GridHierarchical,
-            3 => TreeShape::Kary(3),
-            _ => TreeShape::Binomial,
-        };
-        let rt = small_grid(clusters, procs);
-        let m = (clusters * procs * n) as u64 * 3;
-        let layout = DomainLayout::build(rt.topology(), m, n, procs);
-        let tree = ReductionTree::build(&shape, layout.num_domains(), &layout.clusters());
-        let encoded = TreeShape::Custom(tree.parents());
-        let round_trip = ReductionTree::build(&encoded, layout.num_domains(), &layout.clusters());
-        prop_assert_eq!(&tree, &round_trip, "{:?}: schedules differ", &shape);
-        let a = r_under_tree(&rt, &layout, &shape, seed);
-        let b = r_under_tree(&rt, &layout, &encoded, seed);
-        let bitwise = a
-            .as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits());
-        prop_assert!(bitwise, "{:?}: R differs from its Custom re-encoding", &shape);
     }
 
     /// TSQR over an arbitrary random tree — heap-ordered or scrambled —
