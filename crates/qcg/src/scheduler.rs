@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use tsqr_netsim::{CostModel, GridTopology};
+use tsqr_netsim::{ClusterSpec, CostModel, GridTopology};
 
 use crate::catalog::ResourceCatalog;
 use crate::profile::JobProfile;
@@ -125,12 +125,12 @@ impl Allocation {
 /// on this catalog?" and the paper's single-job experiments never needed
 /// more. A serving layer does: concurrent jobs must not double-book
 /// nodes, and finished jobs must hand their nodes back. `SlotPool` keeps
-/// a free-node counter per cluster, presents [`allocate`] with a *view*
-/// of the catalog shrunk to the free capacity (cluster indices are
-/// preserved, so `cluster_of_group` still indexes the real catalog), and
-/// books/returns whole nodes per allocate/release. Every release asserts
-/// the counter never exceeds the physical cluster size, which makes slot
-/// leaks loud instead of silent.
+/// a free-node counter per cluster, hands [`allocate`]'s selection half
+/// those counters in place of the catalog's node counts (the catalog is
+/// read by reference, never copied, so `cluster_of_group` indexes the real
+/// catalog by construction), and books/returns whole nodes per
+/// allocate/release. Every release asserts the counter never exceeds the
+/// physical cluster size, which makes slot leaks loud instead of silent.
 #[derive(Debug, Clone)]
 pub struct SlotPool {
     catalog: ResourceCatalog,
@@ -208,32 +208,29 @@ impl SlotPool {
     /// capacity — i.e. an allocation failure right now means "wait for a
     /// release", not "this shape can never run again". The elastic
     /// re-planner walks this predicate down from the requested site count
-    /// after a crash.
+    /// after a crash. A yes/no needs the selection only: no topology is
+    /// built.
     pub fn feasible_on_survivors(&self, profile: &JobProfile) -> bool {
-        let mut view = self.catalog.clone();
-        for (c, spec) in view.clusters.iter_mut().enumerate() {
-            if self.down[c] {
-                spec.nodes = 0;
-            }
-        }
-        allocate(&view, profile).is_ok()
+        let survivors: Vec<usize> = (self.catalog.clusters.iter().zip(&self.down))
+            .map(|(spec, &down)| if down { 0 } else { spec.nodes })
+            .collect();
+        select(&self.catalog, &survivors, profile).is_ok()
     }
 
     /// Leases an allocation for `profile` out of the *free* capacity.
     ///
-    /// The strategy is [`allocate`] run against a catalog view whose
-    /// cluster sizes are the current free-node counts, so placement
-    /// naturally prefers the emptiest clusters (contention-aware ranking
-    /// for free). A `NotEnoughProcs`/`NotEnoughClusters` error under a
+    /// The strategy is [`allocate`] with the current free-node counts
+    /// standing in for the cluster sizes, so placement naturally prefers
+    /// the emptiest clusters (contention-aware ranking for free) and the
+    /// placed topology's `ClusterSpec::nodes` are the free counts it was
+    /// cut from. A `NotEnoughProcs`/`NotEnoughClusters` error under a
     /// partially-booked pool means "wait for a release", not "impossible
-    /// on this grid" — callers distinguish the two by retrying against
-    /// [`SlotPool::catalog`] or an idle pool.
+    /// on this grid" — callers distinguish the two with
+    /// [`SlotPool::feasible_on_survivors`]. A refused lease changes
+    /// nothing: only a granted one builds a topology and books nodes.
     pub fn allocate(&mut self, profile: &JobProfile) -> Result<Allocation, ScheduleError> {
-        let mut view = self.catalog.clone();
-        for (spec, &free) in view.clusters.iter_mut().zip(&self.free_nodes) {
-            spec.nodes = free;
-        }
-        let alloc = allocate(&view, profile)?;
+        let selection = select(&self.catalog, &self.free_nodes, profile)?;
+        let alloc = materialise(&self.catalog, &self.free_nodes, selection);
         let booked = alloc.nodes_per_group();
         for &c in &alloc.cluster_of_group {
             debug_assert!(self.free_nodes[c] >= booked, "allocation exceeded free capacity");
@@ -294,37 +291,62 @@ impl SlotPool {
 
 /// Allocates resources for `profile` from `catalog`.
 ///
-/// Strategy (mirrors §III): pick the `groups` qualifying clusters with the
-/// most capacity, verify pairwise inter-group links, book
-/// `procs_per_group` processes on each using as few nodes as possible, and
-/// throttle every process to the slowest selected cluster's peak when the
-/// spread exceeds the profile's tolerance.
+/// Strategy (mirrors §III), in two halves. **Selection** reads the catalog
+/// by reference and decides everything a yes/no answer needs:
+/// 1. which clusters qualify (the intra-group network requirement),
+/// 2. rank them by capacity and take the `groups` largest,
+/// 3. check each chosen cluster can host `procs_per_group` processes,
+/// 4. verify the pairwise inter-group links,
+/// 5. book `procs_per_group` processes on as few nodes as possible (and
+///    re-check the node count under partial-node booking),
+/// 6. throttle every process to the slowest selected cluster's peak.
+///
+/// **Materialisation** is what only a granted request pays:
+/// 7. the placed topology, `group_of` and the [`Allocation`] itself.
 pub fn allocate(catalog: &ResourceCatalog, profile: &JobProfile) -> Result<Allocation, ScheduleError> {
+    let nodes: Vec<usize> = catalog.clusters.iter().map(|c| c.nodes).collect();
+    Ok(materialise(catalog, &nodes, select(catalog, &nodes, profile)?))
+}
+
+/// What steps 1–6 of [`allocate`] decide.
+struct Selection {
+    /// Catalog indices of the chosen clusters, one per group.
+    chosen: Vec<usize>,
+    procs_per_node_used: usize,
+    nodes_per_group: usize,
+    effective_gflops_per_proc: f64,
+}
+
+/// Steps 1–6 of [`allocate`], with `nodes[c]` standing in for
+/// `catalog.clusters[c].nodes`: the catalog's own counts, a pool's free
+/// counts, or the physical counts with crashed clusters at zero.
+fn select(
+    catalog: &ResourceCatalog,
+    nodes: &[usize],
+    profile: &JobProfile,
+) -> Result<Selection, ScheduleError> {
     assert!(profile.groups > 0 && profile.procs_per_group > 0, "empty profile");
     // 1. Which clusters qualify for hosting a group? The intra-group
-    //    network requirement must hold on the cluster interconnect.
+    //    network requirement must hold on the cluster interconnect, which
+    //    the catalog prices once for every cluster: all qualify or none.
     let intra = catalog.network.intra_cluster;
-    let qualifying: Vec<usize> = (0..catalog.clusters.len())
-        .filter(|_| profile.intra_group.satisfied_by(intra.latency_s, intra.bandwidth_bps))
-        .collect();
-    if qualifying.len() < profile.groups {
-        return Err(ScheduleError::NotEnoughClusters {
-            requested: profile.groups,
-            available: qualifying.len(),
-        });
+    let available = if profile.intra_group.satisfied_by(intra.latency_s, intra.bandwidth_bps) {
+        catalog.clusters.len()
+    } else {
+        0
+    };
+    if available < profile.groups {
+        return Err(ScheduleError::NotEnoughClusters { requested: profile.groups, available });
     }
     // 2. Prefer clusters with the most processors (stable order on ties).
-    let mut ranked = qualifying;
-    ranked.sort_by_key(|&c| {
-        let spec = &catalog.clusters[c];
-        (std::cmp::Reverse(spec.nodes * spec.procs_per_node), c)
-    });
+    let mut ranked: Vec<usize> = (0..catalog.clusters.len()).collect();
+    ranked.sort_by_key(|&c| (std::cmp::Reverse(nodes[c] * catalog.clusters[c].procs_per_node), c));
     let chosen: Vec<usize> = ranked.into_iter().take(profile.groups).collect();
 
     // 3. Capacity check per chosen cluster.
     for &c in &chosen {
         let spec = &catalog.clusters[c];
-        let capacity = spec.nodes * spec.procs_per_node;
+        let capacity = nodes[c] * spec.procs_per_node;
         if capacity < profile.procs_per_group {
             return Err(ScheduleError::NotEnoughProcs {
                 cluster: spec.name.clone(),
@@ -364,11 +386,10 @@ pub fn allocate(catalog: &ResourceCatalog, profile: &JobProfile) -> Result<Alloc
     // books one process per node, so the node count itself can run out
     // even when raw socket capacity sufficed.
     for &c in &chosen {
-        let spec = &catalog.clusters[c];
-        if nodes_per_group > spec.nodes {
+        if nodes_per_group > nodes[c] {
             return Err(ScheduleError::NotEnoughProcs {
-                cluster: spec.name.clone(),
-                capacity: spec.nodes * procs_per_node_used,
+                cluster: catalog.clusters[c].name.clone(),
+                capacity: nodes[c] * procs_per_node_used,
                 needed: profile.procs_per_group,
             });
         }
@@ -385,27 +406,35 @@ pub fn allocate(catalog: &ResourceCatalog, profile: &JobProfile) -> Result<Alloc
     let min_peak = peaks.iter().copied().fold(f64::INFINITY, f64::min);
     let max_peak = peaks.iter().copied().fold(0.0, f64::max);
     debug_assert!(max_peak.is_finite());
-    let effective = min_peak;
+    let effective_gflops_per_proc = min_peak;
+    Ok(Selection { chosen, procs_per_node_used, nodes_per_group, effective_gflops_per_proc })
+}
 
-    // 7. Build the placed topology: one contiguous rank range per group.
-    let specs = chosen.iter().map(|&c| catalog.clusters[c].clone()).collect();
-    let topology = GridTopology::block_placement(specs, nodes_per_group, procs_per_node_used);
+/// Step 7 of [`allocate`]: the placed topology, one contiguous rank range
+/// per group. Each placed `ClusterSpec::nodes` is the count the selection
+/// saw (`nodes[c]`), not the catalog's.
+fn materialise(catalog: &ResourceCatalog, nodes: &[usize], s: Selection) -> Allocation {
+    let specs = (s.chosen.iter())
+        .map(|&c| ClusterSpec { nodes: nodes[c], ..catalog.clusters[c].clone() })
+        .collect();
+    let topology = GridTopology::block_placement(specs, s.nodes_per_group, s.procs_per_node_used);
     let group_of: Vec<usize> = (0..topology.num_procs())
         .map(|r| topology.cluster_of(r))
         .collect();
-
-    Ok(Allocation {
+    Allocation {
         topology,
         network: catalog.network.clone(),
         group_of,
-        cluster_of_group: chosen,
-        procs_per_node_used,
-        effective_gflops_per_proc: effective,
-    })
+        cluster_of_group: s.chosen,
+        procs_per_node_used: s.procs_per_node_used,
+        effective_gflops_per_proc: s.effective_gflops_per_proc,
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use tsqr_netsim::{LinkParams, SplitMix64};
+
     use super::*;
     use crate::profile::NetworkRequirement;
 
@@ -596,5 +625,140 @@ mod tests {
         let mut pool = SlotPool::new(g5k());
         pool.fail_site(1);
         pool.fail_site(1);
+    }
+
+    /// Unequal sockets per node, unequal peaks, and one cluster ("empty")
+    /// too small to host a group of any size.
+    fn lopsided() -> ResourceCatalog {
+        let spec = |name: &str, nodes, procs_per_node, peak_gflops_per_proc| ClusterSpec {
+            name: name.into(),
+            nodes,
+            procs_per_node,
+            peak_gflops_per_proc,
+        };
+        ResourceCatalog {
+            clusters: vec![
+                spec("quad", 40, 4, 9.0),
+                spec("single", 130, 1, 12.0),
+                spec("empty", 0, 2, 8.0),
+                spec("triple", 44, 3, 7.5),
+            ],
+            network: CostModel::homogeneous(LinkParams::from_ms_mbps(0.1, 900.0), 8e9, 4),
+        }
+    }
+
+    /// The pre-split placement path, verbatim: clone the catalog, overwrite
+    /// every `nodes` with the view's count, run the public [`allocate`] on
+    /// the copy. Kept only as the reference the clone-free selection is
+    /// checked against.
+    fn allocate_on_view(
+        catalog: &ResourceCatalog,
+        nodes: &[usize],
+        profile: &JobProfile,
+    ) -> Result<Allocation, ScheduleError> {
+        let mut view = catalog.clone();
+        for (spec, &n) in view.clusters.iter_mut().zip(nodes) {
+            spec.nodes = n;
+        }
+        allocate(&view, profile)
+    }
+
+    const GROUP_SIZES: [usize; 5] = [1, 31, 32, 64, 65];
+
+    /// Every width (one past the cluster count, so `NotEnoughClusters` is
+    /// compared too) × every group size: the pool's answers are the
+    /// oracle's, field for field, `Ok` and `Err` alike.
+    fn assert_pool_matches_the_oracle(pool: &SlotPool) {
+        let survivors: Vec<usize> = (0..pool.down.len())
+            .map(|c| if pool.down[c] { 0 } else { pool.catalog.clusters[c].nodes })
+            .collect();
+        for width in 1..=pool.down.len() + 1 {
+            for procs_per_group in GROUP_SIZES {
+                let profile = JobProfile::cluster_of_clusters(width, procs_per_group);
+                assert_eq!(
+                    pool.clone().allocate(&profile),
+                    allocate_on_view(&pool.catalog, &pool.free_nodes, &profile),
+                    "{width} x {procs_per_group} on free nodes {:?}",
+                    pool.free_nodes
+                );
+                assert_eq!(
+                    pool.feasible_on_survivors(&profile),
+                    allocate_on_view(&pool.catalog, &survivors, &profile).is_ok(),
+                    "{width} x {procs_per_group} on survivors {survivors:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slot_pool_answers_equal_allocate_on_a_cloned_view_along_a_seeded_walk() {
+        for (catalog, seed) in [(g5k(), 20), (lopsided(), 21)] {
+            let mut rng = SplitMix64::new(seed);
+            let pick = |rng: &mut SplitMix64, n: usize| rng.next_below(n as u64) as usize;
+            let mut pool = SlotPool::new(catalog.clone());
+            // Each lease with the sites it still holds nodes on.
+            let mut leases: Vec<(Allocation, Vec<usize>)> = Vec::new();
+            let (mut granted, mut refused, mut crashes) = (0, 0, 0);
+            for _ in 0..2400 {
+                match rng.next_below(8) {
+                    0..=3 => {
+                        let width = 1 + pick(&mut rng, 4);
+                        let procs_per_group = GROUP_SIZES[pick(&mut rng, GROUP_SIZES.len())];
+                        match pool.allocate(&JobProfile::cluster_of_clusters(width, procs_per_group)) {
+                            Ok(a) => {
+                                granted += 1;
+                                leases.push((a.clone(), a.cluster_of_group));
+                            }
+                            Err(_) => refused += 1,
+                        }
+                    }
+                    4..=5 if !leases.is_empty() => {
+                        let (a, held) = leases.swap_remove(pick(&mut rng, leases.len()));
+                        if held == a.cluster_of_group {
+                            pool.release(&a);
+                        } else {
+                            held.iter().for_each(|&c| a.release_site(&mut pool, c));
+                        }
+                    }
+                    6 if !leases.is_empty() => {
+                        let l = pick(&mut rng, leases.len());
+                        let (a, held) = &mut leases[l];
+                        pool.release_site(a, held.swap_remove(pick(&mut rng, held.len())));
+                    }
+                    // A crash every ~400 steps; once every site is down the
+                    // walk starts over on a fresh pool.
+                    7 if rng.next_below(50) == 0 => {
+                        if pool.up_sites() == 0 {
+                            pool = SlotPool::new(catalog.clone());
+                            leases.clear();
+                        }
+                        let up: Vec<usize> =
+                            (0..pool.down.len()).filter(|&c| !pool.site_down(c)).collect();
+                        let dead = up[pick(&mut rng, up.len())];
+                        pool.fail_site(dead);
+                        crashes += 1;
+                        leases.iter_mut().for_each(|(_, held)| held.retain(|&c| c != dead));
+                    }
+                    _ => {}
+                }
+                leases.retain(|(_, held)| !held.is_empty());
+                assert_pool_matches_the_oracle(&pool);
+            }
+            assert!(granted > 100 && refused > 100 && crashes > 2, "{granted}/{refused}/{crashes}");
+        }
+    }
+
+    #[test]
+    fn a_refused_lease_leaves_the_pool_untouched() {
+        let mut pool = SlotPool::new(g5k());
+        let held = pool.allocate(&JobProfile::cluster_of_clusters(2, 64)).unwrap();
+        let before = (pool.free_nodes.clone(), pool.leased_nodes.clone());
+        // Capacity, node-count (65 = 65 x 1 proc per node) and cluster-count refusals.
+        for (width, procs_per_group) in [(4, 200), (4, 65), (5, 8)] {
+            pool.allocate(&JobProfile::cluster_of_clusters(width, procs_per_group)).unwrap_err();
+            assert_eq!((pool.free_nodes.clone(), pool.leased_nodes.clone()), before);
+        }
+        pool.release(&held);
+        assert!(pool.is_idle());
     }
 }

@@ -71,6 +71,16 @@ fi
 if grep -n 'sent_to' crates/core/src/tsqr.rs; then copy_is_back "send bookkeeping in tsqr.rs"; fi
 if grep -rn 'mask <<= 1' crates/core/src; then copy_is_back "a hand-written butterfly in crates/core"; fi
 if grep -n 'fn lint_tag_protocol' crates/lint/src/main.rs; then copy_is_back "commlint's tag-protocol rule"; fi
+# Placement reads the pool's own counters (ISSUE 20): outside its tests the
+# scheduler never copies the catalog, builds a topology in one place (a granted
+# lease), and nothing caches around it (docs/serving.md §3, ROADMAP item 2).
+SCHED=$(sed '/^#\[cfg(test)\]/,$d' crates/qcg/src/scheduler.rs)
+[ "$(grep -c 'catalog\.clone()' <<<"$SCHED")" -eq 0 ] \
+  && [ "$(grep -c 'GridTopology::block_placement' <<<"$SCHED")" -eq 1 ] \
+  || copy_is_back "a catalog clone on the placement path"
+if grep -n 'generation' crates/qcg/src/scheduler.rs crates/serve/src/engine.rs; then
+  copy_is_back "a pool generation counter (the parked blocked-head memo)"
+fi
 
 # linalg is single-threaded on purpose (a rank is one of hundreds of threads).
 if grep -n rayon crates/linalg/Cargo.toml; then echo "rayon is back in crates/linalg"; exit 1; fi

@@ -178,31 +178,43 @@ impl Args {
         self.asked.borrow_mut().insert(name.to_string());
     }
 
-    fn get(&self, name: &str) -> Option<&str> {
+    /// What followed each `--name` on the command line, in order. Every
+    /// accessor below reads a flag through here and refuses one given in a
+    /// form it would not read, for the same reason strays are refused.
+    fn given(&self, name: &str) -> Vec<Option<&str>> {
         self.note(name);
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
+        self.flags.iter().filter(|(n, _)| n == name).map(|(_, v)| v.as_deref()).collect()
     }
 
-    fn has(&self, name: &str) -> bool {
-        self.note(name);
-        self.flags.iter().any(|(n, _)| n == name)
+    /// The value of a flag that is read once.
+    fn get(&self, name: &str) -> Result<Option<&str>, String> {
+        match self.given(name)[..] {
+            [] => Ok(None),
+            [None] => Err(format!("--{name} needs a value")),
+            [value] => Ok(value),
+            _ => Err(format!("--{name} given twice")),
+        }
+    }
+
+    /// Whether a switch is present.
+    fn has(&self, name: &str) -> Result<bool, String> {
+        let given = self.given(name);
+        if given.iter().any(Option::is_some) {
+            return Err(format!("--{name} takes no value"));
+        }
+        Ok(!given.is_empty())
     }
 
     /// Every value given for a repeatable flag, in order.
-    fn all(&self, name: &str) -> Vec<&str> {
-        self.note(name);
-        self.flags
-            .iter()
-            .filter(|(n, _)| n == name)
-            .filter_map(|(_, v)| v.as_deref())
+    fn all(&self, name: &str) -> Result<Vec<&str>, String> {
+        self.given(name)
+            .into_iter()
+            .map(|value| value.ok_or_else(|| format!("--{name} needs a value")))
             .collect()
     }
 
     fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
+        match self.get(name)? {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{name}: cannot parse {v:?}")),
         }
@@ -394,7 +406,7 @@ fn fault_schedule(args: &Args, axis: FaultAxis) -> Result<FailureSchedule, Strin
     };
 
     let mut schedule = FailureSchedule::new(args.num("fault-seed", 1u64)?);
-    for spec in args.all("crash") {
+    for spec in args.all("crash")? {
         let (x, ms) = spec
             .split_once('@')
             .ok_or_else(|| format!("--crash wants {}@MS, got {spec:?}", unit.to_uppercase()))?;
@@ -411,19 +423,19 @@ fn fault_schedule(args: &Args, axis: FaultAxis) -> Result<FailureSchedule, Strin
             FaultAxis::Sites(_) => schedule.crash_site(x, at),
         };
     }
-    for spec in args.all(drop_flag) {
+    for spec in args.all(drop_flag)? {
         let (a, b, nth) = pair(drop_flag, spec)?;
         let nth: u64 = nth.parse().map_err(|_| format!("--{drop_flag}: bad nth {nth:?}"))?;
         schedule = schedule.drop_nth_message(a, b, nth);
     }
-    for spec in args.all("drop-prob") {
+    for spec in args.all("drop-prob")? {
         let (a, b, p) = pair("drop-prob", spec)?;
         schedule = match p.parse::<f64>() {
             Ok(p) if (0.0..=1.0).contains(&p) => schedule.drop_probability(a, b, p),
             _ => return Err(format!("--drop-prob: bad p {p:?} (want a probability in [0, 1])")),
         };
     }
-    if let Some(spec) = args.get("wan-slow") {
+    if let Some(spec) = args.get("wan-slow")? {
         let parts: Vec<&str> = spec.split(':').collect();
         let [from, until, lat, bw] = parts[..] else {
             return Err(format!("--wan-slow wants FROM_MS:UNTIL_MS:LATx:BWx, got {spec:?}"));
@@ -471,7 +483,7 @@ impl Ctx {
         if !(1..=4).contains(&sites) {
             return Err("--sites must be 1..=4".into());
         }
-        let recv_timeout = match args.get("recv-timeout") {
+        let recv_timeout = match args.get("recv-timeout")? {
             None => None,
             Some(v) => Some(
                 v.parse::<f64>()
@@ -536,8 +548,8 @@ impl Ctx {
         run_point(rt, self.m, self.n, algo, with_q, mode)
     }
 
-    fn mode(&self, args: &Args) -> Mode {
-        if args.has("real") { Mode::Real { seed: self.seed } } else { Mode::Symbolic }
+    fn mode(&self, args: &Args) -> Result<Mode, String> {
+        Ok(if args.has("real")? { Mode::Real { seed: self.seed } } else { Mode::Symbolic })
     }
 
     /// One TSQR domain per process on the grid-hierarchical tree, as the
@@ -633,7 +645,7 @@ fn cmd_info() -> String {
 /// (docs/observability.md §9). Pure post-processing: no simulation runs,
 /// so it stays fast enough for CI.
 fn cmd_report(args: &Args) -> Result<String, String> {
-    let ledger_path = args.get("ledger").unwrap_or("ledger/runs.jsonl");
+    let ledger_path = args.get("ledger")?.unwrap_or("ledger/runs.jsonl");
     let threshold: f64 = args.num("threshold", 0.05f64)?;
     if !threshold.is_finite() || threshold < 0.0 {
         return Err("--threshold must be a non-negative fraction (e.g. 0.05)".into());
@@ -649,25 +661,25 @@ fn cmd_report(args: &Args) -> Result<String, String> {
     }
     let rendered = render_report(&entries, &opts);
     let mut out = String::new();
-    if let Some(path) = args.get("out") {
+    if let Some(path) = args.get("out")? {
         write_file(path, &rendered)?;
         out.push_str(&format!(
             "report over {} entries written to {path}\n",
             entries.len()
         ));
-    } else if !args.has("check") && args.get("golden").is_none() && !args.has("bless") {
+    } else if !args.has("check")? && args.get("golden")?.is_none() && !args.has("bless")? {
         // Plain `grid-tsqr report` prints the dashboard itself; the
         // gating modes print one status line each instead.
         out.push_str(&rendered);
     }
-    if args.has("bless") {
-        let path = args.get("golden").unwrap_or("REPORT_baseline.md");
+    if args.has("bless")? {
+        let path = args.get("golden")?.unwrap_or("REPORT_baseline.md");
         write_file(path, &rendered)?;
         out.push_str(&format!(
             "blessed report over {} ledger entries into {path}\n",
             entries.len()
         ));
-    } else if let Some(path) = args.get("golden") {
+    } else if let Some(path) = args.get("golden")? {
         let want = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {path:?}: {e}"))?;
         let k = golden_entry_count(&want).ok_or_else(|| {
@@ -687,7 +699,7 @@ fn cmd_report(args: &Args) -> Result<String, String> {
             entries.len()
         ));
     }
-    if args.has("check") {
+    if args.has("check")? {
         let anomalies = detect_anomalies(&entries, &opts);
         if !anomalies.is_empty() {
             let mut msg = format!(
@@ -725,7 +737,7 @@ fn serve_config(
     if requests == 0 {
         return Err("--requests must be at least 1".into());
     }
-    let single_shape: Option<usize> = match args.get("shape") {
+    let single_shape: Option<usize> = match args.get("shape")? {
         None => None,
         Some(v) => {
             let i: usize = v.parse().map_err(|_| format!("--shape: cannot parse {v:?}"))?;
@@ -735,7 +747,7 @@ fn serve_config(
             Some(i)
         }
     };
-    let policy_arg = args.get("policy").unwrap_or("fifo");
+    let policy_arg = args.get("policy")?.unwrap_or("fifo");
     let policies: Vec<ServePolicy> = if policy_arg == "all" {
         ServePolicy::all().to_vec()
     } else {
@@ -749,7 +761,7 @@ fn serve_config(
     if !backoff_ms.is_finite() || backoff_ms < 0.0 {
         return Err("--backoff must be a non-negative duration in ms".into());
     }
-    let brownout = match args.get("brownout") {
+    let brownout = match args.get("brownout")? {
         None => BrownoutConfig::default(),
         Some(spec) => {
             let (enter, exit) = spec
@@ -770,14 +782,14 @@ fn serve_config(
         load,
         requests,
         seed: args.num("seed", 42u64)?,
-        batch: args.has("batch"),
+        batch: args.has("batch")?,
         queue_capacity: args.num("queue", 64usize)?,
         single_shape,
         faults: fault_schedule(args, FaultAxis::Sites(catalog.clusters.len()))?,
         retry: RetryPolicy {
             max_attempts,
             backoff_base_s: backoff_ms * 1e-3,
-            checkpoint_drain: !args.has("no-checkpoint"),
+            checkpoint_drain: !args.has("no-checkpoint")?,
             ..Default::default()
         },
         brownout,
@@ -863,7 +875,7 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     let faulty = !base.faults.is_empty();
     // Every flag has been looked at by here; refuse strays before the
     // simulation rather than after it.
-    let (sweep, trace_out) = (args.get("sweep"), args.get("trace-out"));
+    let (sweep, trace_out) = (args.get("sweep")?, args.get("trace-out")?);
     args.reject_unread("serve")?;
 
     let mut out = String::new();
@@ -943,24 +955,24 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
 
 fn cmd_tsqr(args: &Args, ctx: &Ctx) -> Result<String, String> {
     let domains: usize = args.num("domains", 64usize)?;
-    let shape = parse_shape(args.get("tree").unwrap_or("grid"))?;
-    let with_q = args.has("q");
+    let shape = parse_shape(args.get("tree")?.unwrap_or("grid"))?;
+    let with_q = args.has("q")?;
     let rt = ctx.runtime(false, None);
     ctx.check_geometry(&rt, Some((domains, with_q)))?;
     let algorithm = Algorithm::Tsqr { shape, domains_per_cluster: domains };
-    let res = ctx.run(&rt, algorithm, with_q, ctx.mode(args));
+    let res = ctx.run(&rt, algorithm, with_q, ctx.mode(args)?);
     Ok(describe("TSQR", &res) + &ctx.verify(&res)?)
 }
 
 fn cmd_scalapack(args: &Args, ctx: &Ctx) -> Result<String, String> {
-    let algorithm = if args.has("blocked") {
+    let algorithm = if args.has("blocked")? {
         Algorithm::ScalapackQrf { nb: 64, nx: 128 }
     } else {
         Algorithm::ScalapackQr2
     };
     let rt = ctx.runtime(false, None);
     ctx.check_geometry(&rt, None)?;
-    let res = ctx.run(&rt, algorithm, false, ctx.mode(args));
+    let res = ctx.run(&rt, algorithm, false, ctx.mode(args)?);
     Ok(describe("ScaLAPACK", &res) + &ctx.verify(&res)?)
 }
 
@@ -984,8 +996,8 @@ fn traced_run(
     ctx: &Ctx,
 ) -> Result<(Runtime, ExperimentResult, CriticalPath), String> {
     let domains: usize = args.num("domains", 64usize)?;
-    let shape = parse_shape(args.get("tree").unwrap_or("grid"))?;
-    let algorithm = match args.get("algo").unwrap_or("tsqr") {
+    let shape = parse_shape(args.get("tree")?.unwrap_or("grid"))?;
+    let algorithm = match args.get("algo")?.unwrap_or("tsqr") {
         "tsqr" => Algorithm::Tsqr { shape, domains_per_cluster: domains },
         "scalapack" => Algorithm::ScalapackQr2,
         "scalapack-blocked" => Algorithm::ScalapackQrf { nb: 64, nx: 128 },
@@ -994,7 +1006,7 @@ fn traced_run(
     let rt = ctx.runtime(true, None);
     let is_tsqr = matches!(algorithm, Algorithm::Tsqr { .. });
     ctx.check_geometry(&rt, is_tsqr.then_some((domains, false)))?;
-    let res = ctx.run(&rt, algorithm, false, ctx.mode(args));
+    let res = ctx.run(&rt, algorithm, false, ctx.mode(args)?);
     let cp = res.trace.as_ref().expect("tracing was enabled").critical_path();
     let drift = (cp.total().secs() - res.makespan.secs()).abs();
     if drift > 1e-9 * res.makespan.secs().max(1.0) {
@@ -1066,17 +1078,17 @@ fn cmd_trace(args: &Args, ctx: &Ctx) -> Result<String, String> {
     }
     out.push('\n');
     out.push_str(&res.aggregate_metrics().render());
-    if args.has("timeline") {
+    if args.has("timeline")? {
         out.push_str("\ntimeline:\n");
         out.push_str(&trace.render());
     }
-    if let Some(path) = args.get("out") {
+    if let Some(path) = args.get("out")? {
         write_file(path, trace.chrome_json())?;
         out.push_str(&format!(
             "\nChrome trace written to {path} (load in ui.perfetto.dev or chrome://tracing)\n"
         ));
     }
-    if let Some(path) = args.get("folded-out") {
+    if let Some(path) = args.get("folded-out")? {
         let profile = FoldedProfile::from_trace(trace, rt.topology().num_procs());
         let tile_err = profile.max_tiling_error_rel();
         if tile_err > 1e-9 {
@@ -1162,7 +1174,7 @@ fn cmd_faults(args: &Args, ctx: &Ctx) -> Result<String, String> {
     out.push_str("  recovered R is bitwise identical to the failure-free R\n");
 
     // Optionally show how the plain program fares (typed, no panic).
-    if args.has("baseline") {
+    if args.has("baseline")? {
         let brt = ctx.runtime(false, Some(schedule));
         let base = brt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate));
         let bo = base.outcome();
@@ -1411,10 +1423,10 @@ fn serve_lines() -> Vec<String> {
 /// are gated against a blessed golden file — the race/deadlock analogue
 /// of `scripts/bench_check.sh`.
 fn cmd_check(args: &Args, ctx: &Ctx) -> Result<String, String> {
-    let run_matrix = !args.has("no-matrix");
-    let run_explore = !args.has("no-explore");
-    let golden = args.get("golden");
-    let bless = args.has("bless");
+    let run_matrix = !args.has("no-matrix")?;
+    let run_explore = !args.has("no-explore")?;
+    let golden = args.get("golden")?;
+    let bless = args.has("bless")?;
     if (golden.is_some() || bless) && !(run_matrix && run_explore) {
         return Err(
             "--golden/--bless gate the full scenario set; drop --no-matrix/--no-explore".into(),

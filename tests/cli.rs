@@ -252,3 +252,35 @@ fn a_flag_the_subcommand_never_reads_is_refused() {
         .expect("run cli");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
+
+#[test]
+fn a_flag_given_in_a_form_nobody_reads_is_refused() {
+    // Three more ways a flag used to be silently ignored: a valued flag
+    // with no value read as absent, only the first occurrence of a flag
+    // was looked at, and a switch swallowed the token after it.
+    for (args, message) in [
+        (vec!["serve", "--load", "--requests", "30"], "--load needs a value"),
+        (vec!["tsqr", "--m", "--n", "8"], "--m needs a value"),
+        (vec!["report", "--golden"], "--golden needs a value"),
+        (vec!["serve", "--requests", "30", "--crash"], "--crash needs a value"),
+        (vec!["serve", "--requests", "30", "--requests", "5"], "--requests given twice"),
+        (vec!["tsqr", "--m", "4096", "--n", "8", "--n", "16"], "--n given twice"),
+        (vec!["tsqr", "--m", "4096", "--n", "8", "--real", "5"], "--real takes no value"),
+        (vec!["serve", "--requests", "30", "--batch", "1"], "--batch takes no value"),
+    ] {
+        let out = cli().args(&args).output().expect("run cli");
+        assert_eq!(out.status.code(), Some(2), "args: {args:?}");
+        assert!(out.stdout.is_empty(), "args: {args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(&format!("error: {message}\n")), "args: {args:?}\n{err}");
+    }
+    // The repeatable flags stay repeatable, on both fault axes.
+    for args in [
+        vec!["serve", "--requests", "30", "--crash", "0@5", "--crash", "1@9"],
+        vec!["serve", "--requests", "30", "--drop-flow", "0:2:0", "--drop-flow", "0:2:1"],
+        vec!["faults", "--m", "8192", "--n", "8", "--drop", "1:0:0", "--drop", "3:2:0"],
+    ] {
+        let out = cli().args(&args).output().expect("run cli");
+        assert!(out.status.success(), "{args:?}\n{}", String::from_utf8_lossy(&out.stderr));
+    }
+}
