@@ -96,9 +96,9 @@ impl TreeShape {
 /// the measured Grid'5000 latency ratio (~8 ms WAN vs ~0.07 ms LAN,
 /// Fig. 3(a)) per inter-cluster hop. The autotuner replaces these with
 /// the real α/β prices.
-const GREEDY_INTRA_COST: f64 = 1.0;
+pub(crate) const GREEDY_INTRA_COST: f64 = 1.0;
 /// See [`GREEDY_INTRA_COST`].
-const GREEDY_INTER_COST: f64 = 100.0;
+pub(crate) const GREEDY_INTER_COST: f64 = 100.0;
 
 /// A reduction tree over participants `0..n`, rooted at participant 0
 /// (which holds the final R): the parent vector, plus each participant's
@@ -253,8 +253,21 @@ impl ReductionTree {
     /// absorbs the higher one, so parents have lower indices than their
     /// children (the heap order [`crate::ft_tsqr`] relies on).
     ///
-    /// Cost: every merge re-prices every remaining pair, `C(n + 1, 3)`
-    /// `edge_cost` calls in all — cubic, ≈ 2.8 M at `n = 256`.
+    /// Cost: the definition above re-prices every remaining pair at every
+    /// merge (`C(n + 1, 3)` `edge_cost` calls, ≈ 2.8 M at `n = 256`).
+    /// Instead, every active root `lo` remembers its cheapest partner —
+    /// `(merged cost, hi)` over the active `hi > lo`, the lowest `hi`
+    /// among equals — and a merge is the cheapest remembered row, the
+    /// lowest `lo` among equals: the same pair as the first cheapest one
+    /// of an all-pairs scan in root order. When `a` absorbs `b` only `a`'s
+    /// cost changes and only `b` leaves, so row `a` is scanned again, and
+    /// so is a row that remembered `a` or `b`; any other row's entry is
+    /// still the minimum of its unchanged pairs, and for `lo < a` it is
+    /// compared once with the re-priced `(lo, a)` — no assumption that
+    /// costs only rise, `combine_cost` may be negative. `edge_cost` calls
+    /// at `n = 64 / 128 / 256` (sites of 64, class costs): 20 709 / 87 646 /
+    /// 376 587, against 43 680 / 349 504 / 2 796 160. What is left is
+    /// ≈ 5.7 n², not n²: equal class costs make many rows share a partner.
     pub fn greedy_parents(
         n: usize,
         edge_cost: impl Fn(usize, usize) -> f64,
@@ -262,30 +275,56 @@ impl ReductionTree {
     ) -> Vec<Option<usize>> {
         assert!(n > 0, "reduction over zero participants");
         let mut parents: Vec<Option<usize>> = vec![None; n];
-        // Active subtrees as (root, completion cost), kept sorted by root.
-        let mut active: Vec<(usize, f64)> = (0..n).map(|i| (i, 0.0)).collect();
+        // Completion cost of each subtree by root, and the active roots,
+        // ascending.
+        let mut cost = vec![0.0_f64; n];
+        let mut active: Vec<usize> = (0..n).collect();
+        let merged = |cost: &[f64], lo: usize, hi: usize| {
+            cost[lo].max(cost[hi] + edge_cost(hi, lo)) + combine_cost
+        };
+        // Row `lo`'s cheapest merge over the ascending roots `above` it, the
+        // lowest `hi` among equals. A plain loop: this is the hot one, and
+        // `min_by` over the mapped iterator read 10 % slower on `tune-plan`.
+        let cheapest = |cost: &[f64], lo: usize, above: &[usize]| {
+            let mut best = (merged(cost, lo, above[0]), above[0]);
+            for &hi in &above[1..] {
+                let c = merged(cost, lo, hi);
+                if c.total_cmp(&best.0).is_lt() {
+                    best = (c, hi);
+                }
+            }
+            best
+        };
+        // best[lo] for every active root but the highest, which has no
+        // partner above it and whose entry is never read.
+        let mut best = vec![(0.0_f64, 0_usize); n];
+        for slot in 0..n - 1 {
+            best[slot] = cheapest(&cost, slot, &active[slot + 1..]);
+        }
         while active.len() > 1 {
-            let mut best: Option<(f64, usize, usize)> = None; // (cost, lo_slot, hi_slot)
-            for a in 0..active.len() {
-                for b in (a + 1)..active.len() {
-                    let (lo, lo_cost) = active[a];
-                    let (hi, hi_cost) = active[b];
-                    let merged = (lo_cost).max(hi_cost + edge_cost(hi, lo)) + combine_cost;
-                    let better = match best {
-                        None => true,
-                        Some((c, _, _)) => merged.total_cmp(&c).is_lt(),
-                    };
-                    if better {
-                        best = Some((merged, a, b));
+            // `min_by` returns the first of equals: the lowest `lo`.
+            let a = *active[..active.len() - 1]
+                .iter()
+                .min_by(|&&x, &&y| best[x].0.total_cmp(&best[y].0))
+                .expect("two active roots");
+            let (merged_cost, b) = best[a];
+            parents[b] = Some(a);
+            cost[a] = merged_cost;
+            active.retain(|&root| root != b);
+            for slot in 0..active.len() - 1 {
+                let lo = active[slot];
+                let (remembered, partner) = best[lo];
+                // Row `a` itself remembered `b`.
+                if partner == a || partner == b {
+                    best[lo] = cheapest(&cost, lo, &active[slot + 1..]);
+                } else if lo < a {
+                    let c = merged(&cost, lo, a);
+                    let wins = c.total_cmp(&remembered);
+                    if wins.is_lt() || (wins.is_eq() && a < partner) {
+                        best[lo] = (c, a);
                     }
                 }
             }
-            let (cost, a, b) = best.expect("at least one pair while len > 1");
-            let (lo, _) = active[a];
-            let (hi, _) = active[b];
-            parents[hi] = Some(lo);
-            active[a] = (lo, cost);
-            active.remove(b);
         }
         parents
     }
@@ -368,9 +407,50 @@ impl ReductionTree {
     }
 }
 
+/// The definition [`ReductionTree::greedy_parents`] must reproduce, as it
+/// was written before the row cache: every merge scans every active pair
+/// in root order and takes the first cheapest. The oracle of the
+/// differential tests here and in [`crate::tune`].
+#[cfg(test)]
+pub(crate) fn greedy_parents_cubic(
+    n: usize,
+    edge_cost: impl Fn(usize, usize) -> f64,
+    combine_cost: f64,
+) -> Vec<Option<usize>> {
+    assert!(n > 0, "reduction over zero participants");
+    let mut parents: Vec<Option<usize>> = vec![None; n];
+    // Active subtrees as (root, completion cost), kept sorted by root.
+    let mut active: Vec<(usize, f64)> = (0..n).map(|i| (i, 0.0)).collect();
+    while active.len() > 1 {
+        let mut best: Option<(f64, usize, usize)> = None; // (cost, lo_slot, hi_slot)
+        for a in 0..active.len() {
+            for b in (a + 1)..active.len() {
+                let (lo, lo_cost) = active[a];
+                let (hi, hi_cost) = active[b];
+                let merged = (lo_cost).max(hi_cost + edge_cost(hi, lo)) + combine_cost;
+                let better = match best {
+                    None => true,
+                    Some((c, _, _)) => merged.total_cmp(&c).is_lt(),
+                };
+                if better {
+                    best = Some((merged, a, b));
+                }
+            }
+        }
+        let (cost, a, b) = best.expect("at least one pair while len > 1");
+        let (lo, _) = active[a];
+        let (hi, _) = active[b];
+        parents[hi] = Some(lo);
+        active[a] = (lo, cost);
+        active.remove(b);
+    }
+    parents
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsqr_netsim::SplitMix64;
 
     /// Runs the reduction on plain integers, "combining" by collecting
     /// the leaves; returns what the root ends up holding, sorted.
@@ -605,6 +685,79 @@ mod tests {
         assert_eq!(tree.inter_cluster_messages(&cluster_of), 1);
         // The one WAN edge connects the two cluster roots (0 and 4).
         assert_eq!(tree.parent(4), Some(0));
+    }
+
+    #[test]
+    fn greedy_parents_is_the_cubic_scan() {
+        // Prices from a small menu, so exact ties, free edges and
+        // asymmetric (child, parent) prices all occur; a negative combine
+        // makes completion costs *fall*, which a row cache that assumed
+        // monotone costs would get wrong.
+        let mut rng = SplitMix64::new(21);
+        let price = |rng: &mut SplitMix64| match rng.next_below(4) {
+            0 => 0.0,
+            1 => 1.0,
+            2 => 100.0,
+            _ => rng.next_below(40) as f64 / 7.0,
+        };
+        for case in 0..480 {
+            let n = 1 + rng.next_below(70) as usize;
+            let clusters = 1 + rng.next_below(5) as usize;
+            let cluster_of: Vec<usize> = if case % 2 == 0 {
+                (0..n).map(|i| i * clusters / n).collect()
+            } else {
+                (0..n).map(|_| rng.next_below(clusters as u64) as usize).collect()
+            };
+            let prices: Vec<f64> = (0..clusters * clusters).map(|_| price(&mut rng)).collect();
+            let combine = match rng.next_below(4) {
+                0 => 0.0,
+                1 => 1.0,
+                2 => rng.next_below(12) as f64 / 3.0,
+                _ => -0.75,
+            };
+            let edge = |child: usize, parent: usize| {
+                prices[cluster_of[child] * clusters + cluster_of[parent]]
+            };
+            assert_eq!(
+                ReductionTree::greedy_parents(n, edge, combine),
+                greedy_parents_cubic(n, edge, combine),
+                "case {case}: n={n} cluster_of={cluster_of:?} prices={prices:?} combine={combine}"
+            );
+        }
+        // A price of its own per ordered pair, in halves, under a negative
+        // combine: in about one case in 500 a re-priced `(lo, a)` *ties*
+        // the remembered entry from a lower `hi`.
+        for case in 0..6_000 {
+            let n = 6 + rng.next_below(7) as usize;
+            let prices: Vec<f64> = (0..n * n).map(|_| rng.next_below(13) as f64 / 2.0).collect();
+            let combine = -1.5;
+            let edge = |child: usize, parent: usize| prices[child * n + parent];
+            assert_eq!(
+                ReductionTree::greedy_parents(n, edge, combine),
+                greedy_parents_cubic(n, edge, combine),
+                "dense case {case}: n={n} prices={prices:?} combine={combine}"
+            );
+        }
+        // The sizes the tuner plans at (sites of 64), under the class costs
+        // of `build` — and the point of the row cache: far fewer prices.
+        for n in [64, 128, 256] {
+            let class = |child: usize, parent: usize| {
+                if child / 64 == parent / 64 { GREEDY_INTRA_COST } else { GREEDY_INTER_COST }
+            };
+            let calls = std::cell::Cell::new(0_usize);
+            let counted = |child, parent| {
+                calls.set(calls.get() + 1);
+                class(child, parent)
+            };
+            assert_eq!(
+                ReductionTree::greedy_parents(n, counted, GREEDY_INTRA_COST),
+                greedy_parents_cubic(n, class, GREEDY_INTRA_COST),
+                "n={n}"
+            );
+            // 20 709 / 87 646 / 376 587 today; the all-pairs scan makes
+            // C(n + 1, 3) = 43 680 / 349 504 / 2 796 160.
+            assert!(calls.get() < 8 * n * n, "n={n}: {} edge_cost calls", calls.get());
+        }
     }
 
     #[test]

@@ -435,4 +435,53 @@ mod tests {
         assert!(tree.is_heap_ordered());
         assert_eq!(tree.total_messages(), layout.num_domains() - 1);
     }
+
+    #[test]
+    fn both_greedy_constructions_are_the_cubic_scan_on_the_figure_grid() {
+        // What the greedy sees of a Fig. 4–8 point is the cluster map,
+        // `packed_bytes(n)` and the combine time; M does not enter. So
+        // sites × N at 64 processes per site covers all 96 points.
+        use crate::tree::{greedy_parents_cubic, GREEDY_INTER_COST, GREEDY_INTRA_COST};
+        use tsqr_qcg::{allocate, JobProfile, ResourceCatalog};
+        for sites in [1, 2, 4] {
+            let alloc =
+                allocate(&ResourceCatalog::grid5000(), &JobProfile::cluster_of_clusters(sites, 64))
+                    .expect("the Grid'5000 catalog fits the paper's profiles");
+            let (topo, model) = (&alloc.topology, &alloc.network);
+            // The class-cost tree reads the cluster map alone.
+            let cluster_of = DomainLayout::build(topo, 1 << 20, 64, 64).clusters();
+            let class = |child: usize, parent: usize| {
+                if cluster_of[child] == cluster_of[parent] {
+                    GREEDY_INTRA_COST
+                } else {
+                    GREEDY_INTER_COST
+                }
+            };
+            assert_eq!(
+                ReductionTree::build(&TreeShape::Greedy, cluster_of.len(), &cluster_of).parents(),
+                greedy_parents_cubic(cluster_of.len(), class, GREEDY_INTRA_COST),
+                "greedy, {sites} sites"
+            );
+            for n in [64, 128, 256, 512] {
+                let layout = DomainLayout::build(topo, 1 << 20, n, 64);
+                let (d, roots) = (layout.num_domains(), layout.roots());
+                // The combine rate the figures charge (tsqr_bench::calib);
+                // the leaf rate prices no part of the greedy.
+                let combine_rate = Some(1.5e9);
+                let shapes = candidate_shapes(topo, model, &layout, None, combine_rate);
+                let (_, greedy_cost) =
+                    shapes.iter().find(|(name, _)| name == "greedy-cost").expect("d > 2");
+                let message = |child: usize, parent: usize| {
+                    let (from, to) = (topo.location(roots[child]), topo.location(roots[parent]));
+                    model.message_time(from, to, packed_bytes(n)).secs()
+                };
+                let combine = model.compute_time(flops::tpqrt(n as u64), combine_rate).secs();
+                assert_eq!(
+                    *greedy_cost,
+                    TreeShape::Custom(greedy_parents_cubic(d, message, combine)),
+                    "greedy-cost, {sites} sites, n={n}"
+                );
+            }
+        }
+    }
 }

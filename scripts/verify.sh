@@ -71,9 +71,18 @@ fi
 if grep -n 'sent_to' crates/core/src/tsqr.rs; then copy_is_back "send bookkeeping in tsqr.rs"; fi
 if grep -rn 'mask <<= 1' crates/core/src; then copy_is_back "a hand-written butterfly in crates/core"; fi
 if grep -n 'fn lint_tag_protocol' crates/lint/src/main.rs; then copy_is_back "commlint's tag-protocol rule"; fi
+# The greedy construction exists once (ISSUE 21): above tree.rs's tests one
+# fn greedy_parents and no all-pairs scan (the cubic loop is the test oracle
+# only), and tune.rs builds its greedy-cost tree through it, in one place.
+TREE=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/tree.rs)
+[ "$(grep -c 'fn greedy_parents' <<<"$TREE")" -eq 1 ] \
+  && [ "$(grep -cF 'for b in (a + 1)..' <<<"$TREE")" -eq 0 ] \
+  || copy_is_back "a second greedy construction, or the all-pairs scan, in tree.rs"
+[ "$(grep -c 'ReductionTree::greedy_parents' crates/core/src/tune.rs)" -eq 1 ] \
+  || copy_is_back "a second greedy construction in tune.rs"
 # Placement reads the pool's own counters (ISSUE 20): outside its tests the
 # scheduler never copies the catalog, builds a topology in one place (a granted
-# lease), and nothing caches around it (docs/serving.md §3, ROADMAP item 2).
+# lease), and nothing caches around it (docs/serving.md §3, ROADMAP "Settled").
 SCHED=$(sed '/^#\[cfg(test)\]/,$d' crates/qcg/src/scheduler.rs)
 [ "$(grep -c 'catalog\.clone()' <<<"$SCHED")" -eq 0 ] \
   && [ "$(grep -c 'GridTopology::block_placement' <<<"$SCHED")" -eq 1 ] \
