@@ -8,17 +8,18 @@
 //! breakdown.
 
 use tsqr_gridmpi::{
-    MetricsRegistry, Process, RankStats, RunReport, Runtime, Trace, TrafficCounters,
+    block_on, CommError, Communicator, MetricsRegistry, Process, RankStats, RunReport, Runtime,
+    Trace, TrafficCounters,
 };
 use tsqr_linalg::Matrix;
 use tsqr_netsim::VirtualTime;
 
 use crate::domains::{even_chunks, DomainLayout};
 use crate::model;
-use crate::scalapack::{pdgeqr2, pdgeqrf, PanelTile};
-use crate::tile::Dims;
+use crate::scalapack::{pdgeqr2_async, pdgeqrf_async, PanelTile};
+use crate::tile::{Dims, Tile};
 use crate::tree::{ReductionTree, TreeShape};
-use crate::tsqr::{tsqr_rank_program_with, TsqrConfig};
+use crate::tsqr::{tsqr_rank_program_with_async, TsqrConfig};
 use crate::workload;
 
 /// Which algorithm to run.
@@ -124,7 +125,8 @@ impl ExperimentResult {
 pub fn run_experiment(rt: &Runtime, exp: &Experiment) -> ExperimentResult {
     let n = exp.n;
     // The one place the mode is looked at: it picks the data type the rank
-    // programs are instantiated with, and whether an R comes back.
+    // programs are instantiated with (and so how they are driven, see
+    // `run_ranks`), and whether an R comes back.
     match exp.mode {
         Mode::Real { seed } => {
             assert!(
@@ -134,6 +136,24 @@ pub fn run_experiment(rt: &Runtime, exp: &Experiment) -> ExperimentResult {
             run_on(rt, exp, |row0, rows| workload::block(seed, row0, rows, n), Some)
         }
         Mode::Symbolic => run_on(rt, exp, |_, rows| Dims { rows, cols: n }, |_| None),
+    }
+}
+
+/// Runs a rank program written over tile `T` on every rank of `rt`, the
+/// way that tile wants: ranks holding numbers ([`Tile::NUMERIC`]) on one
+/// OS thread each, so their kernels run in parallel; ranks holding
+/// dimensions alone as futures on the calling thread, where a message
+/// costs a queue push instead of a kernel wake-up. Same program, same
+/// report, bit-identical clocks either way
+/// (`tests/proptest_distributed.rs`).
+fn run_ranks<T: Tile, R: Send, F>(rt: &Runtime, program: F) -> RunReport<R>
+where
+    F: AsyncFn(&mut Process, &Communicator) -> Result<R, CommError> + Sync,
+{
+    if T::NUMERIC {
+        rt.run(|p, world| block_on(program(p, world)))
+    } else {
+        rt.run_cooperative(program)
     }
 }
 
@@ -157,8 +177,10 @@ fn run_on<T: PanelTile>(
             };
             let layout = DomainLayout::build(rt.topology(), exp.m, exp.n, domains_per_cluster);
             let tree = ReductionTree::build(shape, layout.num_domains(), &layout.clusters());
-            rt.run(|p, _| {
-                tsqr_rank_program_with(p, &layout, &tree, &cfg, exp.rate_flops, &block).map(|out| out.r)
+            run_ranks::<T, _, _>(rt, async |p: &mut Process, _: &Communicator| {
+                tsqr_rank_program_with_async(p, &layout, &tree, &cfg, exp.rate_flops, &block)
+                    .await
+                    .map(|out| out.r)
             })
         }
         baseline => {
@@ -172,17 +194,18 @@ fn run_on<T: PanelTile>(
                 "the blocked baseline computes R only"
             );
             let chunks = even_chunks(exp.m, rt.topology().num_procs());
-            rt.run(|p: &mut Process, world| {
+            run_ranks::<T, _, _>(rt, async |p: &mut Process, world: &Communicator| {
                 let me = world.my_index(p);
                 let (row0, rows) = (chunks[..me].iter().sum(), chunks[me] as usize);
-                let out = pdgeqrf(p, world, block(row0, rows), nb, nx, exp.rate_flops)?;
+                let out =
+                    pdgeqrf_async(p, world, block(row0, rows), nb, nx, exp.rate_flops).await?;
                 if exp.compute_q {
                     // Table II: forming Q doubles messages, volume and
                     // flops; the back-transformation sweep has the same
                     // per-column reduction structure as the
                     // factorization, so replaying the schedule on the
                     // block's dimensions charges exactly the doubled cost.
-                    pdgeqr2(p, world, Dims { rows, cols: exp.n }, exp.rate_flops)?;
+                    pdgeqr2_async(p, world, Dims { rows, cols: exp.n }, exp.rate_flops).await?;
                 }
                 Ok(out.r)
             })

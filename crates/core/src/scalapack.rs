@@ -16,7 +16,7 @@
 //! flop charges, so paper-scale sweeps finish in milliseconds with
 //! identical virtual clocks and traffic counters.
 
-use tsqr_gridmpi::{CommError, Communicator, Process};
+use tsqr_gridmpi::{block_on, CommError, Communicator, Process};
 use tsqr_linalg::blas::{gemm, trmm_upper_left};
 use tsqr_linalg::flops;
 use tsqr_linalg::qr::Trans;
@@ -94,14 +94,30 @@ pub fn pdgeqr2<T: PanelTile>(
     local: T,
     rate_flops: Option<f64>,
 ) -> Result<Pdgeqr2Output<T>, CommError> {
-    pdgeqrf(p, group, local, 1, 0, rate_flops)
+    block_on(pdgeqr2_async(p, group, local, rate_flops))
+}
+
+/// The body of [`pdgeqr2`], for rank programs that yield (see
+/// `tsqr_gridmpi::Runtime::run_cooperative`).
+pub async fn pdgeqr2_async<T: PanelTile>(
+    p: &mut Process,
+    group: &Communicator,
+    local: T,
+    rate_flops: Option<f64>,
+) -> Result<Pdgeqr2Output<T>, CommError> {
+    pdgeqrf_async(p, group, local, 1, 0, rate_flops).await
+}
+
+/// Elementwise all-reduce sum over `group`.
+async fn all_sum<T: Tile>(p: &mut Process, group: &Communicator, x: T) -> Result<T, CommError> {
+    group.allreduce_with_async(p, x, |_, lo, hi| lo.add(hi)).await
 }
 
 /// The per-column Householder loop shared by [`pdgeqr2`] (full sweep) and
 /// [`pdgeqrf`] (panel sweep): factors columns `col0..col0+ncols` of the
 /// distributed block, applying updates to columns up to `update_end`.
 #[allow(clippy::too_many_arguments)]
-fn panel_columns<T: PanelTile>(
+async fn panel_columns<T: PanelTile>(
     p: &mut Process,
     group: &Communicator,
     local: &mut T,
@@ -115,7 +131,7 @@ fn panel_columns<T: PanelTile>(
     let is_root = group.my_index(p) == 0;
     for j in col0..col0 + ncols {
         // --- Reduction 1: column norm (and the pivot value α). ---
-        let norm = group.allreduce(p, local.norm_terms(j, is_root), T::add)?;
+        let norm = all_sum(p, group, local.norm_terms(j, is_root)).await?;
         // Everyone derives the same reflector parameters.
         let trailing = update_end - j - 1;
         let (tau, w_local) = local.reflect(j, is_root, trailing, &norm);
@@ -124,7 +140,7 @@ fn panel_columns<T: PanelTile>(
         // τ = 0 reflector (H = I) still performs it: ScaLAPACK does not
         // branch on data. ---
         if trailing > 0 {
-            let w = group.allreduce(p, w_local, T::add)?;
+            let w = all_sum(p, group, w_local).await?;
             local.apply_reflector(j, is_root, tau, &w);
         }
         p.compute(
@@ -151,6 +167,19 @@ fn panel_columns<T: PanelTile>(
 pub fn pdgeqrf<T: PanelTile>(
     p: &mut Process,
     group: &Communicator,
+    local: T,
+    nb: usize,
+    nx: usize,
+    rate_flops: Option<f64>,
+) -> Result<Pdgeqr2Output<T>, CommError> {
+    block_on(pdgeqrf_async(p, group, local, nb, nx, rate_flops))
+}
+
+/// The body of [`pdgeqrf`], for rank programs that yield (see
+/// `tsqr_gridmpi::Runtime::run_cooperative`).
+pub async fn pdgeqrf_async<T: PanelTile>(
+    p: &mut Process,
+    group: &Communicator,
     mut local: T,
     nb: usize,
     nx: usize,
@@ -168,14 +197,14 @@ pub fn pdgeqrf<T: PanelTile>(
         // ScaLAPACK's NX crossover: unblocked once few columns remain.
         if remaining <= nx || nb == 1 {
             p.phase_begin(PHASE_PANEL);
-            panel_columns(p, group, &mut local, j, remaining, n, &mut taus, rate_flops)?;
+            panel_columns(p, group, &mut local, j, remaining, n, &mut taus, rate_flops).await?;
             p.phase_end();
             break;
         }
         let ib = nb.min(remaining);
         // --- Panel factorization (updates confined to the panel). ---
         p.phase_begin(PHASE_PANEL);
-        panel_columns(p, group, &mut local, j, ib, j + ib, &mut taus, rate_flops)?;
+        panel_columns(p, group, &mut local, j, ib, j + ib, &mut taus, rate_flops).await?;
         p.phase_end();
 
         // --- Blocked trailing update (nothing to do on the last panel). ---
@@ -190,9 +219,9 @@ pub fn pdgeqrf<T: PanelTile>(
         p.compute(flops::gemm(ib as u64, ib as u64, m_act), rate_flops);
         // One all-reduce rebuilds the reflector Gram matrix everywhere,
         // from which T follows locally; one more reduces W = Ṽᵀ·C.
-        let g = group.allreduce(p, g_loc, T::add)?;
+        let g = all_sum(p, group, g_loc).await?;
         p.compute(flops::gemm(ib as u64, trail, m_act), rate_flops);
-        let w = group.allreduce(p, w_loc, T::add)?;
+        let w = all_sum(p, group, w_loc).await?;
         local.block_update(j, is_root, &taus[j..j + ib], &v, &g, w);
         p.compute(flops::gemm(m_act, trail, ib as u64), rate_flops);
         p.phase_end();

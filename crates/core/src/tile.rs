@@ -7,7 +7,9 @@
 //! code *is* the schedule: phases, sends, receives, all-reduces and the
 //! closed-form [`tsqr_linalg::flops`] charges; a `Tile` supplies the data
 //! operations in between. Dispatch is static, so the `Matrix` instance is
-//! the numeric program and the `Dims` instance moves no numbers.
+//! the numeric program and the `Dims` instance moves no numbers — which is
+//! also what decides how a run is driven ([`Tile::NUMERIC`]): `Matrix`
+//! ranks on one OS thread each, `Dims` ranks as futures on one thread.
 //!
 //! Both charge the same traffic because a payload's price depends on its
 //! shape alone: `gridmpi` prices a `Matrix` or `Vec<f64>` by its length,
@@ -37,6 +39,11 @@ pub trait Tile: WirePayload + Clone {
     type Packed: WirePayload;
     /// The implicit Q of a stacked-triangles combine.
     type Combine;
+    /// Whether the block holds numbers. Ranks on a numeric tile run real
+    /// kernels side by side, so a run gives each an OS thread; ranks on
+    /// dimensions alone compute nothing, so they share the caller's thread
+    /// (what [`crate::experiment::run_experiment`] does with it).
+    const NUMERIC: bool = false;
 
     /// `(rows, cols)`.
     fn shape(&self) -> (usize, usize);
@@ -84,6 +91,7 @@ pub trait Tile: WirePayload + Clone {
 impl Tile for Matrix {
     type Packed = Vec<f64>;
     type Combine = StackedFactors;
+    const NUMERIC: bool = true;
 
     fn shape(&self) -> (usize, usize) {
         Matrix::shape(self)

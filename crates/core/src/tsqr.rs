@@ -25,13 +25,13 @@
 //! ([`crate::lstsq`]) is [`tsqr_rank_program_with`] on the augmented block
 //! `[A | b]`.
 
-use tsqr_gridmpi::{CommError, Communicator, Process};
+use tsqr_gridmpi::{block_on, CommError, Communicator, Process};
 use tsqr_linalg::flops;
 use tsqr_linalg::prelude::*;
 use tsqr_linalg::Matrix;
 
 use crate::domains::DomainLayout;
-use crate::scalapack::{pdgeqr2, PanelTile};
+use crate::scalapack::{pdgeqr2_async, PanelTile};
 use crate::tile::Tile;
 use crate::tree::{ReductionTree, TreeShape};
 use crate::workload;
@@ -156,6 +156,19 @@ pub fn tsqr_rank_program_with<T: PanelTile>(
     rate_flops: Option<f64>,
     local_block: impl FnOnce(u64, usize) -> T,
 ) -> Result<TsqrRankOutput<T>, CommError> {
+    block_on(tsqr_rank_program_with_async(p, layout, tree, cfg, rate_flops, local_block))
+}
+
+/// The body of [`tsqr_rank_program_with`], for rank programs that yield
+/// (see `tsqr_gridmpi::Runtime::run_cooperative`).
+pub async fn tsqr_rank_program_with_async<T: PanelTile>(
+    p: &mut Process,
+    layout: &DomainLayout,
+    tree: &ReductionTree,
+    cfg: &TsqrConfig,
+    rate_flops: Option<f64>,
+    local_block: impl FnOnce(u64, usize) -> T,
+) -> Result<TsqrRankOutput<T>, CommError> {
     let n = layout.n;
     let d = layout
         .domain_of_rank(p.rank())
@@ -187,7 +200,7 @@ pub fn tsqr_rank_program_with<T: PanelTile>(
             "explicit Q requires single-process domains (use domains_per_cluster = procs)"
         );
         let group = Communicator::from_members(dom.ranks.clone());
-        r_cur = pdgeqr2(p, &group, local, rate_flops)?.r;
+        r_cur = pdgeqr2_async(p, &group, local, rate_flops).await?.r;
     }
     p.phase_end();
 
@@ -198,7 +211,7 @@ pub fn tsqr_rank_program_with<T: PanelTile>(
     if member == 0 {
         let r1 = r_cur.as_mut().expect("domain root holds its R");
         for &from_d in tree.children(d) {
-            let f = r1.tpqrt(p.recv(roots[from_d], TAG_R)?);
+            let f = r1.tpqrt(p.recv_async(roots[from_d], TAG_R).await?);
             p.compute(flops::tpqrt(n as u64), combine_rate);
             if cfg.compute_q {
                 combine_stack.push(f);
@@ -217,7 +230,7 @@ pub fn tsqr_rank_program_with<T: PanelTile>(
         // Single-process domains only (asserted above), so every rank is a
         // domain root and participates.
         let mut e = match tree.parent(d) {
-            Some(parent_d) => p.recv::<T>(roots[parent_d], TAG_E)?,
+            Some(parent_d) => p.recv_async::<T>(roots[parent_d], TAG_E).await?,
             None => T::identity(n),
         };
         // One combine per child, undone last-combined first.

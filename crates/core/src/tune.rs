@@ -25,14 +25,14 @@
 //! that is the regime of every Fig. 4–8 headline point, and it keeps the
 //! leaf cost a single closed-form `geqrf` term.
 
-use tsqr_gridmpi::Runtime;
+use tsqr_gridmpi::{Communicator, Process, Runtime};
 use tsqr_linalg::flops;
 use tsqr_netsim::{CostModel, GridTopology, VirtualTime};
 
 use crate::domains::DomainLayout;
 use crate::tree::{ReductionTree, TreeShape};
 use crate::tile::{packed_bytes, Dims};
-use crate::tsqr::{tsqr_rank_program_with, TsqrConfig};
+use crate::tsqr::{tsqr_rank_program_with_async, TsqrConfig};
 
 /// One candidate in the search table.
 #[derive(Debug, Clone)]
@@ -161,7 +161,10 @@ pub fn replay_makespan(
         ..Default::default()
     };
     let dims = |_, rows| Dims { rows, cols: layout.n };
-    rt.run(|p, _| tsqr_rank_program_with(p, layout, &tree, &cfg, rate_flops, dims).map(|_| ())).makespan
+    rt.run_cooperative(async |p: &mut Process, _: &Communicator| {
+        tsqr_rank_program_with_async(p, layout, &tree, &cfg, rate_flops, dims).await.map(|_| ())
+    })
+    .makespan
 }
 
 /// The candidate portfolio for a reduction over `cluster_of`-mapped

@@ -8,15 +8,17 @@ use proptest::prelude::*;
 
 use tsqr_core::caqr_dist::{caqr_dist_program, CaqrDistConfig};
 use tsqr_core::domains::{even_chunks, DomainLayout};
-use tsqr_core::scalapack::{pdgeqr2, pdgeqrf};
+use tsqr_core::scalapack::{pdgeqr2, pdgeqrf, pdgeqrf_async};
 use tsqr_core::tile::Dims;
 use tsqr_core::tree::{ReductionTree, TreeShape};
-use tsqr_core::tsqr::{tsqr_rank_program_with, tsqr_rank_program, TsqrConfig};
+use tsqr_core::tsqr::{
+    tsqr_rank_program, tsqr_rank_program_with, tsqr_rank_program_with_async, TsqrConfig,
+};
 use tsqr_core::workload;
-use tsqr_gridmpi::{RunReport, Runtime};
+use tsqr_gridmpi::{Communicator, Process, RunReport, Runtime};
 use tsqr_linalg::prelude::*;
 use tsqr_linalg::verify::r_distance;
-use tsqr_netsim::{two_tier_grid, LinkParams};
+use tsqr_netsim::{two_tier_grid, FailureSchedule, LinkParams, VirtualTime};
 
 fn mini_grid(clusters: usize, procs: usize) -> Runtime {
     let lan = LinkParams::from_ms_mbps(0.07, 890.0);
@@ -50,6 +52,140 @@ fn first_mismatch<A, B>(a: &RunReport<A>, b: &RunReport<B>) -> Option<usize> {
             || x.stats.traffic != y.stats.traffic
             || (x.stats.clock.secs() - y.stats.clock.secs()).abs() >= 1e-12
     })
+}
+
+/// Everything a run reports, compared exactly: per-rank outcomes (`Ok` or
+/// the error), clocks and makespan by their bits, traffic counters,
+/// per-rank metrics ledgers, and the trace.
+fn assert_same_run<T>(threaded: &RunReport<T>, cooperative: &RunReport<T>, case: &str) {
+    let outcome = |r: &RunReport<_>| -> Vec<_> {
+        r.ranks.iter().map(|rr| rr.result.as_ref().map(|_| ()).map_err(Clone::clone)).collect()
+    };
+    assert_eq!(outcome(threaded), outcome(cooperative), "{case}: results");
+    let clocks = |r: &RunReport<_>| -> Vec<u64> {
+        r.ranks.iter().map(|rr| rr.stats.clock.secs().to_bits()).collect()
+    };
+    assert_eq!(clocks(threaded), clocks(cooperative), "{case}: clocks");
+    assert_eq!(threaded.makespan.secs().to_bits(), cooperative.makespan.secs().to_bits(), "{case}");
+    for (x, y) in threaded.ranks.iter().zip(&cooperative.ranks) {
+        assert_eq!(x.stats.traffic, y.stats.traffic, "{case}: counters");
+    }
+    assert_eq!(threaded.totals, cooperative.totals, "{case}: totals");
+    assert_eq!(threaded.metrics, cooperative.metrics, "{case}: metrics");
+    assert_eq!(
+        threaded.trace.as_ref().map(|t| &t.events),
+        cooperative.trace.as_ref().map(|t| &t.events),
+        "{case}: trace"
+    );
+}
+
+/// The rank programs a symbolic point runs, under both drivers of the
+/// runtime: `Runtime::run` (one OS thread per rank — the oracle) and
+/// `Runtime::run_cooperative` (every rank a future on this thread) must
+/// report the same run to the bit. PDGEQR2, PDGEQRF on both sides of its
+/// crossover, and TSQR over all seven tree shapes × 1, 2 and 4 ranks per
+/// domain × the Q down-sweep, on 8 ranks and on 12 (not a power of two),
+/// traced and untraced.
+#[test]
+fn cooperative_and_threaded_runs_report_the_same() {
+    let n = 40;
+    for (clusters, tracing) in [(2usize, true), (3, true), (3, false)] {
+        let procs = 4;
+        let mut rt = mini_grid(clusters, procs);
+        if tracing {
+            rt.enable_tracing();
+        }
+        let ranks = clusters * procs;
+        let m = (ranks * 64) as u64;
+        let chunks = even_chunks(m, ranks);
+        let dims = |w: &Communicator, p: &Process| Dims { rows: chunks[w.my_index(p)] as usize, cols: n };
+
+        for (nb, nx) in [(1, 0), (8, 16)] {
+            let threaded = rt.run(|p, w| pdgeqrf(p, w, dims(w, p), nb, nx, None));
+            let cooperative = rt.run_cooperative(async |p: &mut Process, w: &Communicator| {
+                pdgeqrf_async(p, w, dims(w, p), nb, nx, None).await
+            });
+            assert!(threaded.totals.total_msgs() > 0);
+            assert_same_run(&threaded, &cooperative, &format!("pdgeqrf nb={nb} nx={nx} on {ranks}"));
+        }
+
+        let chain = TreeShape::Custom((0..ranks).map(|i| i.checked_sub(1)).collect());
+        let shapes = [
+            TreeShape::Flat,
+            TreeShape::Binary,
+            TreeShape::GridHierarchical,
+            TreeShape::Kary(3),
+            TreeShape::Binomial,
+            TreeShape::Greedy,
+            chain,
+        ];
+        for ranks_per_domain in [1, 2, 4] {
+            let dpc = procs / ranks_per_domain;
+            let layout = DomainLayout::build(rt.topology(), m, n, dpc);
+            for shape in &shapes {
+                // The chain is over single-rank domains; skip it when
+                // domains are groups and the tree has fewer participants.
+                let shape = match shape {
+                    TreeShape::Custom(parents) if parents.len() != layout.num_domains() => continue,
+                    other => other.clone(),
+                };
+                let tree = ReductionTree::build(&shape, layout.num_domains(), &layout.clusters());
+                for compute_q in [false, true] {
+                    if compute_q && ranks_per_domain > 1 {
+                        continue;
+                    }
+                    let cfg = TsqrConfig {
+                        shape: shape.clone(),
+                        domains_per_cluster: dpc,
+                        compute_q,
+                        ..Default::default()
+                    };
+                    let block = |_, rows| Dims { rows, cols: n };
+                    let threaded =
+                        rt.run(|p, _| tsqr_rank_program_with(p, &layout, &tree, &cfg, None, block));
+                    let cooperative = rt.run_cooperative(async |p: &mut Process, _: &Communicator| {
+                        tsqr_rank_program_with_async(p, &layout, &tree, &cfg, None, block).await
+                    });
+                    let case = format!(
+                        "tsqr {shape:?} {ranks_per_domain}/domain q={compute_q} on {ranks} traced={tracing}"
+                    );
+                    assert!(threaded.ranks.iter().all(|r| r.result.is_ok()), "{case}");
+                    assert_same_run(&threaded, &cooperative, &case);
+                }
+            }
+        }
+    }
+}
+
+/// The same under a failure schedule: a combiner crashes in the middle of
+/// the reduction and one upward transmission is dropped (and resent).
+/// Crash times and tombstones are virtual-time facts, so both drivers give
+/// every rank the same `Result`, the same clock and the same trace.
+#[test]
+fn cooperative_and_threaded_runs_fail_the_same() {
+    let (n, m) = (16, 8 * 64);
+    let mut rt = mini_grid(2, 4);
+    let layout = DomainLayout::build(rt.topology(), m, n, 4);
+    let shape = TreeShape::Binary;
+    let tree = ReductionTree::build(&shape, layout.num_domains(), &layout.clusters());
+    let cfg = TsqrConfig { shape, domains_per_cluster: 4, ..Default::default() };
+    let block = |_, rows| Dims { rows, cols: n };
+    let clean = rt.run(|p, _| tsqr_rank_program_with(p, &layout, &tree, &cfg, None, block));
+    // Rank 4 combines 5 and 6 and then sends to 0; it dies the moment 5's
+    // R has reached it, its own reduction half done. 3 -> 2 is a leaf's send.
+    let mid: VirtualTime = clean.ranks[5].stats.clock;
+    rt.set_failure_schedule(FailureSchedule::new(22).crash_rank(4, mid).drop_nth_message(3, 2, 0));
+    rt.enable_tracing();
+    let threaded = rt.run(|p, _| tsqr_rank_program_with(p, &layout, &tree, &cfg, None, block));
+    let cooperative = rt.run_cooperative(async |p: &mut Process, _: &Communicator| {
+        tsqr_rank_program_with_async(p, &layout, &tree, &cfg, None, block).await
+    });
+    let failed: Vec<usize> =
+        (0..8).filter(|&r| threaded.ranks[r].result.is_err()).collect();
+    assert_eq!(failed, vec![0, 4], "the crashed combiner and the root that waits on it");
+    assert!(threaded.ranks[4].stats.clock < clean.ranks[4].stats.clock, "the crash cut rank 4 short");
+    assert!(threaded.ranks[3].stats.traffic.total_msgs() == 2, "3 -> 2 was sent twice");
+    assert_same_run(&threaded, &cooperative, "tsqr binary, rank 4 crashes, 3 -> 2 dropped once");
 }
 
 proptest! {

@@ -18,6 +18,7 @@
 //! * `barrier`: an allreduce of the empty payload.
 
 use crate::error::CommError;
+use crate::mailbox::block_on;
 use crate::message::WirePayload;
 use crate::process::Process;
 
@@ -62,6 +63,11 @@ impl Communicator {
 
     /// Index of a global rank within this communicator, if present.
     pub fn index_of(&self, global_rank: usize) -> Option<usize> {
+        // Members are distinct, so a rank found at its own index (every
+        // rank of the world communicator) is found.
+        if self.members.get(global_rank) == Some(&global_rank) {
+            return Some(global_rank);
+        }
         self.members.iter().position(|&r| r == global_rank)
     }
 
@@ -205,6 +211,21 @@ impl Communicator {
         M: WirePayload + Clone,
         F: Fn(&mut Process, M, M) -> M,
     {
+        block_on(self.allreduce_with_async(p, value, op))
+    }
+
+    /// The body of [`Communicator::allreduce_with`], for rank programs that
+    /// yield (see [`crate::Runtime::run_cooperative`]).
+    pub async fn allreduce_with_async<M, F>(
+        &self,
+        p: &mut Process,
+        value: M,
+        op: F,
+    ) -> Result<M, CommError>
+    where
+        M: WirePayload + Clone,
+        F: Fn(&mut Process, M, M) -> M,
+    {
         let size = self.size();
         let me = self.my_index(p);
         let pof2 = size.next_power_of_two() / if size.is_power_of_two() { 1 } else { 2 };
@@ -217,7 +238,7 @@ impl Communicator {
                 p.send(self.members[me + 1], TAG_ALLREDUCE, val.clone())?;
                 None
             } else {
-                let other = p.recv::<M>(self.members[me - 1], TAG_ALLREDUCE)?;
+                let other = p.recv_async::<M>(self.members[me - 1], TAG_ALLREDUCE).await?;
                 val = op(p, other, val);
                 Some(me / 2)
             }
@@ -234,7 +255,7 @@ impl Communicator {
                 } else {
                     self.members[partner_new + rem]
                 };
-                let got = p.exchange(partner, TAG_ALLREDUCE, val.clone())?;
+                let got = p.exchange_async(partner, TAG_ALLREDUCE, val.clone()).await?;
                 val = if partner_new < newidx { op(p, got, val) } else { op(p, val, got) };
                 mask <<= 1;
             }
@@ -245,7 +266,7 @@ impl Communicator {
             if !me.is_multiple_of(2) {
                 p.send(self.members[me - 1], TAG_ALLREDUCE, val.clone())?;
             } else {
-                val = p.recv::<M>(self.members[me + 1], TAG_ALLREDUCE)?;
+                val = p.recv_async::<M>(self.members[me + 1], TAG_ALLREDUCE).await?;
             }
         }
         Ok(val)

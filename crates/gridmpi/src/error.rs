@@ -42,12 +42,13 @@ pub enum CommError {
         /// The rank it was waiting for.
         from: usize,
     },
-    /// A wall-clock receive timeout that the happens-before analyzer
-    /// resolved into a **wait-for cycle**: a true communication deadlock,
-    /// not merely a slow peer. Produced by [`crate::Runtime`] when
-    /// tracing is enabled — the runtime upgrades [`CommError::Timeout`]
-    /// whenever the timed-out rank sits on a cycle in the trace's
-    /// wait-for graph (see `crate::hb` and `docs/static-analysis.md`).
+    /// A receive on a **wait-for cycle**: a true communication deadlock,
+    /// not merely a slow peer. [`crate::Runtime::run_cooperative`] reports
+    /// it exactly, the moment no rank can run; [`crate::Runtime::run`]
+    /// needs tracing enabled, and upgrades a wall-clock
+    /// [`CommError::Timeout`] whenever the timed-out rank sits on a cycle
+    /// in the trace's wait-for graph (see `crate::hb` and
+    /// `docs/static-analysis.md`).
     Deadlock {
         /// The rank that was waiting.
         rank: usize,
@@ -57,7 +58,10 @@ pub enum CommError {
         /// … waited on `cycle[0]`.
         cycle: Vec<usize>,
     },
-    /// The peer thread terminated (channel disconnected) before sending.
+    /// The peer terminated before sending: its program returned an error
+    /// (the abort tombstone reached the waiter), or — under
+    /// [`crate::Runtime::run_cooperative`] — it returned `Ok` and nobody is
+    /// left who could run.
     PeerGone {
         /// The rank that was waiting.
         rank: usize,

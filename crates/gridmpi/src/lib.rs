@@ -1,10 +1,13 @@
-//! An MPI-like message-passing runtime over OS threads, with deterministic
-//! virtual time and per-link-class traffic accounting.
+//! An MPI-like message-passing runtime with deterministic virtual time and
+//! per-link-class traffic accounting.
 //!
 //! This crate plays the role Open MPI / QCG-OMPI plays in the paper: rank
 //! programs written against [`Process`] (point-to-point `send`/`recv`) and
 //! [`Communicator`] (tree collectives, `split`) execute with *real data
-//! movement* between threads, while every message and every kernel call
+//! movement* between ranks — each on its own OS thread
+//! ([`Runtime::run`], for ranks that compute on real matrices) or all of
+//! them as futures on the calling thread ([`Runtime::run_cooperative`],
+//! for symbolic runs) — while every message and every kernel call
 //! advances a per-rank **virtual clock** priced by the
 //! [`tsqr_netsim::CostModel`]:
 //!
@@ -15,8 +18,9 @@
 //!
 //! Because every rank program is deterministic and receives name their
 //! source, the resulting clocks are reproducible regardless of the real
-//! thread schedule — the simulation is a conservative parallel
-//! discrete-event simulation in disguise. The **makespan** (max final
+//! thread schedule, and the same to the bit from both drivers — the
+//! simulation is a conservative parallel discrete-event simulation in
+//! disguise. The **makespan** (max final
 //! clock) is the quantity the paper's Eq. (1) models, and the per-rank
 //! message/byte counters (classified intra-node / intra-cluster /
 //! inter-cluster) are what Tables I–II and Figs. 1–2 count.
@@ -60,6 +64,7 @@ pub mod diagnose;
 pub mod error;
 pub mod explore;
 pub mod hb;
+mod mailbox;
 pub mod message;
 pub mod metrics;
 pub mod process;
@@ -74,6 +79,7 @@ pub use diagnose::{Diagnosis, WaitBreakdown, WaitState};
 pub use error::CommError;
 pub use explore::{explore, fnv1a, schedules_for, ExploreReport, ScheduleRun};
 pub use hb::{HbReport, ReceiveRace, VectorClock, Violation};
+pub use mailbox::block_on;
 pub use message::WirePayload;
 pub use metrics::{Histogram, MetricsRegistry, PhaseCounters};
 pub use process::{

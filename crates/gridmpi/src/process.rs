@@ -4,13 +4,12 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-
 use tsqr_netsim::{
     CostModel, FailureSchedule, GridTopology, LinkClass, ProcLocation, VirtualTime,
 };
 
 use crate::error::CommError;
+use crate::mailbox::{block_on, Mailbox};
 use crate::message::{Death, Envelope, EnvelopeKind, WirePayload};
 use crate::metrics::MetricsRegistry;
 use crate::trace::{Event, EventKind, FaultKind, Recorder};
@@ -24,10 +23,12 @@ use crate::trace::{Event, EventKind, FaultKind, Recorder};
 ///   failure detector — a peer's death is *detected* at
 ///   `crash time + `[`Process::failure_deadline`], a per-link-class
 ///   deadline derived from the cost model;
-/// * the **wall** clock only guards the simulator itself: a rank blocked
-///   longer than this real-time duration on an OS channel is assumed
-///   deadlocked (protocol bug, or a peer that terminated without a
-///   tombstone). It never influences virtual time or determinism.
+/// * the **wall** clock only guards the threaded simulator itself: a rank
+///   blocked longer than this real-time duration on an OS channel is
+///   assumed deadlocked (protocol bug, or a peer that terminated without
+///   a tombstone). It never influences virtual time or determinism, and
+///   [`crate::Runtime::run_cooperative`] does not need it: with every
+///   rank on one thread a deadlock is seen the moment nobody can run.
 ///
 /// Override per runtime with [`crate::Runtime::set_recv_timeout`] or the
 /// `grid-tsqr --recv-timeout` CLI flag.
@@ -59,7 +60,7 @@ pub const MAX_SEND_ATTEMPTS: u32 = 4;
 /// names the racing receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeliveryOrder {
-    /// OS-channel arrival order (the default; what a real network does).
+    /// Inbox arrival order (the default; what a real network does).
     #[default]
     Arrival,
     /// Buffered messages sort by ascending source rank.
@@ -130,8 +131,14 @@ pub struct RankStats {
 
 /// A rank's handle to the simulated machine.
 ///
-/// Created by [`crate::Runtime::run`] and passed to the rank program; all
+/// Created by [`crate::Runtime::run`] or
+/// [`crate::Runtime::run_cooperative`] and passed to the rank program; all
 /// communication, timing and accounting goes through it.
+///
+/// `send` never blocks; the three calls that can wait for a peer — `recv`,
+/// `recv_any`, `exchange` — each exist as an `async` body (`*_async`,
+/// the form a cooperative rank program awaits) and as the blocking
+/// one-liner over it that a rank on its own thread calls.
 pub struct Process {
     pub(crate) rank: usize,
     pub(crate) size: usize,
@@ -149,8 +156,8 @@ pub struct Process {
     /// Per-destination transmission sequence numbers (indexes the
     /// schedule's drop rules).
     pub(crate) sent_seq: Vec<u64>,
-    pub(crate) senders: Vec<Sender<Envelope>>,
-    pub(crate) inbox: Receiver<Envelope>,
+    /// Every peer's inbox and this rank's own.
+    pub(crate) mailbox: Mailbox,
     /// Messages that arrived while waiting for a different source.
     pub(crate) pending: VecDeque<Envelope>,
     pub(crate) clock: VirtualTime,
@@ -159,8 +166,6 @@ pub struct Process {
     /// this, a flat reduction tree would absorb P−1 simultaneous messages
     /// for free.
     pub(crate) nic_free: VirtualTime,
-    /// Wall-clock deadlock safety net for receives.
-    pub(crate) recv_timeout: Duration,
     /// Event recorder (present when the runtime enabled tracing).
     pub(crate) recorder: Option<Recorder>,
     /// Open phases, innermost last: `(name, virtual time at begin)`.
@@ -353,16 +358,14 @@ impl Process {
         self.death_announced = true;
         for dst in 0..self.size {
             if dst != self.rank {
-                // A peer that already returned has dropped its inbox;
-                // nothing left to notify.
-                let _ = self.senders[dst].send(Envelope::tombstone(self.rank, death));
+                self.mailbox.post(dst, Envelope::tombstone(self.rank, death));
             }
         }
     }
 
     /// Tombstone broadcast for a rank program that returned an error
     /// (called by the runtime so peers fail fast in virtual time instead
-    /// of hitting the wall-clock net).
+    /// of starving).
     pub(crate) fn announce_abort(&mut self) {
         self.announce_death(Death::Abort(self.clock));
     }
@@ -400,7 +403,8 @@ impl Process {
         err
     }
 
-    /// Blocking send of `msg` to `dst`.
+    /// Send of `msg` to `dst`. Never waits for the receiver (inboxes are
+    /// unbounded), so it is not a suspension point.
     ///
     /// Completes (and advances this rank's clock) at
     /// `clock + β + α·wire_bytes`; the message arrives at the same instant,
@@ -474,11 +478,7 @@ impl Process {
                 kind: EnvelopeKind::Data { dropped },
                 payload: Box::new(msg),
             };
-            // Unbounded channel: never blocks. A disconnected receiver means
-            // the peer thread already returned — surface that as PeerGone.
-            self.senders[dst]
-                .send(env)
-                .map_err(|_| CommError::PeerGone { rank: self.rank, from: dst })?;
+            self.mailbox.post(dst, env);
             return if dropped {
                 Err(CommError::MessageDropped { src: self.rank, dst, attempts })
             } else {
@@ -487,7 +487,7 @@ impl Process {
         }
     }
 
-    /// Blocking receive of a message from `src` with tag `tag`.
+    /// Receive of a message from `src` with tag `tag`, waiting for it.
     ///
     /// Advances the clock to the message's arrival time (if later). Messages
     /// from other sources that arrive in the meantime are buffered;
@@ -495,15 +495,14 @@ impl Process {
     /// a tombstone from `src` itself ends the wait at the virtual-time
     /// detection deadline with a typed error (see
     /// [`Process::failure_deadline`]).
-    // archlint: allow(taint) — the `.recv_timeout(` below is the
-    // simulator's wall-clock deadlock safety net: virtual time never
-    // observes the reading; on expiry the run *fails* with
-    // CommError::Timeout instead of hanging CI. Same exception as the
-    // commlint `wall-clock` allow entry for this file.
-    pub fn recv<M: WirePayload>(&mut self, src: usize, tag: u32) -> Result<M, CommError> {
+    pub async fn recv_async<M: WirePayload>(
+        &mut self,
+        src: usize,
+        tag: u32,
+    ) -> Result<M, CommError> {
         assert!(src < self.size, "recv from nonexistent rank {src}");
         self.check_alive()?;
-        // Check the pending buffer first (FIFO per source). Channel order
+        // Check the pending buffer first (FIFO per source). Inbox order
         // guarantees any data `src` sent before dying was buffered before
         // its tombstone was recorded, so data wins over the death check.
         if let Some(pos) = self.pending.iter().position(|e| e.src == src) {
@@ -516,7 +515,7 @@ impl Process {
         }
         let wait_start = self.clock;
         loop {
-            match self.inbox.recv_timeout(self.recv_timeout) {
+            match self.mailbox.take(self.rank, src).await {
                 Ok(env) if env.src == src && matches!(env.kind, EnvelopeKind::Data { .. }) => {
                     return self.open::<M>(env, tag, false)
                 }
@@ -528,26 +527,24 @@ impl Process {
                         return Err(self.observe_death(src, death, wait_start));
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {
+                Err(starved) => {
+                    // Record the suspect edge so the analyzer can still
+                    // name the wait-for cycle from the trace.
                     self.record_deadlock_suspect(src, wait_start);
-                    return Err(CommError::Timeout { rank: self.rank, from: src });
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every peer's thread exited while we were still
-                    // blocked on `src` — an orphaned wait, which is the
-                    // same evidence a timeout gives (the disconnect just
-                    // raced the timer). Record the suspect edge so the
-                    // wait-for cycle survives the shutdown ordering and
-                    // the analyzer can still name the deadlock.
-                    self.record_deadlock_suspect(src, wait_start);
-                    return Err(CommError::PeerGone { rank: self.rank, from: src });
+                    return Err(starved);
                 }
             }
         }
     }
 
-    /// **Wildcard** blocking receive: the next data message from *any*
-    /// source carrying `tag`. Returns `(source, payload)`.
+    /// [`Process::recv_async`] for a rank on its own thread: blocks it
+    /// until the message is there.
+    pub fn recv<M: WirePayload>(&mut self, src: usize, tag: u32) -> Result<M, CommError> {
+        block_on(self.recv_async(src, tag))
+    }
+
+    /// **Wildcard** receive: the next data message from *any* source
+    /// carrying `tag`, waiting for one. Returns `(source, payload)`.
     ///
     /// This is deliberately a nondeterminism hazard — which sender
     /// matches depends on delivery order — and exists so the
@@ -555,14 +552,14 @@ impl Process {
     /// race to catch (see `docs/static-analysis.md`). No shipped rank
     /// program uses it; the `commlint` wildcard-recv rule denies it
     /// outside test code.
-    // archlint: allow(taint) — same wall-clock safety-net exception as
-    // `recv` above; the *wildcard* nondeterminism of this primitive is
-    // policed separately (commlint wildcard-recv + the HB analyzer).
-    pub fn recv_any<M: WirePayload>(&mut self, tag: u32) -> Result<(usize, M), CommError> {
+    pub async fn recv_any_async<M: WirePayload>(
+        &mut self,
+        tag: u32,
+    ) -> Result<(usize, M), CommError> {
         self.check_alive()?;
-        // Drain the channel first so already-arrived messages compete in
+        // Drain the inbox first so already-arrived messages compete in
         // the pending buffer under the installed delivery order.
-        while let Ok(env) = self.inbox.try_recv() {
+        while let Some(env) = self.mailbox.try_take(self.rank) {
             self.intake(env);
         }
         let wait_start = self.clock;
@@ -574,26 +571,25 @@ impl Process {
                 let src = env.src;
                 return self.open::<M>(env, tag, true).map(|m| (src, m));
             }
-            match self.inbox.recv_timeout(self.recv_timeout) {
+            // A wildcard wait names nobody: the error and the suspect
+            // edge point at the waiter itself (self-loops are excluded
+            // from deadlock cycles).
+            match self.mailbox.take(self.rank, self.rank).await {
                 Ok(env) => self.intake(env),
-                Err(RecvTimeoutError::Timeout) => {
-                    // A wildcard wait names nobody: the suspect edge
-                    // points at the waiter itself (self-loops are
-                    // excluded from deadlock cycles).
+                Err(starved) => {
                     self.record_deadlock_suspect(self.rank, wait_start);
-                    return Err(CommError::Timeout { rank: self.rank, from: self.rank });
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Same orphaned-wait evidence as the timeout branch
-                    // (self-loops are excluded from deadlock cycles).
-                    self.record_deadlock_suspect(self.rank, wait_start);
-                    return Err(CommError::PeerGone { rank: self.rank, from: self.rank });
+                    return Err(starved);
                 }
             }
         }
     }
 
-    /// Routes one envelope off the channel: data is buffered under the
+    /// [`Process::recv_any_async`] for a rank on its own thread.
+    pub fn recv_any<M: WirePayload>(&mut self, tag: u32) -> Result<(usize, M), CommError> {
+        block_on(self.recv_any_async(tag))
+    }
+
+    /// Routes one envelope off the inbox: data is buffered under the
     /// delivery order, tombstones are recorded in the death map.
     fn intake(&mut self, env: Envelope) {
         match env.kind {
@@ -631,10 +627,11 @@ impl Process {
         self.pending.insert(pos, env);
     }
 
-    /// Records the wall-clock safety net firing (zero-width
-    /// [`FaultKind::DeadlockSuspect`] marker — virtual time never
-    /// advances for wall-clock events) so the happens-before analyzer
-    /// can assemble the wait-for graph.
+    /// Records a wait that can never end — the wall-clock safety net
+    /// firing, or the cooperative runner finding nobody left to run — as a
+    /// zero-width [`FaultKind::DeadlockSuspect`] marker (virtual time
+    /// never advances for it) so the happens-before analyzer can assemble
+    /// the wait-for graph.
     fn record_deadlock_suspect(&mut self, peer: usize, wait_start: VirtualTime) {
         let class = LinkClass::between(self.topo.location(peer), self.location());
         let kind = FaultKind::DeadlockSuspect;
@@ -646,7 +643,7 @@ impl Process {
     /// The two transfers overlap on the wire (full-duplex), so the clock
     /// advance is the max of the send completion and the partner's arrival —
     /// the behaviour of one butterfly round of an all-reduce.
-    pub fn exchange<M: WirePayload>(
+    pub async fn exchange_async<M: WirePayload>(
         &mut self,
         partner: usize,
         tag: u32,
@@ -656,11 +653,23 @@ impl Process {
         self.send(partner, tag, msg)?;
         let after_send = self.clock;
         // The send and the receive overlap: rewind to the pre-send clock for
-        // the receive wait, then take the max.
+        // the receive wait, then take the max — also when the receive
+        // fails: the send was recorded and charged, and the clock must
+        // not end before it.
         self.clock = before;
-        let got = self.recv::<M>(partner, tag)?;
+        let got = self.recv_async::<M>(partner, tag).await;
         self.clock = self.clock.max(after_send);
-        Ok(got)
+        got
+    }
+
+    /// [`Process::exchange_async`] for a rank on its own thread.
+    pub fn exchange<M: WirePayload>(
+        &mut self,
+        partner: usize,
+        tag: u32,
+        msg: M,
+    ) -> Result<M, CommError> {
+        block_on(self.exchange_async(partner, tag, msg))
     }
 
     fn open<M: WirePayload>(

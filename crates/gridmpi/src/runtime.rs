@@ -1,7 +1,11 @@
 //! Launching rank programs and collecting run reports.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::future::Future;
+use std::rc::Rc;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use crossbeam::channel::unbounded;
@@ -11,10 +15,11 @@ use tsqr_netsim::{CostModel, FailureSchedule, GridTopology, VirtualTime};
 use crate::comm::Communicator;
 use crate::error::CommError;
 use crate::hb::HbReport;
+use crate::mailbox::{Hub, Mailbox};
 use crate::message::Envelope;
 use crate::metrics::MetricsRegistry;
 use crate::process::{DeliveryOrder, Process, RankStats, TrafficCounters};
-use crate::trace::{Recorder, Trace};
+use crate::trace::{Event, Recorder, Trace};
 
 /// Outcome of one rank: its program result (or communication error) plus
 /// its final statistics.
@@ -186,11 +191,24 @@ impl<T> RunReport<T> {
     }
 }
 
+/// What one rank hands back when its program has returned: its result and
+/// statistics, its trace events, its metrics.
+type Joined<T> = (RankResult<T>, Vec<Event>, MetricsRegistry);
+
 /// A simulated machine: topology + cost model + optional failure injection.
 ///
-/// `run` launches one OS thread per rank and blocks until all rank programs
-/// return. Rank counts used in this workspace (≤ 256) are comfortably
-/// within OS thread limits.
+/// Two drivers run a rank program on it, over the same [`Process`] code and
+/// with the same report:
+///
+/// * [`Runtime::run`] launches one OS thread per rank and blocks until all
+///   rank programs return — for ranks that do real numerics in parallel,
+///   for the schedule explorer, and as the oracle the other driver is
+///   tested against. Rank counts used in this workspace (≤ 256) are
+///   comfortably within OS thread limits.
+/// * [`Runtime::run_cooperative`] runs every rank as a future on the
+///   calling thread — for symbolic runs, whose clocks are a pure function
+///   of the schedule and which would otherwise pay the kernel a thread
+///   wake-up per message.
 pub struct Runtime {
     topo: Arc<GridTopology>,
     model: Arc<CostModel>,
@@ -230,8 +248,10 @@ impl Runtime {
         self
     }
 
-    /// Overrides the wall-clock deadlock timeout on receives (useful for
-    /// failure-injection tests, where some rank is expected to starve).
+    /// Overrides the wall-clock deadlock timeout on receives of threaded
+    /// runs (useful for failure-injection tests, where some rank is
+    /// expected to starve). [`Runtime::run_cooperative`] never waits on
+    /// the wall clock and ignores it.
     pub fn set_recv_timeout(&mut self, timeout: Duration) -> &mut Self {
         self.recv_timeout = timeout;
         self
@@ -269,7 +289,34 @@ impl Runtime {
         &self.model
     }
 
-    /// Runs `program` on every rank and gathers the report.
+    /// Rank `rank`'s handle for one run, at virtual time zero — the one
+    /// place a [`Process`] is built, whichever driver runs it.
+    fn process(&self, rank: usize, schedule: &Arc<FailureSchedule>, mailbox: Mailbox) -> Process {
+        let n = self.topo.num_procs();
+        Process {
+            rank,
+            size: n,
+            topo: Arc::clone(&self.topo),
+            model: Arc::clone(&self.model),
+            schedule: Arc::clone(schedule),
+            crash_at: schedule.crash_time(rank),
+            death_announced: false,
+            dead: BTreeMap::new(),
+            sent_seq: vec![0; n],
+            mailbox,
+            pending: VecDeque::new(),
+            clock: VirtualTime::ZERO,
+            nic_free: VirtualTime::ZERO,
+            recorder: self.tracing.then(Recorder::default),
+            phase_stack: Vec::new(),
+            metrics: MetricsRegistry::default(),
+            delivery: self.delivery,
+            buffered: 0,
+        }
+    }
+
+    /// Runs `program` on every rank, one OS thread each, and gathers the
+    /// report.
     ///
     /// The program receives the rank's [`Process`] handle and the *world*
     /// communicator spanning all ranks.
@@ -292,34 +339,10 @@ impl Runtime {
             let mut handles = Vec::with_capacity(n);
             for (rank, inbox) in inboxes.into_iter().enumerate() {
                 let senders = senders.clone();
-                let topo = Arc::clone(&self.topo);
-                let model = Arc::clone(&self.model);
-                let schedule = Arc::clone(&schedule);
-                let program = &program;
+                let (schedule, program) = (&schedule, &program);
                 handles.push(scope.spawn(move || {
-                    let crash_at = schedule.crash_time(rank);
-                    let mut proc = Process {
-                        rank,
-                        size: n,
-                        topo,
-                        model,
-                        schedule,
-                        crash_at,
-                        death_announced: false,
-                        dead: BTreeMap::new(),
-                        sent_seq: vec![0; n],
-                        senders,
-                        inbox,
-                        pending: VecDeque::new(),
-                        clock: VirtualTime::ZERO,
-                        nic_free: VirtualTime::ZERO,
-                        recv_timeout: self.recv_timeout,
-                        recorder: self.tracing.then(Recorder::default),
-                        phase_stack: Vec::new(),
-                        metrics: MetricsRegistry::default(),
-                        delivery: self.delivery,
-                        buffered: 0,
-                    };
+                    let mailbox = Mailbox::Channel { senders, inbox, timeout: self.recv_timeout };
+                    let mut proc = self.process(rank, schedule, mailbox);
                     let world = Communicator::world(n);
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         program(&mut proc, &world)
@@ -332,45 +355,99 @@ impl Runtime {
                     if !matches!(outcome, Ok(Ok(_))) {
                         proc.announce_abort();
                     }
-                    let result = outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                    // Close any phases the program left open so phase
-                    // spans are recorded even on early error returns.
-                    while proc.current_phase().is_some() {
-                        proc.phase_end();
-                    }
-                    let events = proc.recorder.take().map(|r| r.events).unwrap_or_default();
-                    (
-                        RankResult {
-                            result,
-                            stats: RankStats { clock: proc.clock, traffic: proc.counters() },
-                        },
-                        events,
-                        proc.metrics,
-                        // Hand the inbox back instead of dropping it: a
-                        // rank that exits early (crash/abort) must not
-                        // disconnect its channel while peers are still
-                        // sending, or those sends would race the thread's
-                        // real-time exit and spuriously fail with
-                        // PeerGone (a rare schedule-dependent flake the
-                        // commcheck explorer caught). Keeping every
-                        // receiver alive until all ranks joined makes
-                        // send-to-a-finished-rank deterministic: the
-                        // message is priced, delivered nowhere, and the
-                        // failure surfaces in *virtual* time through the
-                        // tombstone machinery instead.
-                        proc.inbox,
-                    )
+                    join(proc, outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
                 }));
             }
-            // In rank order; the inboxes ride along until every rank joined.
+            // In rank order.
             handles
                 .into_iter()
                 .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
                 .collect::<Vec<_>>()
         });
+        self.report(joined)
+    }
 
-        let (mut ranks, mut events, mut metrics) = (Vec::with_capacity(n), Vec::new(), Vec::new());
-        for (rr, rank_events, rank_metrics, _inbox) in joined {
+    /// Runs `program` on every rank **on the calling thread** and gathers
+    /// the same report as [`Runtime::run`]: each rank is a future, polled
+    /// in rank order at first and from then on in the order messages make
+    /// ranks runnable; a rank that awaits a message not yet sent
+    /// ([`Process::recv_async`], [`Process::recv_any_async`],
+    /// [`Process::exchange_async`] — the only suspension points) yields
+    /// the thread, and the matching `send` queues it again.
+    ///
+    /// Clocks, counters, metrics, traces, delivery order and the failure
+    /// schedule are the same [`Process`] code as under `run`, so a
+    /// deterministic program reports bit-identical numbers from both. Two
+    /// things differ, both for the better: no kernel wake-up per message,
+    /// and deadlock is *exact* — when nobody can run and somebody has not
+    /// returned, each stuck rank gets [`CommError::Deadlock`] naming its
+    /// wait-for cycle (or [`CommError::PeerGone`] when the rank it awaits
+    /// already returned) at once, with or without tracing and with no
+    /// wall-clock timeout involved.
+    ///
+    /// The program must wait through `gridmpi` only; a blocking
+    /// [`Process::recv`] inside it panics (see [`crate::block_on`]). A
+    /// panicking rank unwinds straight out of this call.
+    pub fn run_cooperative<T, F>(&self, program: F) -> RunReport<T>
+    where
+        F: AsyncFn(&mut Process, &Communicator) -> Result<T, CommError>,
+    {
+        let n = self.topo.num_procs();
+        assert!(n > 0, "cannot run on an empty topology");
+        let hub = Rc::new(RefCell::new(Hub::new(n)));
+        let schedule = Arc::new(self.schedule.clone());
+        let world = Communicator::world(n);
+        let mut procs: Vec<Process> = (0..n)
+            .map(|rank| self.process(rank, &schedule, Mailbox::Queue(Rc::clone(&hub))))
+            .collect();
+
+        let mut results: Vec<Option<Result<T, CommError>>> = (0..n).map(|_| None).collect();
+        let mut tasks: Vec<_> = procs
+            .iter_mut()
+            .map(|proc| {
+                let (program, world) = (&program, &world);
+                Some(Box::pin(async move {
+                    let result = program(proc, world).await;
+                    // As under `run`: a failed program will never send again.
+                    if result.is_err() {
+                        proc.announce_abort();
+                    }
+                    result
+                }))
+            })
+            .collect();
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut unfinished = n;
+        while unfinished > 0 {
+            let next = hub.borrow_mut().next_ready();
+            let Some(rank) = next else {
+                hub.borrow_mut().break_stall();
+                continue;
+            };
+            let task = tasks[rank].as_mut().expect("only unfinished ranks are queued");
+            if let Poll::Ready(result) = task.as_mut().poll(&mut cx) {
+                results[rank] = Some(result);
+                tasks[rank] = None;
+                unfinished -= 1;
+                hub.borrow_mut().retire(rank);
+            }
+        }
+        drop(tasks);
+
+        let joined = procs
+            .into_iter()
+            .zip(results)
+            .map(|(proc, result)| join(proc, result.expect("every rank returned")))
+            .collect();
+        self.report(joined)
+    }
+
+    /// Assembles the report of a run from what its ranks handed back, in
+    /// rank order.
+    fn report<T>(&self, joined: Vec<Joined<T>>) -> RunReport<T> {
+        let (mut ranks, mut events, mut metrics) =
+            (Vec::with_capacity(joined.len()), Vec::new(), Vec::new());
+        for (rr, rank_events, rank_metrics) in joined {
             ranks.push(rr);
             events.extend(rank_events);
             metrics.push(rank_metrics);
@@ -386,13 +463,14 @@ impl Runtime {
             // timeouts to *named* deadlocks: a rank whose receive timed out
             // and who sits on a cycle of the trace's wait-for graph was not
             // merely slow — it was deadlocked, and its error should say on
-            // whom (see `docs/static-analysis.md`).
+            // whom (see `docs/static-analysis.md`). (A cooperative run
+            // names its cycles itself and has nothing to upgrade.)
             let cycles = trace.deadlock_cycles();
             if !cycles.is_empty() {
                 for (rank, rr) in ranks.iter_mut().enumerate() {
                     // Both shapes of an orphaned wait: the timer fired, or
                     // the peers' threads exited first (the disconnect
-                    // merely raced the timer — see `Process::recv`).
+                    // merely raced the timer — see `Mailbox::take`).
                     let (r, from) = match &rr.result {
                         Err(CommError::Timeout { rank: r, from })
                         | Err(CommError::PeerGone { rank: r, from }) => (*r, *from),
@@ -408,6 +486,18 @@ impl Runtime {
         }
         RunReport { ranks, makespan, totals, trace, metrics }
     }
+}
+
+/// Retires a rank whose program returned `result`.
+fn join<T>(mut proc: Process, result: Result<T, CommError>) -> Joined<T> {
+    // Close any phases the program left open so phase spans are recorded
+    // even on early error returns.
+    while proc.current_phase().is_some() {
+        proc.phase_end();
+    }
+    let events = proc.recorder.take().map(|r| r.events).unwrap_or_default();
+    let stats = RankStats { clock: proc.clock, traffic: proc.counters() };
+    (RankResult { result, stats }, events, proc.metrics)
 }
 
 #[cfg(test)]
@@ -1022,5 +1112,230 @@ mod tests {
         let hb = report.trace.as_ref().unwrap().hb_analysis();
         assert_eq!(hb.deadlock_cycles, vec![vec![0, 1]]);
         assert!(!hb.ok());
+    }
+
+    #[test]
+    fn exchange_keeps_the_send_on_the_clock_when_the_partner_is_dead() {
+        use crate::trace::EventKind;
+        // Rank 1 is dead from t = 0 and never replies. Rank 0's exchange has
+        // already recorded and charged a 1 MB send (≈ 11 ms at 1 ms +
+        // 800 Mb/s) when it learns of the death at t = 4 ms (the detection
+        // deadline): its clock must not end before the send it traced.
+        let mut rt = tiny_grid(1, 2, 1);
+        rt.set_failure_schedule(FailureSchedule::new(0).crash_rank(1, VirtualTime::ZERO));
+        rt.enable_tracing();
+        let report = rt.run(|p, _| {
+            if p.rank() == 0 {
+                p.exchange(1, 3, vec![0.0f64; 131_072]).map(|_| ())
+            } else {
+                p.recv::<Vec<f64>>(0, 3).map(|_| ())
+            }
+        });
+        assert_eq!(
+            report.ranks[0].result,
+            Err(CommError::RankFailed { rank: 1, at: VirtualTime::ZERO })
+        );
+        let trace = report.trace.as_ref().unwrap();
+        let send = trace
+            .events
+            .iter()
+            .find(|e| e.rank == 0 && matches!(e.kind, EventKind::Send { .. }))
+            .expect("rank 0 traced its send");
+        assert!(send.end.secs() > 10e-3, "the send outlasts the detection deadline");
+        assert!(
+            report.ranks[0].stats.clock >= send.end,
+            "clock {} ran back behind the traced send's end {}",
+            report.ranks[0].stats.clock.secs(),
+            send.end.secs()
+        );
+        let path = trace.critical_path();
+        assert!((path.total().secs() - report.makespan.secs()).abs() < 1e-9);
+    }
+
+    /// Clocks (bitwise), results, counters, metrics and trace of two runs.
+    fn assert_same_run<T: PartialEq + std::fmt::Debug>(a: &RunReport<T>, b: &RunReport<T>) {
+        assert_eq!(a.makespan.secs().to_bits(), b.makespan.secs().to_bits());
+        for (x, y) in a.ranks.iter().zip(&b.ranks) {
+            assert_eq!(x.result, y.result);
+            assert_eq!(x.stats.clock.secs().to_bits(), y.stats.clock.secs().to_bits());
+            assert_eq!(x.stats.traffic, y.stats.traffic);
+        }
+        assert_eq!(a.totals, b.totals);
+        assert_eq!(a.metrics, b.metrics);
+        assert_eq!(
+            a.trace.as_ref().map(|t| &t.events),
+            b.trace.as_ref().map(|t| &t.events)
+        );
+    }
+
+    #[test]
+    fn cooperative_run_reports_what_the_threaded_run_reports() {
+        // A ring with compute skew, an all-reduce and a phase, on eight
+        // ranks of two clusters: same program, both drivers, traced.
+        let mut rt = tiny_grid(2, 2, 2);
+        rt.enable_tracing();
+        let threaded = rt.run(|p, world| {
+            let (next, prev) = ((p.rank() + 1) % p.size(), (p.rank() + p.size() - 1) % p.size());
+            p.compute(1_000_000 * (p.rank() as u64 + 1), None);
+            p.phase_begin("ring");
+            p.send(next, 0, vec![p.rank() as f64; 3])?;
+            let got: Vec<f64> = p.recv(prev, 0)?;
+            p.phase_end();
+            world.allreduce_with(p, got[0], |_, a, b| a + b)
+        });
+        let cooperative = rt.run_cooperative(async |p, world| {
+            let (next, prev) = ((p.rank() + 1) % p.size(), (p.rank() + p.size() - 1) % p.size());
+            p.compute(1_000_000 * (p.rank() as u64 + 1), None);
+            p.phase_begin("ring");
+            p.send(next, 0, vec![p.rank() as f64; 3])?;
+            let got: Vec<f64> = p.recv_async(prev, 0).await?;
+            p.phase_end();
+            world.allreduce_with_async(p, got[0], |_, a, b| a + b).await
+        });
+        assert_eq!(cooperative.ranks[0].result, Ok(28.0));
+        assert_same_run(&threaded, &cooperative);
+    }
+
+    #[test]
+    fn cooperative_run_replays_a_failure_schedule_like_the_threaded_run() {
+        // The ring of `replay_with_same_schedule_is_bit_identical`: a crash,
+        // a transient drop and a probabilistic drop, errors propagated.
+        let mut rt = tiny_grid(2, 2, 1);
+        rt.set_failure_schedule(
+            FailureSchedule::new(9)
+                .crash_rank(3, VirtualTime::from_millis(2.0))
+                .drop_nth_message(0, 1, 0)
+                .drop_probability(1, 2, 0.5),
+        );
+        rt.enable_tracing();
+        let lossy = |r: Result<(), CommError>| match r {
+            Ok(()) | Err(CommError::MessageDropped { .. }) => Ok(()),
+            Err(e) => Err(e),
+        };
+        let threaded = rt.run(|p, _| {
+            let (next, prev) = ((p.rank() + 1) % p.size(), (p.rank() + p.size() - 1) % p.size());
+            p.compute(1_000_000, None);
+            lossy(p.send(next, 0, p.rank() as f64))?;
+            lossy(p.recv::<f64>(prev, 0).map(|_| ()))?;
+            Ok(p.clock().secs())
+        });
+        let cooperative = rt.run_cooperative(async |p, _| {
+            let (next, prev) = ((p.rank() + 1) % p.size(), (p.rank() + p.size() - 1) % p.size());
+            p.compute(1_000_000, None);
+            lossy(p.send(next, 0, p.rank() as f64))?;
+            lossy(p.recv_async::<f64>(prev, 0).await.map(|_| ()))?;
+            Ok(p.clock().secs())
+        });
+        assert!(threaded.ranks.iter().any(|r| r.result.is_err()), "the crash was felt");
+        assert_same_run(&threaded, &cooperative);
+    }
+
+    /// A program in which every rank receives from `awaited(rank)` before it
+    /// sends anything, run cooperatively with tracing off.
+    fn stuck(n: usize, awaited: impl Fn(usize) -> Option<usize>) -> RunReport<()> {
+        let rt = tiny_grid(1, n, 1);
+        let started = std::time::Instant::now();
+        let report = rt.run_cooperative(async |p, _| match awaited(p.rank()) {
+            Some(peer) => p.recv_async::<f64>(peer, 1).await.map(|_| ()),
+            None => Ok(()),
+        });
+        assert!(report.trace.is_none());
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "a cooperative deadlock is found at once, not by a wall-clock timeout"
+        );
+        report
+    }
+
+    #[test]
+    fn cooperative_deadlock_is_exact_and_names_the_cycle() {
+        // The classic two-rank deadlock: each receives before it sends.
+        let report = stuck(2, |rank| Some(1 - rank));
+        for rank in 0..2 {
+            let err = report.ranks[rank].result.as_ref().unwrap_err();
+            assert_eq!(
+                *err,
+                CommError::Deadlock { rank, from: 1 - rank, cycle: vec![0, 1] }
+            );
+            assert!(err.to_string().contains("wait-for cycle: 0 -> 1 -> 0"), "{err}");
+        }
+        // A three-rank ring 0 -> 2 -> 1 -> 0, and a fourth rank that is only
+        // queued behind it: the cycle's members are told so; rank 3 then
+        // learns of rank 0's abort in virtual time, as under threads.
+        let report = stuck(4, |rank| Some([2, 0, 1, 0][rank]));
+        for (rank, from) in [(0, 2), (1, 0), (2, 1)] {
+            assert_eq!(
+                report.ranks[rank].result,
+                Err(CommError::Deadlock { rank, from, cycle: vec![0, 2, 1] })
+            );
+        }
+        assert_eq!(report.ranks[3].result, Err(CommError::PeerGone { rank: 3, from: 0 }));
+    }
+
+    #[test]
+    fn cooperative_wait_on_a_returned_rank_is_peer_gone() {
+        // Rank 1 returned `Ok` without sending: no tombstone will ever
+        // come, and nobody is left to run.
+        let report = stuck(2, |rank| (rank == 0).then_some(1));
+        assert_eq!(report.ranks[0].result, Err(CommError::PeerGone { rank: 0, from: 1 }));
+        assert_eq!(report.ranks[1].result, Ok(()));
+        assert_eq!(report.ranks[0].stats.clock, VirtualTime::ZERO);
+    }
+
+    #[test]
+    fn cooperative_wildcard_receive_follows_the_ready_order() {
+        // Ranks get the thread in rank order, so the senders' messages sit
+        // in rank 0's inbox in rank order by the time it is woken; the
+        // installed delivery order then decides, as under threads.
+        let senders_seen = |order: DeliveryOrder| {
+            let mut rt = tiny_grid(1, 4, 1);
+            rt.set_delivery_order(order);
+            let report = rt.run_cooperative(async |p, _| {
+                let mut seen = Vec::new();
+                if p.rank() == 0 {
+                    for _ in 1..p.size() {
+                        seen.push(p.recv_any_async::<f64>(0).await?.0);
+                    }
+                    // Nobody is left to send: the wildcard wait is orphaned.
+                    let orphaned = p.recv_any_async::<f64>(0).await.unwrap_err();
+                    assert_eq!(orphaned, CommError::PeerGone { rank: 0, from: 0 });
+                } else {
+                    p.send(0, 0, p.rank() as f64)?;
+                }
+                Ok(seen)
+            });
+            report.ranks.into_iter().next().unwrap().result.unwrap()
+        };
+        assert_eq!(senders_seen(DeliveryOrder::Arrival), vec![1, 2, 3]);
+        assert_eq!(senders_seen(DeliveryOrder::SourceDescending), vec![1, 3, 2]);
+    }
+
+    #[test]
+    fn traced_cooperative_deadlock_agrees_with_the_analyzer() {
+        let mut rt = tiny_grid(1, 2, 1);
+        rt.enable_tracing();
+        let report = rt.run_cooperative(async |p, _| {
+            let peer = 1 - p.rank();
+            let x: f64 = p.recv_async(peer, 1).await?;
+            p.send(peer, 1, x)?;
+            Ok(x)
+        });
+        assert!(matches!(report.ranks[0].result, Err(CommError::Deadlock { .. })));
+        assert_eq!(report.trace.as_ref().unwrap().hb_analysis().deadlock_cycles, vec![vec![0, 1]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "inside Runtime::run_cooperative")]
+    fn a_blocking_receive_in_a_cooperative_program_panics_instead_of_hanging() {
+        let rt = tiny_grid(1, 2, 1);
+        rt.run_cooperative(async |p, _| {
+            if p.rank() == 0 {
+                // Rank 1 has not run yet: blocking here would stop it from
+                // ever sending.
+                p.recv::<f64>(1, 0)
+            } else {
+                p.send(0, 0, 1.0f64).map(|()| 1.0)
+            }
+        });
     }
 }

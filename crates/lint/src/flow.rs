@@ -4,7 +4,8 @@
 //! argument — a fixed tag/pairing discipline per reduction step. The
 //! dynamic side (happens-before gate, DPOR-lite explorer) checks the
 //! schedules we replay; this pass checks **all code paths**: it
-//! extracts every `send`/`recv`/`recv_any`/`exchange` call site with
+//! extracts every `send`/`recv`/`recv_any`/`exchange` call site (the
+//! blocking form or the awaited `*_async` body — one site either way) with
 //! its tag constant into a per-file message-flow table, verifies
 //! send/recv pairing and tag-range ownership against
 //! `scripts/commlint.protocol`, and renders the table as a pinned
@@ -63,14 +64,20 @@ pub fn extract_tag_decls(code: &str) -> Vec<(String, String, usize)> {
 /// list (calls passing a computed tag variable carry no row — the
 /// declaration check still covers their constants).
 pub fn extract_call_sites(code: &str) -> Vec<(Op, String, usize)> {
-    const PATTERNS: [(&str, Op); 7] = [
+    const PATTERNS: [(&str, Op); 13] = [
         (".send(", Op::Send),
         (".recv(", Op::Recv),
         (".recv::<", Op::Recv),
+        (".recv_async(", Op::Recv),
+        (".recv_async::<", Op::Recv),
         (".recv_any(", Op::RecvAny),
         (".recv_any::<", Op::RecvAny),
+        (".recv_any_async(", Op::RecvAny),
+        (".recv_any_async::<", Op::RecvAny),
         (".exchange(", Op::Exchange),
         (".exchange::<", Op::Exchange),
+        (".exchange_async(", Op::Exchange),
+        (".exchange_async::<", Op::Exchange),
     ];
     let bytes = code.as_bytes();
     let mut out = Vec::new();
@@ -415,6 +422,28 @@ mod tests {
         assert_eq!(sites[0], (Op::Send, "TAG_A".into(), 1));
         assert_eq!(sites[1], (Op::Recv, "TAG_A".into(), 2));
         assert_eq!(sites[2], (Op::Exchange, "TAG_B".into(), 3));
+    }
+
+    #[test]
+    fn awaited_call_sites_are_the_sites_they_are() {
+        // A rank program that yields awaits the `*_async` bodies; each is
+        // one recv / recv_any / exchange site, as its blocking form is.
+        let sites = extract_call_sites(
+            "let f = r1.tpqrt(p.recv_async(roots[d], TAG_R).await?);
+             let e = p.recv_async::<Vec<(usize, M)>>(parent, TAG_E).await?;
+             let (s, m) = p.recv_any_async::<f64>(TAG_W).await?;
+             let got = p.exchange_async(partner, TAG_X, val.clone()).await?;
+",
+        );
+        assert_eq!(
+            sites,
+            vec![
+                (Op::Recv, "TAG_R".into(), 1),
+                (Op::Recv, "TAG_E".into(), 2),
+                (Op::RecvAny, "TAG_W".into(), 3),
+                (Op::Exchange, "TAG_X".into(), 4),
+            ]
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   the order is seeded per process, so anything derived from it is
 //!   nondeterministic. Use `BTreeMap`/`BTreeSet` or sort before
 //!   draining.
-//! * **wildcard-recv** — `.recv_any(` outside test code: a wildcard
+//! * **wildcard-recv** — `.recv_any(` / `.recv_any_async(` outside test code: a wildcard
 //!   receive makes the matched sender delivery-order-dependent.
 //!
 //! The scanner strips comments and string literals first and truncates
@@ -213,7 +213,10 @@ fn occurs_as_ident_use(line: &str, _name: &str, pat: &str) -> bool {
 
 fn lint_wildcard_recv(path: &str, code: &str, out: &mut Vec<Finding>) {
     for (ln, line) in code.lines().enumerate() {
-        if line.contains(".recv_any(") || line.contains(".recv_any::<") {
+        if [".recv_any(", ".recv_any::<", ".recv_any_async(", ".recv_any_async::<"]
+            .iter()
+            .any(|pat| line.contains(pat))
+        {
             out.push(Finding {
                 rule: "wildcard-recv",
                 path: path.to_string(),
@@ -258,6 +261,7 @@ mod tests {
     fn wildcard_recv_rule_fires() {
         let mut f = Vec::new();
         lint_wildcard_recv("x.rs", "let (s, m) = p.recv_any::<f64>(1)?;\n", &mut f);
-        assert_eq!(f.len(), 1);
+        lint_wildcard_recv("x.rs", "let (s, m) = p.recv_any_async::<f64>(1).await?;\n", &mut f);
+        assert_eq!(f.len(), 2);
     }
 }

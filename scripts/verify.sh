@@ -4,8 +4,9 @@
 # enforce #![warn(missing_docs)]), the doctests on their own (they
 # exercise the public examples in the API docs, e.g. the
 # metrics-registry example), the commlint and archlint static scans,
-# the commcheck happens-before gate, the fault-matrix smoke, and the
-# dense kernels checked at the wall-clock benchmark's shapes.
+# the commcheck happens-before gate, the paper's Fig. 5 / Fig. 8 shape
+# checks, the fault-matrix smoke, and the dense kernels checked at the
+# wall-clock benchmark's shapes.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -91,6 +92,22 @@ if grep -n 'generation' crates/qcg/src/scheduler.rs crates/serve/src/engine.rs; 
   copy_is_back "a pool generation counter (the parked blocked-head memo)"
 fi
 
+# Rank programs that yield (ISSUE 22): one receive core (the mailbox's `take`,
+# the only wall-clock wait and the only place a rank is parked), one thread
+# spawner, one Process construction; symbolic points and the tuner's replay
+# never go back to rank threads (the tile type picks the driver, in one place).
+shipped_gm() { for f in $GM/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f" | grep -v '^ *//'; done; }
+[ "$(shipped_gm | grep -c 'thread::scope')" -eq 1 ] || copy_is_back "a second thread spawner in gridmpi"
+[ "$(shipped_gm | grep -c '\.recv_timeout(')" -eq 1 ] \
+  || copy_is_back "a wall-clock wait outside the channel mailbox"
+[ "$(shipped_gm | grep -c '^ *Process {$')" -eq 1 ] || copy_is_back "a second Process literal"
+EXPERIMENT=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/experiment.rs)
+[ "$(grep -c 'rt\.run(' <<<"$EXPERIMENT")" -eq 1 ] && [ "$(grep -c 'T::NUMERIC' <<<"$EXPERIMENT")" -eq 1 ] \
+  || copy_is_back "a second place in experiment.rs that picks the runtime's driver"
+if sed -n '/^pub fn replay_makespan/,/^}/p' crates/core/src/tune.rs | grep -n 'rt\.run('; then
+  copy_is_back "rank threads under tune::replay_makespan"
+fi
+
 # linalg is single-threaded on purpose (a rank is one of hundreds of threads).
 if grep -n rayon crates/linalg/Cargo.toml; then echo "rayon is back in crates/linalg"; exit 1; fi
 
@@ -100,6 +117,13 @@ run_cargo run --release -q -p tsqr-lint --bin linkcheck
 echo "==> commcheck (happens-before gate: figure scenarios + fault matrix"
 echo "    + DPOR-lite explorer, pinned against COMMCHECK_baseline.txt)"
 ./target/release/grid-tsqr check --recv-timeout 60 --golden COMMCHECK_baseline.txt
+
+echo "==> paper-shape gate (Figs. 5 and 8 regenerated in full on the cooperative"
+echo "    runner, ~25 s + ~33 s; each exits 1 on any [FAIL]: four sites fastest for"
+echo "    M >= 5e5, 4-site speedup > 3.3, TSQR >= ScaLAPACK, the headline Gflop/s)"
+./target/release/fig5_tsqr >/dev/null
+./target/release/fig8_best >/dev/null
+echo "    paper shapes: every check of both figures passes"
 
 echo "==> fault-matrix smoke (self-healing TSQR via the CLI)"
 # Crash one representative rank of every tree level on the 4-site grid

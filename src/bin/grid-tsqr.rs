@@ -90,8 +90,11 @@
 //!
 //! Every subcommand that runs the `gridmpi` simulator — all but `info`,
 //! `report` and `serve` — accepts `--recv-timeout <seconds>`: the
-//! *wall-clock* deadlock safety net of the simulator (failure *detection*
-//! happens in virtual time; see `docs/fault-injection.md` §Detection).
+//! *wall-clock* deadlock safety net of the simulator's threaded runs
+//! (`--real`, `faults`, the explorer; failure *detection* happens in
+//! virtual time, and symbolic runs share one thread, where a deadlock is
+//! seen exactly and no clock is consulted; see `docs/fault-injection.md`
+//! §Detection).
 //!
 //! `analyze` runs the same traced point and prints the diagnosis instead:
 //! the Scalasca-style wait-state breakdown (reconciled against the metrics
@@ -327,7 +330,9 @@ fn usage() -> ExitCode {
          (kary:1 is a chain; see docs/tuning.md for the closed forms).\n\
          Every subcommand that runs the simulator (all but info, report and\n\
          serve) accepts --recv-timeout <seconds>: the wall-clock deadlock\n\
-         safety net; failure detection itself runs in virtual time.\n\
+         safety net of runs on rank threads (--real, faults, the explorer);\n\
+         failure detection itself runs in virtual time, and symbolic runs\n\
+         share one thread, where a deadlock is found exactly, without a clock.\n\
          faults runs the self-healing TSQR with real numerics under an injected\n\
          failure schedule and checks the recovered R against the failure-free\n\
          run bit for bit; --baseline shows the plain program's typed failure.\n\
