@@ -7,10 +7,8 @@
 //! whole grid throttled to the slow cluster (the paper's synchronous
 //! convention), and (b) rate-proportional rows with every cluster running
 //! at its own speed.
-//!
-//! Run: `cargo run --release -p tsqr-bench --bin ablation_balance`
 
-use tsqr_bench::ShapeCheck;
+use crate::{ShapeCheck, Sweep};
 use tsqr_core::domains::DomainLayout;
 use tsqr_core::tree::{ReductionTree, TreeShape};
 use tsqr_core::tile::Dims;
@@ -30,7 +28,7 @@ fn hetero_grid() -> (GridTopology, CostModel) {
     (topo, model)
 }
 
-fn run(layout: &DomainLayout, rt: &Runtime, rates: &[f64]) -> f64 {
+fn makespan(layout: &DomainLayout, rt: &Runtime, rates: &[f64]) -> f64 {
     let cfg = TsqrConfig {
         shape: TreeShape::GridHierarchical,
         domains_per_cluster: 16,
@@ -45,22 +43,21 @@ fn run(layout: &DomainLayout, rt: &Runtime, rates: &[f64]) -> f64 {
     report.makespan.secs()
 }
 
-fn main() {
+pub(super) fn run(_: &mut Sweep, checks: &mut ShapeCheck) {
     let (topo, model) = hetero_grid();
     let rt = Runtime::new(topo, model);
     let (m, n) = (1u64 << 22, 64usize);
-    let mut checks = ShapeCheck::new();
 
     // (a) Paper convention: even rows, everyone throttled to the slow rate.
     let even = DomainLayout::build(rt.topology(), m, n, 16);
-    let t_throttled = run(&even, &rt, &[1.0e9, 1.0e9]);
+    let t_throttled = makespan(&even, &rt, &[1.0e9, 1.0e9]);
 
     // (b) Even rows but native rates: the fast cluster waits at the reduce.
-    let t_unbalanced = run(&even, &rt, &[1.0e9, 2.0e9]);
+    let t_unbalanced = makespan(&even, &rt, &[1.0e9, 2.0e9]);
 
     // (c) Extension: rows proportional to cluster rate, native rates.
     let weighted = DomainLayout::build_weighted(rt.topology(), m, n, 16, &[1.0, 2.0]);
-    let t_balanced = run(&weighted, &rt, &[1.0e9, 2.0e9]);
+    let t_balanced = makespan(&weighted, &rt, &[1.0e9, 2.0e9]);
 
     println!("# Load-balance ablation — M = {m}, N = {n}, 2 clusters (1x vs 2x speed)");
     println!("  throttled-to-slowest (paper convention): {t_throttled:.3} s");
@@ -86,5 +83,4 @@ fn main() {
         t_throttled / t_balanced > 1.3,
         format!("{:.2}x of ideal 1.50x", t_throttled / t_balanced),
     );
-    checks.finish();
 }

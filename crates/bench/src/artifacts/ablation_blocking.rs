@@ -9,31 +9,17 @@
 //! DGEMM rate rather than the memory-bound Level-2 rate — which is what we
 //! model by pricing the blocked baseline at the calibrated leaf rate and
 //! the unblocked one below it.
-//!
-//! Run: `cargo run --release -p tsqr-bench --bin ablation_blocking`
 
-use tsqr_bench::{calib, grid_runtime, ShapeCheck};
-use tsqr_core::experiment::{run_experiment, Algorithm, Experiment, Mode};
+use crate::harness::symbolic;
+use crate::{calib, ShapeCheck, Sweep};
+use tsqr_core::experiment::{run_experiment, Algorithm, Experiment};
 
 fn gflops(rt: &tsqr_gridmpi::Runtime, m: u64, n: usize, algorithm: Algorithm, rate: f64) -> f64 {
-    run_experiment(
-        rt,
-        &Experiment {
-            m,
-            n,
-            algorithm,
-            compute_q: false,
-            mode: Mode::Symbolic,
-            rate_flops: Some(rate),
-            combine_rate_flops: None,
-        },
-    )
-    .gflops
+    run_experiment(rt, &Experiment { rate_flops: Some(rate), ..symbolic(m, n, algorithm) }).gflops
 }
 
-fn main() {
-    let rt = grid_runtime(1);
-    let mut checks = ShapeCheck::new();
+pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
+    let rt = sweep.runtime(1);
     // Level-2 rate for the unblocked sweep (the column kernel is
     // memory-bound); the calibrated Level-3-ish leaf rate for the blocked
     // trailing updates.
@@ -48,9 +34,9 @@ fn main() {
         (2_097_152, 512),
     ] {
         let rate_blocked = calib::kernel_rate_flops(n);
-        let qr2 = gflops(&rt, m, n, Algorithm::ScalapackQr2, rate_unblocked);
+        let qr2 = gflops(rt, m, n, Algorithm::ScalapackQr2, rate_unblocked);
         let qrf = gflops(
-            &rt,
+            rt,
             m,
             n,
             Algorithm::ScalapackQrf { nb: 64, nx: 128 },
@@ -70,7 +56,7 @@ fn main() {
                 &format!("N={n}: below the NX crossover the drivers coincide"),
                 {
                     let qrf_same_rate = gflops(
-                        &rt,
+                        rt,
                         m,
                         n,
                         Algorithm::ScalapackQrf { nb: 64, nx: 128 },
@@ -82,5 +68,4 @@ fn main() {
             );
         }
     }
-    checks.finish();
 }

@@ -4,13 +4,11 @@
 //! CholeskyQR reduces one Gram matrix instead of one R factor, so its
 //! communication bill matches TSQR's (a single `log₂(P)`-deep reduction);
 //! what TSQR buys with its extra `2/3·log₂(P)·N³` flops is unconditional
-//! stability. This binary measures both sides: virtual-time performance
+//! stability. This artifact measures both sides: virtual-time performance
 //! on the Grid'5000 model, and orthogonality loss on matrices of growing
 //! condition number (real numerics).
-//!
-//! Run: `cargo run --release -p tsqr-bench --bin ablation_cholqr`
 
-use tsqr_bench::ShapeCheck;
+use crate::{ShapeCheck, Sweep};
 use tsqr_core::cholqr::{cholqr, CholQrError};
 use tsqr_core::domains::{even_chunks, DomainLayout};
 use tsqr_core::tree::{ReductionTree, TreeShape};
@@ -102,10 +100,9 @@ fn run_cholqr(rt: &Runtime, a: &Matrix) -> Result<(Matrix, f64, u64), String> {
     Ok((Matrix::vstack_all(&refs), makespan, wan))
 }
 
-fn main() {
+pub(super) fn run(_: &mut Sweep, checks: &mut ShapeCheck) {
     let rt = mini_grid(2, 4);
     let (m, n) = (2048usize, 16usize);
-    let mut checks = ShapeCheck::new();
 
     println!("# TSQR vs CholeskyQR — {m} x {n} on 2 sites x 4 procs");
     println!(
@@ -178,5 +175,4 @@ fn main() {
             format!("{wan_t} total vs {} per rank", wan_c / procs),
         );
     }
-    checks.finish();
 }

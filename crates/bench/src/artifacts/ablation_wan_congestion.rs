@@ -4,17 +4,15 @@
 //! ~149 Gflop/s where the paper measured < 90 (see EXPERIMENTS.md). The
 //! real wide-area path punished every message with software and
 //! cross-traffic overheads the paper's Eq. (1) does not carry. This
-//! binary adds a per-WAN-message congestion surcharge and shows:
+//! artifact adds a per-WAN-message congestion surcharge and shows:
 //!
 //! * a ~15 ms surcharge brings the ScaLAPACK multi-site tail back under
 //!   the paper's 90 Gflop/s ceiling;
 //! * TSQR, with its `#sites − 1` WAN messages, is **insensitive** to the
 //!   surcharge — the whole point of communication avoidance: it wins by a
 //!   larger margin the worse the WAN behaves.
-//!
-//! Run: `cargo run --release -p tsqr-bench --bin ablation_wan_congestion`
 
-use tsqr_bench::{run_point, ShapeCheck};
+use crate::{run_point, ShapeCheck, Sweep};
 use tsqr_core::experiment::{Algorithm, Mode};
 use tsqr_core::tree::TreeShape;
 use tsqr_gridmpi::Runtime;
@@ -24,9 +22,8 @@ fn gflops(rt: &Runtime, m: u64, n: usize, algorithm: Algorithm) -> f64 {
     run_point(rt, m, n, algorithm, false, Mode::Symbolic).gflops
 }
 
-fn main() {
+pub(super) fn run(_: &mut Sweep, checks: &mut ShapeCheck) {
     let (m, n) = (8_388_608u64, 512usize); // the Fig. 4(d)/5(d) tail
-    let mut checks = ShapeCheck::new();
     println!("# WAN congestion surcharge sweep — M = {m}, N = {n}, 4 sites");
     println!(
         "# {:>12} {:>18} {:>18} {:>8}",
@@ -73,5 +70,4 @@ fn main() {
             );
         }
     }
-    checks.finish();
 }

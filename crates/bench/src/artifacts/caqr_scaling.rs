@@ -8,34 +8,30 @@
 //! We run distributed CAQR (symbolic engine, real schedules) on 1, 2 and
 //! 4 Grid'5000 sites for general matrices of growing height and report
 //! the multi-site speedups.
-//!
-//! Run: `cargo run --release -p tsqr-bench --bin caqr_scaling`
 
-use tsqr_bench::{calib, grid_runtime, ShapeCheck};
+use crate::{calib, ShapeCheck, Sweep};
 use tsqr_core::caqr_dist::{caqr_dist_program, CaqrDistConfig};
 use tsqr_core::model;
 use tsqr_core::tile::Dims;
 use tsqr_core::tree::TreeShape;
+use tsqr_gridmpi::{RunReport, Runtime};
 
-fn caqr_gflops(sites: usize, m: u64, n: usize, tile: usize) -> f64 {
-    let rt = grid_runtime(sites);
+const TILE: usize = 64;
+
+/// Distributed CAQR of a symbolic `m × n` matrix on `rt`.
+fn caqr(rt: &Runtime, m: u64, n: usize) -> RunReport<()> {
     let cfg = CaqrDistConfig {
-        tile,
+        tile: TILE,
         shape: TreeShape::GridHierarchical,
-        rate_flops: Some(calib::kernel_rate_flops(tile)),
+        rate_flops: Some(calib::kernel_rate_flops(TILE)),
         combine_rate_flops: Some(calib::combine_rate_flops()),
     };
     let dims = |_, rows| Dims { rows, cols: n };
-    let report = rt.run(|p, _| caqr_dist_program(p, m, n, &cfg, dims).map(|_| ()));
-    // Useful flops of a full QR of an m × n matrix.
-    let useful = model::useful_flops(m, n as u64, false);
-    useful / report.makespan.secs() / 1e9
+    rt.run(|p, _| caqr_dist_program(p, m, n, &cfg, dims).map(|_| ()))
 }
 
-fn main() {
-    let mut checks = ShapeCheck::new();
-    let tile = 64;
-    println!("# CAQR on the grid — general M x N matrices, tile = {tile}");
+pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
+    println!("# CAQR on the grid — general M x N matrices, tile = {TILE}");
     println!("# {:>10} {:>6} {:>12} {:>12} {:>12} {:>10}", "M", "N", "1 site", "2 sites", "4 sites", "speedup4");
 
     for (m, n) in [
@@ -45,9 +41,11 @@ fn main() {
         (1_048_576, 1024),
         (4_194_304, 1024),
     ] {
-        let g1 = caqr_gflops(1, m, n, tile);
-        let g2 = caqr_gflops(2, m, n, tile);
-        let g4 = caqr_gflops(4, m, n, tile);
+        // Useful flops of a full QR of an m × n matrix, per simulated second.
+        let gflops = |sites| {
+            model::useful_flops(m, n as u64, false) / caqr(sweep.runtime(sites), m, n).makespan.secs() / 1e9
+        };
+        let [g1, g2, g4] = Sweep::SITES.map(gflops);
         let s4 = g4 / g1;
         println!(
             "  {:>10} {:>6} {:>12.1} {:>12.1} {:>12.1} {:>9.2}x",
@@ -65,18 +63,7 @@ fn main() {
     // And the WAN bill: per panel the tuned tree crosses sites O(#sites)
     // times, so total WAN messages grow with N/b, not with M or the
     // trailing width.
-    let rt = grid_runtime(4);
-    let cfg = CaqrDistConfig {
-        tile,
-        shape: TreeShape::GridHierarchical,
-        rate_flops: Some(calib::kernel_rate_flops(tile)),
-        combine_rate_flops: Some(calib::combine_rate_flops()),
-    };
-    let wan_of = |m: u64, n: usize| {
-        rt.run(|p, _| caqr_dist_program(p, m, n, &cfg, |_, rows| Dims { rows, cols: n }).map(|_| ()))
-            .totals
-            .inter_cluster_msgs()
-    };
+    let wan_of = |m: u64, n: usize| caqr(sweep.runtime(4), m, n).totals.inter_cluster_msgs();
     let wan_tall = wan_of(1_048_576, 512);
     let wan_taller = wan_of(4_194_304, 512);
     checks.check(
@@ -90,5 +77,4 @@ fn main() {
         wan_wide > wan_tall && wan_wide <= 2 * wan_tall + 16,
         format!("N=512: {wan_tall}, N=1024: {wan_wide}"),
     );
-    checks.finish();
 }

@@ -10,36 +10,24 @@
 //! start paying off shifts by orders of magnitude: TSQR profits from four
 //! regions at M ≈ 4·10⁶ while ScaLAPACK needs M ≈ 2.7·10⁸ — and in
 //! between TSQR wins head-to-head by 3–10×.
-//!
-//! Run: `cargo run --release -p tsqr-bench --bin desktop_grid`
 
-use tsqr_bench::{print_series_table, Series, ShapeCheck};
-use tsqr_core::experiment::{run_experiment, Algorithm, Experiment, Mode};
+use crate::harness::symbolic;
+use crate::{print_series_table, Series, ShapeCheck, Sweep};
+use tsqr_core::experiment::{run_experiment, Algorithm, Experiment};
 use tsqr_core::tree::TreeShape;
 use tsqr_gridmpi::Runtime;
 use tsqr_netsim::desktop;
 
 fn gflops(rt: &Runtime, m: u64, n: usize, algorithm: Algorithm) -> f64 {
-    run_experiment(
-        rt,
-        &Experiment {
-            m,
-            n,
-            algorithm,
-            compute_q: false,
-            mode: Mode::Symbolic,
-            // Volunteer desktops: charge the flat host rate.
-            rate_flops: Some(0.5e9),
-            combine_rate_flops: Some(0.5e9),
-        },
-    )
-    .gflops
+    // Volunteer desktops: charge the flat host rate.
+    let rate = Some(0.5e9);
+    let point = Experiment { rate_flops: rate, combine_rate_flops: rate, ..symbolic(m, n, algorithm) };
+    run_experiment(rt, &point).gflops
 }
 
-fn main() {
+pub(super) fn run(_: &mut Sweep, checks: &mut ShapeCheck) {
     let n = 64usize;
     let ms: Vec<u64> = vec![1 << 20, 1 << 22, 1 << 24, 1 << 26, 1 << 28];
-    let mut checks = ShapeCheck::new();
     let runtimes: Vec<(usize, Runtime)> = [1usize, 2, 4]
         .iter()
         .map(|&r| (r, Runtime::new(desktop::topology(r), desktop::cost_model(r))))
@@ -107,5 +95,4 @@ fn main() {
             format!("{t:.1} vs {s:.1} Gflop/s ({:.1}x)", t / s),
         );
     }
-    checks.finish();
 }

@@ -1,36 +1,27 @@
 //! Validation of the paper's performance model (§IV, Eq. (1)) against the
 //! discrete simulation: `time = β·#msgs + α·vol + γ·#flops` with the
 //! Table I breakdowns, on the homogeneous network the model assumes.
-//!
-//! Run: `cargo run --release -p tsqr-bench --bin eq1_validation`
 
-use tsqr_bench::ShapeCheck;
-use tsqr_core::experiment::{run_experiment, Algorithm, Experiment, Mode};
+use crate::harness::symbolic;
+use crate::{ShapeCheck, Sweep};
+use tsqr_core::experiment::{run_experiment, Algorithm, Experiment};
 use tsqr_core::model;
 use tsqr_core::tree::TreeShape;
 use tsqr_gridmpi::Runtime;
-use tsqr_netsim::{ClusterSpec, CostModel, GridTopology, LinkParams};
+use tsqr_netsim::{two_tier_grid, LinkParams};
 
 const BETA_MS: f64 = 0.5;
 const MBPS: f64 = 200.0;
 const RATE: f64 = 1.0e9;
 
+/// One site of `procs` single-processor nodes: every link is the same.
 fn homogeneous(procs: usize) -> Runtime {
-    let topo = GridTopology::block_placement(
-        vec![ClusterSpec {
-            name: "c".into(),
-            nodes: procs,
-            procs_per_node: 1,
-            peak_gflops_per_proc: 8.0,
-        }],
-        procs,
-        1,
-    );
-    Runtime::new(topo, CostModel::homogeneous(LinkParams::from_ms_mbps(BETA_MS, MBPS), RATE, 1))
+    let link = LinkParams::from_ms_mbps(BETA_MS, MBPS);
+    let (topo, model) = two_tier_grid(1, procs, link, link, RATE);
+    Runtime::new(topo, model)
 }
 
-fn main() {
-    let mut checks = ShapeCheck::new();
+pub(super) fn run(_: &mut Sweep, checks: &mut ShapeCheck) {
     let (beta, alpha_word, gamma) = (BETA_MS * 1e-3, 64.0 / (MBPS * 1e6), 1.0 / RATE);
     println!("# Eq. (1) vs simulation — homogeneous network (β = {BETA_MS} ms, {MBPS} Mb/s, 1 Gflop/s)");
     println!(
@@ -48,20 +39,9 @@ fn main() {
                 } else {
                     Algorithm::ScalapackQr2
                 };
-                let sim = run_experiment(
-                    &rt,
-                    &Experiment {
-                        m,
-                        n,
-                        algorithm,
-                        compute_q: false,
-                        mode: Mode::Symbolic,
-                        rate_flops: Some(RATE),
-                        combine_rate_flops: Some(RATE),
-                    },
-                )
-                .makespan
-                .secs();
+                let rate = Some(RATE);
+                let point = Experiment { rate_flops: rate, combine_rate_flops: rate, ..symbolic(m, n, algorithm) };
+                let sim = run_experiment(&rt, &point).makespan.secs();
                 let predicted = if tsqr {
                     model::tsqr_r_only(m, n as u64, procs as u64)
                 } else {
@@ -88,5 +68,4 @@ fn main() {
         worst < 1.30,
         format!("worst ratio {worst:.3}"),
     );
-    checks.finish();
 }

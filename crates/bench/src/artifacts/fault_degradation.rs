@@ -1,5 +1,5 @@
 //! The degradation bench: every registered WAN-degradation scenario
-//! ([`tsqr_bench::fault_points`]) next to its failure-free twin, on the
+//! ([`crate::fault_points`]) next to its failure-free twin, on the
 //! 4-site grid.
 //!
 //! The fault injector degrades link *pricing*, never routing, so two
@@ -11,21 +11,18 @@
 //!   for whole-run degradations by a sizeable factor (the WAN terms of
 //!   Eq. (1) scale with the injected latency/bandwidth factors).
 //!
-//! The same scenarios are pinned by the perf gate (`bench_check`), so a
-//! regression in the degraded makespans fails CI exactly like a Fig. 4–8
-//! regression. Run:
-//! `cargo run --release -p tsqr-bench --bin fault_degradation`
+//! The same scenarios are pinned by the perf gate (`grid-tsqr
+//! bench-check`), so a regression in the degraded makespans fails CI
+//! exactly like a Fig. 4–8 regression.
 //!
 //! Set `GRID_TSQR_BENCH_OUT=<dir>` to also emit the scenario records as
 //! `BENCH_faults.json` (schema `grid-tsqr-bench/v1`); see
 //! `docs/fault-injection.md` §Degradation bench.
 
-use tsqr_bench::figures::records_json;
-use tsqr_bench::{fault_points, ShapeCheck};
+use crate::{fault_points, records_json, ShapeCheck, Sweep};
 
-fn main() {
+pub(super) fn run(_: &mut Sweep, checks: &mut ShapeCheck) {
     let points = fault_points();
-    let mut checks = ShapeCheck::new();
     let mut records = Vec::new();
 
     for p in &points {
@@ -73,6 +70,4 @@ fn main() {
         std::fs::write(&out, records_json(&records)).expect("write bench records");
         println!("# bench records -> {}", out.display());
     }
-
-    checks.finish();
 }

@@ -2,10 +2,8 @@
 //! latency and throughput between every pair of sites, measured by
 //! ping-pong runs on the runtime and compared against the constants the
 //! cost model was built from.
-//!
-//! Run: `cargo run --release -p tsqr-bench --bin fig3_network`
 
-use tsqr_bench::ShapeCheck;
+use crate::{ShapeCheck, Sweep};
 use tsqr_gridmpi::Runtime;
 use tsqr_netsim::grid5000::{self, INTER_LATENCY_MS, INTER_THROUGHPUT_MBPS};
 use tsqr_gridmpi::message::Phantom;
@@ -41,9 +39,8 @@ fn measure(rt: &Runtime, a: usize, b: usize) -> (f64, f64) {
     (latency_ms, throughput_mbps)
 }
 
-fn main() {
+pub(super) fn run(_: &mut Sweep, checks: &mut ShapeCheck) {
     let rt = Runtime::new(grid5000::topology(4), grid5000::cost_model());
-    let mut checks = ShapeCheck::new();
 
     println!("# Fig. 3(a) — measured on the simulated platform");
     println!("# Latency (ms)");
@@ -98,5 +95,4 @@ fn main() {
             );
         }
     }
-    checks.finish();
 }

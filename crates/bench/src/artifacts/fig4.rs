@@ -6,34 +6,26 @@
 //! only for very tall matrices do multiple sites pay off, and the 4-site
 //! speedup "hardly surpasses 2.0".
 //!
-//! Run: `cargo run --release -p tsqr-bench --bin fig4_scalapack`
-//! (add `--trace-out fig4.json` to dump a Chrome trace of the 4-site
-//! M = 2²⁰, N = 64 point — expect ~2 WAN all-reduce messages per column).
+//! (`--trace-out fig4.json` dumps a Chrome trace of the 4-site
+//! M = 2²⁰, N = 64 point — expect ~2 WAN all-reduce messages per column.)
 
-use tsqr_bench::{
-    grid_runtime, paper_m_values, print_series_table, run_figure, scalapack_gflops,
-    Series, ShapeCheck,
-};
+use super::PANELS;
+use crate::{paper_m_values, print_series_table, Series, ShapeCheck, Sweep};
 
-fn main() {
-    run_figure("fig4");
-    let runtimes: Vec<_> = [1usize, 2, 4].iter().map(|&s| (s, grid_runtime(s))).collect();
-    let mut checks = ShapeCheck::new();
-
-    for n in [64usize, 128, 256, 512] {
+pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
+    // Property 4 across panels: one-site performance at the tallest M.
+    let mut peaks = Vec::new();
+    let mut max = 0.0f64;
+    for (panel, n) in PANELS {
         let ms = paper_m_values(n);
-        let series: Vec<Series> = runtimes
+        let series: Vec<Series> = Sweep::SITES
             .iter()
-            .map(|(sites, rt)| Series {
+            .map(|&sites| Series {
                 label: format!("{sites}site(s)"),
-                points: ms.iter().map(|&m| (m, scalapack_gflops(rt, m, n))).collect(),
+                points: ms.iter().map(|&m| (m, sweep.scalapack_gflops(sites, m, n))).collect(),
             })
             .collect();
-        print_series_table(
-            &format!("Fig. 4 ({}) — ScaLAPACK, N = {n}", ['a', 'b', 'c', 'd'][[64, 128, 256, 512].iter().position(|&x| x == n).unwrap()]),
-            "M",
-            &series,
-        );
+        print_series_table(&format!("Fig. 4 ({panel}) — ScaLAPACK, N = {n}"), "M", &series);
 
         let one = &series[0].points;
         let four = &series[2].points;
@@ -63,14 +55,10 @@ fn main() {
             speedup <= 2.5,
             format!("speedup {speedup:.2}"),
         );
+        peaks.push(one[last].1);
+        max = series.iter().flat_map(|s| &s.points).fold(max, |max, p| max.max(p.1));
     }
 
-    // Property 4 across panels: peak performance increases with N.
-    let rt1 = &runtimes[0].1;
-    let peaks: Vec<f64> = [64usize, 128, 256, 512]
-        .iter()
-        .map(|&n| scalapack_gflops(rt1, *paper_m_values(n).last().unwrap(), n))
-        .collect();
     checks.check(
         "performance increases with N (Property 4)",
         peaks.windows(2).all(|w| w[1] > w[0]),
@@ -81,18 +69,9 @@ fn main() {
     // kinder to ScaLAPACK's WAN all-reduces than reality was). The
     // qualitative claim — ScaLAPACK stays far below the 940 Gflop/s
     // practical bound while TSQR more than triples it — still holds.
-    let mut max = 0.0f64;
-    for n in [64usize, 128, 256, 512] {
-        for (_, rt) in &runtimes {
-            for &m in &paper_m_values(n) {
-                max = max.max(scalapack_gflops(rt, m, n));
-            }
-        }
-    }
     checks.check(
         "ScaLAPACK stays a small fraction of the 940 Gflop/s practical bound",
         max < 940.0 / 4.0,
         format!("max {max:.0} Gflop/s (paper: < 90; simulator is kinder to the WAN tail)"),
     );
-    checks.finish();
 }

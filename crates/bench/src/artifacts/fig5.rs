@@ -6,30 +6,22 @@
 //! speedup over one site approaches 4 — performance scales linearly with
 //! the number of geographical sites.
 //!
-//! Run: `cargo run --release -p tsqr-bench --bin fig5_tsqr`
-//! (add `--trace-out fig5.json` to dump a Chrome trace of the 4-site
-//! M = 2²⁰, N = 64 point — expect O(log #clusters) WAN messages total).
+//! (`--trace-out fig5.json` dumps a Chrome trace of the 4-site
+//! M = 2²⁰, N = 64 point — expect O(log #clusters) WAN messages total.)
 
-use tsqr_bench::{
-    grid_runtime, paper_m_values, print_series_table, run_figure, tsqr_best_gflops,
-    Series, ShapeCheck,
-};
+use super::PANELS;
+use crate::{paper_m_values, print_series_table, Series, ShapeCheck, Sweep};
 
-fn main() {
-    run_figure("fig5");
-    let runtimes: Vec<_> = [1usize, 2, 4].iter().map(|&s| (s, grid_runtime(s))).collect();
-    let mut checks = ShapeCheck::new();
-
-    for n in [64usize, 128, 256, 512] {
+pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
+    for (panel, n) in PANELS {
         let ms = paper_m_values(n);
-        let series: Vec<Series> = runtimes
+        let series: Vec<Series> = Sweep::SITES
             .iter()
-            .map(|(sites, rt)| Series {
+            .map(|&sites| Series {
                 label: format!("{sites}site(s)"),
-                points: ms.iter().map(|&m| (m, tsqr_best_gflops(rt, m, n).0)).collect(),
+                points: ms.iter().map(|&m| (m, sweep.tsqr_best_gflops(sites, m, n).0)).collect(),
             })
             .collect();
-        let panel = ['a', 'b', 'c', 'd'][[64, 128, 256, 512].iter().position(|&x| x == n).unwrap()];
         print_series_table(&format!("Fig. 5 ({panel}) — TSQR (best #domains), N = {n}"), "M", &series);
 
         let one = &series[0].points;
@@ -59,12 +51,10 @@ fn main() {
 
     // Headline number: the paper's 8,388,608 × 512 four-site point
     // reaches 256 Gflop/s (§V-D).
-    let rt4 = &runtimes[2].1;
-    let (g, d) = tsqr_best_gflops(rt4, 8_388_608, 512);
+    let (g, d) = sweep.tsqr_best_gflops(4, 8_388_608, 512);
     checks.check(
         "N=512 four-site peak lands in the paper's range (~256 Gflop/s)",
         (180.0..360.0).contains(&g),
         format!("{g:.0} Gflop/s at {d} domains/cluster"),
     );
-    checks.finish();
 }

@@ -7,20 +7,12 @@
 //! N = 512 — trading flops for intra-node communication stops paying off
 //! at large N.
 //!
-//! Run: `cargo run --release -p tsqr-bench --bin fig6_domains_grid`
-//! (add `--trace-out fig6.json` to dump a Chrome trace of the 4-site
-//! M = 2²², N = 64 point at the optimum 64 domains/cluster).
+//! (`--trace-out fig6.json` dumps a Chrome trace of the 4-site
+//! M = 2²², N = 64 point at the optimum 64 domains/cluster.)
 
-use tsqr_bench::{
-    domain_options, grid_runtime, print_series_table, run_figure, tsqr_gflops, Series,
-    ShapeCheck,
-};
+use crate::{domain_options, print_series_table, Series, ShapeCheck, Sweep};
 
-fn main() {
-    run_figure("fig6");
-    let rt = grid_runtime(4);
-    let mut checks = ShapeCheck::new();
-
+pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
     // The M values plotted per panel in the paper.
     let panel_ms: [(usize, [u64; 4]); 4] = [
         (64, [33_554_432, 4_194_304, 524_288, 131_072]),
@@ -36,7 +28,7 @@ fn main() {
                 label: format!("M={m}"),
                 points: domain_options()
                     .iter()
-                    .map(|&dpc| (dpc as u64, tsqr_gflops(&rt, m, *n, dpc)))
+                    .map(|&dpc| (dpc as u64, sweep.tsqr_gflops(4, m, *n, dpc)))
                     .collect(),
             })
             .collect();
@@ -64,26 +56,16 @@ fn main() {
 
     // The optimum domain count: 64 at N = 64, 32 at N = 512 (paper §V-D),
     // checked on a mid-size matrix where the effect is visible.
-    let best_dpc = |n: usize, m: u64| {
-        domain_options()
-            .iter()
-            .copied()
-            .max_by(|&a, &b| {
-                tsqr_gflops(&rt, m, n, a).total_cmp(&tsqr_gflops(&rt, m, n, b))
-            })
-            .unwrap()
-    };
-    let d64 = best_dpc(64, 524_288);
+    let d64 = sweep.tsqr_best_gflops(4, 524_288, 64).1;
     checks.check(
         "N=64: optimum is 64 domains/cluster (one per process)",
         d64 == 64,
         format!("optimum {d64}"),
     );
-    let d512 = best_dpc(512, 524_288);
+    let d512 = sweep.tsqr_best_gflops(4, 524_288, 512).1;
     checks.check(
         "N=512: optimum is 32 domains/cluster (one per node)",
         d512 == 32,
         format!("optimum {d512}"),
     );
-    checks.finish();
 }

@@ -5,20 +5,12 @@
 //! at N = 512 it is 32 (one per node). These single-site optima are the
 //! ones that transpose to the grid runs of Fig. 6.
 //!
-//! Run: `cargo run --release -p tsqr-bench --bin fig7_domains_site`
-//! (add `--trace-out fig7.json` to dump a Chrome trace of the single-site
-//! M = 2²⁰, N = 64 point at 64 domains — no WAN sends at all).
+//! (`--trace-out fig7.json` dumps a Chrome trace of the single-site
+//! M = 2²⁰, N = 64 point at 64 domains — no WAN sends at all.)
 
-use tsqr_bench::{
-    domain_options, grid_runtime, print_series_table, run_figure, tsqr_gflops, Series,
-    ShapeCheck,
-};
+use crate::{domain_options, print_series_table, Series, ShapeCheck, Sweep};
 
-fn main() {
-    run_figure("fig7");
-    let rt = grid_runtime(1);
-    let mut checks = ShapeCheck::new();
-
+pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
     let panels: [(usize, [u64; 4]); 2] = [
         (64, [8_388_608, 1_048_576, 131_072, 65_536]),
         (512, [2_097_152, 1_048_576, 131_072, 65_536]),
@@ -31,7 +23,7 @@ fn main() {
                 label: format!("M={m}"),
                 points: domain_options()
                     .iter()
-                    .map(|&dpc| (dpc as u64, tsqr_gflops(&rt, m, *n, dpc)))
+                    .map(|&dpc| (dpc as u64, sweep.tsqr_gflops(1, m, *n, dpc)))
                     .collect(),
             })
             .collect();
@@ -41,14 +33,7 @@ fn main() {
             &series,
         );
 
-        let best = |m: u64| {
-            domain_options()
-                .iter()
-                .copied()
-                .max_by(|&a, &b| tsqr_gflops(&rt, m, *n, a).total_cmp(&tsqr_gflops(&rt, m, *n, b)))
-                .unwrap()
-        };
-        let opt = best(ms[1]);
+        let (best_g, opt) = sweep.tsqr_best_gflops(1, ms[1], *n);
         let want = if *n == 64 { 64 } else { 32 };
         checks.check(
             &format!("N={n}: optimum domain count is {want}"),
@@ -56,8 +41,7 @@ fn main() {
             format!("optimum {opt} at M={}", ms[1]),
         );
         // Performance increases from 1 domain to the optimum.
-        let worst = tsqr_gflops(&rt, ms[1], *n, 1);
-        let best_g = tsqr_gflops(&rt, ms[1], *n, opt);
+        let worst = sweep.tsqr_gflops(1, ms[1], *n, 1);
         checks.check(
             &format!("N={n}: splitting into domains helps (vs 1 domain)"),
             best_g > worst,
@@ -66,12 +50,11 @@ fn main() {
     }
 
     // Paper single-site plateaus used for the calibration — report them.
-    let g64 = tsqr_gflops(&rt, 8_388_608, 64, 64);
-    let g512 = tsqr_gflops(&rt, 2_097_152, 512, 32);
+    let g64 = sweep.tsqr_gflops(1, 8_388_608, 64, 64);
+    let g512 = sweep.tsqr_gflops(1, 2_097_152, 512, 32);
     checks.check(
         "single-site plateaus near the paper's (35 / 90 Gflop/s)",
         (28.0..45.0).contains(&g64) && (70.0..110.0).contains(&g512),
         format!("N=64: {g64:.1}, N=512: {g512:.1}"),
     );
-    checks.finish();
 }

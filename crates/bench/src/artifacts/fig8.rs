@@ -6,44 +6,30 @@
 //! of matrix shapes; the gap narrows for "not so tall and not so skinny"
 //! matrices (small M, N = 512 — Property 5).
 //!
-//! Run: `cargo run --release -p tsqr-bench --bin fig8_best`
-//! (add `--trace-out fig8.json` to dump Chrome traces of the head-to-head
+//! (`--trace-out fig8.json` dumps Chrome traces of the head-to-head
 //! 4-site M = 2²³, N = 512 point: `fig8.json` for TSQR at its optimum
-//! 32 domains/cluster and `fig8.json.scalapack.json` for ScaLAPACK).
+//! 32 domains/cluster and `fig8.json.scalapack.json` for ScaLAPACK.)
 
-use tsqr_bench::{
-    grid_runtime, paper_m_values, print_series_table, run_figure, scalapack_gflops,
-    tsqr_best_gflops, Series, ShapeCheck,
-};
+use super::PANELS;
+use crate::{paper_m_values, print_series_table, Series, ShapeCheck, Sweep};
 
-fn main() {
-    run_figure("fig8");
-    let runtimes: Vec<_> = [1usize, 2, 4].iter().map(|&s| grid_runtime(s)).collect();
-    let mut checks = ShapeCheck::new();
-
-    for n in [64usize, 128, 256, 512] {
+pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
+    for (panel, n) in PANELS {
         let ms = paper_m_values(n);
         let tsqr_best: Vec<(u64, f64)> = ms
             .iter()
             .map(|&m| {
-                let g = runtimes
-                    .iter()
-                    .map(|rt| tsqr_best_gflops(rt, m, n).0)
-                    .fold(0.0, f64::max);
-                (m, g)
+                let over_sites = Sweep::SITES.iter().map(|&s| sweep.tsqr_best_gflops(s, m, n).0);
+                (m, over_sites.fold(0.0, f64::max))
             })
             .collect();
         let scal_best: Vec<(u64, f64)> = ms
             .iter()
             .map(|&m| {
-                let g = runtimes
-                    .iter()
-                    .map(|rt| scalapack_gflops(rt, m, n))
-                    .fold(0.0, f64::max);
-                (m, g)
+                let over_sites = Sweep::SITES.iter().map(|&s| sweep.scalapack_gflops(s, m, n));
+                (m, over_sites.fold(0.0, f64::max))
             })
             .collect();
-        let panel = ['a', 'b', 'c', 'd'][[64, 128, 256, 512].iter().position(|&x| x == n).unwrap()];
         print_series_table(
             &format!("Fig. 8 ({panel}) — best-configuration comparison, N = {n}"),
             "M",
@@ -81,5 +67,4 @@ fn main() {
             );
         }
     }
-    checks.finish();
 }

@@ -1,15 +1,12 @@
 //! Property 1: the time to compute both Q and R is about twice the time
 //! to compute R only — checked over the Fig. 5 sweep points.
-//!
-//! Run: `cargo run --release -p tsqr-bench --bin prop1_qr_vs_r`
 
-use tsqr_bench::{grid_runtime, run_point, ShapeCheck};
+use crate::{run_point, ShapeCheck, Sweep};
 use tsqr_core::experiment::{Algorithm, Mode};
 use tsqr_core::tree::TreeShape;
 
-fn main() {
-    let rt = grid_runtime(4);
-    let mut checks = ShapeCheck::new();
+pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
+    let rt = sweep.runtime(4);
     println!("# Property 1 — time(Q+R) / time(R), TSQR on 4 sites, 64 domains/cluster");
     println!("# {:>10} {:>5} {:>10} {:>10} {:>7}", "M", "N", "t_R (s)", "t_QR (s)", "ratio");
 
@@ -20,7 +17,7 @@ fn main() {
                     shape: TreeShape::GridHierarchical,
                     domains_per_cluster: 64,
                 };
-                run_point(&rt, m, n, tsqr, compute_q, Mode::Symbolic)
+                run_point(rt, m, n, tsqr, compute_q, Mode::Symbolic)
             };
             let (r_only, with_q) = (run(false), run(true));
             let ratio = with_q.makespan.secs() / r_only.makespan.secs();
@@ -39,5 +36,4 @@ fn main() {
             );
         }
     }
-    checks.finish();
 }

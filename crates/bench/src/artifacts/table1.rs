@@ -1,19 +1,16 @@
 //! Table I: communication and computation breakdown when only the
 //! R-factor is needed — closed-form model vs counts measured from the
 //! actual distributed schedules.
-//!
-//! Run: `cargo run --release -p tsqr-bench --bin table1`
 
-use tsqr_bench::{grid_runtime, ShapeCheck};
-use tsqr_core::experiment::{run_experiment, Algorithm, Experiment, Mode};
+use crate::harness::symbolic;
+use crate::{ShapeCheck, Sweep};
+use tsqr_core::experiment::{run_experiment, Algorithm};
 use tsqr_core::model;
 use tsqr_core::tree::TreeShape;
 
-fn main() {
-    let sites = 4;
-    let rt = grid_runtime(sites);
+pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
+    let rt = sweep.runtime(4);
     let p = rt.topology().num_procs() as u64; // 256 = number of domains here
-    let mut checks = ShapeCheck::new();
 
     println!("# Table I — R-factor only; M x N over P = {p} domains");
     println!(
@@ -22,19 +19,11 @@ fn main() {
     );
 
     for (m, n) in [(1u64 << 22, 64usize), (1 << 22, 128), (1 << 21, 256)] {
-        let mk = |algorithm| Experiment {
-            m,
-            n,
-            algorithm,
-            compute_q: false,
-            mode: Mode::Symbolic,
-            rate_flops: None,
-            combine_rate_flops: None,
-        };
+        let mk = |algorithm| symbolic(m, n, algorithm);
 
         // --- ScaLAPACK QR2: the critical path runs through any single
         // rank's sends (every rank participates in every reduction).
-        let scal = run_experiment(&rt, &mk(Algorithm::ScalapackQr2));
+        let scal = run_experiment(rt, &mk(Algorithm::ScalapackQr2));
         let scal_model = model::scalapack_r_only(m, n as u64, p);
         let scal_msgs = scal.totals.total_msgs() / p; // per-rank
         let scal_words = scal.totals.total_bytes() / p / 8;
@@ -47,7 +36,7 @@ fn main() {
 
         // --- TSQR (one domain per process, binary tree as in the model).
         let tsqr = run_experiment(
-            &rt,
+            rt,
             &mk(Algorithm::Tsqr { shape: TreeShape::Binary, domains_per_cluster: 64 }),
         );
         let tsqr_model = model::tsqr_r_only(m, n as u64, p);
@@ -92,5 +81,4 @@ fn main() {
             ),
         );
     }
-    checks.finish();
 }

@@ -1,38 +1,28 @@
 //! Table II: communication and computation breakdown when both the
 //! Q-factor and the R-factor are needed — everything doubles relative to
 //! Table I (Property 1).
-//!
-//! Run: `cargo run --release -p tsqr-bench --bin table2`
 
-use tsqr_bench::{grid_runtime, ShapeCheck};
-use tsqr_core::experiment::{run_experiment, Algorithm, Experiment, Mode};
+use crate::harness::symbolic;
+use crate::{ShapeCheck, Sweep};
+use tsqr_core::experiment::{run_experiment, Algorithm, Experiment};
 use tsqr_core::model;
 use tsqr_core::tree::TreeShape;
 
-fn main() {
-    let rt = grid_runtime(4);
+pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
+    let rt = sweep.runtime(4);
     let p = rt.topology().num_procs() as u64;
-    let mut checks = ShapeCheck::new();
 
     println!("# Table II — Q and R; P = {p} domains");
     println!("# {:>10} {:>5} | algorithm  | msgs       | flops/domain (model/meas)", "M", "N");
 
     for (m, n) in [(1u64 << 22, 64usize), (1 << 21, 256)] {
-        let mk = |algorithm, compute_q| Experiment {
-            m,
-            n,
-            algorithm,
-            compute_q,
-            mode: Mode::Symbolic,
-            rate_flops: None,
-            combine_rate_flops: None,
-        };
+        let mk = |algorithm, compute_q| Experiment { compute_q, ..symbolic(m, n, algorithm) };
         let tsqr_cfg = Algorithm::Tsqr { shape: TreeShape::Binary, domains_per_cluster: 64 };
 
-        let t_r = run_experiment(&rt, &mk(tsqr_cfg.clone(), false));
-        let t_qr = run_experiment(&rt, &mk(tsqr_cfg, true));
-        let s_r = run_experiment(&rt, &mk(Algorithm::ScalapackQr2, false));
-        let s_qr = run_experiment(&rt, &mk(Algorithm::ScalapackQr2, true));
+        let t_r = run_experiment(rt, &mk(tsqr_cfg.clone(), false));
+        let t_qr = run_experiment(rt, &mk(tsqr_cfg, true));
+        let s_r = run_experiment(rt, &mk(Algorithm::ScalapackQr2, false));
+        let s_qr = run_experiment(rt, &mk(Algorithm::ScalapackQr2, true));
 
         let t_model = model::tsqr_q_and_r(m, n as u64, p);
         let s_model = model::scalapack_q_and_r(m, n as u64, p);
@@ -73,5 +63,4 @@ fn main() {
             format!("TSQR time ratio {t_time:.2}"),
         );
     }
-    checks.finish();
 }

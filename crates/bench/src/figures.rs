@@ -1,16 +1,16 @@
-//! The figure registry and the perf-regression records behind
+//! The gate registry and the perf-regression records behind
 //! `BENCH_results.json`.
 //!
-//! Every Fig. 4–8 binary has one (or two) *headline configurations* — the
-//! points whose traces the `--trace-out` flag dumps and whose measured
-//! numbers the repository's perf-regression gate pins. This module is the
-//! single source of truth for those points ([`figure_points`]), the
-//! shared `--trace-out` / bench-emission entry the binaries call
-//! ([`crate::harness::run_figure`]) and `bench_check` both consume it, so
-//! the figure a reader traces is byte-for-byte the configuration the gate
-//! measures. The gate's other families (WAN degradation, autotuned trees,
-//! serving, fault-injected serving) register here too; [`gate_points`]
-//! lists every point in baseline order and [`measure_gate`] measures them.
+//! Each of Figs. 4–8 has one (or two) *headline configurations* — the
+//! points whose traces `grid-tsqr figure --trace-out` dumps and whose
+//! measured numbers the repository's perf-regression gate pins. They are
+//! rows of the artifact registry ([`crate::artifacts::Figure::points`]);
+//! [`crate::harness::run_figure`] and `grid-tsqr bench-check` both read
+//! them there, so the figure a reader traces is byte-for-byte the
+//! configuration the gate measures. The gate's other families (WAN
+//! degradation, autotuned trees, serving, fault-injected serving) register
+//! here; [`gate_points`] lists every point in baseline order and
+//! [`measure_gate`] measures them.
 //!
 //! A [`BenchRecord`] carries everything `scripts/bench_check.sh` compares
 //! against the committed `BENCH_baseline.json`: the makespan and Gflop/s,
@@ -27,7 +27,7 @@ use tsqr_core::experiment::{Algorithm, Mode};
 use tsqr_core::modelfit;
 use tsqr_core::tree::TreeShape;
 use tsqr_core::tune;
-use tsqr_gridmpi::{FoldedProfile, MetricsRegistry, Trace};
+use tsqr_gridmpi::{FoldedProfile, MetricsRegistry, PathSummary};
 use tsqr_netsim::{FailureSchedule, VirtualTime};
 use tsqr_obs::ledger::{EnvFingerprint, LedgerEntry, ModelCoeffs, PhaseRow};
 use tsqr_qcg::ResourceCatalog;
@@ -36,11 +36,12 @@ use tsqr_serve::{
     RetryPolicy, ServeConfig, ServeOutcome,
 };
 
+use crate::artifacts::figures;
 use crate::calib;
-use crate::harness::{grid_runtime, platform_runtime, run_point};
+use crate::harness::{grid_runtime, grid_tsqr, platform_runtime, run_point};
 use tsqr_obs::json::{escape, num, Json};
 
-/// One headline configuration of a figure binary.
+/// One headline configuration of a figure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FigurePoint {
     /// Which figure it belongs to (`"fig4"` … `"fig8"`).
@@ -67,52 +68,6 @@ impl FigurePoint {
     /// [`measure_point`] on this configuration.
     pub fn measure(&self) -> (BenchRecord, LedgerEntry) {
         measure_point(&self.id(), self.sites, self.m, self.n, self.algorithm.clone(), None)
-    }
-}
-
-const TSQR64: Algorithm =
-    Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster: 64 };
-const TSQR32: Algorithm =
-    Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster: 32 };
-
-/// The figures with registered headline points, in order.
-pub fn all_figures() -> [&'static str; 5] {
-    ["fig4", "fig5", "fig6", "fig7", "fig8"]
-}
-
-/// The headline configuration(s) of one figure binary — the points
-/// `--trace-out` dumps and the bench gate pins.
-///
-/// # Panics
-/// Panics on an unknown figure name.
-pub fn figure_points(figure: &str) -> Vec<FigurePoint> {
-    let p = |label, sites, m, n, algorithm| FigurePoint {
-        figure: match figure {
-            "fig4" => "fig4",
-            "fig5" => "fig5",
-            "fig6" => "fig6",
-            "fig7" => "fig7",
-            "fig8" => "fig8",
-            other => panic!("unknown figure {other:?}"),
-        },
-        label,
-        sites,
-        m,
-        n,
-        algorithm,
-    };
-    match figure {
-        // Fig. 4's story is ScaLAPACK on the grid; Figs. 5–7 are TSQR;
-        // Fig. 8 is the head-to-head at the paper's peak point.
-        "fig4" => vec![p("scalapack", 4, 1_048_576, 64, Algorithm::ScalapackQr2)],
-        "fig5" => vec![p("tsqr", 4, 1_048_576, 64, TSQR64)],
-        "fig6" => vec![p("tsqr", 4, 4_194_304, 64, TSQR64)],
-        "fig7" => vec![p("tsqr", 1, 1_048_576, 64, TSQR64)],
-        "fig8" => vec![
-            p("tsqr", 4, 8_388_608, 512, TSQR32),
-            p("scalapack", 4, 8_388_608, 512, Algorithm::ScalapackQr2),
-        ],
-        other => panic!("unknown figure {other:?}"),
     }
 }
 
@@ -162,10 +117,10 @@ fn tree_label(algorithm: &Algorithm) -> String {
 
 /// Distills a finished run into an experiment-ledger entry
 /// (`grid-tsqr-ledger/v1`): totals and per-phase Eq. (1) ledgers from
-/// the metrics registries, the critical-path split from the trace (zeros
-/// without one), the fitted model with per-phase predictions, and the
-/// environment fingerprint. Shared by the bench harness and the CLI's
-/// `tune`/`faults` ledger hooks.
+/// the metrics registries, the critical-path split of the run's trace
+/// (zeros for an untraced run), the fitted model with per-phase
+/// predictions, and the environment fingerprint. Shared by the bench
+/// harness and the CLI's `tune`/`faults` ledger hooks.
 #[allow(clippy::too_many_arguments)] // a ledger line simply has this many facts
 pub fn ledger_entry(
     source: &str,
@@ -178,7 +133,7 @@ pub fn ledger_entry(
     makespan_s: f64,
     gflops: f64,
     metrics: &[MetricsRegistry],
-    trace: Option<&Trace>,
+    critical_path: Option<PathSummary>,
 ) -> LedgerEntry {
     let mut agg = MetricsRegistry::default();
     for reg in metrics {
@@ -208,7 +163,7 @@ pub fn ledger_entry(
         })
         .collect();
     let total = agg.total();
-    let cps = trace.map(|t| t.critical_path().summary());
+    let cps = critical_path.unwrap_or_default();
     LedgerEntry {
         seq: 0, // assigned by tsqr_obs::ledger::append_entry
         source: source.to_string(),
@@ -223,9 +178,9 @@ pub fn ledger_entry(
         msgs: total.total_msgs(),
         wan_msgs: total.wan_msgs(),
         bytes: total.total_bytes(),
-        cp_compute_s: cps.as_ref().map(|s| s.compute_s).unwrap_or(0.0),
-        cp_send_s: cps.as_ref().map(|s| s.send_s).unwrap_or(0.0),
-        cp_wan_msgs: cps.as_ref().map(|s| s.wan_messages as u64).unwrap_or(0),
+        cp_compute_s: cps.compute_s,
+        cp_send_s: cps.send_s,
+        cp_wan_msgs: cps.wan_messages as u64,
         wait_s: total.recv_wait_s,
         fit: fit
             .map(|f| ModelCoeffs {
@@ -297,7 +252,7 @@ pub fn measure_point(
         res.makespan.secs(),
         res.gflops,
         &res.metrics,
-        Some(trace),
+        Some(cps),
     );
     let record = BenchRecord {
         id: id.to_string(),
@@ -324,7 +279,7 @@ pub fn measure_point(
 ///
 /// Degradation changes link *pricing*, never routing, so the message /
 /// byte / WAN counts of a scenario must equal its failure-free twin —
-/// `fault_degradation` asserts exactly that, and the perf gate pins the
+/// `fault_degradation` checks exactly that, and the perf gate pins the
 /// slowed makespans the same way it pins Figs. 4–8.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPoint {
@@ -387,7 +342,7 @@ pub fn fault_points() -> Vec<FaultPoint> {
         sites: 4,
         m: 1_048_576,
         n: 64,
-        algorithm: TSQR64,
+        algorithm: grid_tsqr(64),
         window_s,
         latency_factor,
         bandwidth_divisor,
@@ -406,81 +361,41 @@ pub fn fault_points() -> Vec<FaultPoint> {
     ]
 }
 
-/// One autotuner gate point: a Fig. 4–8 topology re-run under the
-/// reduction tree `tsqr_core::tune::autotune` picks for it. The record id
-/// is `tune/<figure>`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TunePoint {
-    /// Which figure's topology/problem this tunes (`"fig4"` … `"fig8"`).
-    pub figure: &'static str,
-    /// Number of Grid'5000 sites.
-    pub sites: usize,
-    /// Rows.
-    pub m: u64,
-    /// Columns.
-    pub n: usize,
-    /// Single-process domains per cluster (= ranks per cluster).
-    pub domains_per_cluster: usize,
-}
+/// Single-process domains per 64-process site: the regime the analytic
+/// predictor models, and the only one the tuner searches.
+const TUNE_DOMAINS: usize = 64;
 
-/// The autotuner gate points — every Fig. 4–8 topology at its headline
-/// problem size, always with single-process domains (64 per 64-proc
-/// site, the regime the analytic predictor models). Fig. 4's point runs
-/// TSQR on the ScaLAPACK figure's topology; Fig. 8's headline TSQR point
-/// groups two processes per domain, so its tune twin drops to
-/// one-process domains instead.
-pub fn tune_points() -> Vec<TunePoint> {
-    let p = |figure, sites, m, n| TunePoint { figure, sites, m, n, domains_per_cluster: 64 };
-    vec![
-        p("fig4", 4, 1_048_576, 64),
-        p("fig5", 4, 1_048_576, 64),
-        p("fig6", 4, 4_194_304, 64),
-        p("fig7", 1, 1_048_576, 64),
-        p("fig8", 4, 8_388_608, 512),
-    ]
-}
-
-impl TunePoint {
-    /// Stable identifier used in `BENCH_results.json` (`"tune/fig5"`).
-    pub fn id(&self) -> String {
-        format!("tune/{}", self.figure)
-    }
-}
-
-/// Autotunes one point's reduction tree and measures the winner like a
-/// headline point (ledger source `"tune"`). Before measuring, asserts the
-/// gate's headline claim: the autotuned tree's replayed makespan is never
-/// slower than any of the three fixed shapes on this topology (ties
-/// allowed — the search table lists fixed shapes first precisely so a tie
-/// resolves to one of them).
-fn measure_tune_point(point: &TunePoint) -> (BenchRecord, LedgerEntry) {
+/// The autotuner gate point of a figure (`tune/<figure>`): the topology and
+/// problem size of its primary headline point, re-run with single-process
+/// domains under the reduction tree `tsqr_core::tune::autotune` picks
+/// (ledger source `"tune"`). Fig. 4's point runs TSQR on the ScaLAPACK
+/// figure's topology; Fig. 8's headline TSQR point groups two processes
+/// per domain, so its tune twin drops to one-process domains instead.
+/// Before measuring, asserts the gate's headline claim: the autotuned
+/// tree's replayed makespan is never slower than any of the three fixed
+/// shapes on this topology (ties allowed — the search table lists fixed
+/// shapes first precisely so a tie resolves to one of them).
+fn measure_tune_point(id: &str, point: &FigurePoint) -> (BenchRecord, LedgerEntry) {
     let rt = grid_runtime(point.sites);
     let rate = Some(calib::kernel_rate_flops(point.n));
     let combine = Some(calib::combine_rate_flops());
-    let outcome = tune::autotune(&rt, point.m, point.n, point.domains_per_cluster, rate, combine);
-    let layout = DomainLayout::build(rt.topology(), point.m, point.n, point.domains_per_cluster);
+    let outcome = tune::autotune(&rt, point.m, point.n, TUNE_DOMAINS, rate, combine);
+    let layout = DomainLayout::build(rt.topology(), point.m, point.n, TUNE_DOMAINS);
     for shape in [TreeShape::Flat, TreeShape::Binary, TreeShape::GridHierarchical] {
         let fixed = tune::replay_makespan(&rt, &layout, &shape, rate, combine);
         assert!(
             outcome.replayed.secs() <= fixed.secs() * (1.0 + 1e-12),
-            "tune/{}: autotuned {:?} ({} s) slower than fixed {shape:?} ({} s)",
-            point.figure,
+            "{id}: autotuned {:?} ({} s) slower than fixed {shape:?} ({} s)",
             outcome.best().shape,
             outcome.replayed.secs(),
             fixed.secs()
         );
     }
-    let (record, mut entry) = measure_point(
-        &point.id(),
-        point.sites,
-        point.m,
-        point.n,
-        Algorithm::Tsqr {
-            shape: outcome.best().shape.clone(),
-            domains_per_cluster: point.domains_per_cluster,
-        },
-        None,
-    );
+    let tuned = Algorithm::Tsqr {
+        shape: outcome.best().shape.clone(),
+        domains_per_cluster: TUNE_DOMAINS,
+    };
+    let (record, mut entry) = measure_point(id, point.sites, point.m, point.n, tuned, None);
     entry.source = "tune".to_string();
     (record, entry)
 }
@@ -646,8 +561,9 @@ pub enum GatePoint {
     Figure(FigurePoint),
     /// A WAN-degradation scenario of the fault injector.
     Fault(FaultPoint),
-    /// A figure topology under its autotuned reduction tree.
-    Tune(TunePoint),
+    /// A figure's primary headline point under its autotuned reduction
+    /// tree.
+    Tune(FigurePoint),
     /// A serving-layer trace: record id and configuration.
     Serve(String, ServeConfig),
 }
@@ -658,7 +574,7 @@ impl GatePoint {
         match self {
             GatePoint::Figure(p) => p.id(),
             GatePoint::Fault(p) => p.id(),
-            GatePoint::Tune(p) => p.id(),
+            GatePoint::Tune(p) => format!("tune/{}", p.figure),
             GatePoint::Serve(id, _) => id.clone(),
         }
     }
@@ -668,7 +584,7 @@ impl GatePoint {
         match self {
             GatePoint::Figure(p) => p.measure(),
             GatePoint::Fault(p) => p.measure(true),
-            GatePoint::Tune(p) => measure_tune_point(p),
+            GatePoint::Tune(p) => measure_tune_point(&self.id(), p),
             GatePoint::Serve(id, cfg) => {
                 let (record, entry, _) = measure_serve(id, cfg);
                 (record, entry)
@@ -677,17 +593,18 @@ impl GatePoint {
     }
 }
 
-/// The gate registry: every point `bench_check` measures, in the order of
-/// the committed `BENCH_baseline.json`.
+/// The gate registry: every point `grid-tsqr bench-check` measures, in the
+/// order of the committed `BENCH_baseline.json`.
 pub fn gate_points() -> Vec<GatePoint> {
-    let figures = all_figures().into_iter().flat_map(figure_points).map(GatePoint::Figure);
+    let headline = figures().iter().flat_map(|f| f.points).cloned().map(GatePoint::Figure);
+    let tuned = figures().iter().filter_map(|f| f.points.first()).cloned().map(GatePoint::Tune);
     let serve = serve_points().into_iter().map(|(name, cfg)| (format!("serve/{name}"), cfg));
     let serve_faults = serve_fault_points()
         .into_iter()
         .map(|(name, cfg)| (format!("serve-faults/{name}"), cfg));
-    figures
+    headline
         .chain(fault_points().into_iter().map(GatePoint::Fault))
-        .chain(tune_points().into_iter().map(GatePoint::Tune))
+        .chain(tuned)
         .chain(serve.chain(serve_faults).map(|(id, cfg)| GatePoint::Serve(id, cfg)))
         .collect()
 }
@@ -956,20 +873,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_covers_all_figures_with_valid_points() {
-        for fig in all_figures() {
-            let pts = figure_points(fig);
-            assert!(!pts.is_empty());
-            assert_eq!(pts[0].figure, fig);
-            for p in &pts {
-                assert!(p.sites >= 1 && p.m > 0 && p.n > 0);
-                assert!(p.id().starts_with(fig));
-            }
-        }
-        assert_eq!(figure_points("fig8").len(), 2);
-    }
-
-    #[test]
     fn gate_registry_lists_the_committed_baseline_ids_in_order() {
         // No point is measured: registry/golden drift shows up in
         // milliseconds instead of at the end of the gate.
@@ -978,12 +881,6 @@ mod tests {
             parse_records(text).unwrap().into_iter().map(|r| r.id).collect();
         let registry: Vec<String> = gate_points().iter().map(GatePoint::id).collect();
         assert_eq!(registry, baseline);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown figure")]
-    fn unknown_figure_panics() {
-        figure_points("fig9");
     }
 
     fn rec(id: &str, msgs: u64, makespan: f64) -> BenchRecord {
@@ -1054,7 +951,7 @@ mod tests {
             sites: 2,
             m: 1 << 17,
             n: 64,
-            algorithm: TSQR64,
+            algorithm: grid_tsqr(64),
             window_s: (0.0, 60.0),
             latency_factor: 10.0,
             bandwidth_divisor: 10.0,
@@ -1082,7 +979,7 @@ mod tests {
             sites: 1,
             m: 1 << 17,
             n: 64,
-            algorithm: TSQR64,
+            algorithm: grid_tsqr(64),
         };
         let (r, _) = p.measure();
         assert!(r.makespan_s > 0.0 && r.gflops > 0.0);

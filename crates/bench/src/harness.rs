@@ -1,5 +1,6 @@
-//! Sweep machinery shared by the figure binaries.
+//! Sweep machinery shared by the registered artifacts.
 
+use std::path::Path;
 use std::time::Duration;
 
 use tsqr_core::experiment::{run_experiment, Algorithm, Experiment, ExperimentResult, Mode};
@@ -8,6 +9,7 @@ use tsqr_gridmpi::Runtime;
 use tsqr_netsim::FailureSchedule;
 use tsqr_qcg::{allocate, JobProfile, ResourceCatalog};
 
+use crate::artifacts::Figure;
 use crate::calib;
 
 /// Builds the runtime of the paper's experimental platform: `sites`
@@ -49,7 +51,7 @@ pub fn domain_options() -> [usize; 7] {
 /// [`grid_runtime`] set up for one run: the wall-clock receive timeout
 /// (`None` keeps the runtime's default), event tracing, and the failure
 /// schedule to inject. With [`run_point`], the one place a scenario on the
-/// paper's platform is built — the bench gate, the figure binaries and
+/// paper's platform is built — the bench gate, the registered artifacts and
 /// every simulating `grid-tsqr` subcommand come through here.
 pub fn platform_runtime(
     sites: usize,
@@ -70,6 +72,18 @@ pub fn platform_runtime(
     rt
 }
 
+/// TSQR on the paper's tuned (grid-hierarchical) tree.
+pub(crate) const fn grid_tsqr(domains_per_cluster: usize) -> Algorithm {
+    Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster }
+}
+
+/// An R-only symbolic `m × n` point priced at the cost model's own rates:
+/// the base whose fields the artifacts and [`run_point`] override.
+pub(crate) fn symbolic(m: u64, n: usize, algorithm: Algorithm) -> Experiment {
+    let (compute_q, mode) = (false, Mode::Symbolic);
+    Experiment { m, n, algorithm, compute_q, mode, rate_flops: None, combine_rate_flops: None }
+}
+
 /// Runs one `m × n` point on `rt`, priced at the calibrated rates of
 /// [`calib`] (the combine rate only matters to TSQR).
 pub fn run_point(
@@ -82,52 +96,76 @@ pub fn run_point(
 ) -> ExperimentResult {
     let rate_flops = Some(calib::kernel_rate_flops(n));
     let combine_rate_flops = Some(calib::combine_rate_flops());
-    let point = Experiment { m, n, algorithm, compute_q, mode, rate_flops, combine_rate_flops };
-    run_experiment(rt, &point)
+    let base = symbolic(m, n, algorithm);
+    run_experiment(rt, &Experiment { compute_q, mode, rate_flops, combine_rate_flops, ..base })
 }
 
-/// TSQR Gflop/s at one sweep point (grid-hierarchical tree).
-pub fn tsqr_gflops(rt: &Runtime, m: u64, n: usize, domains_per_cluster: usize) -> f64 {
-    let algorithm = Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster };
-    run_point(rt, m, n, algorithm, false, Mode::Symbolic).gflops
+/// The paper's three platforms ([`grid_runtime`] on 1, 2 and 4 sites) and
+/// the table of symbolic points already priced on them. A `Dims` run is a
+/// pure function of `(sites, M, N, algorithm)`, so a point is run once per
+/// process however many artifacts plot it: Fig. 5 *is* the maximum over the
+/// domain counts of Figs. 6–7 and Fig. 8 the maximum over the sites of
+/// Figs. 4–5, read from one table.
+pub struct Sweep {
+    runtimes: [Runtime; 3],
+    /// One entry per point run, so its length counts the evaluations.
+    priced: Vec<((usize, u64, usize, Algorithm), f64)>,
 }
 
-/// TSQR Gflop/s with the optimum domain count, and that count — the
-/// quantity Fig. 5 plots ("the TSQR performance for the optimum number of
-/// domains").
-pub fn tsqr_best_gflops(rt: &Runtime, m: u64, n: usize) -> (f64, usize) {
-    let mut best = (0.0f64, 1usize);
-    for dpc in domain_options() {
-        let g = tsqr_gflops(rt, m, n, dpc);
-        if g > best.0 {
-            best = (g, dpc);
-        }
+impl Default for Sweep {
+    fn default() -> Self {
+        Sweep { runtimes: Self::SITES.map(grid_runtime), priced: Vec::new() }
     }
-    best
 }
 
-/// ScaLAPACK QR2 Gflop/s at one sweep point.
-pub fn scalapack_gflops(rt: &Runtime, m: u64, n: usize) -> f64 {
-    run_point(rt, m, n, Algorithm::ScalapackQr2, false, Mode::Symbolic).gflops
-}
+impl Sweep {
+    /// The site counts of Figs. 4, 5 and 8.
+    pub const SITES: [usize; 3] = [1, 2, 4];
 
-/// Parses the optional `--trace-out <file>` flag every figure binary
-/// accepts (see `docs/observability.md`). Returns the file path when the
-/// flag is present; exits with usage on a missing value.
-pub fn trace_out_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            match args.next() {
-                Some(v) => return Some(v.into()),
-                None => {
-                    eprintln!("error: --trace-out needs a file path");
-                    std::process::exit(2);
-                }
+    /// The platform on `sites` sites.
+    ///
+    /// # Panics
+    /// Panics unless `sites` is one of [`Self::SITES`].
+    pub fn runtime(&self, sites: usize) -> &Runtime {
+        let slot = Self::SITES.iter().position(|&s| s == sites);
+        &self.runtimes[slot.expect("the paper's platforms have 1, 2 or 4 sites")]
+    }
+
+    /// Gflop/s of one R-only symbolic point at the calibrated rates.
+    fn gflops(&mut self, sites: usize, m: u64, n: usize, algorithm: Algorithm) -> f64 {
+        let point = (sites, m, n, algorithm);
+        if let Some((_, gflops)) = self.priced.iter().find(|(priced, _)| *priced == point) {
+            return *gflops;
+        }
+        let gflops =
+            run_point(self.runtime(sites), m, n, point.3.clone(), false, Mode::Symbolic).gflops;
+        self.priced.push((point, gflops));
+        gflops
+    }
+
+    /// TSQR Gflop/s at one sweep point (grid-hierarchical tree).
+    pub fn tsqr_gflops(&mut self, sites: usize, m: u64, n: usize, domains_per_cluster: usize) -> f64 {
+        self.gflops(sites, m, n, grid_tsqr(domains_per_cluster))
+    }
+
+    /// TSQR Gflop/s with the optimum domain count, and that count (the
+    /// first of equals) — the quantity Fig. 5 plots ("the TSQR performance
+    /// for the optimum number of domains").
+    pub fn tsqr_best_gflops(&mut self, sites: usize, m: u64, n: usize) -> (f64, usize) {
+        let mut best = (0.0f64, 1usize);
+        for dpc in domain_options() {
+            let g = self.tsqr_gflops(sites, m, n, dpc);
+            if g > best.0 {
+                best = (g, dpc);
             }
         }
+        best
     }
-    None
+
+    /// ScaLAPACK QR2 Gflop/s at one sweep point.
+    pub fn scalapack_gflops(&mut self, sites: usize, m: u64, n: usize) -> f64 {
+        self.gflops(sites, m, n, Algorithm::ScalapackQr2)
+    }
 }
 
 /// Runs one traced symbolic point (the calling figure's headline
@@ -145,6 +183,9 @@ pub fn dump_traced_point(
     n: usize,
     algorithm: Algorithm,
 ) -> std::io::Result<()> {
+    use std::io::Write as _;
+    // Opened first: a path that cannot be written fails before the run.
+    let mut file = std::fs::File::create(path)?;
     let rt = platform_runtime(sites, None, true, None);
     let res = run_point(&rt, m, n, algorithm, false, Mode::Symbolic);
     let trace = res.trace.as_ref().expect("tracing was enabled");
@@ -156,7 +197,7 @@ pub fn dump_traced_point(
         cp.total().secs(),
         res.makespan.secs()
     );
-    std::fs::write(path, trace.chrome_json())?;
+    file.write_all(trace.chrome_json().as_bytes())?;
     println!(
         "# trace: {} events, {} WAN sends, makespan {:.3} s -> {} (load in ui.perfetto.dev)",
         trace.len(),
@@ -174,61 +215,68 @@ pub fn dump_traced_point(
     Ok(())
 }
 
-/// The shared `--trace-out` / bench-emission entry point every Fig. 4–8
-/// binary calls before printing its sweep.
+/// Regenerates one registered artifact on `sweep` and prints its
+/// `[PASS]`/`[FAIL]` block; `Ok(false)` when a shape check failed. This is
+/// all `grid-tsqr figure` does per `--id`.
 ///
-/// Looks up the figure's headline configuration(s) in the registry
-/// ([`crate::figures::figure_points`]) and:
+/// Before the body runs, the artifact's headline configuration(s)
+/// ([`Figure::points`], Figs. 4–8 only) are put to three uses:
 ///
-/// * when `--trace-out <file>` was passed, dumps each point's Chrome
-///   trace via [`dump_traced_point`] — the primary (first) point goes to
-///   `<file>` itself, any further point to
+/// * with `trace_out`, each point's Chrome trace is dumped via
+///   [`dump_traced_point`] — the primary (first) point goes to the file
+///   itself, any further point to
 ///   `<file>.with_extension("json.<label>.json")` (so `fig8` still
 ///   produces its ScaLAPACK companion trace next to the TSQR one);
-/// * when `GRID_TSQR_BENCH_OUT=<dir>` is set, measures every point and
-///   writes the records as `<dir>/BENCH_<figure>.json` (the same schema
-///   `bench_check` compares against the committed baseline);
-/// * when `GRID_TSQR_LEDGER=<file>` is set, appends one experiment-ledger
-///   entry per point to that JSONL file (schema
+/// * when `GRID_TSQR_BENCH_OUT=<dir>` is set, every point is measured and
+///   the records written as `<dir>/BENCH_<id>.json` (the same schema
+///   `grid-tsqr bench-check` compares against the committed baseline);
+/// * when `GRID_TSQR_LEDGER=<file>` is set, one experiment-ledger entry
+///   per point is appended to that JSONL file (schema
 ///   [`tsqr_obs::ledger::LEDGER_SCHEMA`]) so `grid-tsqr report` can trend
 ///   the figure over time.
 ///
 /// Doing all three through one registry keeps the traced configuration and
-/// the perf-gated configuration byte-for-byte identical.
-pub fn run_figure(figure: &str) {
-    let points = crate::figures::figure_points(figure);
-    if let Some(path) = trace_out_arg() {
-        for (i, p) in points.iter().enumerate() {
+/// the perf-gated configuration byte-for-byte identical. A file that cannot
+/// be written is the `Err`.
+pub fn run_figure(
+    figure: &Figure,
+    sweep: &mut Sweep,
+    trace_out: Option<&Path>,
+) -> Result<bool, String> {
+    let cannot_write = |path: &Path, e: std::io::Error| format!("cannot write {path:?}: {e}");
+    if let Some(path) = trace_out {
+        for (i, p) in figure.points.iter().enumerate() {
             let target = if i == 0 {
-                path.clone()
+                path.to_path_buf()
             } else {
                 path.with_extension(format!("json.{}.json", p.label))
             };
             dump_traced_point(&target, p.sites, p.m, p.n, p.algorithm.clone())
-                .expect("write trace");
+                .map_err(|e| cannot_write(&target, e))?;
         }
     }
     let bench_out = std::env::var("GRID_TSQR_BENCH_OUT").ok();
     let ledger = tsqr_obs::ledger::path_from_env();
-    if bench_out.is_none() && ledger.is_none() {
-        return;
-    }
-    let measured: Vec<_> = points.iter().map(|p| p.measure()).collect();
-    if let Some(dir) = bench_out {
-        let records: Vec<_> = measured.iter().map(|(r, _)| r.clone()).collect();
-        let out = std::path::Path::new(&dir).join(format!("BENCH_{figure}.json"));
-        std::fs::write(&out, crate::figures::records_json(&records))
-            .expect("write bench records");
-        println!("# bench records -> {}", out.display());
-    }
-    if let Some(path) = ledger {
-        let n = measured.len();
-        for (_, entry) in measured {
-            tsqr_obs::ledger::append_entry(&path, entry)
-                .expect("append experiment-ledger entry");
+    if !figure.points.is_empty() && (bench_out.is_some() || ledger.is_some()) {
+        let measured: Vec<_> = figure.points.iter().map(|p| p.measure()).collect();
+        if let Some(dir) = bench_out {
+            let records: Vec<_> = measured.iter().map(|(r, _)| r.clone()).collect();
+            let out = Path::new(&dir).join(format!("BENCH_{}.json", figure.id));
+            std::fs::write(&out, crate::figures::records_json(&records))
+                .map_err(|e| cannot_write(&out, e))?;
+            println!("# bench records -> {}", out.display());
         }
-        println!("# ledger: {n} entries -> {}", path.display());
+        if let Some(path) = ledger {
+            let n = measured.len();
+            for (_, entry) in measured {
+                tsqr_obs::ledger::append_entry(&path, entry)?;
+            }
+            println!("# ledger: {n} entries -> {}", path.display());
+        }
     }
+    let mut checks = ShapeCheck::default();
+    (figure.run)(sweep, &mut checks);
+    Ok(checks.report())
 }
 
 /// One plotted line: a label and its `(M, Gflop/s)` points.
@@ -363,20 +411,15 @@ pub fn print_series_table(title: &str, x_label: &str, series: &[Series]) {
     }
 }
 
-/// A named pass/fail check of a qualitative "shape" the paper reports.
-/// Collect them, print them, and fail the process if any fail — the figure
-/// binaries double as regression tests of the reproduction.
+/// The named pass/fail checks of the qualitative "shapes" the paper
+/// reports, collected while an artifact regenerates: every artifact doubles
+/// as a regression test of the reproduction.
 #[derive(Debug, Default)]
 pub struct ShapeCheck {
     results: Vec<(String, bool, String)>,
 }
 
 impl ShapeCheck {
-    /// New empty collection.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record one check.
     pub fn check(&mut self, name: &str, pass: bool, detail: String) {
         self.results.push((name.to_string(), pass, detail));
@@ -391,13 +434,6 @@ impl ShapeCheck {
             all &= *pass;
         }
         all
-    }
-
-    /// Print and exit nonzero on failure.
-    pub fn finish(&self) {
-        if !self.report() {
-            std::process::exit(1);
-        }
     }
 }
 
@@ -421,20 +457,24 @@ mod tests {
     }
 
     #[test]
-    fn sweep_points_are_positive_and_deterministic() {
-        let rt = grid_runtime(1);
-        let a = tsqr_gflops(&rt, 1 << 20, 64, 16);
-        let b = tsqr_gflops(&rt, 1 << 20, 64, 16);
-        assert!(a > 0.0);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn best_domains_beats_fixed_choice() {
-        let rt = grid_runtime(1);
-        let (best, dpc) = tsqr_best_gflops(&rt, 1 << 20, 64);
-        assert!(best >= tsqr_gflops(&rt, 1 << 20, 64, 1));
-        assert!(domain_options().contains(&dpc));
+    fn no_point_is_priced_twice() {
+        let mut sweep = Sweep::default();
+        let (best, dpc) = sweep.tsqr_best_gflops(1, 1 << 20, 64);
+        assert_eq!(sweep.priced.len(), domain_options().len());
+        // The seven points behind the optimum are now table look-ups, and
+        // a look-up is the value a fresh run on another table computes.
+        let mut fresh = Sweep::default();
+        for d in domain_options() {
+            let memoised = sweep.tsqr_gflops(1, 1 << 20, 64, d);
+            assert!(memoised > 0.0 && memoised <= best);
+            assert_eq!(memoised.to_bits(), fresh.tsqr_gflops(1, 1 << 20, 64, d).to_bits());
+        }
+        assert_eq!(sweep.priced.len(), domain_options().len(), "seven points, not fourteen");
+        assert_eq!(best.to_bits(), sweep.tsqr_gflops(1, 1 << 20, 64, dpc).to_bits());
+        // Another algorithm, or another platform, is another point.
+        sweep.scalapack_gflops(1, 1 << 20, 64);
+        sweep.tsqr_gflops(2, 1 << 20, 64, dpc);
+        assert_eq!(sweep.priced.len(), domain_options().len() + 2);
     }
 
     #[test]
@@ -457,7 +497,7 @@ mod tests {
 
     #[test]
     fn shape_check_reports_failures() {
-        let mut sc = ShapeCheck::new();
+        let mut sc = ShapeCheck::default();
         sc.check("good", true, "ok".into());
         assert!(sc.report());
         sc.check("bad", false, "nope".into());

@@ -23,7 +23,7 @@
 //!
 //! Per panel the tuned tree crosses the WAN `O(#sites)` times regardless of
 //! the matrix width — which is why CAQR inherits TSQR's grid scalability
-//! (see `cargo run -p tsqr-bench --bin caqr_scaling`).
+//! (see `grid-tsqr figure --id caqr_scaling`).
 
 use tsqr_gridmpi::{CommError, Process};
 use tsqr_linalg::flops;
@@ -186,7 +186,7 @@ pub fn caqr_dist_rank_program_with(
 /// over either kind of [`Tile`]; returns this rank's stacked tiles, the
 /// diagonal ones holding their `R` row-blocks. With `local_block`
 /// returning a [`crate::tile::Dims`] it is the schedule and flop charges
-/// alone (`caqr_scaling`).
+/// alone (`grid-tsqr figure --id caqr_scaling`).
 pub fn caqr_dist_program<T: Tile>(
     p: &mut Process,
     m: u64,

@@ -13,7 +13,8 @@
 //! so orthogonality degrades like `ε·κ(A)²` and the factorization fails
 //! outright (non-positive-definite Gram) once `κ(A) ≳ 1/√ε` — while
 //! Householder-based TSQR stays at `ε` for any κ. The comparison bench
-//! (`ablation_cholqr`) and the tests below measure exactly that cliff.
+//! (`grid-tsqr figure --id ablation_cholqr`) and the tests below measure
+//! exactly that cliff.
 
 use tsqr_gridmpi::{CommError, Communicator, Process};
 use tsqr_linalg::cholesky::potrf_upper;

@@ -59,29 +59,59 @@ fn leaf_label(kind: &EventKind) -> String {
     }
 }
 
-/// The phase stack open at instant `t`, outer-first: all phase spans of
-/// the rank containing `t`, sorted by (start asc, end desc) so an
-/// enclosing phase precedes the phases it encloses.
-fn phase_stack_at(phases: &[&Event], t: f64) -> Vec<&'static str> {
-    let mut open: Vec<&Event> = phases
-        .iter()
-        .copied()
-        .filter(|p| p.start.secs() <= t && t < p.end.secs())
-        .collect();
-    open.sort_by(|a, b| {
-        a.start.cmp(&b.start).then(b.end.cmp(&a.end)).then_with(|| {
-            match (&a.kind, &b.kind) {
-                (EventKind::Phase { name: an }, EventKind::Phase { name: bn }) => an.cmp(bn),
-                _ => std::cmp::Ordering::Equal,
-            }
-        })
-    });
-    open.iter()
-        .map(|p| match p.kind {
-            EventKind::Phase { name } => name,
-            _ => unreachable!("filtered to phase events"),
-        })
-        .collect()
+/// One rank's phase spans, walked left to right along with its timeline.
+struct PhaseSweep<'a> {
+    /// Every phase span in frame order — start ascending, end descending,
+    /// then name — so an enclosing phase precedes the phases it encloses.
+    phases: Vec<&'a Event>,
+    /// `phases[..started]` began at or before the last instant asked about.
+    started: usize,
+    /// Those of them that had not ended by then, still in frame order.
+    open: Vec<&'a Event>,
+}
+
+fn phase_name(phase: &Event) -> &'static str {
+    match phase.kind {
+        EventKind::Phase { name } => name,
+        _ => unreachable!("only phase events are swept"),
+    }
+}
+
+impl<'a> PhaseSweep<'a> {
+    fn new(mut phases: Vec<&'a Event>) -> Self {
+        phases.sort_by(|a, b| {
+            a.start.cmp(&b.start).then(b.end.cmp(&a.end)).then(phase_name(a).cmp(phase_name(b)))
+        });
+        PhaseSweep { phases, started: 0, open: Vec::new() }
+    }
+
+    /// The phase stack open at instant `t`, outer-first: the names of all
+    /// spans containing `t`. Instants must be asked about in ascending
+    /// order.
+    fn stack_at(&mut self, t: f64) -> Vec<&'static str> {
+        while let Some(next) = self.phases.get(self.started).filter(|p| p.start.secs() <= t) {
+            self.open.push(next);
+            self.started += 1;
+        }
+        self.open.retain(|p| t < p.end.secs());
+        self.open.iter().map(|p| phase_name(p)).collect()
+    }
+
+    /// `from`, `to` and every phase boundary strictly between them,
+    /// ascending; `from` must not precede the last instant asked about.
+    fn cuts(&self, from: f64, to: f64) -> Vec<f64> {
+        // A span that ended before the last instant asked about ended
+        // before `from`, and one starting at or after `to` has both ends
+        // outside: the open spans and the ones starting before `to` are all
+        // that can cut.
+        let upcoming = self.phases[self.started..].iter().take_while(|p| p.start.secs() < to);
+        let mut cuts = vec![from, to];
+        for p in self.open.iter().chain(upcoming) {
+            cuts.extend([p.start.secs(), p.end.secs()].into_iter().filter(|&t| from < t && t < to));
+        }
+        cuts.sort_by(|a, b| a.partial_cmp(b).expect("virtual times are finite"));
+        cuts
+    }
 }
 
 fn stack_key(frames: &[&str], leaf: &str) -> String {
@@ -106,56 +136,47 @@ impl FoldedProfile {
             .max()
             .unwrap_or(0)
             .max(num_ranks);
+        // Trace order is time order within a rank, for phases and leaves alike.
+        let mut phases = vec![Vec::new(); ranks];
+        let mut leaves = vec![Vec::new(); ranks];
+        let mut makespans = vec![0.0f64; ranks];
+        for e in &trace.events {
+            let of_kind = if e.kind.is_phase() { &mut phases } else { &mut leaves };
+            of_kind[e.rank].push(e);
+            makespans[e.rank] = makespans[e.rank].max(e.end.secs());
+        }
         let mut stacks = vec![BTreeMap::new(); ranks];
-        let mut makespans = vec![0.0; ranks];
-        for rank in 0..ranks {
-            let events = trace.rank_events(rank);
-            let phases: Vec<&Event> =
-                events.iter().copied().filter(|e| e.kind.is_phase()).collect();
-            let leaves: Vec<&Event> =
-                events.iter().copied().filter(|e| !e.kind.is_phase()).collect();
-            let makespan =
-                events.iter().map(|e| e.end.secs()).fold(0.0, f64::max);
-            makespans[rank] = makespan;
+        for (rank, (phases, leaves)) in phases.into_iter().zip(leaves).enumerate() {
+            let mut phases = PhaseSweep::new(phases);
+            let stacks = &mut stacks[rank];
+            let makespan = makespans[rank];
 
             // Sweep the rank's timeline left to right. `cursor` is the
             // instant everything before which has been tiled already;
             // clipping each leaf event to [cursor, ∞) makes
-            // double-counting impossible even if spans overlap.
+            // double-counting impossible even if spans overlap, and the
+            // gaps between leaves are filled with `(idle)`.
             let mut cursor = 0.0f64;
-            let mut add = |map: &mut BTreeMap<String, f64>, key: String, width: f64| {
-                if width > 0.0 {
-                    *map.entry(key).or_insert(0.0) += width;
-                }
-            };
-            // Leaves are already time-ordered (trace order); process
-            // them and fill the gaps between them with `(idle)`.
-            for leaf in &leaves {
+            for leaf in leaves {
                 let (s, e) = (leaf.start.secs(), leaf.end.secs());
                 if s > cursor {
-                    Self::tile_idle(&mut stacks[rank], &phases, cursor, s, &mut add);
+                    Self::tile_idle(stacks, &mut phases, cursor, s);
                 }
                 let clipped = s.max(cursor);
                 if e > clipped {
-                    let mid = 0.5 * (clipped + e);
-                    let mut frames = phase_stack_at(&phases, mid);
+                    let mut frames = phases.stack_at(0.5 * (clipped + e));
                     if frames.is_empty() {
                         // Defensive: a leaf recorded under a phase whose
                         // span was never closed (errored rank program).
-                        if let Some(p) = leaf.phase {
-                            frames.push(p);
-                        }
+                        frames.extend(leaf.phase);
                     }
-                    add(
-                        &mut stacks[rank],
-                        stack_key(&frames, &leaf_label(&leaf.kind)),
-                        e - clipped,
-                    );
+                    *stacks.entry(stack_key(&frames, &leaf_label(&leaf.kind))).or_insert(0.0) +=
+                        e - clipped;
                 }
                 cursor = cursor.max(e);
             }
             if makespan > cursor {
-                Self::tile_idle(&mut stacks[rank], &phases, cursor, makespan, &mut add);
+                Self::tile_idle(stacks, &mut phases, cursor, makespan);
             }
         }
         FoldedProfile { stacks, makespans }
@@ -164,27 +185,13 @@ impl FoldedProfile {
     /// Tiles `[from, to)` with `(idle)` leaves, splitting at every phase
     /// boundary inside the span so each piece lands under the phase
     /// stack actually open there.
-    fn tile_idle(
-        map: &mut BTreeMap<String, f64>,
-        phases: &[&Event],
-        from: f64,
-        to: f64,
-        add: &mut impl FnMut(&mut BTreeMap<String, f64>, String, f64),
-    ) {
-        let mut cuts: Vec<f64> = vec![from];
-        for p in phases {
-            for t in [p.start.secs(), p.end.secs()] {
-                if from < t && t < to {
-                    cuts.push(t);
-                }
-            }
-        }
-        cuts.push(to);
-        cuts.sort_by(|a, b| a.partial_cmp(b).expect("virtual times are finite"));
-        for w in cuts.windows(2) {
+    fn tile_idle(map: &mut BTreeMap<String, f64>, phases: &mut PhaseSweep, from: f64, to: f64) {
+        for w in phases.cuts(from, to).windows(2) {
             let (s, e) = (w[0], w[1]);
-            let frames = phase_stack_at(phases, 0.5 * (s + e));
-            add(map, stack_key(&frames, "(idle)"), e - s);
+            if e > s {
+                *map.entry(stack_key(&phases.stack_at(0.5 * (s + e)), "(idle)")).or_insert(0.0) +=
+                    e - s;
+            }
         }
     }
 
@@ -309,6 +316,157 @@ mod tests {
 
     fn phase(name: &'static str) -> EventKind {
         EventKind::Phase { name }
+    }
+
+    /// The profiler as it was before the phase stack was carried along the
+    /// sweep: for every leaf and every idle piece, filter and sort all of
+    /// the rank's phases again. Kept as the oracle of
+    /// [`sweep_matches_the_rescanning_oracle`].
+    fn from_trace_rescan(trace: &Trace, num_ranks: usize) -> FoldedProfile {
+        fn phase_stack_at(phases: &[&Event], t: f64) -> Vec<&'static str> {
+            let mut open: Vec<&Event> = phases
+                .iter()
+                .copied()
+                .filter(|p| p.start.secs() <= t && t < p.end.secs())
+                .collect();
+            open.sort_by(|a, b| {
+                a.start.cmp(&b.start).then(b.end.cmp(&a.end)).then_with(|| {
+                    match (&a.kind, &b.kind) {
+                        (EventKind::Phase { name: an }, EventKind::Phase { name: bn }) => an.cmp(bn),
+                        _ => std::cmp::Ordering::Equal,
+                    }
+                })
+            });
+            open.iter().map(|p| phase_name(p)).collect()
+        }
+        fn add(map: &mut BTreeMap<String, f64>, key: String, width: f64) {
+            if width > 0.0 {
+                *map.entry(key).or_insert(0.0) += width;
+            }
+        }
+        fn tile_idle(map: &mut BTreeMap<String, f64>, phases: &[&Event], from: f64, to: f64) {
+            let mut cuts: Vec<f64> = vec![from];
+            for p in phases {
+                for t in [p.start.secs(), p.end.secs()] {
+                    if from < t && t < to {
+                        cuts.push(t);
+                    }
+                }
+            }
+            cuts.push(to);
+            cuts.sort_by(|a, b| a.partial_cmp(b).expect("virtual times are finite"));
+            for w in cuts.windows(2) {
+                let (s, e) = (w[0], w[1]);
+                let frames = phase_stack_at(phases, 0.5 * (s + e));
+                add(map, stack_key(&frames, "(idle)"), e - s);
+            }
+        }
+        let ranks =
+            trace.events.iter().map(|e| e.rank + 1).max().unwrap_or(0).max(num_ranks);
+        let mut stacks = vec![BTreeMap::new(); ranks];
+        let mut makespans = vec![0.0; ranks];
+        for rank in 0..ranks {
+            let events = trace.rank_events(rank);
+            let phases: Vec<&Event> =
+                events.iter().copied().filter(|e| e.kind.is_phase()).collect();
+            let leaves: Vec<&Event> =
+                events.iter().copied().filter(|e| !e.kind.is_phase()).collect();
+            let makespan = events.iter().map(|e| e.end.secs()).fold(0.0, f64::max);
+            makespans[rank] = makespan;
+            let mut cursor = 0.0f64;
+            for leaf in &leaves {
+                let (s, e) = (leaf.start.secs(), leaf.end.secs());
+                if s > cursor {
+                    tile_idle(&mut stacks[rank], &phases, cursor, s);
+                }
+                let clipped = s.max(cursor);
+                if e > clipped {
+                    let mut frames = phase_stack_at(&phases, 0.5 * (clipped + e));
+                    if frames.is_empty() {
+                        if let Some(p) = leaf.phase {
+                            frames.push(p);
+                        }
+                    }
+                    add(&mut stacks[rank], stack_key(&frames, &leaf_label(&leaf.kind)), e - clipped);
+                }
+                cursor = cursor.max(e);
+            }
+            if makespan > cursor {
+                tile_idle(&mut stacks[rank], &phases, cursor, makespan);
+            }
+        }
+        FoldedProfile { stacks, makespans }
+    }
+
+    /// Bit-for-bit: same stacks, and every self time the same sum of the
+    /// same widths in the same order.
+    fn assert_same_profile(trace: &Trace, num_ranks: usize) {
+        let bits = |p: FoldedProfile| -> (Vec<Vec<(String, u64)>>, Vec<u64>) {
+            let stacks = p.stacks.into_iter();
+            (
+                stacks.map(|m| m.into_iter().map(|(k, v)| (k, v.to_bits())).collect()).collect(),
+                p.makespans.into_iter().map(f64::to_bits).collect(),
+            )
+        };
+        assert_eq!(
+            bits(FoldedProfile::from_trace(trace, num_ranks)),
+            bits(from_trace_rescan(trace, num_ranks))
+        );
+    }
+
+    proptest::proptest! {
+        /// Arbitrary spans on a coarse time grid, so that starts and ends
+        /// coincide: phases that nest, overlap partially or repeat, leaves
+        /// that overlap, have zero width or lie outside every phase.
+        #[test]
+        fn sweep_matches_the_rescanning_oracle(
+            spans in proptest::collection::vec(((0usize..3, 0u32..14, 0u32..6), (0usize..8, 0usize..4)), 0..48),
+        ) {
+            let names = ["panel", "leaf-qr", "tree-reduce"];
+            let events = spans.into_iter().map(|((rank, start, width), (kind, name))| {
+                let tag = names.get(name).copied();
+                let kind = match kind {
+                    0..=2 => phase(names[name % 3]),
+                    3 | 4 => compute(1),
+                    5 => send(0),
+                    6 => EventKind::Recv {
+                        from: 0, bytes: 8, class: LinkClass::IntraCluster, tag: 0, wildcard: false,
+                    },
+                    _ => EventKind::Fault {
+                        peer: 0, class: LinkClass::IntraCluster, kind: crate::FaultKind::DropObserved,
+                    },
+                };
+                let tag = if kind.is_phase() { None } else { tag };
+                ev(rank, 0.25 * f64::from(start), 0.25 * f64::from(start + width), tag, kind)
+            });
+            assert_same_profile(&Trace::from_parts(events.collect()), 3);
+        }
+    }
+
+    #[test]
+    fn sweep_matches_the_oracle_on_a_traced_run() {
+        use tsqr_netsim::{two_tier_grid, LinkParams};
+        let lan = LinkParams::from_ms_mbps(0.1, 800.0);
+        let wan = LinkParams::from_ms_mbps(10.0, 100.0);
+        let (topo, model) = two_tier_grid(2, 3, lan, wan, 1e9);
+        let mut rt = crate::Runtime::new(topo, model);
+        rt.enable_tracing();
+        let report = rt.run(|p, world| {
+            p.phase_begin("panel");
+            for round in 0..3u64 {
+                p.phase_begin("leaf-qr");
+                p.compute((p.rank() as u64 + 1 + round) * 1_000_000, None);
+                p.phase_end();
+                p.phase_begin("tree-reduce");
+                world.allreduce(p, vec![p.rank() as f64; 64], |a, _| a)?;
+                p.phase_end();
+            }
+            p.phase_end();
+            world.barrier(p)
+        });
+        let trace = report.trace.expect("tracing was enabled");
+        assert!(trace.events.iter().any(|e| e.kind.is_phase()) && trace.len() > 100);
+        assert_same_profile(&trace, 6);
     }
 
     #[test]

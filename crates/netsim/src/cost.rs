@@ -118,7 +118,8 @@ pub struct CostModel {
     /// overheads land on every message. Algorithms that send `O(log P)`
     /// WAN messages barely notice; ScaLAPACK's `O(N·log P)` per-column
     /// reductions feel every millisecond — which is the paper's Fig. 4
-    /// multi-site collapse. See `ablation_wan_congestion`.
+    /// multi-site collapse. See
+    /// `grid-tsqr figure --id ablation_wan_congestion`.
     pub wan_overhead_s: f64,
 }
 

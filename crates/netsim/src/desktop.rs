@@ -19,7 +19,7 @@
 //! Inter-region latency is ~2,000× the Grid'5000 intra-cluster latency —
 //! the "three or four orders of magnitude" regime, where ScaLAPACK's
 //! per-column reductions are hopeless and the tuned-tree argument is at
-//! its strongest (see `cargo run -p tsqr-bench --bin desktop_grid`).
+//! its strongest (see `grid-tsqr figure --id desktop_grid`).
 
 use crate::cost::{CostModel, LinkParams};
 use crate::topology::{ClusterSpec, GridTopology};

@@ -36,10 +36,10 @@ fi
 export GRID_TSQR_LEDGER="${GRID_TSQR_LEDGER-$WORKING_LEDGER}"
 
 if [[ "${1:-}" == "--bless" ]]; then
-  run_cargo run --release -q -p tsqr-bench --bin bench_check -- \
+  run_cargo run --release -q --bin grid-tsqr -- bench-check \
     --bless --baseline "$BASELINE"
   exit
 fi
 
-run_cargo run --release -q -p tsqr-bench --bin bench_check -- \
+run_cargo run --release -q --bin grid-tsqr -- bench-check \
   --baseline "$BASELINE" --out "$RESULTS"

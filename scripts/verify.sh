@@ -4,9 +4,9 @@
 # enforce #![warn(missing_docs)]), the doctests on their own (they
 # exercise the public examples in the API docs, e.g. the
 # metrics-registry example), the commlint and archlint static scans,
-# the commcheck happens-before gate, the paper's Fig. 5 / Fig. 8 shape
-# checks, the fault-matrix smoke, and the dense kernels checked at the
-# wall-clock benchmark's shapes.
+# the commcheck happens-before gate, every registered artifact of the
+# paper with its shape checks, the fault-matrix smoke, and the dense
+# kernels checked at the wall-clock benchmark's shapes.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -108,6 +108,11 @@ if sed -n '/^pub fn replay_makespan/,/^}/p' crates/core/src/tune.rs | grep -n 'r
   copy_is_back "rank threads under tune::replay_makespan"
 fi
 
+# A figure is a row of data (ISSUE 23): tsqr-bench builds no executable, and the
+# CLI's `Args` is the workspace's only argv reader.
+[ ! -e crates/bench/src/bin ] || copy_is_back "crates/bench/src/bin (artifacts are rows of tsqr_bench::figures)"
+if grep -rn 'std::env::args' crates/bench/src; then copy_is_back "an argv parser in crates/bench"; fi
+
 # linalg is single-threaded on purpose (a rank is one of hundreds of threads).
 if grep -n rayon crates/linalg/Cargo.toml; then echo "rayon is back in crates/linalg"; exit 1; fi
 
@@ -118,12 +123,12 @@ echo "==> commcheck (happens-before gate: figure scenarios + fault matrix"
 echo "    + DPOR-lite explorer, pinned against COMMCHECK_baseline.txt)"
 ./target/release/grid-tsqr check --recv-timeout 60 --golden COMMCHECK_baseline.txt
 
-echo "==> paper-shape gate (Figs. 5 and 8 regenerated in full on the cooperative"
-echo "    runner, ~25 s + ~33 s; each exits 1 on any [FAIL]: four sites fastest for"
-echo "    M >= 5e5, 4-site speedup > 3.3, TSQR >= ScaLAPACK, the headline Gflop/s)"
-./target/release/fig5_tsqr >/dev/null
-./target/release/fig8_best >/dev/null
-echo "    paper shapes: every check of both figures passes"
+echo "==> paper-shape gate (all 18 registered artifacts regenerated in one process,"
+echo "    ~40 s, a shared point priced once; exits 1 on any of the 115 [FAIL]-able"
+echo "    checks: Properties 1-5, the Fig. 1/2 WAN counts, Tables I/II, Eq. (1), four"
+echo "    sites fastest for M >= 5e5, 4-site speedup > 3.3, TSQR >= ScaLAPACK, ...)"
+timeout 120 ./target/release/grid-tsqr figure --all >/dev/null
+echo "    paper shapes: every check of every artifact passes"
 
 echo "==> fault-matrix smoke (self-healing TSQR via the CLI)"
 # Crash one representative rank of every tree level on the 4-site grid

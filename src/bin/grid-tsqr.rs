@@ -27,7 +27,18 @@
 //!                     [--no-explore] [--golden COMMCHECK_baseline.txt] [--bless]
 //! grid-tsqr report    [--ledger ledger/runs.jsonl] [--threshold 0.05] [--top 10]
 //!                     [--check] [--golden REPORT_baseline.md] [--bless] [--out report.md]
+//! grid-tsqr figure    [--id fig5 ...] [--all] [--trace-out fig5.json]
+//! grid-tsqr bench-check --baseline BENCH_baseline.json [--out BENCH_results.json] [--bless]
 //! ```
+//!
+//! `figure` regenerates the paper's artifacts from the registry in
+//! `tsqr_bench` (every table, figure, property and ablation is one row):
+//! `--id` (repeatable) or `--all`, neither to list the rows. Each artifact
+//! ends in its `[PASS]`/`[FAIL]` paper-shape block and any `[FAIL]` is exit
+//! code 1; one process prices a point shared by several figures once.
+//! `bench-check` is the perf-regression gate `scripts/bench_check.sh`
+//! drives: every registered headline point measured and compared with the
+//! committed baseline, exit code 1 on drift.
 //!
 //! `tune` runs the model-driven reduction-tree autotuner
 //! (`tsqr_core::tune`, handbook in `docs/tuning.md`): it predicts the
@@ -133,7 +144,9 @@ use grid_tsqr::serve::{
     RecoveryAction, RetryPolicy, ServeConfig, ServeOutcome,
 };
 use tsqr_bench::{
-    calib, ledger_entry, platform_runtime, run_point, serve_fault_points, serve_record,
+    calib, compare_records, figures, gate_points, ledger_entry, measure_gate, parse_records,
+    platform_runtime, records_json, run_figure, run_point, serve_fault_points, serve_record,
+    Figure, Sweep,
 };
 
 struct Args {
@@ -325,6 +338,8 @@ fn usage() -> ExitCode {
          \x20                     [--no-explore] [--golden <baseline.txt>] [--bless]\n\
          \x20 grid-tsqr report    [--ledger <runs.jsonl>] [--threshold <frac>] [--top <k>]\n\
          \x20                     [--check] [--golden <baseline.md>] [--bless] [--out <file.md>]\n\
+         \x20 grid-tsqr figure    [--id <artifact> ...] [--all] [--trace-out <file.json>]\n\
+         \x20 grid-tsqr bench-check --baseline <records.json> [--out <records.json>] [--bless]\n\
          \n\
          Tree shapes: flat | binary | grid | kary:<k> | binomial | greedy\n\
          (kary:1 is a chain; see docs/tuning.md for the closed forms).\n\
@@ -358,7 +373,12 @@ fn usage() -> ExitCode {
          serve multiplexes a seeded multi-tenant request stream over one\n\
          grid: bounded-queue admission, fifo/sjf/edf/fair dispatch, slot\n\
          leasing, shared-WAN contention, optional same-shape batching.\n\
-         See docs/serving.md.\n"
+         See docs/serving.md.\n\
+         figure regenerates the paper's tables, figures and ablations with\n\
+         their [PASS]/[FAIL] shape checks (exit 1 on a [FAIL]); no flag lists\n\
+         the artifacts; --trace-out dumps the headline trace of one of\n\
+         fig4..fig8. bench-check measures every gate point against the\n\
+         committed baseline (exit 1 on drift); see scripts/bench_check.sh.\n"
     );
     ExitCode::from(2)
 }
@@ -603,7 +623,10 @@ fn describe(label: &str, res: &ExperimentResult) -> String {
     )
 }
 
-fn run() -> Result<String, String> {
+/// Runs the command line. `Err` is a refusal (message, usage, exit 2);
+/// `Ok` carries the exit code of a command that ran, which only the two
+/// gates (`figure`, `bench-check`) ever make nonzero.
+fn run() -> Result<ExitCode, String> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = raw.split_first() else {
         return Err("missing command".into());
@@ -611,6 +634,10 @@ fn run() -> Result<String, String> {
     let args = Args::parse(rest)?;
     let ctx = |default_m, default_n| Ctx::parse(&args, default_m, default_n);
     let out = match cmd.as_str() {
+        // The gates print as they go, so they refuse stray flags themselves,
+        // before the first point runs.
+        "figure" => return cmd_figure(&args),
+        "bench-check" => return cmd_bench_check(&args),
         "info" => cmd_info(),
         "report" => cmd_report(&args)?,
         "serve" => cmd_serve(&args)?,
@@ -627,7 +654,119 @@ fn run() -> Result<String, String> {
         other => return Err(format!("unknown command {other:?}")),
     };
     args.reject_unread(cmd)?;
-    Ok(out)
+    print!("{out}");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Regenerates registered artifacts of the paper (`tsqr_bench::figures`):
+/// `--id <id>` (repeatable) or `--all`; with neither, lists the registry.
+/// Every artifact ends in its `[PASS]`/`[FAIL]` block, and a `[FAIL]`
+/// anywhere is exit code 1. One `Sweep` serves the whole invocation, so a
+/// point two figures share is run once.
+fn cmd_figure(args: &Args) -> Result<ExitCode, String> {
+    let registry = figures();
+    let ids = args.all("id")?;
+    let all = args.has("all")?;
+    let trace_out = args.get("trace-out")?.map(std::path::Path::new);
+    args.reject_unread("figure")?;
+    if all && !ids.is_empty() {
+        return Err("--all already names every --id".into());
+    }
+    let by_id = |id: &&str| {
+        registry.iter().find(|f| f.id == *id).ok_or_else(|| {
+            let known: Vec<&str> = registry.iter().map(|f| f.id).collect();
+            format!("--id {id}: no such artifact (known: {})", known.join(", "))
+        })
+    };
+    let selected: Vec<&Figure> = if all {
+        registry.iter().collect()
+    } else {
+        ids.iter().map(by_id).collect::<Result<_, _>>()?
+    };
+    if trace_out.is_some() && !matches!(selected[..], [one] if !one.points.is_empty()) {
+        return Err("--trace-out dumps one figure's headline trace: give one --id of fig4..fig8".into());
+    }
+    if selected.is_empty() {
+        for f in registry {
+            println!("{:<24} {}", f.id, f.title);
+        }
+        return Ok(ExitCode::SUCCESS);
+    }
+    let mut sweep = Sweep::default();
+    let mut passed = true;
+    for figure in selected {
+        passed &= run_figure(figure, &mut sweep, trace_out)?;
+    }
+    Ok(if passed { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+}
+
+/// The perf-regression gate behind `scripts/bench_check.sh`: measures every
+/// registered gate point (`tsqr_bench::gate_points`: Figs. 4–8, WAN
+/// degradation, autotuned trees, serving with and without faults) and diffs
+/// the records against the committed `--baseline`; `--out` also writes them,
+/// `--bless` rewrites the baseline instead. The simulation is deterministic,
+/// so the comparison is strict: counts exactly, times and Gflop/s to 1e-9
+/// relative (`GRID_TSQR_BENCH_RTOL` overrides), the model-fit residual to
+/// 1e-6 absolute; drift is exit code 1. Every point also re-asserts the
+/// critical-path, wait-state and folded-profile invariants, and is appended
+/// to the experiment ledger named by `GRID_TSQR_LEDGER` with source
+/// `bench_check`.
+fn cmd_bench_check(args: &Args) -> Result<ExitCode, String> {
+    let baseline = args.get("baseline")?.ok_or("bench-check needs --baseline <file>")?;
+    let out = args.get("out")?;
+    let bless = args.has("bless")?;
+    args.reject_unread("bench-check")?;
+    let rel_tol = std::env::var("GRID_TSQR_BENCH_RTOL")
+        .ok()
+        .and_then(|v| v.parse::<f64>().ok())
+        .unwrap_or(1e-9);
+
+    eprintln!("# measuring {} gate points (deterministic simulation)...", gate_points().len());
+    let (measured, entries): (Vec<_>, Vec<_>) = measure_gate(|rec| {
+        eprintln!(
+            "#   {:<16} makespan {:>10.4} s  {:>7.1} Gflop/s  {:>6} WAN msgs  residual {:.2e}",
+            rec.id, rec.makespan_s, rec.gflops, rec.wan_msgs, rec.model_residual
+        )
+    })
+    .into_iter()
+    .unzip();
+    let doc = records_json(&measured);
+
+    if let Some(path) = path_from_env() {
+        let n = entries.len();
+        for mut entry in entries {
+            entry.source = "bench_check".into();
+            append_entry(&path, entry)?;
+        }
+        eprintln!("# ledger: {n} entries -> {}", path.display());
+    }
+    if let Some(path) = out {
+        write_file(path, &doc)?;
+        eprintln!("# wrote {path}");
+    }
+    if bless {
+        write_file(baseline, &doc)?;
+        eprintln!("# blessed {baseline} ({} records)", measured.len());
+        return Ok(ExitCode::SUCCESS);
+    }
+
+    let text = std::fs::read_to_string(baseline)
+        .map_err(|e| format!("cannot read {baseline:?}: {e} (create it with --bless)"))?;
+    let base = parse_records(&text).map_err(|e| format!("parsing {baseline}: {e}"))?;
+    let problems = compare_records(&base, &measured, rel_tol);
+    if problems.is_empty() {
+        println!(
+            "bench gate OK: {} records match {baseline} (rel tol {rel_tol:.0e})",
+            measured.len()
+        );
+        return Ok(ExitCode::SUCCESS);
+    }
+    eprintln!("bench gate FAILED ({} problems):", problems.len());
+    for p in &problems {
+        eprintln!("  - {p}");
+    }
+    eprintln!("if the change is intended, refresh the baseline:\n  scripts/bench_check.sh --bless");
+    Ok(ExitCode::FAILURE)
 }
 
 fn cmd_info() -> String {
@@ -1214,7 +1353,7 @@ fn cmd_faults(args: &Args, ctx: &Ctx) -> Result<String, String> {
             makespan.secs(),
             gflops,
             &run_metrics,
-            run_trace.as_ref(),
+            run_trace.as_ref().map(|t| t.critical_path().summary()),
         );
         let seq = append_entry(path, entry)?;
         out.push_str(&format!(
@@ -1301,7 +1440,7 @@ fn cmd_tune(args: &Args, ctx: &Ctx) -> Result<String, String> {
             res.makespan.secs(),
             res.gflops,
             &res.metrics,
-            res.trace.as_ref(),
+            res.trace.as_ref().map(|t| t.critical_path().summary()),
         );
         let seq = append_entry(&path, entry)?;
         out.push_str(&format!(
@@ -1526,16 +1665,10 @@ fn cmd_check(args: &Args, ctx: &Ctx) -> Result<String, String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            usage()
-        }
-    }
+    run().unwrap_or_else(|e| {
+        eprintln!("error: {e}\n");
+        usage()
+    })
 }
 
 #[cfg(test)]

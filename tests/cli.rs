@@ -238,6 +238,9 @@ fn a_flag_the_subcommand_never_reads_is_refused() {
         (vec!["serve", "--sweep", "0.5", "--real"], "--real"),
         (vec!["info", "--sites", "2"], "--sites"),
         (vec!["tsqr", "--m", "4096", "--n", "8", "--polcy", "edf"], "--polcy"),
+        // Used to run the 25 s default sweep and write no trace.
+        (vec!["figure", "--id", "fig5", "--trace-ot", "x.json"], "--trace-ot"),
+        (vec!["bench-check", "--baseline", "BENCH_baseline.json", "--blss"], "--blss"),
     ] {
         let out = cli().args(&args).output().expect("run cli");
         assert_eq!(out.status.code(), Some(2), "args: {args:?}");
@@ -283,4 +286,44 @@ fn a_flag_given_in_a_form_nobody_reads_is_refused() {
         let out = cli().args(&args).output().expect("run cli");
         assert!(out.status.success(), "{args:?}\n{}", String::from_utf8_lossy(&out.stderr));
     }
+}
+
+#[test]
+fn figure_checks_its_ids_and_trace_target_before_anything_runs() {
+    // `figure_points` used to panic on an unknown figure and `run_figure`
+    // on a trace file it could not write.
+    for (args, message) in [
+        (vec!["figure", "--id", "fig9"], "--id fig9: no such artifact"),
+        (vec!["figure", "--id"], "--id needs a value"),
+        (vec!["figure", "--id", "fig5", "--all"], "--all already names every --id"),
+        (vec!["figure", "--id", "table1", "--trace-out", "t.json"], "--trace-out dumps one figure's"),
+        (vec!["figure", "--all", "--trace-out", "t.json"], "--trace-out dumps one figure's"),
+        (vec!["figure", "--id", "fig5", "--id", "fig7", "--trace-out", "t.json"], "--trace-out dumps"),
+        (vec!["figure", "--id", "fig7", "--trace-out", "/no/such/dir/t.json"], "cannot write"),
+        (vec!["bench-check"], "bench-check needs --baseline <file>"),
+        (vec!["bench-check", "--baseline"], "--baseline needs a value"),
+    ] {
+        let out = cli().args(&args).output().expect("run cli");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "args: {args:?}\n{err}");
+        assert!(out.stdout.is_empty(), "args: {args:?}");
+        assert!(err.starts_with("error: ") && err.contains(message), "args: {args:?}\n{err}");
+        assert!(!err.contains("panicked at"), "args: {args:?}\n{err}");
+    }
+}
+
+#[test]
+fn figure_lists_the_registry_and_regenerates_an_artifact() {
+    let out = cli().arg("figure").output().expect("run cli");
+    assert!(out.status.success());
+    let listing = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(listing.lines().count(), 18, "{listing}");
+    assert!(listing.lines().any(|l| l.starts_with("fig12 ")), "{listing}");
+
+    let out = cli().args(["figure", "--id", "fig12", "--id", "eq1"]).output().expect("run cli");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(text.matches("# paper-shape checks").count(), 2, "{text}");
+    assert!(text.contains("[PASS] tuned tree sends exactly #clusters - 1 = 2 WAN messages"));
+    assert!(!text.contains("[FAIL]"), "{text}");
 }
