@@ -7,7 +7,7 @@
 use tsqr_core::experiment::Algorithm;
 
 use crate::figures::FigurePoint;
-use crate::harness::{grid_tsqr, ShapeCheck, Sweep};
+use crate::harness::{tuned_tsqr, ShapeCheck, Sweep};
 
 mod ablation_balance;
 mod ablation_blocking;
@@ -77,26 +77,26 @@ static FIGURES: [Figure; 18] = [
     Figure {
         id: "fig5",
         title: "Fig. 5 (TSQR Gflop/s vs M, 1/2/4 sites)",
-        points: &[headline("fig5", "tsqr", 4, 1_048_576, 64, grid_tsqr(64))],
+        points: &[headline("fig5", "tsqr", 4, 1_048_576, 64, tuned_tsqr(64))],
         run: fig5::run,
     },
     Figure {
         id: "fig6",
         title: "Fig. 6 (domains/cluster sweep, 4 sites)",
-        points: &[headline("fig6", "tsqr", 4, 4_194_304, 64, grid_tsqr(64))],
+        points: &[headline("fig6", "tsqr", 4, 4_194_304, 64, tuned_tsqr(64))],
         run: fig6::run,
     },
     Figure {
         id: "fig7",
         title: "Fig. 7 (domains sweep, 1 site)",
-        points: &[headline("fig7", "tsqr", 1, 1_048_576, 64, grid_tsqr(64))],
+        points: &[headline("fig7", "tsqr", 1, 1_048_576, 64, tuned_tsqr(64))],
         run: fig7::run,
     },
     Figure {
         id: "fig8",
         title: "Fig. 8 (best TSQR vs best ScaLAPACK)",
         points: &[
-            headline("fig8", "tsqr", 4, 8_388_608, 512, grid_tsqr(32)),
+            headline("fig8", "tsqr", 4, 8_388_608, 512, tuned_tsqr(32)),
             headline("fig8", "scalapack", 4, 8_388_608, 512, Algorithm::ScalapackQr2),
         ],
         run: fig8::run,

@@ -38,7 +38,7 @@ use tsqr_serve::{
 
 use crate::artifacts::figures;
 use crate::calib;
-use crate::harness::{grid_runtime, grid_tsqr, platform_runtime, run_point};
+use crate::harness::{grid_runtime, tuned_tsqr, platform_runtime, run_point};
 use tsqr_obs::json::{escape, num, Json};
 
 /// One headline configuration of a figure.
@@ -342,7 +342,7 @@ pub fn fault_points() -> Vec<FaultPoint> {
         sites: 4,
         m: 1_048_576,
         n: 64,
-        algorithm: grid_tsqr(64),
+        algorithm: tuned_tsqr(64),
         window_s,
         latency_factor,
         bandwidth_divisor,
@@ -951,7 +951,7 @@ mod tests {
             sites: 2,
             m: 1 << 17,
             n: 64,
-            algorithm: grid_tsqr(64),
+            algorithm: tuned_tsqr(64),
             window_s: (0.0, 60.0),
             latency_factor: 10.0,
             bandwidth_divisor: 10.0,
@@ -979,7 +979,7 @@ mod tests {
             sites: 1,
             m: 1 << 17,
             n: 64,
-            algorithm: grid_tsqr(64),
+            algorithm: tuned_tsqr(64),
         };
         let (r, _) = p.measure();
         assert!(r.makespan_s > 0.0 && r.gflops > 0.0);

@@ -73,7 +73,7 @@ pub fn platform_runtime(
 }
 
 /// TSQR on the paper's tuned (grid-hierarchical) tree.
-pub(crate) const fn grid_tsqr(domains_per_cluster: usize) -> Algorithm {
+pub(crate) const fn tuned_tsqr(domains_per_cluster: usize) -> Algorithm {
     Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster }
 }
 
@@ -145,7 +145,7 @@ impl Sweep {
 
     /// TSQR Gflop/s at one sweep point (grid-hierarchical tree).
     pub fn tsqr_gflops(&mut self, sites: usize, m: u64, n: usize, domains_per_cluster: usize) -> f64 {
-        self.gflops(sites, m, n, grid_tsqr(domains_per_cluster))
+        self.gflops(sites, m, n, tuned_tsqr(domains_per_cluster))
     }
 
     /// TSQR Gflop/s with the optimum domain count, and that count (the

@@ -254,20 +254,33 @@ impl ReductionTree {
     /// children (the heap order [`crate::ft_tsqr`] relies on).
     ///
     /// Cost: the definition above re-prices every remaining pair at every
-    /// merge (`C(n + 1, 3)` `edge_cost` calls, ≈ 2.8 M at `n = 256`).
-    /// Instead, every active root `lo` remembers its cheapest partner —
-    /// `(merged cost, hi)` over the active `hi > lo`, the lowest `hi`
-    /// among equals — and a merge is the cheapest remembered row, the
-    /// lowest `lo` among equals: the same pair as the first cheapest one
-    /// of an all-pairs scan in root order. When `a` absorbs `b` only `a`'s
-    /// cost changes and only `b` leaves, so row `a` is scanned again, and
-    /// so is a row that remembered `a` or `b`; any other row's entry is
-    /// still the minimum of its unchanged pairs, and for `lo < a` it is
-    /// compared once with the re-priced `(lo, a)` — no assumption that
-    /// costs only rise, `combine_cost` may be negative. `edge_cost` calls
-    /// at `n = 64 / 128 / 256` (sites of 64, class costs): 20 709 / 87 646 /
-    /// 376 587, against 43 680 / 349 504 / 2 796 160. What is left is
-    /// ≈ 5.7 n², not n²: equal class costs make many rows share a partner.
+    /// merge (`C(n + 1, 3)` `edge_cost` calls, ≈ 2.8 M at `n = 256`). Here
+    /// **a pair has one price**: `edge_cost` runs exactly `n(n − 1)/2` times
+    /// (2 016 / 8 128 / 32 640 at `n = 64 / 128 / 256`), into a triangular
+    /// table — O(n²) words, 261 KB at the grid's 256 domains — that lives for
+    /// the call. Every active root `lo` remembers its cheapest partner —
+    /// `(merged cost, hi)` over the active `hi > lo`, the lowest `hi` among
+    /// equals — and a merge is the cheapest remembered row, the lowest `lo`
+    /// among equals: the same pair as the first cheapest one of an
+    /// all-pairs scan in root order. When `a` absorbs `b` only `a`'s cost
+    /// changes and only `b` leaves, so:
+    ///
+    /// - row `a`, whose every price changed, is scanned in full;
+    /// - a row that remembered `a` or `b` **rarely needs a new minimum, only
+    ///   a new holder of it**. The roots below the lost partner were strictly
+    ///   dearer (it was the lowest of equals) and those above it no cheaper,
+    ///   and none of them changed — bar the pair with `a`, compared first. So
+    ///   the row walks the roots above the lost partner and stops at the
+    ///   first that ties the remembered cost: the new partner, by the same
+    ///   lowest-index rule. Only a row that ends without a tie is scanned in
+    ///   full. Under class costs, where most prices are equal and a popular
+    ///   partner is remembered by a whole cluster, that is one or two
+    ///   comparisons a row instead of a rescan of every one of them;
+    /// - any other row keeps its entry, and for `lo < a` compares it with
+    ///   the re-priced `(lo, a)` **only if `cost[a]` fell**: the merged cost
+    ///   rises with `cost[a]`, so a pair that was not the row's cheapest
+    ///   cannot become it otherwise. Falling takes a negative `combine_cost`,
+    ///   which is allowed — nothing here assumes costs only rise.
     pub fn greedy_parents(
         n: usize,
         edge_cost: impl Fn(usize, usize) -> f64,
@@ -275,12 +288,19 @@ impl ReductionTree {
     ) -> Vec<Option<usize>> {
         assert!(n > 0, "reduction over zero participants");
         let mut parents: Vec<Option<usize>> = vec![None; n];
+        // Every hand-off is priced here, once: row `lo` holds its partners
+        // `hi > lo` side by side, in the order a row scan reads them.
+        let row = |lo: usize| lo * (2 * n - lo - 1) / 2;
+        let mut price = Vec::with_capacity(n * (n - 1) / 2);
+        for lo in 0..n {
+            price.extend((lo + 1..n).map(|hi| edge_cost(hi, lo)));
+        }
         // Completion cost of each subtree by root, and the active roots,
         // ascending.
         let mut cost = vec![0.0_f64; n];
         let mut active: Vec<usize> = (0..n).collect();
         let merged = |cost: &[f64], lo: usize, hi: usize| {
-            cost[lo].max(cost[hi] + edge_cost(hi, lo)) + combine_cost
+            cost[lo].max(cost[hi] + price[row(lo) + hi - lo - 1]) + combine_cost
         };
         // Row `lo`'s cheapest merge over the ascending roots `above` it, the
         // lowest `hi` among equals. A plain loop: this is the hot one, and
@@ -309,20 +329,44 @@ impl ReductionTree {
                 .expect("two active roots");
             let (merged_cost, b) = best[a];
             parents[b] = Some(a);
+            // Only a negative `combine_cost` makes a subtree finish earlier
+            // for having absorbed another.
+            let fell = merged_cost.total_cmp(&cost[a]).is_lt();
             cost[a] = merged_cost;
             active.retain(|&root| root != b);
             for slot in 0..active.len() - 1 {
                 let lo = active[slot];
                 let (remembered, partner) = best[lo];
-                // Row `a` itself remembered `b`.
-                if partner == a || partner == b {
+                if lo == a {
+                    // Every price of this row changed.
                     best[lo] = cheapest(&cost, lo, &active[slot + 1..]);
-                } else if lo < a {
+                    continue;
+                }
+                let lost = partner == a || partner == b;
+                // `merged` rises with `cost[a]`, so a pair `(lo, a)` that was
+                // not the row's cheapest stays out unless `cost[a]` fell.
+                if lo < a && (lost || fell) {
                     let c = merged(&cost, lo, a);
                     let wins = c.total_cmp(&remembered);
-                    if wins.is_lt() || (wins.is_eq() && a < partner) {
+                    if wins.is_lt() || (wins.is_eq() && a <= partner) {
                         best[lo] = (c, a);
+                        continue;
                     }
+                }
+                if lost {
+                    // The roots below the lost partner were strictly dearer
+                    // and (but for `a`, just compared) are unchanged; those
+                    // above it were no cheaper. So the first of them that
+                    // ties the remembered cost is the new partner, and only a
+                    // row without one has a new minimum to find.
+                    let above = &active[active.partition_point(|&hi| hi <= partner)..];
+                    best[lo] = match above
+                        .iter()
+                        .find(|&&hi| merged(&cost, lo, hi).total_cmp(&remembered).is_eq())
+                    {
+                        Some(&hi) => (remembered, hi),
+                        None => cheapest(&cost, lo, &active[slot + 1..]),
+                    };
                 }
             }
         }
@@ -689,6 +733,37 @@ mod tests {
 
     #[test]
     fn greedy_parents_is_the_cubic_scan() {
+        // What happens to a row after a merge, one decision each: the
+        // smallest inputs found on which getting that decision wrong builds
+        // another tree. `prices[hi - 1][lo]` is `edge_cost(hi, lo)`.
+        let pin = |what: &str, prices: &[&[f64]], combine: f64, tree: &[usize]| {
+            let edge = |child: usize, parent: usize| prices[child - 1][parent];
+            let n = prices.len() + 1;
+            assert_eq!(ReductionTree::greedy_parents(n, edge, combine), rooted(tree), "{what}");
+            assert_eq!(greedy_parents_cubic(n, edge, combine), rooted(tree), "{what}: the oracle");
+        };
+        pin("lost partner, a higher root ties", &[&[1.], &[1., 0.], &[1., 0., 0.]], 1.0, &[0, 1, 0]);
+        pin("lost partner, no tie above", &[&[1.], &[1., 0.], &[2., 2., 0.]], 1.0, &[0, 1, 0]);
+        pin("the same under a free combine", &[&[3.], &[3., 2.], &[1., 1., 3.]], 0.0, &[0, 1, 0]);
+        pin(
+            "(lo, a) ties what it was: a stays the partner",
+            &[&[0.], &[0., 0.], &[0., 1., 2.], &[1., 0., 0., 2.], &[1., 1., 1., 1., 2.]],
+            1.0,
+            &[0, 0, 0, 2, 3],
+        );
+        pin("cost[a] fell: (lo, a) is now the cheapest", &[&[1.], &[1., 1.], &[1., 1., 0.]], -1.0, &[0, 0, 2]);
+        pin(
+            "cost[a] fell: (lo, a) ties from a lower index",
+            &[&[1.], &[2., 1.5], &[2., 0.5, 0.5], &[0.5, 2., 0., 1.]],
+            -1.0,
+            &[0, 1, 0, 2],
+        );
+        pin(
+            "cost[a] fell: (lo, a) ties from a higher index",
+            &[&[1.], &[1., 0.5], &[2., 1.5, 2.], &[1., 2., 0.5, 0.], &[1.5, 2., 2., 2., 1.5]],
+            -1.0,
+            &[0, 1, 0, 3, 0],
+        );
         // Prices from a small menu, so exact ties, free edges and
         // asymmetric (child, parent) prices all occur; a negative combine
         // makes completion costs *fall*, which a row cache that assumed
@@ -738,11 +813,28 @@ mod tests {
                 "dense case {case}: n={n} prices={prices:?} combine={combine}"
             );
         }
-        // The sizes the tuner plans at (sites of 64), under the class costs
-        // of `build` — and the point of the row cache: far fewer prices.
-        for n in [64, 128, 256] {
+        // Four prices, one per ordered pair, so most merges tie: at every
+        // one some row loses its partner, with or without a tie above it, and
+        // under the negative combines `cost[a]` falls and (lo, a) comes in
+        // cheaper than, level with or dearer than what row lo remembered.
+        for case in 0..4_000 {
+            let n = 4 + rng.next_below(9) as usize;
+            let prices: Vec<f64> =
+                (0..n * n).map(|_| [0.0, 1.0, 2.0, 5.0][rng.next_below(4) as usize]).collect();
+            let combine = [0.0, 1.0, -0.5, -1.0][case % 4];
+            let edge = |child: usize, parent: usize| prices[child * n + parent];
+            assert_eq!(
+                ReductionTree::greedy_parents(n, edge, combine),
+                greedy_parents_cubic(n, edge, combine),
+                "tie case {case}: n={n} prices={prices:?} combine={combine}"
+            );
+        }
+        // The sizes the tuner plans at (sites of 64, and one cluster of
+        // 256), under the class costs of `build` — and the point of the
+        // price table: every pair is priced once, however many rows tie.
+        for (n, site) in [(64, 64), (128, 64), (256, 64), (256, 256)] {
             let class = |child: usize, parent: usize| {
-                if child / 64 == parent / 64 { GREEDY_INTRA_COST } else { GREEDY_INTER_COST }
+                if child / site == parent / site { GREEDY_INTRA_COST } else { GREEDY_INTER_COST }
             };
             let calls = std::cell::Cell::new(0_usize);
             let counted = |child, parent| {
@@ -752,11 +844,11 @@ mod tests {
             assert_eq!(
                 ReductionTree::greedy_parents(n, counted, GREEDY_INTRA_COST),
                 greedy_parents_cubic(n, class, GREEDY_INTRA_COST),
-                "n={n}"
+                "n={n}, sites of {site}"
             );
-            // 20 709 / 87 646 / 376 587 today; the all-pairs scan makes
+            // 2 016 / 8 128 / 32 640; the all-pairs scan makes
             // C(n + 1, 3) = 43 680 / 349 504 / 2 796 160.
-            assert!(calls.get() < 8 * n * n, "n={n}: {} edge_cost calls", calls.get());
+            assert_eq!(calls.get(), n * (n - 1) / 2, "n={n}, sites of {site}");
         }
     }
 

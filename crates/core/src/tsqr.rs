@@ -193,7 +193,9 @@ pub async fn tsqr_rank_program_with_async<T: PanelTile>(
         let (tau, r) = local.factor_panel(0, 0, rows as usize, n, cfg.nb);
         p.compute(flops::geqrf(rows, n as u64), rate_flops);
         r_cur = Some(r);
-        leaf_q = Some((local, tau));
+        // Only the down-sweep reads the factored leaf: an R-only run frees
+        // its block of the matrix here, not when the rank returns.
+        leaf_q = cfg.compute_q.then_some((local, tau));
     } else {
         assert!(
             !cfg.compute_q,
@@ -290,6 +292,7 @@ pub fn tsqr_allreduce_rank_program_with(
 
     p.phase_begin(PHASE_LEAF);
     let (_, r) = local.factor_panel(0, 0, rows, n, cfg.nb);
+    drop(local);
     p.compute(flops::geqrf(dom.rows, n as u64), rate_flops);
     p.phase_end();
 

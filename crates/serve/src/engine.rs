@@ -440,18 +440,33 @@ struct Engine<'a> {
     brownout_open: Option<VirtualTime>,
 }
 
+/// What [`workload::generate`] is called with for `cfg` on `catalog`.
+fn workload_inputs(catalog: &ResourceCatalog, cfg: &ServeConfig) -> (WorkloadSpec, ShapeOracle, usize) {
+    let spec = WorkloadSpec {
+        requests: cfg.requests,
+        load: cfg.load,
+        seed: cfg.seed,
+        tenants: cfg.tenants,
+        single_shape: cfg.single_shape,
+    };
+    let total_nodes = catalog.clusters.iter().map(|c| c.nodes).sum();
+    (spec, shape_oracle(catalog, cfg.procs_per_site), total_nodes)
+}
+
+/// Whether [`serve`] can generate `cfg`'s request stream on `catalog`: the
+/// mean inter-arrival gap its load works out to must be positive and
+/// finite. The `--load` / `--sweep` flags ask before they call [`serve`],
+/// whose generator asserts it.
+pub fn load_is_offerable(catalog: &ResourceCatalog, cfg: &ServeConfig) -> bool {
+    let (spec, oracle, total_nodes) = workload_inputs(catalog, cfg);
+    let gap_s = workload::mean_gap_s(&spec, &oracle.solo_s, &oracle.nodes, total_nodes);
+    gap_s > 0.0 && gap_s.is_finite()
+}
+
 impl<'a> Engine<'a> {
     fn new(catalog: &ResourceCatalog, cfg: &'a ServeConfig) -> Self {
         assert!(cfg.retry.max_attempts >= 1, "retry budget must allow at least the first try");
-        let oracle = shape_oracle(catalog, cfg.procs_per_site);
-        let total_nodes: usize = catalog.clusters.iter().map(|c| c.nodes).sum();
-        let spec = WorkloadSpec {
-            requests: cfg.requests,
-            load: cfg.load,
-            seed: cfg.seed,
-            tenants: cfg.tenants,
-            single_shape: cfg.single_shape,
-        };
+        let (spec, oracle, total_nodes) = workload_inputs(catalog, cfg);
         let requests = workload::generate(&spec, &oracle.solo_s, &oracle.nodes, total_nodes);
         let mut crashes = cfg.faults.site_crashes().to_vec();
         crashes.sort_by_key(|&(site, at)| (at, site));
@@ -867,6 +882,15 @@ mod tests {
         assert!(o.solo_s.iter().all(|&s| s > 0.0));
         // The four-site flagship books the most nodes.
         assert_eq!(o.nodes.iter().max(), o.nodes.last());
+    }
+
+    #[test]
+    fn a_load_that_leaves_no_gap_between_arrivals_is_not_offerable() {
+        let at = |load: f64| load_is_offerable(&g5k(), &ServeConfig { load, ..Default::default() });
+        assert!(at(0.8) && at(1e300));
+        // load × grid nodes overflows, the gap is 0 and `generate` asserts.
+        assert!(!at(1e308) && !at(f64::INFINITY));
+        assert!(!at(0.0) && !at(-1.0) && !at(f64::NAN));
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod recovery;
 pub mod report;
 pub mod workload;
 
-pub use engine::{serve, shape_oracle, Disposition, RequestRecord, ServeConfig, ServeOutcome, ShapeOracle};
+pub use engine::{load_is_offerable, serve, shape_oracle, Disposition, RequestRecord, ServeConfig, ServeOutcome, ShapeOracle};
 pub use policy::{BoundedQueue, Policy, QueuedJob, Ticket};
 pub use recovery::{
     Brownout, BrownoutConfig, Checkpoint, FaultKind, JobFault, RecoveryAction, RetryPolicy,

@@ -97,6 +97,20 @@ const SLACK_MIN: f64 = 2.0;
 /// See [`SLACK_MIN`].
 const SLACK_SPAN: f64 = 4.0;
 
+/// Mean inter-arrival gap, in seconds, of the Poisson stream that offers
+/// `spec.load`: the mean node-seconds one request asks for (uniform over
+/// the menu, or the pinned shape) over the node-seconds the grid has per
+/// second at that load. [`generate`] needs it positive and finite; a load
+/// near `f64::MAX` overflows the product and leaves 0.
+pub(crate) fn mean_gap_s(spec: &WorkloadSpec, solo_s: &[f64], nodes: &[usize], total_nodes: usize) -> f64 {
+    let demand = |i: usize| nodes[i] as f64 * solo_s[i];
+    let mean_demand = match spec.single_shape {
+        Some(i) => demand(i),
+        None => (0..solo_s.len()).map(demand).sum::<f64>() / solo_s.len() as f64,
+    };
+    mean_demand / (spec.load * total_nodes as f64)
+}
+
 /// Generates the request stream.
 ///
 /// `solo_s[i]` is the uncontended service time of menu shape `i` in
@@ -119,20 +133,13 @@ pub fn generate(spec: &WorkloadSpec, solo_s: &[f64], nodes: &[usize], total_node
         assert!(i < shapes.len(), "single_shape index {i} outside the menu");
     }
 
-    // Mean offered node-seconds of one request (uniform over the menu, or
-    // the pinned shape), hence the Poisson rate hitting the target load.
-    let demand = |i: usize| nodes[i] as f64 * solo_s[i];
-    let mean_demand = match spec.single_shape {
-        Some(i) => demand(i),
-        None => (0..shapes.len()).map(demand).sum::<f64>() / shapes.len() as f64,
-    };
-    let mean_gap_s = mean_demand / (spec.load * total_nodes as f64);
+    let gap_s = mean_gap_s(spec, solo_s, nodes, total_nodes);
 
     let mut rng = SplitMix64::new(spec.seed);
     let mut t = 0.0;
     let mut out = Vec::with_capacity(spec.requests);
     for id in 0..spec.requests {
-        t += rng.next_exp(mean_gap_s);
+        t += rng.next_exp(gap_s);
         let shape_draw = rng.next_below(shapes.len() as u64) as usize;
         let shape = spec.single_shape.unwrap_or(shape_draw);
         let tenant = rng.next_below(spec.tenants as u64) as usize;

@@ -174,10 +174,13 @@ echo "    chaos smoke: crashed, re-planned, browned out, recovered"
 
 echo "==> dense-kernel smoke at benchmark shapes (correctness, not a timing"
 echo "    gate: real TSQR on 256 and 64 rank threads; R against the sequential"
-echo "    replica <= 1e-9, Gram residual, QtQ and A - QR <= 1e-10)"
+echo "    replica <= 1e-9, Gram residual, QtQ and A - QR <= 1e-10), and the"
+echo "    planner's: plan_tree against the replay-checked autotuner at the"
+echo "    tune/fig* gate points, every plan the same plan twice"
 benchmark/run.sh --quick --workload real-n64 >/dev/null
 benchmark/run.sh --quick --workload real-n256-q >/dev/null
-echo "    kernel smoke: both real workloads correct"
+benchmark/run.sh --quick --workload tune-plan >/dev/null
+echo "    benchmark smoke: both real workloads and tune-plan correct"
 
 echo "==> report gate (experiment-ledger dashboard pinned against"
 echo "    REPORT_baseline.md; --check flags anomalous model residuals)"

@@ -140,7 +140,7 @@ use grid_tsqr::obs::ledger::{append_entry, path_from_env, read_ledger};
 use grid_tsqr::obs::report::{detect_anomalies, render_report, ReportOptions};
 use grid_tsqr::qcg::ResourceCatalog;
 use grid_tsqr::serve::{
-    menu, serve, BrownoutConfig, Disposition, FaultKind, Policy as ServePolicy, PolicyReport,
+    load_is_offerable, menu, serve, BrownoutConfig, Disposition, FaultKind, Policy as ServePolicy, PolicyReport,
     RecoveryAction, RetryPolicy, ServeConfig, ServeOutcome,
 };
 use tsqr_bench::{
@@ -939,7 +939,18 @@ fn serve_config(
         brownout,
         ..Default::default()
     };
+    offerable(catalog, &base)?;
     Ok((base, policies))
+}
+
+/// Refuses a load so large that no time is left between arrivals
+/// (`load × grid nodes` overflows): the generator asserts on it.
+fn offerable(catalog: &ResourceCatalog, cfg: &ServeConfig) -> Result<(), String> {
+    if load_is_offerable(catalog, cfg) {
+        Ok(())
+    } else {
+        Err(format!("--load {:e}: the mean gap between arrivals must be a positive time", cfg.load))
+    }
 }
 
 /// The typed fault audit trail of a serve run, in event order — the
@@ -1031,7 +1042,9 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
             if !l.is_finite() || l <= 0.0 {
                 return Err("--sweep loads must be positive".into());
             }
-            let outcome = serve(&catalog, &ServeConfig { load: l, ..base.clone() });
+            let cfg = ServeConfig { load: l, ..base.clone() };
+            offerable(&catalog, &cfg)?;
+            let outcome = serve(&catalog, &cfg);
             rows.push((l, PolicyReport::from_outcome(&outcome)));
         }
         out.push_str(&format!(

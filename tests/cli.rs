@@ -211,6 +211,9 @@ fn what_the_library_would_assert_is_refused_at_the_flag() {
         ("serve", &[], &["--drop-flow", "0:4:1"]),
         ("faults", &small, &["--crash", "1@1", "--crash", "1@2"]),
         ("serve", &[], &["--crash", "1@1", "--crash", "1@2"]),
+        // load × grid nodes overflows: no time left between arrivals.
+        ("serve", &[], &["--load", "1e308"]),
+        ("serve", &[], &["--sweep", "0.5,1e308"]),
         // Geometry the rank programs cannot run.
         ("faults", &[], &["--m", "100", "--n", "32"]),
         ("faults", &[], &["--n", "0"]),
