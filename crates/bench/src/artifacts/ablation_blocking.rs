@@ -35,13 +35,7 @@ pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
     ] {
         let rate_blocked = calib::kernel_rate_flops(n);
         let qr2 = gflops(rt, m, n, Algorithm::ScalapackQr2, rate_unblocked);
-        let qrf = gflops(
-            rt,
-            m,
-            n,
-            Algorithm::ScalapackQrf { nb: 64, nx: 128 },
-            rate_blocked,
-        );
+        let qrf = gflops(rt, m, n, Algorithm::ScalapackQrf, rate_blocked);
         println!("  {:>10} {:>6} {:>14.1} {:>14.1} {:>8.2}", m, n, qr2, qrf, qrf / qr2);
         if n > 128 {
             checks.check(
@@ -55,13 +49,7 @@ pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
             checks.check(
                 &format!("N={n}: below the NX crossover the drivers coincide"),
                 {
-                    let qrf_same_rate = gflops(
-                        rt,
-                        m,
-                        n,
-                        Algorithm::ScalapackQrf { nb: 64, nx: 128 },
-                        rate_unblocked,
-                    );
+                    let qrf_same_rate = gflops(rt, m, n, Algorithm::ScalapackQrf, rate_unblocked);
                     (qrf_same_rate / qr2 - 1.0).abs() < 1e-9
                 },
                 "identical schedule and time at equal rates".into(),

@@ -25,6 +25,7 @@ use std::fmt::Write as _;
 use tsqr_core::domains::DomainLayout;
 use tsqr_core::experiment::{Algorithm, ExperimentResult, Mode};
 use tsqr_core::modelfit;
+use tsqr_core::scalapack::{DEFAULT_NB, DEFAULT_NX};
 use tsqr_core::tree::TreeShape;
 use tsqr_core::tune;
 use tsqr_gridmpi::{CriticalPath, FoldedProfile, MetricsRegistry, PathSummary};
@@ -80,7 +81,7 @@ fn tree_label(algorithm: &Algorithm) -> String {
             format!("{shape:?}/dpc{domains_per_cluster}")
         }
         Algorithm::ScalapackQr2 => "scalapack-qr2".to_string(),
-        Algorithm::ScalapackQrf { nb, nx } => format!("scalapack-qrf/nb{nb}/nx{nx}"),
+        Algorithm::ScalapackQrf => format!("scalapack-qrf/nb{DEFAULT_NB}/nx{DEFAULT_NX}"),
     }
 }
 
@@ -104,10 +105,7 @@ pub fn ledger_entry(
     metrics: &[MetricsRegistry],
     critical_path: Option<PathSummary>,
 ) -> LedgerEntry {
-    let mut agg = MetricsRegistry::default();
-    for reg in metrics {
-        agg.merge(reg);
-    }
+    let agg = MetricsRegistry::merged(metrics);
     let fit = modelfit::fit(&modelfit::samples_from_metrics(metrics));
     let phases: Vec<PhaseRow> = agg
         .phase_names()
@@ -168,10 +166,12 @@ pub fn ledger_entry(
 /// schedule) and distills it into a ledger entry with scenario `id`
 /// (source `"figure"`; callers with a different provenance overwrite
 /// it). Also asserts the three cross-layer invariants the observability
-/// stack guarantees: the critical path tiles the makespan, the wait-state
-/// classification reconciles with the metrics registry to 1e-9, and the
-/// folded-stack profile tiles every rank's timeline — so every bench run
-/// doubles as an integration test of the diagnostics.
+/// stack guarantees: the critical path tiles the makespan
+/// ([`CriticalPath::check_tiling`]), the wait-state classification
+/// reconciles with the metrics registry
+/// ([`tsqr_gridmpi::Diagnosis::check_reconciled`]), and the folded-stack
+/// profile tiles every rank's timeline ([`FoldedProfile::check_tiling`])
+/// — so every bench run doubles as an integration test of the diagnostics.
 pub fn measure_point(
     id: &str,
     sites: usize,
@@ -198,30 +198,15 @@ pub(crate) fn measure_traced(
     let res = run_point(&rt, m, n, algorithm, false, Mode::Symbolic);
     let trace = res.trace.as_ref().expect("tracing was enabled");
     let cp = trace.critical_path();
-    assert!(
-        (cp.total().secs() - res.makespan.secs()).abs()
-            <= 1e-9 * res.makespan.secs().max(1.0),
-        "critical path must tile the makespan ({id})"
-    );
     let diag = trace.diagnose(rt.topology().num_procs(), 64);
-    let drift = diag.reconcile(&res.metrics);
-    // Relative 1e-9: the two sides sum millions of f64 intervals in
-    // different orders, so the agreement is exact up to rounding noise
-    // proportional to the total wait.
-    let wait_scale = diag.total().total_wait_s().max(1.0);
-    assert!(
-        drift <= 1e-9 * wait_scale,
-        "wait states must reconcile with recv_wait_s ({id}: drift {drift})"
-    );
-    // Folded-profile tiling invariant (`docs/observability.md` §9): the
-    // flamegraph's per-rank leaf self-times must sum to that rank's
-    // makespan — nothing dropped, nothing double-counted.
     let profile = FoldedProfile::from_trace(trace, rt.topology().num_procs());
-    let tile_err = profile.max_tiling_error_rel();
-    assert!(
-        tile_err <= 1e-9,
-        "folded profile must tile every rank's timeline ({id}: rel err {tile_err:.3e})"
-    );
+    let checked = cp
+        .check_tiling(res.makespan)
+        .and(diag.check_reconciled(&res.metrics))
+        .and(profile.check_tiling());
+    if let Err(e) = checked {
+        panic!("{e} ({id})");
+    }
     let mut entry = ledger_entry(
         "figure",
         id,

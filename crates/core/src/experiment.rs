@@ -16,7 +16,7 @@ use tsqr_netsim::VirtualTime;
 
 use crate::domains::{even_chunks, DomainLayout};
 use crate::model;
-use crate::scalapack::{pdgeqr2_async, pdgeqrf_async, PanelTile};
+use crate::scalapack::{pdgeqr2_async, pdgeqrf_async, PanelTile, DEFAULT_NB, DEFAULT_NX};
 use crate::tile::{Dims, Tile};
 use crate::tree::{ReductionTree, TreeShape};
 use crate::tsqr::{tsqr_rank_program_with_async, TsqrConfig};
@@ -34,14 +34,10 @@ pub enum Algorithm {
     },
     /// The ScaLAPACK-style baseline: one `PDGEQR2` over all processes.
     ScalapackQr2,
-    /// The blocked ScaLAPACK driver (`PDGEQRF`) with panel width `nb` and
-    /// blocking crossover `nx` (§II-B's NB/NX).
-    ScalapackQrf {
-        /// Panel width (ScaLAPACK default 64).
-        nb: usize,
-        /// Unblocked crossover (ScaLAPACK default 128).
-        nx: usize,
-    },
+    /// The blocked ScaLAPACK driver (`PDGEQRF`) at ScaLAPACK's defaults,
+    /// the ones §V-B runs: panel width [`DEFAULT_NB`] = 64 and blocking
+    /// crossover [`DEFAULT_NX`] = 128 (§II-B's NB/NX).
+    ScalapackQrf,
 }
 
 /// Real numerics or symbolic (paper-scale) execution.
@@ -100,13 +96,10 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// All ranks' metrics merged into one registry.
+    /// All ranks' metrics merged into one registry
+    /// ([`MetricsRegistry::merged`]).
     pub fn aggregate_metrics(&self) -> MetricsRegistry {
-        let mut out = MetricsRegistry::default();
-        for m in &self.metrics {
-            out.merge(m);
-        }
-        out
+        MetricsRegistry::merged(&self.metrics)
     }
 
     /// The largest per-rank flop count — the compute term of the critical
@@ -190,8 +183,8 @@ fn run_on<T: PanelTile>(
         }
         baseline => {
             // PDGEQR2 is the blocked driver with one-column panels.
-            let (nb, nx) = match *baseline {
-                Algorithm::ScalapackQrf { nb, nx } => (nb, nx),
+            let (nb, nx) = match baseline {
+                Algorithm::ScalapackQrf => (DEFAULT_NB, DEFAULT_NX),
                 _ => (1, 0),
             };
             assert!(

@@ -84,11 +84,6 @@ pub fn useful_flops(m: u64, n: u64, with_q: bool) -> f64 {
     }
 }
 
-/// Property 1: computing Q and R costs about twice R-only.
-pub fn property1_q_doubles(m: u64, n: u64, p: u64, beta: f64, alpha: f64, gamma: f64) -> f64 {
-    tsqr_q_and_r(m, n, p).time(beta, alpha, gamma) / tsqr_r_only(m, n, p).time(beta, alpha, gamma)
-}
-
 /// Property 3: performance increases with M (communication is independent
 /// of M, computation grows). Returns predicted Gflop/s for TSQR.
 pub fn tsqr_gflops(m: u64, n: u64, p: u64, beta: f64, alpha: f64, gamma: f64) -> f64 {
@@ -128,7 +123,10 @@ mod tests {
 
     #[test]
     fn property1_holds_in_model() {
-        let ratio = property1_q_doubles(1 << 22, 64, 64, BETA, ALPHA, GAMMA);
+        // Property 1: computing Q and R costs twice R-only.
+        let (m, n, p) = (1 << 22, 64, 64);
+        let ratio = tsqr_q_and_r(m, n, p).time(BETA, ALPHA, GAMMA)
+            / tsqr_r_only(m, n, p).time(BETA, ALPHA, GAMMA);
         assert!((ratio - 2.0).abs() < 1e-9, "ratio {ratio}");
     }
 

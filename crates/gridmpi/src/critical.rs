@@ -111,6 +111,16 @@ impl CriticalPath {
         self.segments.iter().map(|s| s.span()).sum()
     }
 
+    /// The tiling invariant: [`Self::total`] is `makespan` within 1e-9
+    /// relative (absolute below one second), or what went wrong.
+    pub fn check_tiling(&self, makespan: VirtualTime) -> Result<(), String> {
+        let (total, makespan) = (self.total().secs(), makespan.secs());
+        let tiles = (total - makespan).abs() <= 1e-9 * makespan.max(1.0);
+        tiles.then_some(()).ok_or_else(|| {
+            format!("critical path ({total:.9} s) does not tile the makespan ({makespan:.9} s)")
+        })
+    }
+
     /// Per-kind time totals (see [`PathSummary`]).
     pub fn summary(&self) -> PathSummary {
         let mut out = PathSummary::default();

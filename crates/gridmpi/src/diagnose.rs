@@ -221,31 +221,32 @@ impl Diagnosis {
     pub fn reconcile(&self, metrics: &[MetricsRegistry]) -> f64 {
         let mut drift = 0.0f64;
         for (rank, b) in self.per_rank.iter().enumerate() {
-            let recorded =
-                metrics.get(rank).map(|m| m.total().recv_wait_s).unwrap_or(0.0);
+            let recorded = metrics.get(rank).map_or(0.0, |m| m.total().recv_wait_s);
             drift = drift.max((b.total_wait_s() - recorded).abs());
         }
-        // Per-phase: compare against the merged registry.
-        let mut merged = MetricsRegistry::default();
-        for m in metrics {
-            merged.merge(m);
-        }
-        for name in merged.phase_names() {
-            let recorded = merged.phase(name).map(|c| c.recv_wait_s).unwrap_or(0.0);
-            let derived = self
-                .per_phase
-                .iter()
-                .find(|(p, _)| *p == name)
-                .map(|(_, b)| b.total_wait_s())
-                .unwrap_or(0.0);
+        // Per phase, over every phase either side saw (absent = 0 s).
+        let merged = MetricsRegistry::merged(metrics);
+        let traced = self.per_phase.iter().map(|(p, _)| *p);
+        for name in merged.phase_names().into_iter().chain(traced) {
+            let recorded = merged.phase(name).map_or(0.0, |c| c.recv_wait_s);
+            let derived = self.per_phase.iter().find(|(p, _)| *p == name);
+            let derived = derived.map_or(0.0, |(_, b)| b.total_wait_s());
             drift = drift.max((derived - recorded).abs());
         }
-        for (name, b) in &self.per_phase {
-            if merged.phase(name).is_none() {
-                drift = drift.max(b.total_wait_s());
-            }
-        }
         drift
+    }
+
+    /// [`Self::reconcile`] held to 1e-9 relative to the total wait
+    /// (absolute below one second; the two sides sum millions of `f64`
+    /// intervals in different orders): the drift, or what went wrong.
+    pub fn check_reconciled(&self, metrics: &[MetricsRegistry]) -> Result<f64, String> {
+        let drift = self.reconcile(metrics);
+        let ok = drift <= 1e-9 * self.total().total_wait_s().max(1.0);
+        ok.then_some(drift).ok_or_else(|| {
+            format!(
+                "wait states do not reconcile with the metrics registry (max drift {drift:.3e} s)"
+            )
+        })
     }
 
     /// The `k` ranks with the largest wait totals, as

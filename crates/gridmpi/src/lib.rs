@@ -82,7 +82,7 @@ pub use explore::{explore, fnv1a, schedules_for, ExploreReport, ScheduleRun};
 pub use hb::{HbReport, ReceiveRace, VectorClock, Violation};
 pub use mailbox::block_on;
 pub use message::WirePayload;
-pub use metrics::{Histogram, MetricsRegistry, PhaseCounters};
+pub use metrics::{MetricsRegistry, PhaseCounters};
 pub use process::{
     DeliveryOrder, Process, RankStats, TrafficCounters, DETECTION_LATENCY_FACTOR,
     MAX_SEND_ATTEMPTS,

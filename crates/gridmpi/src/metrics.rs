@@ -1,4 +1,4 @@
-//! A typed metrics registry: per-rank, per-phase counters and histograms.
+//! A typed metrics registry: per-rank, per-phase Eq. (1) counters.
 //!
 //! Every [`crate::Process`] carries a [`MetricsRegistry`] that is updated
 //! on each `send`/`recv`/`compute`, bucketed by the algorithm phase the
@@ -7,7 +7,7 @@
 //! [`UNPHASED`]). Unlike tracing — which records every event and is
 //! opt-in — metrics are cheap aggregates and always on. The runtime
 //! returns one registry per rank in [`crate::RunReport::metrics`];
-//! [`crate::RunReport::aggregate_metrics`] folds them into one.
+//! [`MetricsRegistry::merged`] folds them into one.
 //!
 //! The schema is documented in `docs/observability.md`. In short, a
 //! [`PhaseCounters`] is the paper's Eq. (1) ledger for one phase —
@@ -37,107 +37,6 @@ pub(crate) struct Leg {
     pub(crate) bytes: u64,
     /// Virtual seconds sending, or blocked receiving.
     pub(crate) secs: f64,
-}
-
-/// A log2-bucketed histogram of `u64` samples (message sizes, flop
-/// counts). Bucket `i` holds values whose bit length is `i`, i.e.
-/// `v == 0 → 0`, `v ∈ [2^(i-1), 2^i) → i`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    counts: [u64; 65],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram { counts: [0; 65], count: 0, sum: 0, min: u64::MAX, max: 0 }
-    }
-}
-
-impl Histogram {
-    fn bucket(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        self.counts[Self::bucket(v)] += 1;
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest sample (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean sample value (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// An upper bound on the `q`-quantile (`0.0 ≤ q ≤ 1.0`): the top of
-    /// the first bucket at which the cumulative count reaches
-    /// `q · count`, capped at the largest recorded sample so the bound
-    /// never exceeds a value that was actually seen. Exact to within the
-    /// log2 bucket width; 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                // Top of bucket i (0 for bucket 0, else 2^i - 1), but
-                // never above the recorded max.
-                let top = if i == 0 { 0 } else { ((1u128 << i) - 1) as u64 };
-                return top.min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Element-wise sum of two histograms.
-    pub fn merge(&mut self, other: &Histogram) {
-        for i in 0..self.counts.len() {
-            self.counts[i] += other.counts[i];
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Eq. (1) ledger for one phase: message/byte/flop counts plus the
@@ -189,8 +88,7 @@ impl PhaseCounters {
     }
 }
 
-/// Per-phase counters plus per-link-class message-size histograms for
-/// one rank (or, after merging, a whole run).
+/// Per-phase counters for one rank (or, after merging, a whole run).
 ///
 /// Phases keep insertion order, so a merged registry lists phases in the
 /// order rank programs first entered them.
@@ -209,7 +107,6 @@ impl PhaseCounters {
 /// let total = m.total();
 /// assert_eq!(total.total_bytes(), 120);       // only sends count bytes
 /// assert!((total.recv_wait_s - 0.01).abs() < 1e-12);
-/// assert_eq!(m.msg_bytes(LinkClass::InterCluster(0, 1).bucket()).count(), 1);
 /// assert!(m.render().contains("tree-reduce"));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -217,11 +114,20 @@ pub struct MetricsRegistry {
     /// `(phase, counters)` in first-entered order. Small (a handful of
     /// phases), so lookups are linear scans.
     phases: Vec<(&'static str, PhaseCounters)>,
-    /// Sent-message payload sizes, one histogram per link-class bucket.
-    msg_bytes: [Histogram; B],
 }
 
 impl MetricsRegistry {
+    /// Folds per-rank registries into one, in rank order: phases in the
+    /// order rank 0 first entered them, then any phases only later ranks
+    /// saw, and every sum adds rank 0's value first.
+    pub fn merged(ranks: &[MetricsRegistry]) -> MetricsRegistry {
+        let mut out = MetricsRegistry::default();
+        for (p, c) in ranks.iter().flat_map(|m| &m.phases) {
+            out.phase_mut(p).merge(c);
+        }
+        out
+    }
+
     /// The counters of `phase`, if any work was recorded under it.
     pub fn phase(&self, phase: &str) -> Option<&PhaseCounters> {
         self.phases.iter().find(|(p, _)| *p == phase).map(|(_, c)| c)
@@ -244,11 +150,6 @@ impl MetricsRegistry {
     /// Phases in first-entered order.
     pub fn phase_names(&self) -> Vec<&'static str> {
         self.phases.iter().map(|(p, _)| *p).collect()
-    }
-
-    /// The sent-message size histogram of one link-class bucket.
-    pub fn msg_bytes(&self, bucket: usize) -> &Histogram {
-        &self.msg_bytes[bucket]
     }
 
     /// Sum of all phase counters.
@@ -299,7 +200,6 @@ impl MetricsRegistry {
                 c.msgs[b] += 1;
                 c.bytes[b] += leg.bytes;
                 c.send_s[b] += leg.secs;
-                self.msg_bytes[b].record(leg.bytes);
             } else {
                 c.recv_wait_s += leg.secs;
             }
@@ -311,17 +211,6 @@ impl MetricsRegistry {
         let c = self.phase_mut(phase.unwrap_or(UNPHASED));
         c.flops += flops;
         c.compute_s += secs;
-    }
-
-    /// Element-wise sum of two registries. Phases absent from `self`
-    /// are appended in `other`'s order.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (p, c) in &other.phases {
-            self.phase_mut(p).merge(c);
-        }
-        for i in 0..B {
-            self.msg_bytes[i].merge(&other.msg_bytes[i]);
-        }
     }
 
     /// True when nothing was recorded.
@@ -363,91 +252,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_and_stats() {
-        let mut h = Histogram::default();
-        for v in [0u64, 1, 1, 7, 8, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 1041);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 1024);
-        assert!((h.mean() - 1041.0 / 6.0).abs() < 1e-12);
-        // Median of [0,1,1,7,8,1024] lands in the bucket of 1 (bit len 1).
-        assert_eq!(h.quantile(0.5), 1);
-        assert_eq!(h.quantile(1.0), 1024); // bucket top 2047, capped at max
-        assert_eq!(h.quantile(0.0), 0);
-    }
-
-    #[test]
-    fn quantile_never_exceeds_recorded_max() {
-        let mut h = Histogram::default();
-        h.record(1000); // bucket top is 1023
-        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
-            assert!(h.quantile(q) <= 1000, "q={q} gave {}", h.quantile(q));
-        }
-        assert_eq!(h.quantile(1.0), 1000);
-        // Empty histogram: every quantile is 0, no panic.
-        let e = Histogram::default();
-        assert_eq!(e.quantile(0.5), 0);
-        assert_eq!(e.quantile(1.0), 0);
-    }
-
-    #[test]
-    fn merge_preserves_min_max_across_empty_operands() {
-        // empty.merge(non-empty) adopts the operand's min/max.
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        b.record(5);
-        b.record(90);
-        a.merge(&b);
-        assert_eq!(a.min(), 5);
-        assert_eq!(a.max(), 90);
-        // non-empty.merge(empty) keeps its own min/max (the empty
-        // sentinel min must not leak through, nor clobber max).
-        let mut c = Histogram::default();
-        c.record(7);
-        c.merge(&Histogram::default());
-        assert_eq!(c.min(), 7);
-        assert_eq!(c.max(), 7);
-        assert_eq!(c.count(), 1);
-        // empty.merge(empty) stays empty-benign.
-        let mut d = Histogram::default();
-        d.merge(&Histogram::default());
-        assert_eq!(d.min(), 0);
-        assert_eq!(d.max(), 0);
-        assert_eq!(d.count(), 0);
-        assert_eq!(d.quantile(0.9), 0);
-    }
-
-    #[test]
-    fn empty_histogram_is_benign() {
-        let h = Histogram::default();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.quantile(0.9), 0);
-    }
-
-    #[test]
-    fn histogram_merge_matches_combined_stream() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        let mut all = Histogram::default();
-        for v in [3u64, 300, 70_000] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [0u64, 9] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
-    }
-
-    #[test]
     fn registry_buckets_by_phase_and_class() {
         let mut m = MetricsRegistry::default();
         m.record_send(Some("panel"), LinkClass::IntraNode, 100, 0.001);
@@ -462,8 +266,6 @@ mod tests {
         assert_eq!(panel.wan_msgs(), 1);
         assert_eq!(m.phase("update").unwrap().flops, 5_000);
         assert!((m.phase(UNPHASED).unwrap().recv_wait_s - 0.002).abs() < 1e-12);
-        assert_eq!(m.msg_bytes(0).count(), 1);
-        assert_eq!(m.msg_bytes(2).sum(), 200);
 
         let t = m.total();
         assert_eq!(t.total_msgs(), 2);
@@ -478,13 +280,45 @@ mod tests {
         let mut b = MetricsRegistry::default();
         b.record_send(Some("panel"), LinkClass::IntraNode, 30, 0.2);
         b.record_compute(Some("update"), 7, 0.3);
-        a.merge(&b);
-        let p = a.phase("panel").unwrap();
+        let m = MetricsRegistry::merged(&[a, b]);
+        let p = m.phase("panel").unwrap();
         assert_eq!(p.msgs[0], 2);
         assert_eq!(p.bytes[0], 40);
         assert!((p.send_s[0] - 0.3).abs() < 1e-12);
-        assert_eq!(a.phase("update").unwrap().flops, 7);
-        assert_eq!(a.msg_bytes(0).count(), 2);
+        assert_eq!(m.phase("update").unwrap().flops, 7);
+    }
+
+    #[test]
+    fn merged_keeps_first_entered_phase_order_across_ranks() {
+        // Rank 0 enters "panel" only; rank 1 first enters "update", then
+        // "panel"; rank 2 first enters "drain". The fold lists rank 0's
+        // phases, then each phase in the order a later rank first entered it.
+        let mut r0 = MetricsRegistry::default();
+        r0.record_send(Some("panel"), LinkClass::IntraNode, 10, 0.1);
+        let mut r1 = MetricsRegistry::default();
+        r1.record_compute(Some("update"), 7, 0.3);
+        r1.record_send(Some("panel"), LinkClass::IntraCluster, 20, 0.2);
+        let mut r2 = MetricsRegistry::default();
+        r2.record_recv(Some("drain"), LinkClass::InterCluster(0, 1), 8, 0.5);
+        r2.record_compute(Some("update"), 5, 0.25);
+        let ranks = [r0, r1, r2];
+        let m = MetricsRegistry::merged(&ranks);
+        assert_eq!(m.phase_names(), vec!["panel", "update", "drain"]);
+        // The sums are the per-rank values added in rank order.
+        let panel = m.phase("panel").unwrap();
+        assert_eq!(panel.msgs, [1, 1, 0]);
+        assert_eq!(panel.bytes, [10, 20, 0]);
+        assert_eq!(panel.send_s, [0.1, 0.2, 0.0]);
+        let update = m.phase("update").unwrap();
+        assert_eq!(update.flops, 12);
+        assert_eq!(update.compute_s, 0.0 + 0.3 + 0.25);
+        assert_eq!(m.phase("drain").unwrap().recv_wait_s, 0.5);
+        let total = m.total();
+        assert_eq!(total.total_msgs(), 2);
+        assert_eq!(total.flops, 12);
+        // Folding a fold changes nothing, nor does an empty rank.
+        assert_eq!(MetricsRegistry::merged(&[m.clone(), MetricsRegistry::default()]), m);
+        assert!(MetricsRegistry::merged(&[]).is_empty());
     }
 
     #[test]

@@ -156,7 +156,7 @@ pub struct Process {
     pub(crate) recorder: Option<Recorder>,
     /// Open phases, innermost last: `(name, virtual time at begin)`.
     pub(crate) phase_stack: Vec<(&'static str, VirtualTime)>,
-    /// Always-on per-phase counters and histograms — the one traffic
+    /// Always-on per-phase Eq. (1) counters — the one traffic
     /// ledger ([`Process::counters`] is its projection).
     pub(crate) metrics: MetricsRegistry,
     /// Inter-source ordering discipline for the pending buffer (see

@@ -212,6 +212,18 @@ impl FoldedProfile {
             .fold(0.0, f64::max)
     }
 
+    /// The tiling invariant: [`Self::max_tiling_error_rel`] within 1e-9,
+    /// or what went wrong.
+    pub fn check_tiling(&self) -> Result<f64, String> {
+        let err = self.max_tiling_error_rel();
+        (err <= 1e-9).then_some(err).ok_or_else(|| {
+            format!(
+                "folded profile does not tile the per-rank timelines \
+                 (max rel err {err:.3e}, tol 1e-9)"
+            )
+        })
+    }
+
     /// Renders the per-rank folded stacks, one `rank<i>;stack count`
     /// line each, counts in integer virtual nanoseconds. Deterministic:
     /// ranks ascending, stacks in lexicographic order.

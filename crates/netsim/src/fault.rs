@@ -363,13 +363,6 @@ impl FailureSchedule {
         })
     }
 
-    /// True when any transient-drop rule targets the pair `src → dst`
-    /// (used to decide whether retry logic is worth arming).
-    pub fn has_drop_rules(&self, src: usize, dst: usize) -> bool {
-        self.drop_nth.iter().any(|d| d.src == src && d.dst == dst)
-            || self.drop_prob.iter().any(|d| d.src == src && d.dst == dst)
-    }
-
     /// True when the schedule carries *any* transient-drop rule at all —
     /// consumers that pay per-message bookkeeping (e.g. the serve
     /// engine's per-link drain counters) skip it entirely otherwise.
@@ -548,8 +541,6 @@ mod tests {
         assert!(s.should_drop(1, 2, 3));
         assert!(!s.should_drop(1, 2, 4));
         assert!(!s.should_drop(2, 1, 3));
-        assert!(s.has_drop_rules(1, 2));
-        assert!(!s.has_drop_rules(2, 1));
     }
 
     #[test]

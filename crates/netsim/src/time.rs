@@ -21,11 +21,6 @@ impl VirtualTime {
         VirtualTime(s)
     }
 
-    /// Constructs from microseconds.
-    pub fn from_micros(us: f64) -> Self {
-        Self::from_secs(us * 1e-6)
-    }
-
     /// Constructs from milliseconds.
     pub fn from_millis(ms: f64) -> Self {
         Self::from_secs(ms * 1e-3)
@@ -95,7 +90,6 @@ mod tests {
     #[test]
     fn construction_units() {
         assert_eq!(VirtualTime::from_millis(1.0).secs(), 1e-3);
-        assert_eq!(VirtualTime::from_micros(17.0).secs(), 17e-6);
     }
 
     #[test]

@@ -161,11 +161,6 @@ impl SlotPool {
         self.free_nodes[c]
     }
 
-    /// Total free nodes across all clusters.
-    pub fn total_free_nodes(&self) -> usize {
-        self.free_nodes.iter().sum()
-    }
-
     /// True when catalog cluster `c` has crashed.
     pub fn site_down(&self, c: usize) -> bool {
         self.down[c]
@@ -397,16 +392,11 @@ fn select(
 
     // 6. Effective synchronous rate: throttle to the slowest cluster when
     //    the peak spread exceeds the tolerance (§V-A).
-    let peaks: Vec<f64> =
-        chosen.iter().map(|&c| catalog.clusters[c].peak_gflops_per_proc).collect();
     // Synchronous algorithms run at the slowest member's rate regardless
     // of the tolerance; the tolerance only gates whether the allocation is
     // *accepted* as "equivalent computing power" in spirit. Grid'5000's
     // 8.0–10.4 spread sits inside the default 35% tolerance.
-    let min_peak = peaks.iter().copied().fold(f64::INFINITY, f64::min);
-    let max_peak = peaks.iter().copied().fold(0.0, f64::max);
-    debug_assert!(max_peak.is_finite());
-    let effective_gflops_per_proc = min_peak;
+    let effective_gflops_per_proc = catalog.min_peak_gflops(&chosen);
     Ok(Selection { chosen, procs_per_node_used, nodes_per_group, effective_gflops_per_proc })
 }
 
@@ -540,13 +530,14 @@ mod tests {
         }
         // 312/32 + 93/32 + 80/32 + 56/32 = 9 + 2 + 2 + 1 whole leases.
         assert_eq!(leases.len(), 14);
-        assert_eq!(pool.total_free_nodes(), (312 - 288) + (93 - 64) + (80 - 64) + (56 - 32));
+        let free = |pool: &SlotPool| (0..4).map(|c| pool.free_nodes(c)).sum::<usize>();
+        assert_eq!(free(&pool), (312 - 288) + (93 - 64) + (80 - 64) + (56 - 32));
         assert!(!pool.is_idle());
         for a in &leases {
             a.release(&mut pool);
         }
         assert!(pool.is_idle());
-        assert_eq!(pool.total_free_nodes(), 312 + 93 + 80 + 56);
+        assert_eq!(free(&pool), 312 + 93 + 80 + 56);
         // And the recovered pool serves the paper's four-site job again.
         let again = pool.allocate(&JobProfile::cluster_of_clusters(4, 64)).unwrap();
         assert_eq!(again.topology.num_procs(), 256);

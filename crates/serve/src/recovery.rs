@@ -41,8 +41,6 @@ pub struct RetryPolicy {
     pub max_attempts: usize,
     /// Backoff before the first retry, virtual seconds.
     pub backoff_base_s: f64,
-    /// Multiplier applied per additional failed attempt (≥ 1).
-    pub backoff_factor: f64,
     /// Recovery mode: `true` = checkpointed WAN drain (retries of jobs
     /// that finished their local phase pay only the residual drain),
     /// `false` = full restart from the leaf QR.
@@ -54,17 +52,19 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
             backoff_base_s: 0.05,
-            backoff_factor: 2.0,
             checkpoint_drain: true,
         }
     }
 }
 
 impl RetryPolicy {
+    /// The multiplier applied per additional failed attempt.
+    const BACKOFF_FACTOR: f64 = 2.0;
+
     /// The backoff after the `attempts`-th failed try (`attempts ≥ 1`):
-    /// `base × factor^(attempts − 1)` virtual seconds.
+    /// `base × 2^(attempts − 1)` virtual seconds.
     pub fn backoff_s(&self, attempts: usize) -> f64 {
-        self.backoff_base_s * self.backoff_factor.powi(attempts.saturating_sub(1) as i32)
+        self.backoff_base_s * Self::BACKOFF_FACTOR.powi(attempts.saturating_sub(1) as i32)
     }
 }
 
@@ -197,12 +197,10 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_from_the_base() {
-        let p = RetryPolicy { backoff_base_s: 0.1, backoff_factor: 2.0, ..Default::default() };
+        let p = RetryPolicy { backoff_base_s: 0.1, ..Default::default() };
         assert_eq!(p.backoff_s(1), 0.1);
         assert_eq!(p.backoff_s(2), 0.2);
         assert_eq!(p.backoff_s(3), 0.4);
-        let flat = RetryPolicy { backoff_factor: 1.0, ..p };
-        assert_eq!(flat.backoff_s(5), flat.backoff_s(1), "factor 1 = constant backoff");
     }
 
     #[test]

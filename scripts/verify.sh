@@ -162,6 +162,23 @@ for f in $(ls $GM/*.rs | grep -v "^$GM/trace.rs$"); do
     copy_is_back "a private trace index in $f"
   fi
 done
+# The Eq. (1) ledger records only what is read (docs/observability.md section 3):
+# no message-size histogram; per-rank registries fold in MetricsRegistry::merged
+# alone (the one other empty registry is the Process literal's); a knob with one
+# value in use is a constant; and the three "the views tile the run" tolerances
+# live in gridmpi (CriticalPath/FoldedProfile::check_tiling,
+# Diagnosis::check_reconciled), not in their two callers.
+if grep -rn 'Histogram\|msg_bytes' $GM; then copy_is_back "a message-size histogram in gridmpi"; fi
+for f in $(grep -rlF --include='*.rs' 'MetricsRegistry::default()' crates/*/src src examples); do
+  [ "$f" = "$GM/metrics.rs" ] && continue
+  allowed=0; [ "$f" = "$GM/runtime.rs" ] && allowed=1
+  [ "$(shipped "$f" | grep -cF 'MetricsRegistry::default()')" -le $allowed ] \
+    || copy_is_back "a hand-written registry fold in $f (MetricsRegistry::merged is the one)"
+done
+if grep -rn 'ScalapackQrf {' crates src tests examples docs; then copy_is_back "a settable ScalapackQrf"; fi
+if shipped crates/bench/src/figures.rs $CLI | grep -nF '1e-9 *'; then
+  copy_is_back "a tiling tolerance outside gridmpi's check_tiling / check_reconciled"
+fi
 
 # A figure is a row of data (ISSUE 23): tsqr-bench builds no executable, and the
 # CLI's `Args` is the workspace's only argv reader.

@@ -935,7 +935,6 @@ fn serve_config(
             max_attempts,
             backoff_base_s: backoff_ms * 1e-3,
             checkpoint_drain: !args.has("no-checkpoint")?,
-            ..Default::default()
         },
         brownout,
         ..Default::default()
@@ -1123,7 +1122,7 @@ fn cmd_tsqr(args: &Args, ctx: &Ctx) -> Result<String, String> {
 
 fn cmd_scalapack(args: &Args, ctx: &Ctx) -> Result<String, String> {
     let algorithm = if args.has("blocked")? {
-        Algorithm::ScalapackQrf { nb: 64, nx: 128 }
+        Algorithm::ScalapackQrf
     } else {
         Algorithm::ScalapackQr2
     };
@@ -1157,7 +1156,7 @@ fn traced_run(
     let algorithm = match args.get("algo")?.unwrap_or("tsqr") {
         "tsqr" => Algorithm::Tsqr { shape, domains_per_cluster: domains },
         "scalapack" => Algorithm::ScalapackQr2,
-        "scalapack-blocked" => Algorithm::ScalapackQrf { nb: 64, nx: 128 },
+        "scalapack-blocked" => Algorithm::ScalapackQrf,
         other => return Err(format!("unknown --algo {other:?}")),
     };
     let rt = ctx.runtime(true, None);
@@ -1165,14 +1164,7 @@ fn traced_run(
     ctx.check_geometry(&rt, is_tsqr.then_some((domains, false)))?;
     let res = ctx.run(&rt, algorithm, false, ctx.mode(args)?);
     let cp = res.trace.as_ref().expect("tracing was enabled").critical_path();
-    let drift = (cp.total().secs() - res.makespan.secs()).abs();
-    if drift > 1e-9 * res.makespan.secs().max(1.0) {
-        return Err(format!(
-            "critical path ({:.9} s) does not tile the makespan ({:.9} s)",
-            cp.total().secs(),
-            res.makespan.secs()
-        ));
-    }
+    cp.check_tiling(res.makespan)?;
     Ok((rt, res, cp))
 }
 
@@ -1184,14 +1176,7 @@ fn cmd_analyze(args: &Args, ctx: &Ctx) -> Result<String, String> {
     let (rt, res, _) = traced_run(args, ctx)?;
     let trace = res.trace.as_ref().expect("tracing was enabled");
     let diag = trace.diagnose(rt.topology().num_procs(), bins);
-    let wait_drift = diag.reconcile(&res.metrics);
-    let wait_scale = diag.total().total_wait_s().max(1.0);
-    if wait_drift > 1e-9 * wait_scale {
-        return Err(format!(
-            "wait states do not reconcile with the metrics registry \
-             (max drift {wait_drift:.3e} s)"
-        ));
-    }
+    let wait_drift = diag.check_reconciled(&res.metrics)?;
     let mut out = describe("analyzed run", &res);
     out.push_str(&ctx.verify(&res)?);
     out.push_str(&format!(
@@ -1247,13 +1232,7 @@ fn cmd_trace(args: &Args, ctx: &Ctx) -> Result<String, String> {
     }
     if let Some(path) = args.get("folded-out")? {
         let profile = FoldedProfile::from_trace(trace, rt.topology().num_procs());
-        let tile_err = profile.max_tiling_error_rel();
-        if tile_err > 1e-9 {
-            return Err(format!(
-                "folded profile does not tile the per-rank timelines \
-                 (max rel err {tile_err:.3e}, tol 1e-9)"
-            ));
-        }
+        let tile_err = profile.check_tiling()?;
         write_file(path, profile.render_folded())?;
         let agg_path = format!("{path}.agg");
         write_file(&agg_path, profile.render_aggregate())?;
@@ -1599,7 +1578,7 @@ fn cmd_check(args: &Args, ctx: &Ctx) -> Result<String, String> {
         ("tsqr-greedy", tsqr(TreeShape::Greedy, 64)),
         ("tsqr-grid-d16", tsqr(TreeShape::GridHierarchical, 16)),
         ("scalapack-qr2", Algorithm::ScalapackQr2),
-        ("scalapack-blocked", Algorithm::ScalapackQrf { nb: 64, nx: 128 }),
+        ("scalapack-blocked", Algorithm::ScalapackQrf),
     ] {
         let res = ctx.run(&ctx.runtime(true, None), algorithm, false, Mode::Symbolic);
         record(name, &res.trace.as_ref().ok_or_else(no_trace)?.hb_analysis());
