@@ -310,6 +310,7 @@ impl Communicator {
 mod tests {
     use super::*;
     use crate::message::Phantom;
+    use crate::metrics::{MetricsRegistry, PhaseCounters, UNPHASED};
     use crate::runtime::{RankResult, RunReport, Runtime};
     use tsqr_netsim::{ClusterSpec, CostModel, GridTopology, LinkParams};
 
@@ -456,6 +457,52 @@ mod tests {
         assert!(sent_ops > 0);
         let msgs = |r: &[(u64, u64)]| r.iter().map(|&(_, msgs)| msgs).collect::<Vec<_>>();
         assert_eq!(msgs(&folded), msgs(&sent));
+    }
+
+    #[test]
+    fn a_fold_that_opens_a_phase_leaves_the_ledger_the_messages_leave() {
+        // A folded all-reduce is the first work of a fresh phase, on 5
+        // members and on a 1-member communicator: each rank's phases and
+        // every counter, to the bit, as the traced run's messages leave them.
+        let bits = |c: &PhaseCounters| {
+            let ints = c.msgs.iter().chain(&c.bytes).copied().chain([c.flops]);
+            let secs = c.send_s.iter().chain([&c.compute_s, &c.recv_wait_s]).map(|s| s.to_bits());
+            ints.chain(secs).collect::<Vec<u64>>()
+        };
+        for solo in [false, true] {
+            let run = |traced: bool| {
+                let mut rt = runtime(5);
+                if traced {
+                    rt.enable_tracing();
+                }
+                let report = rt.run_cooperative(async |p, world| {
+                    p.compute(1_000_000 * p.rank() as u64, None);
+                    let solo_comm = Communicator::from_members(vec![p.rank()]);
+                    let comm = if solo { &solo_comm } else { world };
+                    p.phase_begin("fresh");
+                    comm.allreduce_with_async(p, Phantom { bytes: 24 }, |_, lo, _| lo).await?;
+                    p.phase_end();
+                    Ok(p.sent_seq.iter().sum::<u64>())
+                });
+                let posted: Vec<u64> =
+                    report.ranks.iter().map(|r| *r.result.as_ref().unwrap()).collect();
+                // Per rank: each phase, in order, with its counters' bits.
+                let ledger = |m: &MetricsRegistry| {
+                    let phase = |name| (name, bits(m.phase(name).unwrap()));
+                    m.phase_names().into_iter().map(phase).collect::<Vec<_>>()
+                };
+                (posted, report.metrics.iter().map(ledger).collect::<Vec<_>>())
+            };
+            let ((folded_posts, folded), (sent_posts, sent)) = (run(false), run(true));
+            assert!(folded_posts.iter().all(|&n| n == 0), "solo={solo}: {folded_posts:?}");
+            assert_eq!(sent_posts.iter().all(|&n| n > 0), !solo, "solo={solo}: {sent_posts:?}");
+            let phases = if solo { vec![UNPHASED] } else { vec![UNPHASED, "fresh"] };
+            for rank in &sent {
+                let names: Vec<&str> = rank.iter().map(|(name, _)| *name).collect();
+                assert_eq!(names, phases, "solo={solo}");
+            }
+            assert_eq!(folded, sent, "solo={solo}");
+        }
     }
 
     #[test]

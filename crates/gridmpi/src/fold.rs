@@ -5,31 +5,35 @@
 //! what its `log₂P` rounds of envelopes compute is only clock algebra. In a
 //! run where nothing else can observe them — cooperative, untraced, no
 //! failure schedule, [`DeliveryOrder::Arrival`] — each member deposits its
-//! clock and receive-NIC state in the run's [`FoldPool`] and parks there;
-//! the last to arrive runs [`Rendezvous::butterfly`] over every deposited
-//! state: the fold-in, the exchange rounds and the fold-out of the message
-//! path, with the same `CostModel` calls and the same `VirtualTime`
-//! arithmetic in each member's own order. Each member then takes back its
-//! final clock and NIC and records the legs it stands for in its own
-//! metrics, under its current phase. No envelope is posted.
+//! clock, its receive-NIC state and its current phase's counters in the
+//! run's [`FoldPool`] and parks there; the last to arrive runs
+//! [`Rendezvous::butterfly`] over every deposited state: the fold-in, the
+//! exchange rounds and the fold-out of the message path, with the same
+//! `VirtualTime` arithmetic and the same counter adds in each member's own
+//! order. It prices each link class once per fold: with no failure schedule
+//! and one `wire_bytes` for every member, a message's time and the receive
+//! NIC's wire time depend on the link class alone. Each member then takes
+//! back its final clock, NIC and phase counters. No envelope is posted.
 //!
 //! The clocks are the message path's to the bit because inside the
 //! butterfly a member's clock depends only on its own entry state and on
 //! the arrival stamps of its partners: an envelope from outside the
 //! collective that lands meanwhile is only buffered, and a receive NIC is
-//! written only when a message is opened, in program order.
+//! written only when a message is opened, in program order. The counters
+//! are, because a parked member records nothing between its deposit and
+//! its leave: the fold's adds start from the same value, in the same order.
 
 use std::cell::RefCell;
 use std::future::poll_fn;
 use std::rc::Rc;
 
-use tsqr_netsim::{CostModel, FailureSchedule, GridTopology, LinkClass, ProcLocation, VirtualTime};
+use tsqr_netsim::{CostModel, GridTopology, LinkClass, VirtualTime};
 
 use crate::comm::{butterfly, Communicator};
 use crate::error::CommError;
 use crate::mailbox::{Cooperative, Mailbox};
 use crate::message::WirePayload;
-use crate::metrics::Leg;
+use crate::metrics::{PhaseCounters, UNPHASED};
 use crate::process::{DeliveryOrder, Process};
 
 /// The cooperative run an all-reduce over `M` folds in, or `None` when it
@@ -60,6 +64,7 @@ pub(crate) async fn allreduce_async<M: WirePayload>(
     value: M,
 ) -> Result<M, CommError> {
     let idx = comm.my_index(p);
+    debug_assert!(p.schedule.is_empty(), "an all-reduce folds only without a failure schedule");
     let slot = coop.borrow_mut().arrive(comm.members(), idx, p, value.wire_bytes());
     poll_fn(|_| coop.borrow_mut().poll_fold(slot, p.rank)).await?;
     coop.borrow_mut().folds.leave(slot, idx, p);
@@ -109,7 +114,7 @@ impl FoldPool {
         let fold = &mut self.folds[slot];
         let last = fold.deposit(idx, p, bytes);
         if last {
-            fold.butterfly(&p.topo, &p.model, &p.schedule);
+            fold.butterfly(&p.topo, &p.model);
             self.stop_waiting(members[0], slot);
         }
         (slot, last)
@@ -154,24 +159,37 @@ impl FoldPool {
 
 /// A member's state in a rendezvous: deposited on arrival, replaced by the
 /// fold.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Member {
     /// Deposited and not withdrawn.
     here: bool,
     clock: VirtualTime,
     nic_free: VirtualTime,
     bytes: u64,
-    /// Legs recorded for this member by the fold.
-    legs: usize,
+    /// The counters of the member's current phase, which the fold adds its
+    /// messages to in place.
+    counters: PhaseCounters,
 }
 
-const ABSENT: Member = Member {
-    here: false,
-    clock: VirtualTime::ZERO,
-    nic_free: VirtualTime::ZERO,
-    bytes: 0,
-    legs: 0,
-};
+impl Member {
+    /// Sends a `bytes`-sized message at this member's clock
+    /// ([`Process::send`]); returns the arrival stamp.
+    fn send(&mut self, price: Price, bytes: u64) -> VirtualTime {
+        let start = self.clock;
+        self.clock += price.send;
+        self.counters.add_send(price.bucket, bytes, (self.clock - start).secs());
+        self.clock
+    }
+
+    /// Opens a message stamped `arrival` (`Process::open`, whose
+    /// [`CostModel::receive_done`] this is).
+    fn recv(&mut self, price: Price, arrival: VirtualTime) {
+        self.nic_free = arrival.max(self.nic_free + price.wire);
+        let wait_start = self.clock;
+        self.clock = self.clock.max(self.nic_free);
+        self.counters.recv_wait_s += (self.clock - wait_start).secs();
+    }
+}
 
 /// One all-reduce's meeting point, reused by the [`FoldPool`], buffers and
 /// all, once every member has left it.
@@ -190,9 +208,21 @@ struct Rendezvous {
     /// Members that took their result back.
     left: usize,
     states: Vec<Member>,
-    /// Member `i`'s legs are `legs[i * stride..][..states[i].legs]`.
-    legs: Vec<Leg>,
-    stride: usize,
+    /// What a message of the fold costs on each link class, priced on
+    /// first use: intra-node, intra-cluster, then site pair `(x, y)` at
+    /// `2 + x·C + y` for `C` sites.
+    prices: Vec<Option<Price>>,
+}
+
+/// One message of a fold on one link class: its bucket in the counters,
+/// the sender's time and the receive NIC's wire time. A fold is fault-free
+/// and its messages all carry the same `wire_bytes`, so all three depend on
+/// the link class alone.
+#[derive(Clone, Copy)]
+struct Price {
+    bucket: usize,
+    send: VirtualTime,
+    wire: VirtualTime,
 }
 
 impl Rendezvous {
@@ -207,7 +237,7 @@ impl Rendezvous {
         self.members.extend_from_slice(members);
         self.opener = Some(members);
         self.states.clear();
-        self.states.resize(members.len(), ABSENT);
+        self.states.resize(members.len(), Member::default());
         (self.folded, self.arrived, self.left) = (false, 0, 0);
     }
 
@@ -215,7 +245,9 @@ impl Rendezvous {
     fn deposit(&mut self, idx: usize, p: &Process, bytes: u64) -> bool {
         debug_assert!(!self.states[idx].here, "rank {} arrived twice", p.rank);
         let (clock, nic_free) = (p.clock, p.nic_free);
-        self.states[idx] = Member { here: true, clock, nic_free, bytes, legs: 0 };
+        let counters = p.metrics.phase(p.current_phase().unwrap_or(UNPHASED));
+        let counters = counters.copied().unwrap_or_default();
+        self.states[idx] = Member { here: true, clock, nic_free, bytes, counters };
         self.arrived += 1;
         self.arrived == self.members.len()
     }
@@ -249,15 +281,17 @@ impl Rendezvous {
         &self.members
     }
 
-    /// Hands member `idx` its result — clock, receive NIC and the legs it
-    /// stands for, recorded under its current phase; true when it was the
-    /// last member to leave.
+    /// Hands member `idx` its result — clock, receive NIC and its current
+    /// phase's counters with the fold's messages added; true when it was the
+    /// last member to leave. A member of a 1-member communicator sent and
+    /// received nothing, so its phase is left as it was (not created).
     fn leave(&mut self, idx: usize, p: &mut Process) -> bool {
-        let s = self.states[idx];
+        let s = &self.states[idx];
         p.clock = s.clock;
         p.nic_free = s.nic_free;
-        let phase = p.current_phase();
-        p.metrics.record_legs(phase, &self.legs[idx * self.stride..][..s.legs]);
+        if self.members.len() > 1 {
+            *p.metrics.phase_mut(p.current_phase().unwrap_or(UNPHASED)) = s.counters;
+        }
         self.left += 1;
         self.left == self.members.len()
     }
@@ -266,27 +300,24 @@ impl Rendezvous {
     /// place: recursive doubling on the largest power of two `≤ P`, with the
     /// first `2·rem` members folded in pairs before and after it, exactly as
     /// [`Communicator::allreduce_with_async`] sends and receives them.
-    fn butterfly(
-        &mut self,
-        topo: &GridTopology,
-        model: &CostModel,
-        schedule: &FailureSchedule,
-    ) {
+    fn butterfly(&mut self, topo: &GridTopology, model: &CostModel) {
         let size = self.members.len();
         let (pof2, rem, member) = butterfly(size);
-        // At most one leg in, two a round, one out.
-        self.stride = 2 * pof2.trailing_zeros() as usize + 2;
-        let blank = Leg { send: false, class: LinkClass::IntraNode, bytes: 0, secs: 0.0 };
-        self.legs.resize(size * self.stride, blank);
-        debug_assert!(
-            self.states.iter().all(|s| s.bytes == self.states[0].bytes),
-            "a data-free all-reduce needs equal wire_bytes on every member"
-        );
-        let mut net = Net { topo, model, schedule, fold: self };
+        let bytes = self.states[0].bytes;
+        if let Some(other) = self.states.iter().find(|s| s.bytes != bytes) {
+            panic!(
+                "a data-free all-reduce over {size} members needs equal wire_bytes \
+                 on every member, got {bytes} and {}",
+                other.bytes
+            );
+        }
+        let sites = topo.num_clusters();
+        self.prices.clear();
+        self.prices.resize(2 + sites * sites, None);
+        let mut net = Net { topo, model, bytes, fold: self };
         // Fold-in: each even member of the first 2·rem hands its value up.
         for even in (0..2 * rem).step_by(2) {
-            let arrival = net.send(even, even + 1);
-            net.recv(even + 1, even, arrival);
+            net.pass(even, even + 1);
         }
         // The exchange rounds, on the members' folded indices.
         let mut mask = 1;
@@ -298,8 +329,7 @@ impl Rendezvous {
         }
         // Fold-out: each odd member of the first 2·rem hands the result back.
         for even in (0..2 * rem).step_by(2) {
-            let arrival = net.send(even + 1, even);
-            net.recv(even, even + 1, arrival);
+            net.pass(even + 1, even);
         }
         self.folded = true;
     }
@@ -310,63 +340,74 @@ impl Rendezvous {
 struct Net<'a> {
     topo: &'a GridTopology,
     model: &'a CostModel,
-    schedule: &'a FailureSchedule,
+    /// Every message's `wire_bytes`.
+    bytes: u64,
     fold: &'a mut Rendezvous,
 }
 
 impl Net<'_> {
-    /// Where members `a` and `b` sit.
-    fn link(&self, a: usize, b: usize) -> (ProcLocation, ProcLocation) {
+    /// What a message between members `a` and `b` costs:
+    /// [`CostModel::message_time`] (the fault-free `message_time_under` of
+    /// [`Process::send`]) and [`CostModel::wire_time`] (that of
+    /// [`CostModel::receive_done`]), priced on the link class's first use.
+    fn price(&mut self, a: usize, b: usize) -> Price {
         let at = |idx: usize| self.topo.location(self.fold.members[idx]);
-        (at(a), at(b))
+        let (from, to) = (at(a), at(b));
+        let class = LinkClass::between(from, to);
+        let slot = match class {
+            LinkClass::IntraNode => 0,
+            LinkClass::IntraCluster => 1,
+            LinkClass::InterCluster(x, y) => 2 + x * self.topo.num_clusters() + y,
+        };
+        let (model, bytes) = (self.model, self.bytes);
+        *self.fold.prices[slot].get_or_insert_with(|| Price {
+            bucket: class.bucket(),
+            send: model.message_time(from, to, bytes),
+            wire: model.wire_time(from, to, bytes),
+        })
     }
 
-    fn push(&mut self, idx: usize, leg: Leg) {
-        let f = &mut *self.fold;
-        f.legs[idx * f.stride + f.states[idx].legs] = leg;
-        f.states[idx].legs += 1;
-    }
-
-    /// Member `a` sends to member `b` at its clock ([`Process::send`]);
-    /// returns the arrival stamp.
-    fn send(&mut self, a: usize, b: usize) -> VirtualTime {
-        let (from, to) = self.link(a, b);
-        let s = &mut self.fold.states[a];
-        let (start, bytes) = (s.clock, s.bytes);
-        s.clock += self.model.message_time_under(from, to, bytes, start, self.schedule);
-        let secs = (s.clock - start).secs();
-        let arrival = s.clock;
-        self.push(a, Leg { send: true, class: LinkClass::between(from, to), bytes, secs });
-        arrival
-    }
-
-    /// Member `b` opens member `a`'s message stamped `arrival`
-    /// (`Process::open`).
-    fn recv(&mut self, b: usize, a: usize, arrival: VirtualTime) {
-        let (from, to) = self.link(a, b);
-        let bytes = self.fold.states[a].bytes;
-        let s = &mut self.fold.states[b];
-        let done = self.model.receive_done(from, to, bytes, arrival, s.nic_free);
-        s.nic_free = done;
-        let wait_start = s.clock;
-        s.clock = s.clock.max(done);
-        let secs = (s.clock - wait_start).secs();
-        self.push(b, Leg { send: false, class: LinkClass::between(from, to), bytes, secs });
+    /// Member `a` sends to member `b`, which opens the message.
+    fn pass(&mut self, a: usize, b: usize) {
+        let price = self.price(a, b);
+        let arrival = self.fold.states[a].send(price, self.bytes);
+        self.fold.states[b].recv(price, arrival);
     }
 
     /// Members `a` and `b` trade values ([`Process::exchange_async`]): each
     /// receive overlaps its own send, timed from the pre-send clock.
     fn exchange(&mut self, a: usize, b: usize) {
-        let (before_a, before_b) = (self.fold.states[a].clock, self.fold.states[b].clock);
-        let sent_a = self.send(a, b);
-        let sent_b = self.send(b, a);
-        for (me, peer, before, sent, arrival) in
-            [(a, b, before_a, sent_a, sent_b), (b, a, before_b, sent_b, sent_a)]
+        let price = self.price(a, b);
+        let states = &mut self.fold.states;
+        let (before_a, before_b) = (states[a].clock, states[b].clock);
+        let sent_a = states[a].send(price, self.bytes);
+        let sent_b = states[b].send(price, self.bytes);
+        for (me, before, sent, arrival) in
+            [(a, before_a, sent_a, sent_b), (b, before_b, sent_b, sent_a)]
         {
-            self.fold.states[me].clock = before;
-            self.recv(me, peer, arrival);
-            let s = &mut self.fold.states[me];
+            let s = &mut states[me];
+            s.clock = before;
+            s.recv(price, arrival);
             s.clock = s.clock.max(sent);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tsqr_netsim::{two_tier_grid, LinkParams};
+
+    #[test]
+    #[should_panic(expected = "over 3 members needs equal wire_bytes on every member, got 16 and 24")]
+    fn a_fold_over_unequal_wire_bytes_panics() {
+        let link = LinkParams::from_ms_mbps(1.0, 800.0);
+        let (topo, model) = two_tier_grid(1, 3, link, link, 1e9);
+        let mut fold = Rendezvous::default();
+        fold.reopen(&[0, 1, 2]);
+        for (idx, bytes) in [16, 16, 24].into_iter().enumerate() {
+            fold.states[idx] = Member { here: true, bytes, ..Member::default() };
+        }
+        fold.butterfly(&topo, &model);
     }
 }

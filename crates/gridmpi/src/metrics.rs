@@ -25,20 +25,6 @@ pub const UNPHASED: &str = "(unphased)";
 /// Number of link-class buckets (mirrors [`LinkClass::N_BUCKETS`]).
 const B: usize = LinkClass::N_BUCKETS;
 
-/// One message as a rank's ledger sees it: a send of `bytes` over `class`
-/// that took `secs`, or a receive that blocked the clock for `secs`.
-#[derive(Clone, Copy)]
-pub(crate) struct Leg {
-    /// A send (else a receive).
-    pub(crate) send: bool,
-    /// The link class between the two ranks.
-    pub(crate) class: LinkClass,
-    /// Payload size on the wire.
-    pub(crate) bytes: u64,
-    /// Virtual seconds sending, or blocked receiving.
-    pub(crate) secs: f64,
-}
-
 /// Eq. (1) ledger for one phase: message/byte/flop counts plus the
 /// virtual seconds they took.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -73,6 +59,13 @@ impl PhaseCounters {
     /// Messages that crossed a wide-area link.
     pub fn wan_msgs(&self) -> u64 {
         self.msgs[B - 1]
+    }
+
+    /// Counts one send of `bytes` in link-class bucket `b` that took `secs`.
+    pub(crate) fn add_send(&mut self, b: usize, bytes: u64, secs: f64) {
+        self.msgs[b] += 1;
+        self.bytes[b] += bytes;
+        self.send_s[b] += secs;
     }
 
     /// Element-wise sum.
@@ -135,16 +128,11 @@ impl MetricsRegistry {
 
     /// Mutable counters of `phase`, created on first touch.
     pub fn phase_mut(&mut self, phase: &'static str) -> &mut PhaseCounters {
-        let i = self.phase_index(phase);
-        &mut self.phases[i].1
-    }
-
-    /// Where `phase` sits in `phases`, appended on first touch.
-    fn phase_index(&mut self, phase: &'static str) -> usize {
-        self.phases.iter().position(|(p, _)| *p == phase).unwrap_or_else(|| {
+        let i = self.phases.iter().position(|(p, _)| *p == phase).unwrap_or_else(|| {
             self.phases.push((phase, PhaseCounters::default()));
             self.phases.len() - 1
-        })
+        });
+        &mut self.phases[i].1
     }
 
     /// Phases in first-entered order.
@@ -169,7 +157,7 @@ impl MetricsRegistry {
         bytes: u64,
         secs: f64,
     ) {
-        self.record_legs(phase, &[Leg { send: true, class, bytes, secs }]);
+        self.phase_mut(phase.unwrap_or(UNPHASED)).add_send(class.bucket(), bytes, secs);
     }
 
     /// Records a receive over `class` that blocked the clock for `secs`.
@@ -182,28 +170,8 @@ impl MetricsRegistry {
         bytes: u64,
         secs: f64,
     ) {
-        self.record_legs(phase, &[Leg { send: false, class, bytes, secs }]);
-    }
-
-    /// Records `legs` under one phase, in order: the same adds as one
-    /// [`MetricsRegistry::record_send`] or [`MetricsRegistry::record_recv`]
-    /// per leg, with the phase looked up once.
-    pub(crate) fn record_legs(&mut self, phase: Option<&'static str>, legs: &[Leg]) {
-        if legs.is_empty() {
-            return;
-        }
-        let i = self.phase_index(phase.unwrap_or(UNPHASED));
-        let c = &mut self.phases[i].1;
-        for leg in legs {
-            let b = leg.class.bucket();
-            if leg.send {
-                c.msgs[b] += 1;
-                c.bytes[b] += leg.bytes;
-                c.send_s[b] += leg.secs;
-            } else {
-                c.recv_wait_s += leg.secs;
-            }
-        }
+        let _ = (class, bytes);
+        self.phase_mut(phase.unwrap_or(UNPHASED)).recv_wait_s += secs;
     }
 
     /// Records a computation of `flops` that took `secs`.

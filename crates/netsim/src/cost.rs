@@ -152,9 +152,7 @@ impl CostModel {
     /// receiving — `arrival` exactly for an idle NIC; for a hot one (the
     /// root of a flat tree with P−1 concurrent senders) messages queue.
     ///
-    /// The `gridmpi` runtime and the `tune` makespan predictor both price
-    /// every receive through this one function, which is what makes the
-    /// prediction bit-identical to the simulation.
+    /// The payload's wire time is [`CostModel::wire_time`].
     #[inline]
     pub fn receive_done(
         &self,
@@ -164,8 +162,19 @@ impl CostModel {
         arrival: VirtualTime,
         nic_free: VirtualTime,
     ) -> VirtualTime {
-        let wire = VirtualTime::from_secs(bytes as f64 * 8.0 / self.link(from, to).bandwidth_bps);
-        arrival.max(nic_free + wire)
+        arrival.max(nic_free + self.wire_time(from, to, bytes))
+    }
+
+    /// How long a receive NIC at `to` is busy clocking in a `bytes`-sized
+    /// message from `from`: the payload's bandwidth term, without latency.
+    ///
+    /// The `gridmpi` runtime (through [`CostModel::receive_done`], or once
+    /// per link class in a folded all-reduce) and the `tune` makespan
+    /// predictor both price every receive through this one function, which
+    /// is what makes the prediction bit-identical to the simulation.
+    #[inline]
+    pub fn wire_time(&self, from: ProcLocation, to: ProcLocation, bytes: u64) -> VirtualTime {
+        VirtualTime::from_secs(bytes as f64 * 8.0 / self.link(from, to).bandwidth_bps)
     }
 
     /// Returns a copy with the given WAN congestion surcharge.

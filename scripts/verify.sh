@@ -169,6 +169,11 @@ done
 # live in gridmpi (CriticalPath/FoldedProfile::check_tiling,
 # Diagnosis::check_reconciled), not in their two callers.
 if grep -rn 'Histogram\|msg_bytes' $GM; then copy_is_back "a message-size histogram in gridmpi"; fi
+# A folded all-reduce adds each message straight into its member's phase
+# counters (gridmpi::fold): no per-message leg buffer replayed into the registry.
+if grep -rnE 'struct Leg\b|record_legs|legs: Vec<' $GM; then
+  copy_is_back "a leg buffer replayed into the metrics registry"
+fi
 for f in $(grep -rlF --include='*.rs' 'MetricsRegistry::default()' crates/*/src src examples); do
   [ "$f" = "$GM/metrics.rs" ] && continue
   allowed=0; [ "$f" = "$GM/runtime.rs" ] && allowed=1
