@@ -3,14 +3,16 @@
 
 use std::fmt;
 
-use tsqr_netsim::{ClusterSpec, CostModel, GridTopology};
+use tsqr_netsim::{ClusterSpec, CostModel, GridTopology, LinkParams};
 
 use crate::catalog::ResourceCatalog;
 use crate::profile::JobProfile;
 
-/// Why an allocation request could not be satisfied.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScheduleError {
+/// Why an allocation request could not be satisfied, each cluster named
+/// by a `C`: its name in what [`allocate`] returns, its catalog index in a
+/// [`Refusal`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ScheduleError<C = String> {
     /// Fewer clusters satisfy the intra-group requirement than groups
     /// requested.
     NotEnoughClusters {
@@ -22,7 +24,7 @@ pub enum ScheduleError {
     /// A qualifying cluster cannot host `procs_per_group` processes.
     NotEnoughProcs {
         /// The cluster that fell short.
-        cluster: String,
+        cluster: C,
         /// Processes it can host.
         capacity: usize,
         /// Processes the profile needs per group.
@@ -31,14 +33,14 @@ pub enum ScheduleError {
     /// The network between two chosen clusters violates the inter-group
     /// requirement.
     InterGroupNetworkTooWeak {
-        /// First cluster name.
-        a: String,
-        /// Second cluster name.
-        b: String,
+        /// First cluster.
+        a: C,
+        /// Second cluster.
+        b: C,
     },
 }
 
-impl fmt::Display for ScheduleError {
+impl<C: fmt::Display> fmt::Display for ScheduleError<C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScheduleError::NotEnoughClusters { requested, available } => write!(
@@ -56,7 +58,30 @@ impl fmt::Display for ScheduleError {
     }
 }
 
-impl std::error::Error for ScheduleError {}
+impl<C: fmt::Debug + fmt::Display> std::error::Error for ScheduleError<C> {}
+
+/// Why [`SlotPool::allocate`] refused: a [`ScheduleError`] naming its
+/// clusters by catalog index, so a refusal is a `Copy` value and refusing
+/// allocates nothing. Only [`allocate`] names the clusters.
+pub type Refusal = ScheduleError<usize>;
+
+impl Refusal {
+    /// This refusal with its clusters named as in `catalog`.
+    fn into_error(self, catalog: &ResourceCatalog) -> ScheduleError {
+        let name = |c: usize| catalog.clusters[c].name.clone();
+        match self {
+            Refusal::NotEnoughClusters { requested, available } => {
+                ScheduleError::NotEnoughClusters { requested, available }
+            }
+            Refusal::NotEnoughProcs { cluster, capacity, needed } => {
+                ScheduleError::NotEnoughProcs { cluster: name(cluster), capacity, needed }
+            }
+            Refusal::InterGroupNetworkTooWeak { a, b } => {
+                ScheduleError::InterGroupNetworkTooWeak { a: name(a), b: name(b) }
+            }
+        }
+    }
+}
 
 /// A concrete allocation: placement, per-rank group identifiers, and the
 /// effective synchronous compute rate.
@@ -95,23 +120,87 @@ impl Allocation {
     pub fn nodes_per_group(&self) -> usize {
         (self.group_of.len() / self.num_groups()) / self.procs_per_node_used
     }
+}
 
-    /// Returns this allocation's nodes to `pool`. Convenience alias for
-    /// [`SlotPool::release`], reading as "the lease releases itself".
+/// Nodes leased out of a [`SlotPool`]: what the selection decided, and
+/// no topology. [`Lease::allocation`] builds the placed [`Allocation`]
+/// for a caller that needs one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Lease {
+    /// The chosen catalog clusters in group order, then the free node
+    /// count each had when the lease was cut: `2 × groups` entries, the
+    /// lease's one heap allocation.
+    sites: Box<[usize]>,
+    procs_per_node_used: usize,
+    nodes_per_group: usize,
+    effective_gflops_per_proc: f64,
+}
+
+impl Lease {
+    /// Catalog indices of the clusters hosting each group.
+    pub fn cluster_of_group(&self) -> &[usize] {
+        &self.sites[..self.num_groups()]
+    }
+
+    /// Number of groups.
+    pub fn num_groups(&self) -> usize {
+        self.sites.len() / 2
+    }
+
+    /// Processes booked per node.
+    pub fn procs_per_node_used(&self) -> usize {
+        self.procs_per_node_used
+    }
+
+    /// Nodes booked on each group's host cluster.
+    pub fn nodes_per_group(&self) -> usize {
+        self.nodes_per_group
+    }
+
+    /// The per-process flop rate every group is throttled to.
+    pub fn effective_gflops_per_proc(&self) -> f64 {
+        self.effective_gflops_per_proc
+    }
+
+    /// The placed allocation on `catalog`, the pool's: one contiguous rank
+    /// range per group, each placed `ClusterSpec::nodes` the free count
+    /// its cluster had when the lease was cut.
+    pub fn allocation(&self, catalog: &ResourceCatalog) -> Allocation {
+        let (clusters, nodes) = self.sites.split_at(self.num_groups());
+        let specs = (clusters.iter().zip(nodes))
+            .map(|(&c, &nodes)| ClusterSpec { nodes, ..catalog.clusters[c].clone() })
+            .collect();
+        let topology =
+            GridTopology::block_placement(specs, self.nodes_per_group, self.procs_per_node_used);
+        let group_of: Vec<usize> = (0..topology.num_procs())
+            .map(|r| topology.cluster_of(r))
+            .collect();
+        Allocation {
+            topology,
+            network: catalog.network.clone(),
+            group_of,
+            cluster_of_group: clusters.to_vec(),
+            procs_per_node_used: self.procs_per_node_used,
+            effective_gflops_per_proc: self.effective_gflops_per_proc,
+        }
+    }
+
+    /// Returns this lease's nodes to `pool`: [`SlotPool::release`],
+    /// read as "the lease releases itself".
     pub fn release(&self, pool: &mut SlotPool) {
         pool.release(self);
     }
 
-    /// Returns only the nodes this allocation booked on catalog cluster
+    /// Returns only the nodes this lease booked on catalog cluster
     /// `site` — the failure path's partial release: when one of a job's
     /// sites crashes mid-run, the engine writes the dead site off via
     /// [`SlotPool::fail_site`] and hands back each *surviving* site with
     /// this call, so the pool's leak panic still guards the whole path.
     ///
     /// # Panics
-    /// Panics when `site` is not part of this allocation, has already
-    /// been released, or is marked down in the pool (dead slots are
-    /// written off, never returned).
+    /// Panics when `site` is not part of this lease, has already been
+    /// released, or is marked down in the pool (dead slots are written
+    /// off, never returned).
     pub fn release_site(&self, pool: &mut SlotPool, site: usize) {
         pool.release_site(self, site);
     }
@@ -125,9 +214,9 @@ impl Allocation {
 /// on this catalog?" and the paper's single-job experiments never needed
 /// more. A serving layer does: concurrent jobs must not double-book
 /// nodes, and finished jobs must hand their nodes back. `SlotPool` keeps
-/// a free-node counter per cluster, hands [`allocate`]'s selection half
+/// a free-node counter per cluster, runs [`allocate`]'s selection on
 /// those counters in place of the catalog's node counts (the catalog is
-/// read by reference, never copied, so `cluster_of_group` indexes the real
+/// read by reference, never copied, so a lease's clusters index the real
 /// catalog by construction), and books/returns whole nodes per
 /// allocate/release. Every release asserts the counter never exceeds the
 /// physical cluster size, which makes slot leaks loud instead of silent.
@@ -175,7 +264,7 @@ impl SlotPool {
     /// zero permanently and its outstanding leased nodes are written off
     /// (the engine kills the affected jobs in the same event step and
     /// releases only their *surviving* sites via
-    /// [`Allocation::release_site`]). Returns the written-off node count.
+    /// [`Lease::release_site`]). Returns the written-off node count.
     ///
     /// # Panics
     /// Panics on a double crash of the same cluster.
@@ -203,69 +292,67 @@ impl SlotPool {
     /// capacity — i.e. an allocation failure right now means "wait for a
     /// release", not "this shape can never run again". The elastic
     /// re-planner walks this predicate down from the requested site count
-    /// after a crash. A yes/no needs the selection only: no topology is
-    /// built.
+    /// after a crash. It runs the selection only, and allocates nothing.
     pub fn feasible_on_survivors(&self, profile: &JobProfile) -> bool {
-        let survivors: Vec<usize> = (self.catalog.clusters.iter().zip(&self.down))
-            .map(|(spec, &down)| if down { 0 } else { spec.nodes })
-            .collect();
-        select(&self.catalog, &survivors, profile).is_ok()
+        let survivors = |c: usize| if self.down[c] { 0 } else { self.catalog.clusters[c].nodes };
+        select(&self.catalog, survivors, profile).is_ok()
     }
 
-    /// Leases an allocation for `profile` out of the *free* capacity.
+    /// Leases nodes for `profile` out of the *free* capacity.
     ///
-    /// The strategy is [`allocate`] with the current free-node counts
-    /// standing in for the cluster sizes, so placement naturally prefers
-    /// the emptiest clusters (contention-aware ranking for free) and the
-    /// placed topology's `ClusterSpec::nodes` are the free counts it was
-    /// cut from. A `NotEnoughProcs`/`NotEnoughClusters` error under a
-    /// partially-booked pool means "wait for a release", not "impossible
-    /// on this grid" — callers distinguish the two with
-    /// [`SlotPool::feasible_on_survivors`]. A refused lease changes
-    /// nothing: only a granted one builds a topology and books nodes.
-    pub fn allocate(&mut self, profile: &JobProfile) -> Result<Allocation, ScheduleError> {
-        let selection = select(&self.catalog, &self.free_nodes, profile)?;
-        let alloc = materialise(&self.catalog, &self.free_nodes, selection);
-        let booked = alloc.nodes_per_group();
-        for &c in &alloc.cluster_of_group {
+    /// The strategy is [`allocate`]'s selection with the current free-node
+    /// counts standing in for the cluster sizes, so placement naturally
+    /// prefers the emptiest clusters (contention-aware ranking for free).
+    /// A refusal under a partially-booked pool means "wait for a
+    /// release", not "impossible on this grid" — callers distinguish the
+    /// two with [`SlotPool::feasible_on_survivors`]. A refused try
+    /// allocates nothing and changes nothing; a granted one books the
+    /// nodes and returns a [`Lease`], whose one allocation is its cluster
+    /// list. No topology is built: [`Lease::allocation`] places the ranks,
+    /// each placed `ClusterSpec::nodes` the free count it was cut from.
+    pub fn allocate(&mut self, profile: &JobProfile) -> Result<Lease, Refusal> {
+        let free = &self.free_nodes;
+        let lease = select(&self.catalog, |c| free[c], profile)?.lease();
+        let booked = lease.nodes_per_group;
+        for &c in lease.cluster_of_group() {
             debug_assert!(self.free_nodes[c] >= booked, "allocation exceeded free capacity");
             self.free_nodes[c] -= booked;
             self.leased_nodes[c] += booked;
         }
-        Ok(alloc)
+        Ok(lease)
     }
 
-    /// Returns the nodes of `alloc` to the pool.
+    /// Returns the nodes of `lease` to the pool.
     ///
     /// # Panics
     /// Panics when the return would push a cluster past its physical node
     /// count — i.e. on a double release or a release of a foreign
-    /// allocation, the two ways slot accounting can leak — or when any
-    /// of the allocation's clusters has crashed (the failure path must
-    /// release survivors one by one via [`Allocation::release_site`]).
-    pub fn release(&mut self, alloc: &Allocation) {
-        for &c in &alloc.cluster_of_group {
-            self.release_site(alloc, c);
+    /// lease, the two ways slot accounting can leak — or when any of the
+    /// lease's clusters has crashed (the failure path must release
+    /// survivors one by one via [`Lease::release_site`]).
+    pub fn release(&mut self, lease: &Lease) {
+        for &c in lease.cluster_of_group() {
+            self.release_site(lease, c);
         }
     }
 
-    /// Returns only the nodes `alloc` booked on catalog cluster `site`.
-    /// See [`Allocation::release_site`] for the failure-path contract.
+    /// Returns only the nodes `lease` booked on catalog cluster `site`.
+    /// See [`Lease::release_site`] for the failure-path contract.
     ///
     /// # Panics
-    /// Panics when `site` is not part of `alloc`, is down, or when the
+    /// Panics when `site` is not part of `lease`, is down, or when the
     /// return would leak slots (double release).
-    pub fn release_site(&mut self, alloc: &Allocation, site: usize) {
+    pub fn release_site(&mut self, lease: &Lease, site: usize) {
         assert!(
-            alloc.cluster_of_group.contains(&site),
-            "release_site: cluster {site} is not part of this allocation"
+            lease.cluster_of_group().contains(&site),
+            "release_site: cluster {site} is not part of this lease"
         );
         assert!(
             !self.down[site],
             "slot-accounting leak: releasing nodes to crashed cluster {}",
             self.catalog.clusters[site].name,
         );
-        let booked = alloc.nodes_per_group();
+        let booked = lease.nodes_per_group;
         assert!(
             self.leased_nodes[site] >= booked,
             "slot-accounting leak: cluster {} has {} leased nodes, release of {} attempted",
@@ -286,40 +373,115 @@ impl SlotPool {
 
 /// Allocates resources for `profile` from `catalog`.
 ///
-/// Strategy (mirrors §III), in two halves. **Selection** reads the catalog
-/// by reference and decides everything a yes/no answer needs:
+/// Strategy (mirrors §III), in three parts. **Selection** reads the
+/// catalog by reference, allocates nothing and decides everything a
+/// yes/no answer needs:
 /// 1. which clusters qualify (the intra-group network requirement),
 /// 2. rank them by capacity and take the `groups` largest,
 /// 3. check each chosen cluster can host `procs_per_group` processes,
 /// 4. verify the pairwise inter-group links,
 /// 5. book `procs_per_group` processes on as few nodes as possible (and
-///    re-check the node count under partial-node booking),
-/// 6. throttle every process to the slowest selected cluster's peak.
+///    re-check the node count under partial-node booking).
 ///
-/// **Materialisation** is what only a granted request pays:
-/// 7. the placed topology, `group_of` and the [`Allocation`] itself.
+/// **The lease** is what a granted request pays (what
+/// [`SlotPool::allocate`] returns): the chosen clusters in one small
+/// allocation, and
+/// 6. the throttle of every process to the slowest chosen cluster's peak.
+///
+/// **Materialisation** is what only a caller that places ranks pays:
+/// 7. the placed topology, `group_of` and the [`Allocation`] itself
+///    ([`Lease::allocation`]).
 pub fn allocate(catalog: &ResourceCatalog, profile: &JobProfile) -> Result<Allocation, ScheduleError> {
-    let nodes: Vec<usize> = catalog.clusters.iter().map(|c| c.nodes).collect();
-    Ok(materialise(catalog, &nodes, select(catalog, &nodes, profile)?))
+    match select(catalog, |c| catalog.clusters[c].nodes, profile) {
+        Ok(selection) => Ok(selection.lease().allocation(catalog)),
+        Err(refusal) => Err(refusal.into_error(catalog)),
+    }
 }
 
-/// What steps 1–6 of [`allocate`] decide.
-struct Selection {
-    /// Catalog indices of the chosen clusters, one per group.
-    chosen: Vec<usize>,
+/// Step 2 of [`allocate`] without a sorted `Vec`: the clusters in
+/// decreasing capacity `nodes(c) × procs_per_node`, ties to the lower
+/// index (the order a stable sort by `Reverse(capacity)` gives), one scan
+/// of the catalog per pick. A copy taken mid-walk yields the picks after
+/// the current one.
+#[derive(Clone, Copy)]
+struct Picks<'a, F> {
+    catalog: &'a ResourceCatalog,
+    nodes: F,
+    /// The previous pick's capacity, and the index after it: the next
+    /// pick has a smaller capacity, or the same one at index `from` or
+    /// above.
+    cap: usize,
+    from: usize,
+    left: usize,
+}
+
+impl<F: Fn(usize) -> usize> Iterator for Picks<'_, F> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let mut best: Option<(usize, usize)> = None;
+        for (c, spec) in self.catalog.clusters.iter().enumerate() {
+            let cap = (self.nodes)(c) * spec.procs_per_node;
+            let below = cap < self.cap || (cap == self.cap && c >= self.from);
+            if below && best.is_none_or(|(most, _)| cap > most) {
+                best = Some((cap, c));
+            }
+        }
+        let (cap, c) = best?;
+        (self.cap, self.from) = (cap, c + 1);
+        Some(c)
+    }
+}
+
+/// What steps 1–5 of [`allocate`] decide. The chosen clusters are not
+/// stored: `picks` yields them again.
+struct Selection<'a, F> {
+    picks: Picks<'a, F>,
     procs_per_node_used: usize,
     nodes_per_group: usize,
-    effective_gflops_per_proc: f64,
 }
 
-/// Steps 1–6 of [`allocate`], with `nodes[c]` standing in for
+impl<F: Fn(usize) -> usize + Copy> Selection<'_, F> {
+    /// The lease this selection cuts: the chosen clusters, then the node
+    /// count each had, in one allocation; and step 6, the rate.
+    fn lease(self) -> Lease {
+        let (groups, nodes) = (self.picks.left, self.picks.nodes);
+        let mut sites = Vec::with_capacity(2 * groups);
+        sites.extend(self.picks);
+        for g in 0..groups {
+            sites.push(nodes(sites[g]));
+        }
+        // 6. Effective synchronous rate: throttle to the slowest cluster
+        //    when the peak spread exceeds the tolerance (§V-A).
+        // Synchronous algorithms run at the slowest member's rate
+        // regardless of the tolerance; the tolerance only gates whether the
+        // allocation is *accepted* as "equivalent computing power" in
+        // spirit. Grid'5000's 8.0–10.4 spread sits inside the default 35%
+        // tolerance.
+        let effective_gflops_per_proc = self.picks.catalog.min_peak_gflops(&sites[..groups]);
+        Lease {
+            sites: sites.into_boxed_slice(),
+            procs_per_node_used: self.procs_per_node_used,
+            nodes_per_group: self.nodes_per_group,
+            effective_gflops_per_proc,
+        }
+    }
+}
+
+/// Steps 1–5 of [`allocate`], with `nodes(c)` standing in for
 /// `catalog.clusters[c].nodes`: the catalog's own counts, a pool's free
-/// counts, or the physical counts with crashed clusters at zero.
-fn select(
-    catalog: &ResourceCatalog,
-    nodes: &[usize],
+/// counts, or the physical counts with crashed clusters at zero. The one
+/// selection every caller runs; it allocates nothing, and a yes needs one
+/// walk of the picks. Step 6 only matters to a lease ([`Selection::lease`]).
+fn select<'a, F: Fn(usize) -> usize + Copy>(
+    catalog: &'a ResourceCatalog,
+    nodes: F,
     profile: &JobProfile,
-) -> Result<Selection, ScheduleError> {
+) -> Result<Selection<'a, F>, Refusal> {
     assert!(profile.groups > 0 && profile.procs_per_group > 0, "empty profile");
     // 1. Which clusters qualify for hosting a group? The intra-group
     //    network requirement must hold on the cluster interconnect, which
@@ -331,35 +493,43 @@ fn select(
         0
     };
     if available < profile.groups {
-        return Err(ScheduleError::NotEnoughClusters { requested: profile.groups, available });
+        return Err(Refusal::NotEnoughClusters { requested: profile.groups, available });
     }
     // 2. Prefer clusters with the most processors (stable order on ties).
-    let mut ranked: Vec<usize> = (0..catalog.clusters.len()).collect();
-    ranked.sort_by_key(|&c| (std::cmp::Reverse(nodes[c] * catalog.clusters[c].procs_per_node), c));
-    let chosen: Vec<usize> = ranked.into_iter().take(profile.groups).collect();
+    //    Before the first pick every cluster ranks below.
+    let picks = Picks { catalog, nodes, cap: usize::MAX, from: 0, left: profile.groups };
 
-    // 3. Capacity check per chosen cluster.
-    for &c in &chosen {
+    // 3. Capacity check per chosen cluster, in the walk that also finds
+    //    what step 5 needs: the fewest sockets and the fewest nodes.
+    let needed = profile.procs_per_group;
+    let (mut sockets, mut fewest_nodes) = (usize::MAX, usize::MAX);
+    for c in picks {
         let spec = &catalog.clusters[c];
-        let capacity = nodes[c] * spec.procs_per_node;
-        if capacity < profile.procs_per_group {
-            return Err(ScheduleError::NotEnoughProcs {
-                cluster: spec.name.clone(),
-                capacity,
-                needed: profile.procs_per_group,
-            });
+        let capacity = nodes(c) * spec.procs_per_node;
+        if capacity < needed {
+            return Err(Refusal::NotEnoughProcs { cluster: c, capacity, needed });
         }
+        sockets = sockets.min(spec.procs_per_node);
+        fewest_nodes = fewest_nodes.min(nodes(c));
     }
 
-    // 4. Pairwise inter-group network check.
-    for (i, &a) in chosen.iter().enumerate() {
-        for &b in &chosen[i + 1..] {
-            let link = catalog.network.inter_cluster[a][b];
-            if !profile.inter_group.satisfied_by(link.latency_s, link.bandwidth_bps) {
-                return Err(ScheduleError::InterGroupNetworkTooWeak {
-                    a: catalog.clusters[a].name.clone(),
-                    b: catalog.clusters[b].name.clone(),
-                });
+    // 4. Pairwise inter-group network check. One group has no pair, and
+    //    a requirement every link between two clusters meets
+    //    (`NetworkRequirement::any`) cannot fail on a chosen pair: only
+    //    otherwise are the pairs walked.
+    let req = &profile.inter_group;
+    let meets = |link: &LinkParams| req.satisfied_by(link.latency_s, link.bandwidth_bps);
+    let links = &catalog.network.inter_cluster;
+    let every_link_meets = || {
+        (links.iter().enumerate())
+            .all(|(a, row)| row.iter().enumerate().all(|(b, link)| a == b || meets(link)))
+    };
+    if profile.groups > 1 && !every_link_meets() {
+        let mut rest = picks;
+        while let Some(a) = rest.next() {
+            let mut later = rest;
+            if let Some(b) = later.find(|&b| !meets(&links[a][b])) {
+                return Err(Refusal::InterGroupNetworkTooWeak { a, b });
             }
         }
     }
@@ -367,63 +537,26 @@ fn select(
     // 5. Book processes: use every socket of a node unless the group does
     //    not divide evenly, in which case book fewer processes per node
     //    (the paper booked half the cores of some machines, §III).
-    let sockets = chosen
-        .iter()
-        .map(|&c| catalog.clusters[c].procs_per_node)
-        .min()
-        .expect("at least one cluster chosen");
     let procs_per_node_used = (1..=sockets)
         .rev()
-        .find(|&ppn| profile.procs_per_group.is_multiple_of(ppn))
+        .find(|&ppn| needed.is_multiple_of(ppn))
         .expect("ppn = 1 always divides");
-    let nodes_per_group = profile.procs_per_group / procs_per_node_used;
+    let nodes_per_group = needed / procs_per_node_used;
     // Partial-node booking reduces the usable capacity: an odd group size
     // books one process per node, so the node count itself can run out
     // even when raw socket capacity sufficed.
-    for &c in &chosen {
-        if nodes_per_group > nodes[c] {
-            return Err(ScheduleError::NotEnoughProcs {
-                cluster: catalog.clusters[c].name.clone(),
-                capacity: nodes[c] * procs_per_node_used,
-                needed: profile.procs_per_group,
-            });
-        }
+    if nodes_per_group > fewest_nodes {
+        let mut walk = picks;
+        let c = walk.find(|&c| nodes_per_group > nodes(c)).expect("the fewest nodes fall short");
+        let capacity = nodes(c) * procs_per_node_used;
+        return Err(Refusal::NotEnoughProcs { cluster: c, capacity, needed });
     }
-
-    // 6. Effective synchronous rate: throttle to the slowest cluster when
-    //    the peak spread exceeds the tolerance (§V-A).
-    // Synchronous algorithms run at the slowest member's rate regardless
-    // of the tolerance; the tolerance only gates whether the allocation is
-    // *accepted* as "equivalent computing power" in spirit. Grid'5000's
-    // 8.0–10.4 spread sits inside the default 35% tolerance.
-    let effective_gflops_per_proc = catalog.min_peak_gflops(&chosen);
-    Ok(Selection { chosen, procs_per_node_used, nodes_per_group, effective_gflops_per_proc })
-}
-
-/// Step 7 of [`allocate`]: the placed topology, one contiguous rank range
-/// per group. Each placed `ClusterSpec::nodes` is the count the selection
-/// saw (`nodes[c]`), not the catalog's.
-fn materialise(catalog: &ResourceCatalog, nodes: &[usize], s: Selection) -> Allocation {
-    let specs = (s.chosen.iter())
-        .map(|&c| ClusterSpec { nodes: nodes[c], ..catalog.clusters[c].clone() })
-        .collect();
-    let topology = GridTopology::block_placement(specs, s.nodes_per_group, s.procs_per_node_used);
-    let group_of: Vec<usize> = (0..topology.num_procs())
-        .map(|r| topology.cluster_of(r))
-        .collect();
-    Allocation {
-        topology,
-        network: catalog.network.clone(),
-        group_of,
-        cluster_of_group: s.chosen,
-        procs_per_node_used: s.procs_per_node_used,
-        effective_gflops_per_proc: s.effective_gflops_per_proc,
-    }
+    Ok(Selection { picks, procs_per_node_used, nodes_per_group })
 }
 
 #[cfg(test)]
 mod tests {
-    use tsqr_netsim::{LinkParams, SplitMix64};
+    use tsqr_netsim::SplitMix64;
 
     use super::*;
     use crate::profile::NetworkRequirement;
@@ -524,7 +657,7 @@ mod tests {
                     assert_eq!(a.nodes_per_group(), 32);
                     leases.push(a);
                 }
-                Err(ScheduleError::NotEnoughProcs { .. }) => break,
+                Err(Refusal::NotEnoughProcs { .. }) => break,
                 Err(other) => panic!("unexpected rejection {other:?}"),
             }
         }
@@ -540,7 +673,7 @@ mod tests {
         assert_eq!(free(&pool), 312 + 93 + 80 + 56);
         // And the recovered pool serves the paper's four-site job again.
         let again = pool.allocate(&JobProfile::cluster_of_clusters(4, 64)).unwrap();
-        assert_eq!(again.topology.num_procs(), 256);
+        assert_eq!(again.allocation(pool.catalog()).topology.num_procs(), 256);
         pool.release(&again);
         assert!(pool.is_idle());
     }
@@ -554,10 +687,10 @@ mod tests {
         let mut held = Vec::new();
         while pool.free_nodes(0) * 2 >= 186 {
             held.push(pool.allocate(&profile).unwrap());
-            assert_eq!(held.last().unwrap().cluster_of_group, vec![0]);
+            assert_eq!(held.last().unwrap().cluster_of_group(), [0]);
         }
         let elsewhere = pool.allocate(&profile).unwrap();
-        assert_eq!(elsewhere.cluster_of_group, vec![2], "expected Bordeaux");
+        assert_eq!(elsewhere.cluster_of_group(), [2], "expected Bordeaux");
     }
 
     #[test]
@@ -578,13 +711,13 @@ mod tests {
         // "empty" (idle) with no leak panic anywhere.
         let mut pool = SlotPool::new(g5k());
         let a = pool.allocate(&JobProfile::cluster_of_clusters(4, 64)).unwrap();
-        let dead = a.cluster_of_group[1];
+        let dead = a.cluster_of_group()[1];
         let written_off = pool.fail_site(dead);
         assert_eq!(written_off, a.nodes_per_group(), "the lease's share is written off");
         assert!(pool.site_down(dead));
         assert_eq!(pool.up_sites(), 3);
         assert_eq!(pool.free_nodes(dead), 0, "a dead site has no capacity");
-        for &c in &a.cluster_of_group {
+        for &c in a.cluster_of_group() {
             if c != dead {
                 a.release_site(&mut pool, c);
             }
@@ -595,7 +728,7 @@ mod tests {
         assert!(!pool.feasible_on_survivors(&JobProfile::cluster_of_clusters(4, 64)));
         assert!(pool.feasible_on_survivors(&JobProfile::cluster_of_clusters(3, 64)));
         let b = pool.allocate(&JobProfile::cluster_of_clusters(3, 64)).unwrap();
-        assert!(!b.cluster_of_group.contains(&dead));
+        assert!(!b.cluster_of_group().contains(&dead));
         b.release(&mut pool);
         assert!(pool.is_idle());
     }
@@ -605,9 +738,21 @@ mod tests {
     fn release_to_dead_site_panics() {
         let mut pool = SlotPool::new(g5k());
         let a = pool.allocate(&JobProfile::cluster_of_clusters(2, 64)).unwrap();
-        let dead = a.cluster_of_group[0];
+        let dead = a.cluster_of_group()[0];
         pool.fail_site(dead);
         a.release_site(&mut pool, dead);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not part of this lease")]
+    fn releasing_a_site_the_lease_does_not_hold_panics() {
+        let mut pool = SlotPool::new(g5k());
+        let a = pool.allocate(&JobProfile::cluster_of_clusters(2, 64)).unwrap();
+        // Another lease holds nodes there, so only the membership check can refuse.
+        let b = pool.allocate(&JobProfile::cluster_of_clusters(4, 64)).unwrap();
+        let foreign = (0..4).find(|c| !a.cluster_of_group().contains(c)).unwrap();
+        assert!(b.cluster_of_group().contains(&foreign));
+        a.release_site(&mut pool, foreign);
     }
 
     #[test]
@@ -639,9 +784,11 @@ mod tests {
     }
 
     /// The pre-split placement path, verbatim: clone the catalog, overwrite
-    /// every `nodes` with the view's count, run the public [`allocate`] on
-    /// the copy. Kept only as the reference the clone-free selection is
-    /// checked against.
+    /// every `nodes` with the view's count, and run what the public
+    /// [`allocate`] ran before the selection stopped allocating — rank by a
+    /// stable sort, check the chosen clusters in order, place them. Kept
+    /// only as the reference the clone-free, allocation-free selection, its
+    /// refusals and [`Lease::allocation`] are checked against.
     fn allocate_on_view(
         catalog: &ResourceCatalog,
         nodes: &[usize],
@@ -651,32 +798,101 @@ mod tests {
         for (spec, &n) in view.clusters.iter_mut().zip(nodes) {
             spec.nodes = n;
         }
-        allocate(&view, profile)
+        let (clusters, network) = (&view.clusters, &view.network);
+        let intra = network.intra_cluster;
+        let qualify = profile.intra_group.satisfied_by(intra.latency_s, intra.bandwidth_bps);
+        let available = if qualify { clusters.len() } else { 0 };
+        if available < profile.groups {
+            return Err(ScheduleError::NotEnoughClusters { requested: profile.groups, available });
+        }
+        let mut ranked: Vec<usize> = (0..clusters.len()).collect();
+        let capacity = |c: usize| clusters[c].nodes * clusters[c].procs_per_node;
+        ranked.sort_by_key(|&c| (std::cmp::Reverse(capacity(c)), c));
+        let chosen: Vec<usize> = ranked.into_iter().take(profile.groups).collect();
+        let needed = profile.procs_per_group;
+        let short = |c: usize, capacity| ScheduleError::NotEnoughProcs {
+            cluster: clusters[c].name.clone(),
+            capacity,
+            needed,
+        };
+        for &c in &chosen {
+            if capacity(c) < needed {
+                return Err(short(c, capacity(c)));
+            }
+        }
+        for (i, &a) in chosen.iter().enumerate() {
+            for &b in &chosen[i + 1..] {
+                let link = network.inter_cluster[a][b];
+                if !profile.inter_group.satisfied_by(link.latency_s, link.bandwidth_bps) {
+                    let (a, b) = (clusters[a].name.clone(), clusters[b].name.clone());
+                    return Err(ScheduleError::InterGroupNetworkTooWeak { a, b });
+                }
+            }
+        }
+        let sockets = chosen.iter().map(|&c| clusters[c].procs_per_node).min().unwrap();
+        let procs_per_node_used =
+            (1..=sockets).rev().find(|&ppn| needed.is_multiple_of(ppn)).unwrap();
+        let nodes_per_group = needed / procs_per_node_used;
+        for &c in &chosen {
+            if nodes_per_group > clusters[c].nodes {
+                return Err(short(c, clusters[c].nodes * procs_per_node_used));
+            }
+        }
+        let specs = chosen.iter().map(|&c| clusters[c].clone()).collect();
+        let topology = GridTopology::block_placement(specs, nodes_per_group, procs_per_node_used);
+        Ok(Allocation {
+            group_of: (0..topology.num_procs()).map(|r| topology.cluster_of(r)).collect(),
+            topology,
+            network: network.clone(),
+            effective_gflops_per_proc: view.min_peak_gflops(&chosen),
+            cluster_of_group: chosen,
+            procs_per_node_used,
+        })
     }
 
     const GROUP_SIZES: [usize; 5] = [1, 31, 32, 64, 65];
 
     /// Every width (one past the cluster count, so `NotEnoughClusters` is
     /// compared too) × every group size: the pool's answers are the
-    /// oracle's, field for field, `Ok` and `Err` alike.
+    /// oracle's — a lease's allocation field for field (placed
+    /// `ClusterSpec::nodes` included) and agreeing with the lease itself,
+    /// a refusal once named as a `ScheduleError`.
     fn assert_pool_matches_the_oracle(pool: &SlotPool) {
+        let catalog = &pool.catalog;
         let survivors: Vec<usize> = (0..pool.down.len())
-            .map(|c| if pool.down[c] { 0 } else { pool.catalog.clusters[c].nodes })
+            .map(|c| if pool.down[c] { 0 } else { catalog.clusters[c].nodes })
             .collect();
+        // Grid'5000's Toulouse links are slower than 8 ms, its others not:
+        // the picky profiles make step 4 refuse some chosen pairs.
+        let picky = NetworkRequirement::from_ms_mbps(8.0, 0.0);
         for width in 1..=pool.down.len() + 1 {
             for procs_per_group in GROUP_SIZES {
                 let profile = JobProfile::cluster_of_clusters(width, procs_per_group);
-                assert_eq!(
-                    pool.clone().allocate(&profile),
-                    allocate_on_view(&pool.catalog, &pool.free_nodes, &profile),
-                    "{width} x {procs_per_group} on free nodes {:?}",
-                    pool.free_nodes
-                );
-                assert_eq!(
-                    pool.feasible_on_survivors(&profile),
-                    allocate_on_view(&pool.catalog, &survivors, &profile).is_ok(),
-                    "{width} x {procs_per_group} on survivors {survivors:?}"
-                );
+                for profile in [JobProfile { inter_group: picky, ..profile.clone() }, profile] {
+                    let got = pool.clone().allocate(&profile).map(|lease| {
+                        let alloc = lease.allocation(catalog);
+                        assert_eq!(lease.cluster_of_group(), alloc.cluster_of_group);
+                        assert_eq!(lease.num_groups(), alloc.num_groups());
+                        assert_eq!(lease.nodes_per_group(), alloc.nodes_per_group());
+                        assert_eq!(lease.procs_per_node_used(), alloc.procs_per_node_used);
+                        assert_eq!(
+                            lease.effective_gflops_per_proc().to_bits(),
+                            alloc.effective_gflops_per_proc.to_bits()
+                        );
+                        alloc
+                    });
+                    assert_eq!(
+                        got.map_err(|refusal| refusal.into_error(catalog)),
+                        allocate_on_view(catalog, &pool.free_nodes, &profile),
+                        "{profile:?} on free nodes {:?}",
+                        pool.free_nodes
+                    );
+                    assert_eq!(
+                        pool.feasible_on_survivors(&profile),
+                        allocate_on_view(catalog, &survivors, &profile).is_ok(),
+                        "{profile:?} on survivors {survivors:?}"
+                    );
+                }
             }
         }
     }
@@ -688,7 +904,7 @@ mod tests {
             let pick = |rng: &mut SplitMix64, n: usize| rng.next_below(n as u64) as usize;
             let mut pool = SlotPool::new(catalog.clone());
             // Each lease with the sites it still holds nodes on.
-            let mut leases: Vec<(Allocation, Vec<usize>)> = Vec::new();
+            let mut leases: Vec<(Lease, Vec<usize>)> = Vec::new();
             let (mut granted, mut refused, mut crashes) = (0, 0, 0);
             for _ in 0..2400 {
                 match rng.next_below(8) {
@@ -698,14 +914,15 @@ mod tests {
                         match pool.allocate(&JobProfile::cluster_of_clusters(width, procs_per_group)) {
                             Ok(a) => {
                                 granted += 1;
-                                leases.push((a.clone(), a.cluster_of_group));
+                                let held = a.cluster_of_group().to_vec();
+                                leases.push((a, held));
                             }
                             Err(_) => refused += 1,
                         }
                     }
                     4..=5 if !leases.is_empty() => {
                         let (a, held) = leases.swap_remove(pick(&mut rng, leases.len()));
-                        if held == a.cluster_of_group {
+                        if held == a.cluster_of_group() {
                             pool.release(&a);
                         } else {
                             held.iter().for_each(|&c| a.release_site(&mut pool, c));

@@ -51,7 +51,7 @@
 //!   instant the pool writes the dead cluster's slots off
 //!   ([`tsqr_qcg::SlotPool::fail_site`]), every running job leasing it
 //!   is killed (surviving sites released explicitly through
-//!   [`Allocation::release_site`] — the pool's leak panic polices the
+//!   [`tsqr_qcg::Lease::release_site`] — the pool's leak panic polices the
 //!   whole path), and each member routes through the recovery layer
 //!   ([`crate::recovery`]): bounded retries with exponential virtual
 //!   backoff, a [`Checkpoint`] of the residual drain when the job was
@@ -82,6 +82,7 @@
 
 use std::collections::BTreeMap;
 use std::iter::Peekable;
+use std::rc::Rc;
 use std::vec::IntoIter;
 
 use tsqr_core::domains::DomainLayout;
@@ -92,7 +93,7 @@ use tsqr_core::tune::{plan_tree, predict_makespan};
 use tsqr_netsim::cost::LinkClass;
 use tsqr_netsim::occupancy::SharedLinks;
 use tsqr_netsim::{FailureSchedule, VirtualTime};
-use tsqr_qcg::{Allocation, JobProfile, ResourceCatalog, SlotPool};
+use tsqr_qcg::{Allocation, JobProfile, Lease, ResourceCatalog, SlotPool};
 
 use crate::policy::{BoundedQueue, Policy, QueuedJob};
 use crate::recovery::{
@@ -245,7 +246,8 @@ pub struct ShapeOracle {
 struct JobModel {
     t_base_s: f64,
     wan_s: f64,
-    links: Vec<(usize, usize)>,
+    /// Shared with the memo and every job the model serves.
+    links: Rc<[(usize, usize)]>,
     msgs: u64,
     wan_msgs: u64,
     bytes: u64,
@@ -255,8 +257,8 @@ struct JobModel {
 /// One running job (possibly a batch) in the event loop.
 struct RunJob {
     members: Vec<QueuedJob>,
-    alloc: Allocation,
-    links: Vec<(usize, usize)>,
+    lease: Lease,
+    links: Rc<[(usize, usize)]>,
     start: VirtualTime,
     phase1_end: VirtualTime,
     wan_rem_s: f64,
@@ -309,7 +311,7 @@ fn job_model(
     JobModel {
         t_base_s: t_base.secs(),
         wan_s,
-        links,
+        links: links.into(),
         msgs,
         wan_msgs,
         bytes: msgs * r_bytes,
@@ -318,33 +320,39 @@ fn job_model(
 }
 
 /// Everything [`job_model`] reads of a grid-hierarchical job once the
-/// catalog and `procs_per_site` are fixed: the ordered placement, the
-/// booking density, the throttled rate (as bits) and the stacked shape.
-type ModelKey = (Vec<usize>, usize, u64, u64, usize);
+/// catalog and `procs_per_site` are fixed, but the placement: the booking
+/// density, the throttled rate (as bits) and the stacked shape.
+type ModelKey = (usize, u64, u64, usize);
+
+/// The memo: under each [`ModelKey`], one model per ordered placement
+/// (`cluster_of_group`), looked up by the lease's own slice.
+type Models = BTreeMap<ModelKey, BTreeMap<Vec<usize>, JobModel>>;
 
 /// [`job_model`], built once per distinct job of one `serve()` call: only
-/// a few shapes × placements ever occur, while a rebuild lays out every
-/// rank and replays the whole tree. Elastic re-plans (any other `shape`)
-/// are rare and bypass the memo.
+/// a few shapes × placements ever occur, while a rebuild places every
+/// rank and replays the whole tree. A hit builds no topology; a miss
+/// builds the lease's [`Allocation`] once. Elastic re-plans (any other
+/// `shape`) are rare and bypass the memo.
 fn memo_model(
-    memo: &mut BTreeMap<ModelKey, JobModel>,
-    alloc: &Allocation,
+    memo: &mut Models,
+    lease: &Lease,
+    catalog: &ResourceCatalog,
     m: u64,
     n: usize,
     procs_per_site: usize,
     shape: &TreeShape,
 ) -> JobModel {
     if *shape != TreeShape::GridHierarchical {
-        return job_model(alloc, m, n, procs_per_site, shape);
+        return job_model(&lease.allocation(catalog), m, n, procs_per_site, shape);
     }
-    let key = (
-        alloc.cluster_of_group.clone(),
-        alloc.procs_per_node_used,
-        alloc.effective_gflops_per_proc.to_bits(),
-        m,
-        n,
-    );
-    memo.entry(key).or_insert_with(|| job_model(alloc, m, n, procs_per_site, shape)).clone()
+    let key = (lease.procs_per_node_used(), lease.effective_gflops_per_proc().to_bits(), m, n);
+    let by_placement = memo.entry(key).or_default();
+    if let Some(model) = by_placement.get(lease.cluster_of_group()) {
+        return model.clone();
+    }
+    let model = job_model(&lease.allocation(catalog), m, n, procs_per_site, shape);
+    by_placement.insert(lease.cluster_of_group().to_vec(), model.clone());
+    model
 }
 
 /// Computes the solo oracle for every menu shape against an idle grid.
@@ -375,7 +383,7 @@ fn solo_shape(catalog: &ResourceCatalog, shape: ShapeClass, procs_per_site: usiz
 /// What the elastic width walk found for the queue's selected head.
 enum Placement {
     /// Leased at the widest width the surviving sites can host.
-    Go(Allocation),
+    Go(Lease),
     /// That width fits the survivors but not the free slots: pure
     /// capacity contention, wait for a release.
     Wait,
@@ -422,7 +430,7 @@ struct Engine<'a> {
     /// Faulted jobs waiting out a backoff, keyed `(ready, id)` — the
     /// order they re-enter the queue in.
     retry_wait: BTreeMap<(VirtualTime, usize), QueuedJob>,
-    models: BTreeMap<ModelKey, JobModel>,
+    models: Models,
     /// The outcome under construction: totals, busy intervals, the fault
     /// trail and brownout windows accumulate here; `records`, `horizon`
     /// and `wan_busy` are filled in by [`Engine::into_outcome`].
@@ -513,9 +521,9 @@ impl<'a> Engine<'a> {
     fn dispatch(&mut self) {
         while let Some(ticket) = self.queue.select(self.cfg.policy, &self.tenant_served) {
             match self.place(self.queue.get(ticket).sites) {
-                Placement::Go(alloc) => {
+                Placement::Go(lease) => {
                     let head = self.queue.remove(ticket);
-                    self.start(head, alloc);
+                    self.start(head, lease);
                 }
                 Placement::Wait => break,
                 Placement::Never => {
@@ -534,7 +542,7 @@ impl<'a> Engine<'a> {
             let profile = JobProfile::cluster_of_clusters(width, self.cfg.procs_per_site);
             if self.pool.feasible_on_survivors(&profile) {
                 return match self.pool.allocate(&profile) {
-                    Ok(alloc) => Placement::Go(alloc),
+                    Ok(lease) => Placement::Go(lease),
                     Err(_) => Placement::Wait,
                 };
             }
@@ -543,8 +551,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Starts `head` (plus, under `--batch`, every queued request sharing
-    /// its batching key) on `alloc` at the current instant.
-    fn start(&mut self, mut head: QueuedJob, alloc: Allocation) {
+    /// its batching key) on `lease` at the current instant.
+    fn start(&mut self, mut head: QueuedJob, lease: Lease) {
         let (cols, sites_wanted) = (head.cols, head.sites);
         let pps = self.cfg.procs_per_site;
         let checkpoint = head.checkpoint.take();
@@ -557,14 +565,16 @@ impl<'a> Engine<'a> {
         // A shrunk lease re-plants the reduction tree over the surviving
         // site set via the autotuner's predictor; the failure-free path
         // keeps the paper's grid-hierarchical tree.
-        let shape = if alloc.num_groups() < sites_wanted {
+        let catalog = self.pool.catalog();
+        let shape = if lease.num_groups() < sites_wanted {
+            let alloc = lease.allocation(catalog);
             let layout = DomainLayout::build(&alloc.topology, m, cols, pps);
             let rate = Some(alloc.effective_gflops_per_proc * 1e9);
             plan_tree(&alloc.topology, &alloc.network, &layout, rate, rate).1
         } else {
             TreeShape::GridHierarchical
         };
-        let model = memo_model(&mut self.models, &alloc, m, cols, pps, &shape);
+        let model = memo_model(&mut self.models, &lease, catalog, m, cols, pps, &shape);
         let out = &mut self.out;
         out.dispatches += 1;
         out.wan_msgs += model.wan_msgs;
@@ -582,14 +592,14 @@ impl<'a> Engine<'a> {
             out.flops += model.flops;
             ((model.t_base_s - model.wan_s).max(0.0), model.wan_s, model.t_base_s)
         };
-        let booked = (alloc.nodes_per_group() * alloc.num_groups()) as f64;
+        let booked = (lease.nodes_per_group() * lease.num_groups()) as f64;
         for j in &members {
             out.total_wait_s += (self.t - j.enqueued).secs();
             self.tenant_served[j.tenant] += served_s * booked / members.len() as f64;
         }
         self.running.push(RunJob {
             members,
-            alloc,
+            lease,
             links: model.links,
             start: self.t,
             phase1_end: self.t + VirtualTime::from_secs(phase1_s),
@@ -707,15 +717,15 @@ impl<'a> Engine<'a> {
     fn fire_crashes(&mut self) {
         while let Some((site, _)) = self.crashes.next_if(|&(_, at)| at <= self.t) {
             self.pool.fail_site(site);
-            for job in self.take_running(|job| job.alloc.cluster_of_group.contains(&site)) {
+            for job in self.take_running(|job| job.lease.cluster_of_group().contains(&site)) {
                 // Kill the lease: leave the WAN, release each surviving
                 // site explicitly (the dead one was written off above).
                 if job.in_phase2 {
                     self.shared.leave(&job.links);
                 }
-                for &c in &job.alloc.cluster_of_group {
+                for &c in job.lease.cluster_of_group() {
                     if c != site && !self.pool.site_down(c) {
-                        job.alloc.release_site(&mut self.pool, c);
+                        job.lease.release_site(&mut self.pool, c);
                     }
                 }
                 let p1_end = if job.in_phase2 { job.phase1_end } else { self.t };
@@ -745,10 +755,10 @@ impl<'a> Engine<'a> {
         let faults = &self.cfg.faults;
         for job in self.take_running(|job| job.in_phase2 && job.wan_rem_s <= DRAIN_EPS_S) {
             self.shared.leave(&job.links);
-            job.alloc.release(&mut self.pool);
+            job.lease.release(&mut self.pool);
             let mut dropped_on: Option<(usize, usize)> = None;
             if faults.any_drop_rules() {
-                for &l in &job.links {
+                for &l in job.links.iter() {
                     let seq = self.drop_seq.entry(l).or_insert(0);
                     if dropped_on.is_none() && faults.should_drop(l.0, l.1, *seq) {
                         dropped_on = Some(l);
@@ -1275,46 +1285,56 @@ mod tests {
         // must tell apart whatever `job_model` can tell apart. Tripled
         // rows stand for a batch's summed row count.
         let profile = |sites| JobProfile::cluster_of_clusters(sites, 64);
-        let mut memo = BTreeMap::new();
+        let catalog = g5k();
+        let mut memo = Models::new();
         let mut calls = 0usize;
         let mut placements = std::collections::BTreeSet::new();
         for code in 0..10 * 3 * 2 {
-            let mut pool = SlotPool::new(g5k());
+            let mut pool = SlotPool::new(catalog.clone());
             for (sites, leases) in [(4, code / 30), (2, code / 10 % 3), (1, code % 10)] {
                 for _ in 0..leases {
                     let _ = pool.allocate(&profile(sites));
                 }
             }
             for shape in workload::menu() {
-                let Ok(alloc) = pool.allocate(&profile(shape.sites)) else { continue };
-                placements.insert(alloc.cluster_of_group.clone());
+                let Ok(lease) = pool.allocate(&profile(shape.sites)) else { continue };
+                placements.insert(lease.cluster_of_group().to_vec());
+                let alloc = lease.allocation(&catalog);
                 for rows in [shape.rows, 3 * shape.rows] {
                     let grid = TreeShape::GridHierarchical;
-                    let memoised = memo_model(&mut memo, &alloc, rows, shape.cols, 64, &grid);
+                    let memoised =
+                        memo_model(&mut memo, &lease, &catalog, rows, shape.cols, 64, &grid);
                     assert_same_model(&memoised, &job_model(&alloc, rows, shape.cols, 64, &grid));
                     calls += 1;
                 }
-                pool.release(&alloc);
+                pool.release(&lease);
             }
         }
         assert!(placements.len() >= 12, "only {} placements exercised", placements.len());
-        assert!(memo.len() < calls / 4, "the memo must actually be hit");
+        let entries: usize = memo.values().map(BTreeMap::len).sum();
+        assert!(entries < calls / 4, "the memo must actually be hit");
     }
 
     #[test]
     fn a_replanned_tree_never_reads_the_grid_entry() {
         // After a crash the survivors may carry a different tree under the
         // very key a grid-hierarchical job of the same placement filed.
-        let alloc = tsqr_qcg::allocate(&g5k(), &JobProfile::cluster_of_clusters(3, 64)).unwrap();
+        let catalog = g5k();
+        let lease = SlotPool::new(catalog.clone())
+            .allocate(&JobProfile::cluster_of_clusters(3, 64))
+            .unwrap();
+        let alloc = lease.allocation(&catalog);
         let (m, n) = (1 << 21, 64);
-        let mut memo = BTreeMap::new();
-        let grid = memo_model(&mut memo, &alloc, m, n, 64, &TreeShape::GridHierarchical);
+        let mut memo = Models::new();
+        let grid =
+            memo_model(&mut memo, &lease, &catalog, m, n, 64, &TreeShape::GridHierarchical);
         for shape in [TreeShape::Flat, TreeShape::Kary(3)] {
-            let got = memo_model(&mut memo, &alloc, m, n, 64, &shape);
+            let got = memo_model(&mut memo, &lease, &catalog, m, n, 64, &shape);
             assert_same_model(&got, &job_model(&alloc, m, n, 64, &shape));
             assert_ne!(got.t_base_s, grid.t_base_s, "{shape:?} must not be priced as the grid tree");
         }
-        assert_eq!(memo.len(), 1, "re-plans bypass the memo");
+        let entries: usize = memo.values().map(BTreeMap::len).sum();
+        assert_eq!(entries, 1, "re-plans bypass the memo");
     }
 
     #[test]

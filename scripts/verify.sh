@@ -215,15 +215,18 @@ timeout 15 ./target/release/grid-tsqr serve --policy edf --load 4 \
   --queue 100000 --requests 50000 >/dev/null
 echo "    serve scale: deep-queue run finished inside its budget"
 
-echo "==> dense-kernel smoke at benchmark shapes (correctness, not a timing"
-echo "    gate: real TSQR on 256 and 64 rank threads; R against the sequential"
-echo "    replica <= 1e-9, Gram residual, QtQ and A - QR <= 1e-10), and the"
-echo "    planner's: plan_tree against the replay-checked autotuner at the"
-echo "    tune/fig* gate points, every plan the same plan twice"
-benchmark/run.sh --quick --workload real-n64 >/dev/null
-benchmark/run.sh --quick --workload real-n256-q >/dev/null
-benchmark/run.sh --quick --workload tune-plan >/dev/null
-echo "    benchmark smoke: both real workloads and tune-plan correct"
+echo "==> benchmark smoke (correctness, not a timing gate): real TSQR on 256"
+echo "    and 64 rank threads (R against the sequential replica <= 1e-9, Gram"
+echo "    residual, QtQ and A - QR <= 1e-10); the planner's plan_tree against"
+echo "    the replay-checked autotuner at the tune/fig* gate points, every plan"
+echo "    the same plan twice; and both serving workloads, which lease and"
+echo "    release through SlotPool (one disposition per generated request, the"
+echo "    same outcome every sample, a light reference run that completes every"
+echo "    request, and serve()'s own panic on a pool that does not end idle)"
+for workload in real-n64 real-n256-q tune-plan serve-overload serve-deepq; do
+  benchmark/run.sh --quick --workload "$workload" >/dev/null
+done
+echo "    benchmark smoke: both real workloads, tune-plan and both serve workloads correct"
 
 echo "==> report gate (experiment-ledger dashboard pinned against"
 echo "    REPORT_baseline.md; --check flags anomalous model residuals)"
