@@ -102,6 +102,14 @@ pub mod tsqr;
 pub mod tune;
 pub mod workload;
 
+pub use domains::DomainLayout;
+pub use ft_tsqr::{ft_tsqr_rank_program_async, FtMsg, FtTsqrOutput};
+pub use modelfit::{fit as fit_model, samples_from_metrics, ModelFit, Sample};
+pub use experiment::{run_experiment, Algorithm, Experiment, ExperimentResult, Mode};
+pub use tree::{ReductionTree, TreeShape};
+pub use tsqr::{TsqrConfig, TsqrRankOutput};
+pub use tune::{autotune, TuneCandidate, TuneOutcome};
+
 /// The miniature grid the unit tests run on: `clusters` sites of `procs`
 /// single-process nodes, Grid'5000-like LAN/WAN links, 1 Gflop/s.
 #[cfg(test)]
@@ -112,11 +120,3 @@ pub(crate) fn mini_grid(clusters: usize, procs: usize) -> tsqr_gridmpi::Runtime 
     let (topo, model) = two_tier_grid(clusters, procs, lan, wan, 1e9);
     tsqr_gridmpi::Runtime::new(topo, model)
 }
-
-pub use domains::DomainLayout;
-pub use ft_tsqr::{ft_tsqr_rank_program_async, FtMsg, FtTsqrOutput};
-pub use modelfit::{fit as fit_model, samples_from_metrics, ModelFit, Sample};
-pub use experiment::{run_experiment, Algorithm, Experiment, ExperimentResult, Mode};
-pub use tree::{ReductionTree, TreeShape};
-pub use tsqr::{TsqrConfig, TsqrRankOutput};
-pub use tune::{autotune, TuneCandidate, TuneOutcome};

@@ -1,7 +1,7 @@
 //! `archlint` — the workspace's static analyzer (see
 //! `docs/static-analysis.md`).
 //!
-//! Four passes over one load of the workspace, each rendering findings
+//! Five passes over one load of the workspace, each rendering findings
 //! as `path:line: [rule] message` and filtered through one allowlist
 //! (`scripts/archlint.allow`, stale entries denied):
 //!
@@ -14,7 +14,10 @@
 //! 3. **protocol** — the static message-flow model: send/recv pairing
 //!    and tag-range ownership against `scripts/commlint.protocol`,
 //!    with the extracted model pinned as `scripts/archlint.model`
-//!    (`--bless` regenerates it after an intentional change).
+//!    (`--bless` regenerates it after an intentional change);
+//! 4. **owners** — one owner per decision: each row of
+//!    `scripts/archlint.owners` bounds the lines that hold a literal
+//!    needle in a scope, and a row whose scope matches no file is stale.
 //!
 //! Exit code is nonzero on any kept finding, so the tool gates
 //! `scripts/verify.sh` and CI at zero findings.
@@ -29,6 +32,7 @@ use std::process::ExitCode;
 use tsqr_lint::direct::direct_pass;
 use tsqr_lint::flow::{build_flow_table, flow_pass, render_model};
 use tsqr_lint::layering::{layering_pass, load_layer_spec};
+use tsqr_lint::owners::{load_files, owners_pass, parse_owners, OWNERS_REL};
 use tsqr_lint::protocol::load_protocol;
 use tsqr_lint::scan::{load_allowlist, partition_findings, stale_allow_findings};
 use tsqr_lint::taint::taint_pass;
@@ -51,7 +55,7 @@ fn main() -> ExitCode {
             "-v" | "--verbose" => verbose = true,
             "--help" | "-h" => {
                 println!("usage: archlint [--root DIR] [--bless] [-v]");
-                println!("  direct + layering + nondeterminism-taint + protocol-model passes;");
+                println!("  direct, layering, nondeterminism-taint, protocol and owners passes;");
                 println!("  --bless regenerates {MODEL_REL}");
                 return ExitCode::SUCCESS;
             }
@@ -95,6 +99,10 @@ fn main() -> ExitCode {
     }
     let golden = fs::read_to_string(root.join(MODEL_REL)).ok();
     findings.extend(flow_pass(&ws, &proto, &table, golden.as_deref(), MODEL_REL, PROTOCOL_REL));
+    let owners = fs::read_to_string(root.join(OWNERS_REL)).unwrap_or_default();
+    let (rows, malformed) = parse_owners(&owners, OWNERS_REL);
+    findings.extend(malformed);
+    findings.extend(owners_pass(&rows, &load_files(&root, &rows), OWNERS_REL));
 
     let allow = load_allowlist(&root.join(ALLOW_REL));
     let (mut kept, suppressed) = partition_findings(findings, &allow);

@@ -1,6 +1,6 @@
-//! The direct pass of `archlint`: three rules that deny a
-//! nondeterminism hazard on the line that writes it, in any shipped
-//! file of any crate, inside a `fn` or not.
+//! The direct pass of `archlint`: four rules that deny a hazard on the
+//! line that writes it, in any shipped file of any crate, inside a `fn`
+//! or not.
 //!
 //! * **wall-clock** — `Instant::now`, `SystemTime` and blocking
 //!   `.recv_timeout(` calls. Virtual-time paths must never read the wall
@@ -12,6 +12,9 @@
 //!   the spellings the flow model counts as [`Op::RecvAny`], with or
 //!   without a `TAG_` argument: a wildcard receive makes the matched
 //!   sender delivery-order-dependent.
+//! * **async-name** — an `async fn` not named `*_async`: every awaitable
+//!   rank body carries the suffix, so no blocking twin hides under its
+//!   name (the one rank-program form).
 //!
 //! The first two report the taint pass's own `wall-clock` and
 //! `unordered-iter` source hits ([`crate::taint`]), so a wall-clock read
@@ -23,14 +26,14 @@ use crate::scan::Finding;
 use crate::taint::find_sources;
 use crate::workspace::{SourceFile, Workspace};
 
-/// Runs the three direct rules over every shipped file of the workspace.
+/// Runs the four direct rules over every shipped file of the workspace.
 pub fn direct_pass(ws: &Workspace) -> Vec<Finding> {
     ws.crates.iter().flat_map(|c| &c.files).flat_map(direct_findings).collect()
 }
 
 /// One file's findings: its wall-clock hits, then its `HashMap`
 /// iterations (the order [`find_sources`] yields them in), then its
-/// wildcard receives.
+/// wildcard receives, then its misnamed `async fn`s.
 fn direct_findings(file: &SourceFile) -> Vec<Finding> {
     let finding = |rule, line, message| Finding { rule, path: file.rel.clone(), line, message };
     let mut out: Vec<Finding> = find_sources(file)
@@ -73,12 +76,23 @@ fn direct_findings(file: &SourceFile) -> Vec<Finding> {
                 .into(),
         ));
     }
+    for (ln, line) in file.code.lines().enumerate() {
+        for (at, _) in line.match_indices("async fn ") {
+            let name: String =
+                line[at + 9..].chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+            if !name.ends_with("_async") {
+                let message = format!("`async fn {name}` is not named `*_async`");
+                out.push(finding("async-name", ln + 1, message));
+            }
+        }
+    }
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::{strip_noncode, truncate_at_test_module};
 
     /// The findings of one file whose stripped code is `code`.
     fn lint(code: &str) -> Vec<Finding> {
@@ -104,6 +118,22 @@ mod tests {
         let f = lint(code);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!((f[0].rule, f[0].line), ("hashmap-iter", 2));
+    }
+
+    #[test]
+    fn shipped_code_after_a_test_helper_is_still_linted() {
+        let src = "#[cfg(test)]\nfn helper() {}\nfn stamp() { Instant::now(); }\n\
+                   #[cfg(test)]\nmod tests { fn t() { Instant::now(); } }\n";
+        let f = lint(truncate_at_test_module(&strip_noncode(src)));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), ("wall-clock", 3));
+    }
+
+    #[test]
+    fn async_name_rule_fires() {
+        let f = lint("pub async fn tsqr_async(p: u8) {}\nasync fn drain(p: u8) {}\n");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), ("async-name", 2));
     }
 
     #[test]

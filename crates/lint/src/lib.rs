@@ -4,7 +4,7 @@
 //! This library backs two binaries (see `docs/static-analysis.md`):
 //!
 //! * **`archlint`** — the static analyzer, one load of the workspace and
-//!   four passes over it: the direct determinism rules ([`direct`]:
+//!   five passes over it: the direct determinism rules ([`direct`]:
 //!   wall-clock reads, HashMap/HashSet iteration, wildcard receives),
 //!   the crate-layering pass ([`layering`], spec in
 //!   `scripts/layering.toml`), the nondeterminism-taint propagation
@@ -12,7 +12,9 @@
 //!   `Instant::now` two calls away reaches), and the static
 //!   message-flow/protocol model ([`flow`]: the tag table
 //!   `scripts/commlint.protocol` against extracted call sites, golden
-//!   in `scripts/archlint.model`).
+//!   in `scripts/archlint.model`), and the owners table ([`owners`]:
+//!   one row per "one of X" the reproduction rests on, in
+//!   `scripts/archlint.owners`).
 //! * **`linkcheck`** — the markdown link/anchor gate for the docs.
 //!
 //! Everything is deliberately `syn`-free: the workspace builds offline
@@ -29,6 +31,7 @@
 pub mod direct;
 pub mod flow;
 pub mod layering;
+pub mod owners;
 pub mod protocol;
 pub mod scan;
 pub mod taint;

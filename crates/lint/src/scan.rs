@@ -7,11 +7,12 @@
 //! The pipeline every pass shares (steps 1–3 run once, when
 //! [`crate::workspace::load_workspace`] loads the sources):
 //!
-//! 1. [`collect_rs`] walks a directory tree for `.rs` files;
+//! 1. [`collect_files`] walks a directory tree (the workspace keeps its
+//!    `.rs` files);
 //! 2. [`strip_noncode`] blanks comments, string literals and char
 //!    literals (newlines preserved, so line numbers survive);
 //! 3. [`truncate_at_test_module`] cuts the file at its trailing
-//!    `#[cfg(test)]` module (repo convention: unit tests live in one
+//!    `#[cfg(test)]` items (repo convention: unit tests live in one
 //!    `mod tests` at the bottom), so only shipped code is linted;
 //! 4. findings are filtered through an allowlist
 //!    ([`load_allowlist`] / [`partition_findings`]), and allow entries
@@ -113,19 +114,19 @@ pub fn stale_allow_findings(
         .collect()
 }
 
-/// Recursively collects `.rs` files under `dir` (skipping any `target`
-/// directory). Missing directories are silently empty.
-pub fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = fs::read_dir(dir) else { return };
+/// Collects `path` if it is a file, else every file under it (skipping
+/// any `target` directory). A missing path is silently empty.
+pub fn collect_files(path: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = fs::read_dir(path) else {
+        if path.is_file() {
+            out.push(path.to_path_buf());
+        }
+        return;
+    };
     for e in entries.flatten() {
         let p = e.path();
-        if p.is_dir() {
-            if p.file_name().is_some_and(|n| n == "target") {
-                continue;
-            }
-            collect_rs(&p, out);
-        } else if p.extension().is_some_and(|x| x == "rs") {
-            out.push(p);
+        if p.file_name().is_none_or(|n| n != "target") {
+            collect_files(&p, out);
         }
     }
 }
@@ -232,7 +233,9 @@ pub fn strip_noncode(src: &str) -> String {
             }
             St::Str => {
                 if c == '\\' {
-                    out.push_str("  ");
+                    // An escaped newline (a string continuation) stays a newline.
+                    out.push(' ');
+                    out.push(if next == Some('\n') { '\n' } else { ' ' });
                     i += 2;
                 } else if c == '"' {
                     st = St::Code;
@@ -281,13 +284,33 @@ pub fn strip_noncode(src: &str) -> String {
     out
 }
 
-/// Cuts the file at its trailing `#[cfg(test)]` module (repo convention:
-/// unit tests live in one `mod tests` at the bottom).
+/// Cuts the file where its trailing run of top-level `#[cfg(test)]` items
+/// starts (repo convention: unit tests live at the bottom). A test item
+/// that shipped code follows does not cut, so that code is still linted.
 pub fn truncate_at_test_module(code: &str) -> &str {
-    match code.find("#[cfg(test)]") {
-        Some(i) => &code[..i],
-        None => code,
+    let (mut cut, mut test_item, mut depth, mut in_item) = (None, None, 0usize, false);
+    for (i, c) in code.char_indices() {
+        if depth == 0 && !in_item {
+            if code[i..].starts_with("#[cfg(test)]") {
+                test_item = test_item.or(Some(i));
+            } else if c.is_alphabetic() || c == '_' {
+                in_item = true;
+                cut = test_item.and(cut.or(test_item));
+            }
+        }
+        match c {
+            '{' | '(' | '[' => depth += 1,
+            ')' | ']' => depth = depth.saturating_sub(1),
+            '}' | ';' => {
+                depth = depth.saturating_sub(usize::from(c == '}'));
+                if depth == 0 {
+                    (in_item, test_item) = (false, None);
+                }
+            }
+            _ => {}
+        }
     }
+    cut.map_or(code, |i| &code[..i])
 }
 
 #[cfg(test)]
@@ -296,7 +319,7 @@ mod tests {
 
     #[test]
     fn stripper_preserves_lines_and_drops_strings() {
-        let src = "let a = \"Instant::now\"; // Instant::now\nlet b = 1;\n";
+        let src = "let a = \"Instant::now \\\n now\"; // Instant::now\nlet b = 1;\n";
         let s = strip_noncode(src);
         assert_eq!(s.lines().count(), src.lines().count());
         assert!(!s.contains("Instant::now"));

@@ -11,9 +11,9 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::scan::{collect_rs, is_nonshipped, strip_noncode, truncate_at_test_module};
+use crate::scan::{collect_files, is_nonshipped, strip_noncode, truncate_at_test_module};
 
-/// One shipped source file of a crate.
+/// One source file of a crate (or, for the owners pass, any repo file).
 #[derive(Debug, Clone)]
 pub struct SourceFile {
     /// Repo-relative path with forward slashes.
@@ -21,8 +21,25 @@ pub struct SourceFile {
     /// Raw file contents (annotations are read from here — comments
     /// survive).
     pub raw: String,
-    /// Stripped (comments/strings blanked) and test-truncated code.
+    /// Stripped (comments/strings blanked) and test-truncated code; empty
+    /// unless the file is [`SourceFile::shipped`].
     pub code: String,
+}
+
+impl SourceFile {
+    /// Builds the file `rel` holding `raw`.
+    pub fn new(rel: String, raw: String) -> Self {
+        let mut f = SourceFile { rel, raw, code: String::new() };
+        if f.shipped() {
+            f.code = truncate_at_test_module(&strip_noncode(&f.raw)).to_string();
+        }
+        f
+    }
+
+    /// True for a `.rs` file outside `tests/`, `benches/` and `examples/`.
+    pub fn shipped(&self) -> bool {
+        self.rel.ends_with(".rs") && !is_nonshipped(&self.rel)
+    }
 }
 
 /// One workspace crate: manifest facts plus shipped sources.
@@ -181,20 +198,18 @@ fn parse_workspace_deps(manifest: &Path, known_packages: &[String]) -> Vec<(Stri
 /// test-truncated, with repo-relative paths.
 fn load_sources(root: &Path, src_dir: &Path) -> Vec<SourceFile> {
     let mut paths = Vec::new();
-    collect_rs(src_dir, &mut paths);
+    collect_files(src_dir, &mut paths);
     paths.sort();
-    let mut files = Vec::new();
-    for p in paths {
-        let rel = p.strip_prefix(root).unwrap_or(&p).to_string_lossy().replace('\\', "/");
-        if is_nonshipped(&rel) {
-            continue;
-        }
-        let Ok(raw) = fs::read_to_string(&p) else { continue };
-        let stripped = strip_noncode(&raw);
-        let code = truncate_at_test_module(&stripped).to_string();
-        files.push(SourceFile { rel, raw, code });
-    }
-    files
+    read_files(root, &paths).into_iter().filter(SourceFile::shipped).collect()
+}
+
+/// Reads the files at `paths` under `root`.
+pub fn read_files(root: &Path, paths: &[PathBuf]) -> Vec<SourceFile> {
+    let rel = |p: &Path| p.strip_prefix(root).unwrap_or(p).to_string_lossy().replace('\\', "/");
+    paths
+        .iter()
+        .map(|p| SourceFile::new(rel(p), fs::read_to_string(p).unwrap_or_default()))
+        .collect()
 }
 
 #[cfg(test)]

@@ -76,10 +76,12 @@ fn direct_rules_fire_exactly_once_each() {
     assert_eq!(count(&out, "[wall-clock]"), 1, "{out}");
     assert_eq!(count(&out, "[hashmap-iter]"), 1, "{out}");
     assert_eq!(count(&out, "[wildcard-recv]"), 1, "{out}");
+    assert_eq!(count(&out, "[async-name]"), 1, "{out}");
     assert!(out.contains("crates/loose/src/lib.rs:18: [wall-clock] `Instant::now`"), "{out}");
     assert!(out.contains("crates/loose/src/lib.rs:23: [hashmap-iter] iteration over `counts`"), "{out}");
     assert!(out.contains("crates/loose/src/lib.rs:27: [wildcard-recv]"), "{out}");
-    assert!(out.contains("3 finding(s)"), "unexpected extra findings:\n{out}");
+    assert!(out.contains("crates/loose/src/lib.rs:30: [async-name] `async fn drain`"), "{out}");
+    assert!(out.contains("4 finding(s)"), "unexpected extra findings:\n{out}");
 }
 
 #[test]
@@ -170,4 +172,32 @@ fn stale_allow_entries_are_denied() {
     assert!(out.contains("scripts/archlint.allow:3: [stale-allow] allow entry `nondet-taint"), "{out}");
     assert!(out.contains("scripts/archlint.allow:6: [stale-allow] allow entry `wall-clock"), "{out}");
     assert!(out.contains("2 finding(s)"), "{out}");
+}
+
+#[test]
+fn owners_rows_fire_exactly_once_each() {
+    let a = archlint(&fixture("bad_owners"), &[]);
+    let out = stdout(&a);
+    assert!(!a.status.success(), "{out}");
+    let table = "scripts/archlint.owners";
+    for want in [
+        ":2: [owners] 1 hit(s), bound absent [crates/solo/src/lib.rs:4]: no helper of that name (absent)",
+        ":3: [owners] 2 hit(s), bound <=1 [crates/solo/src/lib.rs:11, crates/solo/src/lib.rs:12]: one call site",
+        ":4: [owners] 1 hit(s), bound =2 [crates/solo/src/lib.rs:16]: two shipped mentions",
+        ":5: [owners] 1 hit(s), bound absent [crates/solo/src/bin/tool.rs]: no executable (path)",
+        ":6: [stale-owner] scope entry `crates/gone/src` matches no file",
+    ] {
+        assert!(out.contains(&format!("{table}{want}")), "missing {want}:\n{out}");
+    }
+    assert!(out.contains("5 finding(s)"), "unexpected extra findings:\n{out}");
+}
+
+/// Every pass on the repository itself: zero findings, so the direct,
+/// layering, taint, protocol and owners passes gate `cargo test` too.
+#[test]
+fn the_repository_is_clean() {
+    let a = archlint(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."), &[]);
+    let out = stdout(&a);
+    assert!(a.status.success(), "archlint failed on the repository:\n{out}");
+    assert!(out.contains(" 0 finding(s)"), "{out}");
 }

@@ -1,8 +1,8 @@
 //! Seeded direct-rule violations in a crate that is not deterministic,
 //! so the taint pass has nothing to report: one wall-clock read, one
-//! iteration over a `HashMap` binding and one wildcard receive — each
-//! rule must fire exactly once. The test module repeats all three, and
-//! the rules must not see it.
+//! iteration over a `HashMap` binding, one wildcard receive and one
+//! misnamed `async fn` — each rule must fire exactly once. The test
+//! module repeats all four, and the rules must not see it.
 
 use std::collections::HashMap;
 
@@ -27,6 +27,8 @@ pub fn first(p: &mut Port) -> usize {
     p.recv_any(7).0
 }
 
+pub async fn drain() {}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
@@ -36,4 +38,6 @@ mod tests {
         let _ = (std::time::Instant::now(), seen.keys().count());
         p.recv_any(7).0
     }
+
+    async fn drain_again() {}
 }
