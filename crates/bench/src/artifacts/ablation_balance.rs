@@ -44,7 +44,7 @@ fn makespan(layout: &DomainLayout, rt: &Runtime, rates: &[f64]) -> f64 {
     report.makespan.secs()
 }
 
-pub(super) fn run(_: &mut Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
     let (topo, model) = hetero_grid();
     let rt = Runtime::new(topo, model);
     let (m, n) = (1u64 << 22, 64usize);

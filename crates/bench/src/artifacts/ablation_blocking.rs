@@ -11,15 +11,15 @@
 //! the unblocked one below it.
 
 use crate::harness::symbolic;
-use crate::{calib, ShapeCheck, Sweep};
+use crate::{calib, grid_runtime, ShapeCheck, Sweep};
 use tsqr_core::experiment::{run_experiment, Algorithm, Experiment};
 
 fn gflops(rt: &tsqr_gridmpi::Runtime, m: u64, n: usize, algorithm: Algorithm, rate: f64) -> f64 {
     run_experiment(rt, &Experiment { rate_flops: Some(rate), ..symbolic(m, n, algorithm) }).gflops
 }
 
-pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
-    let rt = sweep.runtime(1);
+pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
+    let rt = &grid_runtime(1);
     // Level-2 rate for the unblocked sweep (the column kernel is
     // memory-bound); the calibrated Level-3-ish leaf rate for the blocked
     // trailing updates.

@@ -102,7 +102,7 @@ fn run_cholqr(rt: &Runtime, a: &Matrix) -> Result<(Matrix, f64, u64), String> {
     Ok((Matrix::vstack_all(&refs), makespan, wan))
 }
 
-pub(super) fn run(_: &mut Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
     let rt = mini_grid(2, 4);
     let (m, n) = (2048usize, 16usize);
 

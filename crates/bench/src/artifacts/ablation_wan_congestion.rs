@@ -22,7 +22,7 @@ fn gflops(rt: &Runtime, m: u64, n: usize, algorithm: Algorithm) -> f64 {
     run_point(rt, m, n, algorithm, false, Mode::Symbolic).gflops
 }
 
-pub(super) fn run(_: &mut Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
     let (m, n) = (8_388_608u64, 512usize); // the Fig. 4(d)/5(d) tail
     println!("# WAN congestion surcharge sweep — M = {m}, N = {n}, 4 sites");
     println!(

@@ -9,7 +9,7 @@
 //! 4 Grid'5000 sites for general matrices of growing height and report
 //! the multi-site speedups.
 
-use crate::{calib, ShapeCheck, Sweep};
+use crate::{calib, grid_runtime, ShapeCheck, Sweep};
 use tsqr_core::caqr_dist::{caqr_dist_program_async, CaqrDistConfig};
 use tsqr_core::experiment::run_ranks;
 use tsqr_core::model;
@@ -33,7 +33,7 @@ fn caqr(rt: &Runtime, m: u64, n: usize) -> RunReport<()> {
     })
 }
 
-pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
     println!("# CAQR on the grid — general M x N matrices, tile = {TILE}");
     println!("# {:>10} {:>6} {:>12} {:>12} {:>12} {:>10}", "M", "N", "1 site", "2 sites", "4 sites", "speedup4");
 
@@ -46,7 +46,7 @@ pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
     ] {
         // Useful flops of a full QR of an m × n matrix, per simulated second.
         let gflops = |sites| {
-            model::useful_flops(m, n as u64, false) / caqr(sweep.runtime(sites), m, n).makespan.secs() / 1e9
+            model::useful_flops(m, n as u64, false) / caqr(&grid_runtime(sites), m, n).makespan.secs() / 1e9
         };
         let [g1, g2, g4] = Sweep::SITES.map(gflops);
         let s4 = g4 / g1;
@@ -66,7 +66,7 @@ pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
     // And the WAN bill: per panel the tuned tree crosses sites O(#sites)
     // times, so total WAN messages grow with N/b, not with M or the
     // trailing width.
-    let wan_of = |m: u64, n: usize| caqr(sweep.runtime(4), m, n).totals.inter_cluster_msgs();
+    let wan_of = |m: u64, n: usize| caqr(&grid_runtime(4), m, n).totals.inter_cluster_msgs();
     let wan_tall = wan_of(1_048_576, 512);
     let wan_taller = wan_of(4_194_304, 512);
     checks.check(

@@ -25,7 +25,7 @@ fn gflops(rt: &Runtime, m: u64, n: usize, algorithm: Algorithm) -> f64 {
     run_experiment(rt, &point).gflops
 }
 
-pub(super) fn run(_: &mut Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
     let n = 64usize;
     let ms: Vec<u64> = vec![1 << 20, 1 << 22, 1 << 24, 1 << 26, 1 << 28];
     let runtimes: Vec<(usize, Runtime)> = [1usize, 2, 4]

@@ -21,7 +21,7 @@ fn homogeneous(procs: usize) -> Runtime {
     Runtime::new(topo, model)
 }
 
-pub(super) fn run(_: &mut Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
     let (beta, alpha_word, gamma) = (BETA_MS * 1e-3, 64.0 / (MBPS * 1e6), 1.0 / RATE);
     println!("# Eq. (1) vs simulation — homogeneous network (β = {BETA_MS} ms, {MBPS} Mb/s, 1 Gflop/s)");
     println!(

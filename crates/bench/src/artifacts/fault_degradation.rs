@@ -18,7 +18,7 @@
 
 use crate::{fault_points, ShapeCheck, Sweep};
 
-pub(super) fn run(_: &mut Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
     for p in &fault_points() {
         let clean = p.measure(false);
         let degraded = p.measure(true);

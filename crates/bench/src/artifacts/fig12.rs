@@ -20,7 +20,7 @@ fn wan_msgs(rt: &Runtime, n: usize, algorithm: Algorithm) -> u64 {
     run_experiment(rt, &symbolic(600, n, algorithm)).totals.inter_cluster_msgs()
 }
 
-pub(super) fn run(_: &mut Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
     let n = 3;
     let tuned = Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster: 2 };
     println!("# Figs. 1-2 — inter-cluster messages, M x {n} panel on 3 clusters of 2 procs");

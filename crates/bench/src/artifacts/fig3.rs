@@ -41,7 +41,7 @@ fn measure(rt: &Runtime, a: usize, b: usize) -> (f64, f64) {
     (latency_ms, throughput_mbps)
 }
 
-pub(super) fn run(_: &mut Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
     let rt = Runtime::new(grid5000::topology(4), grid5000::cost_model());
 
     println!("# Fig. 3(a) — measured on the simulated platform");

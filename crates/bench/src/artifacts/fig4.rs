@@ -9,22 +9,17 @@
 //! (`--trace-out fig4.json` dumps a Chrome trace of the 4-site
 //! M = 2²⁰, N = 64 point — expect ~2 WAN all-reduce messages per column.)
 
-use super::PANELS;
-use crate::{paper_m_values, print_series_table, Series, ShapeCheck, Sweep};
+use super::{site_series, PANELS};
+use crate::{paper_m_values, print_series_table, ShapeCheck, Sweep};
+use tsqr_core::experiment::Algorithm;
 
-pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
     // Property 4 across panels: one-site performance at the tallest M.
     let mut peaks = Vec::new();
     let mut max = 0.0f64;
     for (panel, n) in PANELS {
         let ms = paper_m_values(n);
-        let series: Vec<Series> = Sweep::SITES
-            .iter()
-            .map(|&sites| Series {
-                label: format!("{sites}site(s)"),
-                points: ms.iter().map(|&m| (m, sweep.scalapack_gflops(sites, m, n))).collect(),
-            })
-            .collect();
+        let series = site_series(&ms, |sites, m| sweep.gflops(sites, m, n, &Algorithm::ScalapackQr2));
         print_series_table(&format!("Fig. 4 ({panel}) — ScaLAPACK, N = {n}"), "M", &series);
 
         let one = &series[0].points;

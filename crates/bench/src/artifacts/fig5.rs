@@ -9,19 +9,13 @@
 //! (`--trace-out fig5.json` dumps a Chrome trace of the 4-site
 //! M = 2²⁰, N = 64 point — expect O(log #clusters) WAN messages total.)
 
-use super::PANELS;
-use crate::{paper_m_values, print_series_table, Series, ShapeCheck, Sweep};
+use super::{site_series, PANELS};
+use crate::{paper_m_values, print_series_table, ShapeCheck, Sweep};
 
-pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
     for (panel, n) in PANELS {
         let ms = paper_m_values(n);
-        let series: Vec<Series> = Sweep::SITES
-            .iter()
-            .map(|&sites| Series {
-                label: format!("{sites}site(s)"),
-                points: ms.iter().map(|&m| (m, sweep.tsqr_best_gflops(sites, m, n).0)).collect(),
-            })
-            .collect();
+        let series = site_series(&ms, |sites, m| sweep.tsqr_best_gflops(sites, m, n).0);
         print_series_table(&format!("Fig. 5 ({panel}) — TSQR (best #domains), N = {n}"), "M", &series);
 
         let one = &series[0].points;

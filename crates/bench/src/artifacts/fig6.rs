@@ -10,28 +10,20 @@
 //! (`--trace-out fig6.json` dumps a Chrome trace of the 4-site
 //! M = 2²², N = 64 point at the optimum 64 domains/cluster.)
 
-use crate::{domain_options, print_series_table, Series, ShapeCheck, Sweep};
+use super::domain_series;
+use crate::{print_series_table, ShapeCheck, Sweep};
 
-pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
-    // The M values plotted per panel in the paper.
-    let panel_ms: [(usize, [u64; 4]); 4] = [
-        (64, [33_554_432, 4_194_304, 524_288, 131_072]),
-        (128, [33_554_432, 4_194_304, 524_288, 262_144]),
-        (256, [8_388_608, 2_097_152, 524_288, 262_144]),
-        (512, [8_388_608, 2_097_152, 524_288, 262_144]),
-    ];
+/// The M values plotted per panel in the paper, for each N.
+pub(super) const PANEL_MS: [(usize, [u64; 4]); 4] = [
+    (64, [33_554_432, 4_194_304, 524_288, 131_072]),
+    (128, [33_554_432, 4_194_304, 524_288, 262_144]),
+    (256, [8_388_608, 2_097_152, 524_288, 262_144]),
+    (512, [8_388_608, 2_097_152, 524_288, 262_144]),
+];
 
-    for (panel, (n, ms)) in panel_ms.iter().enumerate() {
-        let series: Vec<Series> = ms
-            .iter()
-            .map(|&m| Series {
-                label: format!("M={m}"),
-                points: domain_options()
-                    .iter()
-                    .map(|&dpc| (dpc as u64, sweep.tsqr_gflops(4, m, *n, dpc)))
-                    .collect(),
-            })
-            .collect();
+pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
+    for (panel, (n, ms)) in PANEL_MS.iter().enumerate() {
+        let series = domain_series(sweep, 4, *n, ms);
         print_series_table(
             &format!("Fig. 6 ({}) — N = {n}, 4 sites, x = domains/cluster", ['a', 'b', 'c', 'd'][panel]),
             "domains",

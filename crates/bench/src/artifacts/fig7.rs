@@ -8,25 +8,19 @@
 //! (`--trace-out fig7.json` dumps a Chrome trace of the single-site
 //! M = 2²⁰, N = 64 point at 64 domains — no WAN sends at all.)
 
-use crate::{domain_options, print_series_table, Series, ShapeCheck, Sweep};
+use super::domain_series;
+use crate::harness::tuned_tsqr;
+use crate::{print_series_table, ShapeCheck, Sweep};
 
-pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
-    let panels: [(usize, [u64; 4]); 2] = [
-        (64, [8_388_608, 1_048_576, 131_072, 65_536]),
-        (512, [2_097_152, 1_048_576, 131_072, 65_536]),
-    ];
+/// The M values plotted per panel, for each N (M = 65 536 is off the grid of Figs. 4–5).
+pub(super) const PANEL_MS: [(usize, [u64; 4]); 2] = [
+    (64, [8_388_608, 1_048_576, 131_072, 65_536]),
+    (512, [2_097_152, 1_048_576, 131_072, 65_536]),
+];
 
-    for (panel, (n, ms)) in panels.iter().enumerate() {
-        let series: Vec<Series> = ms
-            .iter()
-            .map(|&m| Series {
-                label: format!("M={m}"),
-                points: domain_options()
-                    .iter()
-                    .map(|&dpc| (dpc as u64, sweep.tsqr_gflops(1, m, *n, dpc)))
-                    .collect(),
-            })
-            .collect();
+pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
+    for (panel, (n, ms)) in PANEL_MS.iter().enumerate() {
+        let series = domain_series(sweep, 1, *n, ms);
         print_series_table(
             &format!("Fig. 7 ({}) — N = {n}, 1 site, x = domains", ['a', 'b'][panel]),
             "domains",
@@ -41,7 +35,7 @@ pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
             format!("optimum {opt} at M={}", ms[1]),
         );
         // Performance increases from 1 domain to the optimum.
-        let worst = sweep.tsqr_gflops(1, ms[1], *n, 1);
+        let worst = sweep.gflops(1, ms[1], *n, &tuned_tsqr(1));
         checks.check(
             &format!("N={n}: splitting into domains helps (vs 1 domain)"),
             best_g > worst,
@@ -50,8 +44,8 @@ pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
     }
 
     // Paper single-site plateaus used for the calibration — report them.
-    let g64 = sweep.tsqr_gflops(1, 8_388_608, 64, 64);
-    let g512 = sweep.tsqr_gflops(1, 2_097_152, 512, 32);
+    let g64 = sweep.gflops(1, 8_388_608, 64, &tuned_tsqr(64));
+    let g512 = sweep.gflops(1, 2_097_152, 512, &tuned_tsqr(32));
     checks.check(
         "single-site plateaus near the paper's (35 / 90 Gflop/s)",
         (28.0..45.0).contains(&g64) && (70.0..110.0).contains(&g512),

@@ -12,24 +12,16 @@
 
 use super::PANELS;
 use crate::{paper_m_values, print_series_table, Series, ShapeCheck, Sweep};
+use tsqr_core::experiment::Algorithm;
 
-pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
     for (panel, n) in PANELS {
         let ms = paper_m_values(n);
-        let tsqr_best: Vec<(u64, f64)> = ms
-            .iter()
-            .map(|&m| {
-                let over_sites = Sweep::SITES.iter().map(|&s| sweep.tsqr_best_gflops(s, m, n).0);
-                (m, over_sites.fold(0.0, f64::max))
-            })
-            .collect();
-        let scal_best: Vec<(u64, f64)> = ms
-            .iter()
-            .map(|&m| {
-                let over_sites = Sweep::SITES.iter().map(|&s| sweep.scalapack_gflops(s, m, n));
-                (m, over_sites.fold(0.0, f64::max))
-            })
-            .collect();
+        let best = |gflops: &dyn Fn(usize, u64) -> f64| -> Vec<(u64, f64)> {
+            ms.iter().map(|&m| (m, Sweep::SITES.iter().map(|&s| gflops(s, m)).fold(0.0, f64::max))).collect()
+        };
+        let tsqr_best = best(&|s, m| sweep.tsqr_best_gflops(s, m, n).0);
+        let scal_best = best(&|s, m| sweep.gflops(s, m, n, &Algorithm::ScalapackQr2));
         print_series_table(
             &format!("Fig. 8 ({panel}) — best-configuration comparison, N = {n}"),
             "M",

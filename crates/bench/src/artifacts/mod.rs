@@ -7,7 +7,7 @@
 use tsqr_core::experiment::Algorithm;
 
 use crate::figures::FigurePoint;
-use crate::harness::{tuned_tsqr, ShapeCheck, Sweep};
+use crate::harness::{domain_options, paper_m_values, tuned_tsqr, Point, Series, ShapeCheck, Sweep};
 
 mod ablation_balance;
 mod ablation_blocking;
@@ -38,8 +38,10 @@ pub struct Figure {
     /// the bench gate pins, the first listed being the primary one. Only
     /// Figs. 4–8 have any.
     pub points: &'static [FigurePoint],
+    /// The sweep points its body reads, priced before it runs (Figs. 4–8).
+    pub reads: fn() -> Vec<Point>,
     /// Prints the artifact and records its paper-shape checks.
-    pub run: fn(&mut Sweep, &mut ShapeCheck),
+    pub run: fn(&Sweep, &mut ShapeCheck),
 }
 
 /// The N columns of Figs. 4, 5 and 8, with their panel letters.
@@ -56,8 +58,42 @@ const fn headline(
     FigurePoint { figure, label, sites, m, n, algorithm }
 }
 
-const fn plain(id: &'static str, title: &'static str, run: fn(&mut Sweep, &mut ShapeCheck)) -> Figure {
-    Figure { id, title, points: &[], run }
+/// The paper grid of Figs. 4, 5 and 8 for `algorithms`: every site count
+/// and every `(M, N)` of the four panels.
+fn paper_grid(algorithms: &[Algorithm]) -> Vec<Point> {
+    let mut points = Vec::new();
+    for sites in Sweep::SITES {
+        for (_, n) in PANELS {
+            for m in paper_m_values(n) {
+                points.extend(algorithms.iter().map(|a| (sites, m, n, a.clone())));
+            }
+        }
+    }
+    points
+}
+
+/// Figs. 4–5's series: one per site count, Gflop/s against M.
+fn site_series(ms: &[u64], gflops: impl Fn(usize, u64) -> f64) -> Vec<Series> {
+    let points = |sites| ms.iter().map(|&m| (m, gflops(sites, m))).collect();
+    Sweep::SITES.map(|sites| Series { label: format!("{sites}site(s)"), points: points(sites) }).to_vec()
+}
+
+/// The domain sweep of Figs. 6–7 on `sites` sites: every domain count at
+/// each `(N, M)` of their panel tables.
+fn domain_sweep(sites: usize, panels: &[(usize, [u64; 4])]) -> Vec<Point> {
+    let cells = panels.iter().flat_map(|&(n, ms)| ms.map(|m| (m, n)));
+    cells.flat_map(|(m, n)| domain_options().map(|d| (sites, m, n, tuned_tsqr(d)))).collect()
+}
+
+/// Figs. 6–7's series for one panel: one per M, TSQR Gflop/s against the
+/// domain count.
+fn domain_series(sweep: &Sweep, sites: usize, n: usize, ms: &[u64]) -> Vec<Series> {
+    let at = |m| domain_options().map(|d| (d as u64, sweep.gflops(sites, m, n, &tuned_tsqr(d))));
+    ms.iter().map(|&m| Series { label: format!("M={m}"), points: at(m).to_vec() }).collect()
+}
+
+const fn plain(id: &'static str, title: &'static str, run: fn(&Sweep, &mut ShapeCheck)) -> Figure {
+    Figure { id, title, points: &[], reads: Vec::new, run }
 }
 
 /// Every artifact, in the order `grid-tsqr figure --all` regenerates them.
@@ -72,24 +108,28 @@ static FIGURES: [Figure; 18] = [
         id: "fig4",
         title: "Fig. 4 (ScaLAPACK Gflop/s vs M, 1/2/4 sites)",
         points: &[headline("fig4", "scalapack", 4, 1_048_576, 64, Algorithm::ScalapackQr2)],
+        reads: || paper_grid(&[Algorithm::ScalapackQr2]),
         run: fig4::run,
     },
     Figure {
         id: "fig5",
         title: "Fig. 5 (TSQR Gflop/s vs M, 1/2/4 sites)",
         points: &[headline("fig5", "tsqr", 4, 1_048_576, 64, tuned_tsqr(64))],
+        reads: || paper_grid(&domain_options().map(tuned_tsqr)),
         run: fig5::run,
     },
     Figure {
         id: "fig6",
         title: "Fig. 6 (domains/cluster sweep, 4 sites)",
         points: &[headline("fig6", "tsqr", 4, 4_194_304, 64, tuned_tsqr(64))],
+        reads: || domain_sweep(4, &fig6::PANEL_MS),
         run: fig6::run,
     },
     Figure {
         id: "fig7",
         title: "Fig. 7 (domains sweep, 1 site)",
         points: &[headline("fig7", "tsqr", 1, 1_048_576, 64, tuned_tsqr(64))],
+        reads: || domain_sweep(1, &fig7::PANEL_MS),
         run: fig7::run,
     },
     Figure {
@@ -99,6 +139,7 @@ static FIGURES: [Figure; 18] = [
             headline("fig8", "tsqr", 4, 8_388_608, 512, tuned_tsqr(32)),
             headline("fig8", "scalapack", 4, 8_388_608, 512, Algorithm::ScalapackQr2),
         ],
+        reads: || paper_grid(&[domain_options().map(tuned_tsqr).as_slice(), &[Algorithm::ScalapackQr2]].concat()),
         run: fig8::run,
     },
     plain("prop1", "Property 1 (Q+R ≈ 2× R-only)", prop1::run),

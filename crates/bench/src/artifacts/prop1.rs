@@ -1,12 +1,12 @@
 //! Property 1: the time to compute both Q and R is about twice the time
 //! to compute R only — checked over the Fig. 5 sweep points.
 
-use crate::{run_point, ShapeCheck, Sweep};
+use crate::{grid_runtime, run_point, ShapeCheck, Sweep};
 use tsqr_core::experiment::{Algorithm, Mode};
 use tsqr_core::tree::TreeShape;
 
-pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
-    let rt = sweep.runtime(4);
+pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
+    let rt = &grid_runtime(4);
     println!("# Property 1 — time(Q+R) / time(R), TSQR on 4 sites, 64 domains/cluster");
     println!("# {:>10} {:>5} {:>10} {:>10} {:>7}", "M", "N", "t_R (s)", "t_QR (s)", "ratio");
 

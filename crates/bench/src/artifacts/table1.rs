@@ -3,13 +3,13 @@
 //! actual distributed schedules.
 
 use crate::harness::symbolic;
-use crate::{ShapeCheck, Sweep};
+use crate::{grid_runtime, ShapeCheck, Sweep};
 use tsqr_core::experiment::{run_experiment, Algorithm};
 use tsqr_core::model;
 use tsqr_core::tree::TreeShape;
 
-pub(super) fn run(sweep: &mut Sweep, checks: &mut ShapeCheck) {
-    let rt = sweep.runtime(4);
+pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
+    let rt = &grid_runtime(4);
     let p = rt.topology().num_procs() as u64; // 256 = number of domains here
 
     println!("# Table I — R-factor only; M x N over P = {p} domains");

@@ -1,6 +1,7 @@
 //! Sweep machinery shared by the registered artifacts.
 
 use std::path::Path;
+use std::sync::Mutex;
 
 use tsqr_core::experiment::{run_experiment, Algorithm, Experiment, ExperimentResult, Mode};
 use tsqr_core::tree::TreeShape;
@@ -92,71 +93,75 @@ pub fn run_point(
     run_experiment(rt, &Experiment { compute_q, mode, rate_flops, combine_rate_flops, ..base })
 }
 
-/// The paper's three platforms ([`grid_runtime`] on 1, 2 and 4 sites) and
-/// the table of symbolic points already priced on them. A `Dims` run is a
-/// pure function of `(sites, M, N, algorithm)`, so a point is run once per
-/// process however many artifacts plot it: Fig. 5 *is* the maximum over the
-/// domain counts of Figs. 6–7 and Fig. 8 the maximum over the sites of
-/// Figs. 4–5, read from one table.
-pub struct Sweep {
-    runtimes: [Runtime; 3],
-    /// One entry per point run, so its length counts the evaluations.
-    priced: Vec<((usize, u64, usize, Algorithm), f64)>,
-}
+/// One point of the paper's sweep: `(sites, M, N, algorithm)`.
+pub type Point = (usize, u64, usize, Algorithm);
 
-impl Default for Sweep {
-    fn default() -> Self {
-        Sweep { runtimes: Self::SITES.map(grid_runtime), priced: Vec::new() }
-    }
+/// The Gflop/s of the R-only symbolic points the artifacts read, declared,
+/// then priced on every core. A point is a pure function of itself, so the
+/// table is the same for any thread count, and a point several artifacts
+/// plot is run once: Fig. 5 *is* the maximum over the domain counts of
+/// Figs. 6–7 and Fig. 8 the maximum over the sites of Figs. 4–5.
+#[derive(Default)]
+pub struct Sweep {
+    /// One entry per point priced, so its length counts the evaluations.
+    priced: Vec<(Point, f64)>,
 }
 
 impl Sweep {
     /// The site counts of Figs. 4, 5 and 8.
     pub const SITES: [usize; 3] = [1, 2, 4];
 
-    /// The platform on `sites` sites.
+    /// Prices every point of `points` not yet in the table on `threads`
+    /// threads, each taking the next unpriced point and running it on the
+    /// one platform of its site count they all share.
+    fn price(&mut self, points: &[Point], threads: usize) {
+        let start = self.priced.len();
+        for p in points {
+            if !self.priced.iter().any(|(q, _)| q == p) {
+                self.priced.push((p.clone(), f64::NAN));
+            }
+        }
+        if self.priced.len() == start {
+            return;
+        }
+        let platforms = Self::SITES.map(grid_runtime);
+        let queue = Mutex::new(self.priced[start..].iter_mut());
+        let next = || queue.lock().expect("a pricing thread panicked").next();
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    for ((sites, m, n, algorithm), gflops) in std::iter::from_fn(next) {
+                        let slot = Self::SITES.iter().position(|s| s == sites);
+                        let rt = &platforms[slot.expect("the paper's platforms have 1, 2 or 4 sites")];
+                        *gflops = run_point(rt, *m, *n, algorithm.clone(), false, Mode::Symbolic).gflops;
+                    }
+                });
+            }
+        });
+    }
+
+    /// Gflop/s of one priced point.
     ///
     /// # Panics
-    /// Panics unless `sites` is one of [`Self::SITES`].
-    pub fn runtime(&self, sites: usize) -> &Runtime {
-        let slot = Self::SITES.iter().position(|&s| s == sites);
-        &self.runtimes[slot.expect("the paper's platforms have 1, 2 or 4 sites")]
-    }
-
-    /// Gflop/s of one R-only symbolic point at the calibrated rates.
-    fn gflops(&mut self, sites: usize, m: u64, n: usize, algorithm: Algorithm) -> f64 {
+    /// Panics, naming the point, unless the artifact reading it declared it.
+    pub fn gflops(&self, sites: usize, m: u64, n: usize, algorithm: &Algorithm) -> f64 {
         let point = (sites, m, n, algorithm);
-        if let Some((_, gflops)) = self.priced.iter().find(|(priced, _)| *priced == point) {
-            return *gflops;
-        }
-        let gflops =
-            run_point(self.runtime(sites), m, n, point.3.clone(), false, Mode::Symbolic).gflops;
-        self.priced.push((point, gflops));
-        gflops
-    }
-
-    /// TSQR Gflop/s at one sweep point (grid-hierarchical tree).
-    pub fn tsqr_gflops(&mut self, sites: usize, m: u64, n: usize, domains_per_cluster: usize) -> f64 {
-        self.gflops(sites, m, n, tuned_tsqr(domains_per_cluster))
+        let found = self.priced.iter().find(|((s, pm, pn, a), _)| (*s, *pm, *pn, a) == point);
+        found.unwrap_or_else(|| panic!("sweep point {point:?} was not declared")).1
     }
 
     /// TSQR Gflop/s with the optimum domain count, and that count (the
     /// first of equals) — the quantity Fig. 5 plots ("the TSQR performance
     /// for the optimum number of domains").
-    pub fn tsqr_best_gflops(&mut self, sites: usize, m: u64, n: usize) -> (f64, usize) {
+    pub fn tsqr_best_gflops(&self, sites: usize, m: u64, n: usize) -> (f64, usize) {
         let mut best = (0.0f64, 1usize);
         for dpc in domain_options() {
-            let g = self.tsqr_gflops(sites, m, n, dpc);
+            let g = self.gflops(sites, m, n, &tuned_tsqr(dpc));
             if g > best.0 {
                 best = (g, dpc);
             }
         }
         best
-    }
-
-    /// ScaLAPACK QR2 Gflop/s at one sweep point.
-    pub fn scalapack_gflops(&mut self, sites: usize, m: u64, n: usize) -> f64 {
-        self.gflops(sites, m, n, Algorithm::ScalapackQr2)
     }
 }
 
@@ -212,6 +217,9 @@ pub fn dump_traced_point(path: &Path, point: &FigurePoint) -> std::io::Result<Le
 /// perf-gated configuration (`grid-tsqr bench-check` measures the same
 /// points) byte-for-byte identical. A file that cannot be written is the
 /// `Err`.
+///
+/// Then the sweep points the artifact declares ([`Figure::reads`]) that
+/// `sweep` lacks are priced, one thread per core, and the body reads them.
 pub fn run_figure(
     figure: &Figure,
     sweep: &mut Sweep,
@@ -239,6 +247,7 @@ pub fn run_figure(
         }
         println!("# ledger: {n} entries -> {}", path.display());
     }
+    sweep.price(&(figure.reads)(), std::thread::available_parallelism().map_or(1, usize::from));
     let mut checks = ShapeCheck::default();
     (figure.run)(sweep, &mut checks);
     Ok(checks.report())
@@ -323,24 +332,46 @@ mod tests {
     }
 
     #[test]
-    fn no_point_is_priced_twice() {
-        let mut sweep = Sweep::default();
-        let (best, dpc) = sweep.tsqr_best_gflops(1, 1 << 20, 64);
-        assert_eq!(sweep.priced.len(), domain_options().len());
-        // The seven points behind the optimum are now table look-ups, and
-        // a look-up is the value a fresh run on another table computes.
-        let mut fresh = Sweep::default();
-        for d in domain_options() {
-            let memoised = sweep.tsqr_gflops(1, 1 << 20, 64, d);
-            assert!(memoised > 0.0 && memoised <= best);
-            assert_eq!(memoised.to_bits(), fresh.tsqr_gflops(1, 1 << 20, 64, d).to_bits());
+    fn the_table_is_the_same_on_any_number_of_threads() {
+        let at = |sites, dpc| (sites, 1 << 20, 64, tuned_tsqr(dpc));
+        let mut points: Vec<Point> = domain_options().map(|d| at(1, d)).to_vec();
+        points.extend([(1, 1 << 20, 64, Algorithm::ScalapackQr2), at(2, 8), at(1, 8), at(1, 64)]);
+        let (mut one, mut two) = (Sweep::default(), Sweep::default());
+        one.price(&points, 1);
+        two.price(&points, 2);
+        // A point listed twice is priced once.
+        assert_eq!(one.priced.len(), domain_options().len() + 2, "nine points, not eleven");
+        for ((p, a), (q, b)) in one.priced.iter().zip(&two.priced) {
+            assert_eq!((p, a.to_bits()), (q, b.to_bits()));
         }
-        assert_eq!(sweep.priced.len(), domain_options().len(), "seven points, not fourteen");
-        assert_eq!(best.to_bits(), sweep.tsqr_gflops(1, 1 << 20, 64, dpc).to_bits());
-        // Another algorithm, or another platform, is another point.
-        sweep.scalapack_gflops(1, 1 << 20, 64);
-        sweep.tsqr_gflops(2, 1 << 20, 64, dpc);
-        assert_eq!(sweep.priced.len(), domain_options().len() + 2);
+        let (best, dpc) = one.tsqr_best_gflops(1, 1 << 20, 64);
+        for d in domain_options() {
+            let g = one.gflops(1, 1 << 20, 64, &tuned_tsqr(d));
+            assert!(g > 0.0 && g <= best);
+        }
+        assert_eq!(best.to_bits(), one.gflops(1, 1 << 20, 64, &tuned_tsqr(dpc)).to_bits());
+        // A priced point is not priced again.
+        one.price(&points[..3], 2);
+        assert_eq!(one.priced.len(), domain_options().len() + 2);
+    }
+
+    #[test]
+    fn every_sweep_body_reads_only_what_its_figure_declares() {
+        let sweeps = crate::figures().iter().filter(|f| !(f.reads)().is_empty());
+        let ids: Vec<&str> = sweeps.clone().map(|f| f.id).collect();
+        assert_eq!(ids, ["fig4", "fig5", "fig6", "fig7", "fig8"]);
+        for figure in sweeps {
+            // A placeholder for each declared point: no simulation runs.
+            let priced = (figure.reads)().into_iter().map(|p| (p, 1.0)).collect();
+            (figure.run)(&Sweep { priced }, &mut ShapeCheck::default());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep point (2, 65536, 64, ScalapackQr2) was not declared")]
+    fn reading_an_undeclared_point_panics_and_names_it() {
+        let priced = vec![((1, 65_536, 64, Algorithm::ScalapackQr2), 1.0)];
+        Sweep { priced }.gflops(2, 65_536, 64, &Algorithm::ScalapackQr2);
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //! The sweeps execute the *actual distributed schedules* of the algorithms
 //! (symbolic payloads, real message passing, virtual clocks priced with the
 //! paper's measured constants); see `calib` for the one fitted constant
-//! (the domain-kernel efficiency curve η(N)).
+//! (the domain-kernel efficiency curve η(N)). The points a body reads are
+//! declared, then priced on every core ([`Sweep`]); the body reads them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,5 +55,5 @@ pub use figures::{
 };
 pub use harness::{
     domain_options, dump_traced_point, grid_runtime, paper_m_values, platform_runtime,
-    print_series_table, run_figure, run_point, ShapeCheck, Series, Sweep,
+    print_series_table, run_figure, run_point, Point, ShapeCheck, Series, Sweep,
 };

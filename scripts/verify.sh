@@ -50,9 +50,10 @@ echo "    policies and serve-faults points, pinned against COMMCHECK_baseline.tx
 ./target/release/grid-tsqr check --golden COMMCHECK_baseline.txt
 
 echo "==> paper-shape gate (all 18 registered artifacts regenerated in one process,"
-echo "    ~11 s, a shared point priced once; exits 1 on any of the 115 [FAIL]-able"
-echo "    checks: Properties 1-5, the Fig. 1/2 WAN counts, Tables I/II, Eq. (1), four"
-echo "    sites fastest for M >= 5e5, 4-site speedup > 3.3, TSQR >= ScaLAPACK, ...)"
+echo "    ~6 s, their points declared, then priced on every core; exits 1 on any of"
+echo "    the 115 [FAIL]-able checks: Properties 1-5, the Fig. 1/2 WAN counts, Tables"
+echo "    I/II, Eq. (1), four sites fastest for M >= 5e5, 4-site speedup > 3.3,"
+echo "    TSQR >= ScaLAPACK, ...)"
 timeout 120 ./target/release/grid-tsqr figure --all >/dev/null
 echo "    paper shapes: every check of every artifact passes"
 

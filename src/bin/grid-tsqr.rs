@@ -35,7 +35,7 @@
 //! `tsqr_bench` (every table, figure, property and ablation is one row):
 //! `--id` (repeatable) or `--all`, neither to list the rows. Each artifact
 //! ends in its `[PASS]`/`[FAIL]` paper-shape block and any `[FAIL]` is exit
-//! code 1; one process prices a point shared by several figures once.
+//! code 1; its sweep points are declared, then priced on every core, once.
 //! `bench-check` is the perf-regression gate `scripts/bench_check.sh`
 //! drives: every registered headline point measured and compared with the
 //! committed baseline, exit code 1 on drift.
@@ -667,8 +667,8 @@ fn run() -> Result<ExitCode, String> {
 /// Regenerates registered artifacts of the paper (`tsqr_bench::figures`):
 /// `--id <id>` (repeatable) or `--all`; with neither, lists the registry.
 /// Every artifact ends in its `[PASS]`/`[FAIL]` block, and a `[FAIL]`
-/// anywhere is exit code 1. One `Sweep` serves the whole invocation, so a
-/// point two figures share is run once.
+/// anywhere is exit code 1. Declared, then priced on every core: one `Sweep`
+/// serves the whole invocation, so a point two figures share is run once.
 fn cmd_figure(args: &Args) -> Result<ExitCode, String> {
     let registry = figures();
     let ids = args.all("id")?;
@@ -684,6 +684,9 @@ fn cmd_figure(args: &Args) -> Result<ExitCode, String> {
             format!("--id {id}: no such artifact (known: {})", known.join(", "))
         })
     };
+    if let Some(id) = ids.iter().enumerate().find_map(|(i, id)| ids[..i].contains(id).then_some(id)) {
+        return Err(format!("--id {id} given twice"));
+    }
     let selected: Vec<&Figure> = if all {
         registry.iter().collect()
     } else {

@@ -290,6 +290,7 @@ fn a_flag_given_in_a_form_nobody_reads_is_refused() {
         (vec!["serve", "--requests", "30", "--crash"], "--crash needs a value"),
         (vec!["serve", "--requests", "30", "--requests", "5"], "--requests given twice"),
         (vec!["tsqr", "--m", "4096", "--n", "8", "--n", "16"], "--n given twice"),
+        (vec!["figure", "--id", "fig12", "--id", "fig12"], "--id fig12 given twice"),
         (vec!["tsqr", "--m", "4096", "--n", "8", "--real", "5"], "--real takes no value"),
         (vec!["serve", "--requests", "30", "--batch", "1"], "--batch takes no value"),
     ] {
