@@ -283,8 +283,8 @@ impl SharedLinks {
 
     /// Links with at least one registered flow, in canonical key order
     /// (deterministic — the map is a `BTreeMap`).
-    pub fn active_links(&self) -> Vec<(usize, usize)> {
-        self.flows.keys().copied().collect()
+    pub fn active_links(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.flows.keys().copied()
     }
 
     /// The drain rate (fraction of solo capacity, in `(0, 1]`) of a flow

@@ -230,6 +230,8 @@ pub struct SlotPool {
     /// Clusters that have crashed ([`SlotPool::fail_site`]): zero free
     /// capacity forever, and releases to them panic.
     down: Vec<bool>,
+    /// Changes made to the pool so far ([`SlotPool::generation`]).
+    generation: u64,
 }
 
 impl SlotPool {
@@ -237,7 +239,24 @@ impl SlotPool {
     pub fn new(catalog: ResourceCatalog) -> Self {
         let free_nodes: Vec<usize> = catalog.clusters.iter().map(|c| c.nodes).collect();
         let n = free_nodes.len();
-        SlotPool { catalog, free_nodes, leased_nodes: vec![0; n], down: vec![false; n] }
+        SlotPool {
+            catalog,
+            free_nodes,
+            leased_nodes: vec![0; n],
+            down: vec![false; n],
+            generation: 0,
+        }
+    }
+
+    /// How many times the pool has changed: a granted
+    /// [`SlotPool::allocate`], each [`SlotPool::release_site`] (so each
+    /// site of a [`SlotPool::release`]) and each [`SlotPool::fail_site`]
+    /// move it on. A refused `allocate` and
+    /// [`SlotPool::feasible_on_survivors`] change nothing and leave it be,
+    /// so two reads that agree bracket a pool every selection answers the
+    /// same way.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// The underlying (full-capacity) catalog.
@@ -272,6 +291,7 @@ impl SlotPool {
         assert!(!self.down[c], "cluster {} already failed", self.catalog.clusters[c].name);
         self.down[c] = true;
         self.free_nodes[c] = 0;
+        self.generation += 1;
         std::mem::take(&mut self.leased_nodes[c])
     }
 
@@ -319,6 +339,7 @@ impl SlotPool {
             self.free_nodes[c] -= booked;
             self.leased_nodes[c] += booked;
         }
+        self.generation += 1;
         Ok(lease)
     }
 
@@ -362,6 +383,7 @@ impl SlotPool {
         );
         self.leased_nodes[site] -= booked;
         self.free_nodes[site] += booked;
+        self.generation += 1;
         assert!(
             self.free_nodes[site] <= self.catalog.clusters[site].nodes,
             "slot-accounting leak: cluster {} freed past its {} physical nodes",
@@ -967,6 +989,41 @@ mod tests {
             assert_eq!((pool.free_nodes.clone(), pool.leased_nodes.clone()), before);
         }
         pool.release(&held);
+        assert!(pool.is_idle());
+    }
+
+    #[test]
+    fn the_generation_moves_on_every_change_and_only_then() {
+        // The engine skips a blocked head while the generation stands
+        // still, so a change that leaves it be would starve the head.
+        let mut pool = SlotPool::new(g5k());
+        let mut last = pool.generation();
+        let mut moved = |pool: &SlotPool, expected: bool, what: &str| {
+            assert_eq!(pool.generation() != last, expected, "{what}");
+            last = pool.generation();
+        };
+        let a = pool.allocate(&JobProfile::cluster_of_clusters(2, 64)).unwrap();
+        moved(&pool, true, "a granted allocate");
+        for (width, procs_per_group) in [(4, 200), (4, 65), (5, 8)] {
+            let profile = JobProfile::cluster_of_clusters(width, procs_per_group);
+            pool.allocate(&profile).unwrap_err();
+            moved(&pool, false, "a refused allocate");
+            pool.feasible_on_survivors(&profile);
+            moved(&pool, false, "feasible_on_survivors");
+        }
+        a.release(&mut pool);
+        moved(&pool, true, "release");
+        let b = pool.allocate(&JobProfile::cluster_of_clusters(3, 64)).unwrap();
+        moved(&pool, true, "a granted allocate");
+        for &c in &b.cluster_of_group()[1..] {
+            b.release_site(&mut pool, c);
+            moved(&pool, true, "release_site");
+        }
+        pool.fail_site(b.cluster_of_group()[0]);
+        moved(&pool, true, "fail_site");
+        // A crashed site with nothing leased on it changes the pool too.
+        pool.fail_site((0..4).find(|&c| !pool.site_down(c)).unwrap());
+        moved(&pool, true, "fail_site on an idle cluster");
         assert!(pool.is_idle());
     }
 }

@@ -265,6 +265,10 @@ struct RunJob {
     /// The full drain the job owes (what a dropped drain must resend).
     wan_full_s: f64,
     in_phase2: bool,
+    /// The drain rate [`Engine::next_instant`] priced at the current
+    /// instant, which [`Engine::advance_to`] drains by; read only in
+    /// phase 2.
+    rate: f64,
 }
 
 /// Builds the analytic model of one job on its allocation: solo
@@ -431,6 +435,10 @@ struct Engine<'a> {
     /// order they re-enter the queue in.
     retry_wait: BTreeMap<(VirtualTime, usize), QueuedJob>,
     models: Models,
+    /// `(sites_wanted, pool generation)` of the last [`Engine::place`]
+    /// that returned [`Placement::Wait`]. `place` reads nothing else that
+    /// can change, so a head with the same key would wait again.
+    blocked: Option<(usize, u64)>,
     /// The outcome under construction: totals, busy intervals, the fault
     /// trail and brownout windows accumulate here; `records`, `horizon`
     /// and `wan_busy` are filled in by [`Engine::into_outcome`].
@@ -492,6 +500,7 @@ impl<'a> Engine<'a> {
             running: Vec::new(),
             retry_wait: BTreeMap::new(),
             models: BTreeMap::new(),
+            blocked: None,
             out: ServeOutcome {
                 config: cfg.clone(),
                 records: Vec::new(),
@@ -517,15 +526,28 @@ impl<'a> Engine<'a> {
     }
 
     /// Dispatches as much as the policy and the free slots allow. No
-    /// backfill: a contended head stops the pass.
+    /// backfill: a contended head stops the pass, and so does a head
+    /// whose try would repeat the last refused one on an unchanged pool.
     fn dispatch(&mut self) {
         while let Some(ticket) = self.queue.select(self.cfg.policy, &self.tenant_served) {
-            match self.place(self.queue.get(ticket).sites) {
+            let sites = self.queue.get(ticket).sites;
+            let key = (sites, self.pool.generation());
+            if self.blocked == Some(key) {
+                debug_assert!(
+                    matches!(self.place(sites), Placement::Wait),
+                    "a head skipped on an unchanged pool would have been placed"
+                );
+                break;
+            }
+            match self.place(sites) {
                 Placement::Go(lease) => {
                     let head = self.queue.remove(ticket);
                     self.start(head, lease);
                 }
-                Placement::Wait => break,
+                Placement::Wait => {
+                    self.blocked = Some(key);
+                    break;
+                }
                 Placement::Never => {
                     let j = self.queue.remove(ticket);
                     self.dispositions[j.id] =
@@ -606,6 +628,7 @@ impl<'a> Engine<'a> {
             wan_rem_s,
             wan_full_s: model.wan_s,
             in_phase2: false,
+            rate: 0.0,
         });
     }
 
@@ -626,8 +649,8 @@ impl<'a> Engine<'a> {
             } else if job.wan_rem_s <= DRAIN_EPS_S {
                 consider(t);
             } else {
-                let rate = drain_rate(&self.shared, &job.links, &self.cfg.faults, t);
-                let done = t + VirtualTime::from_secs(job.wan_rem_s / rate);
+                job.rate = drain_rate(&self.shared, &job.links, &self.cfg.faults, t);
+                let done = t + VirtualTime::from_secs(job.wan_rem_s / job.rate);
                 if done <= t {
                     // `DRAIN_EPS_S` is absolute: past a few thousand
                     // virtual seconds a residue above it is still below
@@ -657,14 +680,20 @@ impl<'a> Engine<'a> {
 
     /// Advances the fluid WAN drains across the segment up to `tn` (rates
     /// are constant within it: joins/leaves happen at events and the
-    /// degradation-window edges are themselves events).
+    /// degradation-window edges are themselves events). Each drain runs at
+    /// the rate `next_instant` priced for it at this instant: a segment
+    /// longer than zero means no drain had run dry, so every one was priced.
     fn advance_to(&mut self, tn: VirtualTime) {
         let dt = (tn - self.t).secs();
         if dt > 0.0 {
             for job in &mut self.running {
                 if job.in_phase2 {
-                    let rate = drain_rate(&self.shared, &job.links, &self.cfg.faults, self.t);
-                    job.wan_rem_s = (job.wan_rem_s - dt * rate).max(0.0);
+                    debug_assert_eq!(
+                        job.rate.to_bits(),
+                        drain_rate(&self.shared, &job.links, &self.cfg.faults, self.t).to_bits(),
+                        "a drain's stored rate is not the one priced at this instant"
+                    );
+                    job.wan_rem_s = (job.wan_rem_s - dt * job.rate).max(0.0);
                 }
             }
             let wan_bucket = LinkClass::N_BUCKETS - 1;

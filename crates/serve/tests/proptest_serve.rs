@@ -13,14 +13,18 @@
 //!    later-started short job can finish before an earlier long one.)
 //! 3. **Replay determinism** — same seed, load, policy, *and failure
 //!    schedule* reproduce a byte-identical outcome and rendered report.
+//! 4. **Skipping a blocked head is exact** — under deep overload and
+//!    faults, a head the pool refused is skipped on every event that left
+//!    the pool unchanged; debug builds re-run each skipped try and assert
+//!    it would have waited.
 
 use proptest::prelude::*;
 
 use tsqr_netsim::{FailureSchedule, VirtualTime};
 use tsqr_qcg::ResourceCatalog;
 use tsqr_serve::{
-    serve, BrownoutConfig, Disposition, Policy, PolicyReport, RecoveryAction, RetryPolicy,
-    ServeConfig,
+    serve, BrownoutConfig, Disposition, Policy, PolicyReport, RecoveryAction, RequestRecord,
+    RetryPolicy, ServeConfig,
 };
 
 fn cfg(policy: Policy, load: f64, seed: u64, requests: usize, cap: usize) -> ServeConfig {
@@ -211,6 +215,44 @@ proptest! {
         let rb = PolicyReport::from_outcome(&b);
         prop_assert_eq!(ra.render(), rb.render());
         prop_assert_eq!(ra.summary_line(), rb.summary_line());
+    }
+
+    /// Hundreds of requests at 1.5-4x load into a short queue, with a
+    /// site crash, a WAN window and drop rules inside the horizon: the head
+    /// stays blocked across many events, most of which leave the pool as
+    /// it was, while grants, releases and the crash move it on. A skip
+    /// that missed one of those changes would wedge the loop (serve
+    /// panics) or, in debug builds, fail the re-run try's assert.
+    #[test]
+    fn a_blocked_head_is_skipped_only_on_an_unchanged_pool(
+        policy_ix in 0usize..4,
+        load_x4 in 6u64..17,
+        cap in 4usize..33,
+        seed in 0u64..1_000_000,
+        fault_seed in 0u64..1_000_000,
+        crash in (0usize..4, 10u64..300),
+        window in (0u64..300, 10u64..300, 2u32..10),
+        drops in 0u64..4,
+        batch in proptest::bool::ANY,
+    ) {
+        let ((site, crash_ms), (from_ms, len_ms, div)) = (crash, window);
+        let ms = |x: u64| VirtualTime::from_secs(x as f64 / 1e3);
+        let mut faults = FailureSchedule::new(fault_seed)
+            .crash_site(site, ms(crash_ms))
+            .degrade_all_wan(ms(from_ms), ms(from_ms + len_ms), 1.0, f64::from(div));
+        for nth in 0..drops {
+            faults = faults.drop_nth_message(0, 2, nth);
+        }
+        let mut c = cfg(Policy::all()[policy_ix], load_x4 as f64 / 4.0, seed, 300, cap);
+        c.batch = batch;
+        c.faults = faults;
+        let out = serve(&ResourceCatalog::grid5000(), &c);
+        prop_assert_eq!(out.records.len(), 300);
+        prop_assert!(out.horizon > ms(crash_ms), "the crash fires inside the run");
+        let waited = |r: &RequestRecord| {
+            matches!(r.disposition, Disposition::Completed { start, .. } if start > r.request.arrival)
+        };
+        prop_assert!(out.records.iter().any(waited), "no completed request waited for a release");
     }
 
     /// Same seed + same *failure schedule* → byte-identical outcome,
