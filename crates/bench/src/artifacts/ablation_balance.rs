@@ -8,7 +8,7 @@
 //! convention), and (b) rate-proportional rows with every cluster running
 //! at its own speed.
 
-use crate::{ShapeCheck, Sweep};
+use crate::{Artifact, Sweep, Table};
 use tsqr_core::domains::DomainLayout;
 use tsqr_core::experiment::run_ranks;
 use tsqr_core::tree::{ReductionTree, TreeShape};
@@ -44,7 +44,7 @@ fn makespan(layout: &DomainLayout, rt: &Runtime, rates: &[f64]) -> f64 {
     report.makespan.secs()
 }
 
-pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep) -> Artifact {
     let (topo, model) = hetero_grid();
     let rt = Runtime::new(topo, model);
     let (m, n) = (1u64 << 22, 64usize);
@@ -60,28 +60,34 @@ pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
     let weighted = DomainLayout::build_weighted(rt.topology(), m, n, 16, &[1.0, 2.0]);
     let t_balanced = makespan(&weighted, &rt, &[1.0e9, 2.0e9]);
 
-    println!("# Load-balance ablation — M = {m}, N = {n}, 2 clusters (1x vs 2x speed)");
-    println!("  throttled-to-slowest (paper convention): {t_throttled:.3} s");
-    println!("  even rows, native rates                : {t_unbalanced:.3} s");
-    println!("  rate-proportional rows, native rates   : {t_balanced:.3} s");
-    println!(
-        "  speedup of balancing vs throttling     : {:.2}x",
-        t_throttled / t_balanced
+    let mut table = Table::new(
+        format!("Load-balance ablation — M = {m}, N = {n}, 2 clusters (1x vs 2x speed)"),
+        &["configuration", "result"],
     );
+    table.rows = [
+        ("throttled-to-slowest (paper convention)", format!("{t_throttled:.3} s")),
+        ("even rows, native rates", format!("{t_unbalanced:.3} s")),
+        ("rate-proportional rows, native rates", format!("{t_balanced:.3} s")),
+        ("speedup of balancing vs throttling", format!("{:.2}x", t_throttled / t_balanced)),
+    ]
+    .map(|(configuration, result)| vec![configuration.to_string(), result])
+    .to_vec();
 
-    checks.check(
+    let mut artifact = Artifact { tables: vec![table], checks: Vec::new() };
+    artifact.check(
         "even rows at native rates are bottlenecked by the slow cluster",
         (t_unbalanced / t_throttled - 1.0).abs() < 0.05,
         format!("{t_unbalanced:.3} vs {t_throttled:.3} s"),
     );
-    checks.check(
+    artifact.check(
         "rate-proportional rows beat both",
         t_balanced < t_unbalanced && t_balanced < t_throttled,
         format!("{t_balanced:.3} s"),
     );
-    checks.check(
+    artifact.check(
         "balancing approaches the ideal 1.5x aggregate-rate speedup",
         t_throttled / t_balanced > 1.3,
         format!("{:.2}x of ideal 1.50x", t_throttled / t_balanced),
     );
+    artifact
 }

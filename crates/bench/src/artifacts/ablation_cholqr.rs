@@ -8,7 +8,7 @@
 //! on the Grid'5000 model, and orthogonality loss on matrices of growing
 //! condition number (real numerics).
 
-use crate::{ShapeCheck, Sweep};
+use crate::{Artifact, Sweep, Table};
 use tsqr_core::cholqr::{cholqr_async, CholQrError};
 use tsqr_core::domains::{even_chunks, DomainLayout};
 use tsqr_core::experiment::run_ranks;
@@ -102,15 +102,15 @@ fn run_cholqr(rt: &Runtime, a: &Matrix) -> Result<(Matrix, f64, u64), String> {
     Ok((Matrix::vstack_all(&refs), makespan, wan))
 }
 
-pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep) -> Artifact {
     let rt = mini_grid(2, 4);
     let (m, n) = (2048usize, 16usize);
 
-    println!("# TSQR vs CholeskyQR — {m} x {n} on 2 sites x 4 procs");
-    println!(
-        "# {:>8} {:>26} {:>26}",
-        "kappa", "TSQR ||QtQ-I|| / time", "CholQR ||QtQ-I|| / time"
+    let mut table = Table::new(
+        format!("TSQR vs CholeskyQR — {m} x {n} on 2 sites x 4 procs"),
+        &["kappa", "TSQR ||QtQ-I|| / time", "CholQR ||QtQ-I|| / time"],
     );
+    let mut artifact = Artifact::default();
 
     let mut first_comparison: Option<(f64, f64)> = None;
     for k in [0.0f64, 3.0, 6.0, 9.0, 12.0] {
@@ -118,63 +118,53 @@ pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
         let (q_t, t_t, wan_t) = run_tsqr(&rt, &a);
         let tsqr_orth = orthogonality(&q_t);
         let chol = run_cholqr(&rt, &a);
+        let mut row = vec![format!("{:.0e}", 10f64.powf(k)), format!("{tsqr_orth:.2e} / {t_t:.4}s")];
         match chol {
             Ok((q_c, t_c, wan_c)) => {
                 let chol_orth = orthogonality(&q_c);
-                println!(
-                    "  {:>8.0e} {:>14.2e} / {:>7.4}s {:>14.2e} / {:>7.4}s",
-                    10f64.powf(k),
-                    tsqr_orth,
-                    t_t,
-                    chol_orth,
-                    t_c
-                );
+                row.push(format!("{chol_orth:.2e} / {t_c:.4}s"));
                 if first_comparison.is_none() {
                     first_comparison = Some((wan_t as f64, wan_c as f64));
                 }
                 if k >= 6.0 {
-                    checks.check(
-                        &format!("kappa=1e{k:.0}: CholeskyQR loses orthogonality, TSQR does not"),
+                    artifact.check(
+                        format!("kappa=1e{k:.0}: CholeskyQR loses orthogonality, TSQR does not"),
                         chol_orth > 1e3 * tsqr_orth.max(1e-16),
                         format!("cholqr {chol_orth:.2e} vs tsqr {tsqr_orth:.2e}"),
                     );
                 }
             }
             Err(e) => {
-                println!(
-                    "  {:>8.0e} {:>14.2e} / {:>7.4}s {:>26}",
-                    10f64.powf(k),
-                    tsqr_orth,
-                    t_t,
-                    format!("FAILED ({e})")
-                );
-                checks.check(
-                    &format!("kappa=1e{k:.0}: TSQR survives where CholeskyQR fails"),
+                row.push(format!("FAILED ({e})"));
+                artifact.check(
+                    format!("kappa=1e{k:.0}: TSQR survives where CholeskyQR fails"),
                     tsqr_orth < 1e-12,
                     format!("tsqr {tsqr_orth:.2e}"),
                 );
             }
         }
-        checks.check(
-            &format!("kappa=1e{k:.0}: TSQR at machine precision"),
+        table.rows.push(row);
+        artifact.check(
+            format!("kappa=1e{k:.0}: TSQR at machine precision"),
             tsqr_orth < 1e-12,
             format!("{tsqr_orth:.2e}"),
         );
     }
 
+    artifact.tables.push(table);
     if let Some((wan_t, wan_c)) = first_comparison {
         // TSQR with Q: up + down sweep = 2·(sites−1) total; CholeskyQR's
         // butterfly all-reduce exchanges across the site boundary once per
         // rank (its critical path is still a single WAN round-trip).
         let procs = rt.topology().num_procs() as f64;
-        println!(
-            "# WAN messages: TSQR(Q) {wan_t} total, CholeskyQR {wan_c} total ({} per rank)",
-            wan_c / procs
-        );
-        checks.check(
+        let mut wan = Table::new("WAN messages", &["TSQR(Q) total", "CholeskyQR total", "CholeskyQR per rank"]);
+        wan.rows.push(vec![wan_t.to_string(), wan_c.to_string(), (wan_c / procs).to_string()]);
+        artifact.tables.push(wan);
+        artifact.check(
             "both are O(1) WAN rounds per rank — the same communication class",
             wan_t <= 4.0 && wan_c / procs <= 2.0,
             format!("{wan_t} total vs {} per rank", wan_c / procs),
         );
     }
+    artifact
 }

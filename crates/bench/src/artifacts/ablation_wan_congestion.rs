@@ -12,7 +12,7 @@
 //!   surcharge — the whole point of communication avoidance: it wins by a
 //!   larger margin the worse the WAN behaves.
 
-use crate::{run_point, ShapeCheck, Sweep};
+use crate::{run_point, Artifact, Sweep, Table};
 use tsqr_core::experiment::{Algorithm, Mode};
 use tsqr_core::tree::TreeShape;
 use tsqr_gridmpi::Runtime;
@@ -22,13 +22,13 @@ fn gflops(rt: &Runtime, m: u64, n: usize, algorithm: Algorithm) -> f64 {
     run_point(rt, m, n, algorithm, false, Mode::Symbolic).gflops
 }
 
-pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep) -> Artifact {
     let (m, n) = (8_388_608u64, 512usize); // the Fig. 4(d)/5(d) tail
-    println!("# WAN congestion surcharge sweep — M = {m}, N = {n}, 4 sites");
-    println!(
-        "# {:>12} {:>18} {:>18} {:>8}",
-        "surcharge", "ScaLAPACK Gflop/s", "TSQR Gflop/s", "ratio"
+    let mut table = Table::new(
+        format!("WAN congestion surcharge sweep — M = {m}, N = {n}, 4 sites"),
+        &["surcharge", "ScaLAPACK Gflop/s", "TSQR Gflop/s", "ratio"],
     );
+    let mut artifact = Artifact::default();
 
     let mut scal_clean = 0.0;
     let mut tsqr_clean = 0.0;
@@ -42,32 +42,32 @@ pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
             n,
             Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster: 32 },
         );
-        println!(
-            "  {overhead_ms:>9.0} ms {scal:>18.1} {tsqr:>18.1} {:>8.2}",
-            tsqr / scal
-        );
+        let [scal_cell, tsqr_cell] = [scal, tsqr].map(|g| format!("{g:.1}"));
+        table.rows.push(vec![format!("{overhead_ms:.0} ms"), scal_cell, tsqr_cell, format!("{:.2}", tsqr / scal)]);
         if overhead_ms == 0.0 {
             scal_clean = scal;
             tsqr_clean = tsqr;
         }
         if overhead_ms == 15.0 {
-            checks.check(
+            artifact.check(
                 "15 ms surcharge puts multi-site ScaLAPACK back under the paper's 90",
                 scal < 90.0,
                 format!("{scal:.1} Gflop/s (clean model: {scal_clean:.1})"),
             );
-            checks.check(
+            artifact.check(
                 "TSQR is insensitive to WAN congestion (within 2%)",
                 (tsqr / tsqr_clean - 1.0).abs() < 0.02,
                 format!("{tsqr:.1} vs {tsqr_clean:.1} Gflop/s"),
             );
         }
         if overhead_ms == 40.0 {
-            checks.check(
+            artifact.check(
                 "the worse the WAN, the bigger TSQR's win",
                 tsqr / scal > tsqr_clean / scal_clean,
                 format!("ratio {:.2} vs clean {:.2}", tsqr / scal, tsqr_clean / scal_clean),
             );
         }
     }
+    artifact.tables.push(table);
+    artifact
 }

@@ -3,7 +3,7 @@
 //! Table I breakdowns, on the homogeneous network the model assumes.
 
 use crate::harness::symbolic;
-use crate::{ShapeCheck, Sweep};
+use crate::{Artifact, Sweep, Table};
 use tsqr_core::experiment::{run_experiment, Algorithm, Experiment};
 use tsqr_core::model;
 use tsqr_core::tree::TreeShape;
@@ -21,12 +21,11 @@ fn homogeneous(procs: usize) -> Runtime {
     Runtime::new(topo, model)
 }
 
-pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep) -> Artifact {
     let (beta, alpha_word, gamma) = (BETA_MS * 1e-3, 64.0 / (MBPS * 1e6), 1.0 / RATE);
-    println!("# Eq. (1) vs simulation — homogeneous network (β = {BETA_MS} ms, {MBPS} Mb/s, 1 Gflop/s)");
-    println!(
-        "# {:>5} {:>10} {:>5} {:>11} {:>12} {:>12} {:>7}",
-        "P", "M", "N", "algorithm", "Eq.(1) [s]", "simulated", "ratio"
+    let mut table = Table::new(
+        format!("Eq. (1) vs simulation — homogeneous network (β = {BETA_MS} ms, {MBPS} Mb/s, 1 Gflop/s)"),
+        &["P", "M", "N", "algorithm", "Eq.(1) [s]", "simulated", "ratio"],
     );
 
     let mut worst: f64 = 1.0;
@@ -50,22 +49,17 @@ pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
                 .time(beta, alpha_word, gamma);
                 let ratio = sim / predicted;
                 worst = worst.max(ratio.max(1.0 / ratio));
-                println!(
-                    "  {:>5} {:>10} {:>5} {:>11} {:>12.4} {:>12.4} {:>7.3}",
-                    procs,
-                    m,
-                    n,
-                    if tsqr { "TSQR" } else { "ScaLAPACK" },
-                    predicted,
-                    sim,
-                    ratio
-                );
+                let algorithm = if tsqr { "TSQR" } else { "ScaLAPACK" }.to_string();
+                let times = [format!("{predicted:.4}"), format!("{sim:.4}"), format!("{ratio:.3}")];
+                table.rows.push([procs.to_string(), m.to_string(), n.to_string(), algorithm].into_iter().chain(times).collect());
             }
         }
     }
-    checks.check(
+    let mut artifact = Artifact { tables: vec![table], checks: Vec::new() };
+    artifact.check(
         "every simulated time within 30% of Eq. (1)",
         worst < 1.30,
         format!("worst ratio {worst:.3}"),
     );
+    artifact
 }

@@ -16,26 +16,26 @@
 //! exactly like a Fig. 4–8 regression; see `docs/fault-injection.md`
 //! §Degradation bench.
 
-use crate::{fault_points, ShapeCheck, Sweep};
+use crate::{fault_points, Artifact, Sweep, Table};
 
-pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep) -> Artifact {
+    let mut table = Table::new(
+        "WAN degradation — each scenario next to its failure-free twin",
+        &["scenario", "clean (s)", "degraded (s)", "slowdown", "window (s)", "latency", "bandwidth"],
+    );
+    let mut artifact = Artifact::default();
     for p in &fault_points() {
         let clean = p.measure(false);
         let degraded = p.measure(true);
         let id = &degraded.scenario;
-        println!(
-            "{id:<18} clean {:>8.4} s -> degraded {:>8.4} s  ({:.2}x, window {:?} s, \
-             lat x{}, bw /{})",
-            clean.makespan_s,
-            degraded.makespan_s,
-            degraded.makespan_s / clean.makespan_s,
-            p.window_s,
-            p.latency_factor,
-            p.bandwidth_divisor,
-        );
+        let slowdown = degraded.makespan_s / clean.makespan_s;
+        let [clean_s, degraded_s] = [clean.makespan_s, degraded.makespan_s].map(|t| format!("{t:.4}"));
+        let (window, slowdown_x) = (format!("{:?}", p.window_s), format!("{slowdown:.2}x"));
+        let (lat, bw) = (format!("x{}", p.latency_factor), format!("/{}", p.bandwidth_divisor));
+        table.rows.push(vec![id.clone(), clean_s, degraded_s, slowdown_x, window, lat, bw]);
 
-        checks.check(
-            &format!("{id}: traffic identical to the failure-free twin"),
+        artifact.check(
+            format!("{id}: traffic identical to the failure-free twin"),
             degraded.msgs == clean.msgs
                 && degraded.wan_msgs == clean.wan_msgs
                 && degraded.bytes == clean.bytes,
@@ -45,15 +45,16 @@ pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
                 degraded.bytes, clean.bytes
             ),
         );
-        let slowdown = degraded.makespan_s / clean.makespan_s;
         // Whole-run degradations must visibly slow the reduction; the
         // transient brown-out only needs to not *speed it up*.
         let whole_run = p.window_s.0 == 0.0 && p.window_s.1 > clean.makespan_s;
         let want = if whole_run { 1.2 } else { 1.0 };
-        checks.check(
-            &format!("{id}: degraded WAN slows the run"),
+        artifact.check(
+            format!("{id}: degraded WAN slows the run"),
             slowdown >= want,
             format!("slowdown {slowdown:.3}x (want >= {want})"),
         );
     }
+    artifact.tables.push(table);
+    artifact
 }

@@ -9,7 +9,7 @@
 //! exactly 2, independent of the column count.
 
 use crate::harness::symbolic;
-use crate::{ShapeCheck, Sweep};
+use crate::{Artifact, Sweep, Table};
 use tsqr_core::experiment::{run_experiment, Algorithm};
 use tsqr_core::tree::{ReductionTree, TreeShape};
 use tsqr_gridmpi::Runtime;
@@ -20,10 +20,14 @@ fn wan_msgs(rt: &Runtime, n: usize, algorithm: Algorithm) -> u64 {
     run_experiment(rt, &symbolic(600, n, algorithm)).totals.inter_cluster_msgs()
 }
 
-pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep) -> Artifact {
     let n = 3;
     let tuned = Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster: 2 };
-    println!("# Figs. 1-2 — inter-cluster messages, M x {n} panel on 3 clusters of 2 procs");
+    let mut table = Table::new(
+        format!("Figs. 1-2 — inter-cluster messages, M x {n} panel on 3 clusters of 2 procs"),
+        &["reduction", "inter-cluster msgs"],
+    );
+    let mut row = |reduction: &str, msgs: u64| table.rows.push(vec![reduction.into(), msgs.to_string()]);
 
     // Three clusters of two single-socket nodes — six processes, the shape
     // of the paper's illustration.
@@ -34,45 +38,44 @@ pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
     // Fig. 1: ScaLAPACK panel factorization, ranks block-placed.
     let rt = Runtime::new(three_clusters.clone(), model.clone());
     let scal = wan_msgs(&rt, n, Algorithm::ScalapackQr2);
-    println!("scalapack block-placed ranks : {scal} inter-cluster msgs");
+    row("scalapack block-placed ranks", scal);
 
     // Fig. 1 (caption): with randomly distributed ranks "the figure can be
     // worse".
     let rt_shuffled = Runtime::new(three_clusters.shuffled(5), model);
     let scal_shuffled = wan_msgs(&rt_shuffled, n, Algorithm::ScalapackQr2);
-    println!("scalapack shuffled ranks     : {scal_shuffled} inter-cluster msgs");
+    row("scalapack shuffled ranks", scal_shuffled);
 
     // Fig. 2: TSQR with the grid-tuned tree.
     let tsqr = wan_msgs(&rt, n, tuned.clone());
-    println!("tsqr grid-tuned tree         : {tsqr} inter-cluster msgs");
+    row("tsqr grid-tuned tree", tsqr);
 
     // And an untuned binary tree over shuffled ranks for contrast.
     let tree_oblivious = ReductionTree::build(&TreeShape::Binary, 6, &[0; 6]);
     let shuffled_clusters: Vec<usize> =
         (0..6).map(|r| rt_shuffled.topology().cluster_of(r)).collect();
-    println!(
-        "tsqr untuned binary (shuffled): {} inter-cluster msgs",
-        tree_oblivious.inter_cluster_messages(&shuffled_clusters)
-    );
+    row("tsqr untuned binary (shuffled)", tree_oblivious.inter_cluster_messages(&shuffled_clusters) as u64);
 
-    checks.check(
+    let mut artifact = Artifact { tables: vec![table], checks: Vec::new() };
+    artifact.check(
         "tuned tree sends exactly #clusters - 1 = 2 WAN messages (Fig. 2)",
         tsqr == 2,
         format!("{tsqr}"),
     );
-    checks.check(
+    artifact.check(
         "ScaLAPACK sends an order of magnitude more WAN messages (Fig. 1)",
         scal >= 10,
         format!("{scal} (paper illustration: 25)"),
     );
-    checks.check(
+    artifact.check(
         "random rank placement makes ScaLAPACK worse (Fig. 1 caption)",
         scal_shuffled >= scal,
         format!("{scal_shuffled} vs {scal}"),
     );
-    checks.check(
+    artifact.check(
         "WAN messages of the tuned tree are independent of N",
         wan_msgs(&rt, 12, tuned) == 2,
         "N = 3 and N = 12 both cost 2".to_string(),
     );
+    artifact
 }

@@ -3,7 +3,7 @@
 //! ping-pong runs on the runtime and compared against the constants the
 //! cost model was built from.
 
-use crate::{ShapeCheck, Sweep};
+use crate::{Artifact, Sweep, Table};
 use tsqr_core::experiment::run_ranks;
 use tsqr_core::tile::Dims;
 use tsqr_gridmpi::Runtime;
@@ -41,44 +41,33 @@ fn measure(rt: &Runtime, a: usize, b: usize) -> (f64, f64) {
     (latency_ms, throughput_mbps)
 }
 
-pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep) -> Artifact {
     let rt = Runtime::new(grid5000::topology(4), grid5000::cost_model());
-
-    println!("# Fig. 3(a) — measured on the simulated platform");
-    println!("# Latency (ms)");
-    print!("# {:>10}", "");
-    for name in SITE_NAMES {
-        print!(" {name:>10}");
-    }
-    println!();
     let mut lat = [[0.0f64; 4]; 4];
     let mut thr = [[0.0f64; 4]; 4];
     for a in 0..4 {
-        print!("  {:>10}", SITE_NAMES[a]);
-        for b in 0..4 {
-            if b < a {
-                print!(" {:>10}", "");
-                continue;
-            }
-            let (l, t) = measure(&rt, a, b);
-            lat[a][b] = l;
-            thr[a][b] = t;
-            print!(" {l:>10.2}");
+        for b in a..4 {
+            (lat[a][b], thr[a][b]) = measure(&rt, a, b);
         }
-        println!();
     }
-    println!("# Throughput (Mb/s)");
-    for (a, row) in thr.iter().enumerate() {
-        print!("  {:>10}", SITE_NAMES[a]);
-        for (b, &t) in row.iter().enumerate() {
-            if b < a {
-                print!(" {:>10}", "");
-            } else {
-                print!(" {:>10.0}", t);
-            }
+    // The upper triangle of a site-by-site matrix.
+    let triangle = |title: &str, cell: &dyn Fn(usize, usize) -> String| {
+        let mut table = Table::new(title, &[&[""], SITE_NAMES.as_slice()].concat());
+        for (a, site) in SITE_NAMES.iter().enumerate() {
+            let cells = (0..4).map(|b| if b < a { String::new() } else { cell(a, b) });
+            table.rows.push([site.to_string()].into_iter().chain(cells).collect());
         }
-        println!();
-    }
+        table
+    };
+    let mut artifact = Artifact {
+        tables: vec![
+            triangle("Fig. 3(a) — latency (ms) measured on the simulated platform", &|a, b| {
+                format!("{:.2}", lat[a][b])
+            }),
+            triangle("Throughput (Mb/s)", &|a, b| format!("{:.0}", thr[a][b])),
+        ],
+        checks: Vec::new(),
+    };
 
     for a in 0..4 {
         for b in a..4 {
@@ -87,8 +76,8 @@ pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
             } else {
                 (INTER_LATENCY_MS[a][b], INTER_THROUGHPUT_MBPS[a][b])
             };
-            checks.check(
-                &format!("{} <-> {}", SITE_NAMES[a], SITE_NAMES[b]),
+            artifact.check(
+                format!("{} <-> {}", SITE_NAMES[a], SITE_NAMES[b]),
                 (lat[a][b] / lref - 1.0).abs() < 0.02 && (thr[a][b] / tref - 1.0).abs() < 0.02,
                 format!(
                     "lat {:.2}/{:.2} ms, thr {:.0}/{:.0} Mb/s",
@@ -97,4 +86,5 @@ pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
             );
         }
     }
+    artifact
 }

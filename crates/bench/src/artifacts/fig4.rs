@@ -10,17 +10,18 @@
 //! M = 2²⁰, N = 64 point — expect ~2 WAN all-reduce messages per column.)
 
 use super::{site_series, PANELS};
-use crate::{paper_m_values, print_series_table, ShapeCheck, Sweep};
+use crate::{paper_m_values, Artifact, Sweep, Table};
 use tsqr_core::experiment::Algorithm;
 
-pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(sweep: &Sweep) -> Artifact {
+    let mut artifact = Artifact::default();
     // Property 4 across panels: one-site performance at the tallest M.
     let mut peaks = Vec::new();
     let mut max = 0.0f64;
     for (panel, n) in PANELS {
         let ms = paper_m_values(n);
         let series = site_series(&ms, |sites, m| sweep.gflops(sites, m, n, &Algorithm::ScalapackQr2));
-        print_series_table(&format!("Fig. 4 ({panel}) — ScaLAPACK, N = {n}"), "M", &series);
+        artifact.tables.push(Table::series(format!("Fig. 4 ({panel}) — ScaLAPACK, N = {n}"), "M", &series));
 
         let one = &series[0].points;
         let four = &series[2].points;
@@ -30,14 +31,14 @@ pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
             .enumerate()
             .filter(|(_, &m)| m <= 2_097_152)
             .all(|(i, _)| one[i].1 >= four[i].1);
-        checks.check(
-            &format!("N={n}: 1 site fastest for M <= 2e6 (grid slows ScaLAPACK down)"),
+        artifact.check(
+            format!("N={n}: 1 site fastest for M <= 2e6 (grid slows ScaLAPACK down)"),
             small_m_one_site_wins,
             String::new(),
         );
         // Performance grows with M on one site.
         let monotone = one.windows(2).all(|w| w[1].1 >= w[0].1 * 0.98);
-        checks.check(&format!("N={n}: performance increases with M (Property 3)"), monotone, String::new());
+        artifact.check(format!("N={n}: performance increases with M (Property 3)"), monotone, String::new());
         // Tallest matrices: multi-site speedup exists but stays ≤ ~2.2.
         let last = ms.len() - 1;
         let speedup = four[last].1 / one[last].1;
@@ -45,8 +46,8 @@ pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
         // our simulator, which lacks the WAN jitter that punishes
         // ScaLAPACK's thousands of small all-reduce messages in practice,
         // lands slightly above at N = 128 (see EXPERIMENTS.md).
-        checks.check(
-            &format!("N={n}: 4-site speedup at tallest M stays ~2 (<= 2.5)"),
+        artifact.check(
+            format!("N={n}: 4-site speedup at tallest M stays ~2 (<= 2.5)"),
             speedup <= 2.5,
             format!("speedup {speedup:.2}"),
         );
@@ -54,7 +55,7 @@ pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
         max = series.iter().flat_map(|s| &s.points).fold(max, |max, p| max.max(p.1));
     }
 
-    checks.check(
+    artifact.check(
         "performance increases with N (Property 4)",
         peaks.windows(2).all(|w| w[1] > w[0]),
         format!("{peaks:.1?}"),
@@ -64,9 +65,10 @@ pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
     // kinder to ScaLAPACK's WAN all-reduces than reality was). The
     // qualitative claim — ScaLAPACK stays far below the 940 Gflop/s
     // practical bound while TSQR more than triples it — still holds.
-    checks.check(
+    artifact.check(
         "ScaLAPACK stays a small fraction of the 940 Gflop/s practical bound",
         max < 940.0 / 4.0,
         format!("max {max:.0} Gflop/s (paper: < 90; simulator is kinder to the WAN tail)"),
     );
+    artifact
 }

@@ -10,13 +10,14 @@
 //! M = 2²⁰, N = 64 point — expect O(log #clusters) WAN messages total.)
 
 use super::{site_series, PANELS};
-use crate::{paper_m_values, print_series_table, ShapeCheck, Sweep};
+use crate::{paper_m_values, Artifact, Sweep, Table};
 
-pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(sweep: &Sweep) -> Artifact {
+    let mut artifact = Artifact::default();
     for (panel, n) in PANELS {
         let ms = paper_m_values(n);
         let series = site_series(&ms, |sites, m| sweep.tsqr_best_gflops(sites, m, n).0);
-        print_series_table(&format!("Fig. 5 ({panel}) — TSQR (best #domains), N = {n}"), "M", &series);
+        artifact.tables.push(Table::series(format!("Fig. 5 ({panel}) — TSQR (best #domains), N = {n}"), "M", &series));
 
         let one = &series[0].points;
         let two = &series[1].points;
@@ -27,8 +28,8 @@ pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
             .enumerate()
             .filter(|(_, &m)| m >= 524_288)
             .all(|(i, _)| four[i].1 >= one[i].1 && four[i].1 >= two[i].1);
-        checks.check(
-            &format!("N={n}: 4 sites fastest for M >= 5e5"),
+        artifact.check(
+            format!("N={n}: 4 sites fastest for M >= 5e5"),
             four_wins,
             String::new(),
         );
@@ -36,8 +37,8 @@ pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
         let last = ms.len() - 1;
         let s4 = four[last].1 / one[last].1;
         let s2 = two[last].1 / one[last].1;
-        checks.check(
-            &format!("N={n}: near-linear scaling with sites at tallest M (central claim)"),
+        artifact.check(
+            format!("N={n}: near-linear scaling with sites at tallest M (central claim)"),
             s4 > 3.3 && s2 > 1.7,
             format!("2-site speedup {s2:.2}, 4-site speedup {s4:.2}"),
         );
@@ -46,9 +47,10 @@ pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
     // Headline number: the paper's 8,388,608 × 512 four-site point
     // reaches 256 Gflop/s (§V-D).
     let (g, d) = sweep.tsqr_best_gflops(4, 8_388_608, 512);
-    checks.check(
+    artifact.check(
         "N=512 four-site peak lands in the paper's range (~256 Gflop/s)",
         (180.0..360.0).contains(&g),
         format!("{g:.0} Gflop/s at {d} domains/cluster"),
     );
+    artifact
 }

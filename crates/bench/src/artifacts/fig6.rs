@@ -11,7 +11,7 @@
 //! M = 2²², N = 64 point at the optimum 64 domains/cluster.)
 
 use super::domain_series;
-use crate::{print_series_table, ShapeCheck, Sweep};
+use crate::{Artifact, Sweep, Table};
 
 /// The M values plotted per panel in the paper, for each N.
 pub(super) const PANEL_MS: [(usize, [u64; 4]); 4] = [
@@ -21,14 +21,15 @@ pub(super) const PANEL_MS: [(usize, [u64; 4]); 4] = [
     (512, [8_388_608, 2_097_152, 524_288, 262_144]),
 ];
 
-pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(sweep: &Sweep) -> Artifact {
+    let mut artifact = Artifact::default();
     for (panel, (n, ms)) in PANEL_MS.iter().enumerate() {
         let series = domain_series(sweep, 4, *n, ms);
-        print_series_table(
-            &format!("Fig. 6 ({}) — N = {n}, 4 sites, x = domains/cluster", ['a', 'b', 'c', 'd'][panel]),
+        artifact.tables.push(Table::series(
+            format!("Fig. 6 ({}) — N = {n}, 4 sites, x = domains/cluster", ['a', 'b', 'c', 'd'][panel]),
             "domains",
             &series,
-        );
+        ));
 
         // Globally increasing (up to the large-N crossover at the last
         // step) and flattening as M grows.
@@ -39,8 +40,8 @@ pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
             let min = pts.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
             (max - min) / max
         };
-        checks.check(
-            &format!("N={n}: domain impact is limited for the tallest M (Property 3)"),
+        artifact.check(
+            format!("N={n}: domain impact is limited for the tallest M (Property 3)"),
             spread(tallest) < spread(&shortest),
             format!("relative spread {:.3} (tall) vs {:.3} (short)", spread(tallest), spread(&shortest)),
         );
@@ -49,15 +50,16 @@ pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
     // The optimum domain count: 64 at N = 64, 32 at N = 512 (paper §V-D),
     // checked on a mid-size matrix where the effect is visible.
     let d64 = sweep.tsqr_best_gflops(4, 524_288, 64).1;
-    checks.check(
+    artifact.check(
         "N=64: optimum is 64 domains/cluster (one per process)",
         d64 == 64,
         format!("optimum {d64}"),
     );
     let d512 = sweep.tsqr_best_gflops(4, 524_288, 512).1;
-    checks.check(
+    artifact.check(
         "N=512: optimum is 32 domains/cluster (one per node)",
         d512 == 32,
         format!("optimum {d512}"),
     );
+    artifact
 }

@@ -10,7 +10,7 @@
 
 use super::domain_series;
 use crate::harness::tuned_tsqr;
-use crate::{print_series_table, ShapeCheck, Sweep};
+use crate::{Artifact, Sweep, Table};
 
 /// The M values plotted per panel, for each N (M = 65 536 is off the grid of Figs. 4–5).
 pub(super) const PANEL_MS: [(usize, [u64; 4]); 2] = [
@@ -18,26 +18,27 @@ pub(super) const PANEL_MS: [(usize, [u64; 4]); 2] = [
     (512, [2_097_152, 1_048_576, 131_072, 65_536]),
 ];
 
-pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(sweep: &Sweep) -> Artifact {
+    let mut artifact = Artifact::default();
     for (panel, (n, ms)) in PANEL_MS.iter().enumerate() {
         let series = domain_series(sweep, 1, *n, ms);
-        print_series_table(
-            &format!("Fig. 7 ({}) — N = {n}, 1 site, x = domains", ['a', 'b'][panel]),
+        artifact.tables.push(Table::series(
+            format!("Fig. 7 ({}) — N = {n}, 1 site, x = domains", ['a', 'b'][panel]),
             "domains",
             &series,
-        );
+        ));
 
         let (best_g, opt) = sweep.tsqr_best_gflops(1, ms[1], *n);
         let want = if *n == 64 { 64 } else { 32 };
-        checks.check(
-            &format!("N={n}: optimum domain count is {want}"),
+        artifact.check(
+            format!("N={n}: optimum domain count is {want}"),
             opt == want,
             format!("optimum {opt} at M={}", ms[1]),
         );
         // Performance increases from 1 domain to the optimum.
         let worst = sweep.gflops(1, ms[1], *n, &tuned_tsqr(1));
-        checks.check(
-            &format!("N={n}: splitting into domains helps (vs 1 domain)"),
+        artifact.check(
+            format!("N={n}: splitting into domains helps (vs 1 domain)"),
             best_g > worst,
             format!("{best_g:.1} vs {worst:.1} Gflop/s"),
         );
@@ -46,9 +47,10 @@ pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
     // Paper single-site plateaus used for the calibration — report them.
     let g64 = sweep.gflops(1, 8_388_608, 64, &tuned_tsqr(64));
     let g512 = sweep.gflops(1, 2_097_152, 512, &tuned_tsqr(32));
-    checks.check(
+    artifact.check(
         "single-site plateaus near the paper's (35 / 90 Gflop/s)",
         (28.0..45.0).contains(&g64) && (70.0..110.0).contains(&g512),
         format!("N=64: {g64:.1}, N=512: {g512:.1}"),
     );
+    artifact
 }

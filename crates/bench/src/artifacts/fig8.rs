@@ -11,10 +11,11 @@
 //! 32 domains/cluster and `fig8.json.scalapack.json` for ScaLAPACK.)
 
 use super::PANELS;
-use crate::{paper_m_values, print_series_table, Series, ShapeCheck, Sweep};
+use crate::{paper_m_values, Artifact, Series, Sweep, Table};
 use tsqr_core::experiment::Algorithm;
 
-pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(sweep: &Sweep) -> Artifact {
+    let mut artifact = Artifact::default();
     for (panel, n) in PANELS {
         let ms = paper_m_values(n);
         let best = |gflops: &dyn Fn(usize, u64) -> f64| -> Vec<(u64, f64)> {
@@ -22,22 +23,22 @@ pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
         };
         let tsqr_best = best(&|s, m| sweep.tsqr_best_gflops(s, m, n).0);
         let scal_best = best(&|s, m| sweep.gflops(s, m, n, &Algorithm::ScalapackQr2));
-        print_series_table(
-            &format!("Fig. 8 ({panel}) — best-configuration comparison, N = {n}"),
+        artifact.tables.push(Table::series(
+            format!("Fig. 8 ({panel}) — best-configuration comparison, N = {n}"),
             "M",
             &[
                 Series { label: "TSQR(best)".into(), points: tsqr_best.clone() },
                 Series { label: "ScaLAPACK(best)".into(), points: scal_best.clone() },
             ],
-        );
+        ));
 
         // TSQR consistently at least as fast.
         let always_wins = tsqr_best
             .iter()
             .zip(&scal_best)
             .all(|(t, s)| t.1 >= s.1 * 0.999);
-        checks.check(
-            &format!("N={n}: TSQR consistently >= ScaLAPACK"),
+        artifact.check(
+            format!("N={n}: TSQR consistently >= ScaLAPACK"),
             always_wins,
             String::new(),
         );
@@ -45,18 +46,19 @@ pub(super) fn run(sweep: &Sweep, checks: &mut ShapeCheck) {
         let gap_small = tsqr_best[0].1 / scal_best[0].1;
         let gap_mid = tsqr_best[ms.len() / 2].1 / scal_best[ms.len() / 2].1;
         if n == 512 {
-            checks.check(
+            artifact.check(
                 "N=512: gap narrows for not-so-tall matrices (Property 5)",
                 gap_small < gap_mid && gap_small < 1.6,
                 format!("gap {gap_small:.2}x at M={}, {gap_mid:.2}x mid-range", ms[0]),
             );
         }
         if n == 64 {
-            checks.check(
+            artifact.check(
                 "N=64: TSQR wins big on skinny matrices",
                 gap_small > 1.5 || gap_mid > 1.5,
                 format!("gap {gap_small:.2}x small-M, {gap_mid:.2}x mid-range"),
             );
         }
     }
+    artifact
 }

@@ -1,13 +1,13 @@
 //! The artifact registry: every table, figure, property and ablation this
 //! repository regenerates is one [`Figure`] row of [`figures`], and
-//! [`crate::harness::run_figure`] (behind `grid-tsqr figure`) is the only
+//! [`crate::harness::run_figures`] (behind `grid-tsqr figure`) is the only
 //! thing that runs one. The body of each lives in the file named after its
-//! id.
+//! id and returns its [`Artifact`]; no body prints.
 
 use tsqr_core::experiment::Algorithm;
 
 use crate::figures::FigurePoint;
-use crate::harness::{domain_options, paper_m_values, tuned_tsqr, Point, Series, ShapeCheck, Sweep};
+use crate::harness::{domain_options, paper_m_values, tuned_tsqr, Artifact, Point, Series, Sweep};
 
 mod ablation_balance;
 mod ablation_blocking;
@@ -40,8 +40,8 @@ pub struct Figure {
     pub points: &'static [FigurePoint],
     /// The sweep points its body reads, priced before it runs (Figs. 4–8).
     pub reads: fn() -> Vec<Point>,
-    /// Prints the artifact and records its paper-shape checks.
-    pub run: fn(&Sweep, &mut ShapeCheck),
+    /// Regenerates the artifact: its tables and paper-shape checks.
+    pub run: fn(&Sweep) -> Artifact,
 }
 
 /// The N columns of Figs. 4, 5 and 8, with their panel letters.
@@ -92,7 +92,7 @@ fn domain_series(sweep: &Sweep, sites: usize, n: usize, ms: &[u64]) -> Vec<Serie
     ms.iter().map(|&m| Series { label: format!("M={m}"), points: at(m).to_vec() }).collect()
 }
 
-const fn plain(id: &'static str, title: &'static str, run: fn(&Sweep, &mut ShapeCheck)) -> Figure {
+const fn plain(id: &'static str, title: &'static str, run: fn(&Sweep) -> Artifact) -> Figure {
     Figure { id, title, points: &[], reads: Vec::new, run }
 }
 

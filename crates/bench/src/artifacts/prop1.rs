@@ -1,14 +1,17 @@
 //! Property 1: the time to compute both Q and R is about twice the time
 //! to compute R only — checked over the Fig. 5 sweep points.
 
-use crate::{grid_runtime, run_point, ShapeCheck, Sweep};
+use crate::{grid_runtime, run_point, Artifact, Sweep, Table};
 use tsqr_core::experiment::{Algorithm, Mode};
 use tsqr_core::tree::TreeShape;
 
-pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep) -> Artifact {
     let rt = &grid_runtime(4);
-    println!("# Property 1 — time(Q+R) / time(R), TSQR on 4 sites, 64 domains/cluster");
-    println!("# {:>10} {:>5} {:>10} {:>10} {:>7}", "M", "N", "t_R (s)", "t_QR (s)", "ratio");
+    let mut table = Table::new(
+        "Property 1 — time(Q+R) / time(R), TSQR on 4 sites, 64 domains/cluster",
+        &["M", "N", "t_R (s)", "t_QR (s)", "ratio"],
+    );
+    let mut artifact = Artifact::default();
 
     for n in [64usize, 128, 256, 512] {
         for m in [524_288u64, 4_194_304] {
@@ -19,21 +22,17 @@ pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
                 };
                 run_point(rt, m, n, tsqr, compute_q, Mode::Symbolic)
             };
-            let (r_only, with_q) = (run(false), run(true));
-            let ratio = with_q.makespan.secs() / r_only.makespan.secs();
-            println!(
-                "  {:>10} {:>5} {:>10.4} {:>10.4} {:>7.2}",
-                m,
-                n,
-                r_only.makespan.secs(),
-                with_q.makespan.secs(),
-                ratio
-            );
-            checks.check(
-                &format!("M={m}, N={n}: ratio within [1.6, 2.4]"),
+            let (t_r, t_qr) = (run(false).makespan.secs(), run(true).makespan.secs());
+            let ratio = t_qr / t_r;
+            let cells = [format!("{t_r:.4}"), format!("{t_qr:.4}"), format!("{ratio:.2}")];
+            table.rows.push([m.to_string(), n.to_string()].into_iter().chain(cells).collect());
+            artifact.check(
+                format!("M={m}, N={n}: ratio within [1.6, 2.4]"),
                 (1.6..=2.4).contains(&ratio),
                 format!("{ratio:.2}"),
             );
         }
     }
+    artifact.tables.push(table);
+    artifact
 }

@@ -3,20 +3,20 @@
 //! actual distributed schedules.
 
 use crate::harness::symbolic;
-use crate::{grid_runtime, ShapeCheck, Sweep};
+use crate::{grid_runtime, Artifact, Sweep, Table};
 use tsqr_core::experiment::{run_experiment, Algorithm};
 use tsqr_core::model;
 use tsqr_core::tree::TreeShape;
 
-pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
+pub(super) fn run(_: &Sweep) -> Artifact {
     let rt = &grid_runtime(4);
     let p = rt.topology().num_procs() as u64; // 256 = number of domains here
 
-    println!("# Table I — R-factor only; M x N over P = {p} domains");
-    println!(
-        "# {:>10} {:>5} | {:>22} | {:>22} | {:>24}",
-        "M", "N", "#msgs (model/meas)", "words (model/meas)", "flops/domain (model/meas)"
+    let mut table = Table::new(
+        format!("Table I — R-factor only; M x N over P = {p} domains"),
+        &["M", "N", "algorithm", "#msgs (model/meas)", "words (model/meas)", "flops/domain (model/meas)"],
     );
+    let mut artifact = Artifact::default();
 
     for (m, n) in [(1u64 << 22, 64usize), (1 << 22, 128), (1 << 21, 256)] {
         let mk = |algorithm| symbolic(m, n, algorithm);
@@ -28,11 +28,6 @@ pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
         let scal_msgs = scal.totals.total_msgs() / p; // per-rank
         let scal_words = scal.totals.total_bytes() / p / 8;
         let scal_flops = scal.totals.flops / p;
-        println!(
-            "  {:>10} {:>5} | scalapack {:>6.0}/{:<6} | {:>10.0}/{:<10} | {:>11.2e}/{:<11.2e}",
-            m, n, scal_model.msgs, scal_msgs, scal_model.words, scal_words,
-            scal_model.flops, scal_flops as f64
-        );
 
         // --- TSQR (one domain per process, binary tree as in the model).
         let tsqr = run_experiment(
@@ -48,15 +43,18 @@ pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
         // Critical-path flops: the tree root does its leaf plus log2(P)
         // combines — the rank with the largest flop count.
         let tsqr_flops = tsqr.max_flops_per_rank() as f64;
-        println!(
-            "  {:>10} {:>5} | tsqr      {:>6.0}/{:<6.0} | {:>10.0}/{:<10.0} | {:>11.2e}/{:<11.2e}",
-            m, n, tsqr_model.msgs, tsqr_meas_msgs, tsqr_model.words, tsqr_words_crit,
-            tsqr_model.flops, tsqr_flops
-        );
+        for (algorithm, model, [msgs, words, flops]) in [
+            ("scalapack", &scal_model, [scal_msgs as f64, scal_words as f64, scal_flops as f64]),
+            ("tsqr", &tsqr_model, [tsqr_meas_msgs, tsqr_words_crit, tsqr_flops]),
+        ] {
+            let (msgs, words) = (format!("{:.0}/{msgs:.0}", model.msgs), format!("{:.0}/{words:.0}", model.words));
+            let flops = format!("{:.2e}/{flops:.2e}", model.flops);
+            table.rows.push(vec![m.to_string(), n.to_string(), algorithm.into(), msgs, words, flops]);
+        }
 
         let nf = n as f64;
-        checks.check(
-            &format!("msgs ratio = 2N (M={m}, N={n})"),
+        artifact.check(
+            format!("msgs ratio = 2N (M={m}, N={n})"),
             (scal_model.msgs / tsqr_model.msgs - 2.0 * nf).abs() < 1e-9
                 && (scal_msgs as f64 / depth / (2.0 * nf) - 1.0).abs() < 0.05,
             format!(
@@ -66,13 +64,13 @@ pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
                 2.0 * nf
             ),
         );
-        checks.check(
-            &format!("measured ScaLAPACK words ~ log2(P)N^2/2 (N={n})"),
+        artifact.check(
+            format!("measured ScaLAPACK words ~ log2(P)N^2/2 (N={n})"),
             (scal_words as f64 / scal_model.words - 1.0).abs() < 0.10,
             format!("{} vs {:.0}", scal_words, scal_model.words),
         );
-        checks.check(
-            &format!("measured flops/domain within 5% of Table I (N={n})"),
+        artifact.check(
+            format!("measured flops/domain within 5% of Table I (N={n})"),
             (scal_flops as f64 / scal_model.flops - 1.0).abs() < 0.05
                 && (tsqr_flops / tsqr_model.flops - 1.0).abs() < 0.30,
             format!(
@@ -81,4 +79,6 @@ pub(super) fn run(_: &Sweep, checks: &mut ShapeCheck) {
             ),
         );
     }
+    artifact.tables.push(table);
+    artifact
 }

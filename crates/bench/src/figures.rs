@@ -5,7 +5,7 @@
 //! points whose traces `grid-tsqr figure --trace-out` dumps and whose
 //! measured numbers the repository's perf-regression gate pins. They are
 //! rows of the artifact registry ([`crate::artifacts::Figure::points`]);
-//! [`crate::harness::run_figure`] and `grid-tsqr bench-check` both read
+//! [`crate::harness::run_figures`] and `grid-tsqr bench-check` both read
 //! them there, so the figure a reader traces is byte-for-byte the
 //! configuration the gate measures. The gate's other families (WAN
 //! degradation, autotuned trees, serving, fault-injected serving) register

@@ -96,6 +96,21 @@ pub fn run_point(
 /// One point of the paper's sweep: `(sites, M, N, algorithm)`.
 pub type Point = (usize, u64, usize, Algorithm);
 
+/// `f` of every item on `threads` scoped threads, each taking the next
+/// item off one queue; the results come back in the order of `items`. The
+/// sweep's points and the artifacts' bodies both run here.
+fn on_pool<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    let queue = Mutex::new(items.iter().zip(&mut results));
+    let next = || queue.lock().expect("a pool thread panicked").next();
+    std::thread::scope(|s| {
+        for _ in 0..threads.min(items.len()) {
+            s.spawn(|| std::iter::from_fn(next).for_each(|(item, slot)| *slot = Some(f(item))));
+        }
+    });
+    results.into_iter().map(|r| r.expect("every item was taken")).collect()
+}
+
 /// The Gflop/s of the R-only symbolic points the artifacts read, declared,
 /// then priced on every core. A point is a pure function of itself, so the
 /// table is the same for any thread count, and a point several artifacts
@@ -111,33 +126,22 @@ impl Sweep {
     /// The site counts of Figs. 4, 5 and 8.
     pub const SITES: [usize; 3] = [1, 2, 4];
 
-    /// Prices every point of `points` not yet in the table on `threads`
-    /// threads, each taking the next unpriced point and running it on the
-    /// one platform of its site count they all share.
-    fn price(&mut self, points: &[Point], threads: usize) {
-        let start = self.priced.len();
+    /// The table of `points`, each distinct point priced once on `threads`
+    /// threads, on the one platform of its site count they all share.
+    fn price(points: &[Point], threads: usize) -> Sweep {
+        let mut distinct: Vec<Point> = Vec::new();
         for p in points {
-            if !self.priced.iter().any(|(q, _)| q == p) {
-                self.priced.push((p.clone(), f64::NAN));
+            if !distinct.contains(p) {
+                distinct.push(p.clone());
             }
-        }
-        if self.priced.len() == start {
-            return;
         }
         let platforms = Self::SITES.map(grid_runtime);
-        let queue = Mutex::new(self.priced[start..].iter_mut());
-        let next = || queue.lock().expect("a pricing thread panicked").next();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    for ((sites, m, n, algorithm), gflops) in std::iter::from_fn(next) {
-                        let slot = Self::SITES.iter().position(|s| s == sites);
-                        let rt = &platforms[slot.expect("the paper's platforms have 1, 2 or 4 sites")];
-                        *gflops = run_point(rt, *m, *n, algorithm.clone(), false, Mode::Symbolic).gflops;
-                    }
-                });
-            }
+        let gflops = on_pool(&distinct, threads, |(sites, m, n, algorithm)| {
+            let slot = Self::SITES.iter().position(|s| s == sites);
+            let rt = &platforms[slot.expect("the paper's platforms have 1, 2 or 4 sites")];
+            run_point(rt, *m, *n, algorithm.clone(), false, Mode::Symbolic).gflops
         });
+        Sweep { priced: distinct.into_iter().zip(gflops).collect() }
     }
 
     /// Gflop/s of one priced point.
@@ -195,11 +199,11 @@ pub fn dump_traced_point(path: &Path, point: &FigurePoint) -> std::io::Result<Le
     Ok(entry)
 }
 
-/// Regenerates one registered artifact on `sweep` and prints its
-/// `[PASS]`/`[FAIL]` block; `Ok(false)` when a shape check failed. This is
-/// all `grid-tsqr figure` does per `--id`.
+/// Regenerates the registered artifacts `figures` and prints them in that
+/// order; `Ok(false)` when a shape check failed. This is all
+/// `grid-tsqr figure` does.
 ///
-/// Before the body runs, the artifact's headline configuration(s)
+/// First, in order, each artifact's headline configuration(s)
 /// ([`Figure::points`], Figs. 4–8 only) are put to two uses:
 ///
 /// * with `trace_out`, each point's Chrome trace is dumped via
@@ -218,39 +222,47 @@ pub fn dump_traced_point(path: &Path, point: &FigurePoint) -> std::io::Result<Le
 /// points) byte-for-byte identical. A file that cannot be written is the
 /// `Err`.
 ///
-/// Then the sweep points the artifact declares ([`Figure::reads`]) that
-/// `sweep` lacks are priced, one thread per core, and the body reads them.
-pub fn run_figure(
-    figure: &Figure,
-    sweep: &mut Sweep,
-    trace_out: Option<&Path>,
-) -> Result<bool, String> {
+/// Then the union of the sweep points the artifacts declare
+/// ([`Figure::reads`]) is priced once and the bodies run, both one thread
+/// per core; a body returns its [`Artifact`] and only this prints it.
+pub fn run_figures(figures: &[&Figure], trace_out: Option<&Path>) -> Result<bool, String> {
     let cannot_write = |path: &Path, e: std::io::Error| format!("cannot write {path:?}: {e}");
-    let mut entries = Vec::new();
-    if let Some(path) = trace_out {
-        for (i, p) in figure.points.iter().enumerate() {
-            let target = if i == 0 {
-                path.to_path_buf()
-            } else {
-                path.with_extension(format!("json.{}.json", p.label))
-            };
-            entries.push(dump_traced_point(&target, p).map_err(|e| cannot_write(&target, e))?);
+    for figure in figures {
+        let mut entries = Vec::new();
+        if let Some(path) = trace_out {
+            for (i, p) in figure.points.iter().enumerate() {
+                let target = if i == 0 {
+                    path.to_path_buf()
+                } else {
+                    path.with_extension(format!("json.{}.json", p.label))
+                };
+                entries.push(dump_traced_point(&target, p).map_err(|e| cannot_write(&target, e))?);
+            }
+        }
+        if let Some(path) = tsqr_obs::ledger::path_from_env().filter(|_| !figure.points.is_empty()) {
+            if entries.is_empty() {
+                entries = figure.points.iter().map(FigurePoint::measure).collect();
+            }
+            let n = entries.len();
+            for entry in entries {
+                tsqr_obs::ledger::append_entry(&path, entry)?;
+            }
+            println!("# ledger: {n} entries -> {}", path.display());
         }
     }
-    if let Some(path) = tsqr_obs::ledger::path_from_env().filter(|_| !figure.points.is_empty()) {
-        if entries.is_empty() {
-            entries = figure.points.iter().map(FigurePoint::measure).collect();
-        }
-        let n = entries.len();
-        for entry in entries {
-            tsqr_obs::ledger::append_entry(&path, entry)?;
-        }
-        println!("# ledger: {n} entries -> {}", path.display());
+    let artifacts = artifacts(figures, std::thread::available_parallelism().map_or(1, usize::from));
+    for artifact in &artifacts {
+        print!("{artifact}");
     }
-    sweep.price(&(figure.reads)(), std::thread::available_parallelism().map_or(1, usize::from));
-    let mut checks = ShapeCheck::default();
-    (figure.run)(sweep, &mut checks);
-    Ok(checks.report())
+    Ok(artifacts.iter().all(Artifact::passed))
+}
+
+/// The artifacts of `figures`, in their order: the union of the sweep
+/// points they read is priced once, then their bodies run, both on
+/// `threads` threads.
+fn artifacts(figures: &[&Figure], threads: usize) -> Vec<Artifact> {
+    let sweep = Sweep::price(&figures.iter().flat_map(|f| (f.reads)()).collect::<Vec<_>>(), threads);
+    on_pool(figures, threads, |figure| (figure.run)(&sweep))
 }
 
 /// One plotted line: a label and its `(M, Gflop/s)` points.
@@ -262,53 +274,97 @@ pub struct Series {
     pub points: Vec<(u64, f64)>,
 }
 
-/// Prints a gnuplot-ready table: `x  series1  series2 …`.
-pub fn print_series_table(title: &str, x_label: &str, series: &[Series]) {
-    println!("\n# {title}");
-    print!("# {x_label:>12}");
-    for s in series {
-        print!("  {:>18}", s.label);
+/// One table of an artifact: every cell is the string it prints as.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    /// Printed as `# title`.
+    pub title: String,
+    /// One per column.
+    pub headers: Vec<String>,
+    /// One cell per column.
+    pub rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// A table of `headers` with no rows yet.
+    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+        let headers = headers.iter().map(|h| h.to_string()).collect();
+        Table { title: title.into(), headers, rows: Vec::new() }
     }
-    println!();
-    let xs: Vec<u64> = series
-        .first()
-        .map(|s| s.points.iter().map(|&(x, _)| x).collect())
-        .unwrap_or_default();
-    for (i, x) in xs.iter().enumerate() {
-        print!("  {x:>12}");
-        for s in series {
-            match s.points.get(i) {
-                Some(&(px, y)) if px == *x => print!("  {y:>18.2}"),
-                _ => print!("  {:>18}", "-"),
+
+    /// A gnuplot-ready table: `x  series1  series2 …`, each y to two
+    /// decimals and `-` where a series has no point at that x.
+    pub fn series(title: impl Into<String>, x_label: &str, series: &[Series]) -> Self {
+        let labels = series.iter().map(|s| s.label.as_str());
+        let mut table = Table::new(title, &[x_label].into_iter().chain(labels).collect::<Vec<_>>());
+        for (i, &(x, _)) in series.first().map_or(&[][..], |s| &s.points).iter().enumerate() {
+            let y = |s: &Series| match s.points.get(i) {
+                Some(&(px, y)) if px == x => format!("{y:.2}"),
+                _ => "-".to_string(),
+            };
+            table.rows.push([x.to_string()].into_iter().chain(series.iter().map(y)).collect());
+        }
+        table
+    }
+}
+
+/// One named pass/fail check of a qualitative "shape" the paper reports:
+/// every artifact doubles as a regression test of the reproduction.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Check {
+    /// What is claimed.
+    pub name: String,
+    /// Whether the reproduction shows it.
+    pub pass: bool,
+    /// The measured numbers behind the verdict.
+    pub detail: String,
+}
+
+/// What a regenerated artifact is: its tables and its paper-shape checks.
+/// Its `Display` is the one printer of `grid-tsqr figure`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Artifact {
+    /// Printed first, in order.
+    pub tables: Vec<Table>,
+    /// Printed last, as the `[PASS]`/`[FAIL]` block.
+    pub checks: Vec<Check>,
+}
+
+impl Artifact {
+    /// Records one check.
+    pub fn check(&mut self, name: impl Into<String>, pass: bool, detail: impl Into<String>) {
+        self.checks.push(Check { name: name.into(), pass, detail: detail.into() });
+    }
+
+    /// Whether every check passed.
+    pub fn passed(&self) -> bool {
+        self.checks.iter().all(|c| c.pass)
+    }
+}
+
+impl std::fmt::Display for Artifact {
+    /// Each table as a `# title` line, a `#`-prefixed header and rows
+    /// indented two spaces, every column right-aligned to its widest cell;
+    /// then the `# paper-shape checks` block.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for table in &self.tables {
+            writeln!(f, "\n# {}", table.title)?;
+            let lines = || std::iter::once(("#", &table.headers)).chain(table.rows.iter().map(|r| (" ", r)));
+            let width = |c: usize| lines().map(|(_, cells)| cells[c].chars().count()).max().unwrap_or(0);
+            let widths: Vec<usize> = (0..table.headers.len()).map(width).collect();
+            for (lead, cells) in lines() {
+                write!(f, "{lead}")?;
+                for (c, (cell, w)) in cells.iter().zip(&widths).enumerate() {
+                    write!(f, "{}{cell:>w$}", if c == 0 { " " } else { "  " })?;
+                }
+                writeln!(f)?;
             }
         }
-        println!();
-    }
-}
-
-/// The named pass/fail checks of the qualitative "shapes" the paper
-/// reports, collected while an artifact regenerates: every artifact doubles
-/// as a regression test of the reproduction.
-#[derive(Debug, Default)]
-pub struct ShapeCheck {
-    results: Vec<(String, bool, String)>,
-}
-
-impl ShapeCheck {
-    /// Record one check.
-    pub fn check(&mut self, name: &str, pass: bool, detail: String) {
-        self.results.push((name.to_string(), pass, detail));
-    }
-
-    /// Print all results; returns `true` when everything passed.
-    pub fn report(&self) -> bool {
-        println!("\n# paper-shape checks");
-        let mut all = true;
-        for (name, pass, detail) in &self.results {
-            println!("#   [{}] {name}: {detail}", if *pass { "PASS" } else { "FAIL" });
-            all &= *pass;
+        writeln!(f, "\n# paper-shape checks")?;
+        for Check { name, pass, detail } in &self.checks {
+            writeln!(f, "#   [{}] {name}: {detail}", if *pass { "PASS" } else { "FAIL" })?;
         }
-        all
+        Ok(())
     }
 }
 
@@ -336,9 +392,7 @@ mod tests {
         let at = |sites, dpc| (sites, 1 << 20, 64, tuned_tsqr(dpc));
         let mut points: Vec<Point> = domain_options().map(|d| at(1, d)).to_vec();
         points.extend([(1, 1 << 20, 64, Algorithm::ScalapackQr2), at(2, 8), at(1, 8), at(1, 64)]);
-        let (mut one, mut two) = (Sweep::default(), Sweep::default());
-        one.price(&points, 1);
-        two.price(&points, 2);
+        let (one, two) = (Sweep::price(&points, 1), Sweep::price(&points, 2));
         // A point listed twice is priced once.
         assert_eq!(one.priced.len(), domain_options().len() + 2, "nine points, not eleven");
         for ((p, a), (q, b)) in one.priced.iter().zip(&two.priced) {
@@ -350,9 +404,6 @@ mod tests {
             assert!(g > 0.0 && g <= best);
         }
         assert_eq!(best.to_bits(), one.gflops(1, 1 << 20, 64, &tuned_tsqr(dpc)).to_bits());
-        // A priced point is not priced again.
-        one.price(&points[..3], 2);
-        assert_eq!(one.priced.len(), domain_options().len() + 2);
     }
 
     #[test]
@@ -363,8 +414,24 @@ mod tests {
         for figure in sweeps {
             // A placeholder for each declared point: no simulation runs.
             let priced = (figure.reads)().into_iter().map(|p| (p, 1.0)).collect();
-            (figure.run)(&Sweep { priced }, &mut ShapeCheck::default());
+            let artifact = (figure.run)(&Sweep { priced });
+            assert!(!artifact.checks.is_empty(), "{}: a body returns its checks", figure.id);
         }
+    }
+
+    #[test]
+    fn the_cheap_bodies_render_the_same_on_any_number_of_threads() {
+        let cheap = ["prop1", "fig12", "eq1", "ablation_balance", "ablation_cholqr", "fault_degradation"];
+        let figures: Vec<&Figure> =
+            crate::figures().iter().filter(|f| cheap.contains(&f.id)).collect();
+        assert_eq!(figures.len(), cheap.len());
+        let render = |threads| -> Vec<String> {
+            artifacts(&figures, threads).iter().map(|a| {
+                assert!(!a.checks.is_empty(), "a body returns its checks");
+                a.to_string()
+            }).collect()
+        };
+        assert_eq!(render(1), render(2));
     }
 
     #[test]
@@ -375,11 +442,30 @@ mod tests {
     }
 
     #[test]
-    fn shape_check_reports_failures() {
-        let mut sc = ShapeCheck::default();
-        sc.check("good", true, "ok".into());
-        assert!(sc.report());
-        sc.check("bad", false, "nope".into());
-        assert!(!sc.report());
+    fn an_artifact_renders_its_tables_then_its_checks() {
+        let mut table = Table::new("t", &["x", "value"]);
+        table.rows = vec![vec!["1".into(), "2.50".into()], vec!["100".into(), "-".into()]];
+        let mut artifact = Artifact { tables: vec![table], checks: Vec::new() };
+        artifact.check("good", true, "ok");
+        assert!(artifact.passed());
+        artifact.check("bad", false, "nope");
+        assert!(!artifact.passed());
+        let want = "\n# t\n#   x  value\n    1   2.50\n  100      -\n\
+                    \n# paper-shape checks\n#   [PASS] good: ok\n#   [FAIL] bad: nope\n";
+        assert_eq!(artifact.to_string(), want);
+    }
+
+    #[test]
+    fn a_series_table_marks_a_missing_point() {
+        let series = [
+            Series { label: "a".into(), points: vec![(1, 1.0), (2, 2.0)] },
+            Series { label: "b".into(), points: vec![(1, 10.126)] },
+        ];
+        let rows = [["1", "1.00", "10.13"], ["2", "2.00", "-"]];
+        assert_eq!(Table::series("t", "M", &series), Table {
+            title: "t".into(),
+            headers: ["M", "a", "b"].map(String::from).to_vec(),
+            rows: rows.iter().map(|r| r.map(String::from).to_vec()).collect(),
+        });
     }
 }

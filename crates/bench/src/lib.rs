@@ -37,7 +37,10 @@
 //! (symbolic payloads, real message passing, virtual clocks priced with the
 //! paper's measured constants); see `calib` for the one fitted constant
 //! (the domain-kernel efficiency curve η(N)). The points a body reads are
-//! declared, then priced on every core ([`Sweep`]); the body reads them.
+//! declared, then priced on every core ([`Sweep`]); the body reads them and
+//! returns its [`Artifact`] — tables of formatted cells and the paper-shape
+//! [`Check`]s — without printing. [`run_figures`] runs the bodies on the
+//! same pool and prints the artifacts through one printer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,5 +58,5 @@ pub use figures::{
 };
 pub use harness::{
     domain_options, dump_traced_point, grid_runtime, paper_m_values, platform_runtime,
-    print_series_table, run_figure, run_point, Point, ShapeCheck, Series, Sweep,
+    run_figures, run_point, Artifact, Check, Point, Series, Sweep, Table,
 };

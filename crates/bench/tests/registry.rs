@@ -3,7 +3,7 @@
 //! registry's headline points, the two artifact tables list exactly the
 //! registry, and the artifacts cheap enough for Tier-1 run here in full.
 
-use tsqr_bench::{figures, gate_points, run_figure, GatePoint, Sweep};
+use tsqr_bench::{figures, gate_points, GatePoint, Sweep};
 
 fn ids() -> Vec<&'static str> {
     figures().iter().map(|f| f.id).collect()
@@ -48,12 +48,14 @@ fn both_artifact_tables_list_exactly_the_registry() {
 }
 
 /// Property 1, the Fig. 1/2 WAN-message counts, Eq. (1) and three
-/// ablations cost milliseconds, so Tier-1 itself checks them.
+/// ablations cost milliseconds, so Tier-1 itself checks them. They read
+/// no sweep point, so an empty sweep serves.
 #[test]
 fn the_cheap_artifacts_pass_their_shape_checks() {
-    let mut sweep = Sweep::default();
     for id in ["prop1", "fig12", "eq1", "ablation_balance", "ablation_cholqr", "fault_degradation"] {
         let figure = figures().iter().find(|f| f.id == id).expect("registered");
-        assert_eq!(run_figure(figure, &mut sweep, None), Ok(true), "{id}: a [FAIL] shape check");
+        let artifact = (figure.run)(&Sweep::default());
+        assert!(!artifact.tables.is_empty() && !artifact.checks.is_empty(), "{id}: {artifact:?}");
+        assert!(artifact.passed(), "{id}: a [FAIL] shape check\n{artifact}");
     }
 }

@@ -282,7 +282,7 @@ mod tests {
                 if p.rank() == 0 {
                     let mut acc = 1.0f64;
                     for _ in 1..p.size() {
-                        let (_, x) = p.recv_any::<f64>(1)?;
+                        let (_, x) = crate::block_on(p.recv_any_async::<f64>(1))?;
                         acc = acc * 2.0 + x; // order-sensitive fold
                     }
                     Ok(acc)

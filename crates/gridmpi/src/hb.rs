@@ -11,7 +11,7 @@
 //!
 //! This module checks that, post hoc, from a [`Trace`]:
 //!
-//! * **Receive races** — a wildcard receive ([`crate::Process::recv_any`])
+//! * **Receive races** — a wildcard receive ([`crate::Process::recv_any_async`])
 //!   whose matched sender is not uniquely determined by the HB order:
 //!   some *rival* send to the same rank with the same tag was concurrent
 //!   with the receive, so a different delivery order could have matched

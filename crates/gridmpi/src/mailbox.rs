@@ -33,8 +33,7 @@ use crate::process::Process;
 /// condition variable, so one poll always finishes the future. Every
 /// program and collective is one `async` body (`*_async`); this is how a
 /// threaded driver runs one, and what keeps the few blocking names left —
-/// [`crate::Process::recv`], [`crate::Process::recv_any`],
-/// [`crate::Process::exchange`], [`crate::Communicator::allreduce`], for
+/// [`crate::Process::recv`], [`crate::Communicator::allreduce`], for
 /// callers that cannot await — one line over their `async` bodies.
 ///
 /// # Panics
@@ -45,8 +44,8 @@ pub fn block_on<F: Future>(future: F) -> F::Output {
     match pin!(future).poll(&mut Context::from_waker(Waker::noop())) {
         Poll::Ready(out) => out,
         Poll::Pending => panic!(
-            "a blocking gridmpi call (recv / recv_any / exchange / allreduce, or a block_on over \
-             a rank program) was made inside Runtime::run_cooperative: `.await` its `_async` form"
+            "a blocking gridmpi call (recv / allreduce, or a block_on over a rank program or a \
+             receive) was made inside Runtime::run_cooperative: `.await` its `_async` form"
         ),
     }
 }

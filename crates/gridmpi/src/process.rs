@@ -30,7 +30,7 @@ pub const MAX_SEND_ATTEMPTS: u32 = 4;
 /// a rank's pending buffer. Per-source FIFO is always preserved (it is
 /// what makes named receives deterministic); only the interleaving
 /// *between* sources changes — which is exactly the freedom a wildcard
-/// receive ([`Process::recv_any`]) would observe.
+/// receive ([`Process::recv_any_async`]) would observe.
 ///
 /// The DPOR-lite explorer ([`mod@crate::explore`]) re-runs a program under
 /// several of these orders and asserts bit-identical results: a program
@@ -568,11 +568,6 @@ impl Process {
         }
     }
 
-    /// [`Process::recv_any_async`] for a rank on its own thread.
-    pub fn recv_any<M: WirePayload>(&mut self, tag: u32) -> Result<(usize, M), CommError> {
-        block_on(self.recv_any_async(tag))
-    }
-
     /// Routes one envelope off the inbox: data is buffered under the
     /// delivery order, tombstones are recorded in the death map.
     fn intake(&mut self, env: Envelope) {
@@ -643,16 +638,6 @@ impl Process {
         let got = self.recv_async::<M>(partner, tag).await;
         self.clock = self.clock.max(after_send);
         got
-    }
-
-    /// [`Process::exchange_async`] for a rank on its own thread.
-    pub fn exchange<M: WirePayload>(
-        &mut self,
-        partner: usize,
-        tag: u32,
-        msg: M,
-    ) -> Result<M, CommError> {
-        block_on(self.exchange_async(partner, tag, msg))
     }
 
     fn open<M: WirePayload>(

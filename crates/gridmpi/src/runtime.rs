@@ -562,7 +562,7 @@ mod tests {
         let rt = tiny_grid(1, 2, 1);
         let report = rt.run(|p, _| {
             let partner = 1 - p.rank();
-            let got: f64 = p.exchange(partner, 3, p.rank() as f64)?;
+            let got: f64 = crate::block_on(p.exchange_async(partner, 3, p.rank() as f64))?;
             Ok(got)
         });
         assert_eq!(report.clone_results(), vec![1.0, 0.0]);
@@ -760,7 +760,7 @@ mod tests {
         rt.enable_tracing();
         let report = rt.run(|p, _| {
             let partner = 1 - p.rank();
-            let _: f64 = p.exchange(partner, 3, p.rank() as f64)?;
+            let _: f64 = crate::block_on(p.exchange_async(partner, 3, p.rank() as f64))?;
             p.compute(1_000_000, None);
             Ok(())
         });
@@ -1052,7 +1052,7 @@ mod tests {
         rt.enable_tracing();
         let report = rt.run(|p, _| {
             if p.rank() == 0 {
-                p.exchange(1, 3, vec![0.0f64; 131_072]).map(|_| ())
+                crate::block_on(p.exchange_async(1, 3, vec![0.0f64; 131_072])).map(|_| ())
             } else {
                 p.recv::<Vec<f64>>(0, 3).map(|_| ())
             }

@@ -45,7 +45,7 @@ pub enum EventKind {
         class: LinkClass,
         /// Program-level protocol tag.
         tag: u32,
-        /// True when the receive was a wildcard ([`crate::Process::recv_any`]):
+        /// True when the receive was a wildcard ([`crate::Process::recv_any_async`]):
         /// the source was *not* named by the program, so which sender
         /// matched depended on delivery order. The happens-before
         /// analyzer ([`crate::hb`]) treats only these as race candidates.

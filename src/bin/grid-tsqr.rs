@@ -8,10 +8,11 @@
 //! grid-tsqr scalapack --m 1048576 --n 64  [--sites 4] [--real] [--blocked]
 //! grid-tsqr compare   --m 1048576 --n 64  [--sites 4]
 //! grid-tsqr tune      --m 1048576 --n 64  [--sites 4] [--domains 64]
-//! grid-tsqr trace     --m 1048576 --n 64  [--sites 4] [--algo tsqr|scalapack]
+//! grid-tsqr trace     --m 1048576 --n 64  [--sites 4]
+//!                     [--algo tsqr|scalapack|scalapack-blocked]
 //!                     [--out trace.json] [--folded-out profile.folded] [--timeline]
-//! grid-tsqr analyze   --m 1048576 --n 64  [--sites 4] [--algo tsqr|scalapack]
-//!                     [--bins 64]
+//! grid-tsqr analyze   --m 1048576 --n 64  [--sites 4]
+//!                     [--algo tsqr|scalapack|scalapack-blocked] [--bins 64]
 //! grid-tsqr faults    --m 262144 --n 64   [--sites 4] [--crash R@MS ...]
 //!                     [--drop SRC:DST:NTH ...] [--drop-prob SRC:DST:P ...]
 //!                     [--wan-slow FROM_MS:UNTIL_MS:LATx:BWx] [--fault-seed 1]
@@ -23,8 +24,8 @@
 //!                     [--drop-flow A:B:NTH ...] [--drop-prob A:B:P ...]
 //!                     [--fault-seed 1] [--retry 3] [--backoff 50]
 //!                     [--no-checkpoint] [--brownout ENTER:EXIT]
-//! grid-tsqr check     [--m 65536 --n 32] [--sites 4] [--no-matrix]
-//!                     [--no-explore] [--golden COMMCHECK_baseline.txt] [--bless]
+//! grid-tsqr check     [--m 65536 --n 32] [--sites 4] [--golden COMMCHECK_baseline.txt]
+//!                     [--bless]
 //! grid-tsqr report    [--ledger ledger/runs.jsonl] [--threshold 0.05] [--top 10]
 //!                     [--check] [--golden REPORT_baseline.md] [--bless] [--out report.md]
 //! grid-tsqr figure    [--id fig5 ...] [--all] [--trace-out fig5.json]
@@ -139,8 +140,8 @@ use grid_tsqr::serve::{
 };
 use tsqr_bench::{
     calib, compare_records, figures, gate_points, ledger_entry, measure_gate, measure_point,
-    parse_records, platform_runtime, records_json, run_figure, run_point, serve_fault_points,
-    serve_record, Figure, Sweep,
+    parse_records, platform_runtime, records_json, run_figures, run_point, serve_fault_points,
+    serve_record, Figure,
 };
 
 struct Args {
@@ -312,10 +313,12 @@ fn usage() -> ExitCode {
          \x20 grid-tsqr scalapack --m <rows> --n <cols> [--sites 1..4] [--real] [--blocked]\n\
          \x20 grid-tsqr compare   --m <rows> --n <cols> [--sites 1..4]\n\
          \x20 grid-tsqr tune      --m <rows> --n <cols> [--sites 1..4] [--domains <d/cluster>]\n\
-         \x20 grid-tsqr trace     --m <rows> --n <cols> [--sites 1..4] [--algo tsqr|scalapack]\n\
+         \x20 grid-tsqr trace     --m <rows> --n <cols> [--sites 1..4]\n\
+         \x20                     [--algo tsqr|scalapack|scalapack-blocked]\n\
          \x20                     [--domains <d>] [--tree <shape>] [--real]\n\
          \x20                     [--out <file.json>] [--folded-out <file>] [--timeline]\n\
-         \x20 grid-tsqr analyze   --m <rows> --n <cols> [--sites 1..4] [--algo tsqr|scalapack]\n\
+         \x20 grid-tsqr analyze   --m <rows> --n <cols> [--sites 1..4]\n\
+         \x20                     [--algo tsqr|scalapack|scalapack-blocked]\n\
          \x20                     [--domains <d>] [--tree <shape>] [--bins <timeline bins>]\n\
          \x20 grid-tsqr faults    --m <rows> --n <cols> [--sites 1..4] [--fault-seed <u64>]\n\
          \x20                     [--crash RANK@MS ...] [--drop SRC:DST:NTH ...]\n\
@@ -328,8 +331,8 @@ fn usage() -> ExitCode {
          \x20                     [--drop-flow A:B:NTH ...] [--drop-prob A:B:P ...]\n\
          \x20                     [--fault-seed <u64>] [--retry <n>] [--backoff <ms>]\n\
          \x20                     [--no-checkpoint] [--brownout ENTER:EXIT]\n\
-         \x20 grid-tsqr check     [--m <rows> --n <cols>] [--sites 1..4] [--no-matrix]\n\
-         \x20                     [--no-explore] [--golden <baseline.txt>] [--bless]\n\
+         \x20 grid-tsqr check     [--m <rows> --n <cols>] [--sites 1..4] [--golden <baseline.txt>]\n\
+         \x20                     [--bless]\n\
          \x20 grid-tsqr report    [--ledger <runs.jsonl>] [--threshold <frac>] [--top <k>]\n\
          \x20                     [--check] [--golden <baseline.md>] [--bless] [--out <file.md>]\n\
          \x20 grid-tsqr figure    [--id <artifact> ...] [--all] [--trace-out <file.json>]\n\
@@ -701,11 +704,7 @@ fn cmd_figure(args: &Args) -> Result<ExitCode, String> {
         }
         return Ok(ExitCode::SUCCESS);
     }
-    let mut sweep = Sweep::default();
-    let mut passed = true;
-    for figure in selected {
-        passed &= run_figure(figure, &mut sweep, trace_out)?;
-    }
+    let passed = run_figures(&selected, trace_out)?;
     Ok(if passed { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
@@ -1543,15 +1542,10 @@ fn serve_lines() -> Vec<String> {
 /// are gated against a blessed golden file — the race/deadlock analogue
 /// of `scripts/bench_check.sh`.
 fn cmd_check(args: &Args, ctx: &Ctx) -> Result<String, String> {
-    let run_matrix = !args.has("no-matrix")?;
-    let run_explore = !args.has("no-explore")?;
     let golden = args.get("golden")?;
     let bless = args.has("bless")?;
-    if (golden.is_some() || bless) && !(run_matrix && run_explore) {
-        return Err(
-            "--golden/--bless gate the full scenario set; drop --no-matrix/--no-explore".into(),
-        );
-    }
+    // Refused before the scenarios run, not after.
+    args.reject_unread("check")?;
     ctx.check_geometry(&ctx.runtime(false, None), Some((64, false)))?;
 
     // (name, summary line) in a fixed order — this is the golden
@@ -1592,24 +1586,20 @@ fn cmd_check(args: &Args, ctx: &Ctx) -> Result<String, String> {
     // failure-free R bitwise. Crash schedules legitimately orphan
     // sends (counted in the summary line); races/cycles/violations must
     // still be zero.
-    if run_matrix {
-        let rt = ctx.runtime(false, None);
-        let plan = ctx.domain_per_process(&rt);
-        let (_, reference) = ctx.failure_free(&rt, &plan)?;
-        for (name, schedule) in fault_matrix() {
-            let report = ctx.run_ft_tsqr(&ctx.runtime(true, Some(schedule)), &plan);
-            let hb = report.trace.as_ref().ok_or_else(no_trace)?.hb_analysis();
-            recovered_r_holder(&report.outcome().survivors, &reference)
-                .map_err(|e| format!("{name}: {e}"))?;
-            record(&name, &hb);
-        }
+    let rt = ctx.runtime(false, None);
+    let plan = ctx.domain_per_process(&rt);
+    let (_, reference) = ctx.failure_free(&rt, &plan)?;
+    for (name, schedule) in fault_matrix() {
+        let report = ctx.run_ft_tsqr(&ctx.runtime(true, Some(schedule)), &plan);
+        let hb = report.trace.as_ref().ok_or_else(no_trace)?.hb_analysis();
+        recovered_r_holder(&report.outcome().survivors, &reference)
+            .map_err(|e| format!("{name}: {e}"))?;
+        record(&name, &hb);
     }
 
-    if run_explore {
-        let (line, problem) = explore_p8(ctx.seed);
-        lines.push(line);
-        bad.extend(problem);
-    }
+    let (line, problem) = explore_p8(ctx.seed);
+    lines.push(line);
+    bad.extend(problem);
     lines.extend(serve_lines());
 
     if !bad.is_empty() {

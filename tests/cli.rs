@@ -263,6 +263,8 @@ fn a_flag_the_subcommand_never_reads_is_refused() {
         (vec!["bench-check", "--baseline", "BENCH_baseline.json", "--blss"], "--blss"),
         // No clock to set: a stall is decided exactly.
         (vec!["check", "--recv-timeout", "60"], "--recv-timeout"),
+        // Both gated runs need the full scenario set: no flag trims it.
+        (vec!["check", "--no-matrix"], "--no-matrix"),
     ] {
         let out = cli().args(&args).output().expect("run cli");
         assert_eq!(out.status.code(), Some(2), "args: {args:?}");

@@ -16,7 +16,7 @@ use grid_tsqr::core::domains::DomainLayout;
 use grid_tsqr::core::experiment::{run_experiment, Algorithm, Experiment, Mode};
 use grid_tsqr::core::tree::{ReductionTree, TreeShape};
 use grid_tsqr::core::tsqr::{tsqr_rank_program, TsqrConfig};
-use grid_tsqr::gridmpi::{explore, fnv1a, schedules_for, Runtime};
+use grid_tsqr::gridmpi::{block_on, explore, fnv1a, schedules_for, Runtime};
 use grid_tsqr::netsim::{grid5000, ClusterSpec, CostModel, GridTopology, LinkParams};
 
 /// A scaled-down Grid'5000 (real constants, few nodes): 2 sites × 2 nodes
@@ -112,7 +112,7 @@ fn injected_wildcard_race_is_caught_by_analyzer_and_explorer() {
         if p.rank() == 0 {
             let mut acc = 1.0f64;
             for _ in 1..p.size() {
-                let (_, x) = p.recv_any::<f64>(1)?;
+                let (_, x) = block_on(p.recv_any_async::<f64>(1))?;
                 acc = acc * 3.0 + x; // order-sensitive fold
             }
             Ok(acc)
@@ -133,7 +133,7 @@ fn injected_wildcard_race_is_caught_by_analyzer_and_explorer() {
             if p.rank() == 0 {
                 let mut acc = 1.0f64;
                 for _ in 1..p.size() {
-                    let (_, x) = p.recv_any::<f64>(1)?;
+                    let (_, x) = block_on(p.recv_any_async::<f64>(1))?;
                     acc = acc * 3.0 + x;
                 }
                 Ok(acc)
