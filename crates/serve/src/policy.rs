@@ -115,26 +115,34 @@ pub struct QueuedJob {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ticket(u64);
 
-/// The index a keyed policy reads (`Fifo` reads the push order itself).
-const BY_SERVICE: usize = 0;
-const BY_DEADLINE: usize = 1;
-const BY_TENANT: usize = 2;
-
 /// Order-preserving integer image of an SJF/EDF key, so the ordered
-/// indexes rank exactly as `<`/`==` on the floats would.
+/// index ranks exactly as `<`/`==` on the floats would.
 fn key_bits(x: f64) -> u64 {
     assert!(x.is_finite() && x >= 0.0, "queue keys are finite and non-negative, got {x}");
     (x + 0.0).to_bits() // `+ 0.0` folds -0.0 onto +0.0
 }
+
+/// The `(key, id)` a keyed policy orders `job` by.
+fn index_key(policy: Policy, job: &QueuedJob) -> (u64, usize) {
+    match policy {
+        Policy::Sjf => (key_bits(job.service_s), job.id),
+        Policy::Edf => (key_bits(job.deadline.secs()), job.id),
+        Policy::Fair => (job.tenant as u64, job.id),
+        Policy::Fifo => unreachable!("FIFO reads the push order, not an index"),
+    }
+}
+
+/// A keyed policy's ordered index: `(key, id)` → push sequence.
+type Index = BTreeMap<(u64, usize), u64>;
 
 /// A bounded FIFO-ordered waiting room; policies pick *tickets* out of
 /// it. Capacity 0 is legal and rejects everything (a pure admission
 /// stress mode).
 ///
 /// Jobs are stored under a push sequence number, so push order (FIFO,
-/// [`BoundedQueue::drain_matching`]) is the storage order, and three
-/// ordered indexes keyed `(service, id)`, `(deadline, id)` and
-/// `(tenant, id)` make every `select` and `remove` O(log Q) instead of a
+/// [`BoundedQueue::drain_matching`]) is the storage order, and the one
+/// ordered index the last `select`'s policy reads (`index_key`; none
+/// for FIFO) makes every `select` and `remove` O(log Q) instead of a
 /// scan. Request ids are unique among waiting jobs (a request is in
 /// exactly one place at a time), which makes each key unique.
 #[derive(Debug, Clone)]
@@ -142,8 +150,8 @@ pub struct BoundedQueue {
     capacity: usize,
     next_seq: u64,
     items: BTreeMap<u64, QueuedJob>,
-    /// `[BY_SERVICE, BY_DEADLINE, BY_TENANT]`: `(key, id)` → sequence.
-    indexes: [BTreeMap<(u64, usize), u64>; 3],
+    /// The last `select`'s keyed policy and its index.
+    index: Option<(Policy, Index)>,
     /// Waiting jobs with `attempts > 1` (the brownout pressure term).
     retried: usize,
 }
@@ -151,13 +159,7 @@ pub struct BoundedQueue {
 impl BoundedQueue {
     /// An empty queue admitting at most `capacity` waiting requests.
     pub fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            capacity,
-            next_seq: 0,
-            items: BTreeMap::new(),
-            indexes: Default::default(),
-            retried: 0,
-        }
+        BoundedQueue { capacity, next_seq: 0, items: BTreeMap::new(), index: None, retried: 0 }
     }
 
     /// Waiting requests.
@@ -196,21 +198,16 @@ impl BoundedQueue {
     /// transient fault into a silent rejection; sustained overload is
     /// handled by brownout shedding instead (see [`crate::recovery`]).
     pub fn push_unbounded(&mut self, job: QueuedJob) {
+        // Refused under every policy, whichever index is held.
+        let _ = (key_bits(job.service_s), key_bits(job.deadline.secs()));
         let seq = self.next_seq;
         self.next_seq += 1;
-        for (index, key) in self.indexes.iter_mut().zip(Self::keys(&job)) {
-            assert!(index.insert(key, seq).is_none(), "request {} is already waiting", job.id);
+        if let Some((policy, index)) = &mut self.index {
+            let fresh = index.insert(index_key(*policy, &job), seq).is_none();
+            assert!(fresh, "request {} is already waiting", job.id);
         }
         self.retried += usize::from(job.attempts > 1);
         self.items.insert(seq, job);
-    }
-
-    fn keys(job: &QueuedJob) -> [(u64, usize); 3] {
-        [
-            (key_bits(job.service_s), job.id),
-            (key_bits(job.deadline.secs()), job.id),
-            (job.tenant as u64, job.id),
-        ]
     }
 
     /// The waiting jobs, in push order (read-only view).
@@ -220,21 +217,23 @@ impl BoundedQueue {
 
     /// The job `policy` dispatches next, given each tenant's accumulated
     /// service (`tenant_served`, node-seconds; only Fair reads it).
-    /// `None` on an empty queue.
-    pub fn select(&self, policy: Policy, tenant_served: &[f64]) -> Option<Ticket> {
-        let seq = match policy {
+    /// `None` on an empty queue. A change of keyed policy rebuilds the index.
+    pub fn select(&mut self, policy: Policy, tenant_served: &[f64]) -> Option<Ticket> {
+        self.index.take_if(|(held, _)| *held != policy);
+        if policy == Policy::Fifo {
             // Items are kept in push order, so FIFO is the front.
-            Policy::Fifo => self.items.first_key_value().map(|(&seq, _)| seq),
-            Policy::Sjf => self.indexes[BY_SERVICE].first_key_value().map(|(_, &seq)| seq),
-            Policy::Edf => self.indexes[BY_DEADLINE].first_key_value().map(|(_, &seq)| seq),
+            return self.items.first_key_value().map(|(&seq, _)| Ticket(seq));
+        }
+        let (_, index) = self.index.get_or_insert_with(|| {
+            (policy, self.items.iter().map(|(&seq, j)| (index_key(policy, j), seq)).collect())
+        });
+        let seq = match policy {
             // FIFO within a tenant, so only each tenant's lowest id
             // competes: the minimum of `(served, id)` over tenants.
             Policy::Fair => {
                 let mut best: Option<(f64, usize, u64)> = None;
                 let mut from = 0u64;
-                while let Some((&(tenant, id), &seq)) =
-                    self.indexes[BY_TENANT].range((from, 0)..).next()
-                {
+                while let Some((&(tenant, id), &seq)) = index.range((from, 0)..).next() {
                     let served = tenant_served[tenant as usize];
                     if best.is_none_or(|(s, i, _)| served < s || (served == s && id < i)) {
                         best = Some((served, id, seq));
@@ -243,6 +242,7 @@ impl BoundedQueue {
                 }
                 best.map(|(_, _, seq)| seq)
             }
+            _ => index.first_key_value().map(|(_, &seq)| seq),
         };
         seq.map(Ticket)
     }
@@ -262,8 +262,8 @@ impl BoundedQueue {
     /// Panics when the job has already been removed.
     pub fn remove(&mut self, ticket: Ticket) -> QueuedJob {
         let job = self.items.remove(&ticket.0).expect("ticket names a waiting job");
-        for (index, key) in self.indexes.iter_mut().zip(Self::keys(&job)) {
-            index.remove(&key);
+        if let Some((policy, index)) = &mut self.index {
+            index.remove(&index_key(*policy, &job));
         }
         self.retried -= usize::from(job.attempts > 1);
         job
@@ -297,7 +297,7 @@ mod tests {
         q.items().map(|j| j.id).collect()
     }
 
-    fn selected(q: &BoundedQueue, policy: Policy, served: &[f64]) -> Option<usize> {
+    fn selected(q: &mut BoundedQueue, policy: Policy, served: &[f64]) -> Option<usize> {
         q.select(policy, served).map(|t| q.get(t).id)
     }
 
@@ -397,10 +397,10 @@ mod tests {
         q.try_push(job(1, 1, 1.0, 20.0)).unwrap();
         q.try_push(job(2, 0, 3.0, 10.0)).unwrap();
         let served = vec![100.0, 0.0];
-        assert_eq!(selected(&q, Policy::Fifo, &served), Some(0));
-        assert_eq!(selected(&q, Policy::Sjf, &served), Some(1), "shortest service");
-        assert_eq!(selected(&q, Policy::Edf, &served), Some(2), "earliest deadline");
-        assert_eq!(selected(&q, Policy::Fair, &served), Some(1), "least-served tenant");
+        assert_eq!(selected(&mut q, Policy::Fifo, &served), Some(0));
+        assert_eq!(selected(&mut q, Policy::Sjf, &served), Some(1), "shortest service");
+        assert_eq!(selected(&mut q, Policy::Edf, &served), Some(2), "earliest deadline");
+        assert_eq!(selected(&mut q, Policy::Fair, &served), Some(1), "least-served tenant");
         let t = q.select(Policy::Sjf, &served).unwrap();
         assert_eq!(q.remove(t).id, 1);
         assert_eq!(ids(&q), vec![0, 2], "arrival order preserved after removal");
@@ -413,9 +413,9 @@ mod tests {
         q.try_push(job(1, 1, 1.0, 10.0)).unwrap();
         let served = vec![0.0, 0.0];
         // Equal service, equal deadline, equal tenant credit → lowest id.
-        assert_eq!(selected(&q, Policy::Sjf, &served), Some(1));
-        assert_eq!(selected(&q, Policy::Edf, &served), Some(1));
-        assert_eq!(selected(&q, Policy::Fair, &served), Some(1));
+        assert_eq!(selected(&mut q, Policy::Sjf, &served), Some(1));
+        assert_eq!(selected(&mut q, Policy::Edf, &served), Some(1));
+        assert_eq!(selected(&mut q, Policy::Fair, &served), Some(1));
     }
 
     #[test]
@@ -449,75 +449,111 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "finite and non-negative")]
     fn a_key_the_indexes_cannot_order_is_refused() {
-        BoundedQueue::new(1).push_unbounded(job(0, 0, f64::NAN, 1.0));
+        let mut nan_deadline = job(0, 0, 1.0, 1.0);
+        nan_deadline.deadline = VirtualTime(f64::NAN);
+        let bad = [job(0, 0, f64::NAN, 1.0), nan_deadline, job(0, 0, -1.0, 1.0)];
+        // No `select` yet, FIFO's (no index either), and each keyed
+        // policy's own: the refusal must not depend on the index held.
+        for policy in [None].into_iter().chain(Policy::all().map(Some)) {
+            for j in &bad {
+                let mut q = BoundedQueue::new(2);
+                q.try_push(job(1, 0, 1.0, 1.0)).unwrap();
+                if let Some(p) = policy {
+                    q.select(p, &[0.0]);
+                }
+                let push = std::panic::AssertUnwindSafe(|| q.push_unbounded(j.clone()));
+                let refusal = std::panic::catch_unwind(push)
+                    .expect_err(&format!("{j:?} admitted under {policy:?}"));
+                let message = refusal.downcast::<String>().expect("a formatted panic");
+                assert!(message.contains("finite and non-negative"), "{message}");
+            }
+        }
+    }
+
+    /// Replays 400 random pushes, retries, dispatches and batch drains
+    /// through the indexed queue and the linear reference, with keys drawn
+    /// from a handful of values so ties and duplicates are the common
+    /// case. Each dispatch draws its policy from `policies`, and after
+    /// every step each of them selects the same job on both queues.
+    fn replay_against_the_linear_scan(seed: u64, cap: usize, policies: &[Policy]) {
+        let mut rng = SplitMix64::new(seed);
+        let mut q = BoundedQueue::new(cap);
+        let mut lin = LinearQueue { capacity: cap, items: Vec::new() };
+        let mut served = vec![0.0f64; 4];
+        let mut next_id = 0usize;
+        let mut out: Vec<QueuedJob> = Vec::new(); // removed, eligible to retry
+        for _ in 0..400 {
+            match rng.next_below(8) {
+                0..=2 => {
+                    let mut j = job(
+                        next_id,
+                        rng.next_below(4) as usize,
+                        rng.next_below(3) as f64 * 0.5,
+                        rng.next_below(5) as f64,
+                    );
+                    j.cols = [32, 64][rng.next_below(2) as usize];
+                    next_id += 1;
+                    prop_assert_eq!(q.try_push(j.clone()), lin.try_push(j));
+                }
+                3 if !out.is_empty() => {
+                    let mut j = out.swap_remove(rng.next_below(out.len() as u64) as usize);
+                    j.attempts += 1;
+                    if rng.next_below(2) == 0 {
+                        j.service_s = rng.next_below(3) as f64 * 0.25;
+                        j.checkpoint = Some(Checkpoint { residual_wan_s: j.service_s });
+                    }
+                    q.push_unbounded(j.clone());
+                    lin.items.push(j);
+                }
+                4..=5 => {
+                    let policy = policies[rng.next_below(policies.len() as u64) as usize];
+                    if let Some(t) = q.select(policy, &served) {
+                        let j = q.remove(t);
+                        let pos = lin.select(policy, &served).expect("same depth");
+                        prop_assert_eq!(&j, &lin.items.remove(pos));
+                        served[j.tenant] += rng.next_below(3) as f64;
+                        out.push(j);
+                    }
+                }
+                6 => {
+                    let cols = [32, 64][rng.next_below(2) as usize];
+                    let batch = q.drain_matching(cols, 1);
+                    prop_assert_eq!(&batch, &lin.drain_matching(cols, 1));
+                    out.extend(batch);
+                }
+                _ => {}
+            }
+            for &policy in policies {
+                let want = lin.select(policy, &served).map(|pos| lin.items[pos].id);
+                prop_assert_eq!(selected(&mut q, policy, &served), want);
+            }
+            prop_assert!(q.items().eq(&lin.items), "push order diverged");
+            prop_assert_eq!(q.len(), lin.items.len());
+            prop_assert_eq!(q.retried(), lin.items.iter().filter(|j| j.attempts > 1).count());
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Random pushes, retries, dispatches and batch drains through the
-        /// indexed queue and the linear reference: same job every time,
-        /// under every policy, with keys drawn from a handful of values so
-        /// ties and duplicates are the common case.
+        /// Every policy after every step: each `select` finds another
+        /// policy's index and rebuilds it, so this is the oracle of the
+        /// rebuild path.
         #[test]
         fn indexed_queue_matches_the_linear_scan(seed in 0u64..1_000_000, cap in 1usize..40) {
-            let mut rng = SplitMix64::new(seed);
-            let mut q = BoundedQueue::new(cap);
-            let mut lin = LinearQueue { capacity: cap, items: Vec::new() };
-            let mut served = vec![0.0f64; 4];
-            let mut next_id = 0usize;
-            let mut out: Vec<QueuedJob> = Vec::new(); // removed, eligible to retry
-            for _ in 0..400 {
-                match rng.next_below(8) {
-                    0..=2 => {
-                        let mut j = job(
-                            next_id,
-                            rng.next_below(4) as usize,
-                            rng.next_below(3) as f64 * 0.5,
-                            rng.next_below(5) as f64,
-                        );
-                        j.cols = [32, 64][rng.next_below(2) as usize];
-                        next_id += 1;
-                        prop_assert_eq!(q.try_push(j.clone()), lin.try_push(j));
-                    }
-                    3 if !out.is_empty() => {
-                        let mut j = out.swap_remove(rng.next_below(out.len() as u64) as usize);
-                        j.attempts += 1;
-                        if rng.next_below(2) == 0 {
-                            j.service_s = rng.next_below(3) as f64 * 0.25;
-                            j.checkpoint = Some(Checkpoint { residual_wan_s: j.service_s });
-                        }
-                        q.push_unbounded(j.clone());
-                        lin.items.push(j);
-                    }
-                    4..=5 => {
-                        let policy = Policy::all()[rng.next_below(4) as usize];
-                        if let Some(t) = q.select(policy, &served) {
-                            let j = q.remove(t);
-                            let pos = lin.select(policy, &served).expect("same depth");
-                            prop_assert_eq!(&j, &lin.items.remove(pos));
-                            served[j.tenant] += rng.next_below(3) as f64;
-                            out.push(j);
-                        }
-                    }
-                    6 => {
-                        let cols = [32, 64][rng.next_below(2) as usize];
-                        let batch = q.drain_matching(cols, 1);
-                        prop_assert_eq!(&batch, &lin.drain_matching(cols, 1));
-                        out.extend(batch);
-                    }
-                    _ => {}
-                }
-                for policy in Policy::all() {
-                    let want = lin.select(policy, &served).map(|pos| lin.items[pos].id);
-                    prop_assert_eq!(selected(&q, policy, &served), want);
-                }
-                prop_assert!(q.items().eq(&lin.items), "push order diverged");
-                prop_assert_eq!(q.len(), lin.items.len());
-                prop_assert_eq!(q.retried(), lin.items.iter().filter(|j| j.attempts > 1).count());
-            }
+            replay_against_the_linear_scan(seed, cap, &Policy::all());
+        }
+
+        /// One policy for the whole case, as the engine runs: the index is
+        /// built once and then kept by each push and remove.
+        #[test]
+        fn one_policy_queue_keeps_its_index_in_step(
+            seed in 0u64..1_000_000,
+            cap in 1usize..40,
+            policy in 0usize..4,
+        ) {
+            replay_against_the_linear_scan(seed, cap, &[Policy::all()[policy]]);
         }
     }
 }

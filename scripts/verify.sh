@@ -58,11 +58,14 @@ timeout 120 ./target/release/grid-tsqr figure --all >/dev/null
 echo "    paper shapes: every check of every artifact passes"
 
 echo "==> serve-scale smoke (complexity tripwire, not a timing gate: 50k"
-echo "    requests through a 100k-deep EDF queue take ~0.5 s with the indexed"
-echo "    queue and memoised job model, ~26 s with a linear scan per event)"
-timeout 15 ./target/release/grid-tsqr serve --policy edf --load 4 \
-  --queue 100000 --requests 50000 >/dev/null
-echo "    serve scale: deep-queue run finished inside its budget"
+echo "    requests through a 100k-deep EDF, SJF and Fair queue take ~0.2 s each"
+echo "    with the one ordered index and memoised job model, ~26 s with a"
+echo "    linear scan per event)"
+for policy in edf sjf fair; do
+  timeout 15 ./target/release/grid-tsqr serve --policy "$policy" --load 4 \
+    --queue 100000 --requests 50000 >/dev/null
+done
+echo "    serve scale: every keyed policy's deep-queue run finished inside its budget"
 
 echo "==> benchmark smoke (correctness, not a timing gate): real TSQR on 256"
 echo "    and 64 rank threads (R against the sequential replica <= 1e-9, Gram"
