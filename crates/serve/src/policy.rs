@@ -29,7 +29,7 @@
 //! keeps every policy's ordering semantics exact; backfilling is listed
 //! as a roadmap follow-on.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use tsqr_netsim::VirtualTime;
 
@@ -111,7 +111,8 @@ pub struct QueuedJob {
 }
 
 /// Opaque handle to one waiting job: what [`BoundedQueue::select`] returns
-/// and [`BoundedQueue::get`] / [`BoundedQueue::remove`] accept.
+/// and [`BoundedQueue::get`] / [`BoundedQueue::remove`] accept, good until
+/// the next `select` (a stale one panics instead of naming another job).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ticket(u64);
 
@@ -135,21 +136,28 @@ fn index_key(policy: Policy, job: &QueuedJob) -> (u64, usize) {
 /// A keyed policy's ordered index: `(key, id)` → push sequence.
 type Index = BTreeMap<(u64, usize), u64>;
 
+/// Empty slots a `select` tolerates beyond `2 · len` before compacting.
+const SLACK: usize = 64;
+
 /// A bounded FIFO-ordered waiting room; policies pick *tickets* out of
 /// it. Capacity 0 is legal and rejects everything (a pure admission
 /// stress mode).
 ///
-/// Jobs are stored under a push sequence number, so push order (FIFO,
-/// [`BoundedQueue::drain_matching`]) is the storage order, and the one
-/// ordered index the last `select`'s policy reads (`index_key`; none
-/// for FIFO) makes every `select` and `remove` O(log Q) instead of a
-/// scan. Request ids are unique among waiting jobs (a request is in
+/// Jobs are stored in push order (FIFO's and `drain_matching`'s order) in
+/// a slab that a ticket, the push sequence, indexes in O(1); a removal
+/// empties its slot, and a `select` compacts past `2 · len + SLACK`
+/// slots. The one ordered index the last `select`'s policy reads
+/// (`index_key`; none for FIFO) makes every `select` O(log Q) instead of
+/// a scan. Request ids are unique among waiting jobs (a request is in
 /// exactly one place at a time), which makes each key unique.
 #[derive(Debug, Clone)]
 pub struct BoundedQueue {
     capacity: usize,
-    next_seq: u64,
-    items: BTreeMap<u64, QueuedJob>,
+    /// Push sequence of `slots[0]`.
+    base: u64,
+    /// Jobs in push order, `None` where one has left; the front is a job.
+    slots: VecDeque<Option<QueuedJob>>,
+    len: usize,
     /// The last `select`'s keyed policy and its index.
     index: Option<(Policy, Index)>,
     /// Waiting jobs with `attempts > 1` (the brownout pressure term).
@@ -159,22 +167,22 @@ pub struct BoundedQueue {
 impl BoundedQueue {
     /// An empty queue admitting at most `capacity` waiting requests.
     pub fn new(capacity: usize) -> Self {
-        BoundedQueue { capacity, next_seq: 0, items: BTreeMap::new(), index: None, retried: 0 }
+        BoundedQueue { capacity, base: 0, slots: VecDeque::new(), len: 0, index: None, retried: 0 }
     }
 
     /// Waiting requests.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.len
     }
 
     /// True when nothing waits.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len == 0
     }
 
     /// True when an arrival would be rejected.
     pub fn is_full(&self) -> bool {
-        self.items.len() >= self.capacity
+        self.len >= self.capacity
     }
 
     /// Waiting jobs on their second or later try.
@@ -200,32 +208,40 @@ impl BoundedQueue {
     pub fn push_unbounded(&mut self, job: QueuedJob) {
         // Refused under every policy, whichever index is held.
         let _ = (key_bits(job.service_s), key_bits(job.deadline.secs()));
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.base + self.slots.len() as u64;
         if let Some((policy, index)) = &mut self.index {
             let fresh = index.insert(index_key(*policy, &job), seq).is_none();
             assert!(fresh, "request {} is already waiting", job.id);
         }
         self.retried += usize::from(job.attempts > 1);
-        self.items.insert(seq, job);
+        self.len += 1;
+        self.slots.push_back(Some(job));
     }
 
     /// The waiting jobs, in push order (read-only view).
     pub fn items(&self) -> impl Iterator<Item = &QueuedJob> {
-        self.items.values()
+        self.slots.iter().flatten()
     }
 
     /// The job `policy` dispatches next, given each tenant's accumulated
     /// service (`tenant_served`, node-seconds; only Fair reads it).
     /// `None` on an empty queue. A change of keyed policy rebuilds the index.
     pub fn select(&mut self, policy: Policy, tenant_served: &[f64]) -> Option<Ticket> {
+        if self.slots.len() > 2 * self.len + SLACK {
+            // Renumbered past every ticket handed out, so a stale one names nothing.
+            self.base += self.slots.len() as u64;
+            self.slots.retain(Option::is_some);
+            self.index = None;
+        }
         self.index.take_if(|(held, _)| *held != policy);
         if policy == Policy::Fifo {
-            // Items are kept in push order, so FIFO is the front.
-            return self.items.first_key_value().map(|(&seq, _)| Ticket(seq));
+            debug_assert!(self.slots.front().is_none_or(Option::is_some), "a hole at the front");
+            return (self.len > 0).then_some(Ticket(self.base));
         }
         let (_, index) = self.index.get_or_insert_with(|| {
-            (policy, self.items.iter().map(|(&seq, j)| (index_key(policy, j), seq)).collect())
+            let slots = (self.base..).zip(&self.slots);
+            let jobs = slots.filter_map(|(seq, slot)| Some((seq, slot.as_ref()?)));
+            (policy, jobs.map(|(seq, j)| (index_key(policy, j), seq)).collect())
         });
         let seq = match policy {
             // FIFO within a tenant, so only each tenant's lowest id
@@ -250,21 +266,27 @@ impl BoundedQueue {
     /// The waiting job behind `ticket`.
     ///
     /// # Panics
-    /// Panics when the job has already been removed.
+    /// Panics when the job has left or a `select` came after the ticket.
     pub fn get(&self, ticket: Ticket) -> &QueuedJob {
-        &self.items[&ticket.0]
+        self.slots[(ticket.0 - self.base) as usize].as_ref().expect("ticket names a waiting job")
     }
 
     /// Removes and returns the job behind `ticket` (preserving the push
     /// order of the rest).
     ///
     /// # Panics
-    /// Panics when the job has already been removed.
+    /// Panics when the job has left or a `select` came after the ticket.
     pub fn remove(&mut self, ticket: Ticket) -> QueuedJob {
-        let job = self.items.remove(&ticket.0).expect("ticket names a waiting job");
+        let slot = &mut self.slots[(ticket.0 - self.base) as usize];
+        let job = slot.take().expect("ticket names a waiting job");
         if let Some((policy, index)) = &mut self.index {
             index.remove(&index_key(*policy, &job));
         }
+        while self.slots.front().is_some_and(Option::is_none) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        self.len -= 1;
         self.retried -= usize::from(job.attempts > 1);
         job
     }
@@ -276,11 +298,11 @@ impl BoundedQueue {
     /// join a batch: they owe only a residual drain, which cannot share a
     /// fresh batch's local phase.
     pub fn drain_matching(&mut self, cols: usize, sites: usize) -> Vec<QueuedJob> {
-        let matched: Vec<u64> = self
-            .items
-            .iter()
-            .filter(|(_, j)| j.cols == cols && j.sites == sites && j.checkpoint.is_none())
-            .map(|(&seq, _)| seq)
+        let batches = |j: &QueuedJob| j.cols == cols && j.sites == sites && j.checkpoint.is_none();
+        let matched: Vec<u64> = (self.base..)
+            .zip(&self.slots)
+            .filter(|(_, slot)| slot.as_ref().is_some_and(batches))
+            .map(|(seq, _)| seq)
             .collect();
         matched.into_iter().map(|seq| self.remove(Ticket(seq))).collect()
     }
@@ -299,6 +321,11 @@ mod tests {
 
     fn selected(q: &mut BoundedQueue, policy: Policy, served: &[f64]) -> Option<usize> {
         q.select(policy, served).map(|t| q.get(t).id)
+    }
+
+    /// Whether `ticket` still names a job (`get` would panic otherwise).
+    fn names_a_job(q: &BoundedQueue, ticket: Ticket) -> bool {
+        q.slots.get(ticket.0.wrapping_sub(q.base) as usize).is_some_and(Option::is_some)
     }
 
     /// The pre-index queue: a `Vec` in push order, `select` a linear scan
@@ -449,24 +476,142 @@ mod tests {
     }
 
     #[test]
+    fn push_order_survives_holes_and_a_compaction() {
+        let mut q = BoundedQueue::new(1_000);
+        for id in 0..300 {
+            let mut j = job(id, 0, 1.0, 10.0);
+            j.cols = [64, 32][id % 2];
+            q.try_push(j).unwrap();
+        }
+        // Before any `select` a ticket is the push sequence, here the id.
+        for id in (1..250).filter(|id| id % 5 != 0) {
+            assert_eq!(q.remove(Ticket(id as u64)).id, id);
+        }
+        let mut want: Vec<usize> = (0..300).filter(|id| id % 5 == 0 || *id >= 250).collect();
+        assert_eq!(ids(&q), want, "items() skips the holes");
+        assert_eq!(q.slots.len(), 300, "job 0 keeps every hole behind it");
+        // `--batch` coalesces its members in push order through the holes.
+        let batch: Vec<usize> = q.drain_matching(32, 1).iter().map(|j| j.id).collect();
+        assert_eq!(batch, want.iter().copied().filter(|id| id % 2 == 1).collect::<Vec<_>>());
+        want.retain(|id| id % 2 == 0);
+        assert_eq!(ids(&q), want);
+
+        // This `select` compacts (300 slots for 50 jobs), and FIFO still
+        // takes the oldest job.
+        let head = q.select(Policy::Fifo, &[]).unwrap();
+        assert_eq!(q.slots.len(), q.len(), "compacted");
+        assert_eq!(q.get(head).id, 0);
+        assert_eq!(ids(&q), want, "compaction keeps the push order");
+        assert!(!names_a_job(&q, Ticket(10)), "a ticket from before it names nothing");
+        q.remove(head);
+        want.remove(0);
+        // New holes after the compaction: the next-oldest job leaves through
+        // an EDF select (ties on deadline, so the lowest id), then FIFO takes
+        // the one after it, and a batch drains the rest in push order.
+        let t = q.select(Policy::Edf, &[]).unwrap();
+        assert_eq!(q.remove(t).id, want.remove(0));
+        assert_eq!(selected(&mut q, Policy::Fifo, &[]), Some(want[0]));
+        let batch: Vec<usize> = q.drain_matching(64, 1).iter().map(|j| j.id).collect();
+        assert_eq!(batch, want);
+        assert!(q.is_empty() && q.slots.is_empty());
+    }
+
+    #[test]
     fn a_key_the_indexes_cannot_order_is_refused() {
         let mut nan_deadline = job(0, 0, 1.0, 1.0);
         nan_deadline.deadline = VirtualTime(f64::NAN);
         let bad = [job(0, 0, f64::NAN, 1.0), nan_deadline, job(0, 0, -1.0, 1.0)];
         // No `select` yet, FIFO's (no index either), and each keyed
         // policy's own: the refusal must not depend on the index held.
-        for policy in [None].into_iter().chain(Policy::all().map(Some)) {
-            for j in &bad {
+        let mut queues: Vec<(String, BoundedQueue)> = [None]
+            .into_iter()
+            .chain(Policy::all().map(Some))
+            .map(|policy| {
                 let mut q = BoundedQueue::new(2);
                 q.try_push(job(1, 0, 1.0, 1.0)).unwrap();
                 if let Some(p) = policy {
                     q.select(p, &[0.0]);
                 }
+                (format!("{policy:?}"), q)
+            })
+            .collect();
+        // Nor on a `select` having just compacted the slab.
+        let mut q = BoundedQueue::new(200);
+        let mut front = job(1, 0, 1.0, 1.0);
+        front.cols = 32;
+        q.try_push(front).unwrap();
+        for id in 2..100 {
+            q.try_push(job(id, 0, 1.0, 1.0)).unwrap();
+        }
+        q.drain_matching(64, 1);
+        q.select(Policy::Edf, &[0.0]);
+        assert_eq!(q.slots.len(), 1, "the select compacted");
+        queues.push(("a just-compacted EDF queue".into(), q));
+        for (held, q) in &queues {
+            for j in &bad {
+                let mut q = q.clone();
                 let push = std::panic::AssertUnwindSafe(|| q.push_unbounded(j.clone()));
                 let refusal = std::panic::catch_unwind(push)
-                    .expect_err(&format!("{j:?} admitted under {policy:?}"));
+                    .expect_err(&format!("{j:?} admitted under {held}"));
                 let message = refusal.downcast::<String>().expect("a formatted panic");
                 assert!(message.contains("finite and non-negative"), "{message}");
+            }
+        }
+    }
+
+    /// Pins one job with the loosest `policy` key at the front of the slab
+    /// and moves 2 000 others past it, so holes pile up behind the pin and
+    /// `select` compacts again and again. After every `select` the slab is
+    /// within its bound; after every compacting one, no ticket of a removed
+    /// job names a job. A FIFO drain then takes the pin and the rest in
+    /// push order. Returns the number of compactions.
+    fn replay_past_a_pinned_job(seed: u64, policy: Policy) -> usize {
+        let mut rng = SplitMix64::new(seed);
+        let mut q = BoundedQueue::new(usize::MAX);
+        let mut lin = LinearQueue { capacity: usize::MAX, items: Vec::new() };
+        // The latest deadline, the longest service and the most-served tenant.
+        let mut served = vec![1e9, 0.0, 0.0, 0.0];
+        let pin = job(0, 0, 1e6, 1e6);
+        assert_eq!(q.try_push(pin.clone()), lin.try_push(pin));
+        let (mut stale, mut compactions) = (Vec::new(), 0);
+        for id in 1..=2_000 {
+            let tenant = 1 + rng.next_below(3) as usize;
+            let j = job(id, tenant, rng.next_below(3) as f64 * 0.5, rng.next_below(5) as f64);
+            assert_eq!(q.try_push(j.clone()), lin.try_push(j));
+            // Half again as many dispatches as arrivals, so the queue stays
+            // shallow while its slab fills with holes.
+            for _ in 0..rng.next_below(4) {
+                let slots = q.slots.len();
+                let t = q.select(policy, &served).expect("the pin waits");
+                assert!(q.slots.len() <= 2 * q.len() + SLACK, "{} slots", q.slots.len());
+                if q.slots.len() < slots {
+                    compactions += 1;
+                    assert!(!stale.iter().any(|&s| names_a_job(&q, s)), "a stale ticket");
+                }
+                if lin.items.len() == 1 {
+                    break; // only the pin waits
+                }
+                let pos = lin.select(policy, &served).expect("same depth");
+                let j = q.remove(t);
+                assert_eq!(j, lin.items.remove(pos));
+                served[j.tenant] += rng.next_below(3) as f64;
+                stale.push(t);
+            }
+            assert!(q.items().eq(&lin.items), "push order diverged");
+        }
+        while let Some(t) = q.select(Policy::Fifo, &served) {
+            assert_eq!(q.remove(t), lin.items.remove(0));
+        }
+        assert!(lin.items.is_empty());
+        compactions
+    }
+
+    #[test]
+    fn compaction_keeps_tickets_and_push_order_past_a_pinned_job() {
+        for policy in [Policy::Sjf, Policy::Edf, Policy::Fair] {
+            for seed in 1..=3 {
+                let compactions = replay_past_a_pinned_job(seed, policy);
+                assert!(compactions >= 5, "{policy:?} seed {seed}: {compactions} compactions");
             }
         }
     }
