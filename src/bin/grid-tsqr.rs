@@ -135,8 +135,8 @@ use grid_tsqr::obs::ledger::{append_entry, path_from_env, read_ledger, LedgerEnt
 use grid_tsqr::obs::report::{detect_anomalies, render_report, ReportOptions};
 use grid_tsqr::qcg::ResourceCatalog;
 use grid_tsqr::serve::{
-    load_is_offerable, menu, serve, BrownoutConfig, Disposition, FaultKind, Policy as ServePolicy, PolicyReport,
-    RecoveryAction, RetryPolicy, ServeConfig, ServeOutcome,
+    load_is_offerable, menu, serve, BrownoutConfig, Disposition, FaultKind, Policy as ServePolicy,
+    PolicyReport, RecoveryAction, RetryPolicy, ServeConfig, ServeOutcome,
 };
 use tsqr_bench::{
     calib, compare_records, figures, gate_points, ledger_entry, measure_gate, measure_point,
@@ -244,10 +244,7 @@ fn write_file(path: &str, body: impl AsRef<[u8]>) -> Result<(), String> {
 /// never invalidates the golden — only a change to how existing entries
 /// are rendered does.
 fn golden_entry_count(report: &str) -> Option<usize> {
-    report
-        .lines()
-        .find_map(|l| l.strip_prefix("- entries: "))
-        .and_then(|v| v.trim().parse().ok())
+    report.lines().find_map(|l| l.strip_prefix("- entries: ")).and_then(|v| v.trim().parse().ok())
 }
 
 /// The compare half of the two golden gates (`report --golden`,
@@ -255,8 +252,7 @@ fn golden_entry_count(report: &str) -> Option<usize> {
 /// a mismatch is `headline`, how to re-bless, and a line-by-line
 /// `baseline:/current:` diff.
 fn expect_golden(path: &str, got: &str, headline: &str, cmd: &str) -> Result<(), String> {
-    let want =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+    let want = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
     if want == got {
         return Ok(());
     }
@@ -267,15 +263,10 @@ fn expect_golden(path: &str, got: &str, headline: &str, cmd: &str) -> Result<(),
         let w = want_lines.get(i).copied().unwrap_or("<missing>");
         let g = got_lines.get(i).copied().unwrap_or("<missing>");
         if w != g {
-            diff.push_str(&format!(
-                "  line {}:\n    baseline: {w}\n    current:  {g}\n",
-                i + 1
-            ));
+            diff.push_str(&format!("  line {}:\n    baseline: {w}\n    current:  {g}\n", i + 1));
         }
     }
-    Err(format!(
-        "{headline} (re-bless with `grid-tsqr {cmd} --bless` if intended):\n{diff}"
-    ))
+    Err(format!("{headline} (re-bless with `grid-tsqr {cmd} --bless` if intended):\n{diff}"))
 }
 
 /// Parses a `--tree` value: the three fixed shapes plus the generated
@@ -283,8 +274,7 @@ fn expect_golden(path: &str, got: &str, headline: &str, cmd: &str) -> Result<(),
 /// `greedy`; `kary:1` is a chain).
 fn parse_shape(s: &str) -> Result<TreeShape, String> {
     if let Some(k) = s.strip_prefix("kary:") {
-        let k: usize =
-            k.parse().map_err(|_| format!("--tree kary:<k>: cannot parse {k:?}"))?;
+        let k: usize = k.parse().map_err(|_| format!("--tree kary:<k>: cannot parse {k:?}"))?;
         if k == 0 {
             return Err("--tree kary:<k> needs k >= 1".into());
         }
@@ -296,9 +286,9 @@ fn parse_shape(s: &str) -> Result<TreeShape, String> {
         "flat" => Ok(TreeShape::Flat),
         "binomial" => Ok(TreeShape::Binomial),
         "greedy" => Ok(TreeShape::Greedy),
-        other => Err(format!(
-            "unknown tree shape {other:?} (flat|binary|grid|kary:<k>|binomial|greedy)"
-        )),
+        other => {
+            Err(format!("unknown tree shape {other:?} (flat|binary|grid|kary:<k>|binomial|greedy)"))
+        }
     }
 }
 
@@ -460,7 +450,9 @@ fn fault_schedule(args: &Args, axis: FaultAxis) -> Result<FailureSchedule, Strin
         let from = millis("wan-slow", "from", from)?;
         let until = millis("wan-slow", "until", until)?;
         if until <= from {
-            return Err(format!("--wan-slow {spec}: the window is empty (want UNTIL_MS > FROM_MS)"));
+            return Err(format!(
+                "--wan-slow {spec}: the window is empty (want UNTIL_MS > FROM_MS)"
+            ));
         }
         let factor = |what: &str, v: &str| -> Result<f64, String> {
             match v.parse::<f64>() {
@@ -571,7 +563,11 @@ impl Ctx {
 
     /// The plain TSQR's makespan and R on `rt` with no faults: the
     /// reference a self-healing run must reproduce bit for bit.
-    fn failure_free(&self, rt: &Runtime, plan: &DomainPlan) -> Result<(VirtualTime, Matrix), String> {
+    fn failure_free(
+        &self,
+        rt: &Runtime,
+        plan: &DomainPlan,
+    ) -> Result<(VirtualTime, Matrix), String> {
         let clean = self.run_tsqr(rt, plan);
         let root = clean.ranks[0].result.as_ref();
         let root = root.map_err(|e| format!("failure-free run failed: {e}"))?;
@@ -687,7 +683,8 @@ fn cmd_figure(args: &Args) -> Result<ExitCode, String> {
             format!("--id {id}: no such artifact (known: {})", known.join(", "))
         })
     };
-    if let Some(id) = ids.iter().enumerate().find_map(|(i, id)| ids[..i].contains(id).then_some(id)) {
+    if let Some(id) = ids.iter().enumerate().find_map(|(i, id)| ids[..i].contains(id).then_some(id))
+    {
         return Err(format!("--id {id} given twice"));
     }
     let selected: Vec<&Figure> = if all {
@@ -696,7 +693,9 @@ fn cmd_figure(args: &Args) -> Result<ExitCode, String> {
         ids.iter().map(by_id).collect::<Result<_, _>>()?
     };
     if trace_out.is_some() && !matches!(selected[..], [one] if !one.points.is_empty()) {
-        return Err("--trace-out dumps one figure's headline trace: give one --id of fig4..fig8".into());
+        return Err(
+            "--trace-out dumps one figure's headline trace: give one --id of fig4..fig8".into()
+        );
     }
     if selected.is_empty() {
         for f in registry {
@@ -810,10 +809,7 @@ fn cmd_report(args: &Args) -> Result<String, String> {
     let mut out = String::new();
     if let Some(path) = args.get("out")? {
         write_file(path, &rendered)?;
-        out.push_str(&format!(
-            "report over {} entries written to {path}\n",
-            entries.len()
-        ));
+        out.push_str(&format!("report over {} entries written to {path}\n", entries.len()));
     } else if !args.has("check")? && args.get("golden")?.is_none() && !args.has("bless")? {
         // Plain `grid-tsqr report` prints the dashboard itself; the
         // gating modes print one status line each instead.
@@ -827,8 +823,8 @@ fn cmd_report(args: &Args) -> Result<String, String> {
             entries.len()
         ));
     } else if let Some(path) = args.get("golden")? {
-        let want = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {path:?}: {e}"))?;
+        let want =
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
         let k = golden_entry_count(&want).ok_or_else(|| {
             format!("{path}: not a blessed report (missing `- entries: <K>` header)")
         })?;
@@ -916,8 +912,7 @@ fn serve_config(
                 .ok_or_else(|| format!("--brownout wants ENTER:EXIT, got {spec:?}"))?;
             let enter: usize =
                 enter.parse().map_err(|_| format!("--brownout: bad enter {enter:?}"))?;
-            let exit: usize =
-                exit.parse().map_err(|_| format!("--brownout: bad exit {exit:?}"))?;
+            let exit: usize = exit.parse().map_err(|_| format!("--brownout: bad exit {exit:?}"))?;
             if exit > enter {
                 return Err("--brownout: exit watermark must not exceed enter".into());
             }
@@ -1123,11 +1118,8 @@ fn cmd_tsqr(args: &Args, ctx: &Ctx) -> Result<String, String> {
 }
 
 fn cmd_scalapack(args: &Args, ctx: &Ctx) -> Result<String, String> {
-    let algorithm = if args.has("blocked")? {
-        Algorithm::ScalapackQrf
-    } else {
-        Algorithm::ScalapackQr2
-    };
+    let algorithm =
+        if args.has("blocked")? { Algorithm::ScalapackQrf } else { Algorithm::ScalapackQr2 };
     let rt = ctx.runtime(false, None);
     ctx.check_geometry(&rt, None)?;
     let res = ctx.run(&rt, algorithm, false, ctx.mode(args)?);
@@ -1149,10 +1141,7 @@ fn cmd_compare(ctx: &Ctx) -> Result<String, String> {
 /// The traced point `trace` and `analyze` both look at: the run, the
 /// runtime it ran on, and its critical path — which must tile the
 /// makespan.
-fn traced_run(
-    args: &Args,
-    ctx: &Ctx,
-) -> Result<(Runtime, ExperimentResult, CriticalPath), String> {
+fn traced_run(args: &Args, ctx: &Ctx) -> Result<(Runtime, ExperimentResult, CriticalPath), String> {
     let domains: usize = args.num("domains", 64usize)?;
     let shape = parse_shape(args.get("tree")?.unwrap_or("grid"))?;
     let algorithm = match args.get("algo")?.unwrap_or("tsqr") {
@@ -1302,10 +1291,7 @@ fn cmd_faults(args: &Args, ctx: &Ctx) -> Result<String, String> {
                 "baseline tsqr: {} rank(s) failed {:?}; first error: {}\n",
                 bo.failed_ranks().len(),
                 bo.failed_ranks(),
-                bo.failures
-                    .first()
-                    .map(|(r, e)| format!("rank {r}: {e}"))
-                    .unwrap_or_default(),
+                bo.failures.first().map(|(r, e)| format!("rank {r}: {e}")).unwrap_or_default(),
             ));
         }
     }
@@ -1329,10 +1315,7 @@ fn cmd_faults(args: &Args, ctx: &Ctx) -> Result<String, String> {
             run_trace.as_ref().map(|t| t.critical_path().summary()),
         );
         let seq = append_entry(path, entry)?;
-        out.push_str(&format!(
-            "ledger: entry {seq} appended to {}\n",
-            path.display()
-        ));
+        out.push_str(&format!("ledger: entry {seq} appended to {}\n", path.display()));
     }
     Ok(out)
 }
@@ -1415,7 +1398,10 @@ fn cmd_tune(args: &Args, ctx: &Ctx) -> Result<String, String> {
 /// The self-healing program's contract, held by `faults` and by every
 /// scenario of `check`'s fault matrix: a survivor holds R, and that R is
 /// the failure-free `reference` bit for bit. Returns the holder's rank.
-fn recovered_r_holder(survivors: &[(usize, FtTsqrOutput)], reference: &Matrix) -> Result<usize, String> {
+fn recovered_r_holder(
+    survivors: &[(usize, FtTsqrOutput)],
+    reference: &Matrix,
+) -> Result<usize, String> {
     let (rank, r) = survivors
         .iter()
         .rev()
@@ -1439,9 +1425,12 @@ fn fault_matrix() -> Vec<(String, FailureSchedule)> {
     }
     let double = FailureSchedule::new(1).crash_rank(0, at(2.0)).crash_rank(1, at(4.0));
     matrix.push(("faults-crash-0+1".to_string(), double));
-    let lossy = FailureSchedule::new(7)
-        .drop_probability(64, 0, 0.4)
-        .degrade_all_wan(at(0.0), at(50.0), 4.0, 4.0);
+    let lossy = FailureSchedule::new(7).drop_probability(64, 0, 0.4).degrade_all_wan(
+        at(0.0),
+        at(50.0),
+        4.0,
+        4.0,
+    );
     matrix.push(("faults-drop-wan".to_string(), lossy));
     matrix
 }
@@ -1612,16 +1601,10 @@ fn cmd_check(args: &Args, ctx: &Ctx) -> Result<String, String> {
     if bless {
         let path = golden.unwrap_or("COMMCHECK_baseline.txt");
         write_file(path, &body)?;
-        out.push_str(&format!(
-            "blessed {} scenario line(s) into {path}\n",
-            lines.len()
-        ));
+        out.push_str(&format!("blessed {} scenario line(s) into {path}\n", lines.len()));
     } else if let Some(path) = golden {
         expect_golden(path, &body, &format!("commcheck summary differs from {path}"), "check")?;
-        out.push_str(&format!(
-            "all {} scenario line(s) match {path}\n",
-            lines.len()
-        ));
+        out.push_str(&format!("all {} scenario line(s) match {path}\n", lines.len()));
     }
     out.push_str(
         "commcheck: 0 races, 0 deadlock cycles, 0 clock violations across all scenarios\n",
