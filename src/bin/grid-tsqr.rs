@@ -1,36 +1,9 @@
 //! `grid-tsqr` — command-line front end for the simulated grid.
 //!
-//! ```text
-//! grid-tsqr info
-//! grid-tsqr tsqr      --m 1048576 --n 64  [--sites 4] [--domains 64]
-//!                     [--tree grid|binary|flat|kary:<k>|binomial|greedy]
-//!                     [--real] [--q]
-//! grid-tsqr scalapack --m 1048576 --n 64  [--sites 4] [--real] [--blocked]
-//! grid-tsqr compare   --m 1048576 --n 64  [--sites 4]
-//! grid-tsqr tune      --m 1048576 --n 64  [--sites 4] [--domains 64]
-//! grid-tsqr trace     --m 1048576 --n 64  [--sites 4]
-//!                     [--algo tsqr|scalapack|scalapack-blocked]
-//!                     [--out trace.json] [--folded-out profile.folded] [--timeline]
-//! grid-tsqr analyze   --m 1048576 --n 64  [--sites 4]
-//!                     [--algo tsqr|scalapack|scalapack-blocked] [--bins 64]
-//! grid-tsqr faults    --m 262144 --n 64   [--sites 4] [--crash R@MS ...]
-//!                     [--drop SRC:DST:NTH ...] [--drop-prob SRC:DST:P ...]
-//!                     [--wan-slow FROM_MS:UNTIL_MS:LATx:BWx] [--fault-seed 1]
-//!                     [--baseline]
-//! grid-tsqr serve     [--policy fifo|sjf|edf|fair|all] [--load 0.8] [--requests 200]
-//!                     [--seed 42] [--batch] [--queue 64] [--shape MENU_IX]
-//!                     [--sweep L1,L2,...] [--trace-out dispositions.jsonl]
-//!                     [--crash SITE@MS ...] [--wan-slow FROM_MS:UNTIL_MS:LATx:BWx]
-//!                     [--drop-flow A:B:NTH ...] [--drop-prob A:B:P ...]
-//!                     [--fault-seed 1] [--retry 3] [--backoff 50]
-//!                     [--no-checkpoint] [--brownout ENTER:EXIT]
-//! grid-tsqr check     [--m 65536 --n 32] [--sites 4] [--golden COMMCHECK_baseline.txt]
-//!                     [--bless]
-//! grid-tsqr report    [--ledger ledger/runs.jsonl] [--threshold 0.05] [--top 10]
-//!                     [--check] [--golden REPORT_baseline.md] [--bless] [--out report.md]
-//! grid-tsqr figure    [--id fig5 ...] [--all] [--trace-out fig5.json]
-//! grid-tsqr bench-check --baseline BENCH_baseline.json [--out BENCH_results.json] [--bless]
-//! ```
+//! Every subcommand declares its flags once, as a row of `COMMANDS`: the
+//! command line is checked against that table before anything runs, and
+//! `usage()` renders the synopses from it (`grid-tsqr` with no arguments
+//! prints them all).
 //!
 //! `figure` regenerates the paper's artifacts from the registry in
 //! `tsqr_bench` (every table, figure, property and ablation is one row):
@@ -108,8 +81,6 @@
 
 #![forbid(unsafe_code)]
 
-use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 use grid_tsqr::core::domains::DomainLayout;
@@ -144,91 +115,264 @@ use tsqr_bench::{
     serve_record, Figure,
 };
 
+/// How a flag is given: `--name` alone, `--name <value>` at most once, or
+/// `--name <value>` any number of times, the values kept in order.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Kind {
+    Switch,
+    Value,
+    Repeat,
+}
+
+/// One row of a subcommand's flag table: `--name`, how it is given, and
+/// what `usage()` prints for its value.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    meta: &'static str,
+}
+
+const fn switch(name: &'static str) -> Flag {
+    Flag { name, kind: Kind::Switch, meta: "" }
+}
+
+const fn value(name: &'static str, meta: &'static str) -> Flag {
+    Flag { name, kind: Kind::Value, meta }
+}
+
+const fn repeat(name: &'static str, meta: &'static str) -> Flag {
+    Flag { name, kind: Kind::Repeat, meta }
+}
+
+/// A subcommand: its name, the line `usage()` prints under its synopsis,
+/// and the flags it uses, as shared groups composed in usage order.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    flags: &'static [&'static [Flag]],
+}
+
+impl Command {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().flat_map(|group| group.iter())
+    }
+}
+
+/// The problem `Ctx::parse` reads; the seed only where a run makes numbers.
+const PROBLEM: &[Flag] = &[value("m", "<rows>"), value("n", "<cols>"), value("sites", "1..4")];
+const SEED: &[Flag] = &[value("seed", "<u64>")];
+const DOMAINS: Flag = value("domains", "<d/cluster>");
+const TREE: Flag = value("tree", "flat|binary|grid|kary:<k>|binomial|greedy");
+const REAL: Flag = switch("real");
+/// The point `traced_run` runs.
+const TRACED: &[Flag] = &[value("algo", "tsqr|scalapack|scalapack-blocked"), DOMAINS, TREE, REAL];
+/// The fault grammar of `fault_schedule`, on ranks and on sites.
+const RANK_FAULTS: &[Flag] =
+    &[repeat("crash", "RANK@MS"), repeat("drop", "SRC:DST:NTH"), repeat("drop-prob", "SRC:DST:P")];
+const SITE_FAULTS: &[Flag] =
+    &[repeat("crash", "SITE@MS"), repeat("drop-flow", "A:B:NTH"), repeat("drop-prob", "A:B:P")];
+const WAN_FAULTS: &[Flag] =
+    &[value("wan-slow", "FROM_MS:UNTIL_MS:LATx:BWx"), value("fault-seed", "<u64>")];
+
+/// Every subcommand and every flag it takes: the only list of them.
+const COMMANDS: &[Command] = &[
+    Command { name: "info", about: "the Grid'5000 resource catalog (paper §V-A)", flags: &[] },
+    Command {
+        name: "tsqr",
+        about: "one TSQR run, symbolic by default; --real moves matrices and checks R",
+        flags: &[PROBLEM, SEED, &[DOMAINS, TREE, REAL, switch("q")]],
+    },
+    Command {
+        name: "scalapack",
+        about: "the PDGEQR2 baseline; --blocked runs PDGEQRF",
+        flags: &[PROBLEM, SEED, &[REAL, switch("blocked")]],
+    },
+    Command { name: "compare", about: "TSQR against ScaLAPACK on one point", flags: &[PROBLEM] },
+    Command {
+        name: "tune",
+        about: "every candidate tree predicted, the winner replayed (docs/tuning.md)",
+        flags: &[PROBLEM, &[DOMAINS]],
+    },
+    Command {
+        name: "trace",
+        about: "critical path and Eq. (1) ledger of one run; --out writes Chrome JSON",
+        flags: &[
+            PROBLEM,
+            SEED,
+            TRACED,
+            &[value("out", "<file.json>"), value("folded-out", "<file>"), switch("timeline")],
+        ],
+    },
+    Command {
+        name: "analyze",
+        about: "wait states, link utilization, comm matrix and Eq. (1) fit of one run",
+        flags: &[PROBLEM, SEED, TRACED, &[value("bins", "<timeline bins>")]],
+    },
+    Command {
+        name: "faults",
+        about: "self-healing TSQR under injected faults (docs/fault-injection.md)",
+        flags: &[PROBLEM, SEED, RANK_FAULTS, WAN_FAULTS, &[switch("baseline")]],
+    },
+    Command {
+        name: "serve",
+        about: "a seeded multi-tenant request stream over one grid (docs/serving.md)",
+        flags: &[
+            &[
+                value("policy", "fifo|sjf|edf|fair|all"),
+                value("load", "<x>"),
+                value("requests", "<k>"),
+                value("seed", "<u64>"),
+                switch("batch"),
+                value("queue", "<cap>"),
+                value("shape", "<menu ix>"),
+                value("sweep", "<l1,l2,...>"),
+                value("trace-out", "<file.jsonl>"),
+            ],
+            SITE_FAULTS,
+            WAN_FAULTS,
+            &[
+                value("retry", "<n>"),
+                value("backoff", "<ms>"),
+                switch("no-checkpoint"),
+                value("brownout", "ENTER:EXIT"),
+            ],
+        ],
+    },
+    Command {
+        name: "check",
+        about: "the commcheck happens-before gate (docs/static-analysis.md)",
+        flags: &[PROBLEM, SEED, &[value("golden", "<baseline.txt>"), switch("bless")]],
+    },
+    Command {
+        name: "report",
+        about: "trend/anomaly dashboard over the ledger (docs/observability.md §9)",
+        flags: &[&[
+            value("ledger", "<runs.jsonl>"),
+            value("threshold", "<frac>"),
+            value("top", "<k>"),
+            switch("check"),
+            value("golden", "<baseline.md>"),
+            switch("bless"),
+            value("out", "<file.md>"),
+        ]],
+    },
+    Command {
+        name: "figure",
+        about: "the paper's artifacts and their [PASS]/[FAIL] checks; no flag lists them",
+        flags: &[&[repeat("id", "<artifact>"), switch("all"), value("trace-out", "<file.json>")]],
+    },
+    Command {
+        name: "bench-check",
+        about: "every gate point measured against the --baseline it needs; exit 1 on drift",
+        flags: &[&[
+            value("baseline", "<records.json>"),
+            value("out", "<records.json>"),
+            switch("bless"),
+        ]],
+    },
+];
+
+/// The synopses of `cmds`, rendered from their flag tables and wrapped at
+/// 80 columns, each followed by its `about` line.
+fn usage(cmds: &[Command]) -> String {
+    let mut out = String::from(
+        "grid-tsqr: TSQR / ScaLAPACK QR on a simulated computational grid\n\nUSAGE:\n",
+    );
+    let width = COMMANDS.iter().map(|c| c.name.len()).max().unwrap_or(0);
+    for cmd in cmds {
+        let head = format!("  grid-tsqr {:<width$}", cmd.name);
+        let mut line = head.clone();
+        for flag in cmd.flags() {
+            let word = match flag.kind {
+                Kind::Switch => format!("[--{}]", flag.name),
+                Kind::Value => format!("[--{} {}]", flag.name, flag.meta),
+                Kind::Repeat => format!("[--{} {} ...]", flag.name, flag.meta),
+            };
+            if line.len() + 1 + word.len() > 80 && line.len() > head.len() {
+                out.push_str(&format!("{line}\n"));
+                line = " ".repeat(head.len());
+            }
+            line.push_str(&format!(" {word}"));
+        }
+        out.push_str(&format!("{}\n      {}\n", line.trim_end(), cmd.about));
+    }
+    out
+}
+
+/// A command line checked against one subcommand's flag table.
 struct Args {
-    flags: Vec<(String, Option<String>)>,
-    /// Every name a subcommand asked about, so that what it never asked
-    /// about can be refused instead of silently ignored.
-    asked: RefCell<BTreeSet<String>>,
+    cmd: &'static Command,
+    /// Each flag given, with its value (`None` for a switch), in order.
+    given: Vec<(&'static str, Option<String>)>,
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Result<Self, String> {
-        let mut flags = Vec::new();
+    /// Checks `raw` against `cmd`'s table, before anything runs. A token
+    /// after a flag is that flag's value unless it starts with `--`. The
+    /// first malformed token from the left is named: a positional argument,
+    /// a switch with a value, a valued flag with none, a single flag given
+    /// twice. With none of those, every flag the table does not list is
+    /// named, in the order given.
+    fn parse(cmd: &'static Command, raw: &[String]) -> Result<Self, String> {
+        let (mut given, mut strays) = (Vec::new(), Vec::new());
         let mut it = raw.iter().peekable();
         while let Some(a) = it.next() {
-            let Some(name) = a.strip_prefix("--") else {
-                return Err(format!("unexpected argument {a:?}"));
+            let name = a.strip_prefix("--").ok_or_else(|| format!("unexpected argument {a:?}"))?;
+            let value = it.next_if(|v| !v.starts_with("--")).cloned();
+            let Some(flag) = cmd.flags().find(|f| f.name == name) else {
+                strays.push(a.as_str());
+                continue;
             };
-            let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => Some(it.next().unwrap().clone()),
-                _ => None,
+            let fault = match (flag.kind, &value) {
+                (Kind::Switch, Some(_)) => Some("takes no value"),
+                (Kind::Value | Kind::Repeat, None) => Some("needs a value"),
+                (Kind::Repeat, _) => None,
+                _ => given.iter().any(|(n, _)| *n == flag.name).then_some("given twice"),
             };
-            flags.push((name.to_string(), value));
+            if let Some(fault) = fault {
+                return Err(format!("--{name} {fault}"));
+            }
+            given.push((flag.name, value));
         }
-        Ok(Args { flags, asked: RefCell::default() })
-    }
-
-    /// Fails when a flag was given that `cmd` never looked at: a mistyped
-    /// flag must not quietly measure the defaults.
-    fn reject_unread(&self, cmd: &str) -> Result<(), String> {
-        let asked = self.asked.borrow();
-        let stray: Vec<String> = self
-            .flags
-            .iter()
-            .filter(|(n, _)| !asked.contains(n))
-            .map(|(n, _)| format!("--{n}"))
-            .collect();
-        if stray.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("unknown flag for `{cmd}`: {}", stray.join(" ")))
+        if !strays.is_empty() {
+            return Err(format!("unknown flag for `{}`: {}", cmd.name, strays.join(" ")));
         }
+        Ok(Args { cmd, given })
     }
 
-    fn note(&self, name: &str) {
-        self.asked.borrow_mut().insert(name.to_string());
-    }
-
-    /// What followed each `--name` on the command line, in order. Every
-    /// accessor below reads a flag through here and refuses one given in a
-    /// form it would not read, for the same reason strays are refused.
-    fn given(&self, name: &str) -> Vec<Option<&str>> {
-        self.note(name);
-        self.flags.iter().filter(|(n, _)| n == name).map(|(_, v)| v.as_deref()).collect()
-    }
-
-    /// The value of a flag that is read once.
-    fn get(&self, name: &str) -> Result<Option<&str>, String> {
-        match self.given(name)[..] {
-            [] => Ok(None),
-            [None] => Err(format!("--{name} needs a value")),
-            [value] => Ok(value),
-            _ => Err(format!("--{name} given twice")),
-        }
+    /// What was given for `name`, which the table must declare as `kind`:
+    /// any other read is a bug in the subcommand.
+    fn given(&self, name: &str, kind: Kind) -> impl Iterator<Item = Option<&str>> {
+        let cmd = self.cmd.name;
+        let Some(flag) = self.cmd.flags().find(|f| f.name == name && f.kind == kind) else {
+            panic!("`{cmd}` reads --{name} as {kind:?}, which its flag table does not declare")
+        };
+        self.given.iter().filter(move |(n, _)| *n == flag.name).map(|(_, v)| v.as_deref())
     }
 
     /// Whether a switch is present.
-    fn has(&self, name: &str) -> Result<bool, String> {
-        let given = self.given(name);
-        if given.iter().any(Option::is_some) {
-            return Err(format!("--{name} takes no value"));
-        }
-        Ok(!given.is_empty())
+    fn has(&self, name: &str) -> bool {
+        self.given(name, Kind::Switch).next().is_some()
+    }
+
+    /// The value of a single flag.
+    fn get(&self, name: &str) -> Option<&str> {
+        self.given(name, Kind::Value).next().flatten()
     }
 
     /// Every value given for a repeatable flag, in order.
-    fn all(&self, name: &str) -> Result<Vec<&str>, String> {
-        self.given(name)
-            .into_iter()
-            .map(|value| value.ok_or_else(|| format!("--{name} needs a value")))
-            .collect()
+    fn all(&self, name: &str) -> Vec<&str> {
+        self.given(name, Kind::Repeat).flatten().collect()
+    }
+
+    /// The parsed value of a single flag, if given.
+    fn opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let parse = |v: &str| v.parse().map_err(|_| format!("--{name}: cannot parse {v:?}"));
+        self.get(name).map(parse).transpose()
     }
 
     fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name)? {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{name}: cannot parse {v:?}")),
-        }
+        Ok(self.opt(name)?.unwrap_or(default))
     }
 }
 
@@ -292,79 +436,6 @@ fn parse_shape(s: &str) -> Result<TreeShape, String> {
     }
 }
 
-fn usage() -> ExitCode {
-    eprint!(
-        "grid-tsqr: TSQR / ScaLAPACK QR on a simulated computational grid\n\
-         \n\
-         USAGE:\n\
-         \x20 grid-tsqr info\n\
-         \x20 grid-tsqr tsqr      --m <rows> --n <cols> [--sites 1..4] [--domains <d/cluster>]\n\
-         \x20                     [--tree <shape>] [--real] [--q] [--seed <u64>]\n\
-         \x20 grid-tsqr scalapack --m <rows> --n <cols> [--sites 1..4] [--real] [--blocked]\n\
-         \x20 grid-tsqr compare   --m <rows> --n <cols> [--sites 1..4]\n\
-         \x20 grid-tsqr tune      --m <rows> --n <cols> [--sites 1..4] [--domains <d/cluster>]\n\
-         \x20 grid-tsqr trace     --m <rows> --n <cols> [--sites 1..4]\n\
-         \x20                     [--algo tsqr|scalapack|scalapack-blocked]\n\
-         \x20                     [--domains <d>] [--tree <shape>] [--real]\n\
-         \x20                     [--out <file.json>] [--folded-out <file>] [--timeline]\n\
-         \x20 grid-tsqr analyze   --m <rows> --n <cols> [--sites 1..4]\n\
-         \x20                     [--algo tsqr|scalapack|scalapack-blocked]\n\
-         \x20                     [--domains <d>] [--tree <shape>] [--bins <timeline bins>]\n\
-         \x20 grid-tsqr faults    --m <rows> --n <cols> [--sites 1..4] [--fault-seed <u64>]\n\
-         \x20                     [--crash RANK@MS ...] [--drop SRC:DST:NTH ...]\n\
-         \x20                     [--drop-prob SRC:DST:P ...] [--wan-slow FROM_MS:UNTIL_MS:LATx:BWx]\n\
-         \x20                     [--baseline]\n\
-         \x20 grid-tsqr serve     [--policy fifo|sjf|edf|fair|all] [--load <x>] [--requests <k>]\n\
-         \x20                     [--seed <u64>] [--batch] [--queue <cap>] [--shape <menu ix>]\n\
-         \x20                     [--sweep <l1,l2,...>] [--trace-out <file.jsonl>]\n\
-         \x20                     [--crash SITE@MS ...] [--wan-slow FROM_MS:UNTIL_MS:LATx:BWx]\n\
-         \x20                     [--drop-flow A:B:NTH ...] [--drop-prob A:B:P ...]\n\
-         \x20                     [--fault-seed <u64>] [--retry <n>] [--backoff <ms>]\n\
-         \x20                     [--no-checkpoint] [--brownout ENTER:EXIT]\n\
-         \x20 grid-tsqr check     [--m <rows> --n <cols>] [--sites 1..4] [--golden <baseline.txt>]\n\
-         \x20                     [--bless]\n\
-         \x20 grid-tsqr report    [--ledger <runs.jsonl>] [--threshold <frac>] [--top <k>]\n\
-         \x20                     [--check] [--golden <baseline.md>] [--bless] [--out <file.md>]\n\
-         \x20 grid-tsqr figure    [--id <artifact> ...] [--all] [--trace-out <file.json>]\n\
-         \x20 grid-tsqr bench-check --baseline <records.json> [--out <records.json>] [--bless]\n\
-         \n\
-         Tree shapes: flat | binary | grid | kary:<k> | binomial | greedy\n\
-         (kary:1 is a chain; see docs/tuning.md for the closed forms).\n\
-         faults runs the self-healing TSQR with real numerics under an injected\n\
-         failure schedule and checks the recovered R against the failure-free\n\
-         run bit for bit; --baseline shows the plain program's typed failure.\n\
-         See docs/fault-injection.md.\n\
-         Symbolic runs (default) execute the full distributed schedule with\n\
-         model-priced virtual time; --real moves actual matrices and checks R.\n\
-         tune searches every candidate tree shape with the analytic makespan\n\
-         predictor (docs/tuning.md), prints the table, and cross-checks the\n\
-         winner against a netsim replay to 1e-9.\n\
-         trace prints the critical path and per-phase Eq. (1) ledger of one\n\
-         run; --out writes Chrome-trace JSON for ui.perfetto.dev.\n\
-         analyze prints the wait-state breakdown, link utilization, the\n\
-         communication matrix and the Eq. (1) model fit of one run.\n\
-         check runs every figure scenario and the fault matrix under the\n\
-         happens-before analyzer (races, deadlock cycles, clock violations)\n\
-         and the DPOR-lite schedule explorer (8-rank determinism proof);\n\
-         --golden compares one structural line per scenario against the\n\
-         blessed baseline, --bless regenerates it. See docs/static-analysis.md.\n\
-         report renders the trend/anomaly dashboard over the experiment\n\
-         ledger (append with GRID_TSQR_LEDGER=<file>); --check exits nonzero\n\
-         on per-phase model residuals exceeding the scenario reference by\n\
-         more than --threshold. See docs/observability.md #9.\n\
-         serve multiplexes a seeded multi-tenant request stream over one\n\
-         grid: bounded-queue admission, fifo/sjf/edf/fair dispatch, slot\n\
-         leasing, shared-WAN contention, optional same-shape batching.\n\
-         See docs/serving.md.\n\
-         figure regenerates the paper's tables, figures and ablations with\n\
-         their [PASS]/[FAIL] shape checks (exit 1 on a [FAIL]); no flag lists\n\
-         the artifacts; --trace-out dumps the headline trace of one of\n\
-         fig4..fig8. bench-check measures every gate point against the\n\
-         committed baseline (exit 1 on drift); see scripts/bench_check.sh.\n"
-    );
-    ExitCode::from(2)
-}
-
 /// The index space a failure schedule's crashes and drops address: the
 /// ranks of one `gridmpi` run (`faults`) or the sites of the serving
 /// catalog (`serve`), with how many of them there are.
@@ -399,13 +470,17 @@ fn fault_schedule(args: &Args, axis: FaultAxis) -> Result<FailureSchedule, Strin
         }
     };
     // `A:B:X`: two checked endpoints plus a payload the flag parses. Ranks
-    // name a directed pair, sites an undirected flow stored low:high.
+    // name a directed pair, sites an undirected flow stored low:high. No
+    // message travels from a rank to itself, nor a drain within one site.
     let pair = |flag: &str, spec: &str| -> Result<(usize, usize, String), String> {
         let parts: Vec<&str> = spec.split(':').collect();
         let [a, b, x] = parts[..] else {
             return Err(format!("--{flag} wants A:B:X, got {spec:?}"));
         };
         let (a, b) = (index(flag, a)?, index(flag, b)?);
+        if a == b {
+            return Err(format!("--{flag} {spec}: no message travels from {unit} {a} to itself"));
+        }
         Ok(match axis {
             FaultAxis::Ranks(_) => (a, b, x.to_string()),
             FaultAxis::Sites(_) => (a.min(b), a.max(b), x.to_string()),
@@ -413,7 +488,7 @@ fn fault_schedule(args: &Args, axis: FaultAxis) -> Result<FailureSchedule, Strin
     };
 
     let mut schedule = FailureSchedule::new(args.num("fault-seed", 1u64)?);
-    for spec in args.all("crash")? {
+    for spec in args.all("crash") {
         let (x, ms) = spec
             .split_once('@')
             .ok_or_else(|| format!("--crash wants {}@MS, got {spec:?}", unit.to_uppercase()))?;
@@ -430,19 +505,19 @@ fn fault_schedule(args: &Args, axis: FaultAxis) -> Result<FailureSchedule, Strin
             FaultAxis::Sites(_) => schedule.crash_site(x, at),
         };
     }
-    for spec in args.all(drop_flag)? {
+    for spec in args.all(drop_flag) {
         let (a, b, nth) = pair(drop_flag, spec)?;
         let nth: u64 = nth.parse().map_err(|_| format!("--{drop_flag}: bad nth {nth:?}"))?;
         schedule = schedule.drop_nth_message(a, b, nth);
     }
-    for spec in args.all("drop-prob")? {
+    for spec in args.all("drop-prob") {
         let (a, b, p) = pair("drop-prob", spec)?;
         schedule = match p.parse::<f64>() {
             Ok(p) if (0.0..=1.0).contains(&p) => schedule.drop_probability(a, b, p),
             _ => return Err(format!("--drop-prob: bad p {p:?} (want a probability in [0, 1])")),
         };
     }
-    if let Some(spec) = args.get("wan-slow")? {
+    if let Some(spec) = args.get("wan-slow") {
         let parts: Vec<&str> = spec.split(':').collect();
         let [from, until, lat, bw] = parts[..] else {
             return Err(format!("--wan-slow wants FROM_MS:UNTIL_MS:LATx:BWx, got {spec:?}"));
@@ -492,11 +567,13 @@ impl Ctx {
         if !(1..=4).contains(&sites) {
             return Err("--sites must be 1..=4".into());
         }
+        // `compare` and `tune` run symbolically only: they take no seed.
+        let seeded = args.cmd.flags().any(|f| f.name == "seed");
         Ok(Ctx {
             m,
             n,
             sites,
-            seed: args.num("seed", 42u64)?,
+            seed: if seeded { args.num("seed", 42)? } else { 42 },
             rate: Some(calib::kernel_rate_flops(n)),
             combine: Some(calib::combine_rate_flops()),
         })
@@ -546,8 +623,12 @@ impl Ctx {
         run_point(rt, self.m, self.n, algo, with_q, mode)
     }
 
-    fn mode(&self, args: &Args) -> Result<Mode, String> {
-        Ok(if args.has("real")? { Mode::Real { seed: self.seed } } else { Mode::Symbolic })
+    fn mode(&self, args: &Args) -> Mode {
+        if args.has("real") {
+            Mode::Real { seed: self.seed }
+        } else {
+            Mode::Symbolic
+        }
     }
 
     /// The plain TSQR on the seeded workload, one domain per process
@@ -628,19 +709,15 @@ fn describe(label: &str, res: &ExperimentResult) -> String {
     )
 }
 
-/// Runs the command line. `Err` is a refusal (message, usage, exit 2);
-/// `Ok` carries the exit code of a command that ran, which only the two
-/// gates (`figure`, `bench-check`) ever make nonzero.
-fn run() -> Result<ExitCode, String> {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = raw.split_first() else {
-        return Err("missing command".into());
-    };
-    let args = Args::parse(rest)?;
+/// Runs `cmd` on the rest of the command line, which its flag table has
+/// checked first. `Err` is a refusal (message, usage, exit 2); `Ok` carries
+/// the exit code of a command that ran, which only the two gates
+/// (`figure`, `bench-check`) ever make nonzero.
+fn run(cmd: &'static Command, raw: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(cmd, raw)?;
     let ctx = |default_m, default_n| Ctx::parse(&args, default_m, default_n);
-    let out = match cmd.as_str() {
-        // The gates print as they go, so they refuse stray flags themselves,
-        // before the first point runs.
+    let out = match cmd.name {
+        // The gates print as they go.
         "figure" => return cmd_figure(&args),
         "bench-check" => return cmd_bench_check(&args),
         "info" => cmd_info(),
@@ -656,9 +733,8 @@ fn run() -> Result<ExitCode, String> {
         // Sizes default *small* (the golden file is blessed at exactly
         // these defaults): the analyzer checks structure, not speed.
         "check" => cmd_check(&args, &ctx(1 << 16, 32)?)?,
-        other => return Err(format!("unknown command {other:?}")),
+        other => unreachable!("`{other}` has a flag table but no body"),
     };
-    args.reject_unread(cmd)?;
     print!("{out}");
     Ok(ExitCode::SUCCESS)
 }
@@ -670,10 +746,9 @@ fn run() -> Result<ExitCode, String> {
 /// serves the whole invocation, so a point two figures share is run once.
 fn cmd_figure(args: &Args) -> Result<ExitCode, String> {
     let registry = figures();
-    let ids = args.all("id")?;
-    let all = args.has("all")?;
-    let trace_out = args.get("trace-out")?.map(std::path::Path::new);
-    args.reject_unread("figure")?;
+    let ids = args.all("id");
+    let all = args.has("all");
+    let trace_out = args.get("trace-out").map(std::path::Path::new);
     if all && !ids.is_empty() {
         return Err("--all already names every --id".into());
     }
@@ -722,10 +797,9 @@ const BENCH_REL_TOL: f64 = 1e-9;
 /// to the experiment ledger named by `GRID_TSQR_LEDGER` with source
 /// `bench_check`.
 fn cmd_bench_check(args: &Args) -> Result<ExitCode, String> {
-    let baseline = args.get("baseline")?.ok_or("bench-check needs --baseline <file>")?;
-    let out = args.get("out")?;
-    let bless = args.has("bless")?;
-    args.reject_unread("bench-check")?;
+    let baseline = args.get("baseline").ok_or("bench-check needs --baseline <file>")?;
+    let out = args.get("out");
+    let bless = args.has("bless");
 
     eprintln!("# measuring {} gate points (deterministic simulation)...", gate_points().len());
     let measured = measure_gate(|e| {
@@ -791,7 +865,7 @@ fn cmd_info() -> String {
 /// (docs/observability.md §9). Pure post-processing: no simulation runs,
 /// so it stays fast enough for CI.
 fn cmd_report(args: &Args) -> Result<String, String> {
-    let ledger_path = args.get("ledger")?.unwrap_or("ledger/runs.jsonl");
+    let ledger_path = args.get("ledger").unwrap_or("ledger/runs.jsonl");
     let threshold: f64 = args.num("threshold", 0.05f64)?;
     if !threshold.is_finite() || threshold < 0.0 {
         return Err("--threshold must be a non-negative fraction (e.g. 0.05)".into());
@@ -807,22 +881,22 @@ fn cmd_report(args: &Args) -> Result<String, String> {
     }
     let rendered = render_report(&entries, &opts);
     let mut out = String::new();
-    if let Some(path) = args.get("out")? {
+    if let Some(path) = args.get("out") {
         write_file(path, &rendered)?;
         out.push_str(&format!("report over {} entries written to {path}\n", entries.len()));
-    } else if !args.has("check")? && args.get("golden")?.is_none() && !args.has("bless")? {
+    } else if !args.has("check") && args.get("golden").is_none() && !args.has("bless") {
         // Plain `grid-tsqr report` prints the dashboard itself; the
         // gating modes print one status line each instead.
         out.push_str(&rendered);
     }
-    if args.has("bless")? {
-        let path = args.get("golden")?.unwrap_or("REPORT_baseline.md");
+    if args.has("bless") {
+        let path = args.get("golden").unwrap_or("REPORT_baseline.md");
         write_file(path, &rendered)?;
         out.push_str(&format!(
             "blessed report over {} ledger entries into {path}\n",
             entries.len()
         ));
-    } else if let Some(path) = args.get("golden")? {
+    } else if let Some(path) = args.get("golden") {
         let want =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
         let k = golden_entry_count(&want).ok_or_else(|| {
@@ -842,7 +916,7 @@ fn cmd_report(args: &Args) -> Result<String, String> {
             entries.len()
         ));
     }
-    if args.has("check")? {
+    if args.has("check") {
         let anomalies = detect_anomalies(&entries, &opts);
         if !anomalies.is_empty() {
             let mut msg = format!(
@@ -880,22 +954,20 @@ fn serve_config(
     if requests == 0 {
         return Err("--requests must be at least 1".into());
     }
-    let single_shape: Option<usize> = match args.get("shape")? {
-        None => None,
-        Some(v) => {
-            let i: usize = v.parse().map_err(|_| format!("--shape: cannot parse {v:?}"))?;
-            if i >= menu().len() {
-                return Err(format!("--shape {i}: the menu has {} shapes", menu().len()));
-            }
-            Some(i)
-        }
-    };
-    let policy_arg = args.get("policy")?.unwrap_or("fifo");
+    let single_shape: Option<usize> = args.opt("shape")?;
+    if let Some(i) = single_shape.filter(|&i| i >= menu().len()) {
+        return Err(format!("--shape {i}: the menu has {} shapes", menu().len()));
+    }
+    let policy_arg = args.get("policy").unwrap_or("fifo");
     let policies: Vec<ServePolicy> = if policy_arg == "all" {
         ServePolicy::all().to_vec()
     } else {
         vec![ServePolicy::parse(policy_arg)?]
     };
+    let queue_capacity: usize = args.num("queue", 64usize)?;
+    if queue_capacity == 0 {
+        return Err("--queue must hold at least one request".into());
+    }
     let max_attempts: usize = args.num("retry", 3usize)?;
     if max_attempts == 0 {
         return Err("--retry must allow at least one attempt".into());
@@ -904,7 +976,7 @@ fn serve_config(
     if !backoff_ms.is_finite() || backoff_ms < 0.0 {
         return Err("--backoff must be a non-negative duration in ms".into());
     }
-    let brownout = match args.get("brownout")? {
+    let brownout = match args.get("brownout") {
         None => BrownoutConfig::default(),
         Some(spec) => {
             let (enter, exit) = spec
@@ -924,14 +996,14 @@ fn serve_config(
         load,
         requests,
         seed: args.num("seed", 42u64)?,
-        batch: args.has("batch")?,
-        queue_capacity: args.num("queue", 64usize)?,
+        batch: args.has("batch"),
+        queue_capacity,
         single_shape,
         faults: fault_schedule(args, FaultAxis::Sites(catalog.clusters.len()))?,
         retry: RetryPolicy {
             max_attempts,
             backoff_base_s: backoff_ms * 1e-3,
-            checkpoint_drain: !args.has("no-checkpoint")?,
+            checkpoint_drain: !args.has("no-checkpoint"),
         },
         brownout,
         ..Default::default()
@@ -1025,13 +1097,8 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     let catalog = ResourceCatalog::grid5000();
     let (base, policies) = serve_config(args, &catalog)?;
     let faulty = !base.faults.is_empty();
-    // Every flag has been looked at by here; refuse strays before the
-    // simulation rather than after it.
-    let (sweep, trace_out) = (args.get("sweep")?, args.get("trace-out")?);
-    args.reject_unread("serve")?;
-
     let mut out = String::new();
-    if let Some(sweep) = sweep {
+    if let Some(sweep) = args.get("sweep") {
         // Latency/throughput knee: one row per load, first policy only.
         let mut rows = Vec::new();
         for tok in sweep.split(',') {
@@ -1070,7 +1137,7 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
             out.push_str("\nlink-class busy timeline:\n");
             out.push_str(&grid_tsqr::serve::timeline(&outcome, 48).render());
         }
-        if let Some(path) = trace_out {
+        if let Some(path) = args.get("trace-out") {
             let suffixed = if policies.len() == 1 {
                 path.to_string()
             } else {
@@ -1108,21 +1175,21 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
 
 fn cmd_tsqr(args: &Args, ctx: &Ctx) -> Result<String, String> {
     let domains: usize = args.num("domains", 64usize)?;
-    let shape = parse_shape(args.get("tree")?.unwrap_or("grid"))?;
-    let with_q = args.has("q")?;
+    let shape = parse_shape(args.get("tree").unwrap_or("grid"))?;
+    let with_q = args.has("q");
     let rt = ctx.runtime(false, None);
     ctx.check_geometry(&rt, Some((domains, with_q)))?;
     let algorithm = Algorithm::Tsqr { shape, domains_per_cluster: domains };
-    let res = ctx.run(&rt, algorithm, with_q, ctx.mode(args)?);
+    let res = ctx.run(&rt, algorithm, with_q, ctx.mode(args));
     Ok(describe("TSQR", &res) + &ctx.verify(&res)?)
 }
 
 fn cmd_scalapack(args: &Args, ctx: &Ctx) -> Result<String, String> {
     let algorithm =
-        if args.has("blocked")? { Algorithm::ScalapackQrf } else { Algorithm::ScalapackQr2 };
+        if args.has("blocked") { Algorithm::ScalapackQrf } else { Algorithm::ScalapackQr2 };
     let rt = ctx.runtime(false, None);
     ctx.check_geometry(&rt, None)?;
-    let res = ctx.run(&rt, algorithm, false, ctx.mode(args)?);
+    let res = ctx.run(&rt, algorithm, false, ctx.mode(args));
     Ok(describe("ScaLAPACK", &res) + &ctx.verify(&res)?)
 }
 
@@ -1143,8 +1210,8 @@ fn cmd_compare(ctx: &Ctx) -> Result<String, String> {
 /// makespan.
 fn traced_run(args: &Args, ctx: &Ctx) -> Result<(Runtime, ExperimentResult, CriticalPath), String> {
     let domains: usize = args.num("domains", 64usize)?;
-    let shape = parse_shape(args.get("tree")?.unwrap_or("grid"))?;
-    let algorithm = match args.get("algo")?.unwrap_or("tsqr") {
+    let shape = parse_shape(args.get("tree").unwrap_or("grid"))?;
+    let algorithm = match args.get("algo").unwrap_or("tsqr") {
         "tsqr" => Algorithm::Tsqr { shape, domains_per_cluster: domains },
         "scalapack" => Algorithm::ScalapackQr2,
         "scalapack-blocked" => Algorithm::ScalapackQrf,
@@ -1153,7 +1220,7 @@ fn traced_run(args: &Args, ctx: &Ctx) -> Result<(Runtime, ExperimentResult, Crit
     let rt = ctx.runtime(true, None);
     let is_tsqr = matches!(algorithm, Algorithm::Tsqr { .. });
     ctx.check_geometry(&rt, is_tsqr.then_some((domains, false)))?;
-    let res = ctx.run(&rt, algorithm, false, ctx.mode(args)?);
+    let res = ctx.run(&rt, algorithm, false, ctx.mode(args));
     let cp = res.trace.as_ref().expect("tracing was enabled").critical_path();
     cp.check_tiling(res.makespan)?;
     Ok((rt, res, cp))
@@ -1211,17 +1278,17 @@ fn cmd_trace(args: &Args, ctx: &Ctx) -> Result<String, String> {
     }
     out.push('\n');
     out.push_str(&res.aggregate_metrics().render());
-    if args.has("timeline")? {
+    if args.has("timeline") {
         out.push_str("\ntimeline:\n");
         out.push_str(&trace.render());
     }
-    if let Some(path) = args.get("out")? {
+    if let Some(path) = args.get("out") {
         write_file(path, trace.chrome_json())?;
         out.push_str(&format!(
             "\nChrome trace written to {path} (load in ui.perfetto.dev or chrome://tracing)\n"
         ));
     }
-    if let Some(path) = args.get("folded-out")? {
+    if let Some(path) = args.get("folded-out") {
         let profile = FoldedProfile::from_trace(trace, rt.topology().num_procs());
         let tile_err = profile.check_tiling()?;
         write_file(path, profile.render_folded())?;
@@ -1280,7 +1347,7 @@ fn cmd_faults(args: &Args, ctx: &Ctx) -> Result<String, String> {
     out.push_str("  recovered R is bitwise identical to the failure-free R\n");
 
     // Optionally show how the plain program fares (typed, no panic).
-    if args.has("baseline")? {
+    if args.has("baseline") {
         let brt = ctx.runtime(false, Some(schedule));
         let base = ctx.run_tsqr(&brt, &plan);
         let bo = base.outcome();
@@ -1531,10 +1598,6 @@ fn serve_lines() -> Vec<String> {
 /// are gated against a blessed golden file — the race/deadlock analogue
 /// of `scripts/bench_check.sh`.
 fn cmd_check(args: &Args, ctx: &Ctx) -> Result<String, String> {
-    let golden = args.get("golden")?;
-    let bless = args.has("bless")?;
-    // Refused before the scenarios run, not after.
-    args.reject_unread("check")?;
     ctx.check_geometry(&ctx.runtime(false, None), Some((64, false)))?;
 
     // (name, summary line) in a fixed order — this is the golden
@@ -1598,7 +1661,8 @@ fn cmd_check(args: &Args, ctx: &Ctx) -> Result<String, String> {
     let mut out = String::from("== commcheck: happens-before analysis ==\n");
     let body: String = lines.iter().flat_map(|l| [l.as_str(), "\n"]).collect();
     out.push_str(&body);
-    if bless {
+    let golden = args.get("golden");
+    if args.has("bless") {
         let path = golden.unwrap_or("COMMCHECK_baseline.txt");
         write_file(path, &body)?;
         out.push_str(&format!("blessed {} scenario line(s) into {path}\n", lines.len()));
@@ -1612,24 +1676,48 @@ fn cmd_check(args: &Args, ctx: &Ctx) -> Result<String, String> {
     Ok(out)
 }
 
+/// A refusal names its fault, then the usage of the subcommand it was
+/// given to, or of every subcommand when none was recognised.
 fn main() -> ExitCode {
-    run().unwrap_or_else(|e| {
-        eprintln!("error: {e}\n");
-        usage()
-    })
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let (error, cmds) = match raw.split_first() {
+        None => ("missing command".to_string(), COMMANDS),
+        Some((name, rest)) => match COMMANDS.iter().find(|c| c.name == name) {
+            None => (format!("unknown command {name:?}"), COMMANDS),
+            Some(cmd) => match run(cmd, rest) {
+                Ok(code) => return code,
+                Err(e) => (e, std::slice::from_ref(cmd)),
+            },
+        },
+    };
+    eprint!("error: {error}\n\n{}", usage(cmds));
+    ExitCode::from(2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(flags: &str) -> Args {
-        let raw: Vec<String> = flags.split_whitespace().map(String::from).collect();
-        Args::parse(&raw).unwrap()
+    fn args(cmd: &str, flags: &str) -> Args {
+        let cmd = COMMANDS.iter().find(|c| c.name == cmd).unwrap();
+        Args::parse(cmd, &flags.split_whitespace().map(String::from).collect::<Vec<_>>()).unwrap()
     }
 
     fn schedule(flags: &str, axis: FaultAxis) -> FailureSchedule {
-        fault_schedule(&args(flags), axis).unwrap()
+        let cmd = if matches!(axis, FaultAxis::Ranks(_)) { "faults" } else { "serve" };
+        fault_schedule(&args(cmd, flags), axis).unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "`compare` reads --seed as Value, which its flag table does not")]
+    fn a_read_the_table_does_not_declare_panics() {
+        args("compare", "").get("seed");
+    }
+
+    #[test]
+    #[should_panic(expected = "`tsqr` reads --real as Value, which its flag table does not")]
+    fn a_read_of_the_wrong_kind_panics() {
+        args("tsqr", "--real").get("real");
     }
 
     /// Every scenario `check`'s fault matrix runs and every `serve-faults/*`
@@ -1669,7 +1757,7 @@ mod tests {
                     .to_string(),
             ),
         ] {
-            let (mut cfg, policies) = serve_config(&args(&flags), &catalog).unwrap();
+            let (mut cfg, policies) = serve_config(&args("serve", &flags), &catalog).unwrap();
             assert_eq!(policies, [ServePolicy::Fifo], "{name}");
             let pinned = &gate.iter().find(|(n, _)| *n == name).unwrap().1;
             // The one field no flag sets: `--brownout` keeps the default

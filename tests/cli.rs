@@ -238,6 +238,13 @@ fn what_the_library_would_assert_is_refused_at_the_flag() {
         ("tune", &[], &["--m", "100", "--n", "64"]),
         ("tune", &[], &["--n", "0"]),
         ("check", &[], &["--m", "100", "--n", "32"]),
+        // Accepted and did nothing: no message travels from a rank to
+        // itself, nor a serve drain within one site; a queue of capacity 0
+        // rejected every request on an idle grid.
+        ("faults", &small, &["--drop", "0:0:1"]),
+        ("faults", &small, &["--drop-prob", "3:3:0.5"]),
+        ("serve", &[], &["--drop-flow", "1:1:0"]),
+        ("serve", &[], &["--queue", "0"]),
     ];
     for (cmd, size, flags) in cases {
         let out = cli().arg(cmd).args(*size).args(*flags).output().expect("run cli");
@@ -248,28 +255,35 @@ fn what_the_library_would_assert_is_refused_at_the_flag() {
     }
 }
 
+/// Every subcommand, read off the usage text that the flag tables render.
+fn subcommands() -> Vec<String> {
+    let out = cli().output().expect("run cli");
+    assert_eq!(out.status.code(), Some(2));
+    let usage = String::from_utf8(out.stderr).unwrap();
+    let names: Vec<String> = usage
+        .lines()
+        .filter_map(|l| l.strip_prefix("  grid-tsqr "))
+        .map(|l| l.split_whitespace().next().unwrap().to_string())
+        .collect();
+    assert_eq!(names.len(), 13, "{usage}");
+    names
+}
+
 #[test]
 fn a_flag_the_subcommand_never_reads_is_refused() {
-    // A mistyped flag used to run the defaults, i.e. measure another
-    // workload than the one asked for.
-    for (args, stray) in [
-        (vec!["serve", "--bogus", "1"], "--bogus"),
-        (vec!["serve", "--requests", "5", "--queue-capacity", "100000"], "--queue-capacity"),
-        (vec!["serve", "--sweep", "0.5", "--real"], "--real"),
-        (vec!["info", "--sites", "2"], "--sites"),
-        (vec!["tsqr", "--m", "4096", "--n", "8", "--polcy", "edf"], "--polcy"),
-        // Used to run the 25 s default sweep and write no trace.
-        (vec!["figure", "--id", "fig5", "--trace-ot", "x.json"], "--trace-ot"),
-        (vec!["bench-check", "--baseline", "BENCH_baseline.json", "--blss"], "--blss"),
-        // No clock to set: a stall is decided exactly.
-        (vec!["check", "--recv-timeout", "60"], "--recv-timeout"),
-        // Both gated runs need the full scenario set: no flag trims it.
-        (vec!["check", "--no-matrix"], "--no-matrix"),
-    ] {
+    // A mistyped flag must not quietly measure the defaults: it is refused
+    // before any work, with the usage of the one subcommand it was given to.
+    // `compare` and `tune` run symbolically only, so they take no `--seed`.
+    let strays = subcommands().into_iter().map(|cmd| vec![cmd, "--bogus".into()]);
+    let seeds = ["compare", "tune"].map(|cmd| vec![cmd.into(), "--seed".into(), "5".into()]);
+    for args in strays.chain(seeds) {
         let out = cli().args(&args).output().expect("run cli");
-        assert_eq!(out.status.code(), Some(2), "args: {args:?}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
         let err = String::from_utf8(out.stderr).unwrap();
-        assert!(err.contains("unknown flag") && err.contains(stray), "{err}");
+        let first = format!("error: unknown flag for `{}`: {}\n", args[0], args[1]);
+        assert!(err.starts_with(&first), "{err}");
+        assert_eq!(err.matches("\n  grid-tsqr ").count(), 1, "{err}");
     }
     // Every serve flag is still known on every path, sweep included.
     let out = cli()
@@ -278,6 +292,65 @@ fn a_flag_the_subcommand_never_reads_is_refused() {
         .output()
         .expect("run cli");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
+fn every_synopsis_lists_each_flag_once_and_fits_80_columns() {
+    let out = cli().output().expect("run cli");
+    let usage = String::from_utf8(out.stderr).unwrap();
+    let mut flags: Vec<&str> = Vec::new();
+    for line in usage.lines() {
+        assert!(line.chars().count() <= 80, "{line:?}");
+        if line.starts_with("  grid-tsqr ") {
+            flags.clear();
+        }
+        for flag in line.split('[').filter_map(|w| w.split([' ', ']']).next()) {
+            if !flag.starts_with("--") {
+                continue;
+            }
+            assert!(!flags.contains(&flag), "{flag} twice in:\n{usage}");
+            flags.push(flag);
+        }
+    }
+}
+
+#[test]
+fn a_refused_command_leaves_nothing_behind() {
+    // A refusal comes before the command runs: it writes no file and
+    // appends no ledger entry.
+    let ledger = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/ledger/runs.jsonl")).unwrap();
+    for (i, args) in [
+        "trace --m 65536 --n 32 --out x.json --folded-out f.txt --bogus",
+        "report --ledger runs.jsonl --bless --golden g.md --bogus",
+        "tune --m 65536 --n 32 --sites 2 --bogus",
+        "faults --m 65536 --n 32 --bogus",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let dir = std::env::temp_dir().join(format!("tsqr_cli_refused_{}_{i}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let copy = dir.join("runs.jsonl");
+        std::fs::write(&copy, &ledger).unwrap();
+        let listing = || {
+            let mut names: Vec<_> =
+                std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+            names.sort();
+            names
+        };
+        let before = listing();
+        let out = cli()
+            .args(args.split_whitespace())
+            .current_dir(&dir)
+            .env("GRID_TSQR_LEDGER", &copy)
+            .output()
+            .expect("run cli");
+        assert_eq!(out.status.code(), Some(2), "{args}");
+        assert!(out.stdout.is_empty(), "{args}");
+        assert_eq!(listing(), before, "{args}");
+        assert!(std::fs::read(&copy).unwrap() == ledger, "{args}: the ledger changed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -295,6 +368,14 @@ fn a_flag_given_in_a_form_nobody_reads_is_refused() {
         (vec!["figure", "--id", "fig12", "--id", "fig12"], "--id fig12 given twice"),
         (vec!["tsqr", "--m", "4096", "--n", "8", "--real", "5"], "--real takes no value"),
         (vec!["serve", "--requests", "30", "--batch", "1"], "--batch takes no value"),
+        (vec!["tsqr", "--real", "--real"], "--real given twice"),
+        (vec!["tsqr", "5", "--m", "8"], "unexpected argument \"5\""),
+        (vec!["tsqr", "--m", "8", "9"], "unexpected argument \"9\""),
+        // On a line with two faults, the first malformed token is named;
+        // strays are named only when there is none, all of them in order.
+        (vec!["tsqr", "--bogus", "--m"], "--m needs a value"),
+        (vec!["tsqr", "--real", "5", "--n"], "--real takes no value"),
+        (vec!["serve", "--x", "1", "--load", "2", "--y"], "unknown flag for `serve`: --x --y"),
     ] {
         let out = cli().args(&args).output().expect("run cli");
         assert_eq!(out.status.code(), Some(2), "args: {args:?}");
