@@ -128,18 +128,12 @@ fn slice_json(e: &Event) -> String {
             class.label().to_string(),
             format!("\"bytes\":{bytes},\"from\":{from}"),
         ),
-        EventKind::Compute { flops } => (
-            2 * e.rank,
-            "compute".to_string(),
-            "compute".to_string(),
-            format!("\"flops\":{flops}"),
-        ),
-        EventKind::Phase { name } => (
-            2 * e.rank + 1,
-            (*name).to_string(),
-            "phase".to_string(),
-            String::new(),
-        ),
+        EventKind::Compute { flops } => {
+            (2 * e.rank, "compute".to_string(), "compute".to_string(), format!("\"flops\":{flops}"))
+        }
+        EventKind::Phase { name } => {
+            (2 * e.rank + 1, (*name).to_string(), "phase".to_string(), String::new())
+        }
         // Failure events: waits (detector deadlines, ghost arrivals) go
         // on the wait track; sender-side drops and degradation markers
         // on the work track. All share the "fault" category so Perfetto
@@ -148,9 +142,11 @@ fn slice_json(e: &Event) -> String {
             if kind.is_wait() { 2 * e.rank + 1 } else { 2 * e.rank },
             format!("fault:{}\u{2194}{peer}", kind.label()),
             "fault".to_string(),
-            format!("\"peer\":{peer},\"kind\":{},\"link\":{}",
+            format!(
+                "\"peer\":{peer},\"kind\":{},\"link\":{}",
                 json_string(kind.label()),
-                json_string(class.label())),
+                json_string(class.label())
+            ),
         ),
     };
     let mut args = args;
@@ -227,7 +223,12 @@ mod tests {
     fn export_is_valid_shape_and_has_flows() {
         let t = Trace::from_parts(vec![
             ev(0, 0.0, 0.5, compute(10)),
-            ev(0, 0.5, 1.0, EventKind::Send { to: 1, bytes: 8, class: LinkClass::IntraNode, tag: 0 }),
+            ev(
+                0,
+                0.5,
+                1.0,
+                EventKind::Send { to: 1, bytes: 8, class: LinkClass::IntraNode, tag: 0 },
+            ),
             ev(
                 1,
                 0.0,

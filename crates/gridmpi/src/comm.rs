@@ -147,11 +147,8 @@ impl Communicator {
         assert!(root_idx < size, "bcast root out of range");
         let me = self.my_index(p);
         let rel = (me + size - root_idx) % size;
-        let mut val: Option<M> = if rel == 0 {
-            Some(value.expect("bcast root must supply a value"))
-        } else {
-            None
-        };
+        let mut val: Option<M> =
+            if rel == 0 { Some(value.expect("bcast root must supply a value")) } else { None };
         // Receive phase: find the bit where the parent lives.
         let mut mask = 1usize;
         while mask < size {

@@ -393,10 +393,7 @@ mod tests {
 
     #[test]
     fn single_rank_compute_chain() {
-        let t = Trace::from_parts(vec![
-            ev(0, 0.0, 1.0, compute(1)),
-            ev(0, 1.0, 3.0, compute(2)),
-        ]);
+        let t = Trace::from_parts(vec![ev(0, 0.0, 1.0, compute(1)), ev(0, 1.0, 3.0, compute(2))]);
         let p = t.critical_path();
         assert_eq!(p.segments.len(), 2);
         assert_eq!(p.total(), t.makespan());
@@ -435,18 +432,12 @@ mod tests {
     fn nic_surplus_becomes_deliver_segment() {
         // Send completes at 2.0 but the recv only finishes at 2.5 (NIC
         // was busy): 0.5 s of Deliver on the receiver.
-        let t = Trace::from_parts(vec![
-            ev(0, 0.0, 2.0, send(1, 8)),
-            ev(1, 0.0, 2.5, recv(0, 8)),
-        ]);
+        let t = Trace::from_parts(vec![ev(0, 0.0, 2.0, send(1, 8)), ev(1, 0.0, 2.5, recv(0, 8))]);
         let p = t.critical_path();
         assert_eq!(p.total(), t.makespan());
         assert_eq!(
             p.segments.iter().map(|s| s.kind).collect::<Vec<_>>(),
-            vec![
-                SegmentKind::Send { to: 1, class: C },
-                SegmentKind::Deliver { from: 0 },
-            ]
+            vec![SegmentKind::Send { to: 1, class: C }, SegmentKind::Deliver { from: 0 },]
         );
         assert!((p.summary().deliver_s - 0.5).abs() < 1e-12);
     }

@@ -336,8 +336,7 @@ impl Trace {
         let mut per_rank = vec![WaitBreakdown::default(); num_ranks];
         let mut per_phase: Vec<(&'static str, WaitBreakdown)> = Vec::new();
         let mut link_usage = LinkUsage::default();
-        let mut timeline =
-            UtilizationTimeline::new(makespan_s, timeline_bins.max(1));
+        let mut timeline = UtilizationTimeline::new(makespan_s, timeline_bins.max(1));
         let mut comm = CommMatrix::new(num_ranks);
 
         // Link-occupancy views come straight from send events.
@@ -352,16 +351,15 @@ impl Trace {
             }
         }
 
-        let phase_mut = |name: &'static str,
-                             per_phase: &mut Vec<(&'static str, WaitBreakdown)>|
-         -> usize {
-            if let Some(i) = per_phase.iter().position(|(p, _)| *p == name) {
-                i
-            } else {
-                per_phase.push((name, WaitBreakdown::default()));
-                per_phase.len() - 1
-            }
-        };
+        let phase_mut =
+            |name: &'static str, per_phase: &mut Vec<(&'static str, WaitBreakdown)>| -> usize {
+                if let Some(i) = per_phase.iter().position(|(p, _)| *p == name) {
+                    i
+                } else {
+                    per_phase.push((name, WaitBreakdown::default()));
+                    per_phase.len() - 1
+                }
+            };
 
         for (i, e) in self.events.iter().enumerate() {
             // Failure-induced waits: receiver-side Fault spans (detector
@@ -399,9 +397,7 @@ impl Trace {
                         let state = match Activity::at(self, from, e.start) {
                             Activity::Computing => WaitState::Imbalance,
                             Activity::Receiving => WaitState::Propagated,
-                            Activity::Sending | Activity::Untraced => {
-                                WaitState::LateSender
-                            }
+                            Activity::Sending | Activity::Untraced => WaitState::LateSender,
                         };
                         b.add(state, pre);
                     }
@@ -524,19 +520,9 @@ mod tests {
             ev(1, 2.0, 2.5, recv(5, 64)), // unmatched, unphased
         ]);
         let d = t.diagnose(2, 8);
-        let tr = d
-            .per_phase
-            .iter()
-            .find(|(p, _)| *p == "tree-reduce")
-            .map(|(_, b)| *b)
-            .unwrap();
+        let tr = d.per_phase.iter().find(|(p, _)| *p == "tree-reduce").map(|(_, b)| *b).unwrap();
         assert!((tr.total_wait_s() - 2.0).abs() < 1e-12);
-        let un = d
-            .per_phase
-            .iter()
-            .find(|(p, _)| *p == UNPHASED)
-            .map(|(_, b)| *b)
-            .unwrap();
+        let un = d.per_phase.iter().find(|(p, _)| *p == UNPHASED).map(|(_, b)| *b).unwrap();
         assert!((un.unmatched_s - 0.5).abs() < 1e-12);
         assert_eq!(d.wan_msgs(), 1);
         let r = d.render();

@@ -83,16 +83,10 @@ impl fmt::Display for CommError {
                 write!(f, "rank {rank} crashed at t={:.6}s", at.secs())
             }
             CommError::MessageDropped { src, dst, attempts } => {
-                write!(
-                    f,
-                    "message {src} -> {dst} lost in transit ({attempts} attempts)"
-                )
+                write!(f, "message {src} -> {dst} lost in transit ({attempts} attempts)")
             }
             CommError::Deadlock { rank, from, cycle } => {
-                write!(
-                    f,
-                    "rank {rank} deadlocked waiting for {from} (wait-for cycle: "
-                )?;
+                write!(f, "rank {rank} deadlocked waiting for {from} (wait-for cycle: ")?;
                 for r in cycle {
                     write!(f, "{r} -> ")?;
                 }

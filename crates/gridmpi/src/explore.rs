@@ -127,10 +127,7 @@ impl ExploreReport {
             let _ = writeln!(out, "  DIVERGENCE: {d}");
         }
         let verdict = if self.proves_determinism() {
-            format!(
-                "  PROVED: {} schedules, bit-identical results, 0 races",
-                self.runs.len()
-            )
+            format!("  PROVED: {} schedules, bit-identical results, 0 races", self.runs.len())
         } else {
             "  NOT PROVED: schedule-dependence detected".to_string()
         };
@@ -197,9 +194,7 @@ where
         }
         if let Some(r0) = runs.first() {
             if r0.rank_digests != rank_digests {
-                for (rank, (a, b)) in
-                    r0.rank_digests.iter().zip(&rank_digests).enumerate()
-                {
+                for (rank, (a, b)) in r0.rank_digests.iter().zip(&rank_digests).enumerate() {
                     if a != b {
                         divergences.push(format!(
                             "{order:?}: rank {rank} result differs ({a:?} vs {b:?})"

@@ -399,7 +399,9 @@ mod tests {
     use tsqr_netsim::{two_tier_grid, LinkParams};
 
     #[test]
-    #[should_panic(expected = "over 3 members needs equal wire_bytes on every member, got 16 and 24")]
+    #[should_panic(
+        expected = "over 3 members needs equal wire_bytes on every member, got 16 and 24"
+    )]
     fn a_fold_over_unequal_wire_bytes_panics() {
         let link = LinkParams::from_ms_mbps(1.0, 800.0);
         let (topo, model) = two_tier_grid(1, 3, link, link, 1e9);

@@ -528,8 +528,7 @@ fn dfs_cycles(
             if let Some(pos) = path.iter().position(|&p| p == n) {
                 // Found a cycle: path[pos..]. Normalize rotation.
                 let cyc = &path[pos..];
-                let min_at =
-                    cyc.iter().enumerate().min_by_key(|&(_, r)| r).map_or(0, |(i, _)| i);
+                let min_at = cyc.iter().enumerate().min_by_key(|&(_, r)| r).map_or(0, |(i, _)| i);
                 let mut rot: Vec<usize> = cyc[min_at..].to_vec();
                 rot.extend_from_slice(&cyc[..min_at]);
                 cycles.insert(rot);
@@ -647,14 +646,8 @@ mod tests {
         // Merge is the least upper bound: both inputs ≤ merge.
         let mut lub = small.clone();
         lub.merge(&other);
-        assert!(matches!(
-            small.partial_cmp(&lub),
-            Some(Ordering::Less) | Some(Ordering::Equal)
-        ));
-        assert!(matches!(
-            other.partial_cmp(&lub),
-            Some(Ordering::Less) | Some(Ordering::Equal)
-        ));
+        assert!(matches!(small.partial_cmp(&lub), Some(Ordering::Less) | Some(Ordering::Equal)));
+        assert!(matches!(other.partial_cmp(&lub), Some(Ordering::Less) | Some(Ordering::Equal)));
     }
 
     #[test]

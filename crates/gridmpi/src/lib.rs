@@ -84,8 +84,7 @@ pub use mailbox::block_on;
 pub use message::WirePayload;
 pub use metrics::{MetricsRegistry, PhaseCounters};
 pub use process::{
-    DeliveryOrder, Process, RankStats, TrafficCounters, DETECTION_LATENCY_FACTOR,
-    MAX_SEND_ATTEMPTS,
+    DeliveryOrder, Process, RankStats, TrafficCounters, DETECTION_LATENCY_FACTOR, MAX_SEND_ATTEMPTS,
 };
 pub use profile::FoldedProfile;
 pub use runtime::{RankResult, RunOutcome, RunReport, Runtime};

@@ -3,9 +3,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use tsqr_netsim::{
-    CostModel, FailureSchedule, GridTopology, LinkClass, ProcLocation, VirtualTime,
-};
+use tsqr_netsim::{CostModel, FailureSchedule, GridTopology, LinkClass, ProcLocation, VirtualTime};
 
 use crate::error::CommError;
 use crate::mailbox::{block_on, Mailbox};
@@ -266,11 +264,7 @@ impl Process {
     /// Runs `f` inside a phase (begin/end are paired even on early
     /// `?` returns inside `f` — the result is propagated after the
     /// phase closes).
-    pub fn with_phase<R>(
-        &mut self,
-        name: &'static str,
-        f: impl FnOnce(&mut Self) -> R,
-    ) -> R {
+    pub fn with_phase<R>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
         self.phase_begin(name);
         let out = f(self);
         self.phase_end();
@@ -293,11 +287,7 @@ impl Process {
     pub fn compute(&mut self, flops: u64, rate: Option<f64>) {
         let start = self.clock;
         self.clock += self.model.compute_time(flops, rate);
-        self.metrics.record_compute(
-            self.current_phase(),
-            flops,
-            (self.clock - start).secs(),
-        );
+        self.metrics.record_compute(self.current_phase(), flops, (self.clock - start).secs());
         self.record(start, self.clock, EventKind::Compute { flops });
     }
 
@@ -360,24 +350,15 @@ impl Process {
     /// (an [`EventKind::Fault`] span), and returns the typed error.
     fn observe_death(&mut self, peer: usize, death: Death, wait_start: VirtualTime) -> CommError {
         let (fault, err) = match death {
-            Death::Crash(at) => (
-                FaultKind::RankFailed,
-                CommError::RankFailed { rank: peer, at },
-            ),
-            Death::Abort(_) => (
-                FaultKind::PeerAborted,
-                CommError::PeerGone { rank: self.rank, from: peer },
-            ),
+            Death::Crash(at) => (FaultKind::RankFailed, CommError::RankFailed { rank: peer, at }),
+            Death::Abort(_) => {
+                (FaultKind::PeerAborted, CommError::PeerGone { rank: self.rank, from: peer })
+            }
         };
         let from = self.topo.location(peer);
         let class = LinkClass::between(from, self.location());
         self.clock = self.clock.max(death.at() + self.failure_deadline(peer));
-        self.metrics.record_recv(
-            self.current_phase(),
-            class,
-            0,
-            (self.clock - wait_start).secs(),
-        );
+        self.metrics.record_recv(self.current_phase(), class, 0, (self.clock - wait_start).secs());
         self.record(wait_start, self.clock, EventKind::Fault { peer, class, kind: fault });
         // Detecting the death may itself have pushed this rank past its
         // own crash time.
@@ -431,8 +412,8 @@ impl Process {
             let arrival = self.clock;
             if dropped && attempts < MAX_SEND_ATTEMPTS {
                 // Retransmission backoff: 2^(attempt−1) base link latencies.
-                let backoff = self.model.link(from, to).latency_s
-                    * f64::from(1u32 << (attempts - 1));
+                let backoff =
+                    self.model.link(from, to).latency_s * f64::from(1u32 << (attempts - 1));
                 self.clock += VirtualTime::from_secs(backoff);
             }
             self.metrics.record_send(
@@ -584,17 +565,16 @@ impl Process {
     /// source (per-source FIFO is inviolable — named receives rely on
     /// it).
     fn buffer(&mut self, env: Envelope) {
-        let min_pos =
-            self.pending.iter().rposition(|e| e.src == env.src).map_or(0, |p| p + 1);
+        let min_pos = self.pending.iter().rposition(|e| e.src == env.src).map_or(0, |p| p + 1);
         let max_pos = self.pending.len();
         let pos = match self.delivery {
             DeliveryOrder::Arrival => max_pos,
-            DeliveryOrder::SourceAscending => (min_pos..max_pos)
-                .find(|&i| self.pending[i].src > env.src)
-                .unwrap_or(max_pos),
-            DeliveryOrder::SourceDescending => (min_pos..max_pos)
-                .find(|&i| self.pending[i].src < env.src)
-                .unwrap_or(max_pos),
+            DeliveryOrder::SourceAscending => {
+                (min_pos..max_pos).find(|&i| self.pending[i].src > env.src).unwrap_or(max_pos)
+            }
+            DeliveryOrder::SourceDescending => {
+                (min_pos..max_pos).find(|&i| self.pending[i].src < env.src).unwrap_or(max_pos)
+            }
             DeliveryOrder::Seeded(seed) => {
                 let h = tsqr_netsim::rng::hash64(
                     seed ^ (self.rank as u64).rotate_left(32) ^ self.buffered,

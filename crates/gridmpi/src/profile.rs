@@ -312,7 +312,9 @@ mod tests {
             open.sort_by(|a, b| {
                 a.start.cmp(&b.start).then(b.end.cmp(&a.end)).then_with(|| {
                     match (&a.kind, &b.kind) {
-                        (EventKind::Phase { name: an }, EventKind::Phase { name: bn }) => an.cmp(bn),
+                        (EventKind::Phase { name: an }, EventKind::Phase { name: bn }) => {
+                            an.cmp(bn)
+                        }
                         _ => std::cmp::Ordering::Equal,
                     }
                 })
@@ -341,8 +343,7 @@ mod tests {
                 add(map, stack_key(&frames, "(idle)"), e - s);
             }
         }
-        let ranks =
-            trace.events.iter().map(|e| e.rank + 1).max().unwrap_or(0).max(num_ranks);
+        let ranks = trace.events.iter().map(|e| e.rank + 1).max().unwrap_or(0).max(num_ranks);
         let mut stacks = vec![BTreeMap::new(); ranks];
         let mut makespans = vec![0.0; ranks];
         for rank in 0..ranks {
@@ -367,7 +368,11 @@ mod tests {
                             frames.push(p);
                         }
                     }
-                    add(&mut stacks[rank], stack_key(&frames, &leaf_label(&leaf.kind)), e - clipped);
+                    add(
+                        &mut stacks[rank],
+                        stack_key(&frames, &leaf_label(&leaf.kind)),
+                        e - clipped,
+                    );
                 }
                 cursor = cursor.max(e);
             }
@@ -490,10 +495,7 @@ mod tests {
     #[test]
     fn overlapping_leaves_never_double_count() {
         // Two overlapping compute spans: the second is clipped.
-        let t = Trace::from_parts(vec![
-            ev(0, 0.0, 2.0, compute(1)),
-            ev(0, 1.0, 3.0, compute(1)),
-        ]);
+        let t = Trace::from_parts(vec![ev(0, 0.0, 2.0, compute(1)), ev(0, 1.0, 3.0, compute(1))]);
         let p = FoldedProfile::from_trace(&t, 1);
         assert!((p.rank_total(0) - 3.0).abs() < 1e-12);
         assert!(p.max_tiling_error_rel() < 1e-9);
@@ -503,10 +505,7 @@ mod tests {
     fn idle_splits_at_phase_boundaries() {
         // A completely idle rank whose only events are two adjacent
         // phase spans: idle time must split per phase.
-        let t = Trace::from_parts(vec![
-            ev(0, 0.0, 1.0, phase("a")),
-            ev(0, 1.0, 3.0, phase("b")),
-        ]);
+        let t = Trace::from_parts(vec![ev(0, 0.0, 1.0, phase("a")), ev(0, 1.0, 3.0, phase("b"))]);
         let p = FoldedProfile::from_trace(&t, 1);
         let folded = p.render_folded();
         assert!(folded.contains("rank0;a;(idle) 1000000000\n"), "{folded}");
@@ -525,7 +524,10 @@ mod tests {
             ev(1, 1.0, 2.0, phase("tree-reduce")),
         ]);
         let p = FoldedProfile::from_trace(&t, 2);
-        assert_eq!(p.render_aggregate(), "leaf-qr;compute 3000000000\ntree-reduce;send 1000000000\n");
+        assert_eq!(
+            p.render_aggregate(),
+            "leaf-qr;compute 3000000000\ntree-reduce;send 1000000000\n"
+        );
         let hot = p.hot_phases(2);
         assert_eq!(hot[0].0, "leaf-qr;compute");
         assert!((hot[0].1 - 3.0).abs() < 1e-12);

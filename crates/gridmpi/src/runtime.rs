@@ -139,10 +139,7 @@ impl<T> RunReport<T> {
             failed.len(),
             failed.join("\n  ")
         );
-        self.ranks
-            .into_iter()
-            .map(|rr| rr.result.expect("checked above"))
-            .collect()
+        self.ranks.into_iter().map(|rr| rr.result.expect("checked above")).collect()
     }
 
     /// Critical-path message count: the maximum number of messages sent by
@@ -419,11 +416,9 @@ impl Runtime {
             events.extend(rank_events);
             metrics.push(rank_metrics);
         }
-        let makespan =
-            ranks.iter().map(|r| r.stats.clock).max().unwrap_or(VirtualTime::ZERO);
-        let totals = ranks
-            .iter()
-            .fold(TrafficCounters::default(), |acc, r| acc.merge(&r.stats.traffic));
+        let makespan = ranks.iter().map(|r| r.stats.clock).max().unwrap_or(VirtualTime::ZERO);
+        let totals =
+            ranks.iter().fold(TrafficCounters::default(), |acc, r| acc.merge(&r.stats.traffic));
         let trace = self.tracing.then(|| Trace::from_parts(events));
         RunReport { ranks, makespan, totals, trace, metrics }
     }
@@ -456,8 +451,7 @@ mod tests {
             })
             .collect();
         let topo = GridTopology::block_placement(specs, nodes, ppn);
-        let mut model =
-            CostModel::homogeneous(LinkParams::from_ms_mbps(1.0, 800.0), 1e9, clusters);
+        let mut model = CostModel::homogeneous(LinkParams::from_ms_mbps(1.0, 800.0), 1e9, clusters);
         // Make the hierarchy visible: cheap intra-node, expensive WAN.
         model.intra_node = LinkParams::from_ms_mbps(0.01, 5000.0);
         for a in 0..clusters {
@@ -583,10 +577,7 @@ mod tests {
             }
             Ok(())
         });
-        assert_eq!(
-            report.ranks[0].result,
-            Err(CommError::LinkDown { src: 0, dst: 1 })
-        );
+        assert_eq!(report.ranks[0].result, Err(CommError::LinkDown { src: 0, dst: 1 }));
         assert!(report.ranks[1].result.is_ok());
     }
 
@@ -629,11 +620,7 @@ mod tests {
         assert!(matches!(kinds[0], EventKind::Compute { flops: 1_000_000 }));
         assert!(trace.events.iter().all(|e| e.end >= e.start));
         // The send's span covers latency + 64 bytes of bandwidth.
-        let send = trace
-            .events
-            .iter()
-            .find(|e| matches!(e.kind, EventKind::Send { .. }))
-            .unwrap();
+        let send = trace.events.iter().find(|e| matches!(e.kind, EventKind::Send { .. })).unwrap();
         assert!((send.end - send.start).secs() >= 1e-3);
         // Disabled by default.
         let rt2 = tiny_grid(1, 2, 1);
@@ -670,10 +657,7 @@ mod tests {
         assert!(wait > 0.0, "rank 1 blocked on the message");
         let agg = report.aggregate_metrics();
         assert_eq!(agg.phase("work").unwrap().flops, 2_000_000);
-        assert_eq!(
-            agg.phase(crate::metrics::UNPHASED).unwrap().flops,
-            4_000_000
-        );
+        assert_eq!(agg.phase(crate::metrics::UNPHASED).unwrap().flops, 4_000_000);
     }
 
     #[test]
@@ -788,22 +772,13 @@ mod tests {
                 Ok(x)
             }
         });
-        assert_eq!(
-            report.ranks[0].result,
-            Err(CommError::RankFailed { rank: 0, at: crash_at })
-        );
-        assert_eq!(
-            report.ranks[1].result,
-            Err(CommError::RankFailed { rank: 0, at: crash_at })
-        );
+        assert_eq!(report.ranks[0].result, Err(CommError::RankFailed { rank: 0, at: crash_at }));
+        assert_eq!(report.ranks[1].result, Err(CommError::RankFailed { rank: 0, at: crash_at }));
         // Virtual-time detection: rank 1's clock = crash + deadline, not
         // a wall-clock guess. Link 0↔1 is intra-cluster: 1 ms latency.
         let deadline = DETECTION_LATENCY_FACTOR * 1e-3;
         let detected = report.ranks[1].stats.clock.secs();
-        assert!(
-            (detected - (crash_at.secs() + deadline)).abs() < 1e-9,
-            "detected at {detected}"
-        );
+        assert!((detected - (crash_at.secs() + deadline)).abs() < 1e-9, "detected at {detected}");
         // The failure wait is traced as a Fault span.
         let trace = report.trace.clone().unwrap();
         assert!(trace.fault_events().iter().any(|e| matches!(
@@ -880,10 +855,7 @@ mod tests {
             }
         });
         // Rank 1 learns of the abort through the tombstone, in virtual time.
-        assert_eq!(
-            report.ranks[1].result,
-            Err(CommError::PeerGone { rank: 1, from: 0 })
-        );
+        assert_eq!(report.ranks[1].result, Err(CommError::PeerGone { rank: 1, from: 0 }));
     }
 
     #[test]
@@ -972,14 +944,10 @@ mod tests {
         });
         let outcome = report.outcome();
         assert!(!outcome.is_clean());
-        let survivor_ranks: Vec<usize> =
-            outcome.survivors.iter().map(|(r, _)| *r).collect();
+        let survivor_ranks: Vec<usize> = outcome.survivors.iter().map(|(r, _)| *r).collect();
         assert_eq!(survivor_ranks, vec![0, 3]);
         assert_eq!(outcome.failed_ranks(), vec![1, 2]);
-        assert!(matches!(
-            outcome.failures[0],
-            (1, CommError::RankFailed { rank: 1, .. })
-        ));
+        assert!(matches!(outcome.failures[0], (1, CommError::RankFailed { rank: 1, .. })));
         assert_eq!(outcome.failures[1], (2, CommError::PeerGone { rank: 2, from: 3 }));
         // Everyone's metrics survive the split, survivors and failures alike.
         assert_eq!(outcome.metrics.len(), 4);
@@ -1088,10 +1056,7 @@ mod tests {
         }
         assert_eq!(a.totals, b.totals);
         assert_eq!(a.metrics, b.metrics);
-        assert_eq!(
-            a.trace.as_ref().map(|t| &t.events),
-            b.trace.as_ref().map(|t| &t.events)
-        );
+        assert_eq!(a.trace.as_ref().map(|t| &t.events), b.trace.as_ref().map(|t| &t.events));
     }
 
     #[test]
@@ -1177,9 +1142,14 @@ mod tests {
         for (a, b) in untraced.ranks.iter().zip(&traced.ranks) {
             assert_eq!((&a.result, a.stats.clock), (&b.result, b.stats.clock));
         }
-        let suspects = traced.trace.as_ref().unwrap().fault_events().iter().filter(|e| {
-            matches!(e.kind, EventKind::Fault { kind: FaultKind::DeadlockSuspect, .. })
-        }).count();
+        let suspects = traced
+            .trace
+            .as_ref()
+            .unwrap()
+            .fault_events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Fault { kind: FaultKind::DeadlockSuspect, .. }))
+            .count();
         assert!(suspects > 0, "every stall leaves a DeadlockSuspect marker");
         untraced
     }
@@ -1190,10 +1160,7 @@ mod tests {
         let report = stuck(2, |rank| Some(1 - rank));
         for rank in 0..2 {
             let err = report.ranks[rank].result.as_ref().unwrap_err();
-            assert_eq!(
-                *err,
-                CommError::Deadlock { rank, from: 1 - rank, cycle: vec![0, 1] }
-            );
+            assert_eq!(*err, CommError::Deadlock { rank, from: 1 - rank, cycle: vec![0, 1] });
             assert!(err.to_string().contains("wait-for cycle: 0 -> 1 -> 0"), "{err}");
         }
         // A three-rank ring 0 -> 2 -> 1 -> 0, and a fourth rank that is only

@@ -115,10 +115,7 @@ impl FaultKind {
     /// [`crate::diagnose`] and are mirrored into the metrics registry's
     /// `recv_wait_s`).
     pub fn is_wait(self) -> bool {
-        matches!(
-            self,
-            FaultKind::RankFailed | FaultKind::PeerAborted | FaultKind::DropObserved
-        )
+        matches!(self, FaultKind::RankFailed | FaultKind::PeerAborted | FaultKind::DropObserved)
     }
 
     /// Short stable label for renders and trace exports.
@@ -315,9 +312,7 @@ impl Trace {
     pub fn wan_sends(&self) -> Vec<&Event> {
         self.events
             .iter()
-            .filter(|e| {
-                matches!(e.kind, EventKind::Send { class, .. } if class.is_inter_cluster())
-            })
+            .filter(|e| matches!(e.kind, EventKind::Send { class, .. } if class.is_inter_cluster()))
             .collect()
     }
 
@@ -517,8 +512,7 @@ mod tests {
             ev(0, 1.0, 2.0, compute(1)),
             ev(2, 1.0, 1.5, compute(2)),
         ]);
-        let starts: Vec<(f64, usize)> =
-            t.events.iter().map(|e| (e.start.secs(), e.rank)).collect();
+        let starts: Vec<(f64, usize)> = t.events.iter().map(|e| (e.start.secs(), e.rank)).collect();
         assert_eq!(starts, vec![(1.0, 0), (1.0, 2), (2.0, 1)]);
         assert_eq!(t.makespan().secs(), 3.0);
     }
@@ -526,7 +520,12 @@ mod tests {
     #[test]
     fn wan_filter() {
         let t = Trace::from_parts(vec![
-            ev(0, 0.0, 1.0, EventKind::Send { to: 1, bytes: 8, class: LinkClass::IntraNode, tag: 0 }),
+            ev(
+                0,
+                0.0,
+                1.0,
+                EventKind::Send { to: 1, bytes: 8, class: LinkClass::IntraNode, tag: 0 },
+            ),
             ev(
                 0,
                 1.0,
@@ -554,10 +553,7 @@ mod tests {
 
     #[test]
     fn utilization_fractions() {
-        let t = Trace::from_parts(vec![
-            ev(0, 0.0, 1.0, compute(1)),
-            ev(1, 0.0, 2.0, compute(1)),
-        ]);
+        let t = Trace::from_parts(vec![ev(0, 0.0, 1.0, compute(1)), ev(1, 0.0, 2.0, compute(1))]);
         let u = t.compute_utilization(2);
         assert!((u[0] - 0.5).abs() < 1e-12);
         assert!((u[1] - 1.0).abs() < 1e-12);
@@ -579,7 +575,10 @@ mod tests {
         for pair in &m {
             let (s, r) = (&t.events[pair.send], &t.events[pair.recv]);
             match (&s.kind, &r.kind) {
-                (EventKind::Send { to, bytes: sb, .. }, EventKind::Recv { from, bytes: rb, .. }) => {
+                (
+                    EventKind::Send { to, bytes: sb, .. },
+                    EventKind::Recv { from, bytes: rb, .. },
+                ) => {
                     assert_eq!(*to, r.rank);
                     assert_eq!(*from, s.rank);
                     assert_eq!(sb, rb, "FIFO matching pairs equal payloads here");

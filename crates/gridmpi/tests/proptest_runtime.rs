@@ -21,7 +21,8 @@ fn runtime(clusters: usize, procs: usize, latency_ms: f64, mbps: f64) -> Runtime
     for a in 0..clusters {
         for b in 0..clusters {
             if a != b {
-                model.inter_cluster[a][b] = LinkParams::from_ms_mbps(latency_ms * 100.0, mbps / 8.0);
+                model.inter_cluster[a][b] =
+                    LinkParams::from_ms_mbps(latency_ms * 100.0, mbps / 8.0);
             }
         }
     }
