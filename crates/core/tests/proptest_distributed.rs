@@ -21,7 +21,9 @@ use tsqr_gridmpi::{block_on, CommError, Communicator, Process, RunReport, Runtim
 use tsqr_linalg::prelude::*;
 use tsqr_linalg::Matrix;
 use tsqr_linalg::verify::r_distance;
-use tsqr_netsim::{two_tier_grid, FailureSchedule, LinkParams, VirtualTime};
+use tsqr_netsim::{
+    two_tier_grid, ClusterSpec, CostModel, FailureSchedule, GridTopology, LinkParams, VirtualTime,
+};
 
 fn mini_grid(clusters: usize, procs: usize) -> Runtime {
     let lan = LinkParams::from_ms_mbps(0.07, 890.0);
@@ -280,6 +282,86 @@ fn folded_allreduces_report_what_the_messages_report() {
                 let group = Communicator::from_members(group.to_vec());
                 group.allreduce_with_async(p, v, |_, lo, _| lo).await?;
             }
+        }
+        Ok(p.clock())
+    });
+    assert!(run.ranks.iter().all(|r| r.result.is_ok()), "{case}");
+}
+
+/// `clusters` sites of `nodes` dual-processor nodes, each node's own link
+/// ten times faster than the LAN: a group's butterfly then crosses
+/// intra-node, intra-cluster and (across sites) WAN links, each priced
+/// apart.
+fn dual_proc_grid(clusters: usize, nodes: usize) -> Runtime {
+    let lan = LinkParams::from_ms_mbps(0.07, 890.0);
+    let specs = (0..clusters)
+        .map(|i| ClusterSpec { name: format!("c{i}"), nodes, procs_per_node: 2, peak_gflops_per_proc: 8.0 })
+        .collect();
+    let mut model = CostModel::homogeneous(lan, 1e9, clusters);
+    model.intra_node = LinkParams::from_ms_mbps(0.007, 8900.0);
+    model.inter_cluster = vec![vec![LinkParams::from_ms_mbps(8.0, 80.0); clusters]; clusters];
+    Runtime::new(GridTopology::block_placement(specs, nodes, 2), model)
+}
+
+/// A communicator's fold plan — its butterfly with every link class looked
+/// up, and the prices of those classes — is kept for the run, so each case
+/// here is one a stale plan gets wrong, held to the message path: a
+/// communicator whose wire size changes from one all-reduce to the next
+/// (the prices must be redone), communicators sharing a first member used
+/// by turns (each must find its own plan: the world, a pair inside a site
+/// and a pair across two), and grouped-domain TSQR on dual-processor nodes,
+/// where the domains' butterflies cross different links, over two
+/// groupings in turn, so that pool slots freed by one domain are taken by
+/// another.
+#[test]
+fn a_fold_plan_serves_only_its_own_communicator_and_wire_size() {
+    let first = |_: &mut Process, lo: Dims, _| lo;
+    let rt = mini_grid(2, 3);
+    let case = "one communicator, wire size 4, 4, 9, 1, 9 columns";
+    let run = same_under_both_drivers(&rt, case, async |p, w| {
+        p.compute(300_000 * p.rank() as u64, None);
+        for cols in [4, 4, 9, 1, 9] {
+            w.allreduce_with_async(p, Dims { rows: 2, cols }, first).await?;
+        }
+        Ok(p.clock())
+    });
+    assert!(run.ranks.iter().all(|r| r.result.is_ok()), "{case}");
+
+    let case = "world, [0, 1] and [0, 4] by turns";
+    let run = same_under_both_drivers(&rt, case, async |p, w| {
+        let v = Dims { rows: 3, cols: 2 };
+        let pairs = [[0, 1], [0, 4]].map(|pair| Communicator::from_members(pair.to_vec()));
+        let me = p.rank();
+        for _ in 0..2 {
+            w.allreduce_with_async(p, v, first).await?;
+            for pair in pairs.iter().filter(|pair| pair.contains(me)) {
+                p.compute(100_000, None);
+                pair.allreduce_with_async(p, v, first).await?;
+            }
+        }
+        Ok(p.clock())
+    });
+    assert!(run.ranks.iter().all(|r| r.result.is_ok()), "{case}");
+
+    // Within one grouping the domains keep step and each takes back the
+    // slot it freed; the second grouping's domains take the first's.
+    let rt = dual_proc_grid(2, 3);
+    let n = 6;
+    let m = 12 * 8 * n as u64;
+    let points: Vec<_> = [2, 3]
+        .into_iter()
+        .map(|dpc| {
+            let layout = DomainLayout::build(rt.topology(), m, n, dpc);
+            let shape = TreeShape::Binary;
+            let tree = ReductionTree::build(&shape, layout.num_domains(), &layout.clusters());
+            (layout, tree, TsqrConfig { shape, domains_per_cluster: dpc, ..Default::default() })
+        })
+        .collect();
+    assert_eq!(points.iter().map(|(layout, ..)| layout.domains[0].ranks.len()).collect::<Vec<_>>(), [3, 2]);
+    let case = "tsqr over domains of 3 ranks, then of 2, on dual-processor nodes";
+    let run = same_under_both_drivers(&rt, case, async |p, _| {
+        for (layout, tree, cfg) in &points {
+            tsqr_rank_program_with_async(p, layout, tree, cfg, None, |_, rows| Dims { rows, cols: n }).await?;
         }
         Ok(p.clock())
     });

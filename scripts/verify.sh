@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full local verification: build, every test, clippy with warnings
-# denied, rustdoc with warnings denied (the gridmpi/netsim crates
-# enforce #![warn(missing_docs)]), the doctests on their own (they
+# Full local verification: build, every test, rustfmt on the formatted
+# code, clippy with warnings denied, rustdoc with warnings denied (the
+# gridmpi/netsim crates enforce #![warn(missing_docs)]), the doctests on
+# their own (they
 # exercise the public examples in the API docs, e.g. the
 # metrics-registry example), the archlint static analyzer,
 # the commcheck happens-before gate (which also holds every fault-matrix
@@ -26,6 +27,10 @@ cargo build --release --workspace
 
 echo "==> cargo test --workspace"
 cargo test -q --workspace
+
+echo "==> rustfmt --check on what is formatted (crates/gridmpi, the CLI binary)"
+cargo fmt -p tsqr-gridmpi --check
+rustfmt --check --edition 2021 src/bin/grid-tsqr.rs
 
 echo "==> cargo clippy --all-targets (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -1100,7 +1100,8 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     let mut out = String::new();
     if let Some(sweep) = args.get("sweep") {
         // Latency/throughput knee: one row per load, first policy only.
-        let mut rows = Vec::new();
+        // Every load is checked before the first one is served.
+        let mut configs = Vec::new();
         for tok in sweep.split(',') {
             let l: f64 = tok.parse().map_err(|_| format!("--sweep: cannot parse {tok:?}"))?;
             if !l.is_finite() || l <= 0.0 {
@@ -1108,9 +1109,12 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
             }
             let cfg = ServeConfig { load: l, ..base.clone() };
             offerable(&catalog, &cfg)?;
-            let outcome = serve(&catalog, &cfg);
-            rows.push((l, PolicyReport::from_outcome(&outcome)));
+            configs.push(cfg);
         }
+        let rows: Vec<_> = configs
+            .iter()
+            .map(|cfg| (cfg.load, PolicyReport::from_outcome(&serve(&catalog, cfg))))
+            .collect();
         out.push_str(&format!(
             "load sweep, policy {}{}:\n",
             base.policy.label(),
@@ -1209,17 +1213,28 @@ fn cmd_compare(ctx: &Ctx) -> Result<String, String> {
 /// runtime it ran on, and its critical path — which must tile the
 /// makespan.
 fn traced_run(args: &Args, ctx: &Ctx) -> Result<(Runtime, ExperimentResult, CriticalPath), String> {
-    let domains: usize = args.num("domains", 64usize)?;
-    let shape = parse_shape(args.get("tree").unwrap_or("grid"))?;
-    let algorithm = match args.get("algo").unwrap_or("tsqr") {
-        "tsqr" => Algorithm::Tsqr { shape, domains_per_cluster: domains },
-        "scalapack" => Algorithm::ScalapackQr2,
-        "scalapack-blocked" => Algorithm::ScalapackQrf,
+    let algo = args.get("algo").unwrap_or("tsqr");
+    let baseline = match algo {
+        "tsqr" => None,
+        "scalapack" => Some(Algorithm::ScalapackQr2),
+        "scalapack-blocked" => Some(Algorithm::ScalapackQrf),
         other => return Err(format!("unknown --algo {other:?}")),
     };
+    let (algorithm, geometry) = match baseline {
+        Some(algorithm) => {
+            if let Some(flag) = ["domains", "tree"].into_iter().find(|&f| args.get(f).is_some()) {
+                return Err(format!("--{flag} applies to --algo tsqr only, not --algo {algo}"));
+            }
+            (algorithm, None)
+        }
+        None => {
+            let domains: usize = args.num("domains", 64usize)?;
+            let shape = parse_shape(args.get("tree").unwrap_or("grid"))?;
+            (Algorithm::Tsqr { shape, domains_per_cluster: domains }, Some((domains, false)))
+        }
+    };
     let rt = ctx.runtime(true, None);
-    let is_tsqr = matches!(algorithm, Algorithm::Tsqr { .. });
-    ctx.check_geometry(&rt, is_tsqr.then_some((domains, false)))?;
+    ctx.check_geometry(&rt, geometry)?;
     let res = ctx.run(&rt, algorithm, false, ctx.mode(args));
     let cp = res.trace.as_ref().expect("tracing was enabled").critical_path();
     cp.check_tiling(res.makespan)?;

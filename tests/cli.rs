@@ -167,6 +167,46 @@ fn serve_sweep_renders_the_knee_table() {
 }
 
 #[test]
+fn a_sweep_checks_every_load_before_serving_any() {
+    // Two loads of 3M requests each used to run (≈ 5 s) before the third
+    // was parsed and refused.
+    for (sweep, message) in [
+        ("0.5,2,abc", "--sweep: cannot parse \"abc\""),
+        ("0.5,2,-1", "--sweep loads must be positive"),
+        ("0.5,2,1e308", "--load 1e308: the mean gap between arrivals"),
+    ] {
+        let start = std::time::Instant::now();
+        let out = cli().args(["serve", "--sweep", sweep, "--requests", "3000000"]).output();
+        let elapsed = start.elapsed();
+        let out = out.expect("run cli");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{sweep}\n{err}");
+        assert!(out.stdout.is_empty(), "{sweep}");
+        assert!(err.starts_with(&format!("error: {message}")), "{sweep}\n{err}");
+        assert!(elapsed.as_millis() < 50, "{sweep}: refused after {elapsed:?}");
+    }
+}
+
+#[test]
+fn trace_and_analyze_take_domains_and_tree_with_tsqr_only() {
+    // Both flags used to be read and then ignored by the ScaLAPACK runs.
+    let small = ["--m", "65536", "--n", "32"];
+    for (cmd, algo, flags) in [
+        ("analyze", "scalapack", &["--domains", "3", "--tree", "flat"][..]),
+        ("trace", "scalapack", &["--tree", "binary"][..]),
+        ("trace", "scalapack-blocked", &["--domains", "8"][..]),
+    ] {
+        let out = cli().arg(cmd).args(small).args(["--algo", algo]).args(flags).output();
+        let out = out.expect("run cli");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd} {flags:?}\n{err}");
+        assert!(out.stdout.is_empty(), "{cmd} {flags:?}");
+        let message = format!("error: {} applies to --algo tsqr only, not --algo {algo}", flags[0]);
+        assert!(err.starts_with(&message), "{cmd} {flags:?}\n{err}");
+    }
+}
+
+#[test]
 fn bad_input_exits_nonzero_with_usage() {
     for args in [
         vec!["bogus"],
