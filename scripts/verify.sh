@@ -2,8 +2,7 @@
 # Full local verification: build, every test, rustfmt on the formatted
 # code, clippy with warnings denied, rustdoc with warnings denied (the
 # gridmpi/netsim crates enforce #![warn(missing_docs)]), the doctests on
-# their own (they
-# exercise the public examples in the API docs, e.g. the
+# their own (they exercise the public examples in the API docs, e.g. the
 # metrics-registry example), the archlint static analyzer,
 # the commcheck happens-before gate (which also holds every fault-matrix
 # scenario's recovered R to the failure-free R bitwise), every registered
