@@ -11,16 +11,26 @@
 use crate::{Artifact, Sweep, Table};
 use tsqr_core::domains::DomainLayout;
 use tsqr_core::experiment::run_ranks;
-use tsqr_core::tree::{ReductionTree, TreeShape};
 use tsqr_core::tile::Dims;
+use tsqr_core::tree::{ReductionTree, TreeShape};
 use tsqr_core::tsqr::{tsqr_rank_program_with_async, TsqrConfig};
 use tsqr_gridmpi::Runtime;
 use tsqr_netsim::{ClusterSpec, CostModel, GridTopology, LinkParams};
 
 fn hetero_grid() -> (GridTopology, CostModel) {
     let specs = vec![
-        ClusterSpec { name: "slow".into(), nodes: 16, procs_per_node: 1, peak_gflops_per_proc: 1.0 },
-        ClusterSpec { name: "fast".into(), nodes: 16, procs_per_node: 1, peak_gflops_per_proc: 2.0 },
+        ClusterSpec {
+            name: "slow".into(),
+            nodes: 16,
+            procs_per_node: 1,
+            peak_gflops_per_proc: 1.0,
+        },
+        ClusterSpec {
+            name: "fast".into(),
+            nodes: 16,
+            procs_per_node: 1,
+            peak_gflops_per_proc: 2.0,
+        },
     ];
     let topo = GridTopology::block_placement(specs, 16, 1);
     let mut model = CostModel::homogeneous(LinkParams::from_ms_mbps(0.07, 890.0), 1.0e9, 2);

@@ -30,12 +30,7 @@ pub(super) fn run(_: &Sweep) -> Artifact {
     );
     let mut artifact = Artifact::default();
 
-    for (m, n) in [
-        (4_194_304u64, 64usize),
-        (4_194_304, 128),
-        (2_097_152, 256),
-        (2_097_152, 512),
-    ] {
+    for (m, n) in [(4_194_304u64, 64usize), (4_194_304, 128), (2_097_152, 256), (2_097_152, 512)] {
         let rate_blocked = calib::kernel_rate_flops(n);
         let qr2 = gflops(rt, m, n, Algorithm::ScalapackQr2, rate_unblocked);
         let qrf = gflops(rt, m, n, Algorithm::ScalapackQrf, rate_blocked);

@@ -33,9 +33,8 @@ fn mini_grid(clusters: usize, procs: usize) -> Runtime {
 fn graded(m: usize, n: usize, k: f64) -> Matrix {
     let u = QrFactors::compute(&workload::full_matrix(41, m, n), 16).q_thin();
     let v = QrFactors::compute(&workload::full_matrix(43, n, n), 16).q_thin();
-    let scaled = Matrix::from_fn(m, n, |i, j| {
-        u[(i, j)] * 10f64.powf(-k * j as f64 / (n as f64 - 1.0))
-    });
+    let scaled =
+        Matrix::from_fn(m, n, |i, j| u[(i, j)] * 10f64.powf(-k * j as f64 / (n as f64 - 1.0)));
     scaled.matmul(&v.transpose())
 }
 
@@ -44,8 +43,11 @@ fn run_tsqr(rt: &Runtime, a: &Matrix) -> (Matrix, f64, u64) {
     let (m, n) = a.shape();
     let procs = rt.topology().num_procs() / rt.topology().num_clusters();
     let layout = DomainLayout::build(rt.topology(), m as u64, n, procs);
-    let tree =
-        ReductionTree::build(&TreeShape::GridHierarchical, layout.num_domains(), &layout.clusters());
+    let tree = ReductionTree::build(
+        &TreeShape::GridHierarchical,
+        layout.num_domains(),
+        &layout.clusters(),
+    );
     let cfg = TsqrConfig {
         shape: TreeShape::GridHierarchical,
         domains_per_cluster: procs,
@@ -118,7 +120,8 @@ pub(super) fn run(_: &Sweep) -> Artifact {
         let (q_t, t_t, wan_t) = run_tsqr(&rt, &a);
         let tsqr_orth = orthogonality(&q_t);
         let chol = run_cholqr(&rt, &a);
-        let mut row = vec![format!("{:.0e}", 10f64.powf(k)), format!("{tsqr_orth:.2e} / {t_t:.4}s")];
+        let mut row =
+            vec![format!("{:.0e}", 10f64.powf(k)), format!("{tsqr_orth:.2e} / {t_t:.4}s")];
         match chol {
             Ok((q_c, t_c, wan_c)) => {
                 let chol_orth = orthogonality(&q_c);
@@ -157,7 +160,10 @@ pub(super) fn run(_: &Sweep) -> Artifact {
         // butterfly all-reduce exchanges across the site boundary once per
         // rank (its critical path is still a single WAN round-trip).
         let procs = rt.topology().num_procs() as f64;
-        let mut wan = Table::new("WAN messages", &["TSQR(Q) total", "CholeskyQR total", "CholeskyQR per rank"]);
+        let mut wan = Table::new(
+            "WAN messages",
+            &["TSQR(Q) total", "CholeskyQR total", "CholeskyQR per rank"],
+        );
         wan.rows.push(vec![wan_t.to_string(), wan_c.to_string(), (wan_c / procs).to_string()]);
         artifact.tables.push(wan);
         artifact.check(

@@ -43,7 +43,12 @@ pub(super) fn run(_: &Sweep) -> Artifact {
             Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster: 32 },
         );
         let [scal_cell, tsqr_cell] = [scal, tsqr].map(|g| format!("{g:.1}"));
-        table.rows.push(vec![format!("{overhead_ms:.0} ms"), scal_cell, tsqr_cell, format!("{:.2}", tsqr / scal)]);
+        table.rows.push(vec![
+            format!("{overhead_ms:.0} ms"),
+            scal_cell,
+            tsqr_cell,
+            format!("{:.2}", tsqr / scal),
+        ]);
         if overhead_ms == 0.0 {
             scal_clean = scal;
             tsqr_clean = tsqr;

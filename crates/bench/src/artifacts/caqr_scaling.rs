@@ -52,7 +52,8 @@ pub(super) fn run(_: &Sweep) -> Artifact {
         let [r1, r2, r4] = Sweep::SITES.map(|sites| caqr(&grid_runtime(sites), m, n));
         wan.push(((m, n), r4.totals.inter_cluster_msgs()));
         // Useful flops of a full QR of an m × n matrix, per simulated second.
-        let [g1, g2, g4] = [r1, r2, r4].map(|r| model::useful_flops(m, n as u64, false) / r.makespan.secs() / 1e9);
+        let [g1, g2, g4] =
+            [r1, r2, r4].map(|r| model::useful_flops(m, n as u64, false) / r.makespan.secs() / 1e9);
         let s4 = g4 / g1;
         let [c1, c2, c4] = [g1, g2, g4].map(|g| format!("{g:.1}"));
         table.rows.push(vec![m.to_string(), n.to_string(), c1, c2, c4, format!("{s4:.2}x")]);
@@ -69,7 +70,8 @@ pub(super) fn run(_: &Sweep) -> Artifact {
     // And the WAN bill: per panel the tuned tree crosses sites O(#sites)
     // times, so total WAN messages grow with N/b, not with M or the
     // trailing width.
-    let wan_of = |point| wan.iter().find(|(p, _)| *p == point).expect("a 4-site run of the table").1;
+    let wan_of =
+        |point| wan.iter().find(|(p, _)| *p == point).expect("a 4-site run of the table").1;
     let wan_tall = wan_of((1_048_576, 512));
     let wan_taller = wan_of((4_194_304, 512));
     artifact.check(

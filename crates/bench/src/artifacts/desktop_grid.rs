@@ -21,7 +21,8 @@ use tsqr_netsim::desktop;
 fn gflops(rt: &Runtime, m: u64, n: usize, algorithm: Algorithm) -> f64 {
     // Volunteer desktops: charge the flat host rate.
     let rate = Some(0.5e9);
-    let point = Experiment { rate_flops: rate, combine_rate_flops: rate, ..symbolic(m, n, algorithm) };
+    let point =
+        Experiment { rate_flops: rate, combine_rate_flops: rate, ..symbolic(m, n, algorithm) };
     run_experiment(rt, &point).gflops
 }
 
@@ -56,11 +57,8 @@ pub(super) fn run(_: &Sweep) -> Artifact {
         let four = &series[2].points;
         let last = ms.len() - 1;
         // First M where four regions beat one — the multi-site crossover.
-        let crossover = ms
-            .iter()
-            .enumerate()
-            .find(|(i, _)| four[*i].1 > one[*i].1)
-            .map(|(_, &m)| m);
+        let crossover =
+            ms.iter().enumerate().find(|(i, _)| four[*i].1 > one[*i].1).map(|(_, &m)| m);
         if label == "TSQR" {
             let speedup = four[last].1 / one[last].1;
             artifact.check(
@@ -85,7 +83,9 @@ pub(super) fn run(_: &Sweep) -> Artifact {
 
     // Head-to-head in the wide practical band between the two crossovers,
     // read off the 4-region series.
-    let at = |points: &[(u64, f64)], m| points.iter().find(|p| p.0 == m).expect("a point of the series").1;
+    let at = |points: &[(u64, f64)], m| {
+        points.iter().find(|p| p.0 == m).expect("a point of the series").1
+    };
     for (m, min_ratio) in [(1u64 << 22, 3.0), (1 << 24, 3.0), (1 << 26, 2.5)] {
         let (t, s) = (at(&four_regions[0], m), at(&four_regions[1], m));
         artifact.check(

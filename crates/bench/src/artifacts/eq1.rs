@@ -39,7 +39,11 @@ pub(super) fn run(_: &Sweep) -> Artifact {
                     Algorithm::ScalapackQr2
                 };
                 let rate = Some(RATE);
-                let point = Experiment { rate_flops: rate, combine_rate_flops: rate, ..symbolic(m, n, algorithm) };
+                let point = Experiment {
+                    rate_flops: rate,
+                    combine_rate_flops: rate,
+                    ..symbolic(m, n, algorithm)
+                };
                 let sim = run_experiment(&rt, &point).makespan.secs();
                 let predicted = if tsqr {
                     model::tsqr_r_only(m, n as u64, procs as u64)
@@ -51,7 +55,12 @@ pub(super) fn run(_: &Sweep) -> Artifact {
                 worst = worst.max(ratio.max(1.0 / ratio));
                 let algorithm = if tsqr { "TSQR" } else { "ScaLAPACK" }.to_string();
                 let times = [format!("{predicted:.4}"), format!("{sim:.4}"), format!("{ratio:.3}")];
-                table.rows.push([procs.to_string(), m.to_string(), n.to_string(), algorithm].into_iter().chain(times).collect());
+                table.rows.push(
+                    [procs.to_string(), m.to_string(), n.to_string(), algorithm]
+                        .into_iter()
+                        .chain(times)
+                        .collect(),
+                );
             }
         }
     }

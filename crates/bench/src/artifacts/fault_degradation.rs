@@ -21,7 +21,15 @@ use crate::{fault_points, Artifact, Sweep, Table};
 pub(super) fn run(_: &Sweep) -> Artifact {
     let mut table = Table::new(
         "WAN degradation — each scenario next to its failure-free twin",
-        &["scenario", "clean (s)", "degraded (s)", "slowdown", "window (s)", "latency", "bandwidth"],
+        &[
+            "scenario",
+            "clean (s)",
+            "degraded (s)",
+            "slowdown",
+            "window (s)",
+            "latency",
+            "bandwidth",
+        ],
     );
     let mut artifact = Artifact::default();
     for p in &fault_points() {
@@ -29,7 +37,8 @@ pub(super) fn run(_: &Sweep) -> Artifact {
         let degraded = p.measure(true);
         let id = &degraded.scenario;
         let slowdown = degraded.makespan_s / clean.makespan_s;
-        let [clean_s, degraded_s] = [clean.makespan_s, degraded.makespan_s].map(|t| format!("{t:.4}"));
+        let [clean_s, degraded_s] =
+            [clean.makespan_s, degraded.makespan_s].map(|t| format!("{t:.4}"));
         let (window, slowdown_x) = (format!("{:?}", p.window_s), format!("{slowdown:.2}x"));
         let (lat, bw) = (format!("x{}", p.latency_factor), format!("/{}", p.bandwidth_divisor));
         table.rows.push(vec![id.clone(), clean_s, degraded_s, slowdown_x, window, lat, bw]);
@@ -41,8 +50,12 @@ pub(super) fn run(_: &Sweep) -> Artifact {
                 && degraded.bytes == clean.bytes,
             format!(
                 "msgs {} vs {}, WAN {} vs {}, bytes {} vs {}",
-                degraded.msgs, clean.msgs, degraded.wan_msgs, clean.wan_msgs,
-                degraded.bytes, clean.bytes
+                degraded.msgs,
+                clean.msgs,
+                degraded.wan_msgs,
+                clean.wan_msgs,
+                degraded.bytes,
+                clean.bytes
             ),
         );
         // Whole-run degradations must visibly slow the reduction; the

@@ -27,7 +27,8 @@ pub(super) fn run(_: &Sweep) -> Artifact {
         format!("Figs. 1-2 — inter-cluster messages, M x {n} panel on 3 clusters of 2 procs"),
         &["reduction", "inter-cluster msgs"],
     );
-    let mut row = |reduction: &str, msgs: u64| table.rows.push(vec![reduction.into(), msgs.to_string()]);
+    let mut row =
+        |reduction: &str, msgs: u64| table.rows.push(vec![reduction.into(), msgs.to_string()]);
 
     // Three clusters of two single-socket nodes — six processes, the shape
     // of the paper's illustration.
@@ -54,7 +55,10 @@ pub(super) fn run(_: &Sweep) -> Artifact {
     let tree_oblivious = ReductionTree::build(&TreeShape::Binary, 6, &[0; 6]);
     let shuffled_clusters: Vec<usize> =
         (0..6).map(|r| rt_shuffled.topology().cluster_of(r)).collect();
-    row("tsqr untuned binary (shuffled)", tree_oblivious.inter_cluster_messages(&shuffled_clusters) as u64);
+    row(
+        "tsqr untuned binary (shuffled)",
+        tree_oblivious.inter_cluster_messages(&shuffled_clusters) as u64,
+    );
 
     let mut artifact = Artifact { tables: vec![table], checks: Vec::new() };
     artifact.check(

@@ -6,9 +6,9 @@
 use crate::{Artifact, Sweep, Table};
 use tsqr_core::experiment::run_ranks;
 use tsqr_core::tile::Dims;
+use tsqr_gridmpi::message::Phantom;
 use tsqr_gridmpi::Runtime;
 use tsqr_netsim::grid5000::{self, INTER_LATENCY_MS, INTER_THROUGHPUT_MBPS};
-use tsqr_gridmpi::message::Phantom;
 
 const SITE_NAMES: [&str; 4] = ["orsay", "toulouse", "bordeaux", "sophia"];
 

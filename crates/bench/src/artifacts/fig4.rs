@@ -20,8 +20,13 @@ pub(super) fn run(sweep: &Sweep) -> Artifact {
     let mut max = 0.0f64;
     for (panel, n) in PANELS {
         let ms = paper_m_values(n);
-        let series = site_series(&ms, |sites, m| sweep.gflops(sites, m, n, &Algorithm::ScalapackQr2));
-        artifact.tables.push(Table::series(format!("Fig. 4 ({panel}) — ScaLAPACK, N = {n}"), "M", &series));
+        let series =
+            site_series(&ms, |sites, m| sweep.gflops(sites, m, n, &Algorithm::ScalapackQr2));
+        artifact.tables.push(Table::series(
+            format!("Fig. 4 ({panel}) — ScaLAPACK, N = {n}"),
+            "M",
+            &series,
+        ));
 
         let one = &series[0].points;
         let four = &series[2].points;
@@ -38,7 +43,11 @@ pub(super) fn run(sweep: &Sweep) -> Artifact {
         );
         // Performance grows with M on one site.
         let monotone = one.windows(2).all(|w| w[1].1 >= w[0].1 * 0.98);
-        artifact.check(format!("N={n}: performance increases with M (Property 3)"), monotone, String::new());
+        artifact.check(
+            format!("N={n}: performance increases with M (Property 3)"),
+            monotone,
+            String::new(),
+        );
         // Tallest matrices: multi-site speedup exists but stays ≤ ~2.2.
         let last = ms.len() - 1;
         let speedup = four[last].1 / one[last].1;

@@ -17,7 +17,11 @@ pub(super) fn run(sweep: &Sweep) -> Artifact {
     for (panel, n) in PANELS {
         let ms = paper_m_values(n);
         let series = site_series(&ms, |sites, m| sweep.tsqr_best_gflops(sites, m, n).0);
-        artifact.tables.push(Table::series(format!("Fig. 5 ({panel}) — TSQR (best #domains), N = {n}"), "M", &series));
+        artifact.tables.push(Table::series(
+            format!("Fig. 5 ({panel}) — TSQR (best #domains), N = {n}"),
+            "M",
+            &series,
+        ));
 
         let one = &series[0].points;
         let two = &series[1].points;
@@ -28,11 +32,7 @@ pub(super) fn run(sweep: &Sweep) -> Artifact {
             .enumerate()
             .filter(|(_, &m)| m >= 524_288)
             .all(|(i, _)| four[i].1 >= one[i].1 && four[i].1 >= two[i].1);
-        artifact.check(
-            format!("N={n}: 4 sites fastest for M >= 5e5"),
-            four_wins,
-            String::new(),
-        );
+        artifact.check(format!("N={n}: 4 sites fastest for M >= 5e5"), four_wins, String::new());
         // Near-linear scaling at the tallest M.
         let last = ms.len() - 1;
         let s4 = four[last].1 / one[last].1;

@@ -26,7 +26,10 @@ pub(super) fn run(sweep: &Sweep) -> Artifact {
     for (panel, (n, ms)) in PANEL_MS.iter().enumerate() {
         let series = domain_series(sweep, 4, *n, ms);
         artifact.tables.push(Table::series(
-            format!("Fig. 6 ({}) — N = {n}, 4 sites, x = domains/cluster", ['a', 'b', 'c', 'd'][panel]),
+            format!(
+                "Fig. 6 ({}) — N = {n}, 4 sites, x = domains/cluster",
+                ['a', 'b', 'c', 'd'][panel]
+            ),
             "domains",
             &series,
         ));
@@ -43,7 +46,11 @@ pub(super) fn run(sweep: &Sweep) -> Artifact {
         artifact.check(
             format!("N={n}: domain impact is limited for the tallest M (Property 3)"),
             spread(tallest) < spread(&shortest),
-            format!("relative spread {:.3} (tall) vs {:.3} (short)", spread(tallest), spread(&shortest)),
+            format!(
+                "relative spread {:.3} (tall) vs {:.3} (short)",
+                spread(tallest),
+                spread(&shortest)
+            ),
         );
     }
 

@@ -13,10 +13,8 @@ use crate::harness::tuned_tsqr;
 use crate::{Artifact, Sweep, Table};
 
 /// The M values plotted per panel, for each N (M = 65 536 is off the grid of Figs. 4–5).
-pub(super) const PANEL_MS: [(usize, [u64; 4]); 2] = [
-    (64, [8_388_608, 1_048_576, 131_072, 65_536]),
-    (512, [2_097_152, 1_048_576, 131_072, 65_536]),
-];
+pub(super) const PANEL_MS: [(usize, [u64; 4]); 2] =
+    [(64, [8_388_608, 1_048_576, 131_072, 65_536]), (512, [2_097_152, 1_048_576, 131_072, 65_536])];
 
 pub(super) fn run(sweep: &Sweep) -> Artifact {
     let mut artifact = Artifact::default();

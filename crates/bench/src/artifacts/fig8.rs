@@ -19,7 +19,9 @@ pub(super) fn run(sweep: &Sweep) -> Artifact {
     for (panel, n) in PANELS {
         let ms = paper_m_values(n);
         let best = |gflops: &dyn Fn(usize, u64) -> f64| -> Vec<(u64, f64)> {
-            ms.iter().map(|&m| (m, Sweep::SITES.iter().map(|&s| gflops(s, m)).fold(0.0, f64::max))).collect()
+            ms.iter()
+                .map(|&m| (m, Sweep::SITES.iter().map(|&s| gflops(s, m)).fold(0.0, f64::max)))
+                .collect()
         };
         let tsqr_best = best(&|s, m| sweep.tsqr_best_gflops(s, m, n).0);
         let scal_best = best(&|s, m| sweep.gflops(s, m, n, &Algorithm::ScalapackQr2));
@@ -33,10 +35,7 @@ pub(super) fn run(sweep: &Sweep) -> Artifact {
         ));
 
         // TSQR consistently at least as fast.
-        let always_wins = tsqr_best
-            .iter()
-            .zip(&scal_best)
-            .all(|(t, s)| t.1 >= s.1 * 0.999);
+        let always_wins = tsqr_best.iter().zip(&scal_best).all(|(t, s)| t.1 >= s.1 * 0.999);
         artifact.check(
             format!("N={n}: TSQR consistently >= ScaLAPACK"),
             always_wins,

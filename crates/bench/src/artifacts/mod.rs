@@ -75,7 +75,9 @@ fn paper_grid(algorithms: &[Algorithm]) -> Vec<Point> {
 /// Figs. 4–5's series: one per site count, Gflop/s against M.
 fn site_series(ms: &[u64], gflops: impl Fn(usize, u64) -> f64) -> Vec<Series> {
     let points = |sites| ms.iter().map(|&m| (m, gflops(sites, m))).collect();
-    Sweep::SITES.map(|sites| Series { label: format!("{sites}site(s)"), points: points(sites) }).to_vec()
+    Sweep::SITES
+        .map(|sites| Series { label: format!("{sites}site(s)"), points: points(sites) })
+        .to_vec()
 }
 
 /// The domain sweep of Figs. 6–7 on `sites` sites: every domain count at
@@ -139,16 +141,28 @@ static FIGURES: [Figure; 18] = [
             headline("fig8", "tsqr", 4, 8_388_608, 512, tuned_tsqr(32)),
             headline("fig8", "scalapack", 4, 8_388_608, 512, Algorithm::ScalapackQr2),
         ],
-        reads: || paper_grid(&[domain_options().map(tuned_tsqr).as_slice(), &[Algorithm::ScalapackQr2]].concat()),
+        reads: || {
+            paper_grid(
+                &[domain_options().map(tuned_tsqr).as_slice(), &[Algorithm::ScalapackQr2]].concat(),
+            )
+        },
         run: fig8::run,
     },
     plain("prop1", "Property 1 (Q+R ≈ 2× R-only)", prop1::run),
     plain("ablation_balance", "§III extension: load-balanced domains", ablation_balance::run),
     plain("ablation_cholqr", "§II-E: TSQR vs the unstable CholeskyQR scheme", ablation_cholqr::run),
-    plain("ablation_blocking", "§II-B: NB/NX blocking machinery of PDGEQRF", ablation_blocking::run),
+    plain(
+        "ablation_blocking",
+        "§II-B: NB/NX blocking machinery of PDGEQRF",
+        ablation_blocking::run,
+    ),
     plain("ablation_wan_congestion", "the Fig. 4 deviation, closed", ablation_wan_congestion::run),
     plain("caqr_scaling", "§VI: the \"CAQR should scale\" experiment", caqr_scaling::run),
-    plain("fault_degradation", "WAN-degradation scenarios of the fault injector", fault_degradation::run),
+    plain(
+        "fault_degradation",
+        "WAN-degradation scenarios of the fault injector",
+        fault_degradation::run,
+    ),
     plain("desktop_grid", "§II-E future work: the internet-scale regime", desktop_grid::run),
     plain("eq1", "§IV: Eq. (1) vs the simulation, per configuration", eq1::run),
 ];

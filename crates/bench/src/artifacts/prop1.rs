@@ -16,10 +16,8 @@ pub(super) fn run(_: &Sweep) -> Artifact {
     for n in [64usize, 128, 256, 512] {
         for m in [524_288u64, 4_194_304] {
             let run = |compute_q| {
-                let tsqr = Algorithm::Tsqr {
-                    shape: TreeShape::GridHierarchical,
-                    domains_per_cluster: 64,
-                };
+                let tsqr =
+                    Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster: 64 };
                 run_point(rt, m, n, tsqr, compute_q, Mode::Symbolic)
             };
             let (t_r, t_qr) = (run(false).makespan.secs(), run(true).makespan.secs());

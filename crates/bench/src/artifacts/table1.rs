@@ -14,7 +14,14 @@ pub(super) fn run(_: &Sweep) -> Artifact {
 
     let mut table = Table::new(
         format!("Table I — R-factor only; M x N over P = {p} domains"),
-        &["M", "N", "algorithm", "#msgs (model/meas)", "words (model/meas)", "flops/domain (model/meas)"],
+        &[
+            "M",
+            "N",
+            "algorithm",
+            "#msgs (model/meas)",
+            "words (model/meas)",
+            "flops/domain (model/meas)",
+        ],
     );
     let mut artifact = Artifact::default();
 
@@ -47,9 +54,17 @@ pub(super) fn run(_: &Sweep) -> Artifact {
             ("scalapack", &scal_model, [scal_msgs as f64, scal_words as f64, scal_flops as f64]),
             ("tsqr", &tsqr_model, [tsqr_meas_msgs, tsqr_words_crit, tsqr_flops]),
         ] {
-            let (msgs, words) = (format!("{:.0}/{msgs:.0}", model.msgs), format!("{:.0}/{words:.0}", model.words));
+            let (msgs, words) =
+                (format!("{:.0}/{msgs:.0}", model.msgs), format!("{:.0}/{words:.0}", model.words));
             let flops = format!("{:.2e}/{flops:.2e}", model.flops);
-            table.rows.push(vec![m.to_string(), n.to_string(), algorithm.into(), msgs, words, flops]);
+            table.rows.push(vec![
+                m.to_string(),
+                n.to_string(),
+                algorithm.into(),
+                msgs,
+                words,
+                flops,
+            ]);
         }
 
         let nf = n as f64;

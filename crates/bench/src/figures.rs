@@ -41,7 +41,7 @@ use tsqr_serve::{
 
 use crate::artifacts::figures;
 use crate::calib;
-use crate::harness::{grid_runtime, tuned_tsqr, platform_runtime, run_point};
+use crate::harness::{grid_runtime, platform_runtime, run_point, tuned_tsqr};
 use tsqr_obs::json::{escape, num, Json};
 
 /// One headline configuration of a figure.
@@ -343,10 +343,8 @@ fn measure_tune_point(id: &str, point: &FigurePoint) -> LedgerEntry {
             fixed.secs()
         );
     }
-    let tuned = Algorithm::Tsqr {
-        shape: outcome.best().shape.clone(),
-        domains_per_cluster: TUNE_DOMAINS,
-    };
+    let tuned =
+        Algorithm::Tsqr { shape: outcome.best().shape.clone(), domains_per_cluster: TUNE_DOMAINS };
     let entry = measure_point(id, point.sites, point.m, point.n, tuned, None);
     LedgerEntry { source: "tune".to_string(), ..entry }
 }
@@ -385,18 +383,10 @@ pub fn serve_points() -> Vec<(String, ServeConfig)> {
 /// * `wan-brownout` — a degraded-WAN window plus transient drain drops,
 ///   with aggressive watermarks so admission browns out and sheds.
 pub fn serve_fault_points() -> Vec<(&'static str, ServeConfig)> {
-    let base = ServeConfig {
-        requests: 30,
-        load: 1.0,
-        seed: 7,
-        ..Default::default()
-    };
+    let base = ServeConfig { requests: 30, load: 1.0, seed: 7, ..Default::default() };
     let crash = FailureSchedule::new(1).crash_site(2, VirtualTime::from_secs(0.1));
     vec![
-        (
-            "crash-ckpt",
-            ServeConfig { faults: crash.clone(), ..base.clone() },
-        ),
+        ("crash-ckpt", ServeConfig { faults: crash.clone(), ..base.clone() }),
         (
             "crash-restart",
             ServeConfig {
@@ -405,10 +395,7 @@ pub fn serve_fault_points() -> Vec<(&'static str, ServeConfig)> {
                 ..base.clone()
             },
         ),
-        (
-            "crash-replan",
-            ServeConfig { faults: crash, single_shape: Some(3), ..base.clone() },
-        ),
+        ("crash-replan", ServeConfig { faults: crash, single_shape: Some(3), ..base.clone() }),
         (
             "wan-brownout",
             ServeConfig {
@@ -423,11 +410,7 @@ pub fn serve_fault_points() -> Vec<(&'static str, ServeConfig)> {
                         8.0,
                     ),
                 retry: RetryPolicy { backoff_base_s: 0.2, ..Default::default() },
-                brownout: BrownoutConfig {
-                    enter_watermark: 1,
-                    exit_watermark: 0,
-                    shed_slack: 0.0,
-                },
+                brownout: BrownoutConfig { enter_watermark: 1, exit_watermark: 0, shed_slack: 0.0 },
                 ..base
             },
         ),
@@ -525,9 +508,8 @@ pub fn gate_points() -> Vec<GatePoint> {
     let headline = figures().iter().flat_map(|f| f.points).cloned().map(GatePoint::Figure);
     let tuned = figures().iter().filter_map(|f| f.points.first()).cloned().map(GatePoint::Tune);
     let serve = serve_points().into_iter().map(|(name, cfg)| (format!("serve/{name}"), cfg));
-    let serve_faults = serve_fault_points()
-        .into_iter()
-        .map(|(name, cfg)| (format!("serve-faults/{name}"), cfg));
+    let serve_faults =
+        serve_fault_points().into_iter().map(|(name, cfg)| (format!("serve-faults/{name}"), cfg));
     headline
         .chain(fault_points().into_iter().map(GatePoint::Fault))
         .chain(tuned)
@@ -704,10 +686,7 @@ pub fn parse_records(text: &str) -> Result<Vec<LedgerEntry>, String> {
         Some("grid-tsqr-bench/v1") => {}
         other => return Err(format!("unsupported bench schema {other:?}")),
     }
-    let recs = doc
-        .get("records")
-        .and_then(Json::as_arr)
-        .ok_or("missing records array")?;
+    let recs = doc.get("records").and_then(Json::as_arr).ok_or("missing records array")?;
     let record = |r: &Json| -> Result<LedgerEntry, String> {
         Ok(LedgerEntry {
             scenario: str_field(r, "id")?,

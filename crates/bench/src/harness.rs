@@ -20,8 +20,8 @@ use crate::figures::{measure_traced, FigurePoint};
 pub fn grid_runtime(sites: usize) -> Runtime {
     let catalog = ResourceCatalog::grid5000();
     let profile = JobProfile::cluster_of_clusters(sites, 64);
-    let alloc = allocate(&catalog, &profile)
-        .unwrap_or_else(|e| panic!("Grid'5000 allocation failed: {e}"));
+    let alloc =
+        allocate(&catalog, &profile).unwrap_or_else(|e| panic!("Grid'5000 allocation failed: {e}"));
     Runtime::new(alloc.topology, alloc.network)
 }
 
@@ -30,15 +30,15 @@ pub fn grid_runtime(sites: usize) -> Runtime {
 /// matrices — the x-ranges of Figs. 4–5 (a/b vs c/d).
 pub fn paper_m_values(n: usize) -> Vec<u64> {
     let all: [u64; 9] = [
-        131_072,     // 2^17
-        262_144,     // 2^18
-        524_288,     // 2^19
-        1_048_576,   // 2^20
-        2_097_152,   // 2^21
-        4_194_304,   // 2^22
-        8_388_608,   // 2^23
-        16_777_216,  // 2^24
-        33_554_432,  // 2^25
+        131_072,    // 2^17
+        262_144,    // 2^18
+        524_288,    // 2^19
+        1_048_576,  // 2^20
+        2_097_152,  // 2^21
+        4_194_304,  // 2^22
+        8_388_608,  // 2^23
+        16_777_216, // 2^24
+        33_554_432, // 2^25
     ];
     let cap: u64 = if n <= 128 { 33_554_432 } else { 8_388_608 };
     all.iter().copied().filter(|&m| m <= cap).collect()
@@ -239,7 +239,8 @@ pub fn run_figures(figures: &[&Figure], trace_out: Option<&Path>) -> Result<bool
                 entries.push(dump_traced_point(&target, p).map_err(|e| cannot_write(&target, e))?);
             }
         }
-        if let Some(path) = tsqr_obs::ledger::path_from_env().filter(|_| !figure.points.is_empty()) {
+        if let Some(path) = tsqr_obs::ledger::path_from_env().filter(|_| !figure.points.is_empty())
+        {
             if entries.is_empty() {
                 entries = figure.points.iter().map(FigurePoint::measure).collect();
             }
@@ -261,7 +262,8 @@ pub fn run_figures(figures: &[&Figure], trace_out: Option<&Path>) -> Result<bool
 /// points they read is priced once, then their bodies run, both on
 /// `threads` threads.
 fn artifacts(figures: &[&Figure], threads: usize) -> Vec<Artifact> {
-    let sweep = Sweep::price(&figures.iter().flat_map(|f| (f.reads)()).collect::<Vec<_>>(), threads);
+    let sweep =
+        Sweep::price(&figures.iter().flat_map(|f| (f.reads)()).collect::<Vec<_>>(), threads);
     on_pool(figures, threads, |figure| (figure.run)(&sweep))
 }
 
@@ -349,8 +351,11 @@ impl std::fmt::Display for Artifact {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for table in &self.tables {
             writeln!(f, "\n# {}", table.title)?;
-            let lines = || std::iter::once(("#", &table.headers)).chain(table.rows.iter().map(|r| (" ", r)));
-            let width = |c: usize| lines().map(|(_, cells)| cells[c].chars().count()).max().unwrap_or(0);
+            let lines = || {
+                std::iter::once(("#", &table.headers)).chain(table.rows.iter().map(|r| (" ", r)))
+            };
+            let width =
+                |c: usize| lines().map(|(_, cells)| cells[c].chars().count()).max().unwrap_or(0);
             let widths: Vec<usize> = (0..table.headers.len()).map(width).collect();
             for (lead, cells) in lines() {
                 write!(f, "{lead}")?;
@@ -421,15 +426,19 @@ mod tests {
 
     #[test]
     fn the_cheap_bodies_render_the_same_on_any_number_of_threads() {
-        let cheap = ["prop1", "fig12", "eq1", "ablation_balance", "ablation_cholqr", "fault_degradation"];
+        let cheap =
+            ["prop1", "fig12", "eq1", "ablation_balance", "ablation_cholqr", "fault_degradation"];
         let figures: Vec<&Figure> =
             crate::figures().iter().filter(|f| cheap.contains(&f.id)).collect();
         assert_eq!(figures.len(), cheap.len());
         let render = |threads| -> Vec<String> {
-            artifacts(&figures, threads).iter().map(|a| {
-                assert!(!a.checks.is_empty(), "a body returns its checks");
-                a.to_string()
-            }).collect()
+            artifacts(&figures, threads)
+                .iter()
+                .map(|a| {
+                    assert!(!a.checks.is_empty(), "a body returns its checks");
+                    a.to_string()
+                })
+                .collect()
         };
         assert_eq!(render(1), render(2));
     }
@@ -462,10 +471,13 @@ mod tests {
             Series { label: "b".into(), points: vec![(1, 10.126)] },
         ];
         let rows = [["1", "1.00", "10.13"], ["2", "2.00", "-"]];
-        assert_eq!(Table::series("t", "M", &series), Table {
-            title: "t".into(),
-            headers: ["M", "a", "b"].map(String::from).to_vec(),
-            rows: rows.iter().map(|r| r.map(String::from).to_vec()).collect(),
-        });
+        assert_eq!(
+            Table::series("t", "M", &series),
+            Table {
+                title: "t".into(),
+                headers: ["M", "a", "b"].map(String::from).to_vec(),
+                rows: rows.iter().map(|r| r.map(String::from).to_vec()).collect(),
+            }
+        );
     }
 }

@@ -57,6 +57,6 @@ pub use figures::{
     GatePoint,
 };
 pub use harness::{
-    domain_options, dump_traced_point, grid_runtime, paper_m_values, platform_runtime,
-    run_figures, run_point, Artifact, Check, Point, Series, Sweep, Table,
+    domain_options, dump_traced_point, grid_runtime, paper_m_values, platform_runtime, run_figures,
+    run_point, Artifact, Check, Point, Series, Sweep, Table,
 };

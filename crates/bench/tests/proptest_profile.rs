@@ -27,9 +27,7 @@ fn mix(seed: u64, i: u64) -> u64 {
 /// A random heap-ordered parent vector (`parents[i] ∈ 0..i`) — the class
 /// every built-in generator produces.
 fn random_heap_parents(n: usize, seed: u64) -> Vec<Option<usize>> {
-    (0..n)
-        .map(|i| if i == 0 { None } else { Some((mix(seed, i as u64) as usize) % i) })
-        .collect()
+    (0..n).map(|i| if i == 0 { None } else { Some((mix(seed, i as u64) as usize) % i) }).collect()
 }
 
 /// A little grid with a deliberately slow WAN so the traces exercise all
@@ -44,8 +42,7 @@ fn small_grid(clusters: usize, procs_per_cluster: usize) -> Runtime {
         })
         .collect();
     let topo = GridTopology::block_placement(specs, procs_per_cluster, 1);
-    let mut model =
-        CostModel::homogeneous(LinkParams::from_ms_mbps(0.1, 800.0), 1e9, clusters);
+    let mut model = CostModel::homogeneous(LinkParams::from_ms_mbps(0.1, 800.0), 1e9, clusters);
     for a in 0..clusters {
         for b in 0..clusters {
             if a != b {

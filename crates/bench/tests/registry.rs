@@ -52,7 +52,8 @@ fn both_artifact_tables_list_exactly_the_registry() {
 /// no sweep point, so an empty sweep serves.
 #[test]
 fn the_cheap_artifacts_pass_their_shape_checks() {
-    for id in ["prop1", "fig12", "eq1", "ablation_balance", "ablation_cholqr", "fault_degradation"] {
+    for id in ["prop1", "fig12", "eq1", "ablation_balance", "ablation_cholqr", "fault_degradation"]
+    {
         let figure = figures().iter().find(|f| f.id == id).expect("registered");
         let artifact = (figure.run)(&Sweep::default());
         assert!(!artifact.tables.is_empty() && !artifact.checks.is_empty(), "{id}: {artifact:?}");

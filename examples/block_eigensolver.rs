@@ -99,8 +99,7 @@ fn main() {
     let wan_total = report.totals.inter_cluster_msgs();
     let outs: Vec<EigsolveRankOutput> =
         report.ranks.into_iter().map(|r| r.result.expect("rank ok")).collect();
-    let mut blocks: Vec<(u64, Matrix)> =
-        outs.iter().map(|o| (o.row0, o.x_block.clone())).collect();
+    let mut blocks: Vec<(u64, Matrix)> = outs.iter().map(|o| (o.row0, o.x_block.clone())).collect();
     blocks.sort_by_key(|(r0, _)| *r0);
     let refs: Vec<&Matrix> = blocks.iter().map(|(_, b)| b).collect();
     let q = Matrix::vstack_all(&refs);
@@ -129,9 +128,6 @@ fn main() {
     }
     println!("normalize-only scheme after {sweeps} sweeps:");
     println!("  basis orthogonality ||XᵀX - I|| = {:.2e} (collapsed)", orthogonality(&x));
-    assert!(
-        orthogonality(&x) > 0.1,
-        "the unstable scheme should visibly lose orthogonality"
-    );
+    assert!(orthogonality(&x) > 0.1, "the unstable scheme should visibly lose orthogonality");
     println!("OK: TSQR keeps the block orthogonal; the cheap scheme does not.");
 }

@@ -64,10 +64,7 @@ fn main() {
                  (the paper's central claim: ~linear in the number of sites)"
             );
             assert!(speedup > 3.3, "expected near-linear site scaling");
-            assert!(
-                tsqr.gflops > scal.gflops,
-                "TSQR must beat the baseline on the grid"
-            );
+            assert!(tsqr.gflops > scal.gflops, "TSQR must beat the baseline on the grid");
         }
     }
     println!("OK: dense linear algebra *can* speed up across geographical sites.");

@@ -47,18 +47,11 @@ fn main() {
     let (m, degree) = (4096usize, 9usize);
     let truth: Vec<f64> = (0..=degree).map(|j| ((j as f64) * 0.7 - 2.0).sin() * 3.0).collect();
     let a = vandermonde(m, degree);
-    let b: Vec<f64> = (0..m)
-        .map(|i| (0..=degree).map(|j| a[(i, j)] * truth[j]).sum())
-        .collect();
+    let b: Vec<f64> = (0..m).map(|i| (0..=degree).map(|j| a[(i, j)] * truth[j]).sum()).collect();
 
     // --- Distributed TSQR least squares. ---
     let out = lstsq_distributed(&rt, &a, &b, 4, TreeShape::GridHierarchical);
-    let tsqr_err: f64 = out
-        .x
-        .iter()
-        .zip(&truth)
-        .map(|(g, w)| (g - w).abs())
-        .fold(0.0, f64::max);
+    let tsqr_err: f64 = out.x.iter().zip(&truth).map(|(g, w)| (g - w).abs()).fold(0.0, f64::max);
     println!("degree-{degree} Vandermonde fit on {m} points, 8 processes / 2 sites");
     println!("  TSQR solve:             max coefficient error {tsqr_err:.3e}");
     println!("  R min diagonal (conditioning probe): {:.3e}", out.r_min_diag);

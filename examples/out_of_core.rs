@@ -26,9 +26,8 @@ fn main() {
     while row0 < m {
         let rows = (window_rows as u64).min(m - row0) as usize;
         let block = workload::block(seed, row0, rows, n);
-        let rhs: Vec<f64> = (0..rows)
-            .map(|i| (0..n).map(|j| block[(i, j)] * x_true[j]).sum())
-            .collect();
+        let rhs: Vec<f64> =
+            (0..rows).map(|i| (0..n).map(|j| block[(i, j)] * x_true[j]).sum()).collect();
         acc.push_block(&block, Some(&rhs));
         row0 += rows as u64;
         blocks += 1;
@@ -42,11 +41,7 @@ fn main() {
 
     // The solution from one pass.
     let x = acc.solve();
-    let err = x
-        .iter()
-        .zip(&x_true)
-        .map(|(g, w)| (g - w).abs())
-        .fold(0.0f64, f64::max);
+    let err = x.iter().zip(&x_true).map(|(g, w)| (g - w).abs()).fold(0.0f64, f64::max);
     println!("  streaming least-squares max error: {err:.3e}");
     assert!(err < 1e-9);
 

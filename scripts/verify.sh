@@ -27,9 +27,10 @@ cargo build --release --workspace
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
-echo "==> rustfmt --check on what is formatted (crates/gridmpi, the CLI binary)"
+echo "==> rustfmt --check on what is formatted (crates/gridmpi, crates/bench, the root package)"
 cargo fmt -p tsqr-gridmpi --check
-rustfmt --check --edition 2021 src/bin/grid-tsqr.rs
+cargo fmt -p tsqr-bench --check
+cargo fmt -p grid-tsqr --check
 
 echo "==> cargo clippy --all-targets (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -125,8 +125,17 @@ fn serve_scores_every_policy_on_one_trace() {
 #[test]
 fn serve_batching_coalesces_a_same_shape_burst() {
     let base = [
-        "serve", "--policy", "fifo", "--requests", "20", "--load", "4.0", "--shape", "3",
-        "--seed", "9",
+        "serve",
+        "--policy",
+        "fifo",
+        "--requests",
+        "20",
+        "--load",
+        "4.0",
+        "--shape",
+        "3",
+        "--seed",
+        "9",
     ];
     let run = |batch: bool| {
         let mut args: Vec<&str> = base.to_vec();
@@ -156,10 +165,8 @@ fn serve_batching_coalesces_a_same_shape_burst() {
 
 #[test]
 fn serve_sweep_renders_the_knee_table() {
-    let out = cli()
-        .args(["serve", "--sweep", "0.5,2.0", "--requests", "15"])
-        .output()
-        .expect("run cli");
+    let out =
+        cli().args(["serve", "--sweep", "0.5,2.0", "--requests", "15"]).output().expect("run cli");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("load sweep"), "{text}");
@@ -442,9 +449,15 @@ fn figure_checks_its_ids_and_trace_target_before_anything_runs() {
         (vec!["figure", "--id", "fig9"], "--id fig9: no such artifact"),
         (vec!["figure", "--id"], "--id needs a value"),
         (vec!["figure", "--id", "fig5", "--all"], "--all already names every --id"),
-        (vec!["figure", "--id", "table1", "--trace-out", "t.json"], "--trace-out dumps one figure's"),
+        (
+            vec!["figure", "--id", "table1", "--trace-out", "t.json"],
+            "--trace-out dumps one figure's",
+        ),
         (vec!["figure", "--all", "--trace-out", "t.json"], "--trace-out dumps one figure's"),
-        (vec!["figure", "--id", "fig5", "--id", "fig7", "--trace-out", "t.json"], "--trace-out dumps"),
+        (
+            vec!["figure", "--id", "fig5", "--id", "fig7", "--trace-out", "t.json"],
+            "--trace-out dumps",
+        ),
         (vec!["figure", "--id", "fig7", "--trace-out", "/no/such/dir/t.json"], "cannot write"),
         (vec!["bench-check"], "bench-check needs --baseline <file>"),
         (vec!["bench-check", "--baseline"], "--baseline needs a value"),

@@ -186,11 +186,7 @@ fn explorer_proves_tsqr_r_bit_identical_for_p8() {
         &schedules_for(8),
     );
     assert_eq!(rep.schedules(), 27, "P ≤ 8 is the exhaustive regime");
-    assert!(
-        rep.proves_determinism(),
-        "TSQR must be schedule-independent:\n{}",
-        rep.render()
-    );
+    assert!(rep.proves_determinism(), "TSQR must be schedule-independent:\n{}", rep.render());
     // The R digest is real: rank 0 held an R in the first run.
     assert!(matches!(rep.runs[0].rank_digests[0], Ok(d) if d != 0));
 }

@@ -6,9 +6,7 @@
 //! (Tables I/II: `O(log C)` tree crossings for TSQR vs per-column
 //! all-reduces for ScaLAPACK QR2).
 
-use grid_tsqr::core::experiment::{
-    run_experiment, Algorithm, Experiment, ExperimentResult, Mode,
-};
+use grid_tsqr::core::experiment::{run_experiment, Algorithm, Experiment, ExperimentResult, Mode};
 use grid_tsqr::core::tree::TreeShape;
 use grid_tsqr::gridmpi::{Diagnosis, Runtime};
 use grid_tsqr::netsim::grid5000;
@@ -38,10 +36,7 @@ fn traced(rt: &mut Runtime, m: u64, n: usize, algorithm: Algorithm) -> Experimen
 }
 
 fn diagnose(rt: &Runtime, res: &ExperimentResult) -> Diagnosis {
-    res.trace
-        .as_ref()
-        .expect("tracing enabled")
-        .diagnose(rt.topology().num_procs(), 32)
+    res.trace.as_ref().expect("tracing enabled").diagnose(rt.topology().num_procs(), 32)
 }
 
 /// Asserts the central reconciliation invariant: classified wait states
@@ -65,10 +60,12 @@ fn assert_reconciles(diag: &Diagnosis, res: &ExperimentResult) {
 #[test]
 fn tsqr_diagnosis_reconciles_on_two_sites() {
     let mut rt = small_grid5000(2, 2); // 2 sites x 4 procs = 8 ranks
-    let res = traced(&mut rt, 1 << 16, 16, Algorithm::Tsqr {
-        shape: TreeShape::GridHierarchical,
-        domains_per_cluster: 4,
-    });
+    let res = traced(
+        &mut rt,
+        1 << 16,
+        16,
+        Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster: 4 },
+    );
     let diag = diagnose(&rt, &res);
     assert_reconciles(&diag, &res);
 
@@ -118,10 +115,12 @@ fn tsqr_wan_crossings_follow_the_reduction_tree() {
     // ever be on one dependency chain.
     for sites in [2usize, 3, 4] {
         let mut rt = small_grid5000(sites, 2);
-        let res = traced(&mut rt, 1 << 16, 16, Algorithm::Tsqr {
-            shape: TreeShape::GridHierarchical,
-            domains_per_cluster: 4,
-        });
+        let res = traced(
+            &mut rt,
+            1 << 16,
+            16,
+            Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster: 4 },
+        );
         let diag = diagnose(&rt, &res);
         let c = sites as u64;
         assert_eq!(diag.wan_msgs(), c - 1, "total WAN crossings at {sites} sites");
@@ -186,20 +185,21 @@ fn scalapack_wan_crossings_follow_two_allreduces_per_column() {
 #[test]
 fn analyze_renders_all_sections() {
     let mut rt = small_grid5000(2, 1);
-    let res = traced(&mut rt, 1 << 12, 8, Algorithm::Tsqr {
-        shape: TreeShape::GridHierarchical,
-        domains_per_cluster: 2,
-    });
+    let res = traced(
+        &mut rt,
+        1 << 12,
+        8,
+        Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster: 2 },
+    );
     let diag = diagnose(&rt, &res);
     let text = diag.render();
-    for section in ["== wait states ==", "== link utilization ==", "== communication matrix =="]
-    {
+    for section in ["== wait states ==", "== link utilization ==", "== communication matrix =="] {
         assert!(text.contains(section), "missing {section} in:\n{text}");
     }
     // And the model fit exists for the same run.
-    let fit = grid_tsqr::core::modelfit::fit(
-        &grid_tsqr::core::modelfit::samples_from_metrics(&res.metrics),
-    )
+    let fit = grid_tsqr::core::modelfit::fit(&grid_tsqr::core::modelfit::samples_from_metrics(
+        &res.metrics,
+    ))
     .expect("fit exists");
     assert!(fit.rel_residual.is_finite());
 }

@@ -47,10 +47,7 @@ fn tsqr_on_grid5000_network_matches_reference() {
             },
         );
         let r = res.r.expect("R at rank 0");
-        assert!(
-            r_distance(&r, &reference_r(seed, m as usize, n)) < 1e-10,
-            "dpc = {dpc}"
-        );
+        assert!(r_distance(&r, &reference_r(seed, m as usize, n)) < 1e-10, "dpc = {dpc}");
         // The tuned tree crosses the WAN exactly sites-1 times.
         assert_eq!(res.totals.inter_cluster_msgs(), 3);
     }
@@ -152,8 +149,7 @@ fn explicit_q_distributed_equals_local_qr() {
     let report = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, None));
     let outs: Vec<_> = report.ranks.into_iter().map(|r| r.result.unwrap()).collect();
     let r = outs[0].r.clone().unwrap();
-    let mut blocks: Vec<_> =
-        outs.iter().map(|o| (o.row0, o.q_block.clone().unwrap())).collect();
+    let mut blocks: Vec<_> = outs.iter().map(|o| (o.row0, o.q_block.clone().unwrap())).collect();
     blocks.sort_by_key(|(row0, _)| *row0);
     let refs: Vec<&grid_tsqr::linalg::Matrix> = blocks.iter().map(|(_, b)| b).collect();
     let q = grid_tsqr::linalg::Matrix::vstack_all(&refs);
@@ -199,7 +195,8 @@ fn distributed_tsqr_is_stable_at_kappa_1e12_on_every_tree() {
         let mut outs = report.unwrap_results();
         outs.sort_by_key(|o| o.row0);
         let r = outs[0].r.take().expect("rank 0 holds R");
-        let q_blocks: Vec<Matrix> = outs.into_iter().map(|o| o.q_block.expect("Q asked for")).collect();
+        let q_blocks: Vec<Matrix> =
+            outs.into_iter().map(|o| o.q_block.expect("Q asked for")).collect();
         let q = Matrix::vstack_all(&q_blocks.iter().collect::<Vec<_>>());
         let bound = bound(n);
         let (orth, resid) = (orth_max(&q), resid_cols(&a, &q, &r));
@@ -223,8 +220,7 @@ fn distributed_least_squares_tracks_the_sequential_solve_to_kappa_eps() {
     for (i, kappa) in [1e4, 1e8].into_iter().enumerate() {
         let a = with_condition(m, n, kappa, 31 + i as u64);
         let x_true: Vec<f64> = (0..n).map(|j| 1.0 + j as f64 / 4.0).collect();
-        let b: Vec<f64> =
-            (0..m).map(|r| (0..n).map(|j| a[(r, j)] * x_true[j]).sum()).collect();
+        let b: Vec<f64> = (0..m).map(|r| (0..n).map(|j| a[(r, j)] * x_true[j]).sum()).collect();
         let f = QrFactors::compute(&a, 32);
         let mut qtb = grid_tsqr::linalg::Matrix::from_col_major(m, 1, b.clone()).unwrap();
         f.apply_qt_left(&mut qtb);

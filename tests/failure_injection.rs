@@ -92,17 +92,10 @@ fn tsqr_surfaces_failure_on_the_reduction_edge() {
     rt.fail_link(1, 0); // the binary tree's first combine edge
     let layout = DomainLayout::build(rt.topology(), 256, 4, 4);
     let tree = ReductionTree::build(&TreeShape::Binary, 4, &layout.clusters());
-    let cfg = TsqrConfig {
-        shape: TreeShape::Binary,
-        domains_per_cluster: 4,
-        ..Default::default()
-    };
+    let cfg = TsqrConfig { shape: TreeShape::Binary, domains_per_cluster: 4, ..Default::default() };
     let report = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, 1, None));
     // Rank 1 hits the dead link; rank 0 can then never finish its combine.
-    assert!(matches!(
-        report.ranks[1].result,
-        Err(CommError::LinkDown { src: 1, dst: 0 })
-    ));
+    assert!(matches!(report.ranks[1].result, Err(CommError::LinkDown { src: 1, dst: 0 })));
     assert!(report.ranks[0].result.is_err());
     // Rank 3 -> 2 leg is healthy and completes its send.
     assert!(report.ranks[3].result.is_ok());
@@ -130,11 +123,9 @@ fn fail_link_is_directional_for_every_link_class() {
     // One representative pair per link class, failed in each direction:
     // the failed direction surfaces as LinkDown at the sender while the
     // reverse direction still carries data.
-    for (a, b, class) in [
-        (0usize, 1usize, "intra-node"),
-        (0, 2, "intra-cluster"),
-        (0, 4, "inter-cluster"),
-    ] {
+    for (a, b, class) in
+        [(0usize, 1usize, "intra-node"), (0, 2, "intra-cluster"), (0, 4, "inter-cluster")]
+    {
         for (src, dst) in [(a, b), (b, a)] {
             let mut rt = multi_class_runtime();
             rt.fail_link(src, dst);
@@ -166,11 +157,9 @@ fn starving_rank_terminates_typed_for_every_link_class() {
     // The receiver waits on a message that can never arrive (its only
     // sender hits a dead link and returns). Once nobody is left to run it
     // is told exactly that: PeerGone, naming the sender.
-    for (src, dst, class) in [
-        (1usize, 0usize, "intra-node"),
-        (2, 0, "intra-cluster"),
-        (4, 0, "inter-cluster"),
-    ] {
+    for (src, dst, class) in
+        [(1usize, 0usize, "intra-node"), (2, 0, "intra-cluster"), (4, 0, "inter-cluster")]
+    {
         let mut rt = multi_class_runtime();
         rt.fail_link(src, dst);
         let report = rt.run(|p, _| {

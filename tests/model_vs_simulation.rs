@@ -25,10 +25,7 @@ fn homogeneous_runtime(procs: usize) -> Runtime {
         procs,
         1,
     );
-    Runtime::new(
-        topo,
-        CostModel::homogeneous(LinkParams::from_ms_mbps(BETA_MS, MBPS), RATE, 1),
-    )
+    Runtime::new(topo, CostModel::homogeneous(LinkParams::from_ms_mbps(BETA_MS, MBPS), RATE, 1))
 }
 
 fn eq1_params() -> (f64, f64, f64) {
@@ -84,8 +81,7 @@ fn scalapack_simulated_time_matches_eq1() {
                 combine_rate_flops: None,
             },
         );
-        let predicted =
-            model::scalapack_r_only(m, n as u64, procs as u64).time(beta, alpha, gamma);
+        let predicted = model::scalapack_r_only(m, n as u64, procs as u64).time(beta, alpha, gamma);
         let ratio = sim.makespan.secs() / predicted;
         assert!(
             (0.85..1.25).contains(&ratio),
@@ -144,10 +140,8 @@ fn least_squares_fit_recovers_eq1_on_homogeneous_network() {
         }
         // The fit predicts the run it saw: per-phase observed vs
         // predicted seconds agree in aggregate.
-        let (obs, pred): (f64, f64) = fit
-            .per_phase
-            .iter()
-            .fold((0.0, 0.0), |(o, p), (_, po, pp)| (o + po, p + pp));
+        let (obs, pred): (f64, f64) =
+            fit.per_phase.iter().fold((0.0, 0.0), |(o, p), (_, po, pp)| (o + po, p + pp));
         assert!((obs - pred).abs() / obs.max(1e-12) < 0.05, "{algorithm:?}");
     }
 }
@@ -177,13 +171,8 @@ fn model_and_simulation_agree_on_the_winner() {
         .secs();
         let sim_scal = run_experiment(&rt, &mk(Algorithm::ScalapackQr2)).makespan.secs();
         let mod_tsqr = model::tsqr_r_only(m, n as u64, procs as u64).time(beta, alpha, gamma);
-        let mod_scal =
-            model::scalapack_r_only(m, n as u64, procs as u64).time(beta, alpha, gamma);
-        assert_eq!(
-            sim_tsqr < sim_scal,
-            mod_tsqr < mod_scal,
-            "winner disagreement at M={m}, N={n}"
-        );
+        let mod_scal = model::scalapack_r_only(m, n as u64, procs as u64).time(beta, alpha, gamma);
+        assert_eq!(sim_tsqr < sim_scal, mod_tsqr < mod_scal, "winner disagreement at M={m}, N={n}");
     }
 }
 

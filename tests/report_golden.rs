@@ -23,8 +23,7 @@ fn cli() -> Command {
 /// Copies the committed ledger into a scratch file the test may extend.
 fn scratch_ledger(tag: &str) -> PathBuf {
     let src = repo_root().join("ledger/runs.jsonl");
-    let dst = std::env::temp_dir()
-        .join(format!("tsqr_ledger_{tag}_{}.jsonl", std::process::id()));
+    let dst = std::env::temp_dir().join(format!("tsqr_ledger_{tag}_{}.jsonl", std::process::id()));
     std::fs::copy(&src, &dst).expect("committed ledger exists");
     dst
 }
@@ -82,25 +81,14 @@ fn injected_model_drift_fails_the_check() {
         .find(|e| e.phases.iter().any(|p| p.observed_s() > 0.0))
         .cloned()
         .expect("some entry has an active phase");
-    let phase = tampered
-        .phases
-        .iter_mut()
-        .find(|p| p.observed_s() > 0.0)
-        .unwrap();
+    let phase = tampered.phases.iter_mut().find(|p| p.observed_s() > 0.0).unwrap();
     let name = phase.name.clone();
     phase.predicted_s = phase.observed_s() * 1.5;
     append_entry(&path, tampered).unwrap();
 
-    let out = cli()
-        .args(["report", "--ledger"])
-        .arg(&path)
-        .args(["--check"])
-        .output()
-        .expect("run cli");
-    assert!(
-        !out.status.success(),
-        "an injected 50% model drift must fail --check"
-    );
+    let out =
+        cli().args(["report", "--ledger"]).arg(&path).args(["--check"]).output().expect("run cli");
+    assert!(!out.status.success(), "an injected 50% model drift must fail --check");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("anomalous"), "stderr:\n{err}");
     assert!(err.contains(&name), "anomaly must name phase {name}:\n{err}");
@@ -111,15 +99,13 @@ fn injected_model_drift_fails_the_check() {
 fn ledger_lines_round_trip_through_the_public_api() {
     // Every committed line parses, re-serializes canonically, and keeps
     // strictly increasing sequence numbers (append-only discipline).
-    let text =
-        std::fs::read_to_string(repo_root().join("ledger/runs.jsonl")).unwrap();
+    let text = std::fs::read_to_string(repo_root().join("ledger/runs.jsonl")).unwrap();
     let mut last_seq = 0;
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         let entry = parse_entry(line).expect("committed ledger line parses");
         assert!(entry.seq > last_seq, "seq must increase: {}", entry.seq);
         last_seq = entry.seq;
-        let reparsed =
-            parse_entry(&grid_tsqr::obs::ledger::entry_to_json(&entry)).unwrap();
+        let reparsed = parse_entry(&grid_tsqr::obs::ledger::entry_to_json(&entry)).unwrap();
         assert_eq!(entry, reparsed);
     }
     assert!(last_seq >= 14, "seeded ledger holds the full bench trajectory");

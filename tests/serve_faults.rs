@@ -103,10 +103,7 @@ fn slot_exhaustion_triggers_elastic_replan_on_survivors() {
         post_crash_completions > 0,
         "4-site jobs completed after the 4th site died — only possible via re-plan"
     );
-    assert!(
-        !out.faults.is_empty(),
-        "the mid-flight victim of the crash leaves an audit entry"
-    );
+    assert!(!out.faults.is_empty(), "the mid-flight victim of the crash leaves an audit entry");
 }
 
 #[test]
@@ -117,12 +114,7 @@ fn wan_degradation_browns_out_sheds_and_replays_byte_identically() {
         seed: 7,
         faults: (0..6)
             .fold(FailureSchedule::new(1), |s, nth| s.drop_nth_message(0, 2, nth))
-            .degrade_all_wan(
-                VirtualTime::from_secs(0.05),
-                VirtualTime::from_secs(5.0),
-                1.0,
-                8.0,
-            ),
+            .degrade_all_wan(VirtualTime::from_secs(0.05), VirtualTime::from_secs(5.0), 1.0, 8.0),
         retry: RetryPolicy { backoff_base_s: 0.2, ..Default::default() },
         brownout: BrownoutConfig { enter_watermark: 1, exit_watermark: 0, shed_slack: 0.0 },
         ..Default::default()
@@ -130,11 +122,7 @@ fn wan_degradation_browns_out_sheds_and_replays_byte_identically() {
     let catalog = ResourceCatalog::grid5000();
     let out = serve(&catalog, &cfg);
 
-    let shed = out
-        .records
-        .iter()
-        .filter(|r| matches!(r.disposition, Disposition::Shed))
-        .count();
+    let shed = out.records.iter().filter(|r| matches!(r.disposition, Disposition::Shed)).count();
     assert!(shed > 0, "sustained retry pressure must shed arrivals");
     assert!(!out.brownout_windows.is_empty(), "shedding opens a brownout window");
     for &(s, e) in &out.brownout_windows {

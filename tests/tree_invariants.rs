@@ -35,9 +35,7 @@ fn mix(seed: u64, i: u64) -> u64 {
 /// its child (`parents[i] ∈ 0..i`), the class every built-in generator
 /// produces and the one the self-healing TSQR requires.
 fn random_heap_parents(n: usize, seed: u64) -> Vec<Option<usize>> {
-    (0..n)
-        .map(|i| if i == 0 { None } else { Some((mix(seed, i as u64) as usize) % i) })
-        .collect()
+    (0..n).map(|i| if i == 0 { None } else { Some((mix(seed, i as u64) as usize) % i) }).collect()
 }
 
 /// A uniformly scrambled tree rooted at 0 with *no* heap ordering:
@@ -83,7 +81,10 @@ fn assert_valid_tree(tree: &ReductionTree) -> Result<(), String> {
         for &c in children {
             listed[c] += 1;
             if tree.parent(c) != Some(i) {
-                return Err(format!("participant {c} listed under {i}, parent {:?}", tree.parent(c)));
+                return Err(format!(
+                    "participant {c} listed under {i}, parent {:?}",
+                    tree.parent(c)
+                ));
             }
         }
     }
