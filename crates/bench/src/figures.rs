@@ -41,7 +41,9 @@ use tsqr_serve::{
 
 use crate::artifacts::figures;
 use crate::calib;
-use crate::harness::{grid_runtime, platform_runtime, run_point, tuned_tsqr};
+use crate::harness::{
+    cores, grid_runtime, on_pool, platform_runtime, run_point, tuned_tsqr, Artifact, Check,
+};
 use tsqr_obs::json::{escape, num, Json};
 
 /// One headline configuration of a figure.
@@ -322,31 +324,24 @@ const TUNE_DOMAINS: usize = 64;
 /// domains under the reduction tree `tsqr_core::tune::autotune` picks
 /// (ledger source `"tune"`). Fig. 4's point runs TSQR on the ScaLAPACK
 /// figure's topology; Fig. 8's headline TSQR point groups two processes
-/// per domain, so its tune twin drops to one-process domains instead.
-/// Before measuring, asserts the gate's headline claim: the autotuned
-/// tree's replayed makespan is never slower than any of the three fixed
-/// shapes on this topology (ties allowed — the search table lists fixed
-/// shapes first precisely so a tie resolves to one of them).
-fn measure_tune_point(id: &str, point: &FigurePoint) -> LedgerEntry {
+/// per domain, so its tune twin drops to one-process domains instead. Also
+/// replays the three fixed shapes on the same layout, for the gate's claim
+/// that the autotuned tree is never slower than any of them.
+fn measure_tune_point(id: &str, point: &FigurePoint) -> (LedgerEntry, Evidence) {
     let rt = grid_runtime(point.sites);
     let rate = Some(calib::kernel_rate_flops(point.n));
     let combine = Some(calib::combine_rate_flops());
     let outcome = tune::autotune(&rt, point.m, point.n, TUNE_DOMAINS, rate, combine);
     let layout = DomainLayout::build(rt.topology(), point.m, point.n, TUNE_DOMAINS);
-    for shape in [TreeShape::Flat, TreeShape::Binary, TreeShape::GridHierarchical] {
-        let fixed = tune::replay_makespan(&rt, &layout, &shape, rate, combine);
-        assert!(
-            outcome.replayed.secs() <= fixed.secs() * (1.0 + 1e-12),
-            "{id}: autotuned {:?} ({} s) slower than fixed {shape:?} ({} s)",
-            outcome.best().shape,
-            outcome.replayed.secs(),
-            fixed.secs()
-        );
-    }
-    let tuned =
-        Algorithm::Tsqr { shape: outcome.best().shape.clone(), domains_per_cluster: TUNE_DOMAINS };
-    let entry = measure_point(id, point.sites, point.m, point.n, tuned, None);
-    LedgerEntry { source: "tune".to_string(), ..entry }
+    let fixed = [TreeShape::Flat, TreeShape::Binary, TreeShape::GridHierarchical].map(|shape| {
+        let s = tune::replay_makespan(&rt, &layout, &shape, rate, combine).secs();
+        (shape, s)
+    });
+    let tuned = outcome.best().shape.clone();
+    let algorithm = Algorithm::Tsqr { shape: tuned.clone(), domains_per_cluster: TUNE_DOMAINS };
+    let entry = measure_point(id, point.sites, point.m, point.n, algorithm, None);
+    let tuned_s = outcome.replayed.secs();
+    (LedgerEntry { source: "tune".to_string(), ..entry }, Evidence::Tune { tuned, tuned_s, fixed })
 }
 
 /// The serving gate points, `(name, config)` with record id
@@ -480,6 +475,19 @@ pub enum GatePoint {
     Serve(String, ServeConfig),
 }
 
+/// What the gate's claims read of a measured point beyond its entry.
+#[derive(Debug, Clone, PartialEq)]
+enum Evidence {
+    /// Nothing: a figure or WAN-degradation point.
+    None,
+    /// The autotuned tree and its replayed makespan, and each fixed
+    /// shape's on the same layout (seconds).
+    Tune { tuned: TreeShape, tuned_s: f64, fixed: [(TreeShape, f64); 3] },
+    /// The run's report, whether a same-seed re-run gave the same entry
+    /// and, for a fault-injected point, the report of its failure-free twin.
+    Serve { report: Box<ServeReport>, replays: bool, clean: Option<Box<ServeReport>> },
+}
+
 impl GatePoint {
     /// Stable identifier used in `BENCH_results.json`.
     pub fn id(&self) -> String {
@@ -491,13 +499,25 @@ impl GatePoint {
         }
     }
 
-    /// Measures the point (asserting the invariants of its family).
-    pub fn measure(&self) -> LedgerEntry {
+    /// Measures the point (asserting the invariants of its family): its
+    /// ledger entry and the evidence its claims read.
+    fn measure(&self) -> (LedgerEntry, Evidence) {
         match self {
-            GatePoint::Figure(p) => p.measure(),
-            GatePoint::Fault(p) => p.measure(true),
+            GatePoint::Figure(p) => (p.measure(), Evidence::None),
+            GatePoint::Fault(p) => (p.measure(true), Evidence::None),
             GatePoint::Tune(p) => measure_tune_point(&self.id(), p),
-            GatePoint::Serve(id, cfg) => measure_serve(id, cfg).0,
+            GatePoint::Serve(id, cfg) => {
+                let (entry, report) = measure_serve(id, cfg);
+                let replays = measure_serve(id, cfg).0 == entry;
+                let clean = id.starts_with("serve-faults/").then(|| {
+                    let cfg = ServeConfig { faults: FailureSchedule::default(), ..cfg.clone() };
+                    Box::new(ServeReport::from_outcome(&run_serve(
+                        &ResourceCatalog::grid5000(),
+                        &cfg,
+                    )))
+                });
+                (entry, Evidence::Serve { report: Box::new(report), replays, clean })
+            }
         }
     }
 }
@@ -517,129 +537,118 @@ pub fn gate_points() -> Vec<GatePoint> {
         .collect()
 }
 
-/// Measures every gate point in registry order, handing each entry to
-/// `progress` as it lands, then asserts the serving layer's headline
-/// claims on the freshly measured data (the tuner's claim is asserted per
-/// point, before it is measured):
-///
-/// * FIFO and SJF genuinely differ on the same seeded high-load trace
-///   (p99 sojourn or throughput — a scheduler that cannot change the
-///   outcome is not scheduling);
-/// * SJF's mean sojourn is no worse than FIFO's at high load (the
-///   textbook shortest-job-first claim, held as data);
-/// * batching strictly reduces WAN messages on the same-shape burst;
-/// * a same-seed re-run reproduces every serve entry exactly;
-/// * the recovery layer's claims on the fault-injected points (listed on
-///   `assert_serve_fault_claims`).
-pub fn measure_gate(mut progress: impl FnMut(&LedgerEntry)) -> Vec<LedgerEntry> {
-    let points = gate_points();
-    let mut all = Vec::with_capacity(points.len());
-    for point in &points {
-        let entry = point.measure();
-        progress(&entry);
-        all.push(entry);
-    }
-    let by_id = |id: &str| -> &LedgerEntry {
-        all.iter().find(|e| e.scenario == id).expect("gate point measured")
-    };
-    let fifo = by_id("serve/fifo@2.5");
-    let sjf = by_id("serve/sjf@2.5");
-    assert!(
-        fifo.cp_send_s != sjf.cp_send_s || fifo.gflops != sjf.gflops,
-        "fifo and sjf must differ on the same trace (p99 {} vs {})",
-        fifo.cp_send_s,
-        sjf.cp_send_s
-    );
-    assert!(
-        sjf.cp_compute_s <= fifo.cp_compute_s,
-        "SJF mean sojourn {} must not exceed FIFO's {} at high load",
-        sjf.cp_compute_s,
-        fifo.cp_compute_s
-    );
-    let unbatched = by_id("serve/fifo@4.0");
-    let batched = by_id("serve/fifo@4.0+batch");
-    assert!(
-        batched.wan_msgs < unbatched.wan_msgs,
-        "batching must strictly cut WAN messages on a same-shape burst \
-         ({} vs {})",
-        batched.wan_msgs,
-        unbatched.wan_msgs
-    );
-    // The replay of the fault points doubles as the source of the reports
-    // their claims are stated on.
-    let mut fault_reports = Vec::new();
-    for point in &points {
-        let GatePoint::Serve(id, cfg) = point else { continue };
-        let (replay, report) = measure_serve(id, cfg);
-        assert_eq!(by_id(id), &replay, "{id}: serve entries must replay identically");
-        if let Some(name) = id.strip_prefix("serve-faults/") {
-            fault_reports.push((name, cfg, report));
-        }
-    }
-    assert_serve_fault_claims(&fault_reports);
-    all
+/// Measures every gate point on one thread per core: their entries in
+/// registry order, and the gate's claims on them as [`Check`]s: the
+/// serving disciplines, batching, replay, the tuner and the recovery layer.
+pub fn measure_gate() -> (Vec<LedgerEntry>, Vec<Check>) {
+    let measured = on_pool(&gate_points(), cores(), GatePoint::measure);
+    let claims = gate_claims(&measured);
+    (measured.into_iter().map(|(entry, _)| entry).collect(), claims)
 }
 
-/// The recovery layer's headline claims, on the reports of the
-/// [`serve_fault_points`] (`(name, config, report)`):
-///
-/// * every crash scenario both faults *and* recovers (fault events and
-///   retried completions are nonzero, nothing fails permanently);
-/// * checkpointed drain beats full restart in mean sojourn on the same
-///   crash (the retry pays only the residual WAN drain);
-/// * the elastic re-plan scenario still completes every request even
-///   though its 4-site shape lost a site;
-/// * the degraded-WAN scenario actually browns out (sheds > 0, nonzero
-///   brownout seconds);
-/// * injecting faults is never free: each scenario's mean sojourn is
-///   strictly worse than its failure-free twin's.
-fn assert_serve_fault_claims(reports: &[(&str, &ServeConfig, ServeReport)]) {
-    let by = |name: &str| -> &ServeReport {
-        &reports.iter().find(|(n, _, _)| *n == name).expect("fault gate point measured").2
+/// The gate's headline claims on its measured points: the serving
+/// disciplines genuinely differ and SJF is no worse than FIFO at high load
+/// (the textbook claim, held as data); batching cuts WAN messages on a
+/// same-shape burst; a same-seed re-run reproduces every serve entry; no
+/// autotuned tree is slower than a fixed shape (ties allowed: the search
+/// table lists fixed shapes first so a tie resolves to one of them); and
+/// the recovery layer's claims on the fault-injected serving points. A
+/// pure function of the entries and their evidence: a claim that does not
+/// hold is a failed [`Check`], never a panic.
+fn gate_claims(measured: &[(LedgerEntry, Evidence)]) -> Vec<Check> {
+    let mut claims = Artifact::default();
+    let by_id = |id: &str| -> &LedgerEntry {
+        &measured.iter().find(|(e, _)| e.scenario == id).expect("gate point measured").0
     };
-    for name in ["crash-ckpt", "crash-restart", "crash-replan"] {
-        let rep = by(name);
-        assert!(rep.fault_events > 0, "{name}: the scripted crash must fault someone");
-        assert!(rep.retried_completions > 0, "{name}: faulted jobs must recover via retry");
-        assert_eq!(rep.failed_permanent, 0, "{name}: the retry budget suffices here");
-    }
-    assert!(
-        by("crash-ckpt").mean_sojourn_s <= by("crash-restart").mean_sojourn_s,
-        "checkpointed drain must not lose to full restart ({} vs {})",
-        by("crash-ckpt").mean_sojourn_s,
-        by("crash-restart").mean_sojourn_s
+    let (fifo, sjf) = (by_id("serve/fifo@2.5"), by_id("serve/sjf@2.5"));
+    claims.check(
+        "FIFO and SJF differ on the same trace",
+        fifo.cp_send_s != sjf.cp_send_s || fifo.gflops != sjf.gflops,
+        format!("p99 sojourn {} vs {} s", fifo.cp_send_s, sjf.cp_send_s),
     );
-    let replan = by("crash-replan");
-    assert_eq!(
-        replan.completed, 30,
-        "elastic re-planning must complete every 4-site request on 3 survivors"
+    claims.check(
+        "SJF's mean sojourn does not exceed FIFO's at high load",
+        sjf.cp_compute_s <= fifo.cp_compute_s,
+        format!("{} vs {} s", sjf.cp_compute_s, fifo.cp_compute_s),
     );
-    let brown = by("wan-brownout");
-    assert!(brown.shed > 0, "degraded WAN must drive brownout shedding");
-    assert!(brown.brownout_s > 0.0, "brownout must stay open for measurable virtual time");
-    for (name, cfg, faulty) in reports {
-        let clean = ServeReport::from_outcome(&run_serve(
-            &ResourceCatalog::grid5000(),
-            &ServeConfig { faults: FailureSchedule::default(), ..(*cfg).clone() },
-        ));
-        if *name == "crash-replan" {
-            // Re-planning is the one fault response that can come out
-            // net *faster*: the 3-survivor trees are narrower, so each
-            // drain crosses fewer contended WAN links. The structural
-            // claim is that the trees genuinely changed shape.
-            assert_ne!(
-                faulty.wan_msgs, clean.wan_msgs,
-                "{name}: surviving-site re-plans must change the WAN traffic pattern"
-            );
-        } else {
-            assert!(
-                faulty.mean_sojourn_s > clean.mean_sojourn_s,
-                "{name}: faults must cost sojourn time ({} vs clean {})",
-                faulty.mean_sojourn_s,
-                clean.mean_sojourn_s
-            );
+    let (unbatched, batched) = (by_id("serve/fifo@4.0"), by_id("serve/fifo@4.0+batch"));
+    claims.check(
+        "batching strictly cuts WAN messages on a same-shape burst",
+        batched.wan_msgs < unbatched.wan_msgs,
+        format!("{} vs {} unbatched", batched.wan_msgs, unbatched.wan_msgs),
+    );
+    let mut faults = Vec::new();
+    for (entry, evidence) in measured {
+        let id = &entry.scenario;
+        match evidence {
+            Evidence::None => {}
+            Evidence::Tune { tuned, tuned_s, fixed } => claims.check(
+                format!("{id}: the autotuned tree is no slower than any fixed shape"),
+                fixed.iter().all(|(_, s)| *tuned_s <= s * (1.0 + 1e-12)),
+                format!("{tuned:?} {tuned_s} s; fixed {fixed:?}"),
+            ),
+            Evidence::Serve { report, replays, clean } => {
+                let detail = if *replays { "identical" } else { "differs" };
+                claims.check(
+                    format!("{id}: a same-seed re-run reproduces the entry"),
+                    *replays,
+                    detail,
+                );
+                if let (Some(name), Some(clean)) = (id.strip_prefix("serve-faults/"), clean) {
+                    faults.push((name, report, clean));
+                }
+            }
         }
     }
+    let by = |name: &str| faults.iter().find(|f| f.0 == name).expect("fault gate point measured").1;
+    for name in ["crash-ckpt", "crash-restart", "crash-replan"] {
+        let r = by(name);
+        claims.check(
+            format!("{name}: the scripted crash faults someone and every faulted job recovers"),
+            r.fault_events > 0 && r.retried_completions > 0 && r.failed_permanent == 0,
+            format!(
+                "{} fault events, {} retried completions, {} failed for good",
+                r.fault_events, r.retried_completions, r.failed_permanent
+            ),
+        );
+    }
+    let (ckpt, restart) = (by("crash-ckpt").mean_sojourn_s, by("crash-restart").mean_sojourn_s);
+    claims.check(
+        "checkpointed drain does not lose to full restart",
+        ckpt <= restart,
+        format!("mean sojourn {ckpt} vs {restart} s"),
+    );
+    let replan = by("crash-replan").completed;
+    claims.check(
+        "elastic re-planning completes every 4-site request on 3 survivors",
+        replan == 30,
+        format!("{replan} of 30 completed"),
+    );
+    let brown = by("wan-brownout");
+    claims.check(
+        "degraded WAN drives brownout shedding for measurable virtual time",
+        brown.shed > 0 && brown.brownout_s > 0.0,
+        format!("{} shed, {} s in brownout", brown.shed, brown.brownout_s),
+    );
+    for (name, faulty, clean) in &faults {
+        // Re-planning is the one fault response that can come out net
+        // *faster*: the 3-survivor trees are narrower, so each drain
+        // crosses fewer contended WAN links. Its claim is that the trees
+        // genuinely changed shape; every other fault costs sojourn time.
+        let (what, pass, detail) = if *name == "crash-replan" {
+            let (f, c) = (faulty.wan_msgs, clean.wan_msgs);
+            (
+                "surviving-site re-plans change the WAN traffic pattern",
+                f != c,
+                format!("{f} vs clean {c} WAN messages"),
+            )
+        } else {
+            let (f, c) = (faulty.mean_sojourn_s, clean.mean_sojourn_s);
+            ("faults cost sojourn time", f > c, format!("mean {f} vs clean {c} s"))
+        };
+        claims.check(format!("{name}: {what}"), pass, detail);
+    }
+    claims.checks
 }
 
 /// Serializes the gated columns of `records` as the `BENCH_results.json`
@@ -847,6 +856,46 @@ mod tests {
         // Missing and extra records are both flagged.
         let fails = compare_records(&base, &[rec("fig9/x", 1, 1.0)], 1e-9);
         assert_eq!(fails.len(), 2);
+    }
+
+    /// The gate's serving points: milliseconds each.
+    fn serve_gate_points() -> Vec<GatePoint> {
+        gate_points().into_iter().filter(|p| matches!(p, GatePoint::Serve(..))).collect()
+    }
+
+    #[test]
+    fn the_serve_points_measure_the_same_on_any_number_of_threads() {
+        let points = serve_gate_points();
+        assert_eq!(points.len(), 10);
+        let one = on_pool(&points, 1, GatePoint::measure);
+        assert_eq!(one, on_pool(&points, 2, GatePoint::measure));
+        let claims = gate_claims(&one);
+        assert!(claims.iter().all(|c| c.pass), "{claims:?}");
+    }
+
+    #[test]
+    fn a_claim_that_does_not_hold_is_a_failed_check_not_a_panic() {
+        let mut measured = on_pool(&serve_gate_points(), 2, GatePoint::measure);
+        let at = |m: &[(LedgerEntry, Evidence)], id: &str| {
+            m.iter().position(|(e, _)| e.scenario == id).unwrap()
+        };
+        // SJF's mean sojourn above FIFO's, and a batch that cuts no WAN
+        // message: both claims fail, and only those.
+        let (fifo, sjf) = (at(&measured, "serve/fifo@2.5"), at(&measured, "serve/sjf@2.5"));
+        measured[sjf].0.cp_compute_s = 2.0 * measured[fifo].0.cp_compute_s;
+        let (solo, batch) =
+            (at(&measured, "serve/fifo@4.0"), at(&measured, "serve/fifo@4.0+batch"));
+        measured[batch].0.wan_msgs = measured[solo].0.wan_msgs;
+        let failed: Vec<String> =
+            gate_claims(&measured).iter().filter(|c| !c.pass).map(Check::to_string).collect();
+        let names = [
+            "[FAIL] SJF's mean sojourn does not exceed FIFO's at high load: ",
+            "[FAIL] batching strictly cuts WAN messages on a same-shape burst: ",
+        ];
+        assert_eq!(failed.len(), names.len(), "{failed:#?}");
+        for (got, want) in failed.iter().zip(names) {
+            assert!(got.starts_with(want), "{got}");
+        }
     }
 
     #[test]

@@ -96,10 +96,19 @@ pub fn run_point(
 /// One point of the paper's sweep: `(sites, M, N, algorithm)`.
 pub type Point = (usize, u64, usize, Algorithm);
 
+/// One pool thread per core.
+pub(crate) fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
 /// `f` of every item on `threads` scoped threads, each taking the next
 /// item off one queue; the results come back in the order of `items`. The
-/// sweep's points and the artifacts' bodies both run here.
-fn on_pool<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+/// sweep's points, the artifacts' bodies and both gates' points run here.
+pub(crate) fn on_pool<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
     let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
     let queue = Mutex::new(items.iter().zip(&mut results));
     let next = || queue.lock().expect("a pool thread panicked").next();
@@ -251,7 +260,7 @@ pub fn run_figures(figures: &[&Figure], trace_out: Option<&Path>) -> Result<bool
             println!("# ledger: {n} entries -> {}", path.display());
         }
     }
-    let artifacts = artifacts(figures, std::thread::available_parallelism().map_or(1, usize::from));
+    let artifacts = artifacts(figures, cores());
     for artifact in &artifacts {
         print!("{artifact}");
     }
@@ -322,6 +331,14 @@ pub struct Check {
     pub detail: String,
 }
 
+impl std::fmt::Display for Check {
+    /// `[PASS] name: detail` or `[FAIL] name: detail`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let verdict = if self.pass { "PASS" } else { "FAIL" };
+        write!(f, "[{verdict}] {}: {}", self.name, self.detail)
+    }
+}
+
 /// What a regenerated artifact is: its tables and its paper-shape checks.
 /// Its `Display` is the one printer of `grid-tsqr figure`.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -366,8 +383,8 @@ impl std::fmt::Display for Artifact {
             }
         }
         writeln!(f, "\n# paper-shape checks")?;
-        for Check { name, pass, detail } in &self.checks {
-            writeln!(f, "#   [{}] {name}: {detail}", if *pass { "PASS" } else { "FAIL" })?;
+        for check in &self.checks {
+            writeln!(f, "#   {check}")?;
         }
         Ok(())
     }

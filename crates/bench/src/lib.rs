@@ -29,9 +29,13 @@
 //! Pass `--trace-out <file>` with one of `fig4`–`fig8` to additionally dump
 //! a Chrome-trace JSON of that figure's headline configuration, plus its
 //! critical path and per-phase Eq. (1) ledger (see `docs/observability.md`).
+//! The two other gates are registries here too, run on the same pool:
 //! `grid-tsqr bench-check` (driven by `scripts/bench_check.sh`) measures
-//! every registered point and diffs it against the committed
-//! `BENCH_baseline.json`.
+//! every point of [`gate_points`] and diffs it against the committed
+//! `BENCH_baseline.json`, its claims returned as [`Check`]s
+//! ([`measure_gate`]); `grid-tsqr check` runs every scenario of
+//! [`commcheck`] and compares its lines with `COMMCHECK_baseline.txt`. The
+//! binary keeps argument handling, printing and the golden compare.
 //!
 //! The sweeps execute the *actual distributed schedules* of the algorithms
 //! (symbolic payloads, real message passing, virtual clocks priced with the
@@ -40,13 +44,17 @@
 //! declared, then priced on every core ([`Sweep`]); the body reads them and
 //! returns its [`Artifact`] — tables of formatted cells and the paper-shape
 //! [`Check`]s — without printing. [`run_figures`] runs the bodies on the
-//! same pool and prints the artifacts through one printer.
+//! same pool and prints the artifacts through one printer. The pool
+//! (`harness::on_pool`) is the crate's one `thread::scope`: sweep points,
+//! artifact bodies, gate points and commcheck scenarios all run on it, the
+//! results in input order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod artifacts;
 pub mod calib;
+pub mod commcheck;
 pub mod figures;
 pub mod harness;
 

@@ -168,10 +168,12 @@ impl CostModel {
     /// How long a receive NIC at `to` is busy clocking in a `bytes`-sized
     /// message from `from`: the payload's bandwidth term, without latency.
     ///
-    /// The `gridmpi` runtime (through [`CostModel::receive_done`], or once
-    /// per link class in a folded all-reduce) and the `tune` makespan
-    /// predictor both price every receive through this one function, which
-    /// is what makes the prediction bit-identical to the simulation.
+    /// The `gridmpi` runtime (through [`CostModel::receive_done`], or, in
+    /// a folded all-reduce, once per link class of a communicator's plan
+    /// and wire size, the price kept across folds while the wire size
+    /// holds) and the `tune` makespan predictor both price every receive
+    /// through this one function, which is what makes the prediction
+    /// bit-identical to the simulation.
     #[inline]
     pub fn wire_time(&self, from: ProcLocation, to: ProcLocation, bytes: u64) -> VirtualTime {
         VirtualTime::from_secs(bytes as f64 * 8.0 / self.link(from, to).bandwidth_bps)

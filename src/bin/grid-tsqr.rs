@@ -11,8 +11,9 @@
 //! ends in its `[PASS]`/`[FAIL]` paper-shape block and any `[FAIL]` is exit
 //! code 1; its sweep points are declared, then priced on every core, once.
 //! `bench-check` is the perf-regression gate `scripts/bench_check.sh`
-//! drives: every registered headline point measured and compared with the
-//! committed baseline, exit code 1 on drift.
+//! drives: every registered headline point measured on every core and
+//! compared with the committed baseline, exit code 1 on drift or on a
+//! failed claim of the gate.
 //!
 //! `tune` runs the model-driven reduction-tree autotuner
 //! (`tsqr_core::tune`, handbook in `docs/tuning.md`): it predicts the
@@ -63,15 +64,19 @@
 //! site-pair flow; `--retry`, `--backoff`, `--no-checkpoint` and
 //! `--brownout` tune the recovery layer (docs/serving.md §Failures).
 //!
-//! `check` is the **commcheck** gate (`docs/static-analysis.md`): it runs
-//! the figure-style scenarios and the fault matrix with tracing on, feeds
-//! every trace through the happens-before analyzer
-//! (`gridmpi::hb`) — receive races, deadlock cycles, clock monotonicity —
-//! and runs the DPOR-lite schedule explorer (`gridmpi::explore`) on a
-//! dedicated 8-rank grid, proving the TSQR result bit-identical under
-//! every permuted delivery order. One structural summary line per
-//! scenario is compared against the blessed `COMMCHECK_baseline.txt`
-//! (regenerate with `--bless`), exactly like the benchmark gate.
+//! `check` is the **commcheck** gate (`docs/static-analysis.md` §3): it
+//! runs the registry `tsqr_bench::commcheck` on every core — the
+//! figure-style scenarios and the fault matrix traced through the
+//! happens-before analyzer (`gridmpi::hb`), the DPOR-lite schedule
+//! explorer on a dedicated 8-rank grid, the serving traces — at the one
+//! size the golden was blessed at, so it takes no problem flags. One
+//! structural summary line per scenario is compared against the blessed
+//! `--golden` file (regenerate with `--bless`), exactly like the benchmark
+//! gate.
+//!
+//! The gates (`figure`, `bench-check`, `check`, `report --golden/--check`)
+//! exit 1 when they ran and found a failure; exit 2 is a refusal, printed
+//! with the subcommand's usage.
 //!
 //! `analyze` runs the same traced point and prints the diagnosis instead:
 //! the Scalasca-style wait-state breakdown (reconciled against the metrics
@@ -84,24 +89,15 @@
 use std::process::ExitCode;
 
 use grid_tsqr::core::domains::DomainLayout;
-use grid_tsqr::core::experiment::{run_ranks, Algorithm, ExperimentResult, Mode};
-use grid_tsqr::core::ft_tsqr::{ft_tsqr_rank_program_async, FtTsqrOutput};
+use grid_tsqr::core::experiment::{Algorithm, ExperimentResult, Mode};
 use grid_tsqr::core::modelfit;
-use grid_tsqr::core::tree::{ReductionTree, TreeShape};
-use grid_tsqr::core::tsqr::{
-    tsqr_rank_program, tsqr_rank_program_with_async, TsqrConfig, TsqrRankOutput,
-};
+use grid_tsqr::core::tree::TreeShape;
 use grid_tsqr::core::tune;
 use grid_tsqr::core::workload;
-use grid_tsqr::gridmpi::{
-    explore, fnv1a, schedules_for, CriticalPath, FoldedProfile, HbReport, RunReport, Runtime,
-};
+use grid_tsqr::gridmpi::{CriticalPath, FoldedProfile, Runtime};
 use grid_tsqr::linalg::prelude::QrFactors;
 use grid_tsqr::linalg::verify::r_distance;
-use grid_tsqr::linalg::Matrix;
-use grid_tsqr::netsim::{
-    ClusterSpec, CostModel, FailureSchedule, GridTopology, LinkParams, VirtualTime,
-};
+use grid_tsqr::netsim::{FailureSchedule, VirtualTime};
 use grid_tsqr::obs::ledger::{append_entry, path_from_env, read_ledger, LedgerEntry};
 use grid_tsqr::obs::report::{detect_anomalies, render_report, ReportOptions};
 use grid_tsqr::qcg::ResourceCatalog;
@@ -109,10 +105,11 @@ use grid_tsqr::serve::{
     load_is_offerable, menu, serve, BrownoutConfig, Disposition, FaultKind, Policy as ServePolicy,
     PolicyReport, RecoveryAction, RetryPolicy, ServeConfig, ServeOutcome,
 };
+use tsqr_bench::commcheck::{self, recovered_r_holder, Problem};
 use tsqr_bench::{
     calib, compare_records, figures, gate_points, ledger_entry, measure_gate, measure_point,
-    parse_records, platform_runtime, records_json, run_figures, run_point, serve_fault_points,
-    serve_record, Figure,
+    parse_records, platform_runtime, records_json, run_figures, run_point, serve_record, Check,
+    Figure,
 };
 
 /// How a flag is given: `--name` alone, `--name <value>` at most once, or
@@ -241,7 +238,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "check",
         about: "the commcheck happens-before gate (docs/static-analysis.md)",
-        flags: &[PROBLEM, SEED, &[value("golden", "<baseline.txt>"), switch("bless")]],
+        flags: &[&[value("golden", "<baseline.txt>"), switch("bless")]],
     },
     Command {
         name: "report",
@@ -391,14 +388,17 @@ fn golden_entry_count(report: &str) -> Option<usize> {
     report.lines().find_map(|l| l.strip_prefix("- entries: ")).and_then(|v| v.trim().parse().ok())
 }
 
+fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))
+}
+
 /// The compare half of the two golden gates (`report --golden`,
-/// `check --golden`): byte-compares `got` with the blessed file at `path`;
-/// a mismatch is `headline`, how to re-bless, and a line-by-line
+/// `check --golden`): `None` when `got` is the blessed `want` byte for
+/// byte, else `headline`, how to re-bless, and a line-by-line
 /// `baseline:/current:` diff.
-fn expect_golden(path: &str, got: &str, headline: &str, cmd: &str) -> Result<(), String> {
-    let want = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+fn golden_drift(want: &str, got: &str, headline: &str, cmd: &str) -> Option<String> {
     if want == got {
-        return Ok(());
+        return None;
     }
     let want_lines: Vec<&str> = want.lines().collect();
     let got_lines: Vec<&str> = got.lines().collect();
@@ -410,7 +410,7 @@ fn expect_golden(path: &str, got: &str, headline: &str, cmd: &str) -> Result<(),
             diff.push_str(&format!("  line {}:\n    baseline: {w}\n    current:  {g}\n", i + 1));
         }
     }
-    Err(format!("{headline} (re-bless with `grid-tsqr {cmd} --bless` if intended):\n{diff}"))
+    Some(format!("{headline} (re-bless with `grid-tsqr {cmd} --bless` if intended):\n{diff}"))
 }
 
 /// Parses a `--tree` value: the three fixed shapes plus the generated
@@ -545,44 +545,27 @@ fn fault_schedule(args: &Args, axis: FaultAxis) -> Result<FailureSchedule, Strin
     Ok(schedule)
 }
 
-/// One TSQR run's plan: the domains, the tree over them, the config.
-type DomainPlan = (DomainLayout, ReductionTree, TsqrConfig);
-
-/// What the simulating subcommands share: the problem, the platform and
-/// the calibrated rates every run is priced with.
-struct Ctx {
-    m: u64,
-    n: usize,
-    sites: usize,
-    seed: u64,
-    rate: Option<f64>,
-    combine: Option<f64>,
-}
+/// What the simulating subcommands share: the seeded problem on the
+/// paper's platform, every run priced at the calibrated rates of `calib`.
+struct Ctx(Problem);
 
 impl Ctx {
-    fn parse(args: &Args, default_m: u64, default_n: usize) -> Result<Self, String> {
-        let m: u64 = args.num("m", default_m)?;
-        let n: usize = args.num("n", default_n)?;
+    fn parse(args: &Args) -> Result<Self, String> {
+        let m: u64 = args.num("m", 1 << 20)?;
+        let n: usize = args.num("n", 64)?;
         let sites: usize = args.num("sites", 4usize)?;
         if !(1..=4).contains(&sites) {
             return Err("--sites must be 1..=4".into());
         }
         // `compare` and `tune` run symbolically only: they take no seed.
         let seeded = args.cmd.flags().any(|f| f.name == "seed");
-        Ok(Ctx {
-            m,
-            n,
-            sites,
-            seed: if seeded { args.num("seed", 42)? } else { 42 },
-            rate: Some(calib::kernel_rate_flops(n)),
-            combine: Some(calib::combine_rate_flops()),
-        })
+        Ok(Ctx(Problem { m, n, sites, seed: if seeded { args.num("seed", 42)? } else { 42 } }))
     }
 
     /// The paper's platform for this invocation, see
     /// [`tsqr_bench::platform_runtime`].
     fn runtime(&self, traced: bool, faults: Option<FailureSchedule>) -> Runtime {
-        platform_runtime(self.sites, traced, faults)
+        platform_runtime(self.0.sites, traced, faults)
     }
 
     /// Refuses an `m × n` factorization the rank programs cannot run on
@@ -590,7 +573,7 @@ impl Ctx {
     /// panic inside every rank program. `tsqr` carries `(--domains, --q)`
     /// when the algorithm is TSQR.
     fn check_geometry(&self, rt: &Runtime, tsqr: Option<(usize, bool)>) -> Result<(), String> {
-        let (m, n) = (self.m, self.n);
+        let Problem { m, n, .. } = self.0;
         if n == 0 {
             return Err("--n must be at least 1".into());
         }
@@ -620,74 +603,26 @@ impl Ctx {
     }
 
     fn run(&self, rt: &Runtime, algo: Algorithm, with_q: bool, mode: Mode) -> ExperimentResult {
-        run_point(rt, self.m, self.n, algo, with_q, mode)
+        run_point(rt, self.0.m, self.0.n, algo, with_q, mode)
     }
 
     fn mode(&self, args: &Args) -> Mode {
         if args.has("real") {
-            Mode::Real { seed: self.seed }
+            Mode::Real { seed: self.0.seed }
         } else {
             Mode::Symbolic
         }
-    }
-
-    /// The plain TSQR on the seeded workload, one domain per process
-    /// ([`Ctx::domain_per_process`]): the failure-free reference, and the
-    /// program `faults --baseline` runs under the schedule.
-    fn run_tsqr(&self, rt: &Runtime, plan: &DomainPlan) -> RunReport<TsqrRankOutput> {
-        let (layout, tree, cfg) = plan;
-        let block = |row0, rows| workload::block(self.seed, row0, rows, self.n);
-        run_ranks::<Matrix, _, _>(rt, async |p, _| {
-            tsqr_rank_program_with_async(p, layout, tree, cfg, self.rate, block).await
-        })
-    }
-
-    /// The plain TSQR's makespan and R on `rt` with no faults: the
-    /// reference a self-healing run must reproduce bit for bit.
-    fn failure_free(
-        &self,
-        rt: &Runtime,
-        plan: &DomainPlan,
-    ) -> Result<(VirtualTime, Matrix), String> {
-        let clean = self.run_tsqr(rt, plan);
-        let root = clean.ranks[0].result.as_ref();
-        let root = root.map_err(|e| format!("failure-free run failed: {e}"))?;
-        Ok((clean.makespan, root.r.clone().expect("root holds R")))
-    }
-
-    /// The self-healing TSQR on the seeded workload, under `rt`'s schedule.
-    fn run_ft_tsqr(&self, rt: &Runtime, plan: &DomainPlan) -> RunReport<FtTsqrOutput> {
-        let (layout, tree, cfg) = plan;
-        run_ranks::<Matrix, _, _>(rt, async |p, _| {
-            ft_tsqr_rank_program_async(p, layout, tree, cfg, self.seed, self.rate).await
-        })
-    }
-
-    /// One TSQR domain per process on the grid-hierarchical tree, as the
-    /// self-healing program requires: `(layout, tree, config)`.
-    fn domain_per_process(&self, rt: &Runtime) -> DomainPlan {
-        let dpc = rt.topology().num_procs() / self.sites;
-        let layout = DomainLayout::build(rt.topology(), self.m, self.n, dpc);
-        let shape = TreeShape::GridHierarchical;
-        let tree = ReductionTree::build(&shape, layout.num_domains(), &layout.clusters());
-        let cfg = TsqrConfig {
-            shape,
-            domains_per_cluster: dpc,
-            compute_q: false,
-            combine_rate_flops: self.combine,
-            ..Default::default()
-        };
-        (layout, tree, cfg)
     }
 
     /// Checks a real run's R against a single-process QR (nothing to check
     /// for a symbolic run).
     fn verify(&self, res: &ExperimentResult) -> Result<String, String> {
         let Some(r) = &res.r else { return Ok(String::new()) };
-        if self.m > 1 << 22 {
+        let Problem { m, n, seed, .. } = self.0;
+        if m > 1 << 22 {
             return Ok("  (matrix too tall to verify in-process; skipped)\n".into());
         }
-        let full = workload::full_matrix(self.seed, self.m as usize, self.n);
+        let full = workload::full_matrix(seed, m as usize, n);
         let reference = QrFactors::compute(&full, 64).r().upper_triangular_padded();
         let d = r_distance(r, &reference);
         if d < 1e-9 {
@@ -711,28 +646,26 @@ fn describe(label: &str, res: &ExperimentResult) -> String {
 
 /// Runs `cmd` on the rest of the command line, which its flag table has
 /// checked first. `Err` is a refusal (message, usage, exit 2); `Ok` carries
-/// the exit code of a command that ran, which only the two gates
-/// (`figure`, `bench-check`) ever make nonzero.
+/// the exit code of a command that ran, which only the gates (`figure`,
+/// `bench-check`, `check`, `report`) ever make nonzero.
 fn run(cmd: &'static Command, raw: &[String]) -> Result<ExitCode, String> {
     let args = Args::parse(cmd, raw)?;
-    let ctx = |default_m, default_n| Ctx::parse(&args, default_m, default_n);
+    let ctx = || Ctx::parse(&args);
     let out = match cmd.name {
-        // The gates print as they go.
+        // The gates print their own output and exit code.
         "figure" => return cmd_figure(&args),
         "bench-check" => return cmd_bench_check(&args),
+        "check" => return cmd_check(&args),
+        "report" => return cmd_report(&args),
         "info" => cmd_info(),
-        "report" => cmd_report(&args)?,
         "serve" => cmd_serve(&args)?,
-        "tsqr" => cmd_tsqr(&args, &ctx(1 << 20, 64)?)?,
-        "scalapack" => cmd_scalapack(&args, &ctx(1 << 20, 64)?)?,
-        "compare" => cmd_compare(&ctx(1 << 20, 64)?)?,
-        "trace" => cmd_trace(&args, &ctx(1 << 20, 64)?)?,
-        "analyze" => cmd_analyze(&args, &ctx(1 << 20, 64)?)?,
-        "faults" => cmd_faults(&args, &ctx(1 << 20, 64)?)?,
-        "tune" => cmd_tune(&args, &ctx(1 << 20, 64)?)?,
-        // Sizes default *small* (the golden file is blessed at exactly
-        // these defaults): the analyzer checks structure, not speed.
-        "check" => cmd_check(&args, &ctx(1 << 16, 32)?)?,
+        "tsqr" => cmd_tsqr(&args, &ctx()?)?,
+        "scalapack" => cmd_scalapack(&args, &ctx()?)?,
+        "compare" => cmd_compare(&ctx()?)?,
+        "trace" => cmd_trace(&args, &ctx()?)?,
+        "analyze" => cmd_analyze(&args, &ctx()?)?,
+        "faults" => cmd_faults(&args, &ctx()?)?,
+        "tune" => cmd_tune(&args, &ctx()?)?,
         other => unreachable!("`{other}` has a flag table but no body"),
     };
     print!("{out}");
@@ -787,27 +720,34 @@ const BENCH_REL_TOL: f64 = 1e-9;
 
 /// The perf-regression gate behind `scripts/bench_check.sh`: measures every
 /// registered gate point (`tsqr_bench::gate_points`: Figs. 4–8, WAN
-/// degradation, autotuned trees, serving with and without faults) and diffs
-/// the records against the committed `--baseline`; `--out` also writes them,
-/// `--bless` rewrites the baseline instead. The simulation is deterministic,
-/// so the comparison is strict: counts exactly, times and Gflop/s to
-/// [`BENCH_REL_TOL`] relative, the model-fit residual to 1e-6 absolute;
-/// drift is exit code 1. Every point also re-asserts the
-/// critical-path, wait-state and folded-profile invariants, and is appended
-/// to the experiment ledger named by `GRID_TSQR_LEDGER` with source
-/// `bench_check`.
+/// degradation, autotuned trees, serving with and without faults), one
+/// thread per core, and diffs the records against the committed
+/// `--baseline`; `--out` also writes them, `--bless` rewrites the baseline
+/// instead. The simulation is deterministic, so the comparison is strict:
+/// counts exactly, times and Gflop/s to [`BENCH_REL_TOL`] relative, the
+/// model-fit residual to 1e-6 absolute; drift is exit code 1, and so is a
+/// failed claim of the gate (`[FAIL] <name>: <detail>`, before anything is
+/// written). Every point also re-asserts the critical-path, wait-state and
+/// folded-profile invariants, and is appended to the experiment ledger
+/// named by `GRID_TSQR_LEDGER` with source `bench_check`.
 fn cmd_bench_check(args: &Args) -> Result<ExitCode, String> {
     let baseline = args.get("baseline").ok_or("bench-check needs --baseline <file>")?;
     let out = args.get("out");
     let bless = args.has("bless");
 
     eprintln!("# measuring {} gate points (deterministic simulation)...", gate_points().len());
-    let measured = measure_gate(|e| {
+    let (measured, claims) = measure_gate();
+    for e in &measured {
         eprintln!(
             "#   {:<16} makespan {:>10.4} s  {:>7.1} Gflop/s  {:>6} WAN msgs  residual {:.2e}",
             e.scenario, e.makespan_s, e.gflops, e.wan_msgs, e.fit.rel_residual
-        )
-    });
+        );
+    }
+    let failed: Vec<String> = claims.iter().filter(|c| !c.pass).map(Check::to_string).collect();
+    if !failed.is_empty() {
+        eprintln!("{}", failed.join("\n"));
+        return Ok(ExitCode::FAILURE);
+    }
     let doc = records_json(&measured);
 
     if let Some(path) = path_from_env() {
@@ -863,8 +803,9 @@ fn cmd_info() -> String {
 
 /// Trend/anomaly dashboard over the cross-run experiment ledger
 /// (docs/observability.md §9). Pure post-processing: no simulation runs,
-/// so it stays fast enough for CI.
-fn cmd_report(args: &Args) -> Result<String, String> {
+/// so it stays fast enough for CI. A `--golden` drift or a `--check`
+/// anomaly is exit code 1.
+fn cmd_report(args: &Args) -> Result<ExitCode, String> {
     let ledger_path = args.get("ledger").unwrap_or("ledger/runs.jsonl");
     let threshold: f64 = args.num("threshold", 0.05f64)?;
     if !threshold.is_finite() || threshold < 0.0 {
@@ -897,8 +838,7 @@ fn cmd_report(args: &Args) -> Result<String, String> {
             entries.len()
         ));
     } else if let Some(path) = args.get("golden") {
-        let want =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+        let want = read_file(path)?;
         let k = golden_entry_count(&want).ok_or_else(|| {
             format!("{path}: not a blessed report (missing `- entries: <K>` header)")
         })?;
@@ -910,7 +850,13 @@ fn cmd_report(args: &Args) -> Result<String, String> {
             ));
         }
         let headline = format!("report differs from {path} over the first {k} ledger entries");
-        expect_golden(path, &render_report(&entries[..k], &opts), &headline, "report")?;
+        if let Some(drift) =
+            golden_drift(&want, &render_report(&entries[..k], &opts), &headline, "report")
+        {
+            print!("{out}");
+            eprint!("{drift}");
+            return Ok(ExitCode::FAILURE);
+        }
         out.push_str(&format!(
             "report matches {path} (rendered over the first {k} of {} entries)\n",
             entries.len()
@@ -928,7 +874,9 @@ fn cmd_report(args: &Args) -> Result<String, String> {
             for a in &anomalies {
                 msg.push_str(&format!("  - {}\n", a.describe()));
             }
-            return Err(msg);
+            print!("{out}");
+            eprint!("{msg}");
+            return Ok(ExitCode::FAILURE);
         }
         out.push_str(&format!(
             "report check OK: {} entries, every per-phase residual within {:.2}% \
@@ -937,7 +885,8 @@ fn cmd_report(args: &Args) -> Result<String, String> {
             threshold * 100.0
         ));
     }
-    Ok(out)
+    print!("{out}");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Reads every `serve` flag but `--sweep`/`--trace-out` into the run's
@@ -1320,15 +1269,15 @@ fn cmd_trace(args: &Args, ctx: &Ctx) -> Result<String, String> {
 }
 
 fn cmd_faults(args: &Args, ctx: &Ctx) -> Result<String, String> {
-    let (m, n, sites) = (ctx.m, ctx.n, ctx.sites);
+    let problem @ Problem { m, n, sites, .. } = ctx.0;
     let rt = ctx.runtime(false, None);
     let procs = rt.topology().num_procs();
     ctx.check_geometry(&rt, Some((procs / sites, false)))?;
     let schedule = fault_schedule(args, FaultAxis::Ranks(procs))?;
-    let plan = ctx.domain_per_process(&rt);
+    let plan = problem.domain_per_process(&rt);
     let (layout, _, cfg) = &plan;
 
-    let (clean_makespan, reference) = ctx.failure_free(&rt, &plan)?;
+    let (clean_makespan, reference) = problem.failure_free(&rt, &plan)?;
     let mut out = format!(
         "failure-free: {:.3} s simulated ({} domains, tree grid)\n",
         clean_makespan.secs(),
@@ -1339,7 +1288,7 @@ fn cmd_faults(args: &Args, ctx: &Ctx) -> Result<String, String> {
     // critical-path split, which needs the event trace.
     let ledger = path_from_env();
     let frt = ctx.runtime(ledger.is_some(), Some(schedule.clone()));
-    let mut report = ctx.run_ft_tsqr(&frt, &plan);
+    let mut report = problem.run_ft_tsqr(&frt, &plan);
     let makespan = report.makespan;
     // `outcome()` consumes the report, so lift the observability
     // payloads the ledger entry needs out of it first.
@@ -1364,7 +1313,7 @@ fn cmd_faults(args: &Args, ctx: &Ctx) -> Result<String, String> {
     // Optionally show how the plain program fares (typed, no panic).
     if args.has("baseline") {
         let brt = ctx.runtime(false, Some(schedule));
-        let base = ctx.run_tsqr(&brt, &plan);
+        let base = problem.run_tsqr(&brt, &plan);
         let bo = base.outcome();
         if bo.is_clean() {
             out.push_str("baseline tsqr: unaffected by this schedule\n");
@@ -1407,7 +1356,8 @@ fn cmd_faults(args: &Args, ctx: &Ctx) -> Result<String, String> {
 /// replay the winner through netsim, and show how it stacks up against
 /// the fixed shapes.
 fn cmd_tune(args: &Args, ctx: &Ctx) -> Result<String, String> {
-    let (m, n, sites, rate, combine) = (ctx.m, ctx.n, ctx.sites, ctx.rate, ctx.combine);
+    let Problem { m, n, sites, .. } = ctx.0;
+    let (rate, combine) = (Some(calib::kernel_rate_flops(n)), Some(calib::combine_rate_flops()));
     let domains: usize = args.num("domains", 64usize)?;
     let rt = ctx.runtime(false, None);
     let topo = rt.topology();
@@ -1477,218 +1427,41 @@ fn cmd_tune(args: &Args, ctx: &Ctx) -> Result<String, String> {
     Ok(out)
 }
 
-/// The self-healing program's contract, held by `faults` and by every
-/// scenario of `check`'s fault matrix: a survivor holds R, and that R is
-/// the failure-free `reference` bit for bit. Returns the holder's rank.
-fn recovered_r_holder(
-    survivors: &[(usize, FtTsqrOutput)],
-    reference: &Matrix,
-) -> Result<usize, String> {
-    let (rank, r) = survivors
-        .iter()
-        .rev()
-        .find_map(|(rank, o)| Some((*rank, o.r.as_ref()?)))
-        .ok_or("no survivor holds an R factor — recovery failed")?;
-    if !r.approx_eq(reference, 0.0) {
-        let d = r_distance(r, reference);
-        return Err(format!("recovered R differs from the failure-free R (max diff {d:.2e})"));
+/// commcheck, the race/deadlock analogue of `scripts/bench_check.sh`:
+/// every scenario of `tsqr_bench::commcheck` runs traced, one thread per
+/// core, each trace goes through the happens-before analyzer, and the
+/// summary lines are compared with the blessed `--golden` file (or written
+/// to it with `--bless`). A problem found or a line that drifted is exit
+/// code 1.
+fn cmd_check(args: &Args) -> Result<ExitCode, String> {
+    let (golden, bless) = (args.get("golden"), args.has("bless"));
+    // Read first: an unreadable golden is refused before anything runs.
+    let want = golden.filter(|_| !bless).map(read_file).transpose()?;
+    let verdict = commcheck::run_all();
+    if !verdict.problems.is_empty() {
+        eprintln!("commcheck found problems:\n{}", verdict.problems.join("\n"));
+        return Ok(ExitCode::FAILURE);
     }
-    Ok(rank)
-}
-
-/// `check`'s fault matrix on the 4-site grid, 256 ranks: the empty
-/// schedule, then a representative rank of every tree level crashed, a
-/// double crash, and transient loss under a WAN brown-out.
-fn fault_matrix() -> Vec<(String, FailureSchedule)> {
-    let at = VirtualTime::from_millis;
-    let mut matrix = vec![("faults-none".to_string(), FailureSchedule::new(1))];
-    for (r, ms) in [(255usize, 0.5), (2, 2.0), (64, 2.0), (128, 6.0), (0, 6.0)] {
-        matrix.push((format!("faults-crash-{r}"), FailureSchedule::new(1).crash_rank(r, at(ms))));
-    }
-    let double = FailureSchedule::new(1).crash_rank(0, at(2.0)).crash_rank(1, at(4.0));
-    matrix.push(("faults-crash-0+1".to_string(), double));
-    let lossy = FailureSchedule::new(7).drop_probability(64, 0, 0.4).degrade_all_wan(
-        at(0.0),
-        at(50.0),
-        4.0,
-        4.0,
-    );
-    matrix.push(("faults-drop-wan".to_string(), lossy));
-    matrix
-}
-
-/// DPOR-lite determinism proof on a dedicated 8-rank grid (P ≤ 8 is the
-/// exhaustive regime of `schedules_for`): run the real-numerics TSQR
-/// under every permuted delivery order and require bit-identical R,
-/// makespan, metrics — plus race-free traces, so unexplored interleavings
-/// cannot differ either. Returns the summary line and, when the proof
-/// fails, the full rendering.
-fn explore_p8(seed: u64) -> (String, Option<String>) {
-    let small_topo = || {
-        let cluster = |name: &str| ClusterSpec {
-            name: name.into(),
-            nodes: 4,
-            procs_per_node: 1,
-            peak_gflops_per_proc: 8.0,
-        };
-        GridTopology::block_placement(vec![cluster("expl-a"), cluster("expl-b")], 4, 1)
-    };
-    let small_model = CostModel::homogeneous(LinkParams::from_ms_mbps(0.5, 800.0), 1e9, 2);
-    let slayout = DomainLayout::build(&small_topo(), 4096, 8, 4);
-    let stree = ReductionTree::build(
-        &TreeShape::GridHierarchical,
-        slayout.num_domains(),
-        &slayout.clusters(),
-    );
-    let scfg = TsqrConfig {
-        shape: TreeShape::GridHierarchical,
-        domains_per_cluster: 4,
-        compute_q: false,
-        combine_rate_flops: None,
-        ..Default::default()
-    };
-    let rep = explore(
-        || Runtime::new(small_topo(), small_model.clone()),
-        |p, _| tsqr_rank_program(p, &slayout, &stree, &scfg, seed, None),
-        |o| {
-            o.r.as_ref().map_or(0, |r| {
-                let mut bytes = Vec::with_capacity(r.as_slice().len() * 8);
-                for x in r.as_slice() {
-                    bytes.extend_from_slice(&x.to_bits().to_le_bytes());
-                }
-                fnv1a(&bytes)
-            })
-        },
-        &schedules_for(8),
-    );
-    let yn = |b: bool| if b { "yes" } else { "no" };
-    let line = format!(
-        "{:<22} schedules={} identical={} hb_clean={} proved={}",
-        "explore-tsqr-p8",
-        rep.schedules(),
-        yn(rep.all_identical()),
-        yn(rep.hb_ok()),
-        yn(rep.proves_determinism()),
-    );
-    let bad = (!rep.proves_determinism()).then(|| format!("explore-tsqr-p8:\n{}", rep.render()));
-    (line, bad)
-}
-
-/// Serving-layer scenarios (docs/serving.md): the summary lines of the
-/// four policies plus a batched same-shape burst on one seeded trace, then
-/// the fault-injected gate points (docs/serving.md §Failures) — a site
-/// crash recovered by checkpointed retries, the same crash forcing 4-site
-/// jobs onto survivors via elastic re-planning, and a degraded-WAN window
-/// driving brownout shed. Structural invariants of the deterministic
-/// serving engine, pinned like every other line.
-fn serve_lines() -> Vec<String> {
-    let catalog = ResourceCatalog::grid5000();
-    let line = |name: &str, cfg: &ServeConfig| {
-        let r = PolicyReport::from_outcome(&serve(&catalog, cfg));
-        format!("{name:<22} {}", r.summary_line())
-    };
-    let base = ServeConfig { requests: 30, load: 1.5, seed: 7, ..Default::default() };
-    let mut lines: Vec<String> = ServePolicy::all()
-        .into_iter()
-        .map(|policy| {
-            line(&format!("serve-{}", policy.label()), &ServeConfig { policy, ..base.clone() })
-        })
-        .collect();
-    let burst = ServeConfig { batch: true, single_shape: Some(3), load: 3.0, ..base };
-    lines.push(line("serve-fifo-batch", &burst));
-    let gate = serve_fault_points();
-    for (name, point) in [
-        ("serve-fault-crash", "crash-ckpt"),
-        ("serve-fault-replan", "crash-replan"),
-        ("serve-fault-brownout", "wan-brownout"),
-    ] {
-        let (_, cfg) = gate.iter().find(|(p, _)| *p == point).expect("registered gate point");
-        lines.push(line(name, cfg));
-    }
-    lines
-}
-
-/// commcheck: every scenario runs with tracing on, every trace goes
-/// through the happens-before analyzer, and the structural summary lines
-/// are gated against a blessed golden file — the race/deadlock analogue
-/// of `scripts/bench_check.sh`.
-fn cmd_check(args: &Args, ctx: &Ctx) -> Result<String, String> {
-    ctx.check_geometry(&ctx.runtime(false, None), Some((64, false)))?;
-
-    // (name, summary line) in a fixed order — this is the golden
-    // file body. `bad` collects full renderings of any scenario
-    // whose HbReport is not clean.
-    let mut lines: Vec<String> = Vec::new();
-    let mut bad: Vec<String> = Vec::new();
-    let mut record = |name: &str, hb: &HbReport| {
-        lines.push(format!("{name:<22} {}", hb.summary_line()));
-        if !hb.ok() {
-            bad.push(format!("{name}:\n{}", hb.render()));
-        }
-    };
-    let no_trace = || "tracing was enabled but no trace came back".to_string();
-
-    // --- Figure-style scenarios (§V, Figs. 4–8): each tree shape
-    // and both ScaLAPACK baselines, traced, symbolic numerics
-    // (the schedule — and therefore the HB DAG — is identical to
-    // the real-numerics run by construction).
-    let tsqr = |shape, domains_per_cluster| Algorithm::Tsqr { shape, domains_per_cluster };
-    for (name, algorithm) in [
-        ("tsqr-grid", tsqr(TreeShape::GridHierarchical, 64)),
-        ("tsqr-binary", tsqr(TreeShape::Binary, 64)),
-        ("tsqr-flat", tsqr(TreeShape::Flat, 64)),
-        ("tsqr-kary3", tsqr(TreeShape::Kary(3), 64)),
-        ("tsqr-binomial", tsqr(TreeShape::Binomial, 64)),
-        ("tsqr-greedy", tsqr(TreeShape::Greedy, 64)),
-        ("tsqr-grid-d16", tsqr(TreeShape::GridHierarchical, 16)),
-        ("scalapack-qr2", Algorithm::ScalapackQr2),
-        ("scalapack-blocked", Algorithm::ScalapackQrf),
-    ] {
-        let res = ctx.run(&ctx.runtime(true, None), algorithm, false, Mode::Symbolic);
-        record(name, &res.trace.as_ref().ok_or_else(no_trace)?.hb_analysis());
-    }
-
-    // --- The self-healing TSQR under every schedule of the fault
-    // matrix, each trace analyzed and each recovered R held to the
-    // failure-free R bitwise. Crash schedules legitimately orphan
-    // sends (counted in the summary line); races/cycles/violations must
-    // still be zero.
-    let rt = ctx.runtime(false, None);
-    let plan = ctx.domain_per_process(&rt);
-    let (_, reference) = ctx.failure_free(&rt, &plan)?;
-    for (name, schedule) in fault_matrix() {
-        let report = ctx.run_ft_tsqr(&ctx.runtime(true, Some(schedule)), &plan);
-        let hb = report.trace.as_ref().ok_or_else(no_trace)?.hb_analysis();
-        recovered_r_holder(&report.outcome().survivors, &reference)
-            .map_err(|e| format!("{name}: {e}"))?;
-        record(&name, &hb);
-    }
-
-    let (line, problem) = explore_p8(ctx.seed);
-    lines.push(line);
-    bad.extend(problem);
-    lines.extend(serve_lines());
-
-    if !bad.is_empty() {
-        return Err(format!("commcheck found problems:\n{}", bad.join("\n")));
-    }
-
-    let mut out = String::from("== commcheck: happens-before analysis ==\n");
-    let body: String = lines.iter().flat_map(|l| [l.as_str(), "\n"]).collect();
-    out.push_str(&body);
-    let golden = args.get("golden");
-    if args.has("bless") {
+    let body: String = verdict.lines.iter().flat_map(|l| [l.as_str(), "\n"]).collect();
+    let n = verdict.lines.len();
+    let mut out = format!("== commcheck: happens-before analysis ==\n{body}");
+    if bless {
         let path = golden.unwrap_or("COMMCHECK_baseline.txt");
         write_file(path, &body)?;
-        out.push_str(&format!("blessed {} scenario line(s) into {path}\n", lines.len()));
-    } else if let Some(path) = golden {
-        expect_golden(path, &body, &format!("commcheck summary differs from {path}"), "check")?;
-        out.push_str(&format!("all {} scenario line(s) match {path}\n", lines.len()));
+        out.push_str(&format!("blessed {n} scenario line(s) into {path}\n"));
+    } else if let (Some(path), Some(want)) = (golden, want) {
+        let headline = format!("commcheck summary differs from {path}");
+        if let Some(drift) = golden_drift(&want, &body, &headline, "check") {
+            eprint!("{drift}");
+            return Ok(ExitCode::FAILURE);
+        }
+        out.push_str(&format!("all {n} scenario line(s) match {path}\n"));
     }
     out.push_str(
         "commcheck: 0 races, 0 deadlock cycles, 0 clock violations across all scenarios\n",
     );
-    Ok(out)
+    print!("{out}");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// A refusal names its fault, then the usage of the subcommand it was
@@ -1712,6 +1485,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsqr_bench::commcheck::fault_matrix;
+    use tsqr_bench::serve_fault_points;
 
     fn args(cmd: &str, flags: &str) -> Args {
         let cmd = COMMANDS.iter().find(|c| c.name == cmd).unwrap();

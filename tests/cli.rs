@@ -284,7 +284,6 @@ fn what_the_library_would_assert_is_refused_at_the_flag() {
         ("faults", &[], &["--n", "0"]),
         ("tune", &[], &["--m", "100", "--n", "64"]),
         ("tune", &[], &["--n", "0"]),
-        ("check", &[], &["--m", "100", "--n", "32"]),
         // Accepted and did nothing: no message travels from a rank to
         // itself, nor a serve drain within one site; a queue of capacity 0
         // rejected every request on an idle grid.
@@ -439,6 +438,31 @@ fn a_flag_given_in_a_form_nobody_reads_is_refused() {
         let out = cli().args(&args).output().expect("run cli");
         assert!(out.status.success(), "{args:?}\n{}", String::from_utf8_lossy(&out.stderr));
     }
+}
+
+#[test]
+fn a_gate_that_finds_drift_exits_1_without_usage() {
+    // `check` ran and its lines differ from the golden: a failure of the
+    // gate, not a refusal of the command line (exit 2 with usage).
+    let golden = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("COMMCHECK_baseline.txt"),
+    )
+    .unwrap();
+    let line = golden.lines().nth(2).unwrap();
+    let doctored = golden.replacen(line, &line.replace("races=0", "races=9"), 1);
+    let path = std::env::temp_dir().join(format!("tsqr_cli_golden_{}.txt", std::process::id()));
+    std::fs::write(&path, doctored).unwrap();
+    let out = cli().args(["check", "--golden"]).arg(&path).output().expect("run cli");
+    let _ = std::fs::remove_file(&path);
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(out.stdout.is_empty(), "{err}");
+    assert!(
+        err.contains(&format!("  line 3:\n    baseline: {}\n", line.replace("races=0", "races=9"))),
+        "{err}"
+    );
+    assert!(err.contains(&format!("    current:  {line}\n")), "{err}");
+    assert!(!err.contains("USAGE") && !err.contains("panicked at"), "{err}");
 }
 
 #[test]

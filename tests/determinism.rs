@@ -10,13 +10,13 @@
 //!    makes the DPOR-lite explorer refuse its determinism proof;
 //! 3. the explorer **proves** the real-numerics TSQR bit-identical —
 //!    R factor, makespan, metrics — across every explored delivery order
-//!    on an 8-rank grid (the exhaustive regime of `schedules_for`).
+//!    on an 8-rank grid (the exhaustive regime of `schedules_for`): the
+//!    `explore-tsqr-p8` scenario of `grid-tsqr check`,
+//!    `tsqr_bench::commcheck::explore_p8`.
 
-use grid_tsqr::core::domains::DomainLayout;
 use grid_tsqr::core::experiment::{run_experiment, Algorithm, Experiment, Mode};
-use grid_tsqr::core::tree::{ReductionTree, TreeShape};
-use grid_tsqr::core::tsqr::{tsqr_rank_program, TsqrConfig};
-use grid_tsqr::gridmpi::{block_on, explore, fnv1a, schedules_for, Runtime};
+use grid_tsqr::core::tree::TreeShape;
+use grid_tsqr::gridmpi::{block_on, explore, schedules_for, Runtime};
 use grid_tsqr::netsim::{grid5000, ClusterSpec, CostModel, GridTopology, LinkParams};
 
 /// A scaled-down Grid'5000 (real constants, few nodes): 2 sites × 2 nodes
@@ -25,31 +25,6 @@ fn small_grid5000() -> Runtime {
     let clusters = grid5000::clusters().into_iter().take(2).collect();
     let topo = GridTopology::block_placement(clusters, 2, 2);
     Runtime::new(topo, grid5000::cost_model())
-}
-
-/// A dedicated 8-rank two-cluster grid with one domain per rank — the
-/// same topology `grid-tsqr check --explore` uses for its proof.
-fn explorer_grid() -> Runtime {
-    let topo = GridTopology::block_placement(
-        vec![
-            ClusterSpec {
-                name: "expl-a".into(),
-                nodes: 4,
-                procs_per_node: 1,
-                peak_gflops_per_proc: 8.0,
-            },
-            ClusterSpec {
-                name: "expl-b".into(),
-                nodes: 4,
-                procs_per_node: 1,
-                peak_gflops_per_proc: 8.0,
-            },
-        ],
-        4,
-        1,
-    );
-    let model = CostModel::homogeneous(LinkParams::from_ms_mbps(0.5, 800.0), 1e9, 2);
-    Runtime::new(topo, model)
 }
 
 #[test]
@@ -154,37 +129,11 @@ fn injected_wildcard_race_is_caught_by_analyzer_and_explorer() {
 
 #[test]
 fn explorer_proves_tsqr_r_bit_identical_for_p8() {
-    // The upgrade of the fault-tolerance PR's single-seed replay test:
-    // for P = 8 the explorer permutes every commutable delivery order
-    // (27 schedules) and requires bit-identical R, makespan and metrics,
-    // with race-free traces — an exhaustive argument for small trees.
-    let layout = DomainLayout::build(explorer_grid().topology(), 4096, 8, 4);
-    let tree = ReductionTree::build(
-        &TreeShape::GridHierarchical,
-        layout.num_domains(),
-        &layout.clusters(),
-    );
-    let cfg = TsqrConfig {
-        shape: TreeShape::GridHierarchical,
-        domains_per_cluster: 4,
-        compute_q: false,
-        combine_rate_flops: None,
-        ..Default::default()
-    };
-    let rep = explore(
-        explorer_grid,
-        |p, _| tsqr_rank_program(p, &layout, &tree, &cfg, 42, None),
-        |o| {
-            o.r.as_ref().map_or(0, |r| {
-                let mut bytes = Vec::with_capacity(r.as_slice().len() * 8);
-                for x in r.as_slice() {
-                    bytes.extend_from_slice(&x.to_bits().to_le_bytes());
-                }
-                fnv1a(&bytes)
-            })
-        },
-        &schedules_for(8),
-    );
+    // The commcheck gate's own scenario (`explore-tsqr-p8`): for P = 8
+    // the explorer permutes every commutable delivery order (27
+    // schedules) and requires bit-identical R, makespan and metrics, with
+    // race-free traces — an exhaustive argument for small trees.
+    let rep = tsqr_bench::commcheck::explore_p8();
     assert_eq!(rep.schedules(), 27, "P ≤ 8 is the exhaustive regime");
     assert!(rep.proves_determinism(), "TSQR must be schedule-independent:\n{}", rep.render());
     // The R digest is real: rank 0 held an R in the first run.

@@ -73,7 +73,7 @@ fn appending_a_clean_run_keeps_golden_and_check_green() {
 fn injected_model_drift_fails_the_check() {
     // Take a real entry, push one phase's Eq. (1) prediction 50% away
     // from what was observed, and append it as a new run of the same
-    // scenario: `report --check` must exit nonzero and name the phase.
+    // scenario: `report --check` must exit 1 and name the phase.
     let path = scratch_ledger("anomaly");
     let entries = read_ledger(&path).unwrap();
     let mut tampered = entries
@@ -88,8 +88,10 @@ fn injected_model_drift_fails_the_check() {
 
     let out =
         cli().args(["report", "--ledger"]).arg(&path).args(["--check"]).output().expect("run cli");
-    assert!(!out.status.success(), "an injected 50% model drift must fail --check");
     let err = String::from_utf8_lossy(&out.stderr);
+    // A gate that ran and found drift: exit 1, no usage (exit 2 is a refusal).
+    assert_eq!(out.status.code(), Some(1), "an injected 50% model drift must fail --check");
+    assert!(!err.contains("USAGE"), "stderr:\n{err}");
     assert!(err.contains("anomalous"), "stderr:\n{err}");
     assert!(err.contains(&name), "anomaly must name phase {name}:\n{err}");
     let _ = std::fs::remove_file(path);
