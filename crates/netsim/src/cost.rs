@@ -23,11 +23,8 @@ impl LinkClass {
     /// Classifies the link between two locations.
     pub fn between(a: ProcLocation, b: ProcLocation) -> LinkClass {
         if a.cluster != b.cluster {
-            let (lo, hi) = if a.cluster < b.cluster {
-                (a.cluster, b.cluster)
-            } else {
-                (b.cluster, a.cluster)
-            };
+            let (lo, hi) =
+                if a.cluster < b.cluster { (a.cluster, b.cluster) } else { (b.cluster, a.cluster) };
             LinkClass::InterCluster(lo, hi)
         } else if a.node != b.node {
             LinkClass::IntraCluster
@@ -256,10 +253,7 @@ mod tests {
     fn link_classification() {
         assert_eq!(LinkClass::between(loc(0, 0, 0), loc(0, 0, 1)), LinkClass::IntraNode);
         assert_eq!(LinkClass::between(loc(0, 0, 0), loc(0, 1, 0)), LinkClass::IntraCluster);
-        assert_eq!(
-            LinkClass::between(loc(2, 0, 0), loc(1, 3, 1)),
-            LinkClass::InterCluster(1, 2)
-        );
+        assert_eq!(LinkClass::between(loc(2, 0, 0), loc(1, 3, 1)), LinkClass::InterCluster(1, 2));
         assert!(LinkClass::between(loc(0, 0, 0), loc(1, 0, 0)).is_inter_cluster());
     }
 

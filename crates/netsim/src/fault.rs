@@ -330,8 +330,7 @@ impl FailureSchedule {
     /// Piecewise-constant event loops add these to their candidate event
     /// set so rates stay constant within each advanced segment.
     pub fn event_times(&self) -> Vec<VirtualTime> {
-        let mut times: Vec<VirtualTime> =
-            self.site_crashes.iter().map(|&(_, at)| at).collect();
+        let mut times: Vec<VirtualTime> = self.site_crashes.iter().map(|&(_, at)| at).collect();
         for d in &self.degradations {
             times.push(d.from);
             times.push(d.until);
@@ -355,8 +354,7 @@ impl FailureSchedule {
         self.drop_prob.iter().any(|d| {
             d.src == src && d.dst == dst && {
                 let h = crate::rng::hash64(
-                    self.seed
-                        ^ crate::rng::hash64((src as u64) << 40 ^ (dst as u64) << 20 ^ nth),
+                    self.seed ^ crate::rng::hash64((src as u64) << 40 ^ (dst as u64) << 20 ^ nth),
                 );
                 crate::rng::unit_f64(h) < d.prob
             }
@@ -515,9 +513,12 @@ mod tests {
 
     #[test]
     fn event_times_are_sorted_and_deduplicated() {
-        let s = FailureSchedule::new(0)
-            .crash_site(2, VirtualTime::from_secs(1.0))
-            .degrade_all_wan(VirtualTime::from_secs(0.5), VirtualTime::from_secs(1.0), 2.0, 2.0);
+        let s = FailureSchedule::new(0).crash_site(2, VirtualTime::from_secs(1.0)).degrade_all_wan(
+            VirtualTime::from_secs(0.5),
+            VirtualTime::from_secs(1.0),
+            2.0,
+            2.0,
+        );
         let times = s.event_times();
         assert_eq!(
             times,

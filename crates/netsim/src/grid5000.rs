@@ -165,10 +165,7 @@ mod tests {
         // Orsay–Toulouse: 7.97 ms; Orsay–Sophia: 6.12 ms.
         assert!((m.link(orsay, toulouse).latency_s - 7.97e-3).abs() < 1e-12);
         assert!((m.link(orsay, sophia).latency_s - 6.12e-3).abs() < 1e-12);
-        assert_eq!(
-            LinkClass::between(orsay, toulouse),
-            LinkClass::InterCluster(ORSAY, TOULOUSE)
-        );
+        assert_eq!(LinkClass::between(orsay, toulouse), LinkClass::InterCluster(ORSAY, TOULOUSE));
     }
 
     #[test]

@@ -107,8 +107,7 @@ mod tests {
 
     #[test]
     fn sum_of_spans() {
-        let total: VirtualTime =
-            [1.0, 2.0, 3.0].iter().map(|&s| VirtualTime::from_secs(s)).sum();
+        let total: VirtualTime = [1.0, 2.0, 3.0].iter().map(|&s| VirtualTime::from_secs(s)).sum();
         assert_eq!(total.secs(), 6.0);
     }
 

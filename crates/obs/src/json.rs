@@ -204,9 +204,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 *pos += 1;
             }
             let s = std::str::from_utf8(&b[start..*pos]).expect("ascii number");
-            s.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number {s:?} at byte {start}"))
+            s.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number {s:?} at byte {start}"))
         }
     }
 }
@@ -246,8 +244,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                             .get(*pos + 1..*pos + 5)
                             .and_then(|h| std::str::from_utf8(h).ok())
                             .ok_or("bad \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                         *pos += 4;
                         char::from_u32(code).ok_or("bad \\u code point")?
                     }

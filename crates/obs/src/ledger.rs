@@ -256,16 +256,11 @@ pub fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
 
 /// Object `v`'s string `key`.
 pub fn str_field(v: &Json, key: &str) -> Result<String, String> {
-    Ok(field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field {key:?} is not a string"))?
-        .to_string())
+    Ok(field(v, key)?.as_str().ok_or_else(|| format!("field {key:?} is not a string"))?.to_string())
 }
 
 fn link3_field(v: &Json, key: &str) -> Result<[u64; 3], String> {
-    let arr = field(v, key)?
-        .as_arr()
-        .ok_or_else(|| format!("field {key:?} is not an array"))?;
+    let arr = field(v, key)?.as_arr().ok_or_else(|| format!("field {key:?} is not an array"))?;
     if arr.len() != 3 {
         return Err(format!("field {key:?} must have 3 link-class buckets"));
     }
@@ -349,8 +344,7 @@ pub fn read_ledger(path: &Path) -> Result<Vec<LedgerEntry>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let e =
-            parse_entry(line).map_err(|err| format!("{}:{}: {err}", path.display(), i + 1))?;
+        let e = parse_entry(line).map_err(|err| format!("{}:{}: {err}", path.display(), i + 1))?;
         if e.seq <= last_seq && !entries.is_empty() {
             return Err(format!(
                 "{}:{}: seq {} does not increase (previous {}): ledger must be append-only",

@@ -185,11 +185,8 @@ pub fn render_report(entries: &[LedgerEntry], opts: &ReportOptions) -> String {
             } else {
                 delta(e.makespan_s, runs[i - 1].makespan_s)
             };
-            let d_old = if i == 0 {
-                "—".to_string()
-            } else {
-                delta(e.makespan_s, oldest.makespan_s)
-            };
+            let d_old =
+                if i == 0 { "—".to_string() } else { delta(e.makespan_s, oldest.makespan_s) };
             let _ = writeln!(
                 out,
                 "| {} | {} | {} | {} | {} | {:.2} | {} | {} | {} |",
@@ -272,7 +269,11 @@ pub fn render_report(entries: &[LedgerEntry], opts: &ReportOptions) -> String {
     let _ = writeln!(out, "## Anomalies");
     let _ = writeln!(out);
     if anomalies.is_empty() {
-        let _ = writeln!(out, "None: every entry is within {} of its scenario reference.", pct(opts.threshold));
+        let _ = writeln!(
+            out,
+            "None: every entry is within {} of its scenario reference.",
+            pct(opts.threshold)
+        );
     } else {
         let _ = writeln!(out, "| seq | scenario | phase | residual | reference | excess |");
         let _ = writeln!(out, "|---:|---|---|---:|---:|---:|");

@@ -172,9 +172,8 @@ impl Lease {
             .collect();
         let topology =
             GridTopology::block_placement(specs, self.nodes_per_group, self.procs_per_node_used);
-        let group_of: Vec<usize> = (0..topology.num_procs())
-            .map(|r| topology.cluster_of(r))
-            .collect();
+        let group_of: Vec<usize> =
+            (0..topology.num_procs()).map(|r| topology.cluster_of(r)).collect();
         Allocation {
             topology,
             network: catalog.network.clone(),
@@ -413,7 +412,10 @@ impl SlotPool {
 /// **Materialisation** is what only a caller that places ranks pays:
 /// 7. the placed topology, `group_of` and the [`Allocation`] itself
 ///    ([`Lease::allocation`]).
-pub fn allocate(catalog: &ResourceCatalog, profile: &JobProfile) -> Result<Allocation, ScheduleError> {
+pub fn allocate(
+    catalog: &ResourceCatalog,
+    profile: &JobProfile,
+) -> Result<Allocation, ScheduleError> {
     match select(catalog, |c| catalog.clusters[c].nodes, profile) {
         Ok(selection) => Ok(selection.lease().allocation(catalog)),
         Err(refusal) => Err(refusal.into_error(catalog)),
@@ -933,7 +935,9 @@ mod tests {
                     0..=3 => {
                         let width = 1 + pick(&mut rng, 4);
                         let procs_per_group = GROUP_SIZES[pick(&mut rng, GROUP_SIZES.len())];
-                        match pool.allocate(&JobProfile::cluster_of_clusters(width, procs_per_group)) {
+                        match pool
+                            .allocate(&JobProfile::cluster_of_clusters(width, procs_per_group))
+                        {
                             Ok(a) => {
                                 granted += 1;
                                 let held = a.cluster_of_group().to_vec();

@@ -27,9 +27,13 @@ cargo build --release --workspace
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
-echo "==> rustfmt --check on what is formatted (crates/gridmpi, crates/bench, the root package)"
+echo "==> rustfmt --check on what is formatted (crates/gridmpi, crates/bench, crates/netsim,"
+echo "    crates/obs, crates/qcg, the root package)"
 cargo fmt -p tsqr-gridmpi --check
 cargo fmt -p tsqr-bench --check
+cargo fmt -p tsqr-netsim --check
+cargo fmt -p tsqr-obs --check
+cargo fmt -p tsqr-qcg --check
 cargo fmt -p grid-tsqr --check
 
 echo "==> cargo clippy --all-targets (warnings are errors)"
