@@ -30,6 +30,14 @@
 //! are, because a parked member records nothing between its deposit and
 //! its leave: the fold's adds of seconds start from the same value, in the
 //! same order, and its message and byte counts are integers.
+//!
+//! The walk compares instants with [`later`], a `>=` on the raw `f64`s that
+//! compiles to a compare and a blend, not to [`VirtualTime::max`]'s branch
+//! on `total_cmp`. The two agree to the bit unless an operand is NaN or the
+//! two are zeros of opposite sign. The walk compares only sums and maxima of
+//! deposited instants and prices, which stay non-NaN and sign-positive when
+//! those are: `deposit` checks each instant (in debug builds, like
+//! [`VirtualTime::from_secs`]) and [`Plan`]'s pricing each price.
 
 use std::cell::RefCell;
 use std::future::poll_fn;
@@ -217,11 +225,25 @@ impl Member {
     /// Opens a message stamped `arrival` (`Process::open`, whose
     /// [`CostModel::receive_done`] this is).
     fn recv(&mut self, price: Price, arrival: VirtualTime) {
-        self.nic_free = arrival.max(self.nic_free + price.wire);
+        self.nic_free = VirtualTime(later(arrival.0, (self.nic_free + price.wire).0));
         let wait_start = self.clock;
-        self.clock = self.clock.max(self.nic_free);
+        self.clock = VirtualTime(later(self.clock.0, self.nic_free.0));
         self.recv_wait_s += (self.clock - wait_start).secs();
     }
+}
+
+/// The later of two instants, without a branch: see the module doc.
+fn later(a: f64, b: f64) -> f64 {
+    if a >= b {
+        a
+    } else {
+        b
+    }
+}
+
+/// True for an instant [`later`] orders as [`VirtualTime::max`] does.
+fn comparable(t: VirtualTime) -> bool {
+    !t.0.is_nan() && t.0.is_sign_positive()
 }
 
 /// One all-reduce's meeting point, reused by the [`FoldPool`], buffers and
@@ -278,6 +300,7 @@ impl Rendezvous {
     fn deposit(&mut self, idx: usize, p: &Process, bytes: u64) -> bool {
         debug_assert!(!self.states[idx].here, "rank {} arrived twice", p.rank);
         let (clock, nic_free) = (p.clock, p.nic_free);
+        debug_assert!(comparable(clock) && comparable(nic_free), "a NaN or sign-negative instant");
         let counters = p.metrics.phase(p.current_phase().unwrap_or(UNPHASED));
         let (send_s, recv_wait_s) =
             counters.map_or_else(Default::default, |c| (c.send_s, c.recv_wait_s));
@@ -432,6 +455,7 @@ impl Plan {
     /// did: [`CostModel::message_time`] (the fault-free
     /// `message_time_under` of [`Process::send`]) and
     /// [`CostModel::wire_time`] (that of [`CostModel::receive_done`]).
+    /// Panics on a price [`later`] would not order as `max` does.
     fn price(&mut self, model: &CostModel, bytes: u64) {
         if self.priced_at == Some(bytes) {
             return;
@@ -442,6 +466,8 @@ impl Plan {
             send: model.message_time(from, to, bytes),
             wire: model.wire_time(from, to, bytes),
         }));
+        let ok = self.prices.iter().all(|p| comparable(p.send) && comparable(p.wire));
+        assert!(ok, "a fold priced a message at {bytes} B as NaN or sign-negative");
         self.priced_at = Some(bytes);
     }
 }
@@ -471,7 +497,7 @@ impl Net<'_> {
             let s = &mut states[me];
             s.clock = before;
             s.recv(price, arrival);
-            s.clock = s.clock.max(sent);
+            s.clock = VirtualTime(later(s.clock.0, sent.0));
         }
     }
 }
@@ -494,5 +520,39 @@ mod tests {
             fold.states[idx] = Member { here: true, bytes, ..Member::default() };
         }
         fold.butterfly(&mut Plan::new(&[0, 1, 2], &topo), &model);
+    }
+
+    /// `VirtualTime::max` of `a` and `b`, as bits.
+    fn max_bits(a: f64, b: f64) -> u64 {
+        VirtualTime(a).max(VirtualTime(b)).0.to_bits()
+    }
+
+    #[test]
+    fn later_is_max_to_the_bit_on_sign_positive_instants() {
+        let instants = [0.0, f64::from_bits(1), 1e-300, 1.0, f64::INFINITY];
+        // Every ordered pair: both argument orders, and each equal pair.
+        for a in instants {
+            for b in instants {
+                assert_eq!(later(a, b).to_bits(), max_bits(a, b), "later({a:e}, {b:e})");
+            }
+        }
+        assert!(instants.into_iter().all(|t| comparable(VirtualTime(t))));
+    }
+
+    #[test]
+    fn later_and_max_part_on_a_nan_and_on_zeros_of_opposite_sign() {
+        // `total_cmp` puts -0 below +0; `>=` finds them equal and keeps the first.
+        assert_ne!(later(-0.0, 0.0).to_bits(), max_bits(-0.0, 0.0));
+        // `total_cmp` puts a positive NaN above everything; `>=` is false on it.
+        assert_ne!(later(f64::NAN, 1.0).to_bits(), max_bits(f64::NAN, 1.0));
+        assert!(!comparable(VirtualTime(-0.0)) && !comparable(VirtualTime(f64::NAN)));
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN or sign-negative")]
+    fn a_sign_negative_price_is_refused() {
+        let lan = LinkParams::from_ms_mbps(-1.0, 800.0);
+        let (topo, model) = two_tier_grid(1, 2, lan, lan, 1e9);
+        Plan::new(&[0, 1], &topo).price(&model, 16);
     }
 }

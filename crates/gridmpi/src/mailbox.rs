@@ -140,8 +140,9 @@ impl Hub {
     fn poll_take(&mut self, rank: usize, from: usize) -> Poll<Result<Envelope, CommError>> {
         // A verdict first: it was reached with the inbox empty, and what has
         // landed there since (the abort tombstone of a fellow deadlocked
-        // rank) must not overrule it.
-        if let Some(verdict) = self.verdicts[rank].take() {
+        // rank) must not overrule it. (`take_if` writes back only what it
+        // takes; nearly every poll finds no verdict.)
+        if let Some(verdict) = self.verdicts[rank].take_if(|_| true) {
             return Poll::Ready(Err(verdict));
         }
         if let Some(env) = self.inboxes[rank].pop_front() {
@@ -318,7 +319,8 @@ impl Cooperative {
     /// Whether `rank`'s fold in `slot` is done, or why it never will be;
     /// parks `rank` otherwise.
     pub(crate) fn poll_fold(&mut self, slot: usize, rank: usize) -> Poll<Result<(), CommError>> {
-        if let Some(verdict) = self.hub.verdicts[rank].take() {
+        // As in `Hub::poll_take`: no write when there is no verdict.
+        if let Some(verdict) = self.hub.verdicts[rank].take_if(|_| true) {
             return Poll::Ready(Err(verdict));
         }
         if self.folds.is_folded(slot) {
@@ -329,9 +331,11 @@ impl Cooperative {
     }
 
     /// The next woken rank to poll, once [`Hub::break_stall`] has looked at
-    /// what the rank polled last left: it parked, returned or still runs.
+    /// what the rank polled last left, if it left nobody running.
     pub(crate) fn next_ready(&mut self) -> Option<usize> {
-        self.hub.break_stall(Some(&mut self.folds));
+        if self.hub.running == 0 {
+            self.hub.break_stall(Some(&mut self.folds));
+        }
         self.hub.ready.pop_front()
     }
 }
