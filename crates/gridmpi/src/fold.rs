@@ -34,10 +34,10 @@
 //! The walk compares instants with [`later`], a `>=` on the raw `f64`s that
 //! compiles to a compare and a blend, not to [`VirtualTime::max`]'s branch
 //! on `total_cmp`. The two agree to the bit unless an operand is NaN or the
-//! two are zeros of opposite sign. The walk compares only sums and maxima of
-//! deposited instants and prices, which stay non-NaN and sign-positive when
-//! those are: `deposit` checks each instant (in debug builds, like
-//! [`VirtualTime::from_secs`]) and [`Plan`]'s pricing each price.
+//! two are zeros of opposite sign. The walk compares sums and maxima of
+//! deposited instants and prices, which are non-NaN and sign-positive when
+//! those are (no -∞, so no ∞ - ∞; +0 + +0 is +0): `deposit` debug-asserts
+//! it of each instant and [`Plan`]'s pricing asserts it of each price.
 
 use std::cell::RefCell;
 use std::future::poll_fn;
