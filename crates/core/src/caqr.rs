@@ -144,16 +144,23 @@ impl CaqrFactors {
         let k = c.cols();
         let apply_diag = |c: &mut Matrix| {
             let mut block = c.sub_matrix(panel.row0, 0, panel.diag_rows, k);
-            orm2r(Side::Left, trans, &panel.diag.factors.view(), &panel.diag.tau, &mut block.view_mut());
+            orm2r(
+                Side::Left,
+                trans,
+                &panel.diag.factors.view(),
+                &panel.diag.tau,
+                &mut block.view_mut(),
+            );
             c.set_sub(panel.row0, 0, &block);
         };
-        let apply_elim = |c: &mut Matrix, (blk0, blk_rows, f): &(usize, usize, DenseStackedFactors)| {
-            let mut c1 = c.sub_matrix(panel.row0, 0, panel.width, k);
-            let mut c2 = c.sub_matrix(*blk0, 0, *blk_rows, k);
-            tpmqrt_dense(trans, f, &mut c1, &mut c2);
-            c.set_sub(panel.row0, 0, &c1);
-            c.set_sub(*blk0, 0, &c2);
-        };
+        let apply_elim =
+            |c: &mut Matrix, (blk0, blk_rows, f): &(usize, usize, DenseStackedFactors)| {
+                let mut c1 = c.sub_matrix(panel.row0, 0, panel.width, k);
+                let mut c2 = c.sub_matrix(*blk0, 0, *blk_rows, k);
+                tpmqrt_dense(trans, f, &mut c1, &mut c2);
+                c.set_sub(panel.row0, 0, &c1);
+                c.set_sub(*blk0, 0, &c2);
+            };
         match trans {
             Trans::Yes => {
                 // Qᵀ = (… Q2ᵀ Q1ᵀ Q0ᵀ): diagonal first, eliminations in order.

@@ -104,12 +104,9 @@ fn panel_participants(
 ) -> Vec<usize> {
     let remaining = n_tiles - k;
     let root = k % procs;
-    let mut rest: Vec<usize> =
-        (1..procs.min(remaining)).map(|i| (k + i) % procs).collect();
+    let mut rest: Vec<usize> = (1..procs.min(remaining)).map(|i| (k + i) % procs).collect();
     let root_cluster = cluster_of_rank[root];
-    rest.sort_by_key(|&r| {
-        (usize::from(cluster_of_rank[r] != root_cluster), cluster_of_rank[r], r)
-    });
+    rest.sort_by_key(|&r| (usize::from(cluster_of_rank[r] != root_cluster), cluster_of_rank[r], r));
     std::iter::once(root).chain(rest).collect()
 }
 
@@ -156,8 +153,7 @@ pub async fn caqr_dist_rank_program_with_async(
         }
         Some(r.upper_triangular_padded())
     } else {
-        let payload: Vec<(u64, Matrix)> =
-            mine.into_iter().map(|(t, m)| (t as u64, m)).collect();
+        let payload: Vec<(u64, Matrix)> = mine.into_iter().map(|(t, m)| (t as u64, m)).collect();
         if !payload.is_empty() {
             p.send(0, TAG_GATHER, payload)?;
         }
@@ -198,8 +194,7 @@ pub async fn caqr_dist_program_async<T: Tile>(
         local.set_sub(i * b, 0, &block);
     }
 
-    let cluster_of_rank: Vec<usize> =
-        (0..procs).map(|r| p.topology().cluster_of(r)).collect();
+    let cluster_of_rank: Vec<usize> = (0..procs).map(|r| p.topology().cluster_of(r)).collect();
 
     for k in 0..n_panels {
         let (off, rows) = map.active(k, local.shape().0);
@@ -268,17 +263,15 @@ pub async fn caqr_dist_program_async<T: Tile>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsqr_linalg::prelude::QrFactors;
-    use tsqr_linalg::verify::{is_upper_triangular, r_distance};
     use crate::experiment::run_ranks;
     use crate::mini_grid;
     use crate::workload;
     use tsqr_gridmpi::{RunReport, Runtime};
+    use tsqr_linalg::prelude::QrFactors;
+    use tsqr_linalg::verify::{is_upper_triangular, r_distance};
 
     fn reference_r(seed: u64, m: usize, n: usize) -> Matrix {
-        QrFactors::compute(&workload::full_matrix(seed, m, n), 16)
-            .r()
-            .upper_triangular_padded()
+        QrFactors::compute(&workload::full_matrix(seed, m, n), 16).r().upper_triangular_padded()
     }
 
     /// Distributed CAQR of the seeded `m × n` workload with `b = tile`.
@@ -358,9 +351,8 @@ mod tests {
         let (m, n, tile) = (96u64, 12usize, 4usize);
         let a = workload::full_matrix(201, m as usize, n);
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64) * 0.5 - 2.0).collect();
-        let rhs: Vec<f64> = (0..m as usize)
-            .map(|i| (0..n).map(|j| a[(i, j)] * x_true[j]).sum())
-            .collect();
+        let rhs: Vec<f64> =
+            (0..m as usize).map(|i| (0..n).map(|j| a[(i, j)] * x_true[j]).sum()).collect();
         // Augment with one tile-width of columns: [b, 0, …, 0].
         let n_aug = n + tile;
         let cfg = CaqrDistConfig {

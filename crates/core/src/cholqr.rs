@@ -99,12 +99,12 @@ pub async fn cholqr_async(
 mod tests {
     use super::*;
     use crate::domains::even_chunks;
+    use crate::experiment::run_ranks;
     use crate::workload;
+    use tsqr_gridmpi::Runtime;
     use tsqr_linalg::prelude::QrFactors;
     use tsqr_linalg::verify::{orthogonality, r_distance, relative_residual};
     use tsqr_netsim::{ClusterSpec, CostModel, GridTopology, LinkParams};
-    use crate::experiment::run_ranks;
-    use tsqr_gridmpi::Runtime;
 
     fn runtime(procs: usize) -> Runtime {
         let topo = GridTopology::block_placement(

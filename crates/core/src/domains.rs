@@ -103,8 +103,7 @@ impl DomainLayout {
         let mut layout = Self::build(topo, m, n, domains_per_cluster);
         assert_eq!(rate_of_cluster.len(), topo.num_clusters(), "one rate per cluster");
         assert!(rate_of_cluster.iter().all(|&r| r > 0.0), "rates must be positive");
-        let total_rate: f64 =
-            layout.domains.iter().map(|d| rate_of_cluster[d.cluster]).sum();
+        let total_rate: f64 = layout.domains.iter().map(|d| rate_of_cluster[d.cluster]).sum();
         // Proportional split with largest-remainder rounding.
         let ideal: Vec<f64> = layout
             .domains
@@ -244,12 +243,9 @@ mod tests {
     #[test]
     fn weighted_layout_shifts_rows_to_fast_clusters() {
         let topo = grid5000::topology(2);
-        let layout =
-            DomainLayout::build_weighted(&topo, 1_000_000, 64, 4, &[1.0, 3.0]);
-        let slow: u64 =
-            layout.domains.iter().filter(|d| d.cluster == 0).map(|d| d.rows).sum();
-        let fast: u64 =
-            layout.domains.iter().filter(|d| d.cluster == 1).map(|d| d.rows).sum();
+        let layout = DomainLayout::build_weighted(&topo, 1_000_000, 64, 4, &[1.0, 3.0]);
+        let slow: u64 = layout.domains.iter().filter(|d| d.cluster == 0).map(|d| d.rows).sum();
+        let fast: u64 = layout.domains.iter().filter(|d| d.cluster == 1).map(|d| d.rows).sum();
         assert_eq!(slow + fast, 1_000_000);
         let ratio = fast as f64 / slow as f64;
         assert!((ratio - 3.0).abs() < 0.01, "ratio was {ratio}");

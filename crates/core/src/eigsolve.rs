@@ -128,8 +128,7 @@ pub async fn eigsolve_rank_program_async(
         let x_full = allgather_basis_async(p, world, layout, &x_loc, row0).await?;
         let y_loc = op.apply_rows(row0, rows as usize, &x_full);
         let mut out =
-            tsqr_rank_program_with_async(p, layout, tree, &tsqr_cfg, None, |_r0, _r| y_loc)
-                .await?;
+            tsqr_rank_program_with_async(p, layout, tree, &tsqr_cfg, None, |_r0, _r| y_loc).await?;
         x_loc = out.q_block.take().expect("explicit Q requested");
     }
 
@@ -145,10 +144,10 @@ pub async fn eigsolve_rank_program_async(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsqr_linalg::verify::orthogonality;
     use crate::experiment::run_ranks;
     use crate::mini_grid;
     use tsqr_gridmpi::Runtime;
+    use tsqr_linalg::verify::orthogonality;
 
     /// A symmetric operator with spectrum {2m, 1.5m, 1.2m, m, small…}.
     fn test_operator(m: usize) -> DenseOperator {
@@ -167,12 +166,7 @@ mod tests {
         DenseOperator { a }
     }
 
-    fn run(
-        rt: &Runtime,
-        op: &DenseOperator,
-        k: usize,
-        sweeps: usize,
-    ) -> (Vec<f64>, Matrix, u64) {
+    fn run(rt: &Runtime, op: &DenseOperator, k: usize, sweeps: usize) -> (Vec<f64>, Matrix, u64) {
         let m = op.dim();
         let procs = rt.topology().num_procs() / rt.topology().num_clusters();
         let layout = DomainLayout::build(rt.topology(), m, k, procs);
@@ -214,10 +208,7 @@ mod tests {
         // Reference spectrum from the dense Jacobi solver.
         let full = sym_eig(&op.a);
         for (got, want) in ritz.iter().zip(&full.values[..4]) {
-            assert!(
-                (got - want).abs() / want < 1e-6,
-                "ritz {got} vs dense {want}"
-            );
+            assert!((got - want).abs() / want < 1e-6, "ritz {got} vs dense {want}");
         }
         assert!(orthogonality(&x) < 1e-12, "Ritz basis must stay orthonormal");
         // Residuals ‖A·v − λ·v‖ / λ small for each pair.

@@ -230,8 +230,8 @@ fn run_on<T: PanelTile>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsqr_linalg::verify::r_distance;
     use tsqr_linalg::prelude::QrFactors;
+    use tsqr_linalg::verify::r_distance;
     use tsqr_netsim::{two_tier_grid, LinkParams};
 
     fn mini_runtime(clusters: usize, procs_per_cluster: usize) -> Runtime {
@@ -296,10 +296,7 @@ mod tests {
         };
         let tsqr = run_experiment(
             &rt,
-            &mk(Algorithm::Tsqr {
-                shape: TreeShape::GridHierarchical,
-                domains_per_cluster: 4,
-            }),
+            &mk(Algorithm::Tsqr { shape: TreeShape::GridHierarchical, domains_per_cluster: 4 }),
         );
         let scal = run_experiment(&rt, &mk(Algorithm::ScalapackQr2));
         assert!(
@@ -367,10 +364,7 @@ mod tests {
         let res = run_experiment(&rt, &exp);
         let trace = res.trace.as_ref().expect("tracing was enabled");
         // The TSQR phase annotations survive the plumbing.
-        assert!(trace
-            .events
-            .iter()
-            .any(|e| e.phase == Some(crate::tsqr::PHASE_REDUCE)));
+        assert!(trace.events.iter().any(|e| e.phase == Some(crate::tsqr::PHASE_REDUCE)));
         // The critical path tiles the makespan exactly (free invariant).
         let cp = trace.critical_path();
         assert!((cp.total().secs() - res.makespan.secs()).abs() < 1e-9);

@@ -555,17 +555,13 @@ mod tests {
         // WAN-phase crash time.
         for rank in [15usize, 2, 4, 8, 0] {
             for at_ms in [0.02f64, 2.0, 12.0] {
-                let schedule =
-                    FailureSchedule::new(1).crash_rank(rank, vt(at_ms * 1e-3));
+                let schedule = FailureSchedule::new(1).crash_rank(rank, vt(at_ms * 1e-3));
                 let (r, outs) = run_ft(schedule);
                 assert!(
                     r.approx_eq(&reference, 0.0),
                     "crash of rank {rank} at {at_ms}ms must not change R"
                 );
-                assert!(
-                    outs[rank].is_none(),
-                    "the crashed rank must not appear among survivors"
-                );
+                assert!(outs[rank].is_none(), "the crashed rank must not appear among survivors");
                 // Someone did recovery work (unless the victim had
                 // already finished its part — possible for late leaves).
                 let recoveries: usize = outs
@@ -573,10 +569,7 @@ mod tests {
                     .flatten()
                     .map(|o| o.rebuilt_subtrees.len() + o.salvaged_children.len())
                     .sum();
-                assert!(
-                    recoveries > 0 || rank != 0,
-                    "a root crash always forces an agent rebuild"
-                );
+                assert!(recoveries > 0 || rank != 0, "a root crash always forces an agent rebuild");
             }
         }
     }
@@ -586,11 +579,7 @@ mod tests {
         let schedule = FailureSchedule::new(1).crash_rank(0, vt(1e-3));
         let (r, outs) = run_ft(schedule);
         assert!(r.approx_eq(&failure_free_r(), 0.0));
-        let agent = outs
-            .iter()
-            .flatten()
-            .find(|o| o.r.is_some())
-            .expect("one survivor holds R");
+        let agent = outs.iter().flatten().find(|o| o.r.is_some()).expect("one survivor holds R");
         assert_eq!(agent.rebuilt_subtrees, vec![0], "the agent rebuilds the full tree");
         // Rank 1 is the lowest live participant, hence the agent.
         assert!(outs[1].as_ref().unwrap().r.is_some());
@@ -599,9 +588,7 @@ mod tests {
     #[test]
     fn cascading_crashes_still_recover() {
         // Root and its successor both die: rank 2 must self-elect.
-        let schedule = FailureSchedule::new(1)
-            .crash_rank(0, vt(1e-3))
-            .crash_rank(1, vt(2e-3));
+        let schedule = FailureSchedule::new(1).crash_rank(0, vt(1e-3)).crash_rank(1, vt(2e-3));
         let (r, outs) = run_ft(schedule);
         assert!(r.approx_eq(&failure_free_r(), 0.0));
         assert!(outs[2].as_ref().unwrap().r.is_some(), "rank 2 becomes the agent");
@@ -680,10 +667,10 @@ mod tests {
         assert!(!outcome.is_clean());
         assert!(outcome.failed_ranks().contains(&8));
         assert!(
-            outcome.failures.iter().any(|(_, e)| matches!(
-                e,
-                CommError::RankFailed { rank: 8, .. }
-            )),
+            outcome
+                .failures
+                .iter()
+                .any(|(_, e)| matches!(e, CommError::RankFailed { rank: 8, .. })),
             "peers must observe the typed crash, got {:?}",
             outcome.failures
         );
@@ -691,11 +678,8 @@ mod tests {
 
     #[test]
     fn replay_is_deterministic() {
-        let schedule = || {
-            FailureSchedule::new(9)
-                .crash_rank(8, vt(2e-3))
-                .drop_probability(3, 2, 0.5)
-        };
+        let schedule =
+            || FailureSchedule::new(9).crash_rank(8, vt(2e-3)).drop_probability(3, 2, 0.5);
         let (r1, _) = run_ft(schedule());
         let (r2, _) = run_ft(schedule());
         assert!(r1.approx_eq(&r2, 0.0), "replayed R must be bit-identical");
@@ -707,23 +691,17 @@ mod tests {
             let mut rt = grid4();
             rt.set_failure_schedule(schedule);
             let layout = DomainLayout::build(rt.topology(), M, N, 4);
-            let tree =
-                ReductionTree::build(&TreeShape::GridHierarchical, 16, &layout.clusters());
+            let tree = ReductionTree::build(&TreeShape::GridHierarchical, 16, &layout.clusters());
             let c = cfg();
-            let report =
-                rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &c, SEED, None));
+            let report = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &c, SEED, None));
             let r = report.ranks[0].result.clone().unwrap().r.unwrap();
             (r, report.makespan)
         };
         let (r_clean, t_clean) = run(FailureSchedule::default());
         // 10× latency, 10× less bandwidth across every WAN link for the
         // whole run.
-        let (r_slow, t_slow) = run(FailureSchedule::new(0).degrade_all_wan(
-            vt(0.0),
-            vt(1.0),
-            10.0,
-            10.0,
-        ));
+        let (r_slow, t_slow) =
+            run(FailureSchedule::new(0).degrade_all_wan(vt(0.0), vt(1.0), 10.0, 10.0));
         assert!(r_slow.approx_eq(&r_clean, 0.0), "degradation must not change R");
         assert!(
             t_slow.secs() > 1.5 * t_clean.secs(),

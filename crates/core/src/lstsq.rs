@@ -105,9 +105,9 @@ pub fn lstsq_distributed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mini_grid;
     use crate::tree::TreeShape;
     use crate::workload;
-    use crate::mini_grid;
 
     /// Reference solve via the normal equations (fine for these
     /// well-conditioned test problems).
@@ -132,9 +132,7 @@ mod tests {
         let (m, n) = (160usize, 5usize);
         let a = workload::full_matrix(81, m, n);
         let x_true: Vec<f64> = (0..n).map(|i| (i + 1) as f64).collect();
-        let b: Vec<f64> = (0..m)
-            .map(|i| (0..n).map(|j| a[(i, j)] * x_true[j]).sum())
-            .collect();
+        let b: Vec<f64> = (0..m).map(|i| (0..n).map(|j| a[(i, j)] * x_true[j]).sum()).collect();
         for (clusters, procs) in [(1, 1), (1, 4), (2, 4)] {
             let rt = mini_grid(clusters, procs);
             let out = lstsq_distributed(&rt, &a, &b, procs, TreeShape::GridHierarchical);

@@ -90,11 +90,7 @@ impl ModelFit {
         );
         for (label, obs, pred) in &self.per_phase {
             let drift = if obs.abs() > 0.0 { (pred - obs) / obs } else { 0.0 };
-            let _ = writeln!(
-                out,
-                "{label:<16} {obs:>12.6} {pred:>12.6} {:>8.2}%",
-                drift * 100.0
-            );
+            let _ = writeln!(out, "{label:<16} {obs:>12.6} {pred:>12.6} {:>8.2}%", drift * 100.0);
         }
         out
     }
@@ -280,10 +276,8 @@ mod tests {
     #[test]
     fn dead_features_get_zero_coefficients() {
         // Compute-only run: no messages at all.
-        let samples = vec![
-            sample("leaf-qr", 0.0, 0.0, 1.0e9, 1.0),
-            sample("leaf-qr", 0.0, 0.0, 2.0e9, 2.0),
-        ];
+        let samples =
+            vec![sample("leaf-qr", 0.0, 0.0, 1.0e9, 1.0), sample("leaf-qr", 0.0, 0.0, 2.0e9, 2.0)];
         let f = fit(&samples).expect("fit exists");
         assert_eq!(f.beta_s, 0.0);
         assert_eq!(f.alpha_s_per_word, 0.0);

@@ -185,9 +185,7 @@ mod tests {
     use tsqr_linalg::verify::{orthogonality, r_distance, relative_residual};
 
     fn reference_r(seed: u64, m: usize, n: usize) -> Matrix {
-        QrFactors::compute(&workload::full_matrix(seed, m, n), 16)
-            .r()
-            .upper_triangular_padded()
+        QrFactors::compute(&workload::full_matrix(seed, m, n), 16).r().upper_triangular_padded()
     }
 
     #[test]
@@ -227,7 +225,8 @@ mod tests {
             c.set_sub(0, 0, &e);
             orm2r(Side::Left, Trans::No, &first.factors.view(), &first.tau, &mut c.view_mut());
             let got = q.sub_matrix(0, 0, 40, n);
-            let same = got.as_slice().iter().zip(c.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits());
+            let same =
+                got.as_slice().iter().zip(c.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits());
             assert!(same, "n={n}");
         }
     }
@@ -237,9 +236,7 @@ mod tests {
         let (m, n, seed) = (300usize, 6usize, 125u64);
         let a = workload::full_matrix(seed, m, n);
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64) - 2.5).collect();
-        let b: Vec<f64> = (0..m)
-            .map(|i| (0..n).map(|j| a[(i, j)] * x_true[j]).sum())
-            .collect();
+        let b: Vec<f64> = (0..m).map(|i| (0..n).map(|j| a[(i, j)] * x_true[j]).sum()).collect();
         let mut acc = StreamingQr::new(n);
         let mut r0 = 0;
         for rows in [50usize, 120, 80, 50] {

@@ -76,7 +76,16 @@ pub trait PanelTile: Tile {
     }
     /// `C -= Ṽ·(Tᵀ·W)`, with `T` rebuilt from the reduced Gram matrix `g`
     /// and the panel's `taus` (the larft recurrence).
-    fn block_update(&mut self, _j: usize, _is_root: bool, _taus: &[f64], _v: &Self, _g: &Self, _w: Self) {}
+    fn block_update(
+        &mut self,
+        _j: usize,
+        _is_root: bool,
+        _taus: &[f64],
+        _v: &Self,
+        _g: &Self,
+        _w: Self,
+    ) {
+    }
 }
 
 impl PanelTile for Dims {}
@@ -99,7 +108,11 @@ pub async fn pdgeqr2_async<T: PanelTile>(
 }
 
 /// Elementwise all-reduce sum over `group`.
-pub(crate) async fn all_sum_async<T: Tile>(p: &mut Process, group: &Communicator, x: T) -> Result<T, CommError> {
+pub(crate) async fn all_sum_async<T: Tile>(
+    p: &mut Process,
+    group: &Communicator,
+    x: T,
+) -> Result<T, CommError> {
     group.allreduce_with_async(p, x, |_, lo, hi| lo.add(hi)).await
 }
 
@@ -228,16 +241,18 @@ impl PanelTile for Matrix {
         Matrix::from_col_major(2, 1, vec![alpha, ssq]).expect("2 x 1")
     }
 
-    fn reflect(&mut self, j: usize, is_root: bool, trailing: usize, norm: &Matrix) -> (f64, Matrix) {
+    fn reflect(
+        &mut self,
+        j: usize,
+        is_root: bool,
+        trailing: usize,
+        norm: &Matrix,
+    ) -> (f64, Matrix) {
         let (alpha, ssq) = (norm[(0, 0)], norm[(1, 0)]);
         if ssq == 0.0 {
             return (0.0, Matrix::zeros(trailing, 1));
         }
-        let beta = if alpha >= 0.0 {
-            -alpha.hypot(ssq.sqrt())
-        } else {
-            alpha.hypot(ssq.sqrt())
-        };
+        let beta = if alpha >= 0.0 { -alpha.hypot(ssq.sqrt()) } else { alpha.hypot(ssq.sqrt()) };
         let scale = 1.0 / (alpha - beta);
         // Scale the local part of v; the root also records β = R[j,j].
         let lo = below(j, is_root);
@@ -301,7 +316,15 @@ impl PanelTile for Matrix {
         (v, g_loc, w_loc)
     }
 
-    fn block_update(&mut self, j: usize, is_root: bool, taus: &[f64], v: &Matrix, g: &Matrix, mut w: Matrix) {
+    fn block_update(
+        &mut self,
+        j: usize,
+        is_root: bool,
+        taus: &[f64],
+        v: &Matrix,
+        g: &Matrix,
+        mut w: Matrix,
+    ) {
         let ib = taus.len();
         let mut t = Matrix::zeros(ib, ib);
         for c in 0..ib {
@@ -330,12 +353,12 @@ impl PanelTile for Matrix {
 mod tests {
     use super::*;
     use crate::domains::even_chunks;
+    use crate::experiment::run_ranks;
     use crate::workload;
+    use tsqr_gridmpi::Runtime;
     use tsqr_linalg::prelude::*;
     use tsqr_linalg::verify::{is_upper_triangular, r_distance};
     use tsqr_netsim::{ClusterSpec, CostModel, GridTopology, LinkParams};
-    use crate::experiment::run_ranks;
-    use tsqr_gridmpi::Runtime;
 
     fn runtime(procs: usize) -> Runtime {
         let topo = GridTopology::block_placement(

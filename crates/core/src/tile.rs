@@ -93,7 +93,14 @@ pub trait Tile: WirePayload + Clone {
     /// it: a TSQR leaf (the whole block) or CAQR's step 1 (the active
     /// suffix of one panel). Returns the reflector scales τ and the
     /// `b × b` R.
-    fn factor_panel(&mut self, _off: usize, _col0: usize, rows: usize, b: usize, _nb: usize) -> (Vec<f64>, Self) {
+    fn factor_panel(
+        &mut self,
+        _off: usize,
+        _col0: usize,
+        rows: usize,
+        b: usize,
+        _nb: usize,
+    ) -> (Vec<f64>, Self) {
         (Vec::new(), Self::zeros(rows.min(b), b))
     }
     /// `Q·[e; 0]` for the Q of a whole block factored by
@@ -144,7 +151,14 @@ impl Tile for Matrix {
     fn tpmqrt(trans: Trans, f: &StackedFactors, c1: &mut Self, c2: &mut Self) {
         tpmqrt(trans, f, c1, c2)
     }
-    fn factor_panel(&mut self, off: usize, col0: usize, rows: usize, b: usize, nb: usize) -> (Vec<f64>, Self) {
+    fn factor_panel(
+        &mut self,
+        off: usize,
+        col0: usize,
+        rows: usize,
+        b: usize,
+        nb: usize,
+    ) -> (Vec<f64>, Self) {
         let mut tau = vec![0.0; b.min(rows)];
         let mut view = self.view_mut();
         let (mut panel, mut right) = view.split_cols_at_mut(col0 + b);

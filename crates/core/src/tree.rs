@@ -591,8 +591,7 @@ mod tests {
         for (n, n_clusters) in [(12, 3), (16, 4), (64, 4), (256, 4)] {
             let per = n / n_clusters;
             let cluster_of: Vec<usize> = (0..n).map(|i| i / per).collect();
-            let tuned =
-                ReductionTree::build(&TreeShape::GridHierarchical, n, &cluster_of);
+            let tuned = ReductionTree::build(&TreeShape::GridHierarchical, n, &cluster_of);
             assert_eq!(
                 tuned.inter_cluster_messages(&cluster_of),
                 n_clusters - 1,
@@ -742,7 +741,12 @@ mod tests {
             assert_eq!(ReductionTree::greedy_parents(n, edge, combine), rooted(tree), "{what}");
             assert_eq!(greedy_parents_cubic(n, edge, combine), rooted(tree), "{what}: the oracle");
         };
-        pin("lost partner, a higher root ties", &[&[1.], &[1., 0.], &[1., 0., 0.]], 1.0, &[0, 1, 0]);
+        pin(
+            "lost partner, a higher root ties",
+            &[&[1.], &[1., 0.], &[1., 0., 0.]],
+            1.0,
+            &[0, 1, 0],
+        );
         pin("lost partner, no tie above", &[&[1.], &[1., 0.], &[2., 2., 0.]], 1.0, &[0, 1, 0]);
         pin("the same under a free combine", &[&[3.], &[3., 2.], &[1., 1., 3.]], 0.0, &[0, 1, 0]);
         pin(
@@ -751,7 +755,12 @@ mod tests {
             1.0,
             &[0, 0, 0, 2, 3],
         );
-        pin("cost[a] fell: (lo, a) is now the cheapest", &[&[1.], &[1., 1.], &[1., 1., 0.]], -1.0, &[0, 0, 2]);
+        pin(
+            "cost[a] fell: (lo, a) is now the cheapest",
+            &[&[1.], &[1., 1.], &[1., 1., 0.]],
+            -1.0,
+            &[0, 0, 2],
+        );
         pin(
             "cost[a] fell: (lo, a) ties from a lower index",
             &[&[1.], &[2., 1.5], &[2., 0.5, 0.5], &[0.5, 2., 0., 1.]],
@@ -834,7 +843,11 @@ mod tests {
         // price table: every pair is priced once, however many rows tie.
         for (n, site) in [(64, 64), (128, 64), (256, 64), (256, 256)] {
             let class = |child: usize, parent: usize| {
-                if child / site == parent / site { GREEDY_INTRA_COST } else { GREEDY_INTER_COST }
+                if child / site == parent / site {
+                    GREEDY_INTRA_COST
+                } else {
+                    GREEDY_INTER_COST
+                }
             };
             let calls = std::cell::Cell::new(0_usize);
             let counted = |child, parent| {

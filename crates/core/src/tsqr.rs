@@ -178,11 +178,7 @@ pub async fn tsqr_rank_program_with_async<T: PanelTile>(
     let member = dom.ranks.iter().position(|&r| r == p.rank()).expect("member of own domain");
     let (row0, rows) = layout.member_rows(d, member);
     let mut local = local_block(row0, rows as usize);
-    assert_eq!(
-        local.shape(),
-        (rows as usize, n),
-        "local_block returned the wrong shape"
-    );
+    assert_eq!(local.shape(), (rows as usize, n), "local_block returned the wrong shape");
     let roots = layout.roots();
     let combine_rate = cfg.combine_rate_flops.or(rate_flops);
 
@@ -310,11 +306,11 @@ pub async fn tsqr_allreduce_rank_program_with_async(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsqr_linalg::prelude::*;
-    use tsqr_linalg::verify::{is_upper_triangular, orthogonality, r_distance, relative_residual};
     use crate::experiment::run_ranks;
     use crate::mini_grid;
     use tsqr_gridmpi::Runtime;
+    use tsqr_linalg::prelude::*;
+    use tsqr_linalg::verify::{is_upper_triangular, orthogonality, r_distance, relative_residual};
 
     fn reference_r(seed: u64, m: usize, n: usize) -> Matrix {
         let a = workload::full_matrix(seed, m, n);
@@ -350,7 +346,8 @@ mod tests {
         let (m, n) = (256u64, 8);
         for shape in [TreeShape::Flat, TreeShape::Binary, TreeShape::GridHierarchical] {
             let rt = mini_grid(2, 4);
-            let cfg = TsqrConfig { shape: shape.clone(), domains_per_cluster: 4, ..Default::default() };
+            let cfg =
+                TsqrConfig { shape: shape.clone(), domains_per_cluster: 4, ..Default::default() };
             let (r, _, _) = run_tsqr(&rt, m, n, cfg, 21);
             assert!(is_upper_triangular(&r));
             assert!(
@@ -393,19 +390,14 @@ mod tests {
             };
             let (r, outs, _) = run_tsqr(&rt, m, n, cfg, 29);
             // Assemble Q from the per-rank blocks, in row order.
-            let mut blocks: Vec<(u64, Matrix)> = outs
-                .iter()
-                .map(|o| (o.row0, o.q_block.clone().expect("q requested")))
-                .collect();
+            let mut blocks: Vec<(u64, Matrix)> =
+                outs.iter().map(|o| (o.row0, o.q_block.clone().expect("q requested"))).collect();
             blocks.sort_by_key(|(row0, _)| *row0);
             let refs: Vec<&Matrix> = blocks.iter().map(|(_, b)| b).collect();
             let q = Matrix::vstack_all(&refs);
             let a = workload::full_matrix(29, m as usize, n);
             assert!(orthogonality(&q) < 1e-12, "Q not orthogonal for {shape:?}");
-            assert!(
-                relative_residual(&a, &q, &r) < 1e-12,
-                "A != QR for {shape:?}"
-            );
+            assert!(relative_residual(&a, &q, &r) < 1e-12, "A != QR for {shape:?}");
         }
     }
 
@@ -478,10 +470,15 @@ mod tests {
                 let m = (ranks * (2 * n + 3)) as u64;
                 let layout = DomainLayout::build(rt.topology(), m, n, procs);
                 for shape in shapes.clone() {
-                    let cfg =
-                        TsqrConfig { shape, domains_per_cluster: procs, compute_q: true, ..Default::default() };
+                    let cfg = TsqrConfig {
+                        shape,
+                        domains_per_cluster: procs,
+                        compute_q: true,
+                        ..Default::default()
+                    };
                     let case = format!("{:?} n={n} on {clusters} clusters", cfg.shape);
-                    let tree = ReductionTree::build(&cfg.shape, layout.num_domains(), &layout.clusters());
+                    let tree =
+                        ReductionTree::build(&cfg.shape, layout.num_domains(), &layout.clusters());
                     let (got_r, outs, _) = run_tsqr(&rt, m, n, cfg.clone(), seed);
                     let (r, q) = dense_downsweep_replay(&layout, &tree, seed, cfg.nb);
                     assert!(same_bits(&got_r, &r), "{case}: R");
@@ -516,11 +513,8 @@ mod tests {
         // ScaLAPACK's 2N·log₂(P). Total tree messages are P − 1.
         let (m, n) = (512u64, 8);
         let rt = mini_grid(1, 8);
-        let cfg = TsqrConfig {
-            shape: TreeShape::Binary,
-            domains_per_cluster: 8,
-            ..Default::default()
-        };
+        let cfg =
+            TsqrConfig { shape: TreeShape::Binary, domains_per_cluster: 8, ..Default::default() };
         let (_, _, report) = run_tsqr(&rt, m, n, cfg, 41);
         assert_eq!(report.totals.total_msgs(), 7, "tree reduce = P − 1 messages");
         // Critical path: depth of the tree = log₂(8) = 3 sequential
@@ -533,11 +527,8 @@ mod tests {
     fn q_computation_roughly_doubles_time_property_one() {
         let (m, n) = (4096u64, 8);
         let rt = mini_grid(1, 4);
-        let base = TsqrConfig {
-            shape: TreeShape::Binary,
-            domains_per_cluster: 4,
-            ..Default::default()
-        };
+        let base =
+            TsqrConfig { shape: TreeShape::Binary, domains_per_cluster: 4, ..Default::default() };
         let (_, _, rep_r) = run_tsqr(&rt, m, n, base.clone(), 43);
         let with_q = TsqrConfig { compute_q: true, ..base };
         let (_, _, rep_qr) = run_tsqr(&rt, m, n, with_q, 43);
@@ -561,8 +552,7 @@ mod tests {
                 })
                 .await
             });
-            let rs: Vec<Matrix> =
-                report.ranks.iter().map(|r| r.result.clone().unwrap()).collect();
+            let rs: Vec<Matrix> = report.ranks.iter().map(|r| r.result.clone().unwrap()).collect();
             for r in &rs[1..] {
                 assert!(r.approx_eq(&rs[0], 0.0), "all copies must be bit-identical");
             }

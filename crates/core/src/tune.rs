@@ -31,8 +31,8 @@ use tsqr_netsim::{CostModel, GridTopology, VirtualTime};
 
 use crate::domains::DomainLayout;
 use crate::experiment::run_ranks;
-use crate::tree::{ReductionTree, TreeShape};
 use crate::tile::{packed_bytes, Dims};
+use crate::tree::{ReductionTree, TreeShape};
 use crate::tsqr::{tsqr_rank_program_with_async, TsqrConfig};
 
 /// One candidate in the search table.
@@ -204,14 +204,17 @@ pub fn candidate_shapes(
         // locations, and a combine at its tpqrt time. On asymmetric WAN
         // meshes this sees what the class-level greedy cannot (see
         // docs/tuning.md).
-        let combine = model
-            .compute_time(flops::tpqrt(n as u64), combine_rate_flops.or(rate_flops))
-            .secs();
+        let combine =
+            model.compute_time(flops::tpqrt(n as u64), combine_rate_flops.or(rate_flops)).secs();
         let parents = ReductionTree::greedy_parents(
             d,
             |child, parent| {
                 model
-                    .message_time(topo.location(roots[child]), topo.location(roots[parent]), r_bytes)
+                    .message_time(
+                        topo.location(roots[child]),
+                        topo.location(roots[parent]),
+                        r_bytes,
+                    )
                     .secs()
             },
             combine,
@@ -298,13 +301,8 @@ pub fn autotune(
     let layout = DomainLayout::build(rt.topology(), m, n, domains_per_cluster);
     let (table, winner) =
         search(rt.topology(), rt.cost_model(), &layout, rate_flops, combine_rate_flops);
-    let replayed = replay_makespan(
-        rt,
-        &layout,
-        &table[winner].shape,
-        rate_flops,
-        combine_rate_flops,
-    );
+    let replayed =
+        replay_makespan(rt, &layout, &table[winner].shape, rate_flops, combine_rate_flops);
     let predicted = table[winner].predicted;
     let rel = (predicted.secs() - replayed.secs()).abs() / replayed.secs().abs().max(1e-12);
     assert!(
@@ -327,14 +325,8 @@ mod tests {
         let layout = DomainLayout::build(rt.topology(), 1 << 16, 16, 8);
         for shape in [TreeShape::Flat, TreeShape::Binary, TreeShape::GridHierarchical] {
             let tree = ReductionTree::build(&shape, layout.num_domains(), &layout.clusters());
-            let predicted = predict_makespan(
-                rt.topology(),
-                rt.cost_model(),
-                &layout,
-                &tree,
-                None,
-                None,
-            );
+            let predicted =
+                predict_makespan(rt.topology(), rt.cost_model(), &layout, &tree, None, None);
             let replayed = replay_makespan(&rt, &layout, &shape, None, None);
             assert_eq!(
                 predicted.secs().to_bits(),
@@ -429,8 +421,7 @@ mod tests {
     fn greedy_cost_candidate_is_heap_ordered_and_complete() {
         let rt = mini_grid(4, 8);
         let layout = DomainLayout::build(rt.topology(), 1 << 16, 16, 8);
-        let shapes =
-            candidate_shapes(rt.topology(), rt.cost_model(), &layout, None, None);
+        let shapes = candidate_shapes(rt.topology(), rt.cost_model(), &layout, None, None);
         let (_, custom) = shapes
             .iter()
             .find(|(name, _)| name == "greedy-cost")

@@ -19,8 +19,8 @@ use tsqr_core::tsqr::{
 use tsqr_core::workload;
 use tsqr_gridmpi::{block_on, CommError, Communicator, Process, RunReport, Runtime, WirePayload};
 use tsqr_linalg::prelude::*;
-use tsqr_linalg::Matrix;
 use tsqr_linalg::verify::r_distance;
+use tsqr_linalg::Matrix;
 use tsqr_netsim::{
     two_tier_grid, ClusterSpec, CostModel, FailureSchedule, GridTopology, LinkParams, VirtualTime,
 };
@@ -116,7 +116,8 @@ fn cooperative_and_threaded_runs_report_the_same() {
         let ranks = clusters * procs;
         let m = (ranks * 64) as u64;
         let chunks = even_chunks(m, ranks);
-        let dims = |w: &Communicator, p: &Process| Dims { rows: chunks[w.my_index(p)] as usize, cols: n };
+        let dims =
+            |w: &Communicator, p: &Process| Dims { rows: chunks[w.my_index(p)] as usize, cols: n };
 
         for (nb, nx) in [(1, 0), (8, 16)] {
             let case = format!("pdgeqrf nb={nb} nx={nx} on {ranks}");
@@ -171,7 +172,12 @@ fn cooperative_and_threaded_runs_report_the_same() {
 
         let tile = 8;
         for shape in &shapes[..6] {
-            let cfg = CaqrDistConfig { tile, shape: shape.clone(), rate_flops: None, combine_rate_flops: None };
+            let cfg = CaqrDistConfig {
+                tile,
+                shape: shape.clone(),
+                rate_flops: None,
+                combine_rate_flops: None,
+            };
             let block = |_, rows| Dims { rows, cols: n };
             let case = format!("caqr {shape:?} tile={tile} on {ranks} traced={tracing}");
             let run = same_under_both_drivers(&rt, &case, async |p, _| {
@@ -193,7 +199,10 @@ fn cooperative_and_threaded_runs_report_the_same() {
         });
         for r in &run.ranks {
             let all = r.result.as_ref().expect("collectives succeed");
-            assert!(all.iter().enumerate().all(|(i, (rank, v))| *rank == i as u64 && *v == vec![1.5; 32]));
+            assert!(all
+                .iter()
+                .enumerate()
+                .all(|(i, (rank, v))| *rank == i as u64 && *v == vec![1.5; 32]));
         }
     }
 }
@@ -245,7 +254,11 @@ fn folded_allreduces_report_what_the_messages_report() {
     let cfg = TsqrConfig { shape, domains_per_cluster: dpc, ..Default::default() };
     let case = "tsqr over domains of 3 ranks";
     let run = same_under_both_drivers(&rt, case, async |p, _| {
-        tsqr_rank_program_with_async(p, &layout, &tree, &cfg, None, |_, rows| Dims { rows, cols: n }).await
+        tsqr_rank_program_with_async(p, &layout, &tree, &cfg, None, |_, rows| Dims {
+            rows,
+            cols: n,
+        })
+        .await
     });
     assert!(run.ranks.iter().all(|r| r.result.is_ok()), "{case}");
 
@@ -295,7 +308,12 @@ fn folded_allreduces_report_what_the_messages_report() {
 fn dual_proc_grid(clusters: usize, nodes: usize) -> Runtime {
     let lan = LinkParams::from_ms_mbps(0.07, 890.0);
     let specs = (0..clusters)
-        .map(|i| ClusterSpec { name: format!("c{i}"), nodes, procs_per_node: 2, peak_gflops_per_proc: 8.0 })
+        .map(|i| ClusterSpec {
+            name: format!("c{i}"),
+            nodes,
+            procs_per_node: 2,
+            peak_gflops_per_proc: 8.0,
+        })
         .collect();
     let mut model = CostModel::homogeneous(lan, 1e9, clusters);
     model.intra_node = LinkParams::from_ms_mbps(0.007, 8900.0);
@@ -357,11 +375,18 @@ fn a_fold_plan_serves_only_its_own_communicator_and_wire_size() {
             (layout, tree, TsqrConfig { shape, domains_per_cluster: dpc, ..Default::default() })
         })
         .collect();
-    assert_eq!(points.iter().map(|(layout, ..)| layout.domains[0].ranks.len()).collect::<Vec<_>>(), [3, 2]);
+    assert_eq!(
+        points.iter().map(|(layout, ..)| layout.domains[0].ranks.len()).collect::<Vec<_>>(),
+        [3, 2]
+    );
     let case = "tsqr over domains of 3 ranks, then of 2, on dual-processor nodes";
     let run = same_under_both_drivers(&rt, case, async |p, _| {
         for (layout, tree, cfg) in &points {
-            tsqr_rank_program_with_async(p, layout, tree, cfg, None, |_, rows| Dims { rows, cols: n }).await?;
+            tsqr_rank_program_with_async(p, layout, tree, cfg, None, |_, rows| Dims {
+                rows,
+                cols: n,
+            })
+            .await?;
         }
         Ok(p.clock())
     });
@@ -404,7 +429,8 @@ fn cooperative_and_threaded_runs_fail_the_same() {
     });
     let failed: Vec<usize> = (0..8).filter(|&r| healed.ranks[r].result.is_err()).collect();
     assert_eq!(failed, vec![4], "only the crashed combiner fails");
-    let r = healed.ranks[0].result.as_ref().ok().and_then(|o| o.r.clone()).expect("the root holds R");
+    let r =
+        healed.ranks[0].result.as_ref().ok().and_then(|o| o.r.clone()).expect("the root holds R");
     assert!(r_distance(&r, &reference_r(seed, m as usize, n)) < 1e-10, "{case}: R");
 }
 

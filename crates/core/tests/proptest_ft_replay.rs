@@ -19,9 +19,7 @@ use tsqr_core::tree::{ReductionTree, TreeShape};
 use tsqr_core::tsqr::{tsqr_rank_program, TsqrConfig};
 use tsqr_gridmpi::Runtime;
 use tsqr_linalg::Matrix;
-use tsqr_netsim::{
-    ClusterSpec, CostModel, FailureSchedule, GridTopology, LinkParams, VirtualTime,
-};
+use tsqr_netsim::{ClusterSpec, CostModel, FailureSchedule, GridTopology, LinkParams, VirtualTime};
 
 const M: u64 = 256;
 const N: usize = 8;
@@ -51,11 +49,7 @@ fn grid4() -> Runtime {
 }
 
 fn cfg() -> TsqrConfig {
-    TsqrConfig {
-        shape: TreeShape::GridHierarchical,
-        domains_per_cluster: 4,
-        ..Default::default()
-    }
+    TsqrConfig { shape: TreeShape::GridHierarchical, domains_per_cluster: 4, ..Default::default() }
 }
 
 /// A random-but-replayable failure scenario.
@@ -103,11 +97,8 @@ fn run_ft(scenario: &Scenario) -> (Matrix, f64, Vec<usize>, String) {
     let makespan = report.makespan.secs();
     let chrome = report.trace.as_ref().expect("tracing enabled").chrome_json();
     let outcome = report.outcome();
-    let mut holders: Vec<Matrix> = outcome
-        .survivors
-        .iter()
-        .filter_map(|(_, o)| o.r.clone())
-        .collect();
+    let mut holders: Vec<Matrix> =
+        outcome.survivors.iter().filter_map(|(_, o)| o.r.clone()).collect();
     assert_eq!(
         holders.len(),
         1,
