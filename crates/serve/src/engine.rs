@@ -377,8 +377,8 @@ pub fn shape_oracle(catalog: &ResourceCatalog, procs_per_site: usize) -> ShapeOr
 
 fn solo_shape(catalog: &ResourceCatalog, shape: ShapeClass, procs_per_site: usize) -> (f64, usize) {
     let profile = JobProfile::cluster_of_clusters(shape.sites, procs_per_site);
-    let alloc = tsqr_qcg::allocate(catalog, &profile)
-        .expect("every menu shape must fit an idle grid");
+    let alloc =
+        tsqr_qcg::allocate(catalog, &profile).expect("every menu shape must fit an idle grid");
     let model =
         job_model(&alloc, shape.rows, shape.cols, procs_per_site, &TreeShape::GridHierarchical);
     (model.t_base_s, alloc.nodes_per_group() * alloc.num_groups())
@@ -457,7 +457,10 @@ struct Engine<'a> {
 }
 
 /// What [`workload::generate`] is called with for `cfg` on `catalog`.
-fn workload_inputs(catalog: &ResourceCatalog, cfg: &ServeConfig) -> (WorkloadSpec, ShapeOracle, usize) {
+fn workload_inputs(
+    catalog: &ResourceCatalog,
+    cfg: &ServeConfig,
+) -> (WorkloadSpec, ShapeOracle, usize) {
     let spec = WorkloadSpec {
         requests: cfg.requests,
         load: cfg.load,
@@ -976,12 +979,8 @@ mod tests {
     fn contention_stretches_sojourns() {
         // Two four-site jobs arriving together must interfere on the WAN
         // drain: the later one's sojourn exceeds its solo service time.
-        let cfg = ServeConfig {
-            requests: 8,
-            load: 3.0,
-            single_shape: Some(3),
-            ..Default::default()
-        };
+        let cfg =
+            ServeConfig { requests: 8, load: 3.0, single_shape: Some(3), ..Default::default() };
         let out = serve(&g5k(), &cfg);
         let o = shape_oracle(&g5k(), 64);
         let solo = o.solo_s[3];
@@ -989,9 +988,7 @@ mod tests {
             .records
             .iter()
             .filter_map(|r| match r.disposition {
-                Disposition::Completed { finish, .. } => {
-                    Some((finish - r.request.arrival).secs())
-                }
+                Disposition::Completed { finish, .. } => Some((finish - r.request.arrival).secs()),
                 _ => None,
             })
             .fold(0.0f64, f64::max);
@@ -1004,12 +1001,8 @@ mod tests {
 
     #[test]
     fn batching_coalesces_and_cuts_wan_messages() {
-        let base = ServeConfig {
-            requests: 24,
-            load: 4.0,
-            single_shape: Some(3),
-            ..Default::default()
-        };
+        let base =
+            ServeConfig { requests: 24, load: 4.0, single_shape: Some(3), ..Default::default() };
         let unbatched = serve(&g5k(), &base);
         let batched = serve(&g5k(), &ServeConfig { batch: true, ..base });
         assert!(batched.dispatches < unbatched.dispatches);
@@ -1034,12 +1027,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_rejects_under_overload() {
-        let cfg = ServeConfig {
-            requests: 80,
-            load: 8.0,
-            queue_capacity: 4,
-            ..Default::default()
-        };
+        let cfg = ServeConfig { requests: 80, load: 8.0, queue_capacity: 4, ..Default::default() };
         let out = serve(&g5k(), &cfg);
         let rejected = out
             .records
@@ -1087,9 +1075,7 @@ mod tests {
         };
         let out = serve(&g5k(), &cfg);
         assert!(
-            out.faults
-                .iter()
-                .any(|f| matches!(f.kind, FaultKind::SiteCrashed { site: 2 })),
+            out.faults.iter().any(|f| matches!(f.kind, FaultKind::SiteCrashed { site: 2 })),
             "the crash must hit at least one running job"
         );
         let retried_completions = out
@@ -1127,13 +1113,15 @@ mod tests {
                 ..base
             },
         );
-        let ckpt_used = ckpt.faults.iter().any(|f| {
-            matches!(f.action, RecoveryAction::Retried { checkpointed: true, .. })
-        });
+        let ckpt_used = ckpt
+            .faults
+            .iter()
+            .any(|f| matches!(f.action, RecoveryAction::Retried { checkpointed: true, .. }));
         assert!(ckpt_used, "a mid-drain kill must produce a checkpointed retry");
-        assert!(restart.faults.iter().all(|f| {
-            !matches!(f.action, RecoveryAction::Retried { checkpointed: true, .. })
-        }));
+        assert!(restart
+            .faults
+            .iter()
+            .all(|f| { !matches!(f.action, RecoveryAction::Retried { checkpointed: true, .. }) }));
         assert!(
             ckpt.horizon <= restart.horizon,
             "checkpointed drain must not extend the horizon past full restart: {} vs {}",
@@ -1155,9 +1143,7 @@ mod tests {
         };
         let out = serve(&g5k(), &cfg);
         assert!(
-            out.faults
-                .iter()
-                .any(|f| matches!(f.kind, FaultKind::DrainDropped { link: (0, 2) })),
+            out.faults.iter().any(|f| matches!(f.kind, FaultKind::DrainDropped { link: (0, 2) })),
             "the scripted drop must fire"
         );
         assert!(out.records.iter().all(|r| matches!(
@@ -1185,10 +1171,7 @@ mod tests {
             .filter(|r| matches!(r.disposition, Disposition::FailedPermanent { attempts: 1 }))
             .count();
         assert!(failed > 0, "budget of one must turn the crash into permanent failures");
-        assert!(out
-            .faults
-            .iter()
-            .all(|f| !matches!(f.action, RecoveryAction::Retried { .. })));
+        assert!(out.faults.iter().all(|f| !matches!(f.action, RecoveryAction::Retried { .. })));
     }
 
     #[test]
@@ -1214,21 +1197,16 @@ mod tests {
             ..Default::default()
         };
         let out = serve(&g5k(), &cfg);
-        let shed = out
-            .records
-            .iter()
-            .filter(|r| matches!(r.disposition, Disposition::Shed))
-            .count();
+        let shed =
+            out.records.iter().filter(|r| matches!(r.disposition, Disposition::Shed)).count();
         assert!(shed > 0, "sustained retry pressure must shed arrivals");
         assert!(!out.brownout_windows.is_empty(), "shedding implies a brownout window");
         for &(s, e) in &out.brownout_windows {
             assert!(s <= e, "brownout windows are well-formed intervals");
         }
         // Degradation stretches the run: compare against the fault-free twin.
-        let clean = serve(&g5k(), &ServeConfig {
-            faults: FailureSchedule::default(),
-            ..cfg.clone()
-        });
+        let clean =
+            serve(&g5k(), &ServeConfig { faults: FailureSchedule::default(), ..cfg.clone() });
         assert!(out.horizon > clean.horizon, "an 8x WAN slowdown must stretch the horizon");
     }
 
@@ -1355,12 +1333,14 @@ mod tests {
         let alloc = lease.allocation(&catalog);
         let (m, n) = (1 << 21, 64);
         let mut memo = Models::new();
-        let grid =
-            memo_model(&mut memo, &lease, &catalog, m, n, 64, &TreeShape::GridHierarchical);
+        let grid = memo_model(&mut memo, &lease, &catalog, m, n, 64, &TreeShape::GridHierarchical);
         for shape in [TreeShape::Flat, TreeShape::Kary(3)] {
             let got = memo_model(&mut memo, &lease, &catalog, m, n, 64, &shape);
             assert_same_model(&got, &job_model(&alloc, m, n, 64, &shape));
-            assert_ne!(got.t_base_s, grid.t_base_s, "{shape:?} must not be priced as the grid tree");
+            assert_ne!(
+                got.t_base_s, grid.t_base_s,
+                "{shape:?} must not be priced as the grid tree"
+            );
         }
         let entries: usize = memo.values().map(BTreeMap::len).sum();
         assert_eq!(entries, 1, "re-plans bypass the memo");

@@ -49,11 +49,7 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_base_s: 0.05,
-            checkpoint_drain: true,
-        }
+        RetryPolicy { max_attempts: 3, backoff_base_s: 0.05, checkpoint_drain: true }
     }
 }
 

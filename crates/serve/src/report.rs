@@ -301,11 +301,7 @@ mod tests {
         let out = serve(&cat, &cfg);
         let r = PolicyReport::from_outcome(&out);
         assert_eq!(
-            r.completed
-                + r.rejected_queue
-                + r.rejected_infeasible
-                + r.shed
-                + r.failed_permanent,
+            r.completed + r.rejected_queue + r.rejected_infeasible + r.shed + r.failed_permanent,
             r.requests,
             "conservation: every request accounted for"
         );
@@ -321,8 +317,7 @@ mod tests {
     #[test]
     fn timeline_covers_the_run() {
         let cat = ResourceCatalog::grid5000();
-        let out =
-            serve(&cat, &ServeConfig { requests: 10, load: 2.0, ..Default::default() });
+        let out = serve(&cat, &ServeConfig { requests: 10, load: 2.0, ..Default::default() });
         let tl = timeline(&out, 20);
         let cluster_busy: f64 =
             (0..tl.num_bins()).map(|b| tl.busy_s(LinkClass::IntraCluster.bucket(), b)).sum();

@@ -102,7 +102,12 @@ const SLACK_SPAN: f64 = 4.0;
 /// the menu, or the pinned shape) over the node-seconds the grid has per
 /// second at that load. [`generate`] needs it positive and finite; a load
 /// near `f64::MAX` overflows the product and leaves 0.
-pub(crate) fn mean_gap_s(spec: &WorkloadSpec, solo_s: &[f64], nodes: &[usize], total_nodes: usize) -> f64 {
+pub(crate) fn mean_gap_s(
+    spec: &WorkloadSpec,
+    solo_s: &[f64],
+    nodes: &[usize],
+    total_nodes: usize,
+) -> f64 {
     let demand = |i: usize| nodes[i] as f64 * solo_s[i];
     let mean_demand = match spec.single_shape {
         Some(i) => demand(i),
@@ -122,7 +127,12 @@ pub(crate) fn mean_gap_s(spec: &WorkloadSpec, solo_s: &[f64], nodes: &[usize], t
 /// # Panics
 /// Panics on empty/zero-length oracle tables, a non-positive load, or a
 /// `single_shape` index outside the menu.
-pub fn generate(spec: &WorkloadSpec, solo_s: &[f64], nodes: &[usize], total_nodes: usize) -> Vec<Request> {
+pub fn generate(
+    spec: &WorkloadSpec,
+    solo_s: &[f64],
+    nodes: &[usize],
+    total_nodes: usize,
+) -> Vec<Request> {
     assert_eq!(solo_s.len(), nodes.len(), "oracle tables must align");
     assert!(!solo_s.is_empty(), "empty shape menu");
     assert!(spec.load > 0.0 && spec.load.is_finite(), "load must be positive");
@@ -196,18 +206,8 @@ mod tests {
     #[test]
     fn load_scales_arrival_rate() {
         let (solo, nodes) = oracle();
-        let slow = generate(
-            &WorkloadSpec { load: 0.5, ..Default::default() },
-            &solo,
-            &nodes,
-            541,
-        );
-        let fast = generate(
-            &WorkloadSpec { load: 2.0, ..Default::default() },
-            &solo,
-            &nodes,
-            541,
-        );
+        let slow = generate(&WorkloadSpec { load: 0.5, ..Default::default() }, &solo, &nodes, 541);
+        let fast = generate(&WorkloadSpec { load: 2.0, ..Default::default() }, &solo, &nodes, 541);
         // 4× the load compresses the same 200 arrivals to ~1/4 the span.
         let span = |r: &[Request]| r.last().unwrap().arrival.secs();
         let ratio = span(&slow) / span(&fast);

@@ -28,14 +28,7 @@ use tsqr_serve::{
 };
 
 fn cfg(policy: Policy, load: f64, seed: u64, requests: usize, cap: usize) -> ServeConfig {
-    ServeConfig {
-        policy,
-        load,
-        requests,
-        seed,
-        queue_capacity: cap,
-        ..Default::default()
-    }
+    ServeConfig { policy, load, requests, seed, queue_capacity: cap, ..Default::default() }
 }
 
 /// A randomized-but-seeded failure schedule: up to one site crash, up to
