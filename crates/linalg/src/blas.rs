@@ -290,8 +290,7 @@ pub(crate) fn gemm_tn(alpha: f64, a: &View<'_>, b: &View<'_>, c: &mut ViewMut<'_
             let at: [&[f64]; TI] = std::array::from_fn(|i| &a.col(i0 + i.min(ni - 1))[r0..r1]);
             for j0 in (0..n).step_by(TJ) {
                 let nj = TJ.min(n - j0);
-                let bt: [&[f64]; TJ] =
-                    std::array::from_fn(|j| &b.col(j0 + j.min(nj - 1))[r0..r1]);
+                let bt: [&[f64]; TJ] = std::array::from_fn(|j| &b.col(j0 + j.min(nj - 1))[r0..r1]);
                 let part = dot_tile(at, bt);
                 for j in 0..nj {
                     for i in 0..ni {
@@ -405,7 +404,10 @@ mod tests {
         for len in [1, 2, 7, 8, 9, 15, 16, 17, 64, 65, 1000] {
             for seed in 0..20 {
                 let x = Matrix::random_uniform(len, 1, 100 * len as u64 + seed).into_vec();
-                assert!((NRM2_MIN..=NRM2_MAX).contains(&dot(&x, &x)), "ordinary data is in the window");
+                assert!(
+                    (NRM2_MIN..=NRM2_MAX).contains(&dot(&x, &x)),
+                    "ordinary data is in the window"
+                );
                 let reference = if len <= 65 {
                     nrm2_scaled(&x)
                 } else {
@@ -418,7 +420,10 @@ mod tests {
                     (sum + comp).sqrt()
                 };
                 let fast = nrm2(&x);
-                assert!((fast - reference).abs() <= 2.0 * f64::EPSILON * reference, "len {len}: {fast:e} vs {reference:e}");
+                assert!(
+                    (fast - reference).abs() <= 2.0 * f64::EPSILON * reference,
+                    "len {len}: {fast:e} vs {reference:e}"
+                );
             }
         }
     }
@@ -430,7 +435,10 @@ mod tests {
         for scale in [1e150, 1e-150, 1e300, 1e-300, f64::MIN_POSITIVE, f64::MIN_POSITIVE / 1024.0] {
             let x = [3.0 * scale, 0.0, -4.0 * scale];
             assert!(!(NRM2_MIN..=NRM2_MAX).contains(&dot(&x, &x)), "scale {scale:e} is outside");
-            assert!((nrm2(&x) - 5.0 * scale).abs() <= 2.0 * f64::EPSILON * 5.0 * scale, "scale {scale:e}");
+            assert!(
+                (nrm2(&x) - 5.0 * scale).abs() <= 2.0 * f64::EPSILON * 5.0 * scale,
+                "scale {scale:e}"
+            );
         }
         // The edges of the window itself are exact powers of two.
         assert_eq!(nrm2(&[NRM2_MIN.sqrt()]), NRM2_MIN.sqrt());
@@ -457,14 +465,8 @@ mod tests {
     #[test]
     fn ger_rank_one() {
         let mut a = Matrix::zeros(2, 3);
-        ger(
-            2.0,
-            &[1.0, 2.0],
-            &[1.0, 0.0, -1.0],
-            &mut a.view_mut(),
-        );
-        let want =
-            Matrix::from_rows(&[vec![2.0, 0.0, -2.0], vec![4.0, 0.0, -4.0]]).unwrap();
+        ger(2.0, &[1.0, 2.0], &[1.0, 0.0, -1.0], &mut a.view_mut());
+        let want = Matrix::from_rows(&[vec![2.0, 0.0, -2.0], vec![4.0, 0.0, -4.0]]).unwrap();
         assert!(a.approx_eq(&want, 0.0));
     }
 

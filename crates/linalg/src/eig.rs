@@ -27,13 +27,7 @@ pub fn sym_eig(a: &Matrix) -> SymEig {
     let n = a.rows();
     assert_eq!(a.cols(), n, "sym_eig: matrix must be square");
     // Work on a symmetrized copy.
-    let mut m = Matrix::from_fn(n, n, |i, j| {
-        if i <= j {
-            a[(i, j)]
-        } else {
-            a[(j, i)]
-        }
-    });
+    let mut m = Matrix::from_fn(n, n, |i, j| if i <= j { a[(i, j)] } else { a[(j, i)] });
     let mut v = Matrix::identity(n);
     let norm = m.norm_fro().max(f64::MIN_POSITIVE);
     let tol = 1e-14 * norm;

@@ -113,8 +113,8 @@ mod tests {
         for g in [1u64, 2, 8, 64] {
             let (m_loc, n) = (10_000u64, 64u64);
             let measured = pdgeqr2_local(m_loc, n, g) as f64;
-            let closed = 2.0 * m_loc as f64 * (n * n) as f64
-                - 2.0 / 3.0 * (n * n * n) as f64 / g as f64;
+            let closed =
+                2.0 * m_loc as f64 * (n * n) as f64 - 2.0 / 3.0 * (n * n * n) as f64 / g as f64;
             assert!(
                 (measured / closed - 1.0).abs() < 0.01,
                 "g={g}: measured {measured} vs closed-form {closed}"

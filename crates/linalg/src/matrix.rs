@@ -191,10 +191,7 @@ impl Matrix {
     pub fn vstack_all(blocks: &[&Matrix]) -> Matrix {
         assert!(!blocks.is_empty(), "vstack_all needs at least one block");
         let cols = blocks[0].cols;
-        assert!(
-            blocks.iter().all(|b| b.cols == cols),
-            "vstack_all requires equal column counts"
-        );
+        assert!(blocks.iter().all(|b| b.cols == cols), "vstack_all requires equal column counts");
         let rows: usize = blocks.iter().map(|b| b.rows).sum();
         let mut out = Matrix::zeros(rows, cols);
         let mut r0 = 0;

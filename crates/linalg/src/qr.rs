@@ -305,7 +305,7 @@ pub fn orm2r(side: Side, trans: Trans, factors: &View<'_>, tau: &[f64], c: &mut 
             assert_eq!(c.cols(), mv, "orm2r(Right): C column count must match V rows");
             let m = c.rows();
             let order: Vec<usize> = match trans {
-                Trans::No => (0..k).collect(),       // C·H_1·H_2⋯
+                Trans::No => (0..k).collect(), // C·H_1·H_2⋯
                 Trans::Yes => (0..k).rev().collect(),
             };
             let mut w = vec![0.0; m];
@@ -479,9 +479,7 @@ mod tests {
             }
         }
         let vt = v.matmul(&t.upper_triangular()).matmul(&v.transpose());
-        let q_dense = Matrix::from_fn(m, m, |i, j| {
-            (if i == j { 1.0 } else { 0.0 }) - vt[(i, j)]
-        });
+        let q_dense = Matrix::from_fn(m, m, |i, j| (if i == j { 1.0 } else { 0.0 }) - vt[(i, j)]);
         let q_thin = f.q_thin();
         let q_dense_thin = q_dense.sub_matrix(0, 0, m, k);
         assert!(q_thin.approx_eq(&q_dense_thin, 1e-12));
@@ -564,13 +562,7 @@ mod tests {
     fn rank_deficient_matrix_still_factors() {
         // Two identical columns.
         let base = Matrix::random_uniform(10, 1, 15);
-        let a = Matrix::from_fn(10, 3, |i, j| {
-            if j < 2 {
-                base[(i, 0)]
-            } else {
-                (i as f64).sin()
-            }
-        });
+        let a = Matrix::from_fn(10, 3, |i, j| if j < 2 { base[(i, 0)] } else { (i as f64).sin() });
         let f = QrFactors::compute(&a, 2);
         let q = f.q_thin();
         let r = f.r();

@@ -196,12 +196,7 @@ impl DenseStackedFactors {
 /// Applies the implicit `Q` of a [`tpqrt_dense`] factorization (or its
 /// transpose) to the stacked pair `[C1; C2]` in place, where `C1` has `n`
 /// rows and `C2` has `q` rows (PLASMA's `tsmqr`).
-pub fn tpmqrt_dense(
-    trans: Trans,
-    f: &DenseStackedFactors,
-    c1: &mut Matrix,
-    c2: &mut Matrix,
-) {
+pub fn tpmqrt_dense(trans: Trans, f: &DenseStackedFactors, c1: &mut Matrix, c2: &mut Matrix) {
     let n = f.n();
     let q = f.q();
     assert_eq!(c1.rows(), n, "tpmqrt_dense: C1 row mismatch");
@@ -243,10 +238,7 @@ mod tests {
             let dense = stack_qr_dense(&r1, &r2);
             let r_struct = sign_normalize_r(&a.upper_triangular_padded());
             let r_dense = sign_normalize_r(&dense.r());
-            assert!(
-                r_struct.approx_eq(&r_dense, 1e-11),
-                "R mismatch for n={n}"
-            );
+            assert!(r_struct.approx_eq(&r_dense, 1e-11), "R mismatch for n={n}");
         }
     }
 
@@ -362,8 +354,7 @@ mod tests {
         let mut b = z.clone();
         tpqrt(&mut a, &mut b);
         assert!(
-            sign_normalize_r(&a.upper_triangular_padded())
-                .approx_eq(&sign_normalize_r(&r), 1e-12)
+            sign_normalize_r(&a.upper_triangular_padded()).approx_eq(&sign_normalize_r(&r), 1e-12)
         );
     }
 

@@ -187,11 +187,7 @@ impl<'a> ViewMut<'a> {
 
     /// Copies `src` into this window (shapes must agree).
     pub fn copy_from(&mut self, src: &View<'_>) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (src.rows(), src.cols()),
-            "copy_from shape mismatch"
-        );
+        assert_eq!((self.rows, self.cols), (src.rows(), src.cols()), "copy_from shape mismatch");
         for j in 0..self.cols {
             let rows = self.rows;
             self.col_mut(j)[..rows].copy_from_slice(&src.col(j)[..rows]);

@@ -76,7 +76,8 @@ fn gemm_matches_the_triple_loop_across_every_tile_and_block_edge() {
                         let b = Matrix::random_uniform(br, bc, seed + 1);
                         let c0 = Matrix::random_uniform(m, n, seed + 2);
                         let ab = naive_product(ta, tb, &a, &b);
-                        let want = Matrix::from_fn(m, n, |i, j| 0.5 * c0[(i, j)] - 1.5 * ab[(i, j)]);
+                        let want =
+                            Matrix::from_fn(m, n, |i, j| 0.5 * c0[(i, j)] - 1.5 * ab[(i, j)]);
                         let (ha, hb) = (hosted(&a, f64::NAN), hosted(&b, f64::NAN));
                         let mut hc = hosted(&c0, 7.0);
                         gemm(
@@ -164,7 +165,12 @@ fn larft_and_larfb_match_one_reflector_at_a_time() {
                     apply_reflectors(trans, &f, k, &mut want);
                     let mut hc = hosted(&c0, 7.0);
                     let mut window = hc.view_mut();
-                    larfb_left(trans, &hv.sub(3, 2, m, k), &t.view(), &mut window.sub_mut(3, 2, m, n));
+                    larfb_left(
+                        trans,
+                        &hv.sub(3, 2, m, k),
+                        &t.view(),
+                        &mut window.sub_mut(3, 2, m, n),
+                    );
                     let got = hc.sub_matrix(3, 2, m, n);
                     assert!(got.approx_eq(&want, TOL), "{trans:?} {m}x{k}x{n}");
                     // Same values at another offset: same bits.
@@ -196,7 +202,10 @@ fn blocked_apply_q_matches_one_reflector_at_a_time() {
                     let mut window = hc.view_mut();
                     let mut c = window.sub_mut(3, 2, m, n);
                     orm2r(Side::Left, trans, &f.factors.view(), &f.tau, &mut c);
-                    assert!(hc.sub_matrix(3, 2, m, n).approx_eq(&want, TOL), "{trans:?} {m}x{k}x{n}");
+                    assert!(
+                        hc.sub_matrix(3, 2, m, n).approx_eq(&want, TOL),
+                        "{trans:?} {m}x{k}x{n}"
+                    );
                 }
             }
             // The thin Q is Q·[I; 0], and a second call gives the same bits.
@@ -234,7 +243,8 @@ fn stacked_triangles_match_the_dense_stack_at_every_chunk_edge() {
     for n in [1, 2, 7, 8, 9, 64, 65] {
         // R factors of tall random blocks: triangles as TSQR meets them
         // (a random triangle is ill-conditioned beyond comparison at n = 64).
-        let r_of = |seed| QrFactors::compute_unblocked(&Matrix::random_uniform(3 * n + 5, n, seed)).r();
+        let r_of =
+            |seed| QrFactors::compute_unblocked(&Matrix::random_uniform(3 * n + 5, n, seed)).r();
         let (r1, r2) = (r_of(100 + n as u64), r_of(200 + n as u64));
         let (mut a, mut b) = (r1.clone(), r2.clone());
         let f = tpqrt(&mut a, &mut b);
@@ -252,7 +262,10 @@ fn stacked_triangles_match_the_dense_stack_at_every_chunk_edge() {
         for i in 0..n {
             let sign = (a[(i, i)] * dense.factors[(i, i)]).signum();
             for j in 0..5 {
-                assert!((t1[(i, j)] - sign * stacked[(i, j)]).abs() <= 1e-11, "tpmqrt n={n} ({i},{j})");
+                assert!(
+                    (t1[(i, j)] - sign * stacked[(i, j)]).abs() <= 1e-11,
+                    "tpmqrt n={n} ({i},{j})"
+                );
             }
         }
         let (mut u1, mut u2) = (c1.clone(), c2.clone());
