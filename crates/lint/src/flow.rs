@@ -146,10 +146,8 @@ pub fn extract_call_sites(code: &str) -> Vec<(Op, String, usize)> {
                     let c = args.as_bytes()[ts - 1] as char;
                     !(c.is_alphanumeric() || c == '_')
                 };
-                let name: String = args[ts..]
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
+                let name: String =
+                    args[ts..].chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
                 a = ts + name.len().max(4);
                 if before_ok && name.len() > 4 {
                     out.push((op, name, line));
@@ -167,11 +165,7 @@ pub fn build_flow_table(ws: &Workspace) -> FlowTable {
     for c in &ws.crates {
         for f in &c.files {
             for (name, value, _) in extract_tag_decls(&f.code) {
-                table
-                    .entry((f.rel.clone(), name))
-                    .or_default()
-                    .value
-                    .get_or_insert(value);
+                table.entry((f.rel.clone(), name)).or_default().value.get_or_insert(value);
             }
             for (op, tag, _) in extract_call_sites(&f.code) {
                 table.entry((f.rel.clone(), tag)).or_default().counts[op as usize] += 1;
@@ -406,10 +400,7 @@ mod tests {
         Protocol {
             files: vec![ProtocolFile {
                 path: "crates/core/src/x.rs".into(),
-                tags: tags
-                    .into_iter()
-                    .map(|(t, v)| (t.to_string(), v.to_string()))
-                    .collect(),
+                tags: tags.into_iter().map(|(t, v)| (t.to_string(), v.to_string())).collect(),
             }],
             ranges,
         }
@@ -466,7 +457,14 @@ mod tests {
             }],
         );
         let golden = render_model(&table);
-        let f = flow_pass(&ws, &proto, &table, Some(&golden), "scripts/archlint.model", "scripts/commlint.protocol");
+        let f = flow_pass(
+            &ws,
+            &proto,
+            &table,
+            Some(&golden),
+            "scripts/archlint.model",
+            "scripts/commlint.protocol",
+        );
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -526,7 +524,10 @@ mod tests {
             owners: vec!["crates/core/src/x.rs".into()],
             line,
         };
-        let proto = proto_one(vec![("TAG_A", "1001")], vec![mk("a", 1000, 1099, 1), mk("b", 1050, 1200, 2)]);
+        let proto = proto_one(
+            vec![("TAG_A", "1001")],
+            vec![mk("a", 1000, 1099, 1), mk("b", 1050, 1200, 2)],
+        );
         let golden = render_model(&table);
         let f = flow_pass(&ws, &proto, &table, Some(&golden), "m", "p");
         assert!(f.iter().any(|x| x.message.contains("overlaps")), "{f:?}");

@@ -72,20 +72,13 @@ pub fn load_allowlist(path: &Path) -> Vec<Allow> {
         .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
         .filter_map(|(line, l)| {
             let mut it = l.split_whitespace();
-            Some(Allow {
-                rule: it.next()?.to_string(),
-                path_part: it.next()?.to_string(),
-                line,
-            })
+            Some(Allow { rule: it.next()?.to_string(), path_part: it.next()?.to_string(), line })
         })
         .collect()
 }
 
 /// Splits findings into `(kept, suppressed)` under the allowlist.
-pub fn partition_findings(
-    findings: Vec<Finding>,
-    allow: &[Allow],
-) -> (Vec<Finding>, Vec<Finding>) {
+pub fn partition_findings(findings: Vec<Finding>, allow: &[Allow]) -> (Vec<Finding>, Vec<Finding>) {
     findings.into_iter().partition(|f| !allow.iter().any(|a| a.matches(f)))
 }
 

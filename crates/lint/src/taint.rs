@@ -212,7 +212,10 @@ pub fn extract_calls(code: &str, span: (usize, usize)) -> Vec<String> {
         }
         let mut j = i;
         // Turbofish: `name::<T>(…)`.
-        if body.get(j) == Some(&b':') && body.get(j + 1) == Some(&b':') && body.get(j + 2) == Some(&b'<') {
+        if body.get(j) == Some(&b':')
+            && body.get(j + 1) == Some(&b':')
+            && body.get(j + 2) == Some(&b'<')
+        {
             let mut angle = 0i32;
             let mut k = j + 2;
             while k < body.len() {
@@ -251,7 +254,8 @@ pub fn extract_calls(code: &str, span: (usize, usize)) -> Vec<String> {
         while back > 0 && (body[back - 1] as char).is_whitespace() {
             back -= 1;
         }
-        if back >= 2 && &body[back - 2..back] == b"fn" && (back < 3 || !ident_byte(body[back - 3])) {
+        if back >= 2 && &body[back - 2..back] == b"fn" && (back < 3 || !ident_byte(body[back - 3]))
+        {
             continue;
         }
         out.push(ident.to_string());
@@ -329,8 +333,15 @@ fn unordered_bindings(code: &str) -> Vec<(String, usize)> {
     }
     names.sort();
     names.dedup();
-    let suffixes =
-        [".iter()", ".iter_mut()", ".keys()", ".values()", ".values_mut()", ".into_iter()", ".drain("];
+    let suffixes = [
+        ".iter()",
+        ".iter_mut()",
+        ".keys()",
+        ".values()",
+        ".values_mut()",
+        ".into_iter()",
+        ".drain(",
+    ];
     let mut out = Vec::new();
     for (ln, line) in code.lines().enumerate() {
         for name in &names {
@@ -537,9 +548,7 @@ mod tests {
                 code: code.into(),
             }],
         };
-        Workspace {
-            crates: vec![mk("det", vec!["util"], det_code), mk("util", vec![], util_code)],
-        }
+        Workspace { crates: vec![mk("det", vec!["util"], det_code), mk("util", vec![], util_code)] }
     }
 
     #[test]

@@ -180,10 +180,8 @@ fn parse_workspace_deps(manifest: &Path, known_packages: &[String]) -> Vec<(Stri
         if !in_deps || t.is_empty() || t.starts_with('#') {
             continue;
         }
-        let name: String = t
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '-' || *c == '_')
-            .collect();
+        let name: String =
+            t.chars().take_while(|c| c.is_alphanumeric() || *c == '-' || *c == '_').collect();
         if !name.is_empty() && known_packages.contains(&name) {
             let short = short_name(&name);
             if !deps.iter().any(|(d, _)| *d == short) {
@@ -229,7 +227,9 @@ mod tests {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let ws = load_workspace(&root);
         let shorts: Vec<&str> = ws.crates.iter().map(|c| c.short.as_str()).collect();
-        for want in ["linalg", "netsim", "gridmpi", "qcg", "core", "serve", "obs", "bench", "lint", "bin"] {
+        for want in
+            ["linalg", "netsim", "gridmpi", "qcg", "core", "serve", "obs", "bench", "lint", "bin"]
+        {
             assert!(shorts.contains(&want), "missing {want} in {shorts:?}");
         }
         let core = ws.get("core").unwrap();

@@ -78,7 +78,10 @@ fn direct_rules_fire_exactly_once_each() {
     assert_eq!(count(&out, "[wildcard-recv]"), 1, "{out}");
     assert_eq!(count(&out, "[async-name]"), 1, "{out}");
     assert!(out.contains("crates/loose/src/lib.rs:18: [wall-clock] `Instant::now`"), "{out}");
-    assert!(out.contains("crates/loose/src/lib.rs:23: [hashmap-iter] iteration over `counts`"), "{out}");
+    assert!(
+        out.contains("crates/loose/src/lib.rs:23: [hashmap-iter] iteration over `counts`"),
+        "{out}"
+    );
     assert!(out.contains("crates/loose/src/lib.rs:27: [wildcard-recv]"), "{out}");
     assert!(out.contains("crates/loose/src/lib.rs:30: [async-name] `async fn drain`"), "{out}");
     assert!(out.contains("4 finding(s)"), "unexpected extra findings:\n{out}");
@@ -106,7 +109,10 @@ fn indirect_taint_fires_exactly_once_with_chain() {
     assert!(out.contains("det::entry -> util::leaf"), "{out}");
     // The same line is also a direct wall-clock finding: two findings on
     // one line, one per question asked of it.
-    assert!(out.contains("crates/util/src/lib.rs:6: [nondet-taint] [wall-clock] `Instant::now`"), "{out}");
+    assert!(
+        out.contains("crates/util/src/lib.rs:6: [nondet-taint] [wall-clock] `Instant::now`"),
+        "{out}"
+    );
     assert!(out.contains("crates/util/src/lib.rs:6: [wall-clock] `Instant::now`"), "{out}");
     assert!(out.contains("2 finding(s)"), "{out}");
 }
@@ -169,8 +175,14 @@ fn stale_allow_entries_are_denied() {
     let out = stdout(&a);
     assert!(!a.status.success(), "{out}");
     assert_eq!(count(&out, "[stale-allow]"), 2, "{out}");
-    assert!(out.contains("scripts/archlint.allow:3: [stale-allow] allow entry `nondet-taint"), "{out}");
-    assert!(out.contains("scripts/archlint.allow:6: [stale-allow] allow entry `wall-clock"), "{out}");
+    assert!(
+        out.contains("scripts/archlint.allow:3: [stale-allow] allow entry `nondet-taint"),
+        "{out}"
+    );
+    assert!(
+        out.contains("scripts/archlint.allow:6: [stale-allow] allow entry `wall-clock"),
+        "{out}"
+    );
     assert!(out.contains("2 finding(s)"), "{out}");
 }
 
