@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full local verification: build, every test, rustfmt on the formatted
-# code, clippy with warnings denied, rustdoc with warnings denied (the
+# Full local verification: build, every test, rustfmt on the whole tree,
+# clippy with warnings denied, rustdoc with warnings denied (the
 # gridmpi/netsim crates enforce #![warn(missing_docs)]), the doctests on
 # their own (they exercise the public examples in the API docs, e.g. the
 # metrics-registry example), the archlint static analyzer,
@@ -27,14 +27,8 @@ cargo build --release --workspace
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
-echo "==> rustfmt --check on what is formatted (crates/gridmpi, crates/bench, crates/netsim,"
-echo "    crates/obs, crates/qcg, the root package)"
-cargo fmt -p tsqr-gridmpi --check
-cargo fmt -p tsqr-bench --check
-cargo fmt -p tsqr-netsim --check
-cargo fmt -p tsqr-obs --check
-cargo fmt -p tsqr-qcg --check
-cargo fmt -p grid-tsqr --check
+echo "==> cargo fmt --all --check (every package and the third_party/ stubs)"
+cargo fmt --all --check
 
 echo "==> cargo clippy --all-targets (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
