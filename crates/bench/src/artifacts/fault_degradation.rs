@@ -16,7 +16,9 @@
 //! exactly like a Fig. 4–8 regression; see `docs/fault-injection.md`
 //! §Degradation bench.
 
-use crate::{fault_points, Artifact, Sweep, Table};
+use crate::figures::fault_points;
+use crate::harness::Artifact;
+use crate::{Sweep, Table};
 
 pub(super) fn run(_: &Sweep) -> Artifact {
     let mut table = Table::new(

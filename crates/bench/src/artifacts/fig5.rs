@@ -10,7 +10,8 @@
 //! M = 2²⁰, N = 64 point — expect O(log #clusters) WAN messages total.)
 
 use super::{site_series, PANELS};
-use crate::{paper_m_values, Artifact, Sweep, Table};
+use crate::harness::{paper_m_values, Artifact};
+use crate::{Sweep, Table};
 
 pub(super) fn run(sweep: &Sweep) -> Artifact {
     let mut artifact = Artifact::default();

@@ -11,7 +11,8 @@
 //! M = 2²², N = 64 point at the optimum 64 domains/cluster.)
 
 use super::domain_series;
-use crate::{Artifact, Sweep, Table};
+use crate::harness::Artifact;
+use crate::{Sweep, Table};
 
 /// The M values plotted per panel in the paper, for each N.
 pub(super) const PANEL_MS: [(usize, [u64; 4]); 4] = [

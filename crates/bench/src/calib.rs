@@ -22,13 +22,13 @@
 use tsqr_netsim::grid5000::DGEMM_GFLOPS;
 
 /// Power-law prefactor (Gflop/s at N = 1).
-pub const RATE_A: f64 = 0.084;
+const RATE_A: f64 = 0.084;
 /// Power-law exponent.
-pub const RATE_B: f64 = 0.45;
+const RATE_B: f64 = 0.45;
 
 /// Calibrated per-process domain-kernel rate for column count `n`,
 /// in Gflop/s.
-pub fn kernel_gflops(n: usize) -> f64 {
+fn kernel_gflops(n: usize) -> f64 {
     (RATE_A * (n as f64).powf(RATE_B)).min(DGEMM_GFLOPS)
 }
 
@@ -52,9 +52,9 @@ pub fn kernel_rate_flops(n: usize) -> f64 {
 /// to one domain per node (32/cluster) and not further (Fig. 7(b)), while
 /// at N = 64 a level costs only ~0.1 ms and one domain per process
 /// (64/cluster) wins (Fig. 7(a)).
-pub const COMBINE_GFLOPS: f64 = 1.5;
+const COMBINE_GFLOPS: f64 = 1.5;
 
-/// [`COMBINE_GFLOPS`] in flop/s.
+/// `COMBINE_GFLOPS` in flop/s.
 pub fn combine_rate_flops() -> f64 {
     COMBINE_GFLOPS * 1e9
 }

@@ -45,7 +45,7 @@ pub struct Problem {
 pub const PROBLEM: Problem = Problem { m: 1 << 16, n: 32, sites: 4, seed: 42 };
 
 /// One TSQR run's plan: the domains, the tree over them, the config.
-pub type DomainPlan = (DomainLayout, ReductionTree, TsqrConfig);
+type DomainPlan = (DomainLayout, ReductionTree, TsqrConfig);
 
 impl Problem {
     /// One TSQR domain per process on the grid-hierarchical tree, as the

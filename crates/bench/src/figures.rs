@@ -290,7 +290,7 @@ impl FaultPoint {
 /// The registered WAN-degradation scenarios, all on the 4-site grid at
 /// Fig. 5's headline configuration (`M = 2²⁰, N = 64`, TSQR with 64
 /// domains per cluster).
-pub fn fault_points() -> Vec<FaultPoint> {
+pub(crate) fn fault_points() -> Vec<FaultPoint> {
     let p = |label, window_s, latency_factor, bandwidth_divisor| FaultPoint {
         label,
         sites: 4,
@@ -350,7 +350,7 @@ fn measure_tune_point(id: &str, point: &FigurePoint) -> (LedgerEntry, Evidence) 
 /// without batching (`+batch`). The high-load point is where the
 /// disciplines separate; the burst pair is where batching's WAN-message
 /// claim is measurable.
-pub fn serve_points() -> Vec<(String, ServeConfig)> {
+fn serve_points() -> Vec<(String, ServeConfig)> {
     let point = |policy: ServePolicy, load: f64, requests, single_shape, batch| {
         let name = format!("{}@{load:.1}{}", policy.label(), if batch { "+batch" } else { "" });
         let base = ServeConfig { seed: 42, ..Default::default() };

@@ -28,7 +28,7 @@ pub fn grid_runtime(sites: usize) -> Runtime {
 /// The row counts the paper sweeps for a given N: powers of two from
 /// 2¹⁷, up to 33,554,432 for N ≤ 128 and up to 8,388,608 for the wider
 /// matrices — the x-ranges of Figs. 4–5 (a/b vs c/d).
-pub fn paper_m_values(n: usize) -> Vec<u64> {
+pub(crate) fn paper_m_values(n: usize) -> Vec<u64> {
     let all: [u64; 9] = [
         131_072,    // 2^17
         262_144,    // 2^18
@@ -46,7 +46,7 @@ pub fn paper_m_values(n: usize) -> Vec<u64> {
 
 /// Domain-per-cluster options of Figs. 6–7 (1 = per-site ScaLAPACK call,
 /// 32 = one per node, 64 = one per process).
-pub fn domain_options() -> [usize; 7] {
+pub(crate) fn domain_options() -> [usize; 7] {
     [1, 2, 4, 8, 16, 32, 64]
 }
 
@@ -166,7 +166,7 @@ impl Sweep {
     /// TSQR Gflop/s with the optimum domain count, and that count (the
     /// first of equals) — the quantity Fig. 5 plots ("the TSQR performance
     /// for the optimum number of domains").
-    pub fn tsqr_best_gflops(&self, sites: usize, m: u64, n: usize) -> (f64, usize) {
+    pub(crate) fn tsqr_best_gflops(&self, sites: usize, m: u64, n: usize) -> (f64, usize) {
         let mut best = (0.0f64, 1usize);
         for dpc in domain_options() {
             let g = self.gflops(sites, m, n, &tuned_tsqr(dpc));
@@ -278,7 +278,7 @@ fn artifacts(figures: &[&Figure], threads: usize) -> Vec<Artifact> {
 
 /// One plotted line: a label and its `(M, Gflop/s)` points.
 #[derive(Debug, Clone)]
-pub struct Series {
+pub(crate) struct Series {
     /// Legend label.
     pub label: String,
     /// `(x, y)` points.
@@ -305,7 +305,7 @@ impl Table {
 
     /// A gnuplot-ready table: `x  series1  series2 …`, each y to two
     /// decimals and `-` where a series has no point at that x.
-    pub fn series(title: impl Into<String>, x_label: &str, series: &[Series]) -> Self {
+    pub(crate) fn series(title: impl Into<String>, x_label: &str, series: &[Series]) -> Self {
         let labels = series.iter().map(|s| s.label.as_str());
         let mut table = Table::new(title, &[x_label].into_iter().chain(labels).collect::<Vec<_>>());
         for (i, &(x, _)) in series.first().map_or(&[][..], |s| &s.points).iter().enumerate() {

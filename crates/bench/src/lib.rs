@@ -42,7 +42,7 @@
 //! paper's measured constants); see `calib` for the one fitted constant
 //! (the domain-kernel efficiency curve η(N)). The points a body reads are
 //! declared, then priced on every core ([`Sweep`]); the body reads them and
-//! returns its [`Artifact`] — tables of formatted cells and the paper-shape
+//! returns its [`Artifact`](harness::Artifact) — tables of formatted cells and the paper-shape
 //! [`Check`]s — without printing. [`run_figures`] runs the bodies on the
 //! same pool and prints the artifacts through one printer. The pool
 //! (`harness::on_pool`) is the crate's one `thread::scope`: sweep points,
@@ -60,11 +60,9 @@ pub mod harness;
 
 pub use artifacts::{figures, Figure};
 pub use figures::{
-    compare_records, fault_points, gate_points, ledger_entry, measure_gate, measure_point,
-    parse_records, records_json, serve_fault_points, serve_record, FaultPoint, FigurePoint,
-    GatePoint,
+    compare_records, gate_points, ledger_entry, measure_gate, measure_point, parse_records,
+    records_json, serve_fault_points, serve_record, FigurePoint, GatePoint,
 };
 pub use harness::{
-    domain_options, dump_traced_point, grid_runtime, paper_m_values, platform_runtime, run_figures,
-    run_point, Artifact, Check, Point, Series, Sweep, Table,
+    dump_traced_point, grid_runtime, platform_runtime, run_figures, run_point, Check, Sweep, Table,
 };

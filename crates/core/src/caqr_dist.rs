@@ -28,7 +28,6 @@
 use tsqr_gridmpi::{CommError, Process};
 use tsqr_linalg::flops;
 use tsqr_linalg::qr::Trans;
-use tsqr_linalg::Matrix;
 
 use crate::tile::Tile;
 use crate::tree::{ReductionTree, TreeShape};
@@ -39,18 +38,13 @@ const TAG_R: u32 = 1301;
 const TAG_C: u32 = 1302;
 /// Tag for updated trailing blocks travelling back down.
 const TAG_C_BACK: u32 = 1303;
-/// Tag for gathering the final R to rank 0.
-const TAG_GATHER: u32 = 1304;
 
 /// Phase label for the per-panel local leaf factorization plus local
 /// trailing update (step 1 — zero communication).
-pub const PHASE_PANEL_LEAF: &str = "panel-leaf";
+const PHASE_PANEL_LEAF: &str = "panel-leaf";
 /// Phase label for the per-panel tree reduction with coupled trailing
 /// updates (step 2 — where all panel communication happens).
-pub const PHASE_PANEL_TREE: &str = "panel-tree";
-/// Phase label for the final gather of R tiles to rank 0 (bookkeeping,
-/// not part of the factorization the paper times).
-pub const PHASE_GATHER: &str = "gather";
+const PHASE_PANEL_TREE: &str = "panel-tree";
 
 /// Configuration of a distributed CAQR run.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,59 +102,6 @@ fn panel_participants(
     let root_cluster = cluster_of_rank[root];
     rest.sort_by_key(|&r| (usize::from(cluster_of_rank[r] != root_cluster), cluster_of_rank[r], r));
     std::iter::once(root).chain(rest).collect()
-}
-
-/// The rank program of a numerically real distributed CAQR (R only) over
-/// caller-supplied data: `local_block(row0, rows)` returns that slice of
-/// the global matrix (called once per owned tile).
-///
-/// Returns the full `N × N` upper-triangular factor on rank 0 (gathered
-/// tile-by-tile), `None` elsewhere.
-pub async fn caqr_dist_rank_program_with_async(
-    p: &mut Process,
-    m: u64,
-    n: usize,
-    cfg: &CaqrDistConfig,
-    local_block: impl FnMut(u64, usize) -> Matrix,
-) -> Result<Option<Matrix>, CommError> {
-    let local = caqr_dist_program_async(p, m, n, cfg, local_block).await?;
-    let (b, procs, n_panels) = (cfg.tile, p.size(), n / cfg.tile);
-    let map = TileMap::new(p.rank(), procs, m as usize / b, b);
-
-    // --- Gather the R tiles (diagonal row-blocks) to rank 0: bookkeeping,
-    // not part of the factorization the paper times. ---
-    p.phase_begin(PHASE_GATHER);
-    let mut mine: Vec<(usize, Matrix)> = Vec::new();
-    for (i, &t) in map.tiles.iter().enumerate() {
-        if t < n_panels {
-            mine.push((t, local.sub_matrix(i * b, 0, b, n)));
-        }
-    }
-    let out = if p.rank() == 0 {
-        let mut r = Matrix::zeros(n, n);
-        for (t, block) in mine {
-            r.set_sub(t * b, 0, &block);
-        }
-        let mut needed: Vec<usize> =
-            (0..n_panels).filter(|&t| t % procs != 0).map(|t| t % procs).collect();
-        needed.sort_unstable();
-        needed.dedup();
-        for src in needed {
-            let blocks: Vec<(u64, Matrix)> = p.recv_async(src, TAG_GATHER).await?;
-            for (t, block) in blocks {
-                r.set_sub(t as usize * b, 0, &block);
-            }
-        }
-        Some(r.upper_triangular_padded())
-    } else {
-        let payload: Vec<(u64, Matrix)> = mine.into_iter().map(|(t, m)| (t as u64, m)).collect();
-        if !payload.is_empty() {
-            p.send(0, TAG_GATHER, payload)?;
-        }
-        None
-    };
-    p.phase_end();
-    Ok(out)
 }
 
 /// The factorization proper — every panel's leaf and tree reduction —
@@ -269,6 +210,67 @@ mod tests {
     use tsqr_gridmpi::{RunReport, Runtime};
     use tsqr_linalg::prelude::QrFactors;
     use tsqr_linalg::verify::{is_upper_triangular, r_distance};
+    use tsqr_linalg::Matrix;
+
+    /// Tag for gathering the final R to rank 0.
+    const TAG_GATHER: u32 = 1304;
+    /// Phase label for the final gather of R tiles to rank 0 (bookkeeping,
+    /// not part of the factorization the paper times).
+    const PHASE_GATHER: &str = "gather";
+
+    /// The rank program of a numerically real distributed CAQR (R only) over
+    /// caller-supplied data: `local_block(row0, rows)` returns that slice of
+    /// the global matrix (called once per owned tile).
+    ///
+    /// Returns the full `N × N` upper-triangular factor on rank 0 (gathered
+    /// tile-by-tile), `None` elsewhere.
+    async fn caqr_dist_rank_program_with_async(
+        p: &mut Process,
+        m: u64,
+        n: usize,
+        cfg: &CaqrDistConfig,
+        local_block: impl FnMut(u64, usize) -> Matrix,
+    ) -> Result<Option<Matrix>, CommError> {
+        let local = caqr_dist_program_async(p, m, n, cfg, local_block).await?;
+        let (b, procs, n_panels) = (cfg.tile, p.size(), n / cfg.tile);
+        let map = TileMap::new(p.rank(), procs, m as usize / b, b);
+
+        // --- Gather the R tiles (diagonal row-blocks) to rank 0: bookkeeping,
+        // not part of the factorization the paper times. ---
+        p.phase_begin(PHASE_GATHER);
+        let mut mine: Vec<(usize, Matrix)> = Vec::new();
+        for (i, &t) in map.tiles.iter().enumerate() {
+            if t < n_panels {
+                mine.push((t, local.sub_matrix(i * b, 0, b, n)));
+            }
+        }
+        let out = if p.rank() == 0 {
+            let mut r = Matrix::zeros(n, n);
+            for (t, block) in mine {
+                r.set_sub(t * b, 0, &block);
+            }
+            let mut needed: Vec<usize> =
+                (0..n_panels).filter(|&t| t % procs != 0).map(|t| t % procs).collect();
+            needed.sort_unstable();
+            needed.dedup();
+            for src in needed {
+                let blocks: Vec<(u64, Matrix)> = p.recv_async(src, TAG_GATHER).await?;
+                for (t, block) in blocks {
+                    r.set_sub(t as usize * b, 0, &block);
+                }
+            }
+            Some(r.upper_triangular_padded())
+        } else {
+            let payload: Vec<(u64, Matrix)> =
+                mine.into_iter().map(|(t, m)| (t as u64, m)).collect();
+            if !payload.is_empty() {
+                p.send(0, TAG_GATHER, payload)?;
+            }
+            None
+        };
+        p.phase_end();
+        Ok(out)
+    }
 
     fn reference_r(seed: u64, m: usize, n: usize) -> Matrix {
         QrFactors::compute(&workload::full_matrix(seed, m, n), 16).r().upper_triangular_padded()

@@ -135,7 +135,7 @@ impl DomainLayout {
     }
 
     /// The domain a global rank belongs to.
-    pub fn domain_of_rank(&self, rank: usize) -> Option<usize> {
+    pub(crate) fn domain_of_rank(&self, rank: usize) -> Option<usize> {
         self.domains.iter().position(|d| d.ranks.contains(&rank))
     }
 
@@ -153,7 +153,7 @@ impl DomainLayout {
 
     /// The row slice of `member_idx` within domain `d`: the domain's rows
     /// are split evenly over its group, the root taking the top chunk.
-    pub fn member_rows(&self, d: usize, member_idx: usize) -> (u64, u64) {
+    pub(crate) fn member_rows(&self, d: usize, member_idx: usize) -> (u64, u64) {
         let dom = &self.domains[d];
         let chunks = even_chunks(dom.rows, dom.ranks.len());
         let offset: u64 = chunks[..member_idx].iter().sum();

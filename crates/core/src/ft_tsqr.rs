@@ -34,7 +34,7 @@
 //! * **Lost message** (`MessageDropped`, i.e. the sender's bounded
 //!   retransmission budget ran out and a *ghost* arrived): the child is
 //!   alive and caches the R it sent, so the parent *salvages* it with a
-//!   [`FtMsg::SalvageReq`] round trip instead of recomputing. Counted in
+//!   `FtMsg::SalvageReq` round trip instead of recomputing. Counted in
 //!   [`FtTsqrOutput::salvaged_children`]; if the salvage round trip is
 //!   itself lost, the parent falls back to rebuilding.
 //! * **Dead parent**: after its upward send, every non-root stands by,
@@ -44,7 +44,7 @@
 //!   has a *lower* index, the lowest-indexed live participant always
 //!   ends up walking to **itself** and becomes the *agent*: it rebuilds
 //!   the full reduction locally, holds the recovered R, and broadcasts
-//!   [`FtMsg::Done`] to everyone.
+//!   `FtMsg::Done` to everyone.
 //!
 //! Termination: whoever ends up holding R (the root, or the agent)
 //! broadcasts `Done` to all participants, and every participant relays
@@ -86,10 +86,10 @@ const TAG_FT: u32 = 1003;
 
 /// Metrics/trace phase: recovery work — rebuilding lost subtrees and
 /// salvaging cached R factors.
-pub const PHASE_RECOVER: &str = "ft-recover";
+const PHASE_RECOVER: &str = "ft-recover";
 /// Metrics/trace phase: standing by after the upward send — serving
 /// salvage requests, watching the parent, waiting for `Done`.
-pub const PHASE_STANDBY: &str = "ft-standby";
+const PHASE_STANDBY: &str = "ft-standby";
 
 /// Program-level retry budget for control messages (each attempt is
 /// itself retransmitted up to `MAX_SEND_ATTEMPTS` times by the runtime).
@@ -97,7 +97,7 @@ const CTRL_ATTEMPTS: u32 = 3;
 
 /// Fault-tolerance control messages (tag `TAG_FT`).
 #[derive(Debug, Clone, PartialEq)]
-pub enum FtMsg {
+enum FtMsg {
     /// Parent → child: "your R factor never arrived; resend your cached
     /// copy".
     SalvageReq,

@@ -102,14 +102,6 @@ pub mod tsqr;
 pub mod tune;
 pub mod workload;
 
-pub use domains::DomainLayout;
-pub use experiment::{run_experiment, Algorithm, Experiment, ExperimentResult, Mode};
-pub use ft_tsqr::{ft_tsqr_rank_program_async, FtMsg, FtTsqrOutput};
-pub use modelfit::{fit as fit_model, samples_from_metrics, ModelFit, Sample};
-pub use tree::{ReductionTree, TreeShape};
-pub use tsqr::{TsqrConfig, TsqrRankOutput};
-pub use tune::{autotune, TuneCandidate, TuneOutcome};
-
 /// The miniature grid the unit tests run on: `clusters` sites of `procs`
 /// single-process nodes, Grid'5000-like LAN/WAN links, 1 Gflop/s.
 #[cfg(test)]

@@ -36,7 +36,7 @@ pub struct LstsqOutput {
 /// The rank program: solves `min ‖A·x − b‖` where this rank supplies its
 /// row slice of `A` and `b` through the two closures. Every domain must
 /// hold more than `n` rows (its `[A | b]` block has `n + 1` columns).
-pub async fn lstsq_rank_program_with_async(
+async fn lstsq_rank_program_with_async(
     p: &mut Process,
     world: &Communicator,
     layout: &DomainLayout,

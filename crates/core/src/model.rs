@@ -84,19 +84,6 @@ pub fn useful_flops(m: u64, n: u64, with_q: bool) -> f64 {
     }
 }
 
-/// Property 3: performance increases with M (communication is independent
-/// of M, computation grows). Returns predicted Gflop/s for TSQR.
-pub fn tsqr_gflops(m: u64, n: u64, p: u64, beta: f64, alpha: f64, gamma: f64) -> f64 {
-    let t = tsqr_r_only(m, n, p).time(beta, alpha, gamma);
-    useful_flops(m, n, false) / t / 1e9
-}
-
-/// Predicted ScaLAPACK QR2 Gflop/s under Eq. (1).
-pub fn scalapack_gflops(m: u64, n: u64, p: u64, beta: f64, alpha: f64, gamma: f64) -> f64 {
-    let t = scalapack_r_only(m, n, p).time(beta, alpha, gamma);
-    useful_flops(m, n, false) / t / 1e9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,6 +93,11 @@ mod tests {
     const BETA: f64 = 1e-3;
     const ALPHA: f64 = 64.0 / 100e6;
     const GAMMA: f64 = 1e-9;
+
+    /// Predicted TSQR Gflop/s under Eq. (1) (Properties 3 and 4).
+    fn tsqr_gflops(m: u64, n: u64, p: u64) -> f64 {
+        useful_flops(m, n, false) / tsqr_r_only(m, n, p).time(BETA, ALPHA, GAMMA) / 1e9
+    }
 
     #[test]
     fn table_one_identities() {
@@ -134,7 +126,7 @@ mod tests {
     fn property3_performance_increases_with_m() {
         let mut last = 0.0;
         for m in [1u64 << 17, 1 << 20, 1 << 23, 1 << 25] {
-            let g = tsqr_gflops(m, 64, 256, BETA, ALPHA, GAMMA);
+            let g = tsqr_gflops(m, 64, 256);
             assert!(g > last, "Gflop/s must grow with M");
             last = g;
         }
@@ -144,7 +136,7 @@ mod tests {
     fn property4_performance_increases_with_n() {
         let mut last = 0.0;
         for n in [16u64, 32, 64, 128] {
-            let g = tsqr_gflops(1 << 23, n, 256, BETA, ALPHA, GAMMA);
+            let g = tsqr_gflops(1 << 23, n, 256);
             assert!(g > last, "Gflop/s must grow with N (n={n})");
             last = g;
         }

@@ -115,11 +115,6 @@ impl StreamingQr {
         }
     }
 
-    /// Rows ingested so far.
-    pub fn rows_seen(&self) -> u64 {
-        self.rows_seen
-    }
-
     /// The current `n × n` R factor (of everything pushed so far).
     pub fn r(&self) -> &Matrix {
         self.r.as_ref().expect("no blocks pushed yet")
@@ -163,26 +158,26 @@ impl StreamingQr {
     }
 }
 
-/// One-call out-of-core QR of the seeded workload matrix, streaming in
-/// blocks of `block_rows`: returns the R factor while never holding more
-/// than one block in memory.
-pub fn oocqr_workload(seed: u64, m: u64, n: usize, block_rows: usize) -> Matrix {
-    let mut acc = StreamingQr::new(n);
-    let mut row0 = 0u64;
-    while row0 < m {
-        let rows = (block_rows as u64).min(m - row0).max(if row0 == 0 { n as u64 } else { 1 });
-        let block = crate::workload::block(seed, row0, rows as usize, n);
-        acc.push_block(&block, None);
-        row0 += rows;
-    }
-    acc.r().clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload;
     use tsqr_linalg::verify::{orthogonality, r_distance, relative_residual};
+
+    /// One-call out-of-core QR of the seeded workload matrix, streaming in
+    /// blocks of `block_rows`: returns the R factor while never holding more
+    /// than one block in memory.
+    fn oocqr_workload(seed: u64, m: u64, n: usize, block_rows: usize) -> Matrix {
+        let mut acc = StreamingQr::new(n);
+        let mut row0 = 0u64;
+        while row0 < m {
+            let rows = (block_rows as u64).min(m - row0).max(if row0 == 0 { n as u64 } else { 1 });
+            let block = workload::block(seed, row0, rows as usize, n);
+            acc.push_block(&block, None);
+            row0 += rows;
+        }
+        acc.r().clone()
+    }
 
     fn reference_r(seed: u64, m: usize, n: usize) -> Matrix {
         QrFactors::compute(&workload::full_matrix(seed, m, n), 16).r().upper_triangular_padded()
@@ -273,7 +268,7 @@ mod tests {
         let a = workload::full_matrix(9, 50, 4);
         let mut acc = StreamingQr::new(4);
         acc.push_block(&a, None);
-        assert_eq!(acc.rows_seen(), 50);
+        assert_eq!(acc.rows_seen, 50);
         let want = QrFactors::compute(&a, 8).r().upper_triangular_padded();
         assert!(r_distance(acc.r(), &want) < 1e-12);
     }

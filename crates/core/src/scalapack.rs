@@ -26,9 +26,9 @@ use crate::tile::{Dims, Tile};
 
 /// Metrics/trace phase: per-column panel factorization (the two
 /// all-reduces per column of §II-B).
-pub const PHASE_PANEL: &str = "panel";
+const PHASE_PANEL: &str = "panel";
 /// Metrics/trace phase: blocked trailing-matrix update of `pdgeqrf`.
-pub const PHASE_UPDATE: &str = "trailing-update";
+const PHASE_UPDATE: &str = "trailing-update";
 
 /// The ScaLAPACK default panel width (§V-B: NB = 64).
 pub const DEFAULT_NB: usize = 64;

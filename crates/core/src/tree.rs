@@ -19,7 +19,7 @@
 //!
 //! A [`ReductionTree`] *is* its parent vector: every shape is a rule
 //! naming each participant's parent, and the one constructor
-//! ([`ReductionTree::from_parents`]) derives the children lists from it.
+//! (`ReductionTree::from_parents`) derives the children lists from it.
 //! A participant combines its children's R factors in **ascending index
 //! order** (ours is `R1`, theirs is `R2`) — the floating-point combine
 //! order of every walker — then forwards the accumulated R to its parent
@@ -50,7 +50,7 @@ pub enum TreeShape {
     /// The binomial tree of a classic MPI `Reduce` — which *is*
     /// [`TreeShape::Binary`]: index halving sends `i` to `i` minus its
     /// lowest set bit, so both names build the identical tree for every
-    /// `P` ([`ReductionTree::binomial_parents`]). Kept as a CLI name and
+    /// `P` (`ReductionTree::binomial_parents`). Kept as a CLI name and
     /// a row of the tuner's portfolio.
     Binomial,
     /// Greedy latency-aware construction: repeatedly merge the two
@@ -59,7 +59,7 @@ pub enum TreeShape {
     /// bottom-up agglomeration. [`ReductionTree::build`] prices links at
     /// the class granularity from `cluster_of` alone; the autotuner
     /// re-runs the same construction under the *measured* per-site-pair
-    /// α/β costs ([`ReductionTree::greedy_parents`]) where it can exploit
+    /// α/β costs (`ReductionTree::greedy_parents`) where it can exploit
     /// WAN asymmetry (see `docs/tuning.md`).
     Greedy,
     /// An arbitrary tree as a parent vector: `parents[i]` is participant
@@ -133,7 +133,7 @@ impl ReductionTree {
     /// topology-aware shapes, on `Kary(0)`, and on a
     /// [`TreeShape::Custom`] parent vector that is not a valid tree of
     /// exactly `n` participants rooted at 0 (see
-    /// [`ReductionTree::from_parents`]).
+    /// `ReductionTree::from_parents`).
     pub fn build(shape: &TreeShape, n: usize, cluster_of: &[usize]) -> Self {
         assert!(n > 0, "reduction over zero participants");
         let parents = match shape {
@@ -180,7 +180,7 @@ impl ReductionTree {
     /// Panics when the vector is empty, when the root is not participant
     /// 0 (or is not unique), on an out-of-range or self-referential
     /// parent, or on a cycle.
-    pub fn from_parents(parents: &[Option<usize>]) -> Self {
+    fn from_parents(parents: &[Option<usize>]) -> Self {
         let n = parents.len();
         assert!(n > 0, "reduction over zero participants");
         assert_eq!(parents[0], None, "participant 0 must be the root");
@@ -226,7 +226,7 @@ impl ReductionTree {
 
     /// Parent vector of the k-ary tree: `i`'s parent is `(i − 1) / k`.
     /// Parents always have lower indices than their children.
-    pub fn kary_parents(n: usize, k: usize) -> Vec<Option<usize>> {
+    fn kary_parents(n: usize, k: usize) -> Vec<Option<usize>> {
         assert!(k >= 1, "k-ary tree needs k >= 1");
         parents_by(n, |i| (i - 1) / k)
     }
@@ -234,7 +234,7 @@ impl ReductionTree {
     /// Parent vector of the binary (index-halving) tree, which is the
     /// binomial tree: `i`'s parent clears `i`'s lowest set bit. Parents
     /// always have lower indices than their children.
-    pub fn binomial_parents(n: usize) -> Vec<Option<usize>> {
+    fn binomial_parents(n: usize) -> Vec<Option<usize>> {
         parents_by(n, clear_lowest_bit)
     }
 
@@ -281,7 +281,7 @@ impl ReductionTree {
     ///   rises with `cost[a]`, so a pair that was not the row's cheapest
     ///   cannot become it otherwise. Falling takes a negative `combine_cost`,
     ///   which is allowed — nothing here assumes costs only rise.
-    pub fn greedy_parents(
+    pub(crate) fn greedy_parents(
         n: usize,
         edge_cost: impl Fn(usize, usize) -> f64,
         combine_cost: f64,
@@ -446,7 +446,7 @@ impl ReductionTree {
     /// The self-healing protocol of [`crate::ft_tsqr`] requires it: its
     /// agent election walks candidates upward from 0 and only terminates
     /// because parents always sit below their children.
-    pub fn is_heap_ordered(&self) -> bool {
+    pub(crate) fn is_heap_ordered(&self) -> bool {
         self.edges().all(|(c, p)| p < c)
     }
 }

@@ -17,13 +17,8 @@
 //! doubles both the message count and the flops — the paper's Table II and
 //! Property 1.
 //!
-//! TSQR is *one reduction with a QR operator* (§II-C), so the other two
-//! entry points re-walk nothing. [`tsqr_allreduce_rank_program_with_async`]
-//! is the operator form: leaf QR, then one
-//! [`Communicator::allreduce_with_async`] over the domain roots whose
-//! operator is `tpqrt` on packed R factors, charged per combine. Least
-//! squares ([`crate::lstsq`]) is [`tsqr_rank_program_with_async`] on the
-//! augmented block `[A | b]`.
+//! Least squares ([`crate::lstsq`]) re-walks nothing: it is
+//! [`tsqr_rank_program_with_async`] on the augmented block `[A | b]`.
 
 use tsqr_gridmpi::{block_on, CommError, Communicator, Process};
 use tsqr_linalg::flops;
@@ -31,7 +26,6 @@ use tsqr_linalg::Matrix;
 
 use crate::domains::DomainLayout;
 use crate::scalapack::{pdgeqr2_async, PanelTile};
-use crate::tile::Tile;
 use crate::tree::{ReductionTree, TreeShape};
 use crate::workload;
 
@@ -41,13 +35,11 @@ const TAG_R: u32 = 1001;
 const TAG_E: u32 = 1002;
 
 /// Metrics/trace phase: per-domain leaf factorization.
-pub const PHASE_LEAF: &str = "leaf-qr";
+pub(crate) const PHASE_LEAF: &str = "leaf-qr";
 /// Metrics/trace phase: R reduction over the domain tree.
-pub const PHASE_REDUCE: &str = "tree-reduce";
+pub(crate) const PHASE_REDUCE: &str = "tree-reduce";
 /// Metrics/trace phase: explicit-Q down-sweep.
-pub const PHASE_DOWNSWEEP: &str = "q-downsweep";
-/// Metrics/trace phase: butterfly allreduce rounds.
-pub const PHASE_ALLREDUCE: &str = "allreduce";
+const PHASE_DOWNSWEEP: &str = "q-downsweep";
 
 /// Configuration of a QCG-TSQR run.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,7 +88,7 @@ pub struct TsqrRankOutput<T = Matrix> {
 
 /// Packs the upper triangle of an `n × n` matrix column-by-column —
 /// `n(n+1)/2` values, the wire format of an R factor.
-pub fn pack_upper(r: &Matrix) -> Vec<f64> {
+pub(crate) fn pack_upper(r: &Matrix) -> Vec<f64> {
     let n = r.rows();
     debug_assert_eq!(r.cols(), n, "R factors are square");
     let mut out = Vec::with_capacity(n * (n + 1) / 2);
@@ -109,7 +101,7 @@ pub fn pack_upper(r: &Matrix) -> Vec<f64> {
 }
 
 /// Inverse of [`pack_upper`].
-pub fn unpack_upper(n: usize, packed: &[f64]) -> Matrix {
+pub(crate) fn unpack_upper(n: usize, packed: &[f64]) -> Matrix {
     assert_eq!(packed.len(), n * (n + 1) / 2, "packed R length mismatch");
     let mut r = Matrix::zeros(n, n);
     let mut it = packed.iter();
@@ -253,60 +245,9 @@ pub async fn tsqr_rank_program_with_async<T: PanelTile>(
     Ok(TsqrRankOutput { r, q_block, row0, rows })
 }
 
-/// Butterfly (recursive-doubling) TSQR: the literal "single complex
-/// **allreduce** operation" of §II-C — leaf QR, then one
-/// [`Communicator::allreduce_with_async`] over the domain roots whose
-/// operator is the stacked-triangles QR. On exit *every* domain root holds the global
-/// R factor, after `log₂(D)` full-duplex exchange rounds.
-///
-/// The collective hands both partners of an exchange the same ordered
-/// pair (lower-index domain's R first) and the operator charges each
-/// combine between rounds, so all copies of the result are bit-identical.
-/// Useful when every rank needs R — e.g. CholeskyQR-style normalization
-/// `Q = A·R⁻¹` without a broadcast, or iterative methods that re-scale
-/// locally. Requires single-process domains.
-pub async fn tsqr_allreduce_rank_program_with_async(
-    p: &mut Process,
-    layout: &DomainLayout,
-    cfg: &TsqrConfig,
-    rate_flops: Option<f64>,
-    local_block: impl FnOnce(u64, usize) -> Matrix,
-) -> Result<Matrix, CommError> {
-    let n = layout.n;
-    let d = layout
-        .domain_of_rank(p.rank())
-        .unwrap_or_else(|| panic!("rank {} is in no domain", p.rank()));
-    let dom = &layout.domains[d];
-    assert_eq!(dom.ranks.len(), 1, "the allreduce variant needs single-process domains");
-    let rows = dom.rows as usize;
-    let mut local = local_block(dom.row0, rows);
-    assert_eq!(local.shape(), (rows, n), "local_block returned the wrong shape");
-
-    p.phase_begin(PHASE_LEAF);
-    let (_, r) = local.factor_panel(0, 0, rows, n, cfg.nb);
-    drop(local);
-    p.compute(flops::geqrf(dom.rows, n as u64), rate_flops);
-    p.phase_end();
-
-    p.phase_begin(PHASE_ALLREDUCE);
-    let combine_rate = cfg.combine_rate_flops.or(rate_flops);
-    let roots = Communicator::from_members(layout.roots());
-    let packed = roots
-        .allreduce_with_async(p, pack_upper(&r), |p, lo, hi| {
-            let mut r1 = unpack_upper(n, &lo);
-            Tile::tpqrt(&mut r1, hi);
-            p.compute(flops::tpqrt(n as u64), combine_rate);
-            pack_upper(&r1)
-        })
-        .await?;
-    p.phase_end();
-    Ok(unpack_upper(n, &packed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run_ranks;
     use crate::mini_grid;
     use tsqr_gridmpi::Runtime;
     use tsqr_linalg::prelude::*;
@@ -537,48 +478,6 @@ mod tests {
             (1.7..=2.3).contains(&ratio),
             "Property 1: Q+R should cost about twice R-only, got {ratio}"
         );
-    }
-
-    #[test]
-    fn allreduce_variant_gives_everyone_the_same_r() {
-        let (m, n) = (384u64, 6usize);
-        for (clusters, procs) in [(1usize, 4usize), (2, 4), (1, 3), (3, 2), (1, 1), (1, 5)] {
-            let rt = mini_grid(clusters, procs);
-            let layout = DomainLayout::build(rt.topology(), m, n, procs);
-            let cfg = TsqrConfig { domains_per_cluster: procs, ..Default::default() };
-            let report = run_ranks::<Matrix, _, _>(&rt, async |p, _| {
-                tsqr_allreduce_rank_program_with_async(p, &layout, &cfg, None, |r0, r| {
-                    workload::block(53, r0, r, n)
-                })
-                .await
-            });
-            let rs: Vec<Matrix> = report.ranks.iter().map(|r| r.result.clone().unwrap()).collect();
-            for r in &rs[1..] {
-                assert!(r.approx_eq(&rs[0], 0.0), "all copies must be bit-identical");
-            }
-            assert!(
-                r_distance(&rs[0], &reference_r(53, m as usize, n)) < 1e-10,
-                "clusters={clusters} procs={procs}"
-            );
-        }
-    }
-
-    #[test]
-    fn allreduce_variant_message_count_is_log2() {
-        let (m, n, procs) = (512u64, 4usize, 8usize);
-        let rt = mini_grid(1, procs);
-        let layout = DomainLayout::build(rt.topology(), m, n, procs);
-        let cfg = TsqrConfig { domains_per_cluster: procs, ..Default::default() };
-        let report = run_ranks::<Matrix, _, _>(&rt, async |p, _| {
-            tsqr_allreduce_rank_program_with_async(p, &layout, &cfg, None, |r0, r| {
-                workload::block(59, r0, r, n)
-            })
-            .await?;
-            Ok(p.counters().total_msgs())
-        });
-        for r in &report.ranks {
-            assert_eq!(*r.result.as_ref().unwrap(), 3, "log2(8) exchanges per rank");
-        }
     }
 
     #[test]

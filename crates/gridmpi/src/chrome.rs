@@ -25,86 +25,81 @@ use std::fmt::Write as _;
 
 use crate::trace::{Event, EventKind, Trace};
 
-/// Serializes `trace` as a Chrome-trace JSON object
-/// (`{"traceEvents": [...], "displayTimeUnit": "ms"}`).
-///
-/// Deterministic: events are emitted in trace order (sorted by
-/// `(start, rank)`), so equal traces serialize byte-identically.
-pub fn chrome_trace_json(trace: &Trace) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    let push = |s: String, out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-        out.push_str(&s);
-    };
-
-    // Process + thread metadata first, so the UI labels tracks even for
-    // ranks whose events start late.
-    let num_ranks = trace.ranks.len();
-    push(
-        "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"grid-tsqr simulation\"}}".to_string(),
-        &mut out,
-        &mut first,
-    );
-    for r in 0..num_ranks {
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":0,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"rank {r}\"}}}}",
-                2 * r
-            ),
-            &mut out,
-            &mut first,
-        );
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":0,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"rank {r} waits\"}}}}",
-                2 * r + 1
-            ),
-            &mut out,
-            &mut first,
-        );
-    }
-
-    // Duration slices.
-    for e in &trace.events {
-        push(slice_json(e), &mut out, &mut first);
-    }
-
-    // Flow arrows for matched messages.
-    for (id, m) in trace.messages().enumerate() {
-        let s = &trace.events[m.send];
-        let r = &trace.events[m.recv];
-        push(
-            format!(
-                "{{\"ph\":\"s\",\"pid\":0,\"tid\":{},\"ts\":{},\"id\":{id},\"name\":\"msg\",\"cat\":\"flow\"}}",
-                2 * s.rank,
-                micros(s.end.secs())
-            ),
-            &mut out,
-            &mut first,
-        );
-        push(
-            format!(
-                "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":0,\"tid\":{},\"ts\":{},\"id\":{id},\"name\":\"msg\",\"cat\":\"flow\"}}",
-                2 * r.rank + 1,
-                micros(r.end.secs())
-            ),
-            &mut out,
-            &mut first,
-        );
-    }
-
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
-}
-
 impl Trace {
-    /// Chrome-trace JSON of this trace — see [`chrome_trace_json`].
+    /// Serializes this trace as a Chrome-trace JSON object
+    /// (`{"traceEvents": [...], "displayTimeUnit": "ms"}`).
+    ///
+    /// Deterministic: events are emitted in trace order (sorted by
+    /// `(start, rank)`), so equal traces serialize byte-identically.
     pub fn chrome_json(&self) -> String {
-        chrome_trace_json(self)
+        let mut out = String::from("{\"traceEvents\":[\n");
+        let mut first = true;
+        let push = |s: String, out: &mut String, first: &mut bool| {
+            if !*first {
+                out.push_str(",\n");
+            }
+            *first = false;
+            out.push_str(&s);
+        };
+
+        // Process + thread metadata first, so the UI labels tracks even for
+        // ranks whose events start late.
+        let num_ranks = self.ranks.len();
+        push(
+            "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"grid-tsqr simulation\"}}".to_string(),
+            &mut out,
+            &mut first,
+        );
+        for r in 0..num_ranks {
+            push(
+                format!(
+                    "{{\"ph\":\"M\",\"pid\":0,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"rank {r}\"}}}}",
+                    2 * r
+                ),
+                &mut out,
+                &mut first,
+            );
+            push(
+                format!(
+                    "{{\"ph\":\"M\",\"pid\":0,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"rank {r} waits\"}}}}",
+                    2 * r + 1
+                ),
+                &mut out,
+                &mut first,
+            );
+        }
+
+        // Duration slices.
+        for e in &self.events {
+            push(slice_json(e), &mut out, &mut first);
+        }
+
+        // Flow arrows for matched messages.
+        for (id, m) in self.messages().enumerate() {
+            let s = &self.events[m.send];
+            let r = &self.events[m.recv];
+            push(
+                format!(
+                    "{{\"ph\":\"s\",\"pid\":0,\"tid\":{},\"ts\":{},\"id\":{id},\"name\":\"msg\",\"cat\":\"flow\"}}",
+                    2 * s.rank,
+                    micros(s.end.secs())
+                ),
+                &mut out,
+                &mut first,
+            );
+            push(
+                format!(
+                    "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":0,\"tid\":{},\"ts\":{},\"id\":{id},\"name\":\"msg\",\"cat\":\"flow\"}}",
+                    2 * r.rank + 1,
+                    micros(r.end.secs())
+                ),
+                &mut out,
+                &mut first,
+            );
+        }
+
+        out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
+        out
     }
 }
 

@@ -24,7 +24,7 @@
 //! ([`WirePayload::SYMBOLIC`]: [`crate::message::Phantom`],
 //! `tsqr_core::tile::Dims`) is only clock algebra. Under
 //! [`crate::Runtime::run_cooperative`], untraced, with no failure schedule
-//! and [`crate::DeliveryOrder::Arrival`], the last member to arrive prices
+//! and `crate::DeliveryOrder::Arrival`, the last member to arrive prices
 //! the whole butterfly for everyone in one step, and no envelope is
 //! posted: clocks, receive NICs, counters and metrics end as the message
 //! path leaves them, to the bit. The contract: the operator is not called,
@@ -90,7 +90,7 @@ impl Communicator {
     }
 
     /// Index of a global rank within this communicator, if present.
-    pub fn index_of(&self, global_rank: usize) -> Option<usize> {
+    fn index_of(&self, global_rank: usize) -> Option<usize> {
         // Members are distinct, so a rank found at its own index (every
         // rank of the world communicator) is found.
         if self.members.get(global_rank) == Some(&global_rank) {

@@ -9,7 +9,7 @@
 //!
 //! * [`WaitBreakdown`] — each receive's blocked span is split into
 //!   *late-sender*, *imbalance*, *propagated*, *delivery*, *unmatched*
-//!   and *failure-induced* seconds (see the variants of [`WaitState`]).
+//!   and *failure-induced* seconds (see the variants of `WaitState`).
 //!   The six classes **partition** the blocked time, so their sum
 //!   reconciles with the registry's `recv_wait_s` per rank and per
 //!   phase — [`Diagnosis::reconcile`] checks that and the test suite
@@ -17,7 +17,7 @@
 //!   the virtual-time failure detector, ghost arrivals of dropped
 //!   messages — see `docs/fault-injection.md`) come from
 //!   [`EventKind::Fault`] spans whose kind is a wait
-//!   ([`crate::trace::FaultKind::is_wait`]).
+//!   (`crate::trace::FaultKind::is_wait`).
 //! * [`Diagnosis`] — the full report for one traced run: per-rank and
 //!   per-phase wait breakdowns, per-link-class usage and a binned
 //!   utilization timeline, and the rank×rank communication matrix. This
@@ -38,7 +38,7 @@ use crate::trace::{EventKind, Trace};
 
 /// Why a receiver was blocked, for one slice of one receive's wait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitState {
+enum WaitState {
     /// The matching send had not completed yet and the sender was busy
     /// **communicating** (in a send, or in untraced time) when the wait
     /// began — the classic Late Sender.
@@ -71,19 +71,19 @@ pub enum WaitState {
 /// is **not** part of the wait total).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WaitBreakdown {
-    /// Seconds blocked on a sender that was communicating ([`WaitState::LateSender`]).
+    /// Seconds blocked on a sender that was communicating (`WaitState::LateSender`).
     pub late_sender_s: f64,
-    /// Seconds blocked on a sender that was computing ([`WaitState::Imbalance`]).
+    /// Seconds blocked on a sender that was computing (`WaitState::Imbalance`).
     pub imbalance_s: f64,
-    /// Seconds blocked on a sender that was itself blocked ([`WaitState::Propagated`]).
+    /// Seconds blocked on a sender that was itself blocked (`WaitState::Propagated`).
     pub propagated_s: f64,
-    /// Seconds clocking in an already-sent message ([`WaitState::Delivery`]).
+    /// Seconds clocking in an already-sent message (`WaitState::Delivery`).
     pub delivery_s: f64,
-    /// Seconds in receives with no matching send ([`WaitState::Unmatched`]).
+    /// Seconds in receives with no matching send (`WaitState::Unmatched`).
     pub unmatched_s: f64,
     /// Seconds blocked by injected failures — detector deadlines on dead
     /// peers and ghost arrivals of dropped messages
-    /// ([`WaitState::FailureInduced`]).
+    /// (`WaitState::FailureInduced`).
     pub failure_s: f64,
     /// Seconds sent messages sat in this rank's buffer before it asked
     /// for them (Late Receiver; informational, overlaps other work).
@@ -137,7 +137,7 @@ pub struct Diagnosis {
     /// Wait breakdown per rank (index = rank).
     pub per_rank: Vec<WaitBreakdown>,
     /// Wait breakdown per phase, in first-seen order (receives recorded
-    /// outside any phase land under [`UNPHASED`]).
+    /// outside any phase land under `UNPHASED`).
     pub per_phase: Vec<(&'static str, WaitBreakdown)>,
     /// Per-link-class message/byte/busy totals (from send events).
     pub link_usage: LinkUsage,
@@ -251,7 +251,7 @@ impl Diagnosis {
 
     /// The `k` ranks with the largest wait totals, as
     /// `(rank, breakdown)`, ties broken by rank for determinism.
-    pub fn worst_ranks(&self, k: usize) -> Vec<(usize, WaitBreakdown)> {
+    fn worst_ranks(&self, k: usize) -> Vec<(usize, WaitBreakdown)> {
         let mut v: Vec<(usize, WaitBreakdown)> =
             self.per_rank.iter().copied().enumerate().collect();
         v.sort_by(|a, b| {

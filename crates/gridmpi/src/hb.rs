@@ -243,7 +243,7 @@ impl HbReport {
     }
 
     /// Total cycle count (wait-for + structural).
-    pub fn num_cycles(&self) -> usize {
+    fn num_cycles(&self) -> usize {
         self.deadlock_cycles.len() + self.hb_cycles.len()
     }
 
@@ -268,7 +268,7 @@ impl HbReport {
     }
 
     /// Renders a cycle as `a → b → … → a`.
-    pub fn cycle_string(cycle: &[usize]) -> String {
+    fn cycle_string(cycle: &[usize]) -> String {
         let mut s = String::new();
         for r in cycle {
             let _ = write!(s, "{r} → ");

@@ -73,19 +73,16 @@ pub mod profile;
 pub mod runtime;
 pub mod trace;
 
-pub use chrome::chrome_trace_json;
 pub use comm::Communicator;
-pub use critical::{CriticalPath, PathSummary, Segment, SegmentKind};
-pub use diagnose::{Diagnosis, WaitBreakdown, WaitState};
+pub use critical::{CriticalPath, PathSummary};
+pub use diagnose::Diagnosis;
 pub use error::CommError;
-pub use explore::{explore, fnv1a, schedules_for, ExploreReport, ScheduleRun};
-pub use hb::{HbReport, ReceiveRace, VectorClock, Violation};
+pub use explore::{explore, fnv1a, schedules_for, ExploreReport};
+pub use hb::{HbReport, VectorClock};
 pub use mailbox::block_on;
 pub use message::WirePayload;
-pub use metrics::{MetricsRegistry, PhaseCounters};
-pub use process::{
-    DeliveryOrder, Process, RankStats, TrafficCounters, DETECTION_LATENCY_FACTOR, MAX_SEND_ATTEMPTS,
-};
+pub use metrics::MetricsRegistry;
+pub use process::{Process, RankStats, TrafficCounters};
 pub use profile::FoldedProfile;
-pub use runtime::{RankResult, RunOutcome, RunReport, Runtime};
-pub use trace::{Event, EventKind, FaultKind, MessageMatch, Trace};
+pub use runtime::{RunReport, Runtime};
+pub use trace::{EventKind, FaultKind, Trace};

@@ -183,7 +183,7 @@ impl Hub {
     /// `folds` are a cooperative run's data-free all-reduces: a rank parked
     /// in one counts as awaiting the lowest-index member that has not
     /// arrived, and leaves it when given a verdict.
-    pub(crate) fn break_stall(&mut self, mut folds: Option<&mut FoldPool>) {
+    fn break_stall(&mut self, mut folds: Option<&mut FoldPool>) {
         if self.running > 0 || !self.finished.contains(&false) {
             return;
         }

@@ -4,7 +4,7 @@
 //! on each `send`/`recv`/`compute`, bucketed by the algorithm phase the
 //! rank program declared via [`crate::Process::phase_begin`] /
 //! [`crate::Process::phase_end`] (work outside any phase lands in
-//! [`UNPHASED`]). Unlike tracing — which records every event and is
+//! `UNPHASED`). Unlike tracing — which records every event and is
 //! opt-in — metrics are cheap aggregates and always on. The runtime
 //! returns one registry per rank in [`crate::RunReport::metrics`];
 //! [`MetricsRegistry::merged`] folds them into one.
@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use tsqr_netsim::LinkClass;
 
 /// Phase label used for work recorded outside any open phase.
-pub const UNPHASED: &str = "(unphased)";
+pub(crate) const UNPHASED: &str = "(unphased)";
 
 /// Number of link-class buckets (mirrors [`LinkClass::N_BUCKETS`]).
 const B: usize = LinkClass::N_BUCKETS;
@@ -62,7 +62,7 @@ impl PhaseCounters {
     }
 
     /// Counts one send of `bytes` in link-class bucket `b` that took `secs`.
-    pub(crate) fn add_send(&mut self, b: usize, bytes: u64, secs: f64) {
+    fn add_send(&mut self, b: usize, bytes: u64, secs: f64) {
         self.msgs[b] += 1;
         self.bytes[b] += bytes;
         self.send_s[b] += secs;
@@ -127,7 +127,7 @@ impl MetricsRegistry {
     }
 
     /// Mutable counters of `phase`, created on first touch.
-    pub fn phase_mut(&mut self, phase: &'static str) -> &mut PhaseCounters {
+    pub(crate) fn phase_mut(&mut self, phase: &'static str) -> &mut PhaseCounters {
         let i = self.phases.iter().position(|(p, _)| *p == phase).unwrap_or_else(|| {
             self.phases.push((phase, PhaseCounters::default()));
             self.phases.len() - 1

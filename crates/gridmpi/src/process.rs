@@ -16,7 +16,7 @@ use crate::trace::{Event, EventKind, FaultKind, Recorder};
 /// ranks) after its last sign of life. WAN partners therefore get
 /// proportionally more virtual-time grace than intra-node ones, exactly
 /// as a latency-scaled MPI heartbeat timeout would.
-pub const DETECTION_LATENCY_FACTOR: f64 = 4.0;
+pub(crate) const DETECTION_LATENCY_FACTOR: f64 = 4.0;
 
 /// Bounded retransmission budget for transient message drops: a send
 /// whose transmissions are all lost gives up after this many attempts
@@ -272,7 +272,7 @@ impl Process {
     }
 
     /// The innermost open phase, if any.
-    pub fn current_phase(&self) -> Option<&'static str> {
+    pub(crate) fn current_phase(&self) -> Option<&'static str> {
         self.phase_stack.last().map(|(n, _)| *n)
     }
 
@@ -292,7 +292,7 @@ impl Process {
     }
 
     /// True unless a failure was injected on the `self → dst` link.
-    pub fn link_ok(&self, dst: usize) -> bool {
+    pub(crate) fn link_ok(&self, dst: usize) -> bool {
         !self.schedule.link_down(self.rank, dst)
     }
 
@@ -306,7 +306,7 @@ impl Process {
     /// one-way message times (Eq. (1), per the link class between the
     /// two ranks) after its crash instant. Derived from the cost model —
     /// **not** a wall-clock guess.
-    pub fn failure_deadline(&self, peer: usize) -> VirtualTime {
+    fn failure_deadline(&self, peer: usize) -> VirtualTime {
         let from = self.topo.location(peer);
         let one_way = self.model.message_time(from, self.location(), 0);
         VirtualTime::from_secs(one_way.secs() * DETECTION_LATENCY_FACTOR)
@@ -325,7 +325,7 @@ impl Process {
     }
 
     /// Broadcasts a tombstone to every peer (idempotent).
-    pub(crate) fn announce_death(&mut self, death: Death) {
+    fn announce_death(&mut self, death: Death) {
         if self.death_announced {
             return;
         }
@@ -459,7 +459,7 @@ impl Process {
     /// tombstones (peer deaths) are recorded as they are encountered, and
     /// a tombstone from `src` itself ends the wait at the virtual-time
     /// detection deadline with a typed error (see
-    /// [`Process::failure_deadline`]).
+    /// `Process::failure_deadline`).
     pub async fn recv_async<M: WirePayload>(
         &mut self,
         src: usize,

@@ -256,7 +256,7 @@ impl FoldedProfile {
     /// The `k` hottest stacks across all ranks by aggregated self time,
     /// as `(stack, self seconds, share of Σ makespans)`. Ties broken by
     /// stack name, so the order is deterministic.
-    pub fn hot_phases(&self, k: usize) -> Vec<(String, f64, f64)> {
+    fn hot_phases(&self, k: usize) -> Vec<(String, f64, f64)> {
         let mut merged: BTreeMap<&str, f64> = BTreeMap::new();
         for stacks in &self.stacks {
             for (key, secs) in stacks {
@@ -275,7 +275,7 @@ impl FoldedProfile {
         rows
     }
 
-    /// Renders [`Self::hot_phases`] as an aligned text table.
+    /// Renders `Self::hot_phases` as an aligned text table.
     pub fn render_hot_table(&self, k: usize) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

@@ -208,7 +208,7 @@ impl Runtime {
     /// explorer's lever. Deterministic programs (no wildcard receives)
     /// produce bit-identical results under every order; the explorer
     /// asserts exactly that.
-    pub fn set_delivery_order(&mut self, order: DeliveryOrder) -> &mut Self {
+    pub(crate) fn set_delivery_order(&mut self, order: DeliveryOrder) -> &mut Self {
         self.delivery = order;
         self
     }

@@ -114,7 +114,7 @@ impl FaultKind {
     /// feed the `failure-induced` wait-state class of
     /// [`crate::diagnose`] and are mirrored into the metrics registry's
     /// `recv_wait_s`).
-    pub fn is_wait(self) -> bool {
+    pub(crate) fn is_wait(self) -> bool {
         matches!(self, FaultKind::RankFailed | FaultKind::PeerAborted | FaultKind::DropObserved)
     }
 
@@ -134,7 +134,7 @@ impl FaultKind {
 impl EventKind {
     /// True for [`EventKind::Phase`] markers (which overlap other events
     /// and are skipped by DAG analyses).
-    pub fn is_phase(&self) -> bool {
+    pub(crate) fn is_phase(&self) -> bool {
         matches!(self, EventKind::Phase { .. })
     }
 }

@@ -4,8 +4,8 @@
 //! that each vectorizes: [`dot`] keeps eight independent partial sums (a
 //! single `sum()` is one serial add chain the compiler may not reorder),
 //! [`nrm2`] is `sqrt(dot(x, x))` with LAPACK's scaled form as the fallback
-//! outside `[2⁻⁹⁷⁰, 2⁹⁷⁰]`, [`gemv`], [`ger`] and [`trmm_upper_left`] are
-//! sweeps of `dot`/[`axpy`].
+//! outside `[2⁻⁹⁷⁰, 2⁹⁷⁰]`, and [`trmm_upper_left`] is a sweep of
+//! `dot`/`axpy`.
 //!
 //! **Level 3** is two register-tiled micro-kernels and nothing else:
 //!
@@ -92,7 +92,7 @@ fn nrm2_scaled(x: &[f64]) -> f64 {
 
 /// `y += alpha * x`.
 #[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
@@ -104,36 +104,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 pub fn scal(alpha: f64, x: &mut [f64]) {
     for v in x {
         *v *= alpha;
-    }
-}
-
-/// `y := alpha * op(A) * x + beta * y`.
-pub fn gemv(trans: Trans, alpha: f64, a: &View<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
-    match trans {
-        Trans::No => {
-            assert_eq!(x.len(), a.cols(), "gemv: x length mismatch");
-            assert_eq!(y.len(), a.rows(), "gemv: y length mismatch");
-            scal(beta, y);
-            for j in 0..a.cols() {
-                axpy(alpha * x[j], a.col(j), y);
-            }
-        }
-        Trans::Yes => {
-            assert_eq!(x.len(), a.rows(), "gemv^T: x length mismatch");
-            assert_eq!(y.len(), a.cols(), "gemv^T: y length mismatch");
-            for j in 0..a.cols() {
-                y[j] = beta * y[j] + alpha * dot(a.col(j), x);
-            }
-        }
-    }
-}
-
-/// Rank-one update `A += alpha * x * yᵀ`.
-pub fn ger(alpha: f64, x: &[f64], y: &[f64], a: &mut ViewMut<'_>) {
-    assert_eq!(x.len(), a.rows(), "ger: x length mismatch");
-    assert_eq!(y.len(), a.cols(), "ger: y length mismatch");
-    for j in 0..a.cols() {
-        axpy(alpha * y[j], x, a.col_mut(j));
     }
 }
 
@@ -330,7 +300,7 @@ fn dot_tile(a: [&[f64]; TI], b: [&[f64]; TJ]) -> [[[f64; 2]; TJ]; TI] {
 ///
 /// `T` is `k × k`, `B` is `k × n`. Used by the compact-WY update where `T`
 /// is the small per-panel triangular factor, so no blocking is needed:
-/// each column of `B` is swept once with [`axpy`] (`T`) or [`dot`] (`Tᵀ`)
+/// each column of `B` is swept once with `axpy` (`T`) or [`dot`] (`Tᵀ`)
 /// against the columns of `T`.
 pub fn trmm_upper_left(trans: Trans, t: &View<'_>, b: &mut ViewMut<'_>) {
     let k = t.rows();
@@ -447,27 +417,6 @@ mod tests {
         assert_eq!(nrm2(&[0.0; 9]), 0.0);
         assert!(nrm2(&[1.0, f64::NAN, 2.0]).is_nan());
         assert_eq!(nrm2(&[1.0, f64::NEG_INFINITY, 2.0]), f64::INFINITY);
-    }
-
-    #[test]
-    fn gemv_both_transposes() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
-        let x = [1.0, -1.0];
-        let mut y = [1.0, 1.0, 1.0];
-        gemv(Trans::No, 1.0, &a.view(), &x, 0.0, &mut y);
-        assert_eq!(y, [-1.0, -1.0, -1.0]);
-        let x3 = [1.0, 0.0, -1.0];
-        let mut y2 = [0.0, 0.0];
-        gemv(Trans::Yes, 2.0, &a.view(), &x3, 0.0, &mut y2);
-        assert_eq!(y2, [-8.0, -8.0]);
-    }
-
-    #[test]
-    fn ger_rank_one() {
-        let mut a = Matrix::zeros(2, 3);
-        ger(2.0, &[1.0, 2.0], &[1.0, 0.0, -1.0], &mut a.view_mut());
-        let want = Matrix::from_rows(&[vec![2.0, 0.0, -2.0], vec![4.0, 0.0, -4.0]]).unwrap();
-        assert!(a.approx_eq(&want, 0.0));
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub struct Reflector {
 /// On entry `x = (α, x₁, …)ᵀ`; on exit `x[0]` is unspecified and `x[1..]`
 /// holds the tail of `v` (the leading `1` of `v` is implicit). Returns
 /// `(β, τ)` such that `H·x = β·e₁`.
-pub fn larfg(x: &mut [f64]) -> Reflector {
+pub(crate) fn larfg(x: &mut [f64]) -> Reflector {
     let (alpha, tail) = x.split_first_mut().expect("larfg needs a non-empty vector");
     larfg_tail(*alpha, tail)
 }

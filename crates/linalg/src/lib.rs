@@ -4,10 +4,10 @@
 //! from a LAPACK/BLAS-style library, written from scratch in safe Rust:
 //!
 //! * [`Matrix`] — an owned, column-major, `f64` dense matrix, plus borrowed
-//!   [`View`]/[`ViewMut`] windows with an explicit leading dimension, so
-//!   blocked algorithms can operate in place on panels and trailing
-//!   sub-matrices without copying.
-//! * BLAS-like kernels ([`blas`]): `dot`, `nrm2`, `axpy`, `gemv`, `ger`, a
+//!   [`View`](view::View)/[`ViewMut`](view::ViewMut) windows with an
+//!   explicit leading dimension, so blocked algorithms can operate in place
+//!   on panels and trailing sub-matrices without copying.
+//! * BLAS-like kernels ([`blas`]): `dot`, `nrm2`, `axpy`, a
 //!   single-threaded `gemm` on two register-tiled micro-kernels, and the
 //!   small triangular multiplies the compact-WY update needs.
 //! * Householder QR ([`qr`]): the unblocked factorization `geqr2`, the
@@ -57,7 +57,6 @@ pub mod verify;
 pub mod view;
 
 pub use matrix::Matrix;
-pub use view::{View, ViewMut};
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
@@ -67,5 +66,4 @@ pub mod prelude {
     pub use crate::stacked::{tpmqrt, tpqrt, StackedFactors};
     pub use crate::tri::{trsm_right_upper, trsv, Triangle};
     pub use crate::verify::{orthogonality, relative_residual, sign_normalize_r};
-    pub use crate::view::{View, ViewMut};
 }

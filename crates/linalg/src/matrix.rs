@@ -56,7 +56,8 @@ impl Matrix {
     /// Builds a matrix from rows given in row-major order.
     ///
     /// Returns `None` when the rows are ragged.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Option<Self> {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[Vec<f64>]) -> Option<Self> {
         let r = rows.len();
         let c = rows.first().map_or(0, Vec::len);
         if rows.iter().any(|row| row.len() != c) {

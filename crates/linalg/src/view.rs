@@ -34,7 +34,7 @@ fn check_dims(len: usize, rows: usize, cols: usize, ld: usize) {
 
 impl<'a> View<'a> {
     /// Wraps raw column-major storage (`data[i + j*ld]`).
-    pub fn from_raw(data: &'a [f64], rows: usize, cols: usize, ld: usize) -> Self {
+    pub(crate) fn from_raw(data: &'a [f64], rows: usize, cols: usize, ld: usize) -> Self {
         check_dims(data.len(), rows, cols, ld);
         View { data, rows, cols, ld }
     }
@@ -81,7 +81,7 @@ impl<'a> View<'a> {
     }
 
     /// Copies the window into an owned [`Matrix`].
-    pub fn to_matrix(&self) -> Matrix {
+    pub(crate) fn to_matrix(self) -> Matrix {
         Matrix::from_fn(self.rows, self.cols, |i, j| self.get(i, j))
     }
 
@@ -99,7 +99,7 @@ impl<'a> View<'a> {
 
 impl<'a> ViewMut<'a> {
     /// Wraps raw column-major storage (`data[i + j*ld]`).
-    pub fn from_raw(data: &'a mut [f64], rows: usize, cols: usize, ld: usize) -> Self {
+    pub(crate) fn from_raw(data: &'a mut [f64], rows: usize, cols: usize, ld: usize) -> Self {
         check_dims(data.len(), rows, cols, ld);
         ViewMut { data, rows, cols, ld }
     }
@@ -151,7 +151,7 @@ impl<'a> ViewMut<'a> {
     }
 
     /// An immutable view of the same window (reborrow).
-    pub fn as_view(&self) -> View<'_> {
+    pub(crate) fn as_view(&self) -> View<'_> {
         View::from_raw(self.data, self.rows, self.cols, self.ld)
     }
 
@@ -186,17 +186,12 @@ impl<'a> ViewMut<'a> {
     }
 
     /// Copies `src` into this window (shapes must agree).
-    pub fn copy_from(&mut self, src: &View<'_>) {
+    pub(crate) fn copy_from(&mut self, src: &View<'_>) {
         assert_eq!((self.rows, self.cols), (src.rows(), src.cols()), "copy_from shape mismatch");
         for j in 0..self.cols {
             let rows = self.rows;
             self.col_mut(j)[..rows].copy_from_slice(&src.col(j)[..rows]);
         }
-    }
-
-    /// Copies the window into an owned [`Matrix`].
-    pub fn to_matrix(&self) -> Matrix {
-        self.as_view().to_matrix()
     }
 
     /// Fills the window with a constant.

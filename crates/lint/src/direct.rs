@@ -9,7 +9,7 @@
 //!   `HashMap`/`HashSet`: the order is seeded per process. Use
 //!   `BTreeMap`/`BTreeSet` or sort before draining.
 //! * **wildcard-recv** — a `recv_any` call outside test code, in any of
-//!   the spellings the flow model counts as [`Op::RecvAny`], with or
+//!   the spellings the flow model counts as `Op::RecvAny`, with or
 //!   without a `TAG_` argument: a wildcard receive makes the matched
 //!   sender delivery-order-dependent.
 //! * **async-name** — an `async fn` not named `*_async`: every awaitable

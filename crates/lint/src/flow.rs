@@ -19,7 +19,7 @@ use crate::workspace::Workspace;
 
 /// Communication operations the model distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Op {
+pub(crate) enum Op {
     /// Point-to-point send (a send-side use).
     Send,
     /// Named-source receive (a recv-side use).
@@ -42,11 +42,11 @@ pub struct FlowRow {
 }
 
 /// The extracted workspace model: `(file, tag) → row`, ordered.
-pub type FlowTable = std::collections::BTreeMap<(String, String), FlowRow>;
+type FlowTable = std::collections::BTreeMap<(String, String), FlowRow>;
 
 /// `const TAG_*` declarations in one stripped file:
 /// `(name, normalized value, line)`.
-pub fn extract_tag_decls(code: &str) -> Vec<(String, String, usize)> {
+fn extract_tag_decls(code: &str) -> Vec<(String, String, usize)> {
     let mut out = Vec::new();
     for (ln, line) in code.lines().enumerate() {
         let Some(ci) = line.find("const TAG_") else { continue };
@@ -83,7 +83,7 @@ pub(crate) const CALL_PATTERNS: [(&str, Op); 13] = [
 /// tag is any `TAG_*` identifier inside the call's balanced argument
 /// list (calls passing a computed tag variable carry no row — the
 /// declaration check still covers their constants).
-pub fn extract_call_sites(code: &str) -> Vec<(Op, String, usize)> {
+fn extract_call_sites(code: &str) -> Vec<(Op, String, usize)> {
     let bytes = code.as_bytes();
     let mut out = Vec::new();
     for (pat, op) in CALL_PATTERNS {

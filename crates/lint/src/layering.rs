@@ -41,7 +41,7 @@ pub struct LayerSpec {
 
 impl LayerSpec {
     /// Layer of `short`, if declared.
-    pub fn layer_of(&self, short: &str) -> Option<u32> {
+    fn layer_of(&self, short: &str) -> Option<u32> {
         self.layers.iter().find(|(n, _)| n == short).map(|(_, l)| *l)
     }
 }

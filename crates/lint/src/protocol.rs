@@ -50,7 +50,7 @@ pub struct Protocol {
 }
 
 /// Normalizes a tag value for comparison: strip `_`, lowercase.
-pub fn normalize_value(v: &str) -> String {
+pub(crate) fn normalize_value(v: &str) -> String {
     v.chars().filter(|c| *c != '_').collect::<String>().to_lowercase()
 }
 

@@ -7,11 +7,11 @@
 //! The pipeline every pass shares (steps 1–3 run once, when
 //! [`crate::workspace::load_workspace`] loads the sources):
 //!
-//! 1. [`collect_files`] walks a directory tree (the workspace keeps its
+//! 1. `collect_files` walks a directory tree (the workspace keeps its
 //!    `.rs` files);
-//! 2. [`strip_noncode`] blanks comments, string literals and char
+//! 2. `strip_noncode` blanks comments, string literals and char
 //!    literals (newlines preserved, so line numbers survive);
-//! 3. [`truncate_at_test_module`] cuts the file at its trailing
+//! 3. `truncate_at_test_module` cuts the file at its trailing
 //!    `#[cfg(test)]` items (repo convention: unit tests live in one
 //!    `mod tests` at the bottom), so only shipped code is linted;
 //! 4. findings are filtered through an allowlist
@@ -109,7 +109,7 @@ pub fn stale_allow_findings(
 
 /// Collects `path` if it is a file, else every file under it (skipping
 /// any `target` directory). A missing path is silently empty.
-pub fn collect_files(path: &Path, out: &mut Vec<PathBuf>) {
+pub(crate) fn collect_files(path: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(path) else {
         if path.is_file() {
             out.push(path.to_path_buf());
@@ -132,7 +132,7 @@ pub fn is_nonshipped(rel: &str) -> bool {
 
 /// Replaces comments, string literals and char literals with spaces
 /// (newlines preserved, so line numbers survive).
-pub fn strip_noncode(src: &str) -> String {
+pub(crate) fn strip_noncode(src: &str) -> String {
     #[derive(PartialEq)]
     enum St {
         Code,
@@ -280,7 +280,7 @@ pub fn strip_noncode(src: &str) -> String {
 /// Cuts the file where its trailing run of top-level `#[cfg(test)]` items
 /// starts (repo convention: unit tests live at the bottom). A test item
 /// that shipped code follows does not cut, so that code is still linted.
-pub fn truncate_at_test_module(code: &str) -> &str {
+pub(crate) fn truncate_at_test_module(code: &str) -> &str {
     let (mut cut, mut test_item, mut depth, mut in_item) = (None, None, 0usize, false);
     for (i, c) in code.char_indices() {
         if depth == 0 && !in_item {

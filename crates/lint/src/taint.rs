@@ -39,7 +39,7 @@ use crate::workspace::{SourceFile, Workspace};
 
 /// One extracted function definition.
 #[derive(Debug, Clone)]
-pub struct FnDef {
+struct FnDef {
     /// Short name of the defining crate.
     pub crate_short: String,
     /// Repo-relative file path.
@@ -72,7 +72,7 @@ struct Source {
 /// `where` clauses parse); a `;` at depth 0 before any `{` means a
 /// bodyless trait-method declaration. `allow_lines` are the lines
 /// [`extract_annotations`] found.
-pub fn extract_fns(crate_short: &str, file: &SourceFile, allow_lines: &[usize]) -> Vec<FnDef> {
+fn extract_fns(crate_short: &str, file: &SourceFile, allow_lines: &[usize]) -> Vec<FnDef> {
     let code = file.code.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
@@ -150,7 +150,7 @@ pub fn extract_fns(crate_short: &str, file: &SourceFile, allow_lines: &[usize]) 
 /// Reads `archlint: allow(taint)` annotations from the raw source:
 /// the 1-based line of each. An annotation applies to the next `fn`
 /// within 12 lines (attributes and doc lines may sit between).
-pub fn extract_annotations(raw: &str) -> Vec<usize> {
+fn extract_annotations(raw: &str) -> Vec<usize> {
     raw.lines()
         .enumerate()
         .filter_map(|(i, l)| l.contains("archlint: allow(taint)").then_some(i + 1))
@@ -193,7 +193,7 @@ const KEYWORDS: [&str; 24] = [
 /// followed by `(` or by a `::<…>` turbofish and `(`. Macro
 /// invocations (`name!`) and non-terminal path segments (`seg::`) are
 /// skipped.
-pub fn extract_calls(code: &str, span: (usize, usize)) -> Vec<String> {
+fn extract_calls(code: &str, span: (usize, usize)) -> Vec<String> {
     let body = &code.as_bytes()[span.0..span.1];
     let mut out = Vec::new();
     let mut i = 0;

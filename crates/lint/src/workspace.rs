@@ -74,7 +74,7 @@ impl Workspace {
     }
 
     /// Short names of `short`'s workspace dependencies, transitively.
-    pub fn transitive_deps(&self, short: &str) -> Vec<String> {
+    pub(crate) fn transitive_deps(&self, short: &str) -> Vec<String> {
         let mut seen: Vec<String> = Vec::new();
         let mut stack = vec![short.to_string()];
         while let Some(cur) = stack.pop() {
@@ -94,7 +94,7 @@ impl Workspace {
 
 /// Maps a package name to its short name (`tsqr-linalg` → `linalg`,
 /// `grid-tsqr` → `bin`).
-pub fn short_name(package: &str) -> String {
+fn short_name(package: &str) -> String {
     if package == "grid-tsqr" {
         "bin".to_string()
     } else {
@@ -202,7 +202,7 @@ fn load_sources(root: &Path, src_dir: &Path) -> Vec<SourceFile> {
 }
 
 /// Reads the files at `paths` under `root`.
-pub fn read_files(root: &Path, paths: &[PathBuf]) -> Vec<SourceFile> {
+pub(crate) fn read_files(root: &Path, paths: &[PathBuf]) -> Vec<SourceFile> {
     let rel = |p: &Path| p.strip_prefix(root).unwrap_or(p).to_string_lossy().replace('\\', "/");
     paths
         .iter()

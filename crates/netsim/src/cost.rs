@@ -61,7 +61,7 @@ impl LinkClass {
     ///
     /// # Panics
     /// Panics when `bucket >= N_BUCKETS`.
-    pub fn bucket_label(bucket: usize) -> &'static str {
+    pub(crate) fn bucket_label(bucket: usize) -> &'static str {
         match bucket {
             0 => "node",
             1 => "cluster",

@@ -25,10 +25,10 @@ use crate::cost::{CostModel, LinkParams};
 use crate::topology::{ClusterSpec, GridTopology};
 
 /// Hosts booked per region in the preset experiments.
-pub const HOSTS_PER_REGION: usize = 32;
+const HOSTS_PER_REGION: usize = 32;
 
 /// Sustained per-host rate: a volunteer desktop core, ≈ 1 Gflop/s.
-pub const HOST_GFLOPS: f64 = 1.0;
+const HOST_GFLOPS: f64 = 1.0;
 
 /// Region descriptions (names are illustrative).
 pub fn regions(count: usize) -> Vec<ClusterSpec> {
@@ -58,7 +58,7 @@ pub fn cost_model(region_count: usize) -> CostModel {
     }
 }
 
-/// A placed desktop grid: `region_count` regions × [`HOSTS_PER_REGION`]
+/// A placed desktop grid: `region_count` regions × `HOSTS_PER_REGION`
 /// single-core volunteer hosts.
 pub fn topology(region_count: usize) -> GridTopology {
     GridTopology::block_placement(regions(region_count), HOSTS_PER_REGION, 1)

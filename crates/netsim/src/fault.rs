@@ -236,7 +236,7 @@ impl FailureSchedule {
     ///
     /// # Panics
     /// Panics unless both factors are ≥ 1 and the window is non-empty.
-    pub fn degrade_link(
+    fn degrade_link(
         mut self,
         class: LinkClass,
         from: VirtualTime,
@@ -261,7 +261,7 @@ impl FailureSchedule {
     /// the "storm over the backbone" scenario.
     ///
     /// # Panics
-    /// Same contract as [`FailureSchedule::degrade_link`].
+    /// Same contract as `FailureSchedule::degrade_link`.
     pub fn degrade_all_wan(
         self,
         from: VirtualTime,
@@ -371,12 +371,7 @@ impl FailureSchedule {
     /// The link parameters in effect for a link of class `class` with
     /// base parameters `base` at virtual time `t`. With no active window
     /// this returns `base` unchanged (bit-identical).
-    pub fn effective_params(
-        &self,
-        base: LinkParams,
-        class: LinkClass,
-        t: VirtualTime,
-    ) -> LinkParams {
+    fn effective_params(&self, base: LinkParams, class: LinkClass, t: VirtualTime) -> LinkParams {
         let mut p = base;
         for d in &self.degradations {
             if d.applies(class, t) {

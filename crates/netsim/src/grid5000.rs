@@ -12,19 +12,10 @@
 use crate::cost::{CostModel, LinkParams};
 use crate::topology::{ClusterSpec, GridTopology};
 
-/// Site indices of the preset, in the order of the paper's Fig. 3(a).
-pub const ORSAY: usize = 0;
-/// Toulouse site index.
-pub const TOULOUSE: usize = 1;
-/// Bordeaux site index.
-pub const BORDEAUX: usize = 2;
-/// Sophia-Antipolis site index.
-pub const SOPHIA: usize = 3;
-
 /// Nodes reserved per site in the paper's experiments.
-pub const NODES_PER_SITE: usize = 32;
+const NODES_PER_SITE: usize = 32;
 /// Processes per node (two single-threaded processes, §V-B).
-pub const PROCS_PER_NODE: usize = 2;
+const PROCS_PER_NODE: usize = 2;
 
 /// The paper's practical per-process flop rate: serial GotoBLAS DGEMM,
 /// ≈ 3.67 Gflop/s (256 processes × 3.67 ≈ 940 Gflop/s practical bound).
@@ -159,13 +150,16 @@ mod tests {
     #[test]
     fn inter_cluster_pairs_use_their_measured_link() {
         let m = cost_model();
-        let orsay = ProcLocation { cluster: ORSAY, node: 0, slot: 0 };
-        let toulouse = ProcLocation { cluster: TOULOUSE, node: 0, slot: 0 };
-        let sophia = ProcLocation { cluster: SOPHIA, node: 0, slot: 0 };
+        // Site indices in the order of the paper's Fig. 3(a).
+        let (orsay, toulouse, sophia) = (0, 1, 3);
+        let at = |cluster| ProcLocation { cluster, node: 0, slot: 0 };
         // Orsay–Toulouse: 7.97 ms; Orsay–Sophia: 6.12 ms.
-        assert!((m.link(orsay, toulouse).latency_s - 7.97e-3).abs() < 1e-12);
-        assert!((m.link(orsay, sophia).latency_s - 6.12e-3).abs() < 1e-12);
-        assert_eq!(LinkClass::between(orsay, toulouse), LinkClass::InterCluster(ORSAY, TOULOUSE));
+        assert!((m.link(at(orsay), at(toulouse)).latency_s - 7.97e-3).abs() < 1e-12);
+        assert!((m.link(at(orsay), at(sophia)).latency_s - 6.12e-3).abs() < 1e-12);
+        assert_eq!(
+            LinkClass::between(at(orsay), at(toulouse)),
+            LinkClass::InterCluster(orsay, toulouse)
+        );
     }
 
     #[test]

@@ -31,8 +31,7 @@ pub mod time;
 pub mod topology;
 
 pub use cost::{two_tier_grid, CostModel, LinkClass, LinkParams};
-pub use fault::{Degradation, FailureSchedule};
-pub use occupancy::{CommMatrix, LinkUsage, SharedLinks, UtilizationTimeline};
+pub use fault::FailureSchedule;
 pub use rng::SplitMix64;
 pub use time::VirtualTime;
 pub use topology::{ClusterSpec, GridTopology, ProcLocation};

@@ -152,7 +152,7 @@ impl UtilizationTimeline {
     }
 
     /// Width of one bin in seconds.
-    pub fn bin_width_s(&self) -> f64 {
+    fn bin_width_s(&self) -> f64 {
         self.horizon_s / self.bins.len() as f64
     }
 
@@ -349,7 +349,7 @@ impl CommMatrix {
 
     /// The `k` heaviest ordered pairs by bytes (ties broken by `(src,
     /// dst)` for determinism), as `(src, dst, msgs, bytes)`.
-    pub fn top_pairs(&self, k: usize) -> Vec<(usize, usize, u64, u64)> {
+    fn top_pairs(&self, k: usize) -> Vec<(usize, usize, u64, u64)> {
         let mut pairs: Vec<(usize, usize, u64, u64)> = (0..self.n)
             .flat_map(|s| (0..self.n).map(move |d| (s, d)))
             .filter(|&(s, d)| self.msgs(s, d) > 0)

@@ -14,7 +14,7 @@
 //! no global state, no thread-locals — `archlint`'s determinism rules
 //! apply to this module like any other. Two forms are exposed:
 //!
-//! * [`mix64`] / [`hash64`] — stateless finalizer and one-shot hash,
+//! * `mix64` / [`hash64`] — stateless finalizer and one-shot hash,
 //!   for coin flips keyed by coordinates (seed ^ src ^ dst ^ nth …);
 //! * [`SplitMix64`] — the sequential stream (state += golden gamma,
 //!   output = finalizer(state)), for generators that draw many values.
@@ -32,7 +32,7 @@ pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// hashing a key usually want [`hash64`], which first offsets the key by
 /// [`GOLDEN_GAMMA`] exactly like one step of the stream.
 #[inline]
-pub fn mix64(mut z: u64) -> u64 {
+fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -69,7 +69,7 @@ impl SplitMix64 {
 
     /// Next 64 uniform bits.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         mix64(self.state)
     }

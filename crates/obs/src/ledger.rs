@@ -2,7 +2,7 @@
 //!
 //! Every figure, tune, faults, serve and bench-gate run appends one line
 //! of JSON to a JSONL file (by convention `ledger/runs.jsonl`, selected
-//! via the [`LEDGER_ENV`] environment variable). A line is a complete
+//! via the `LEDGER_ENV` environment variable). A line is a complete
 //! [`LedgerEntry`]: scenario identity, topology and tree shape, the
 //! headline makespan/Gflop/s, per-phase Eq. (1) ledgers with the fitted
 //! model's per-phase prediction, the critical-path split, the fitted
@@ -40,7 +40,7 @@ pub const LEDGER_SCHEMA: &str = "grid-tsqr-ledger/v1";
 
 /// Environment variable naming the ledger file. Unset or empty disables
 /// ledger writes.
-pub const LEDGER_ENV: &str = "GRID_TSQR_LEDGER";
+const LEDGER_ENV: &str = "GRID_TSQR_LEDGER";
 
 /// Guard against `observed ≈ 0` denominators in relative residuals.
 const RESIDUAL_FLOOR: f64 = 1e-12;
@@ -386,7 +386,7 @@ pub fn append_entry(path: &Path, mut entry: LedgerEntry) -> Result<u64, String> 
     Ok(next_seq)
 }
 
-/// The ledger path selected by [`LEDGER_ENV`], if any. An empty value
+/// The ledger path selected by `LEDGER_ENV`, if any. An empty value
 /// counts as unset, so `GRID_TSQR_LEDGER= cmd` disables writes.
 pub fn path_from_env() -> Option<PathBuf> {
     match std::env::var(LEDGER_ENV) {

@@ -33,10 +33,3 @@
 pub mod json;
 pub mod ledger;
 pub mod report;
-
-pub use json::{escape, num, Json};
-pub use ledger::{
-    append_entry, entry_to_json, parse_entry, path_from_env, read_ledger, EnvFingerprint,
-    LedgerEntry, ModelCoeffs, PhaseRow, LEDGER_ENV, LEDGER_SCHEMA,
-};
-pub use report::{detect_anomalies, render_report, Anomaly, ReportOptions};

@@ -26,7 +26,7 @@ impl ResourceCatalog {
 
     /// The slowest per-processor peak across the given cluster indices —
     /// the rate a synchronous algorithm effectively runs at (§V-A).
-    pub fn min_peak_gflops(&self, cluster_indices: &[usize]) -> f64 {
+    pub(crate) fn min_peak_gflops(&self, cluster_indices: &[usize]) -> f64 {
         cluster_indices
             .iter()
             .map(|&c| self.clusters[c].peak_gflops_per_proc)

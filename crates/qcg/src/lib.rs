@@ -29,4 +29,4 @@ pub mod scheduler;
 
 pub use catalog::ResourceCatalog;
 pub use profile::{JobProfile, NetworkRequirement};
-pub use scheduler::{allocate, Allocation, Lease, Refusal, ScheduleError, SlotPool};
+pub use scheduler::{allocate, Allocation, Lease, SlotPool};

@@ -25,7 +25,7 @@ impl NetworkRequirement {
 
     /// True when a link with the given parameters satisfies this
     /// requirement.
-    pub fn satisfied_by(&self, latency_s: f64, bandwidth_bps: f64) -> bool {
+    pub(crate) fn satisfied_by(&self, latency_s: f64, bandwidth_bps: f64) -> bool {
         latency_s <= self.max_latency_s && bandwidth_bps >= self.min_bandwidth_bps
     }
 }

@@ -10,7 +10,7 @@ use crate::profile::JobProfile;
 
 /// Why an allocation request could not be satisfied, each cluster named
 /// by a `C`: its name in what [`allocate`] returns, its catalog index in a
-/// [`Refusal`].
+/// `Refusal`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScheduleError<C = String> {
     /// Fewer clusters satisfy the intra-group requirement than groups
@@ -63,7 +63,7 @@ impl<C: fmt::Debug + fmt::Display> std::error::Error for ScheduleError<C> {}
 /// Why [`SlotPool::allocate`] refused: a [`ScheduleError`] naming its
 /// clusters by catalog index, so a refusal is a `Copy` value and refusing
 /// allocates nothing. Only [`allocate`] names the clusters.
-pub type Refusal = ScheduleError<usize>;
+type Refusal = ScheduleError<usize>;
 
 impl Refusal {
     /// This refusal with its clusters named as in `catalog`.
@@ -261,11 +261,6 @@ impl SlotPool {
     /// The underlying (full-capacity) catalog.
     pub fn catalog(&self) -> &ResourceCatalog {
         &self.catalog
-    }
-
-    /// Free nodes currently available on catalog cluster `c`.
-    pub fn free_nodes(&self, c: usize) -> usize {
-        self.free_nodes[c]
     }
 
     /// True when catalog cluster `c` has crashed.
@@ -687,7 +682,7 @@ mod tests {
         }
         // 312/32 + 93/32 + 80/32 + 56/32 = 9 + 2 + 2 + 1 whole leases.
         assert_eq!(leases.len(), 14);
-        let free = |pool: &SlotPool| (0..4).map(|c| pool.free_nodes(c)).sum::<usize>();
+        let free = |pool: &SlotPool| (0..4).map(|c| pool.free_nodes[c]).sum::<usize>();
         assert_eq!(free(&pool), (312 - 288) + (93 - 64) + (80 - 64) + (56 - 32));
         assert!(!pool.is_idle());
         for a in &leases {
@@ -709,7 +704,7 @@ mod tests {
         let mut pool = SlotPool::new(g5k());
         let profile = JobProfile::cluster_of_clusters(1, 64);
         let mut held = Vec::new();
-        while pool.free_nodes(0) * 2 >= 186 {
+        while pool.free_nodes[0] * 2 >= 186 {
             held.push(pool.allocate(&profile).unwrap());
             assert_eq!(held.last().unwrap().cluster_of_group(), [0]);
         }
@@ -740,7 +735,7 @@ mod tests {
         assert_eq!(written_off, a.nodes_per_group(), "the lease's share is written off");
         assert!(pool.site_down(dead));
         assert_eq!(pool.up_sites(), 3);
-        assert_eq!(pool.free_nodes(dead), 0, "a dead site has no capacity");
+        assert_eq!(pool.free_nodes[dead], 0, "a dead site has no capacity");
         for &c in a.cluster_of_group() {
             if c != dead {
                 a.release_site(&mut pool, c);

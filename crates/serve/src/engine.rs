@@ -67,7 +67,7 @@
 //!   constant. **Per-flow drop rules** fire when a drain completes: the
 //!   in-flight R messages are lost, and the job retries (residual = the
 //!   full drain under checkpointing, everything under full restart).
-//! * **Brownout** ([`crate::recovery::Brownout`]): when retry pressure
+//! * **Brownout** (`crate::recovery::Brownout`): when retry pressure
 //!   crosses the enter watermark, arrivals with the loosest deadlines
 //!   are shed with an explicit [`Disposition::Shed`] until pressure
 //!   falls to the exit watermark (hysteresis).

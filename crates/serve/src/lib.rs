@@ -47,11 +47,8 @@ pub mod workload;
 
 pub use engine::{
     load_is_offerable, serve, shape_oracle, Disposition, RequestRecord, ServeConfig, ServeOutcome,
-    ShapeOracle,
 };
-pub use policy::{BoundedQueue, Policy, QueuedJob, Ticket};
-pub use recovery::{
-    Brownout, BrownoutConfig, Checkpoint, FaultKind, JobFault, RecoveryAction, RetryPolicy,
-};
-pub use report::{load_sweep_table, percentile, timeline, PolicyReport};
-pub use workload::{generate, menu, Request, ShapeClass, WorkloadSpec};
+pub use policy::{BoundedQueue, Policy, QueuedJob};
+pub use recovery::{BrownoutConfig, FaultKind, RecoveryAction, RetryPolicy};
+pub use report::{load_sweep_table, timeline, PolicyReport};
+pub use workload::menu;

@@ -181,7 +181,7 @@ impl BoundedQueue {
     }
 
     /// True when an arrival would be rejected.
-    pub fn is_full(&self) -> bool {
+    fn is_full(&self) -> bool {
         self.len >= self.capacity
     }
 
@@ -205,7 +205,7 @@ impl BoundedQueue {
     /// already admitted once — bouncing it off a full queue would turn a
     /// transient fault into a silent rejection; sustained overload is
     /// handled by brownout shedding instead (see [`crate::recovery`]).
-    pub fn push_unbounded(&mut self, job: QueuedJob) {
+    pub(crate) fn push_unbounded(&mut self, job: QueuedJob) {
         // Refused under every policy, whichever index is held.
         let _ = (key_bits(job.service_s), key_bits(job.deadline.secs()));
         let seq = self.base + self.slots.len() as u64;
@@ -297,7 +297,7 @@ impl BoundedQueue {
     /// coalesce a burst into one stacked TSQR. Checkpointed retries never
     /// join a batch: they owe only a residual drain, which cannot share a
     /// fresh batch's local phase.
-    pub fn drain_matching(&mut self, cols: usize, sites: usize) -> Vec<QueuedJob> {
+    pub(crate) fn drain_matching(&mut self, cols: usize, sites: usize) -> Vec<QueuedJob> {
         let batches = |j: &QueuedJob| j.cols == cols && j.sites == sites && j.checkpoint.is_none();
         let matched: Vec<u64> = (self.base..)
             .zip(&self.slots)

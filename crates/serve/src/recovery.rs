@@ -18,7 +18,7 @@
 //!   recomputing the local phase. With
 //!   [`RetryPolicy::checkpoint_drain`] off every retry is a full
 //!   restart.
-//! * [`Brownout`] — graceful degradation under sustained failure. When
+//! * `Brownout` — graceful degradation under sustained failure. When
 //!   retry pressure (requests waiting out a backoff or re-queued)
 //!   crosses `enter_watermark`, admission sheds the loosest-deadline
 //!   arrivals ([`crate::engine::Disposition::Shed`], an explicit
@@ -59,7 +59,7 @@ impl RetryPolicy {
 
     /// The backoff after the `attempts`-th failed try (`attempts ≥ 1`):
     /// `base × 2^(attempts − 1)` virtual seconds.
-    pub fn backoff_s(&self, attempts: usize) -> f64 {
+    pub(crate) fn backoff_s(&self, attempts: usize) -> f64 {
         self.backoff_base_s * Self::BACKOFF_FACTOR.powi(attempts.saturating_sub(1) as i32)
     }
 }
@@ -87,7 +87,7 @@ impl Default for BrownoutConfig {
 
 /// Hysteretic brownout state machine over [`BrownoutConfig`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct Brownout {
+pub(crate) struct Brownout {
     cfg: BrownoutConfig,
     active: bool,
 }
@@ -109,7 +109,7 @@ impl Brownout {
     /// Feeds the current retry pressure and returns whether admission is
     /// browning out *after* the update (enter at ≥ enter watermark, exit
     /// at ≤ exit watermark, sticky in between).
-    pub fn on_pressure(&mut self, pressure: usize) -> bool {
+    pub(crate) fn on_pressure(&mut self, pressure: usize) -> bool {
         if self.active {
             if pressure <= self.cfg.exit_watermark {
                 self.active = false;
@@ -118,16 +118,6 @@ impl Brownout {
             self.active = true;
         }
         self.active
-    }
-
-    /// Whether admission is currently browning out.
-    pub fn active(&self) -> bool {
-        self.active
-    }
-
-    /// The configured watermarks.
-    pub fn config(&self) -> &BrownoutConfig {
-        &self.cfg
     }
 }
 
@@ -211,7 +201,7 @@ mod tests {
         assert!(b.on_pressure(2), "between watermarks: sticky on");
         assert!(!b.on_pressure(1), "at exit: disengages");
         assert!(!b.on_pressure(3), "between watermarks: sticky off");
-        assert!(!b.active());
+        assert!(!b.active);
     }
 
     #[test]
