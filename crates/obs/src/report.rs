@@ -37,15 +37,16 @@ pub struct ReportOptions {
     /// Maximum allowed excess of a phase residual over the scenario
     /// reference before an entry is flagged.
     pub threshold: f64,
-    /// Number of rows in the hot-phase table.
-    pub top_phases: usize,
 }
 
 impl Default for ReportOptions {
     fn default() -> Self {
-        ReportOptions { threshold: 0.05, top_phases: 10 }
+        ReportOptions { threshold: 0.05 }
     }
 }
+
+/// Number of rows in the hot-phase table.
+const TOP_PHASES: usize = 10;
 
 /// One flagged (entry, phase) pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -251,7 +252,7 @@ pub fn render_report(entries: &[LedgerEntry], opts: &ReportOptions) -> String {
             .then_with(|| a.0.seq.cmp(&b.0.seq))
             .then_with(|| a.1.name.cmp(&b.1.name))
     });
-    for (e, p) in hot.iter().take(opts.top_phases) {
+    for (e, p) in hot.iter().take(TOP_PHASES) {
         let _ = writeln!(
             out,
             "| `{}` | {} | {} | {} | {} |",

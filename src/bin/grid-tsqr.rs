@@ -246,7 +246,6 @@ const COMMANDS: &[Command] = &[
         flags: &[&[
             value("ledger", "<runs.jsonl>"),
             value("threshold", "<frac>"),
-            value("top", "<k>"),
             switch("check"),
             value("golden", "<baseline.md>"),
             switch("bless"),
@@ -811,8 +810,7 @@ fn cmd_report(args: &Args) -> Result<ExitCode, String> {
     if !threshold.is_finite() || threshold < 0.0 {
         return Err("--threshold must be a non-negative fraction (e.g. 0.05)".into());
     }
-    let top: usize = args.num("top", 10usize)?;
-    let opts = ReportOptions { threshold, top_phases: top };
+    let opts = ReportOptions { threshold };
     let entries = read_ledger(std::path::Path::new(ledger_path))?;
     if entries.is_empty() {
         return Err(format!(

@@ -341,6 +341,17 @@ fn a_flag_the_subcommand_never_reads_is_refused() {
 }
 
 #[test]
+fn report_has_no_top_flag() {
+    // The hot-phase table always lists ten rows; `--top` is refused as a
+    // stray before the ledger is read.
+    let out = cli().args(["report", "--top", "5"]).output().expect("run cli");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.starts_with("error: unknown flag for `report`: --top\n"), "{err}");
+}
+
+#[test]
 fn every_synopsis_lists_each_flag_once_and_fits_80_columns() {
     let out = cli().output().expect("run cli");
     let usage = String::from_utf8(out.stderr).unwrap();
