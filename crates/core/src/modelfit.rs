@@ -338,7 +338,7 @@ mod tests {
         m0.record_send(Some("tree-reduce"), LinkClass::IntraCluster, 800, 0.25);
         m0.record_compute(Some("leaf-qr"), 1_000, 0.5);
         let mut m1 = MetricsRegistry::default();
-        m1.record_recv(Some("tree-reduce"), LinkClass::IntraCluster, 800, 9.0);
+        m1.record_recv(Some("tree-reduce"), 9.0);
         let s = samples_from_metrics(&[m0, m1]);
         assert_eq!(s.len(), 3);
         let tr = s.iter().find(|x| x.label == "tree-reduce" && x.msgs > 0.0).unwrap();

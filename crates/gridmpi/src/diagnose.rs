@@ -547,11 +547,11 @@ mod tests {
         m0.record_compute(None, 1, 2.0);
         m0.record_send(Some("tree-reduce"), C, 64, 1.0);
         let mut m1 = MetricsRegistry::default();
-        m1.record_recv(Some("tree-reduce"), C, 64, 3.0);
+        m1.record_recv(Some("tree-reduce"), 3.0);
         assert!(d.reconcile(&[m0, m1]) < 1e-12);
         // A registry that disagrees shows up as drift.
         let mut bad = MetricsRegistry::default();
-        bad.record_recv(Some("tree-reduce"), C, 64, 1.0);
+        bad.record_recv(Some("tree-reduce"), 1.0);
         let drift = d.reconcile(&[MetricsRegistry::default(), bad]);
         assert!(drift > 1.9, "drift {drift}");
     }

@@ -93,7 +93,7 @@ impl PhaseCounters {
 /// let mut m = MetricsRegistry::default();
 /// m.record_compute(Some("leaf-qr"), 1_000, 0.5);
 /// m.record_send(Some("tree-reduce"), LinkClass::InterCluster(0, 1), 120, 0.02);
-/// m.record_recv(None, LinkClass::IntraNode, 120, 0.01);
+/// m.record_recv(None, 0.01);
 ///
 /// assert_eq!(m.phase("leaf-qr").unwrap().flops, 1_000);
 /// assert_eq!(m.phase("tree-reduce").unwrap().wan_msgs(), 1);
@@ -160,17 +160,9 @@ impl MetricsRegistry {
         self.phase_mut(phase.unwrap_or(UNPHASED)).add_send(class.bucket(), bytes, secs);
     }
 
-    /// Records a receive over `class` that blocked the clock for `secs`.
-    /// (`bytes` is accepted for symmetry; received volume equals sent
-    /// volume, so only sends count toward byte totals.)
-    pub fn record_recv(
-        &mut self,
-        phase: Option<&'static str>,
-        class: LinkClass,
-        bytes: u64,
-        secs: f64,
-    ) {
-        let _ = (class, bytes);
+    /// Records a receive that blocked the clock for `secs`. (Received
+    /// volume equals sent volume, so only sends count toward byte totals.)
+    pub fn record_recv(&mut self, phase: Option<&'static str>, secs: f64) {
         self.phase_mut(phase.unwrap_or(UNPHASED)).recv_wait_s += secs;
     }
 
@@ -225,7 +217,7 @@ mod tests {
         m.record_send(Some("panel"), LinkClass::IntraNode, 100, 0.001);
         m.record_send(Some("panel"), LinkClass::InterCluster(0, 2), 200, 0.010);
         m.record_compute(Some("update"), 5_000, 0.5);
-        m.record_recv(None, LinkClass::IntraCluster, 100, 0.002);
+        m.record_recv(None, 0.002);
 
         assert_eq!(m.phase_names(), vec!["panel", "update", UNPHASED]);
         let panel = m.phase("panel").unwrap();
@@ -267,7 +259,7 @@ mod tests {
         r1.record_compute(Some("update"), 7, 0.3);
         r1.record_send(Some("panel"), LinkClass::IntraCluster, 20, 0.2);
         let mut r2 = MetricsRegistry::default();
-        r2.record_recv(Some("drain"), LinkClass::InterCluster(0, 1), 8, 0.5);
+        r2.record_recv(Some("drain"), 0.5);
         r2.record_compute(Some("update"), 5, 0.25);
         let ranks = [r0, r1, r2];
         let m = MetricsRegistry::merged(&ranks);

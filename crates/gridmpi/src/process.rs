@@ -358,7 +358,7 @@ impl Process {
         let from = self.topo.location(peer);
         let class = LinkClass::between(from, self.location());
         self.clock = self.clock.max(death.at() + self.failure_deadline(peer));
-        self.metrics.record_recv(self.current_phase(), class, 0, (self.clock - wait_start).secs());
+        self.metrics.record_recv(self.current_phase(), (self.clock - wait_start).secs());
         self.record(wait_start, self.clock, EventKind::Fault { peer, class, kind: fault });
         // Detecting the death may itself have pushed this rank past its
         // own crash time.
@@ -638,12 +638,7 @@ impl Process {
         self.nic_free = done;
         let wait_start = self.clock;
         self.clock = self.clock.max(done);
-        self.metrics.record_recv(
-            self.current_phase(),
-            class,
-            env.bytes,
-            (self.clock - wait_start).secs(),
-        );
+        self.metrics.record_recv(self.current_phase(), (self.clock - wait_start).secs());
         // A *ghost*: the schedule lost this message in transit and the
         // sender's retransmission budget ran out. The receiver still pays
         // the deterministic would-be arrival wait (clock already advanced
