@@ -7,7 +7,7 @@
 //!   [`View`](view::View)/[`ViewMut`](view::ViewMut) windows with an
 //!   explicit leading dimension, so blocked algorithms can operate in place
 //!   on panels and trailing sub-matrices without copying.
-//! * BLAS-like kernels ([`blas`]): `dot`, `nrm2`, `axpy`, a
+//! * BLAS-like kernels ([`blas`]): `dot`, `nrm2`, a
 //!   single-threaded `gemm` on two register-tiled micro-kernels, and the
 //!   small triangular multiplies the compact-WY update needs.
 //! * Householder QR ([`qr`]): the unblocked factorization `geqr2`, the
