@@ -8,8 +8,7 @@
 //! convention), and (b) rate-proportional rows with every cluster running
 //! at its own speed.
 
-use crate::harness::Artifact;
-use crate::{Sweep, Table};
+use crate::harness::{Artifact, Sweep, Table};
 use tsqr_core::domains::DomainLayout;
 use tsqr_core::experiment::run_ranks;
 use tsqr_core::tile::Dims;

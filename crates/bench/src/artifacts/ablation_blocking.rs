@@ -10,8 +10,8 @@
 //! model by pricing the blocked baseline at the calibrated leaf rate and
 //! the unblocked one below it.
 
-use crate::harness::{symbolic, Artifact};
-use crate::{calib, grid_runtime, Sweep, Table};
+use crate::calib;
+use crate::harness::{grid_runtime, symbolic, Artifact, Sweep, Table};
 use tsqr_core::experiment::{run_experiment, Algorithm, Experiment};
 
 fn gflops(rt: &tsqr_gridmpi::Runtime, m: u64, n: usize, algorithm: Algorithm, rate: f64) -> f64 {

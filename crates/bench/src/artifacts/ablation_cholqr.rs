@@ -8,8 +8,7 @@
 //! on the Grid'5000 model, and orthogonality loss on matrices of growing
 //! condition number (real numerics).
 
-use crate::harness::Artifact;
-use crate::{Sweep, Table};
+use crate::harness::{Artifact, Sweep, Table};
 use tsqr_core::cholqr::{cholqr_async, CholQrError};
 use tsqr_core::domains::{even_chunks, DomainLayout};
 use tsqr_core::experiment::run_ranks;

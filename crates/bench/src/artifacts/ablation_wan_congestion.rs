@@ -12,8 +12,7 @@
 //!   surcharge — the whole point of communication avoidance: it wins by a
 //!   larger margin the worse the WAN behaves.
 
-use crate::harness::Artifact;
-use crate::{run_point, Sweep, Table};
+use crate::harness::{run_point, Artifact, Sweep, Table};
 use tsqr_core::experiment::{Algorithm, Mode};
 use tsqr_core::tree::TreeShape;
 use tsqr_gridmpi::Runtime;

@@ -9,8 +9,8 @@
 //! 4 Grid'5000 sites for general matrices of growing height and report
 //! the multi-site speedups.
 
-use crate::harness::Artifact;
-use crate::{calib, grid_runtime, Sweep, Table};
+use crate::calib;
+use crate::harness::{grid_runtime, Artifact, Sweep, Table};
 use tsqr_core::caqr_dist::{caqr_dist_program_async, CaqrDistConfig};
 use tsqr_core::experiment::run_ranks;
 use tsqr_core::model;

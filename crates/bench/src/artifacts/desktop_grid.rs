@@ -11,8 +11,7 @@
 //! regions at M ≈ 4·10⁶ while ScaLAPACK needs M ≈ 2.7·10⁸ — and in
 //! between TSQR wins head-to-head by 3–10×.
 
-use crate::harness::{symbolic, Artifact, Series};
-use crate::{Sweep, Table};
+use crate::harness::{symbolic, Artifact, Series, Sweep, Table};
 use tsqr_core::experiment::{run_experiment, Algorithm, Experiment};
 use tsqr_core::tree::TreeShape;
 use tsqr_gridmpi::Runtime;

@@ -2,8 +2,7 @@
 //! discrete simulation: `time = β·#msgs + α·vol + γ·#flops` with the
 //! Table I breakdowns, on the homogeneous network the model assumes.
 
-use crate::harness::{symbolic, Artifact};
-use crate::{Sweep, Table};
+use crate::harness::{symbolic, Artifact, Sweep, Table};
 use tsqr_core::experiment::{run_experiment, Algorithm, Experiment};
 use tsqr_core::model;
 use tsqr_core::tree::TreeShape;

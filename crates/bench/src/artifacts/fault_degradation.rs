@@ -17,8 +17,7 @@
 //! §Degradation bench.
 
 use crate::figures::fault_points;
-use crate::harness::Artifact;
-use crate::{Sweep, Table};
+use crate::harness::{Artifact, Sweep, Table};
 
 pub(super) fn run(_: &Sweep) -> Artifact {
     let mut table = Table::new(

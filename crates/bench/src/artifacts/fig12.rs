@@ -8,8 +8,7 @@
 //! inter-cluster messages in the paper's layout; the tuned TSQR tree pays
 //! exactly 2, independent of the column count.
 
-use crate::harness::{symbolic, Artifact};
-use crate::{Sweep, Table};
+use crate::harness::{symbolic, Artifact, Sweep, Table};
 use tsqr_core::experiment::{run_experiment, Algorithm};
 use tsqr_core::tree::{ReductionTree, TreeShape};
 use tsqr_gridmpi::Runtime;

@@ -3,8 +3,7 @@
 //! ping-pong runs on the runtime and compared against the constants the
 //! cost model was built from.
 
-use crate::harness::Artifact;
-use crate::{Sweep, Table};
+use crate::harness::{Artifact, Sweep, Table};
 use tsqr_core::experiment::run_ranks;
 use tsqr_core::tile::Dims;
 use tsqr_gridmpi::message::Phantom;

@@ -10,8 +10,7 @@
 //! M = 2²⁰, N = 64 point — expect ~2 WAN all-reduce messages per column.)
 
 use super::{site_series, PANELS};
-use crate::harness::{paper_m_values, Artifact};
-use crate::{Sweep, Table};
+use crate::harness::{paper_m_values, Artifact, Sweep, Table};
 use tsqr_core::experiment::Algorithm;
 
 pub(super) fn run(sweep: &Sweep) -> Artifact {

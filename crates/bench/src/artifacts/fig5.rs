@@ -10,8 +10,7 @@
 //! M = 2²⁰, N = 64 point — expect O(log #clusters) WAN messages total.)
 
 use super::{site_series, PANELS};
-use crate::harness::{paper_m_values, Artifact};
-use crate::{Sweep, Table};
+use crate::harness::{paper_m_values, Artifact, Sweep, Table};
 
 pub(super) fn run(sweep: &Sweep) -> Artifact {
     let mut artifact = Artifact::default();

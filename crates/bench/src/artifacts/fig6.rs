@@ -11,8 +11,7 @@
 //! M = 2²², N = 64 point at the optimum 64 domains/cluster.)
 
 use super::domain_series;
-use crate::harness::Artifact;
-use crate::{Sweep, Table};
+use crate::harness::{Artifact, Sweep, Table};
 
 /// The M values plotted per panel in the paper, for each N.
 pub(super) const PANEL_MS: [(usize, [u64; 4]); 4] = [

@@ -9,8 +9,7 @@
 //! M = 2²⁰, N = 64 point at 64 domains — no WAN sends at all.)
 
 use super::domain_series;
-use crate::harness::{tuned_tsqr, Artifact};
-use crate::{Sweep, Table};
+use crate::harness::{tuned_tsqr, Artifact, Sweep, Table};
 
 /// The M values plotted per panel, for each N (M = 65 536 is off the grid of Figs. 4–5).
 pub(super) const PANEL_MS: [(usize, [u64; 4]); 2] =

@@ -11,8 +11,7 @@
 //! 32 domains/cluster and `fig8.json.scalapack.json` for ScaLAPACK.)
 
 use super::PANELS;
-use crate::harness::{paper_m_values, Artifact, Series};
-use crate::{Sweep, Table};
+use crate::harness::{paper_m_values, Artifact, Series, Sweep, Table};
 use tsqr_core::experiment::Algorithm;
 
 pub(super) fn run(sweep: &Sweep) -> Artifact {

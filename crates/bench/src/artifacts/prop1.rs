@@ -1,8 +1,7 @@
 //! Property 1: the time to compute both Q and R is about twice the time
 //! to compute R only — checked over the Fig. 5 sweep points.
 
-use crate::harness::Artifact;
-use crate::{grid_runtime, run_point, Sweep, Table};
+use crate::harness::{grid_runtime, run_point, Artifact, Sweep, Table};
 use tsqr_core::experiment::{Algorithm, Mode};
 use tsqr_core::tree::TreeShape;
 

@@ -2,8 +2,7 @@
 //! R-factor is needed — closed-form model vs counts measured from the
 //! actual distributed schedules.
 
-use crate::harness::{symbolic, Artifact};
-use crate::{grid_runtime, Sweep, Table};
+use crate::harness::{grid_runtime, symbolic, Artifact, Sweep, Table};
 use tsqr_core::experiment::{run_experiment, Algorithm};
 use tsqr_core::model;
 use tsqr_core::tree::TreeShape;

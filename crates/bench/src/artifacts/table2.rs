@@ -2,8 +2,7 @@
 //! Q-factor and the R-factor are needed — everything doubles relative to
 //! Table I (Property 1).
 
-use crate::harness::{symbolic, Artifact};
-use crate::{grid_runtime, Sweep, Table};
+use crate::harness::{grid_runtime, symbolic, Artifact, Sweep, Table};
 use tsqr_core::experiment::{run_experiment, Algorithm, Experiment};
 use tsqr_core::model;
 use tsqr_core::tree::TreeShape;
