@@ -55,7 +55,7 @@ pub(crate) fn normalize_value(v: &str) -> String {
 }
 
 /// Parses a normalized value (`0x…` hex or decimal) to a number.
-pub fn parse_value(v: &str) -> Option<u64> {
+pub(crate) fn parse_value(v: &str) -> Option<u64> {
     let v = normalize_value(v);
     if let Some(hex) = v.strip_prefix("0x") {
         u64::from_str_radix(hex, 16).ok()

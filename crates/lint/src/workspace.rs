@@ -69,7 +69,7 @@ pub struct Workspace {
 
 impl Workspace {
     /// Looks a crate up by short name.
-    pub fn get(&self, short: &str) -> Option<&WorkspaceCrate> {
+    pub(crate) fn get(&self, short: &str) -> Option<&WorkspaceCrate> {
         self.crates.iter().find(|c| c.short == short)
     }
 
