@@ -1,6 +1,6 @@
 //! The commcheck registry (docs/static-analysis.md §3): every scenario
 //! `grid-tsqr check` runs, as a value, in the order of the lines it pins in
-//! `COMMCHECK_baseline.txt`, all at [`PROBLEM`], the size the golden was
+//! `COMMCHECK_baseline.txt`, all at `PROBLEM`, the size the golden was
 //! blessed at. Every trace goes through the happens-before analyzer
 //! (`gridmpi::hb`); [`run_all`] runs the scenarios on the pool the sweep
 //! uses. The self-healing TSQR's plumbing lives here too ([`Problem`],
@@ -42,7 +42,7 @@ pub struct Problem {
 
 /// The size every scenario runs at and `COMMCHECK_baseline.txt` was
 /// blessed at.
-pub const PROBLEM: Problem = Problem { m: 1 << 16, n: 32, sites: 4, seed: 42 };
+pub(crate) const PROBLEM: Problem = Problem { m: 1 << 16, n: 32, sites: 4, seed: 42 };
 
 /// One TSQR run's plan: the domains, the tree over them, the config.
 type DomainPlan = (DomainLayout, ReductionTree, TsqrConfig);
@@ -141,7 +141,7 @@ pub fn fault_matrix() -> Vec<(String, FailureSchedule)> {
 
 /// The DPOR-lite determinism proof on a dedicated 8-rank grid (P ≤ 8 is
 /// the exhaustive regime of `schedules_for`): the real-numerics TSQR at
-/// [`PROBLEM`]'s seed under every permuted delivery order, each rank's
+/// `PROBLEM`'s seed under every permuted delivery order, each rank's
 /// result digested to the bits of its R.
 pub fn explore_p8() -> ExploreReport {
     let topo = || {
@@ -180,7 +180,7 @@ pub fn explore_p8() -> ExploreReport {
 
 /// One scenario of the gate.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Scenario {
+pub(crate) enum Scenario {
     /// A figure-style point at [`PROBLEM`]'s size (§V, Figs. 4–8), traced,
     /// symbolic numerics: the schedule, and so the happens-before DAG, is
     /// the real-numerics run's by construction.
@@ -228,7 +228,7 @@ impl Verdict {
 /// a site crash recovered by checkpointed retries, the same crash forcing
 /// 4-site jobs onto survivors via elastic re-planning, and a degraded-WAN
 /// window driving brownout shed.
-pub fn scenarios() -> Vec<Scenario> {
+pub(crate) fn scenarios() -> Vec<Scenario> {
     let tsqr = |shape, domains_per_cluster| Algorithm::Tsqr { shape, domains_per_cluster };
     let mut list: Vec<Scenario> = [
         ("tsqr-grid", tsqr(TreeShape::GridHierarchical, 64)),
@@ -265,7 +265,7 @@ pub fn scenarios() -> Vec<Scenario> {
 
 impl Scenario {
     /// Runs the scenario: its lines and problems.
-    pub fn run(&self) -> Verdict {
+    pub(crate) fn run(&self) -> Verdict {
         let mut verdict = Verdict::default();
         let p = PROBLEM;
         match self {
@@ -315,7 +315,7 @@ impl Scenario {
     }
 }
 
-/// Runs every [`scenarios`] item on one thread per core.
+/// Runs every `scenarios` item on one thread per core.
 pub fn run_all() -> Verdict {
     run(&scenarios(), cores())
 }

@@ -66,7 +66,7 @@ pub struct FigurePoint {
 
 impl FigurePoint {
     /// Stable identifier used in `BENCH_results.json` (`"fig5/tsqr"`).
-    pub fn id(&self) -> String {
+    pub(crate) fn id(&self) -> String {
         format!("{}/{}", self.figure, self.label)
     }
 
@@ -259,7 +259,7 @@ pub struct FaultPoint {
 
 impl FaultPoint {
     /// Stable identifier used in `BENCH_results.json` (`"faults/wan-10x"`).
-    pub fn id(&self) -> String {
+    pub(crate) fn id(&self) -> String {
         format!("faults/{}", self.label)
     }
 
@@ -278,7 +278,7 @@ impl FaultPoint {
     /// *failure-free twin* under an id with a `-clean` suffix, which
     /// `fault_degradation` compares it against (identical traffic, slower
     /// clock) and the gate does not pin.
-    pub fn measure(&self, degraded: bool) -> LedgerEntry {
+    pub(crate) fn measure(&self, degraded: bool) -> LedgerEntry {
         let id = if degraded { self.id() } else { format!("{}-clean", self.id()) };
         let schedule = degraded.then(|| self.schedule());
         let entry =
@@ -490,7 +490,7 @@ enum Evidence {
 
 impl GatePoint {
     /// Stable identifier used in `BENCH_results.json`.
-    pub fn id(&self) -> String {
+    pub(crate) fn id(&self) -> String {
         match self {
             GatePoint::Figure(p) => p.id(),
             GatePoint::Fault(p) => p.id(),

@@ -94,7 +94,7 @@ pub fn run_point(
 }
 
 /// One point of the paper's sweep: `(sites, M, N, algorithm)`.
-pub type Point = (usize, u64, usize, Algorithm);
+pub(crate) type Point = (usize, u64, usize, Algorithm);
 
 /// One pool thread per core.
 pub(crate) fn cores() -> usize {
@@ -133,7 +133,7 @@ pub struct Sweep {
 
 impl Sweep {
     /// The site counts of Figs. 4, 5 and 8.
-    pub const SITES: [usize; 3] = [1, 2, 4];
+    pub(crate) const SITES: [usize; 3] = [1, 2, 4];
 
     /// The table of `points`, each distinct point priced once on `threads`
     /// threads, on the one platform of its site count they all share.
@@ -157,7 +157,7 @@ impl Sweep {
     ///
     /// # Panics
     /// Panics, naming the point, unless the artifact reading it declared it.
-    pub fn gflops(&self, sites: usize, m: u64, n: usize, algorithm: &Algorithm) -> f64 {
+    pub(crate) fn gflops(&self, sites: usize, m: u64, n: usize, algorithm: &Algorithm) -> f64 {
         let point = (sites, m, n, algorithm);
         let found = self.priced.iter().find(|((s, pm, pn, a), _)| (*s, *pm, *pn, a) == point);
         found.unwrap_or_else(|| panic!("sweep point {point:?} was not declared")).1
@@ -222,7 +222,7 @@ pub fn dump_traced_point(path: &Path, point: &FigurePoint) -> std::io::Result<Le
 ///   produces its ScaLAPACK companion trace next to the TSQR one);
 /// * when `GRID_TSQR_LEDGER=<file>` is set, one experiment-ledger entry
 ///   per point is appended to that JSONL file (schema
-///   [`tsqr_obs::ledger::LEDGER_SCHEMA`]) so `grid-tsqr report` can trend
+///   `tsqr_obs::ledger::LEDGER_SCHEMA`) so `grid-tsqr report` can trend
 ///   the figure over time. With `trace_out` these are the dumped runs'
 ///   entries, so each point runs once.
 ///
@@ -298,7 +298,7 @@ pub struct Table {
 
 impl Table {
     /// A table of `headers` with no rows yet.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         let headers = headers.iter().map(|h| h.to_string()).collect();
         Table { title: title.into(), headers, rows: Vec::new() }
     }
@@ -351,7 +351,7 @@ pub struct Artifact {
 
 impl Artifact {
     /// Records one check.
-    pub fn check(&mut self, name: impl Into<String>, pass: bool, detail: impl Into<String>) {
+    pub(crate) fn check(&mut self, name: impl Into<String>, pass: bool, detail: impl Into<String>) {
         self.checks.push(Check { name: name.into(), pass, detail: detail.into() });
     }
 

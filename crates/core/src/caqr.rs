@@ -125,7 +125,7 @@ impl CaqrFactors {
     }
 
     /// `C := Q·C` in place (`C` must have `m` rows).
-    pub fn apply_q(&self, c: &mut Matrix) {
+    pub(crate) fn apply_q(&self, c: &mut Matrix) {
         assert_eq!(c.rows(), self.m, "apply_q: row mismatch");
         let k = c.cols();
         // Q = (Q0 Q1 Q2 …) panel by panel; within a panel the eliminations

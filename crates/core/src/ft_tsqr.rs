@@ -13,7 +13,7 @@
 //! Two properties conspire:
 //!
 //! 1. The test workload is a *pure function* of `(seed, row, col)`
-//!    ([`crate::workload::entry`]), so any rank can rematerialize any dead
+//!    (`crate::workload::entry`), so any rank can rematerialize any dead
 //!    rank's rows without communication.
 //! 2. The reduction is a fixed schedule of deterministic kernels
 //!    (`geqrf` at the leaves, `tpqrt` at the combines), so re-executing a

@@ -64,11 +64,6 @@ pub struct ModelFit {
 }
 
 impl ModelFit {
-    /// Eq. (1) under the fitted coefficients.
-    pub fn predict(&self, msgs: f64, words: f64, flops: f64) -> f64 {
-        self.beta_s * msgs + self.alpha_s_per_word * words + self.gamma_s_per_flop * flops
-    }
-
     /// Renders the fit: coefficients, residual, per-phase table.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -8,14 +8,13 @@
 //! one structured [`tsqr_linalg::stacked::tpqrt_dense`] elimination. Peak
 //! resident memory is one block plus the `n × n` R — independent of M.
 //!
-//! The per-block implicit Q factors can optionally be retained (what a real
-//! out-of-core solver would write back to disk), which makes `Qᵀ·b`
-//! available in the same single pass — enough for streaming least squares.
+//! A right-hand side can stream along: `Qᵀ·b` is then accumulated in the
+//! same single pass — enough for streaming least squares.
 
 use tsqr_linalg::flops;
 use tsqr_linalg::prelude::*;
-use tsqr_linalg::qr::{orm2r, q_times_upper, Side, Trans};
-use tsqr_linalg::stacked::{tpmqrt_dense, tpqrt_dense, DenseStackedFactors};
+use tsqr_linalg::qr::{orm2r, Side, Trans};
+use tsqr_linalg::stacked::{tpmqrt_dense, tpqrt_dense};
 use tsqr_linalg::tri::{trsv, Triangle};
 use tsqr_linalg::Matrix;
 
@@ -30,12 +29,6 @@ pub struct StreamingQr {
     rows_seen: u64,
     /// Flops spent (closed forms) — what an out-of-core cost model charges.
     pub flops: u64,
-    /// Retained per-block factors (enabled by [`StreamingQr::with_q`]):
-    /// the first block's dense QR, then one dense-stacked elimination per
-    /// further block.
-    keep_q: bool,
-    first: Option<QrFactors>,
-    eliminations: Vec<(usize, DenseStackedFactors)>,
     /// Running c = leading rows of Qᵀ·b, when a right-hand side streams
     /// along.
     c: Option<Vec<f64>>,
@@ -44,23 +37,7 @@ pub struct StreamingQr {
 impl StreamingQr {
     /// A new accumulator for matrices with `n` columns (R-factor only).
     pub fn new(n: usize) -> Self {
-        StreamingQr {
-            n,
-            r: None,
-            rows_seen: 0,
-            flops: 0,
-            keep_q: false,
-            first: None,
-            eliminations: Vec::new(),
-            c: None,
-        }
-    }
-
-    /// Also retain the implicit Q factors (costs one factor set per block —
-    /// the "write V to disk" of a real out-of-core solver).
-    pub fn with_q(mut self) -> Self {
-        self.keep_q = true;
-        self
+        StreamingQr { n, r: None, rows_seen: 0, flops: 0, c: None }
     }
 
     /// Ingests the next row block (top-to-bottom order). When `rhs` is
@@ -90,9 +67,6 @@ impl StreamingQr {
                     self.flops += 4 * rows as u64 * self.n as u64;
                     self.c = Some((0..self.n).map(|i| c[(i, 0)]).collect());
                 }
-                if self.keep_q {
-                    self.first = Some(f);
-                }
             }
             Some(mut r) => {
                 let mut b = block.clone();
@@ -107,9 +81,6 @@ impl StreamingQr {
                     tpmqrt_dense(Trans::Yes, &f, &mut c1, &mut c2);
                     self.flops += flops::tpmqrt_dense(self.n as u64, rows as u64, 1);
                     *c = (0..self.n).map(|i| c1[(i, 0)]).collect();
-                }
-                if self.keep_q {
-                    self.eliminations.push((rows, f));
                 }
             }
         }
@@ -128,41 +99,13 @@ impl StreamingQr {
         trsv(Triangle::Upper, &r.view(), &mut x);
         x
     }
-
-    /// Reconstructs this accumulator's explicit thin Q (`rows_seen × n`) —
-    /// test-scale only; requires [`StreamingQr::with_q`].
-    ///
-    /// Walks the flat tree backwards, exactly like the distributed
-    /// down-sweep: the coupling block E starts as the identity and each
-    /// elimination peels off its block's rows.
-    pub fn q_thin(&self) -> Matrix {
-        assert!(self.keep_q, "enable with_q() to reconstruct Q");
-        let n = self.n;
-        let mut e = Matrix::identity(n);
-        // Per-block coupling blocks, bottom-up.
-        let mut block_qs: Vec<Matrix> = Vec::with_capacity(self.eliminations.len());
-        for (rows, f) in self.eliminations.iter().rev() {
-            let mut c2 = Matrix::zeros(*rows, n);
-            // [E; 0] update: C1 = E (n×n), C2 = block rows.
-            tpmqrt_dense(Trans::No, f, &mut e, &mut c2);
-            block_qs.push(c2);
-        }
-        block_qs.reverse();
-        // First block: its dense implicit Q applied to [E; 0], E still
-        // upper triangular (the eliminations keep it so).
-        let first = self.first.as_ref().expect("first block retained");
-        let mut blocks = vec![q_times_upper(&first.factors.view(), &first.tau, &e)];
-        blocks.extend(block_qs);
-        let refs: Vec<&Matrix> = blocks.iter().collect();
-        Matrix::vstack_all(&refs)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload;
-    use tsqr_linalg::verify::{orthogonality, r_distance, relative_residual};
+    use tsqr_linalg::verify::r_distance;
 
     /// One-call out-of-core QR of the seeded workload matrix, streaming in
     /// blocks of `block_rows`: returns the R factor while never holding more
@@ -192,37 +135,6 @@ mod tests {
                 r_distance(&r, &reference_r(seed, m as usize, n)) < 1e-10,
                 "block_rows = {block_rows}"
             );
-        }
-    }
-
-    #[test]
-    fn q_reconstruction_round_trip() {
-        // n = 37 spans three blocks of the first block's reflectors.
-        for (n, seed) in [(5usize, 123u64), (37, 124)] {
-            let m = 160;
-            let a = workload::full_matrix(seed, m, n);
-            let mut acc = StreamingQr::new(n).with_q();
-            for chunk in [0usize..40, 40..100, 100..130, 130..160] {
-                let block = a.sub_matrix(chunk.start, 0, chunk.end - chunk.start, n);
-                acc.push_block(&block, None);
-            }
-            let q = acc.q_thin();
-            assert!(orthogonality(&q) < 1e-12);
-            assert!(relative_residual(&a, &q, acc.r()) < 1e-12);
-            // The first block's rows, bit for bit what `orm2r` gives on the
-            // dense `[E; 0]`.
-            let mut e = Matrix::identity(n);
-            for (rows, f) in acc.eliminations.iter().rev() {
-                tpmqrt_dense(Trans::No, f, &mut e, &mut Matrix::zeros(*rows, n));
-            }
-            let first = acc.first.as_ref().expect("with_q keeps the first block");
-            let mut c = Matrix::zeros(40, n);
-            c.set_sub(0, 0, &e);
-            orm2r(Side::Left, Trans::No, &first.factors.view(), &first.tau, &mut c.view_mut());
-            let got = q.sub_matrix(0, 0, 40, n);
-            let same =
-                got.as_slice().iter().zip(c.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "n={n}");
         }
     }
 

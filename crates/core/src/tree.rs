@@ -64,7 +64,7 @@ pub enum TreeShape {
     Greedy,
     /// An arbitrary tree as a parent vector: `parents[i]` is participant
     /// `i`'s parent, `None` exactly at the root, which must be
-    /// participant 0 — verbatim what [`ReductionTree::parents`] returns.
+    /// participant 0 — verbatim what `ReductionTree::parents` returns.
     Custom(Vec<Option<usize>>),
 }
 
@@ -72,7 +72,7 @@ impl TreeShape {
     /// Short stable label for traces, tables and CLI output
     /// (`"grid"`, `"kary4"`, …). `&'static` so it can annotate
     /// [`tsqr_gridmpi::trace::Event`] phase spans.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             TreeShape::Flat => "flat",
             TreeShape::Binary => "binary",
@@ -397,7 +397,8 @@ impl ReductionTree {
 
     /// The parent vector: `None` at the root, `Some(parent)` elsewhere.
     /// `Custom(tree.parents().to_vec())` names this very tree.
-    pub fn parents(&self) -> &[Option<usize>] {
+    #[cfg(test)]
+    pub(crate) fn parents(&self) -> &[Option<usize>] {
         &self.parents
     }
 

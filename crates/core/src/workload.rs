@@ -13,7 +13,7 @@ use tsqr_netsim::rng::{hash64, unit_f64, GOLDEN_GAMMA};
 
 /// Entry `(i, j)` of the global test matrix with the given seed, uniform
 /// in `[-1, 1]`.
-pub fn entry(seed: u64, i: u64, j: u64) -> f64 {
+pub(crate) fn entry(seed: u64, i: u64, j: u64) -> f64 {
     // Shared SplitMix64 hash over a mixed coordinate key; 53 uniform bits
     // → [0, 1) → [-1, 1].
     let key = seed ^ i.wrapping_mul(GOLDEN_GAMMA) ^ j.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);

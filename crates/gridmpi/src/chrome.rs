@@ -15,7 +15,7 @@
 //!   (blocked waits) and the enclosing `phase` slices. A phase span
 //!   always contains the receives recorded under it, so the track nests
 //!   cleanly. Receives sit on their own track because
-//!   [`crate::Process::exchange_async`] overlaps a receive with its own send.
+//!   `crate::Process::exchange_async` overlaps a receive with its own send.
 //! * Virtual seconds map to Chrome's microsecond `ts`/`dur` fields, so
 //!   the UI's time axis reads directly in simulated time.
 //! * One flow arrow (`ph: "s"` → `ph: "f"`, `bp: "e"`) per matched

@@ -64,7 +64,7 @@ pub struct Communicator {
 
 impl Communicator {
     /// The world communicator over ranks `0..n`.
-    pub fn world(n: usize) -> Self {
+    pub(crate) fn world(n: usize) -> Self {
         Communicator { members: (0..n).collect() }
     }
 
@@ -79,13 +79,8 @@ impl Communicator {
         self.members.len()
     }
 
-    /// Global rank of member `idx`.
-    pub fn member(&self, idx: usize) -> usize {
-        self.members[idx]
-    }
-
     /// The ordered member list.
-    pub fn members(&self) -> &[usize] {
+    pub(crate) fn members(&self) -> &[usize] {
         &self.members
     }
 

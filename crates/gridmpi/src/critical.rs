@@ -70,7 +70,7 @@ pub struct Segment {
 
 impl Segment {
     /// The span's length.
-    pub fn span(&self) -> VirtualTime {
+    pub(crate) fn span(&self) -> VirtualTime {
         self.end - self.start
     }
 }

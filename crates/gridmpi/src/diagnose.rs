@@ -105,7 +105,7 @@ impl WaitBreakdown {
     }
 
     /// Element-wise sum.
-    pub fn merge(&mut self, other: &WaitBreakdown) {
+    pub(crate) fn merge(&mut self, other: &WaitBreakdown) {
         self.late_sender_s += other.late_sender_s;
         self.imbalance_s += other.imbalance_s;
         self.propagated_s += other.propagated_s;
@@ -190,11 +190,6 @@ impl Activity {
 }
 
 impl Diagnosis {
-    /// Number of ranks covered.
-    pub fn num_ranks(&self) -> usize {
-        self.per_rank.len()
-    }
-
     /// All ranks' breakdowns merged.
     pub fn total(&self) -> WaitBreakdown {
         let mut out = WaitBreakdown::default();

@@ -68,16 +68,6 @@ impl VectorClock {
         VectorClock(vec![0; n])
     }
 
-    /// Number of ranks this clock covers.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when the clock covers zero ranks.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// The counter of `rank` (0 beyond the clock's width).
     pub fn get(&self, rank: usize) -> u64 {
         self.0.get(rank).copied().unwrap_or(0)

@@ -69,7 +69,7 @@ impl PhaseCounters {
     }
 
     /// Element-wise sum.
-    pub fn merge(&mut self, other: &PhaseCounters) {
+    pub(crate) fn merge(&mut self, other: &PhaseCounters) {
         for i in 0..B {
             self.msgs[i] += other.msgs[i];
             self.bytes[i] += other.bytes[i];
@@ -174,7 +174,8 @@ impl MetricsRegistry {
     }
 
     /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.phases.is_empty()
     }
 

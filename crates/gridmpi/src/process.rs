@@ -22,7 +22,7 @@ pub(crate) const DETECTION_LATENCY_FACTOR: f64 = 4.0;
 /// whose transmissions are all lost gives up after this many attempts
 /// and surfaces [`CommError::MessageDropped`]. Between attempts the
 /// sender backs off `2^(attempt-1)` link latencies.
-pub const MAX_SEND_ATTEMPTS: u32 = 4;
+pub(crate) const MAX_SEND_ATTEMPTS: u32 = 4;
 
 /// The order in which buffered messages from *different* sources queue in
 /// a rank's pending buffer. Per-source FIFO is always preserved (it is
@@ -86,7 +86,7 @@ impl TrafficCounters {
     }
 
     /// Element-wise sum.
-    pub fn merge(&self, other: &TrafficCounters) -> TrafficCounters {
+    pub(crate) fn merge(&self, other: &TrafficCounters) -> TrafficCounters {
         let mut out = *self;
         for i in 0..3 {
             out.msgs[i] += other.msgs[i];
@@ -193,11 +193,6 @@ impl Process {
         &self.topo
     }
 
-    /// The shared cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.model
-    }
-
     /// Current virtual time at this rank.
     #[inline]
     pub fn clock(&self) -> VirtualTime {
@@ -274,12 +269,6 @@ impl Process {
     /// The innermost open phase, if any.
     pub(crate) fn current_phase(&self) -> Option<&'static str> {
         self.phase_stack.last().map(|(n, _)| *n)
-    }
-
-    /// The per-phase metrics recorded so far (always on — see
-    /// [`crate::metrics`]).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Charges `flops` floating-point operations at `rate` flop/s (the
@@ -384,7 +373,7 @@ impl Process {
     /// [`tsqr_netsim::CostModel::message_time_under`], marked with a
     /// zero-width [`FaultKind::LinkDegraded`] trace event); and the
     /// transmission may be dropped — dropped attempts are retransmitted
-    /// with exponential backoff up to [`MAX_SEND_ATTEMPTS`], after which
+    /// with exponential backoff up to `MAX_SEND_ATTEMPTS`, after which
     /// the receiver is sent a *ghost* (so it learns of the loss at the
     /// deterministic would-be arrival time) and the sender gets
     /// [`CommError::MessageDropped`].
@@ -601,7 +590,7 @@ impl Process {
     /// The two transfers overlap on the wire (full-duplex), so the clock
     /// advance is the max of the send completion and the partner's arrival —
     /// the behaviour of one butterfly round of an all-reduce.
-    pub async fn exchange_async<M: WirePayload>(
+    pub(crate) async fn exchange_async<M: WirePayload>(
         &mut self,
         partner: usize,
         tag: u32,

@@ -78,14 +78,10 @@ impl<T> RunOutcome<T> {
         self.failures.iter().map(|&(r, _)| r).collect()
     }
 
-    /// The surviving value of `rank`, if it survived.
-    pub fn survivor(&self, rank: usize) -> Option<&T> {
-        self.survivors.iter().find(|&&(r, _)| r == rank).map(|(_, v)| v)
-    }
-
     /// One-line human summary (`"64 ok, 1 failed: rank 37 crashed …"`); a
     /// deadlocked rank's error names its wait-for cycle.
-    pub fn summary(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn summary(&self) -> String {
         if self.is_clean() {
             return format!("{} ranks ok", self.survivors.len());
         }
@@ -150,7 +146,8 @@ impl<T> RunReport<T> {
 
     /// Every rank's [`MetricsRegistry`] folded into one run-wide registry
     /// ([`MetricsRegistry::merged`]).
-    pub fn aggregate_metrics(&self) -> MetricsRegistry {
+    #[cfg(test)]
+    pub(crate) fn aggregate_metrics(&self) -> MetricsRegistry {
         MetricsRegistry::merged(&self.metrics)
     }
 }
@@ -235,11 +232,6 @@ impl Runtime {
     pub fn set_failure_schedule(&mut self, schedule: FailureSchedule) -> &mut Self {
         self.schedule = schedule;
         self
-    }
-
-    /// The failure schedule currently in force (empty by default).
-    pub fn failure_schedule(&self) -> &FailureSchedule {
-        &self.schedule
     }
 
     /// The topology this runtime simulates.
@@ -336,7 +328,7 @@ impl Runtime {
     /// in rank order at first and from then on in the order messages make
     /// ranks runnable. A rank yields the thread in one of two places: in a
     /// receive of a message not yet sent ([`Process::recv_async`],
-    /// [`Process::recv_any_async`], [`Process::exchange_async`]), until the
+    /// [`Process::recv_any_async`], `Process::exchange_async`), until the
     /// matching `send` queues it again; or, when untraced with no failure
     /// schedule and [`DeliveryOrder::Arrival`], in an all-reduce over a
     /// data-free payload, until its last member arrives and prices the

@@ -119,7 +119,7 @@ impl FaultKind {
     }
 
     /// Short stable label for renders and trace exports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             FaultKind::RankFailed => "rank-failed",
             FaultKind::PeerAborted => "peer-aborted",
@@ -304,7 +304,7 @@ impl Trace {
     /// in trace order — the run's failure history. Two replays of the
     /// same (program, schedule, seed) produce identical failure
     /// histories; the replay-determinism proptest diffs exactly this.
-    pub fn fault_events(&self) -> Vec<&Event> {
+    pub(crate) fn fault_events(&self) -> Vec<&Event> {
         self.events.iter().filter(|e| matches!(e.kind, EventKind::Fault { .. })).collect()
     }
 

@@ -25,7 +25,8 @@ pub fn tpqrt(n: u64) -> u64 {
 /// Flops of a dense QR of the `2n × n` stack — what the combine would cost
 /// without exploiting structure. The ratio `stack_qr_dense / tpqrt ≈ 5`
 /// quantifies the value of the structured kernel.
-pub fn stack_qr_dense(n: u64) -> u64 {
+#[cfg(test)]
+pub(crate) fn stack_qr_dense(n: u64) -> u64 {
     geqrf(2 * n, n)
 }
 

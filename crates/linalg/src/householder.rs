@@ -9,7 +9,7 @@ use crate::view::ViewMut;
 
 /// Result of generating a reflector for a vector.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Reflector {
+pub(crate) struct Reflector {
     /// The value the vector's first entry is mapped to (`±‖x‖`).
     pub beta: f64,
     /// The scaling factor τ of `H = I − τ·v·vᵀ` (0 when `x` is already

@@ -67,7 +67,7 @@ impl Matrix {
     }
 
     /// A matrix with entries drawn i.i.d. from `dist`.
-    pub fn random<D: Distribution<f64>>(
+    pub(crate) fn random<D: Distribution<f64>>(
         rows: usize,
         cols: usize,
         dist: &D,

@@ -43,7 +43,7 @@ pub struct StackedFactors {
 
 impl StackedFactors {
     /// Block size `n` of the combine.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.v.rows()
     }
 }
@@ -183,12 +183,12 @@ pub struct DenseStackedFactors {
 
 impl DenseStackedFactors {
     /// Block size `n` of the combine.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.v.cols()
     }
 
     /// Height `q` of the dense block.
-    pub fn q(&self) -> usize {
+    pub(crate) fn q(&self) -> usize {
         self.v.rows()
     }
 }

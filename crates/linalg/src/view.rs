@@ -41,38 +41,39 @@ impl<'a> View<'a> {
 
     /// Row count of the viewed block.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Column count of the viewed block.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Leading dimension (column stride) of the underlying storage.
+    #[cfg(test)]
     #[inline]
-    pub fn ld(&self) -> usize {
+    pub(crate) fn ld(&self) -> usize {
         self.ld
     }
 
     /// Element `(i, j)`.
     #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i + j * self.ld]
     }
 
     /// Column `j` as a slice of length `rows`.
     #[inline]
-    pub fn col(&self, j: usize) -> &[f64] {
+    pub(crate) fn col(&self, j: usize) -> &[f64] {
         debug_assert!(j < self.cols);
         &self.data[j * self.ld..j * self.ld + self.rows]
     }
 
     /// The `nr × nc` sub-window starting at `(r0, c0)`.
-    pub fn sub(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> View<'a> {
+    pub(crate) fn sub(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> View<'a> {
         assert!(r0 + nr <= self.rows && c0 + nc <= self.cols, "sub-view out of bounds");
         // An empty window at the right edge may start past the buffer end
         // (the buffer stops `ld − rows` short of `cols·ld`); clamp it.
@@ -86,7 +87,8 @@ impl<'a> View<'a> {
     }
 
     /// Frobenius norm of the window.
-    pub fn norm_fro(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn norm_fro(&self) -> f64 {
         let mut s = 0.0;
         for j in 0..self.cols {
             for &x in self.col(j) {
@@ -106,7 +108,7 @@ impl<'a> ViewMut<'a> {
 
     /// Row count of the viewed block.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
@@ -116,36 +118,30 @@ impl<'a> ViewMut<'a> {
         self.cols
     }
 
-    /// Leading dimension (column stride) of the underlying storage.
-    #[inline]
-    pub fn ld(&self) -> usize {
-        self.ld
-    }
-
     /// Element `(i, j)`.
     #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i + j * self.ld]
     }
 
     /// Overwrites element `(i, j)` with `v`.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i + j * self.ld] = v;
     }
 
     /// Column `j` as a slice of length `rows`.
     #[inline]
-    pub fn col(&self, j: usize) -> &[f64] {
+    pub(crate) fn col(&self, j: usize) -> &[f64] {
         debug_assert!(j < self.cols);
         &self.data[j * self.ld..j * self.ld + self.rows]
     }
 
     /// Column `j` as a mutable slice of length `rows`.
     #[inline]
-    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
+    pub(crate) fn col_mut(&mut self, j: usize) -> &mut [f64] {
         debug_assert!(j < self.cols);
         &mut self.data[j * self.ld..j * self.ld + self.rows]
     }
@@ -195,14 +191,16 @@ impl<'a> ViewMut<'a> {
     }
 
     /// Fills the window with a constant.
-    pub fn fill(&mut self, v: f64) {
+    #[cfg(test)]
+    pub(crate) fn fill(&mut self, v: f64) {
         for j in 0..self.cols {
             self.col_mut(j).fill(v);
         }
     }
 
     /// Scales every entry of the window by `alpha`.
-    pub fn scale(&mut self, alpha: f64) {
+    #[cfg(test)]
+    pub(crate) fn scale(&mut self, alpha: f64) {
         for j in 0..self.cols {
             for x in self.col_mut(j) {
                 *x *= alpha;

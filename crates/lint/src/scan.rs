@@ -57,7 +57,7 @@ pub struct Allow {
 
 impl Allow {
     /// True when this entry suppresses the finding.
-    pub fn matches(&self, f: &Finding) -> bool {
+    pub(crate) fn matches(&self, f: &Finding) -> bool {
         f.rule == self.rule && f.path.contains(&self.path_part)
     }
 }
@@ -126,7 +126,7 @@ pub(crate) fn collect_files(path: &Path, out: &mut Vec<PathBuf>) {
 
 /// True for paths the lints skip: integration tests, benches and
 /// examples are not shipped runtime code.
-pub fn is_nonshipped(rel: &str) -> bool {
+pub(crate) fn is_nonshipped(rel: &str) -> bool {
     rel.contains("/tests/") || rel.contains("/benches/") || rel.contains("/examples/")
 }
 

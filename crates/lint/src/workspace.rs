@@ -22,13 +22,13 @@ pub struct SourceFile {
     /// survive).
     pub raw: String,
     /// Stripped (comments/strings blanked) and test-truncated code; empty
-    /// unless the file is [`SourceFile::shipped`].
+    /// unless the file is `SourceFile::shipped`.
     pub code: String,
 }
 
 impl SourceFile {
     /// Builds the file `rel` holding `raw`.
-    pub fn new(rel: String, raw: String) -> Self {
+    pub(crate) fn new(rel: String, raw: String) -> Self {
         let mut f = SourceFile { rel, raw, code: String::new() };
         if f.shipped() {
             f.code = truncate_at_test_module(&strip_noncode(&f.raw)).to_string();
@@ -37,7 +37,7 @@ impl SourceFile {
     }
 
     /// True for a `.rs` file outside `tests/`, `benches/` and `examples/`.
-    pub fn shipped(&self) -> bool {
+    pub(crate) fn shipped(&self) -> bool {
         self.rel.ends_with(".rs") && !is_nonshipped(&self.rel)
     }
 }

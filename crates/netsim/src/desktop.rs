@@ -31,7 +31,7 @@ const HOSTS_PER_REGION: usize = 32;
 const HOST_GFLOPS: f64 = 1.0;
 
 /// Region descriptions (names are illustrative).
-pub fn regions(count: usize) -> Vec<ClusterSpec> {
+pub(crate) fn regions(count: usize) -> Vec<ClusterSpec> {
     let names = ["europe", "north-america", "asia", "south-america", "oceania"];
     assert!(count >= 1 && count <= names.len(), "1..=5 regions supported");
     names

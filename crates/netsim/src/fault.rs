@@ -162,11 +162,6 @@ impl FailureSchedule {
             && self.degradations.is_empty()
     }
 
-    /// The seed used by the probabilistic drop rules.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     // ---- builders ------------------------------------------------------
 
     /// Schedules rank `rank` to crash at virtual time `at`. A crashed
@@ -288,7 +283,8 @@ impl FailureSchedule {
     }
 
     /// All scheduled crashes as `(rank, time)` pairs, in insertion order.
-    pub fn crashes(&self) -> &[(usize, VirtualTime)] {
+    #[cfg(test)]
+    pub(crate) fn crashes(&self) -> &[(usize, VirtualTime)] {
         &self.crashes
     }
 
@@ -305,7 +301,8 @@ impl FailureSchedule {
     }
 
     /// True when `site` has crashed at or before `t`.
-    pub fn site_down(&self, site: usize, t: VirtualTime) -> bool {
+    #[cfg(test)]
+    pub(crate) fn site_down(&self, site: usize, t: VirtualTime) -> bool {
         self.site_crash_time(site).is_some_and(|at| at <= t)
     }
 

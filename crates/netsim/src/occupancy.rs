@@ -67,7 +67,8 @@ impl LinkUsage {
     }
 
     /// Busy (wire-occupancy) seconds of one class bucket.
-    pub fn busy_s(&self, bucket: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn busy_s(&self, bucket: usize) -> f64 {
         self.busy_s[bucket]
     }
 
@@ -84,7 +85,7 @@ impl LinkUsage {
     /// Busy seconds of a class divided by `horizon_s` (0.0 on an empty
     /// horizon). Can exceed 1.0 when several links of the class were
     /// active concurrently.
-    pub fn utilization(&self, bucket: usize, horizon_s: f64) -> f64 {
+    pub(crate) fn utilization(&self, bucket: usize, horizon_s: f64) -> f64 {
         if horizon_s <= 0.0 {
             0.0
         } else {
@@ -93,7 +94,8 @@ impl LinkUsage {
     }
 
     /// Element-wise sum.
-    pub fn merge(&mut self, other: &LinkUsage) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &LinkUsage) {
         for i in 0..B {
             self.msgs[i] += other.msgs[i];
             self.bytes[i] += other.bytes[i];
@@ -146,11 +148,6 @@ impl UtilizationTimeline {
         self.bins.len()
     }
 
-    /// The horizon the bins cover.
-    pub fn horizon_s(&self) -> f64 {
-        self.horizon_s
-    }
-
     /// Width of one bin in seconds.
     fn bin_width_s(&self) -> f64 {
         self.horizon_s / self.bins.len() as f64
@@ -185,7 +182,7 @@ impl UtilizationTimeline {
     /// Busy fraction of class `bucket` inside `bin` (busy seconds over
     /// bin width; can exceed 1.0 when links of the class run in
     /// parallel).
-    pub fn fraction(&self, bucket: usize, bin: usize) -> f64 {
+    pub(crate) fn fraction(&self, bucket: usize, bin: usize) -> f64 {
         let w = self.bin_width_s();
         if w <= 0.0 {
             0.0
@@ -315,11 +312,6 @@ impl CommMatrix {
         CommMatrix { n, msgs: vec![0; n * n], bytes: vec![0; n * n] }
     }
 
-    /// Number of ranks.
-    pub fn num_ranks(&self) -> usize {
-        self.n
-    }
-
     /// Records one `bytes`-sized message from `src` to `dst`.
     pub fn record(&mut self, src: usize, dst: usize, bytes: u64) {
         assert!(src < self.n && dst < self.n, "rank out of range ({src}, {dst})");
@@ -333,7 +325,7 @@ impl CommMatrix {
     }
 
     /// Bytes sent from `src` to `dst`.
-    pub fn bytes(&self, src: usize, dst: usize) -> u64 {
+    pub(crate) fn bytes(&self, src: usize, dst: usize) -> u64 {
         self.bytes[src * self.n + dst]
     }
 
@@ -361,7 +353,8 @@ impl CommMatrix {
     }
 
     /// Element-wise sum. Panics on mismatched sizes.
-    pub fn merge(&mut self, other: &CommMatrix) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &CommMatrix) {
         assert_eq!(self.n, other.n, "comm-matrix size mismatch");
         for i in 0..self.msgs.len() {
             self.msgs[i] += other.msgs[i];

@@ -34,7 +34,7 @@ impl VirtualTime {
 
     /// The later of two instants.
     #[inline]
-    pub fn max(self, other: VirtualTime) -> VirtualTime {
+    pub(crate) fn max(self, other: VirtualTime) -> VirtualTime {
         if self.0.total_cmp(&other.0).is_ge() {
             self
         } else {

@@ -13,7 +13,7 @@
 //!
 //! Invariants enforced by [`read_ledger`]:
 //!
-//! * every line carries `schema == `[`LEDGER_SCHEMA`];
+//! * every line carries `schema == LEDGER_SCHEMA`;
 //! * `seq` is strictly increasing — the ledger is append-only, and
 //!   rewriting history (dropping or reordering lines) is detectable.
 //!
@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use crate::json::Json;
 
 /// Schema tag carried by every ledger line.
-pub const LEDGER_SCHEMA: &str = "grid-tsqr-ledger/v1";
+pub(crate) const LEDGER_SCHEMA: &str = "grid-tsqr-ledger/v1";
 
 /// Environment variable naming the ledger file. Unset or empty disables
 /// ledger writes.
@@ -76,7 +76,7 @@ impl PhaseRow {
 
     /// Relative residual of the model on this phase:
     /// `|predicted − observed| / max(observed, 1e-12)`.
-    pub fn residual(&self) -> f64 {
+    pub(crate) fn residual(&self) -> f64 {
         let obs = self.observed_s();
         (self.predicted_s - obs).abs() / obs.abs().max(RESIDUAL_FLOOR)
     }

@@ -66,7 +66,7 @@ pub struct Anomaly {
 
 impl Anomaly {
     /// Excess of the residual over the reference.
-    pub fn excess(&self) -> f64 {
+    pub(crate) fn excess(&self) -> f64 {
         self.residual - self.baseline_residual
     }
 

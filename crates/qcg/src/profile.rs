@@ -66,7 +66,8 @@ impl JobProfile {
     }
 
     /// Total processes requested.
-    pub fn total_procs(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total_procs(&self) -> usize {
         self.groups * self.procs_per_group
     }
 }

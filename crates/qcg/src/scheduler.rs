@@ -248,7 +248,7 @@ impl SlotPool {
     }
 
     /// How many times the pool has changed: a granted
-    /// [`SlotPool::allocate`], each [`SlotPool::release_site`] (so each
+    /// [`SlotPool::allocate`], each `SlotPool::release_site` (so each
     /// site of a [`SlotPool::release`]) and each [`SlotPool::fail_site`]
     /// move it on. A refused `allocate` and
     /// [`SlotPool::feasible_on_survivors`] change nothing and leave it be,
@@ -357,7 +357,7 @@ impl SlotPool {
     /// # Panics
     /// Panics when `site` is not part of `lease`, is down, or when the
     /// return would leak slots (double release).
-    pub fn release_site(&mut self, lease: &Lease, site: usize) {
+    pub(crate) fn release_site(&mut self, lease: &Lease, site: usize) {
         assert!(
             lease.cluster_of_group().contains(&site),
             "release_site: cluster {site} is not part of this lease"

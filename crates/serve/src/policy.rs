@@ -111,7 +111,7 @@ pub struct QueuedJob {
 }
 
 /// Opaque handle to one waiting job: what [`BoundedQueue::select`] returns
-/// and [`BoundedQueue::get`] / [`BoundedQueue::remove`] accept, good until
+/// and `BoundedQueue::get` / [`BoundedQueue::remove`] accept, good until
 /// the next `select` (a stale one panics instead of naming another job).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ticket(u64);
@@ -171,12 +171,13 @@ impl BoundedQueue {
     }
 
     /// Waiting requests.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// True when nothing waits.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -186,7 +187,7 @@ impl BoundedQueue {
     }
 
     /// Waiting jobs on their second or later try.
-    pub fn retried(&self) -> usize {
+    pub(crate) fn retried(&self) -> usize {
         self.retried
     }
 
@@ -219,7 +220,8 @@ impl BoundedQueue {
     }
 
     /// The waiting jobs, in push order (read-only view).
-    pub fn items(&self) -> impl Iterator<Item = &QueuedJob> {
+    #[cfg(test)]
+    pub(crate) fn items(&self) -> impl Iterator<Item = &QueuedJob> {
         self.slots.iter().flatten()
     }
 
@@ -267,7 +269,7 @@ impl BoundedQueue {
     ///
     /// # Panics
     /// Panics when the job has left or a `select` came after the ticket.
-    pub fn get(&self, ticket: Ticket) -> &QueuedJob {
+    pub(crate) fn get(&self, ticket: Ticket) -> &QueuedJob {
         self.slots[(ticket.0 - self.base) as usize].as_ref().expect("ticket names a waiting job")
     }
 

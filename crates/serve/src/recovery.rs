@@ -98,7 +98,7 @@ impl Brownout {
     /// # Panics
     /// Panics when `exit_watermark > enter_watermark` (the hysteresis
     /// band would be inverted).
-    pub fn new(cfg: BrownoutConfig) -> Self {
+    pub(crate) fn new(cfg: BrownoutConfig) -> Self {
         assert!(
             cfg.exit_watermark <= cfg.enter_watermark,
             "brownout exit watermark must not exceed the enter watermark"

@@ -76,7 +76,7 @@ pub struct PolicyReport {
 /// The empirical `q`-quantile of `sorted` (ascending, may be empty) by
 /// the nearest-rank method: the smallest value with at least `⌈q·N⌉`
 /// values at or below it. `0.0` on an empty slice.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
     if sorted.is_empty() {
         return 0.0;
